@@ -1,7 +1,6 @@
 """recssd: discrete-event simulator and design-space explorer for in-storage
 recommendation inference."""
 
-from .events import Event, EventQueue
 from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, StageTimes,
                             WorkloadProfile, estimate_times, resource_usage, search,
                             verify_constraints)

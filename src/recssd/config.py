@@ -2,6 +2,8 @@
 rejected. `default_config_text()` is the authoritative, fully commented list
 of every knob and its default."""
 
+import math
+
 import yaml
 
 from .kernel_search import ResourceModel, SearchSpace
@@ -115,8 +117,11 @@ def _check_section(name: str, value, schema) -> None:
         want = schema[key]
         if want is float and isinstance(v, int) and not isinstance(v, bool):
             continue
-        if want is not None and v is not None and not isinstance(v, want):
+        if want is not None and v is not None and (isinstance(v, bool)
+                                                   or not isinstance(v, want)):
             raise ConfigError(f"{name}.{key} must be {want.__name__}, got {type(v).__name__}")
+        if want is float and v is not None and not math.isfinite(v):
+            raise ConfigError(f"{name}.{key} must be finite, got {v}")
 
 
 def validate_config(cfg: dict) -> dict:

@@ -169,16 +169,20 @@ def resource_usage(spec, assignment: KernelAssignment,
     )
 
 
-def _spill_floor_cycles(spill_bytes: list[int], resource_model: ResourceModel,
-                        timing: TimingParams) -> list[int]:
-    out = []
-    for nbytes in spill_bytes:
+def spill_floor_cycles(spec, resource_model: ResourceModel,
+                       timing: TimingParams) -> tuple[list[int], list[int]]:
+    """Per-layer weight-fetch floors, in engine cycles, of the bottom and the
+    top stack: the DRAM fetch time of each layer that `bram_placement`
+    spills, 0 for resident layers."""
+    _, _, spill = bram_placement(spec, resource_model)
+
+    def cycles(nbytes: int) -> int:
         if nbytes == 0:
-            out.append(0)
-        else:
-            fetch_ns = round(nbytes * 1e9 / resource_model.dram_bandwidth_bytes_per_s)
-            out.append(timing.ns_to_cycles(fetch_ns))
-    return out
+            return 0
+        fetch_ns = round(nbytes * 1e9 / resource_model.dram_bandwidth_bytes_per_s)
+        return timing.ns_to_cycles(fetch_ns)
+
+    return [cycles(b) for b in spill["bottom"]], [cycles(b) for b in spill["top"]]
 
 
 def make_lookup_env(model: Model, geometry: SsdGeometry):
@@ -213,12 +217,9 @@ def estimate_times(model: Model, assignment: KernelAssignment, batch: int,
     lookup = ev_engine.simulate_lookup(model, queries, geometry, timing, emap, ftl,
                                        kc_e=assignment.ev[1])
     bottom, top = _stack_dims(spec)
+    floors_b = floors_t = None
     if resource_model is not None:
-        _, _, spill = bram_placement(spec, resource_model)
-        floors_b = _spill_floor_cycles(spill["bottom"], resource_model, timing)
-        floors_t = _spill_floor_cycles(spill["top"], resource_model, timing)
-    else:
-        floors_b = floors_t = None
+        floors_b, floors_t = spill_floor_cycles(spec, resource_model, timing)
     bot_ns = _stage_makespan_ns(bottom, assignment.bottom, batch, timing, floors_b)
     top_ns = _stage_makespan_ns(top, assignment.top, batch, timing, floors_t)
     return StageTimes(bottom_ns=bot_ns, top_ns=top_ns, emb_ns=lookup.t_emb_ns)
@@ -260,9 +261,7 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
     spec = model.spec
     env = make_lookup_env(model, geometry)
     bottom, top = _stack_dims(spec)
-    _, _, spill = bram_placement(spec, resource_model)
-    floors_b = _spill_floor_cycles(spill["bottom"], resource_model, timing)
-    floors_t = _spill_floor_cycles(spill["top"], resource_model, timing)
+    floors_b, floors_t = spill_floor_cycles(spec, resource_model, timing)
     kce_options = kernel_options(spec.ev_dim)
 
     batch = space.initial_batch

@@ -291,6 +291,34 @@ def _row_pass(entry: LayerQuerySchedule, kr: int, in_width: int, groups: int, fi
     return entry.end_cycle, busy
 
 
+def _schedule_tail(layers, kernels, floors, q: int, unit_free: list[int],
+                   entries: list[LayerQuerySchedule]) -> int:
+    """Schedule layers 1..n-1 of query q after its layer-0 entry, the last of
+    `entries`, by the generic rules; return the query's completion cycle."""
+    prev_entry, prev_kc = entries[-1], kernels[0][1]
+    completion = prev_entry.end_cycle
+    for l in range(1, len(layers)):
+        layer = layers[l]
+        kr, kc = kernels[l]
+        groups = -(-layer.out_width // kc)
+        fill = fill_cycles(kr)
+        floor = floors[l] if q == 0 else 0
+        entry = LayerQuerySchedule(l, q, layer.scan, 0, 0)
+        if layer.scan == SCAN_ROW:
+            emis = prev_entry.emissions
+            avail = lambda i, emis=emis, pkc=prev_kc: emis[i // pkc]
+            completion, free = _row_pass(entry, kr, layer.in_width, groups, fill,
+                                         avail, unit_free[l], floor)
+        else:
+            chunks = -(-layer.in_width // kr)
+            completion, free = _column_pass(entry, chunks, groups, fill,
+                                            prev_entry.end_cycle, unit_free[l], floor)
+        unit_free[l] = free
+        entries.append(entry)
+        prev_entry, prev_kc = entry, kc
+    return completion
+
+
 def pipeline_schedule(layers: list[FcLayerSpec], kernels, clock_period_ns: float,
                       inputs_at_cycles=None, batch: int | None = None,
                       floor_cycles=None) -> PipelineSchedule:
@@ -320,35 +348,19 @@ def pipeline_schedule(layers: list[FcLayerSpec], kernels, clock_period_ns: float
     B = len(inputs_at_cycles)
     floors = list(floor_cycles) if floor_cycles is not None else [0] * n
 
+    kr0, kc0 = kernels[0]
+    chunks0 = -(-layers[0].in_width // kr0)
+    groups0 = -(-layers[0].out_width // kc0)
+    fill0 = fill_cycles(kr0)
     unit_free = [0] * n
     entries: list[LayerQuerySchedule] = []
     completions = []
     for q in range(B):
-        prev_entry = None
-        prev_kc = None
-        completion = 0
-        for l, layer in enumerate(layers):
-            kr, kc = kernels[l]
-            chunks = -(-layer.in_width // kr)
-            groups = -(-layer.out_width // kc)
-            fill = fill_cycles(kr)
-            floor = floors[l] if q == 0 else 0
-            entry = LayerQuerySchedule(l, q, layer.scan, 0, 0)
-            if layer.scan == SCAN_COLUMN:
-                ready = inputs_at_cycles[q] if l == 0 else prev_entry.end_cycle
-                completion, free = _column_pass(entry, chunks, groups, fill, ready,
-                                                unit_free[l], floor)
-            else:
-                emis = prev_entry.emissions
-                pkc = prev_kc
-                avail = lambda i, emis=emis, pkc=pkc: emis[i // pkc]
-                completion, free = _row_pass(entry, kr, layer.in_width, groups, fill,
-                                             avail, unit_free[l], floor)
-            unit_free[l] = free
-            entries.append(entry)
-            prev_entry = entry
-            prev_kc = kc
-        completions.append(completion)
+        entry = LayerQuerySchedule(0, q, SCAN_COLUMN, 0, 0)
+        _, unit_free[0] = _column_pass(entry, chunks0, groups0, fill0, inputs_at_cycles[q],
+                                       unit_free[0], floors[0] if q == 0 else 0)
+        entries.append(entry)
+        completions.append(_schedule_tail(layers, kernels, floors, q, unit_free, entries))
     return PipelineSchedule(entries, max(completions), clock_period_ns, completions)
 
 
@@ -399,30 +411,7 @@ def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels,
         entry.end_cycle = issue_end + fill0
         unit_free[0] = issue_end
         entries.append(entry)
-
-        prev_entry, prev_kc = entry, kc0
-        completion = entry.end_cycle
-        for l in range(1, n):
-            layer = top_layers[l]
-            kr, kc = kernels[l]
-            groups = -(-layer.out_width // kc)
-            fill = fill_cycles(kr)
-            lfloor = floors[l] if q == 0 else 0
-            e = LayerQuerySchedule(l, q, layer.scan, 0, 0)
-            if layer.scan == SCAN_ROW:
-                emis = prev_entry.emissions
-                pkc = prev_kc
-                avail = lambda i, emis=emis, pkc=pkc: emis[i // pkc]
-                completion, free = _row_pass(e, kr, layer.in_width, groups, fill,
-                                             avail, unit_free[l], lfloor)
-            else:
-                chunks = -(-layer.in_width // kr)
-                completion, free = _column_pass(e, chunks, groups, fill,
-                                                prev_entry.end_cycle, unit_free[l], lfloor)
-            unit_free[l] = free
-            entries.append(e)
-            prev_entry, prev_kc = e, kc
-        completions.append(completion)
+        completions.append(_schedule_tail(top_layers, kernels, floors, q, unit_free, entries))
     return PipelineSchedule(entries, max(completions), clock_period_ns, completions)
 
 

@@ -11,6 +11,13 @@ Modes:
   set covering ``dram_fraction`` of the table bytes; misses pay the full
   synchronous block-read path. Queries are processed serially.
 
+Every mode runs on one batch driver, ``_drive``. Starting at time 0, it
+dispatches the next batch whenever the device frees, while queries remain and
+the clock is before ``duration_ns``. A mode only sets itself up and supplies
+a stage function that does one batch's work: it returns each query's
+completion time and score, and the time the device frees. The baseline is the
+driver with batch 1, so a query is admitted when the previous one completes.
+
 Per-query latency is measured from the dispatch of the query's batch (from
 the start of its processing for the baseline). Scores of every mode are
 computed with the reference summation orders; for device modes the embedding
@@ -25,10 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ev_engine
-from .events import EventQueue
 from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, WorkloadProfile,
-                            make_lookup_env, resource_usage, bram_placement,
-                            _spill_floor_cycles, search)
+                            make_lookup_env, resource_usage, search, spill_floor_cycles)
 from .mlp_engine import (KernelAssignment, make_layers, pipeline_schedule,
                          pipeline_schedule_decomposed)
 from .recmodel import Model, generate_workload, interact, mlp_forward, reference_inference
@@ -87,6 +92,13 @@ class Scenario:
             self.kernels.validate(self.model.spec)
         if self.duration_ns is not None and self.duration_ns < 0:
             raise ValueError("duration_ns must be >= 0")
+        wl = self.workload
+        if wl.distribution not in ("uniform", "zipf"):
+            raise ValueError(f"unknown distribution {wl.distribution!r}")
+        if wl.pooling < 1:
+            raise ValueError(f"pooling must be >= 1, got {wl.pooling}")
+        if not wl.zipf_s > 0:
+            raise ValueError(f"zipf_s must be > 0, got {wl.zipf_s}")
 
 
 @dataclass
@@ -105,6 +117,7 @@ class Metrics:
     channel_utilization: list[float]
     resources: dict | None
     event_count: int
+    """Completed queries, plus dispatched batches in the device modes."""
 
     def to_dict(self) -> dict:
         return {
@@ -164,30 +177,52 @@ def _host_mlp_ns(spec, timing: TimingParams) -> int:
     return round(macs * timing.host_ns_per_mac)
 
 
-def _finish_metrics(scenario, events, latencies, completions, issued, busy_per_channel):
+def _drive(scenario: Scenario, queries, batch: int, stage,
+           dispatch_events: bool = True) -> RunResult:
+    """The batch loop of every mode. `stage(t0, first_qid, batch_queries, spans,
+    busy)` does one batch dispatched at t0: it appends the batch's spans, adds
+    its per-channel busy time to `busy`, and returns each query's
+    (completion_ns, score) and the time the device frees. `dispatch_events`
+    counts each dispatch in `event_count`, besides each completion."""
+    spans: list[tuple[int, str, int, int]] = []
+    busy = [0] * scenario.geometry.channels
+    scores: list[float] = []
+    latencies: list[int] = []
+    horizon = issued = batches = 0
+    t0 = 0
+    for first in range(0, len(queries), batch):
+        if scenario.duration_ns is not None and t0 >= scenario.duration_ns:
+            break
+        bq = queries[first:first + batch]
+        done, device_free = stage(t0, first, bq, spans, busy)
+        issued += len(bq)
+        batches += 1
+        for end, score in done:
+            scores.append(score)
+            latencies.append(end - t0)
+            horizon = max(horizon, end)
+        t0 = device_free
+
     completed = len(latencies)
-    horizon = max(completions) if completions else 0
     lat = sorted(latencies)
-    util = [0.0] * scenario.geometry.channels
-    if horizon > 0:
-        util = [b / horizon for b in busy_per_channel]
-    thr = completed * 1e9 / horizon if horizon > 0 else 0.0
-    return Metrics(
+    metrics = Metrics(
         schema_version=SCHEMA_VERSION,
         mode=scenario.mode,
         issued=issued,
         completed=completed,
         in_flight=issued - completed,
         horizon_ns=horizon,
-        throughput_qps=thr,
+        throughput_qps=completed * 1e9 / horizon if horizon > 0 else 0.0,
         latency_p50_ns=percentile_nearest_rank(lat, 0.50),
         latency_p95_ns=percentile_nearest_rank(lat, 0.95),
         latency_p99_ns=percentile_nearest_rank(lat, 0.99),
         latency_max_ns=lat[-1] if lat else 0,
-        channel_utilization=util,
+        channel_utilization=([b / horizon for b in busy] if horizon > 0
+                             else [0.0] * len(busy)),
         resources=None,
-        event_count=events.popped,
+        event_count=completed + (batches if dispatch_events else 0),
     )
+    return RunResult(metrics, scores, latencies, spans)
 
 
 def run(scenario: Scenario, seed: int) -> RunResult:
@@ -199,11 +234,10 @@ def run(scenario: Scenario, seed: int) -> RunResult:
     if scenario.query_count >= 1:
         queries = generate_workload(spec, wl.distribution, wl.pooling,
                                     scenario.query_count, seed, wl.zipf_s)
-    if scenario.mode == MODE_RMSSD:
-        return _run_rmssd(scenario, queries, seed)
-    if scenario.mode == MODE_EMB_VECTORSUM:
-        return _run_emb_vectorsum(scenario, queries, seed)
-    return _run_baseline(scenario, queries, seed)
+    env = make_lookup_env(model, scenario.geometry)
+    runner = {MODE_RMSSD: _run_rmssd, MODE_EMB_VECTORSUM: _run_emb_vectorsum,
+              MODE_SSD_BASELINE: _run_baseline}[scenario.mode]
+    return runner(scenario, queries, seed, env)
 
 
 def _score_device(model, query, ev_concat) -> float:
@@ -216,152 +250,96 @@ def _score_device(model, query, ev_concat) -> float:
     return float(out[0])
 
 
-def _spill_floors(scenario, timing):
-    _, _, spill = bram_placement(scenario.model.spec, scenario.resource_model)
-    return (_spill_floor_cycles(spill["bottom"], scenario.resource_model, timing),
-            _spill_floor_cycles(spill["top"], scenario.resource_model, timing))
+def _device_lookup(scenario: Scenario, env, kc_e: int):
+    """Build the flash byte image; return the device modes' batch lookup on it,
+    which also adds the batch's channel busy time to `busy`."""
+    emap, ftl = env
+    flash = ev_engine.build_flash_image(scenario.model.tables, emap, scenario.geometry)
+
+    def lookup(bq, busy):
+        result = ev_engine.simulate_lookup(scenario.model, bq, scenario.geometry,
+                                           scenario.timing, emap, ftl, flash=flash, kc_e=kc_e)
+        for c, b in enumerate(result.channel_busy_ns):
+            busy[c] += b
+        return result
+
+    return lookup
 
 
-def _run_rmssd(scenario: Scenario, queries, seed: int) -> RunResult:
+def _run_rmssd(scenario: Scenario, queries, seed: int, env) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
-    geometry, timing = scenario.geometry, scenario.timing
-    outcome = None
+    timing = scenario.timing
+    assignment, batch, outcome = scenario.kernels, scenario.batch, None
     if scenario.auto_search and scenario.kernels is None:
         profile = WorkloadProfile(scenario.workload.distribution, scenario.workload.pooling,
                                   scenario.workload.zipf_s, seed)
         space = scenario.space or SearchSpace(initial_batch=scenario.batch,
                                               max_batch=max(scenario.batch, 16))
-        outcome = search(model, scenario.resource_model, geometry, timing, profile, space)
+        outcome = search(model, scenario.resource_model, scenario.geometry, timing, profile,
+                         space)
         if not outcome.feasible:
             raise InfeasibleSearchError(outcome)
         assignment, batch = outcome.assignment, outcome.batch
-    else:
-        assignment, batch = scenario.kernels, scenario.batch
 
-    emap, ftl = make_lookup_env(model, geometry)
-    flash = ev_engine.build_flash_image(model.tables, emap, geometry)
+    lookup = _device_lookup(scenario, env, assignment.ev[1])
     bottom_layers = make_layers(spec.bottom_mlp_dims)
     top_layers = make_layers(spec.top_mlp_dims)
-    floors_b, floors_t = _spill_floors(scenario, timing)
+    floors_b, floors_t = spill_floor_cycles(spec, scenario.resource_model, timing)
     period = timing.clock_period_ns
 
-    events = EventQueue()
-    scores: dict[int, float] = {}
-    latencies: dict[int, int] = {}
-    completions: list[int] = []
-    spans: list[tuple[int, str, int, int]] = []
-    busy = [0] * geometry.channels
-    issued = 0
-
-    if queries and (scenario.duration_ns is None or scenario.duration_ns > 0):
-        events.push(0, "dispatch", 0)
-    while len(events):
-        ev = events.pop()
-        if ev.kind == "complete":
-            qid, latency, score = ev.payload
-            latencies[qid] = latency
-            scores[qid] = score
-            completions.append(ev.ts_ns)
-            continue
-        k = ev.payload
-        t0 = ev.ts_ns
-        bq = queries[k * batch:(k + 1) * batch]
-        if not bq:
-            continue
-        issued += len(bq)
-        lookup = ev_engine.simulate_lookup(model, bq, geometry, timing, emap, ftl,
-                                           flash=flash, kc_e=assignment.ev[1])
+    def stage(t0, first, bq, spans, busy):
+        emb = lookup(bq, busy)
         bot = pipeline_schedule(bottom_layers, assignment.bottom, period,
                                 inputs_at_cycles=[0] * len(bq), floor_cycles=floors_b)
-        e_cycles = [timing.ns_to_cycles(e) for e in lookup.e_ns]
+        e_cycles = [timing.ns_to_cycles(e) for e in emb.e_ns]
         top = pipeline_schedule_decomposed(top_layers, assignment.top, period,
                                            spec.bottom_out_width, spec.emb_out_width,
                                            bot.completions, e_cycles, floor_cycles=floors_t)
         b_ns = bot.completions_ns()
         s_ns = top.completions_ns()
         l0_start = {e.query: top.to_ns(e.start_cycle) for e in top.entries if e.layer == 0}
+        done = []
         for i, q in enumerate(bq):
-            qid = k * batch + i
-            score = _score_device(model, q, lookup.ev_concat[i])
-            events.push(t0 + s_ns[i], "complete", (qid, s_ns[i], score))
-            spans.append((qid, "emb", t0 + lookup.flash_start_ns[i], t0 + lookup.e_ns[i]))
+            qid = first + i
+            done.append((t0 + s_ns[i], _score_device(model, q, emb.ev_concat[i])))
+            spans.append((qid, "emb", t0 + emb.flash_start_ns[i], t0 + emb.e_ns[i]))
             spans.append((qid, "bottom_mlp", t0, t0 + b_ns[i]))
             spans.append((qid, "top_mlp", t0 + l0_start[i], t0 + s_ns[i]))
-        for c, b in enumerate(lookup.channel_busy_ns):
-            busy[c] += b
-        device_free = t0 + max(max(s_ns), lookup.t_emb_ns)
-        if (k + 1) * batch < len(queries) and (scenario.duration_ns is None
-                                               or device_free < scenario.duration_ns):
-            events.push(device_free, "dispatch", k + 1)
+        return done, t0 + max(max(s_ns), emb.t_emb_ns)
 
-    metrics = _finish_metrics(scenario, events, list(latencies.values()), completions,
-                              issued, busy)
-    metrics.resources = resource_usage(spec, assignment, scenario.resource_model).to_dict()
-    ordered = sorted(latencies)
-    return RunResult(metrics, [scores[q] for q in ordered],
-                     [latencies[q] for q in ordered], spans, search_outcome=outcome)
+    result = _drive(scenario, queries, batch, stage)
+    result.metrics.resources = resource_usage(spec, assignment, scenario.resource_model).to_dict()
+    result.search_outcome = outcome
+    return result
 
 
-def _run_emb_vectorsum(scenario: Scenario, queries, seed: int) -> RunResult:
+def _run_emb_vectorsum(scenario: Scenario, queries, seed: int, env) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
-    geometry, timing = scenario.geometry, scenario.timing
+    timing = scenario.timing
     kc_e = scenario.kernels.ev[1] if scenario.kernels is not None else spec.ev_dim
-    batch = scenario.batch
-    emap, ftl = make_lookup_env(model, geometry)
-    flash = ev_engine.build_flash_image(model.tables, emap, geometry)
+    lookup = _device_lookup(scenario, env, kc_e)
     host_mlp = _host_mlp_ns(spec, timing)
     xfer = timing.host_iface_ns(spec.emb_out_width * 4) + timing.host_overhead_ns
-
-    events = EventQueue()
-    scores: dict[int, float] = {}
-    latencies: dict[int, int] = {}
-    completions: list[int] = []
-    spans: list[tuple[int, str, int, int]] = []
-    busy = [0] * geometry.channels
-    issued = 0
     host_free = 0
 
-    if queries and (scenario.duration_ns is None or scenario.duration_ns > 0):
-        events.push(0, "dispatch", 0)
-    while len(events):
-        ev = events.pop()
-        if ev.kind == "complete":
-            qid, latency, score = ev.payload
-            latencies[qid] = latency
-            scores[qid] = score
-            completions.append(ev.ts_ns)
-            continue
-        k = ev.payload
-        t0 = ev.ts_ns
-        bq = queries[k * batch:(k + 1) * batch]
-        if not bq:
-            continue
-        issued += len(bq)
-        lookup = ev_engine.simulate_lookup(model, bq, geometry, timing, emap, ftl,
-                                           flash=flash, kc_e=kc_e)
+    def stage(t0, first, bq, spans, busy):
+        # the host MLP serves queries in order; it may still be busy with this
+        # batch when the device takes the next one
+        nonlocal host_free
+        emb = lookup(bq, busy)
+        done = []
         for i, q in enumerate(bq):
-            qid = k * batch + i
-            ready = t0 + lookup.e_ns[i] + xfer
+            qid = first + i
+            ready = t0 + emb.e_ns[i] + xfer
             start = max(ready, host_free)
-            s = start + host_mlp
-            host_free = s
-            score = _score_device(model, q, lookup.ev_concat[i])
-            events.push(s, "complete", (qid, s - t0, score))
-            spans.append((qid, "emb", t0 + lookup.flash_start_ns[i], t0 + lookup.e_ns[i]))
-            spans.append((qid, "host_xfer", t0 + lookup.e_ns[i], ready))
-            spans.append((qid, "host_mlp", start, s))
-        for c, b in enumerate(lookup.channel_busy_ns):
-            busy[c] += b
-        device_free = t0 + lookup.t_emb_ns
-        if (k + 1) * batch < len(queries) and (scenario.duration_ns is None
-                                               or device_free < scenario.duration_ns):
-            events.push(device_free, "dispatch", k + 1)
+            host_free = start + host_mlp
+            done.append((host_free, _score_device(model, q, emb.ev_concat[i])))
+            spans.append((qid, "emb", t0 + emb.flash_start_ns[i], t0 + emb.e_ns[i]))
+            spans.append((qid, "host_xfer", t0 + emb.e_ns[i], ready))
+            spans.append((qid, "host_mlp", start, host_free))
+        return done, t0 + emb.t_emb_ns
 
-    metrics = _finish_metrics(scenario, events, list(latencies.values()), completions,
-                              issued, busy)
-    ordered = sorted(latencies)
-    return RunResult(metrics, [scores[q] for q in ordered],
-                     [latencies[q] for q in ordered], spans)
+    return _drive(scenario, queries, scenario.batch, stage)
 
 
 def resident_sets(spec, dram_fraction: float, distribution: str, seed: int):
@@ -381,34 +359,23 @@ def resident_sets(spec, dram_fraction: float, distribution: str, seed: int):
     return sets
 
 
-def _run_baseline(scenario: Scenario, queries, seed: int) -> RunResult:
+def _run_baseline(scenario: Scenario, queries, seed: int, env) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
     geometry, timing = scenario.geometry, scenario.timing
-    emap, ftl = make_lookup_env(model, geometry)
+    emap, ftl = env
     resident = resident_sets(spec, scenario.dram_fraction, scenario.workload.distribution,
                              seed)
     host_mlp = _host_mlp_ns(spec, timing)
-    # an embedding row never straddles a page, so every miss is one page read
-    miss_ns = (page_read_time(geometry, timing) + timing.host_iface_ns(spec.ev_dim * 4)
-               + timing.host_overhead_ns)
-    hit_ns = timing.dram_hit_ns_int
     page_busy = page_read_time(geometry, timing)
-
-    events = EventQueue()
-    scores: dict[int, float] = {}
-    latencies: dict[int, int] = {}
-    completions: list[int] = []
-    spans: list[tuple[int, str, int, int]] = []
-    busy = [0] * geometry.channels
+    # an embedding row never straddles a page, so every miss is one page read
+    miss_ns = page_busy + timing.host_iface_ns(spec.ev_dim * 4) + timing.host_overhead_ns
+    hit_ns = timing.dram_hit_ns_int
     hits = misses = 0
-    issued = 0
-    t = 0
 
-    for qid, q in enumerate(queries):
-        if scenario.duration_ns is not None and t >= scenario.duration_ns:
-            break
-        issued += 1
-        t_start = t
+    def stage(t0, qid, bq, spans, busy):
+        nonlocal hits, misses
+        (q,) = bq
+        t = t0
         for tbl, idx_list in enumerate(q.indices):
             mask = resident[tbl]
             for index in idx_list:
@@ -417,29 +384,19 @@ def _run_baseline(scenario: Scenario, queries, seed: int) -> RunResult:
                     t += hit_ns
                 else:
                     misses += 1
-                    lba, off = ev_engine.translate_index(emap, tbl, index)
+                    lba, _ = ev_engine.translate_index(emap, tbl, index)
                     busy[ftl.translate(lba).channel] += page_busy
                     t += miss_ns
         emb_end = t
         t += host_mlp
-        score = reference_inference(model, q)
-        events.push(t, "complete", (qid, t - t_start, score))
-        spans.append((qid, "emb", t_start, emb_end))
+        spans.append((qid, "emb", t0, emb_end))
         spans.append((qid, "host_mlp", emb_end, t))
+        return [(t, reference_inference(model, q))], t
 
-    while len(events):
-        ev = events.pop()
-        qid, latency, score = ev.payload
-        latencies[qid] = latency
-        scores[qid] = score
-        completions.append(ev.ts_ns)
-
-    metrics = _finish_metrics(scenario, events, list(latencies.values()), completions,
-                              issued, busy)
-    ordered = sorted(latencies)
-    return RunResult(metrics, [scores[q] for q in ordered],
-                     [latencies[q] for q in ordered], spans,
-                     dram_hits=hits, dram_misses=misses)
+    # queries run serially: one per dispatch, and a dispatch is not an event
+    result = _drive(scenario, queries, 1, stage, dispatch_events=False)
+    result.dram_hits, result.dram_misses = hits, misses
+    return result
 
 
 @dataclass

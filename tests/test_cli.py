@@ -66,6 +66,12 @@ class TestValidate:
         path = write(tmp_path, "bad.yaml",
                      "scenario: {mode: ssd-baseline, dram_fraction: 0.0}\n")
         assert main(["validate", path]) == 2
+        for text in ("workload: {distribution: zipf, zipf_s: -1}\n",
+                     "timing: {page_read_us: .nan}\n",
+                     "scenario: {duration_us: .inf}\n"):
+            path = write(tmp_path, "bad.yaml", text)
+            assert main(["validate", path]) == 2, text
+            assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2, text
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/conf.yaml"]) == 2
@@ -77,6 +83,9 @@ class TestValidate:
     def test_wrong_type(self, tmp_path):
         path = write(tmp_path, "bad.yaml", "geometry: {channels: eight}\n")
         assert main(["validate", path]) == 2
+        path = write(tmp_path, "bad.yaml", "geometry: {channels: true}\n")
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
 
     def test_bad_kernels_block(self, tmp_path):
         path = write(tmp_path, "bad.yaml", "kernels: {bottom: [[1, 1]]}\n")

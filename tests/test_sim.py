@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from recssd.events import CausalityError, EventQueue
 from recssd.kernel_search import SearchSpace
 from recssd.mlp_engine import KernelAssignment
 from recssd.recmodel import (build_model, desk_model_spec, generate_workload,
@@ -33,24 +32,6 @@ def rmc3(seed=3):
 
 
 ALLMAX = KernelAssignment.all_max(desk_model_spec("rmc3-mini"))
-
-
-class TestEventQueue:
-    def test_pop_order_and_clock(self):
-        q = EventQueue()
-        q.push(10, "a")
-        q.push(5, "b")
-        q.push(10, "c")
-        kinds = [q.pop().kind for _ in range(3)]
-        assert kinds == ["b", "a", "c"]   # (ts, seq) order
-        assert q.now_ns == 10 and q.popped == 3
-
-    def test_past_push_rejected(self):
-        q = EventQueue()
-        q.push(10, "a")
-        q.pop()
-        with pytest.raises(CausalityError):
-            q.push(5, "late")
 
 
 class TestBaselineMode:
@@ -326,11 +307,13 @@ class TestMetricsAndDeterminism:
 
     def test_duration_cap_limits_admission(self):
         m = rmc3()
-        r_full = run(scenario(MODE_SSD_BASELINE, m, 50), 3)
-        cap = r_full.metrics.horizon_ns // 2
-        r = run(scenario(MODE_SSD_BASELINE, m, 50, duration_ns=cap), 3)
-        assert 0 < r.metrics.issued < 50
-        assert r.metrics.issued == r.metrics.completed
+        for mode, kw in ((MODE_RMSSD, {"kernels": ALLMAX}), (MODE_EMB_VECTORSUM, {}),
+                         (MODE_SSD_BASELINE, {})):
+            r_full = run(scenario(mode, m, 50, **kw), 3)
+            cap = r_full.metrics.horizon_ns // 2
+            r = run(scenario(mode, m, 50, duration_ns=cap, **kw), 3)
+            assert 0 < r.metrics.issued < 50, mode
+            assert r.metrics.issued == r.metrics.completed
 
     def test_zero_duration_admits_nothing_in_every_mode(self):
         m = rmc3()
@@ -350,8 +333,13 @@ class TestMetricsAndDeterminism:
         assert metrics_json(c.metrics) != metrics_json(b.metrics)
 
     def test_event_count_positive_and_clock_monotone(self):
-        r = run(scenario(MODE_RMSSD, rmc3(), 10, kernels=ALLMAX), 1)
-        assert r.metrics.event_count >= 10
+        # one event per completed query, plus one per dispatched batch in the
+        # device modes; the baseline has no dispatch events
+        for mode, kw, batches in ((MODE_RMSSD, {"kernels": ALLMAX}, 4),
+                                  (MODE_EMB_VECTORSUM, {}, 4), (MODE_SSD_BASELINE, {}, 0)):
+            r = run(scenario(mode, rmc3(), 10, batch=3, **kw), 1)
+            assert r.metrics.completed == 10
+            assert r.metrics.event_count == 10 + batches, mode
 
 
 class TestCompare:
