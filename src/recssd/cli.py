@@ -10,7 +10,7 @@ import os
 import sys
 
 from .config import ConfigError, build_scenario, default_config_text, load_config
-from .kernel_search import SearchSpace, WorkloadProfile, search
+from .kernel_search import WorkloadProfile, search
 from .sim import InfeasibleSearchError, compare, metrics_json, run, spans_to_csv
 
 EXIT_OK = 0
@@ -94,9 +94,8 @@ def cmd_search(args) -> int:
     scenario = build_scenario(cfg)
     profile = WorkloadProfile(scenario.workload.distribution, scenario.workload.pooling,
                               scenario.workload.zipf_s, args.seed)
-    space = scenario.space or SearchSpace(initial_batch=scenario.batch)
     outcome = search(scenario.model, scenario.resource_model, scenario.geometry,
-                     scenario.timing, profile, space)
+                     scenario.timing, profile, scenario.space)
     print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
     if not outcome.feasible:
         print(f"error: infeasible at batch cap (binding constraint: "

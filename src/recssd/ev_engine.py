@@ -244,26 +244,18 @@ def build_flash_image(tables, emap: ExtentMap, geometry: SsdGeometry) -> FlashIm
     return FlashImage(buf, geometry.lba_size)
 
 
-def _adder_schedule(items: list[tuple[int, int, object]], t_add_ns: int, group=None):
+def _adder_schedule(items: list[tuple[int, int, object]], t_add_ns: int):
     """Serial adder accounting: items are (ready_ns, seq, key) processed in
     (ready, seq) order. The first item of a key is a free load; every later
-    one occupies its adder for t_add_ns. `group(key)` names the adder a key
-    uses (one per query in batch runs), so queries do not serialize against
-    each other. Returns per-key completion times."""
-    if group is None:
-        group = lambda key: None
+    one occupies the adder for t_add_ns. Returns per-key completion times."""
     done: dict[object, int] = {}
-    seen: set = set()
-    busy: dict[object, int] = {}
+    busy = 0
     for ready, _, key in sorted(items, key=lambda it: (it[0], it[1])):
-        if key not in seen:
-            seen.add(key)
-            done[key] = max(done.get(key, 0), ready)
+        if key not in done:
+            done[key] = ready
         else:
-            g = group(key)
-            start = max(ready, busy.get(g, 0))
-            busy[g] = start + t_add_ns
-            done[key] = max(done[key], busy[g])
+            busy = max(ready, busy) + t_add_ns
+            done[key] = max(done[key], busy)
     return done
 
 
@@ -348,29 +340,20 @@ def simulate_lookup(model: Model, queries: list[Query], geometry: SsdGeometry,
             arrival_by_page[page_index] = rec.xfer_end_ns
             sense_by_page[page_index] = rec.sense_start_ns
 
-    t_add = timing.cycles_to_ns(-(-ev_dim // kc_e))
-    items = [(arrival_by_page[r.page_index], r.seq, (r.query_id, r.table_id)) for r in requests]
-    done = _adder_schedule(items, t_add, group=lambda key: key[0])
-
-    num_tables = model.spec.num_tables
-    ev_concat, e_ns, last_arr, first_sense = [], [], [], []
-    by_query: dict[int, list[EvRequest]] = {}
+    # one vector-sum unit per query, so queries do not serialize on one adder
+    by_query: list[list[EvRequest]] = [[] for _ in queries]
     for r in requests:
-        by_query.setdefault(r.query_id, []).append(r)
-    for q_id in range(len(queries)):
-        qreqs = by_query[q_id]
-        parts = []
-        for t in range(num_tables):
-            treqs = [r for r in qreqs if r.table_id == t]
-            if flash is not None:
-                vecs = [flash.read_ev(r.lba, r.page_offset, ev_dim) for r in treqs]
-            else:
-                vecs = [model.tables[t].values[r.index] for r in treqs]
-            stack = np.stack(vecs).astype(np.float32)
-            parts.append(stack.cumsum(axis=0, dtype=np.float32)[-1] if len(vecs) > 1
-                         else stack[0].copy())
-        ev_concat.append(np.concatenate(parts).astype(np.float32))
-        e_ns.append(max(done[(q_id, t)] for t in range(num_tables)))
+        by_query[r.query_id].append(r)
+    ev_concat, e_ns, last_arr, first_sense = [], [], [], []
+    for qreqs in by_query:
+        per_table: list[list[tuple[int, np.ndarray]]] = [[] for _ in model.spec.tables]
+        for r in qreqs:
+            vec = (flash.read_ev(r.lba, r.page_offset, ev_dim) if flash is not None
+                   else model.tables[r.table_id].values[r.index])
+            per_table[r.table_id].append((arrival_by_page[r.page_index], vec))
+        values, done_ns = ev_sum_engine(per_table, ev_dim, timing, kc_e)
+        ev_concat.append(values)
+        e_ns.append(done_ns)
         last_arr.append(max(arrival_by_page[r.page_index] for r in qreqs))
         first_sense.append(min(sense_by_page[r.page_index] for r in qreqs))
 

@@ -7,22 +7,30 @@ Constraints for a candidate at batch B:
     top-stage time    <= embedding-stage time
 
 Objective: sum of kr*kc over every FC kernel plus the vector-sum kernel.
-Feasibility is monotone (growing any kernel never slows its stage), so the
-per-stage minimum is found exactly by scanning stage candidates in ascending
-area; ties break by smaller DSP count, then the lexicographically smallest
-flat kernel list. If nothing is feasible at B the batch doubles up to a cap.
+Stage time is not monotone in kernel size: a larger kr lengthens the
+adder-tree fill and makes a row-scan layer wait for wider input chunks. The
+stack (33, 33), (33, 1) at batch 2 takes 19 cycles with kernels (32, 32),
+(32, 1) and 18 with (32, 32), (16, 1). So no candidate is skipped on the
+belief that larger kernels are never slower. Exactness rests on two facts
+instead. Each stage is walked in ascending (area, kernel list) order, so the
+first candidate that fits is the stage's minimum. And the walk only drops
+layer options that cannot fit on their own: a layer unit serves the batch
+back to back and its first pass also waits for the layer's spill floor, so
+every stage holding option k of a layer takes at least
+max(fc_cycles(layer, k, B), floor) cycles. Across vector-sum kernels, ties
+break by smaller DSP count, then the lexicographically smallest flat kernel
+list. If nothing is feasible at B the batch doubles up to a cap.
 
 Weight placement: layers fill block RAM in model order until capacity, the
 remainder spills to DRAM; a spilled layer pays its weight-fetch time once per
 batch as a streaming floor.
 """
 
-import itertools
-import math
+import heapq
 from dataclasses import dataclass, field
 
 from . import ev_engine
-from .mlp_engine import KernelAssignment, make_layers, pipeline_schedule
+from .mlp_engine import KernelAssignment, fc_cycles, make_layers, pipeline_schedule
 from .recmodel import Model, generate_workload
 from .storage import Ftl, SsdGeometry, TimingParams
 
@@ -56,7 +64,6 @@ class SearchSpace:
     initial_batch: int = 1
     max_batch: int = 16
     max_kernel: int | None = None   # optional cap on kr and kc
-    max_candidates: int = 2_000_000
 
     def __post_init__(self):
         if self.initial_batch < 1 or self.max_batch < self.initial_batch:
@@ -124,25 +131,17 @@ def layer_weight_bytes(in_width: int, out_width: int) -> int:
     return (in_width * out_width + out_width) * 4
 
 
-def _stack_dims(spec):
-    bottom = [(spec.bottom_mlp_dims[l], spec.bottom_mlp_dims[l + 1])
-              for l in range(len(spec.bottom_mlp_dims) - 1)]
-    top = [(spec.top_mlp_dims[l], spec.top_mlp_dims[l + 1])
-           for l in range(len(spec.top_mlp_dims) - 1)]
-    return bottom, top
-
-
 def bram_placement(spec, resource_model: ResourceModel):
     """Fill BRAM with whole layers in model order (bottom stack then top),
     spilling the rest to DRAM. Returns (resident_bytes, spilled labels,
     per-stack spill byte lists)."""
-    bottom, top = _stack_dims(spec)
     remaining = resource_model.bram_bytes
     resident = 0
     spilled = []
-    floors = {"bottom": [0] * len(bottom), "top": [0] * len(top)}
-    for stack_name, dims in (("bottom", bottom), ("top", top)):
-        for l, (r, c) in enumerate(dims):
+    floors = {"bottom": [0] * (len(spec.bottom_mlp_dims) - 1),
+              "top": [0] * (len(spec.top_mlp_dims) - 1)}
+    for stack_name, dims in (("bottom", spec.bottom_mlp_dims), ("top", spec.top_mlp_dims)):
+        for l, (r, c) in enumerate(zip(dims, dims[1:])):
             nbytes = layer_weight_bytes(r, c)
             if nbytes <= remaining:
                 remaining -= nbytes
@@ -193,8 +192,7 @@ def make_lookup_env(model: Model, geometry: SsdGeometry):
     return emap, Ftl(geometry, total_pages)
 
 
-def _stage_makespan_ns(dims, kernels, batch, timing: TimingParams, floor_cycles) -> int:
-    layers = make_layers([dims[0][0]] + [c for _, c in dims])
+def _stage_makespan_ns(layers, kernels, batch, timing: TimingParams, floor_cycles) -> int:
     sched = pipeline_schedule(layers, kernels, timing.clock_period_ns,
                               inputs_at_cycles=[0] * batch, floor_cycles=floor_cycles)
     return sched.makespan_ns
@@ -202,8 +200,8 @@ def _stage_makespan_ns(dims, kernels, batch, timing: TimingParams, floor_cycles)
 
 def estimate_times(model: Model, assignment: KernelAssignment, batch: int,
                    geometry: SsdGeometry, timing: TimingParams,
-                   profile: WorkloadProfile, resource_model: ResourceModel | None = None,
-                   env=None) -> StageTimes:
+                   profile: WorkloadProfile,
+                   resource_model: ResourceModel | None = None) -> StageTimes:
     """Stage times for one profile-representative batch: the embedding time
     comes from a seeded lookup simulation, the MLP times from the pipeline
     cycle model (with spill floors when a resource model is given)."""
@@ -211,17 +209,18 @@ def estimate_times(model: Model, assignment: KernelAssignment, batch: int,
     assignment.validate(spec)
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    emap, ftl = env if env is not None else make_lookup_env(model, geometry)
+    emap, ftl = make_lookup_env(model, geometry)
     queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
                                 profile.seed, profile.zipf_s)
     lookup = ev_engine.simulate_lookup(model, queries, geometry, timing, emap, ftl,
                                        kc_e=assignment.ev[1])
-    bottom, top = _stack_dims(spec)
     floors_b = floors_t = None
     if resource_model is not None:
         floors_b, floors_t = spill_floor_cycles(spec, resource_model, timing)
-    bot_ns = _stage_makespan_ns(bottom, assignment.bottom, batch, timing, floors_b)
-    top_ns = _stage_makespan_ns(top, assignment.top, batch, timing, floors_t)
+    bot_ns = _stage_makespan_ns(make_layers(spec.bottom_mlp_dims), assignment.bottom, batch,
+                                timing, floors_b)
+    top_ns = _stage_makespan_ns(make_layers(spec.top_mlp_dims), assignment.top, batch,
+                                timing, floors_t)
     return StageTimes(bottom_ns=bot_ns, top_ns=top_ns, emb_ns=lookup.t_emb_ns)
 
 
@@ -230,25 +229,49 @@ def kernel_options(dim: int, cap: int | None = None) -> list[int]:
     return [1 << k for k in range(limit.bit_length()) if (1 << k) <= limit]
 
 
-def _stage_candidates(dims, space: SearchSpace):
+def _stage_candidates(layers, space: SearchSpace, batch: int, timing: TimingParams,
+                      budget_ns: int, floors):
+    """Yield the stage's kernel lists in ascending (area, kernels) order,
+    skipping every layer option that cannot fit the budget on its own.
+
+    Each layer's options are sorted by (area, kernel), and a heap pops index
+    vectors over that lattice. A vector's successors advance one layer at or
+    after the last advanced one, so every vector is pushed once, and each
+    successor's key is strictly greater than its parent's: the pops come out
+    in exact sorted order."""
     per_layer = []
-    for r, c in dims:
+    for l, layer in enumerate(layers):
+        floor = floors[l] if floors else 0
         opts = [(kr, kc)
-                for kr in kernel_options(r, space.max_kernel)
-                for kc in kernel_options(c, space.max_kernel)]
-        per_layer.append(opts)
-    count = math.prod(len(o) for o in per_layer)
-    if count > space.max_candidates:
-        raise ValueError(f"stage search space of {count} candidates exceeds cap")
-    combos = list(itertools.product(*per_layer))
-    combos.sort(key=lambda ks: (sum(kr * kc for kr, kc in ks), ks))
-    return combos
+                for kr in kernel_options(layer.in_width, space.max_kernel)
+                for kc in kernel_options(layer.out_width, space.max_kernel)
+                if timing.cycles_to_ns(max(fc_cycles(layer, (kr, kc), batch), floor))
+                <= budget_ns]
+        if not opts:
+            return
+        per_layer.append(sorted(opts, key=lambda k: (k[0] * k[1], k)))
+
+    def entry(index, low):
+        kernels = tuple(options[i] for options, i in zip(per_layer, index))
+        return sum(kr * kc for kr, kc in kernels), kernels, index, low
+
+    heap = [entry((0,) * len(per_layer), 0)]
+    while heap:
+        _, kernels, index, low = heapq.heappop(heap)
+        yield kernels
+        for j in range(low, len(index)):
+            if index[j] + 1 < len(per_layer[j]):
+                heapq.heappush(heap, entry(index[:j] + (index[j] + 1,) + index[j + 1:], j))
 
 
-def _best_stage(dims, space, batch, timing, budget_ns, floors):
-    for combo in _stage_candidates(dims, space):
-        if _stage_makespan_ns(dims, combo, batch, timing, floors) <= budget_ns:
-            return combo
+def _best_stage(layers, space, batch, timing, budget_ns, floors, makespans):
+    """The first candidate of the walk that fits the budget, or None.
+    `makespans` caches each candidate's time across the budgets of a batch."""
+    for kernels in _stage_candidates(layers, space, batch, timing, budget_ns, floors):
+        if kernels not in makespans:
+            makespans[kernels] = _stage_makespan_ns(layers, kernels, batch, timing, floors)
+        if makespans[kernels] <= budget_ns:
+            return kernels
     return None
 
 
@@ -257,65 +280,59 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
            space: SearchSpace = SearchSpace()) -> SearchOutcome:
     """Find the cheapest feasible assignment, escalating batch size when
     nothing fits. Returns an infeasible outcome naming the binding constraint
-    when even the fastest kernels cannot keep up at the batch cap."""
+    when even the largest kernels of the space cannot keep up at the batch
+    cap."""
     spec = model.spec
-    env = make_lookup_env(model, geometry)
-    bottom, top = _stack_dims(spec)
+    emap, ftl = make_lookup_env(model, geometry)
+    bottom, top = make_layers(spec.bottom_mlp_dims), make_layers(spec.top_mlp_dims)
     floors_b, floors_t = spill_floor_cycles(spec, resource_model, timing)
-    kce_options = kernel_options(spec.ev_dim)
 
     batch = space.initial_batch
-    last_diag = None
     while True:
         queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
                                     profile.seed, profile.zipf_s)
+        emb_by_kce = {kc_e: ev_engine.simulate_lookup(model, queries, geometry, timing,
+                                                      emap, ftl, kc_e=kc_e).t_emb_ns
+                      for kc_e in kernel_options(spec.ev_dim)}
+        makespans_b, makespans_t = {}, {}
         best = None
-        emb_by_kce = {}
-        for kc_e in kce_options:
-            lookup = ev_engine.simulate_lookup(model, queries, geometry, timing,
-                                               env[0], env[1], kc_e=kc_e)
-            emb_by_kce[kc_e] = lookup.t_emb_ns
-            bot = _best_stage(bottom, space, batch, timing, lookup.t_emb_ns, floors_b)
+        for kc_e, emb_ns in emb_by_kce.items():
+            bot = _best_stage(bottom, space, batch, timing, emb_ns, floors_b, makespans_b)
             if bot is None:
                 continue
-            topk = _best_stage(top, space, batch, timing, lookup.t_emb_ns, floors_t)
+            topk = _best_stage(top, space, batch, timing, emb_ns, floors_t, makespans_t)
             if topk is None:
                 continue
             cand = KernelAssignment(bot, topk, (1, kc_e))
             key = (cand.objective(), resource_model.dsp_per_mac * cand.objective(),
                    cand.flat())
             if best is None or key < best[0]:
-                best = (key, cand)
+                best = (key, cand, StageTimes(makespans_b[bot], makespans_t[topk], emb_ns))
         if best is not None:
-            assignment = best[1]
-            times = estimate_times(model, assignment, batch, geometry, timing, profile,
-                                   resource_model, env=env)
+            _, assignment, times = best
             return SearchOutcome(
                 feasible=True, assignment=assignment, batch=batch, times=times,
                 resources=resource_usage(spec, assignment, resource_model),
                 objective=assignment.objective(),
             )
-        # diagnose with the fastest kernels against the loosest budget
-        fastest = KernelAssignment.all_max(spec)
-        budget = emb_by_kce[1]
-        bot_ns = _stage_makespan_ns(bottom, fastest.bottom, batch, timing, floors_b)
-        top_ns = _stage_makespan_ns(top, fastest.top, batch, timing, floors_t)
-        last_diag = (batch, bot_ns, top_ns, budget)
         if batch * 2 > space.max_batch:
             break
         batch *= 2
 
-    batch, bot_ns, top_ns, budget = last_diag
-    violations = []
-    if bot_ns > budget:
-        violations.append(("bottom", bot_ns - budget))
-    if top_ns > budget:
-        violations.append(("top", top_ns - budget))
-    binding = max(violations, key=lambda v: v[1])[0] if violations else "none"
+    # Diagnose with each layer's largest kernel in the space against the
+    # budget of the slowest adder (kc_e = 1). No candidate fit that budget, so
+    # these kernels miss it in at least one stage; the larger miss binds.
+    def largest(layers):
+        return tuple((kernel_options(l.in_width, space.max_kernel)[-1],
+                      kernel_options(l.out_width, space.max_kernel)[-1]) for l in layers)
+
+    budget = emb_by_kce[1]
+    bot_ns = _stage_makespan_ns(bottom, largest(bottom), batch, timing, floors_b)
+    top_ns = _stage_makespan_ns(top, largest(top), batch, timing, floors_t)
     return SearchOutcome(
         feasible=False, assignment=None, batch=batch,
         times=StageTimes(bot_ns, top_ns, budget), resources=None, objective=None,
-        binding_constraint=binding,
+        binding_constraint="bottom" if bot_ns >= top_ns else "top",
     )
 
 
@@ -329,12 +346,6 @@ class ConstraintReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_dict(self):
-        return {"times_ns": {"bottom": self.times.bottom_ns, "top": self.times.top_ns,
-                             "emb": self.times.emb_ns},
-                "slack_ns": {"bottom": self.slack_bottom_ns, "top": self.slack_top_ns},
-                "violations": list(self.violations), "ok": self.ok}
 
 
 def verify_constraints(model: Model, outcome: SearchOutcome, geometry: SsdGeometry,

@@ -31,6 +31,18 @@ scenario: {mode: rmssd, query_count: 10, batch: 1}
 search_space: {max_batch: 8}
 """
 
+DEEP_BOTTOM = """
+model:
+  preset: custom
+  seed: 2
+  dense_dim: 16
+  bottom_mlp_dims: [16, 64, 64, 64, 16]
+  top_mlp_dims: [144, 64, 1]
+  ev_dim: 16
+  table_rows: [4096, 4096, 4096, 4096, 4096, 4096, 4096, 4096]
+scenario: {mode: rmssd, batch: 2}
+"""
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -174,6 +186,14 @@ class TestSearchCmd:
 
     def test_missing_file_exits_2(self):
         assert main(["search", "/nope.yaml"]) == 2
+
+    def test_four_layer_bottom_stack_finishes(self, tmp_path, capsys):
+        # 2,941,225 bottom-stage candidates: the walk never builds the product
+        path = write(tmp_path, "deep.yaml", DEEP_BOTTOM)
+        assert main(["search", path, "--seed", "9"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["feasible"] is True
+        assert len(got["assignment"]["bottom"]) == 4
 
 
 class TestCompareCmd:

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
+import pytest
 
 from recssd.kernel_search import (ResourceModel, SearchSpace, WorkloadProfile,
-                                  bram_placement, estimate_times, kernel_options,
-                                  layer_weight_bytes, resource_usage, search,
-                                  verify_constraints)
-from recssd.mlp_engine import KernelAssignment
+                                  _stage_candidates, bram_placement, estimate_times,
+                                  kernel_options, layer_weight_bytes, resource_usage, search,
+                                  spill_floor_cycles, verify_constraints)
+from recssd.mlp_engine import KernelAssignment, fc_cycles, make_layers
 from recssd.recmodel import (ModelSpec, TableSpec, build_model, desk_model_spec,
                              generate_workload)
 from recssd.storage import SsdGeometry, TimingParams
@@ -193,6 +196,92 @@ class TestSearch:
         if out_small.feasible:
             assert out_large.feasible
             assert out_large.objective <= out_small.objective
+
+
+    def test_infeasible_under_max_kernel_names_binding_stage(self):
+        # the kernel cap excludes the all-max kernels, so the diagnosis must
+        # use the largest kernels inside the space
+        m = tiny_model(bot=(64, 64), top_hidden=(64,), ev_dim=8)
+        out = search(m, RM, GEO, TimingParams(fc_clock_mhz=2.0),
+                     WorkloadProfile(pooling=8, seed=1),
+                     SearchSpace(initial_batch=1, max_batch=2, max_kernel=1))
+        assert not out.feasible
+        assert out.binding_constraint in ("bottom", "top")
+        binding_ns = {"bottom": out.times.bottom_ns, "top": out.times.top_ns}
+        assert binding_ns[out.binding_constraint] > out.times.emb_ns
+
+    @pytest.mark.parametrize("bandwidth, feasible", [(2e7, True), (5e6, False)])
+    def test_spilled_layers_match_enumeration_oracle(self, bandwidth, feasible):
+        # bram_bytes=100 holds only the 16x1 output layer: the rest spill
+        spec = ModelSpec(tables=(TableSpec(4096, 8),), bottom_mlp_dims=(8, 16, 8),
+                         top_mlp_dims=(16, 16, 1), dense_dim=8)
+        m = build_model(spec, 4)
+        rm = ResourceModel(bram_bytes=100, dram_bandwidth_bytes_per_s=bandwidth)
+        tp = TimingParams(fc_clock_mhz=20.0)
+        profile = WorkloadProfile(pooling=2, seed=4)
+        space = SearchSpace(initial_batch=1, max_batch=16)
+        floors_b, floors_t = spill_floor_cycles(spec, rm, tp)
+        assert all(floors_b) and floors_t[0] > 0
+        got = search(m, rm, GEO, tp, profile, space)
+        want = enumerate_search(m, rm, GEO, tp, profile, space, floors_b, floors_t)
+        assert got.feasible == feasible
+        if feasible:
+            assert (got.assignment, got.batch, got.objective) == want
+            assert (got.batch, got.objective) == (4, 139)
+        else:
+            assert want is None
+
+
+STACKS = [(13, 64, 16), (8, 16, 8), (5, 7, 3, 9), (144, 64, 1)]
+
+
+def layer_options(layers, max_kernel=None):
+    return [[(kr, kc) for kr in kernel_options(l.in_width, max_kernel)
+             for kc in kernel_options(l.out_width, max_kernel)] for l in layers]
+
+
+def area_order(stage_kernels):
+    return sorted(stage_kernels, key=lambda ks: (sum(kr * kc for kr, kc in ks), ks))
+
+
+class TestStageWalk:
+    @pytest.mark.parametrize("dims", STACKS)
+    @pytest.mark.parametrize("max_kernel", [None, 4])
+    def test_walk_order_is_sorted_product(self, dims, max_kernel):
+        layers = make_layers(dims)
+        want = area_order(itertools.product(*layer_options(layers, max_kernel)))
+        walk = _stage_candidates(layers, SearchSpace(max_kernel=max_kernel), 2, TP, 10 ** 12,
+                                 None)
+        # one more than expected, so a walk that repeats candidates fails fast
+        assert list(itertools.islice(walk, len(want) + 1)) == want
+
+    @pytest.mark.parametrize("dims", STACKS)
+    @pytest.mark.parametrize("floor", [40, 61])
+    def test_walk_drops_only_options_that_cannot_fit_alone(self, dims, floor):
+        # a floor above the budget leaves its layer, and so the stage, nothing
+        layers = make_layers(dims)
+        floors = [0, floor] + [0] * (len(layers) - 2)
+        batch, budget = 3, TP.cycles_to_ns(60)
+
+        def fits(l, k):
+            return TP.cycles_to_ns(max(fc_cycles(layers[l], k, batch), floors[l])) <= budget
+
+        want = area_order(ks for ks in itertools.product(*layer_options(layers))
+                          if all(fits(l, k) for l, k in enumerate(ks)))
+        walk = _stage_candidates(layers, SearchSpace(), batch, TP, budget, floors)
+        assert list(itertools.islice(walk, len(want) + 1)) == want
+
+    @pytest.mark.parametrize("dims", STACKS)
+    def test_layer_bound_never_exceeds_stage_time(self, dims):
+        # the bound the walk prunes by, checked against the independent oracle
+        layers = make_layers(dims)
+        floors = [7, 0, 90, 0][:len(layers)]
+        for batch in (1, 3):
+            for ks in itertools.product(*layer_options(layers)):
+                comps, _ = pipeline_oracle(list(zip(dims, dims[1:])), list(ks), [0] * batch,
+                                           floors=floors)
+                for l, k in enumerate(ks):
+                    assert max(comps) >= max(fc_cycles(layers[l], k, batch), floors[l])
 
 
 class TestVerifyConstraints:
