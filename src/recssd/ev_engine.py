@@ -10,13 +10,14 @@ the summed values are always accumulated in the query's index order so they
 match the reference path bit-for-bit.
 """
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .recmodel import Model, Query
-from .storage import (EV_PRIORITY, BLOCK_PRIORITY, Ftl, PageReadRequest, PageSchedule,
+from .storage import (EV_PRIORITY, BLOCK_PRIORITY, Ftl, PageReads, PageSchedule,
                       SsdGeometry, TimingParams, schedule_page_reads)
 
 
@@ -49,6 +50,17 @@ class ExtentMap:
 
     def pages_per_table(self) -> list[int]:
         return [-(-r // self.rows_per_page) for r in self.rows]
+
+    @cached_property
+    def extent_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each table's first row in one numbering of all tables' rows, and
+        each extent's first row in that numbering and its start LBA, in
+        ascending row order."""
+        row_base = np.cumsum([0] + self.rows[:-1]).astype(np.int64)
+        ext_row = [row_base[t] + e.index_start
+                   for t, extents in enumerate(self.table_extents) for e in extents]
+        ext_lba = [e.start_lba for extents in self.table_extents for e in extents]
+        return row_base, np.array(ext_row, dtype=np.int64), np.array(ext_lba, dtype=np.int64)
 
     def max_lba_end(self) -> int:
         end = 0
@@ -121,101 +133,98 @@ def default_extent_layout(model_spec, geometry: SsdGeometry,
     return layouts
 
 
+def _locate(emap: ExtentMap, table: np.ndarray, index: np.ndarray):
+    """Page-start LBA and byte offset within the page of each (table, row)."""
+    rows = np.asarray(emap.rows, dtype=np.int64)
+    bad = (table < 0) | (table >= len(rows))
+    if bad.any():
+        raise ValueError(f"table {table[np.argmax(bad)]} not in extent map")
+    bad = (index < 0) | (index >= rows[table])
+    if bad.any():
+        k = np.argmax(bad)
+        raise ValueError(f"table {table[k]}: index {index[k]} out of range [0, {rows[table[k]]})")
+    row_base, ext_row, ext_lba = emap.extent_columns
+    row = row_base[table] + index
+    ext = np.searchsorted(ext_row, row, side="right") - 1
+    rel = row - ext_row[ext]
+    lba = ext_lba[ext] + rel // emap.rows_per_page * emap.lbas_per_page
+    return lba, rel % emap.rows_per_page * emap.ev_bytes
+
+
 def translate_index(emap: ExtentMap, table_id: int, index: int) -> tuple[int, int]:
     """Map (table, row index) to (page-start LBA, byte offset within the page)."""
-    if not 0 <= table_id < len(emap.table_extents):
-        raise ValueError(f"table {table_id} not in extent map")
-    if not 0 <= index < emap.rows[table_id]:
-        raise ValueError(f"table {table_id}: index {index} out of range [0, {emap.rows[table_id]})")
-    extents = emap.table_extents[table_id]
-    starts = [e.index_start for e in extents]
-    pos = bisect.bisect_right(starts, index) - 1
-    ext = extents[pos]
-    rel = index - ext.index_start
-    page_in_extent = rel // emap.rows_per_page
-    slot = rel % emap.rows_per_page
-    lba = ext.start_lba + page_in_extent * emap.lbas_per_page
-    return lba, slot * emap.ev_bytes
+    lba, offset = _locate(emap, np.array([table_id]), np.array([index]))
+    return int(lba[0]), int(offset[0])
 
 
 @dataclass(frozen=True)
-class EvRequest:
-    seq: int
-    query_id: int
-    table_id: int
-    index: int
-    lba: int
-    page_offset: int
-    page_index: int     # global physical page
-    channel: int
-    die: int
-    issue_ns: int = 0
+class Requests:
+    """A batch's embedding lookups as columns, in query order, then table
+    order, then the order of each query's index list."""
+    pooling: np.ndarray     # (queries, tables): lookups per query and table
+    query: np.ndarray
+    table: np.ndarray
+    index: np.ndarray
+    lba: np.ndarray
+    offset: np.ndarray      # byte offset within the page
+    page: np.ndarray        # global physical page
+    channel: np.ndarray
+    die: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
-@dataclass
-class PageTask:
-    """One coalesced page read carrying every EV request that maps into it."""
-    seq: int
-    page_index: int
-    lba: int
-    channel: int
-    die: int
-    requests: list[EvRequest] = field(default_factory=list)
+def translate_batch(emap: ExtentMap, ftl: Ftl, queries: list[Query]) -> Requests:
+    tables = len(emap.rows)
+    for q in queries:
+        if len(q.indices) != tables:
+            raise ValueError(f"query has {len(q.indices)} index lists, extent map has {tables}")
+    pooling = np.array([[len(idx) for idx in q.indices] for q in queries],
+                       dtype=np.int64).reshape(len(queries), tables)
+    index = np.fromiter(chain.from_iterable(idx for q in queries for idx in q.indices),
+                        dtype=np.int64, count=int(pooling.sum()))
+    table = np.repeat(np.tile(np.arange(tables), len(queries)), pooling.ravel())
+    query = np.repeat(np.arange(len(queries)), pooling.sum(axis=1))
+    lba, offset = _locate(emap, table, index)
+    page = lba // emap.lbas_per_page
+    channel, die, _ = ftl.page_location(page)
+    return Requests(pooling, query, table, index, lba, offset, page, channel, die)
 
 
-@dataclass
-class PathBuffer:
-    """Pending page set per (channel, die); a page appears exactly once."""
-    by_page: dict[int, PageTask] = field(default_factory=dict)
-    per_die: dict[tuple[int, int], list[PageTask]] = field(default_factory=dict)
+@dataclass(frozen=True)
+class CoalescedReads:
+    """One read per distinct page, in the order of each page's first request."""
+    page: np.ndarray
+    channel: np.ndarray
+    die: np.ndarray
+    read: np.ndarray        # per request: the position of its page's read
 
-    def add(self, req: EvRequest, next_seq: int) -> int:
-        task = self.by_page.get(req.page_index)
-        if task is None:
-            task = PageTask(next_seq, req.page_index, req.lba, req.channel, req.die)
-            self.by_page[req.page_index] = task
-            self.per_die.setdefault((req.channel, req.die), []).append(task)
-            next_seq += 1
-        task.requests.append(req)
-        return next_seq
+    def __len__(self) -> int:
+        return len(self.page)
 
 
-def translate_batch(emap: ExtentMap, ftl: Ftl, queries: list[Query],
-                    issue_ns: int = 0) -> list[EvRequest]:
-    reqs = []
-    seq = 0
-    for q_id, q in enumerate(queries):
-        for t, idx_list in enumerate(q.indices):
-            for index in idx_list:
-                lba, off = translate_index(emap, t, index)
-                loc = ftl.translate(lba)
-                page_index = (lba * ftl.geometry.lba_size) // ftl.geometry.page_size
-                reqs.append(EvRequest(seq, q_id, t, index, lba, off, page_index,
-                                      loc.channel, loc.die, issue_ns))
-                seq += 1
-    return reqs
-
-
-def dispatch(requests: list[EvRequest], geometry: SsdGeometry) -> PathBuffer:
-    """Coalesce requests into unique page reads, queued per (channel, die) in
-    first-arrival order."""
-    path = PathBuffer()
-    next_seq = 0
-    for req in requests:
-        next_seq = path.add(req, next_seq)
-    return path
+def dispatch(requests: Requests) -> CoalescedReads:
+    """Coalesce requests into unique page reads, in first-arrival order."""
+    pages, first, inverse = np.unique(requests.page, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = first[order]
+    return CoalescedReads(pages[order], requests.channel[first], requests.die[first],
+                          rank[inverse.ravel()])
 
 
 class FlashImage:
-    """Byte image of the provisioned LBA space holding the padded table files."""
+    """Byte image of the provisioned LBA space holding the padded table files.
+    `rows[page, slot]` views the vector in row slot `slot` of a global page."""
 
-    def __init__(self, buf: bytearray, lba_size: int):
+    def __init__(self, buf: bytearray, page_size: int, ev_dim: int):
         self.buf = buf
-        self.lba_size = lba_size
-
-    def read_ev(self, lba: int, offset: int, ev_dim: int) -> np.ndarray:
-        byte = lba * self.lba_size + offset
-        return np.frombuffer(self.buf, dtype="<f4", count=ev_dim, offset=byte).copy()
+        ev_bytes = ev_dim * 4
+        slots = page_size // ev_bytes * ev_bytes
+        pages = np.frombuffer(buf, dtype=np.uint8).reshape(-1, page_size)
+        self.rows = pages[:, :slots].reshape(len(pages), -1, ev_bytes).view("<f4")
 
 
 def build_flash_image(tables, emap: ExtentMap, geometry: SsdGeometry) -> FlashImage:
@@ -241,64 +250,73 @@ def build_flash_image(tables, emap: ExtentMap, geometry: SsdGeometry) -> FlashIm
                     s = p * page_rows_bytes
                     buf[start + p * geometry.page_size:
                         start + p * geometry.page_size + page_rows_bytes] = raw[s: s + page_rows_bytes]
-    return FlashImage(buf, geometry.lba_size)
+    return FlashImage(buf, geometry.page_size, emap.ev_dim)
 
 
-def _adder_schedule(items: list[tuple[int, int, object]], t_add_ns: int):
-    """Serial adder accounting: items are (ready_ns, seq, key) processed in
-    (ready, seq) order. The first item of a key is a free load; every later
-    one occupies the adder for t_add_ns. Returns per-key completion times."""
-    done: dict[object, int] = {}
-    busy = 0
-    for ready, _, key in sorted(items, key=lambda it: (it[0], it[1])):
-        if key not in done:
-            done[key] = ready
-        else:
-            busy = max(ready, busy) + t_add_ns
-            done[key] = max(done[key], busy)
-    return done
+def adder_done_ns(pooling: np.ndarray, arrival_ns: np.ndarray, ev_dim: int,
+                  timing: TimingParams, kc_e: int | None = None) -> np.ndarray:
+    """Per-query completion of the query's serial adder.
 
-
-def ev_sum_engine(per_table_arrivals: list[list[tuple[int, np.ndarray]]],
-                  ev_dim: int, timing: TimingParams,
-                  kc_e: int | None = None) -> tuple[np.ndarray, int]:
-    """Aggregate one query's fetched vectors.
-
-    `per_table_arrivals[t]` lists (arrival_ns, vector) in the query's index
-    order. The value result concatenates the per-table sums folded in that
-    order; the completion time follows arrival order through a serial adder
-    consuming one vector per ceil(ev_dim / kc_e) clock cycles.
+    `arrival_ns` holds each fetched vector's arrival, in request order, and
+    `pooling[q, t]` counts query q's vectors of table t. The adder takes a
+    query's vectors in (arrival, request order) order. The first vector of a
+    table is a free load; every later one occupies the adder for
+    ceil(ev_dim / kc_e) clock cycles, starting no earlier than its arrival. So
+    a query with K adds at arrivals r_1 <= ... <= r_K finishes them at
+    max_j r_j + (K - j + 1) * t_add, and completes when that and its last
+    free load are done.
     """
     if kc_e is None:
         kc_e = ev_dim
-    items = []
-    seq = 0
-    for t, arrivals in enumerate(per_table_arrivals):
-        if not arrivals:
-            raise ValueError(f"table {t}: no fetched vectors")
-        for ready, _ in arrivals:
-            items.append((ready, seq, t))
-            seq += 1
     t_add = timing.cycles_to_ns(-(-ev_dim // kc_e))
-    done = _adder_schedule(items, t_add)
-    parts = []
-    for arrivals in per_table_arrivals:
-        stack = np.stack([v for _, v in arrivals]).astype(np.float32)
-        parts.append(stack.cumsum(axis=0, dtype=np.float32)[-1] if len(arrivals) > 1
-                     else stack[0].copy())
-    return np.concatenate(parts).astype(np.float32), max(done.values())
+    queries, tables = pooling.shape
+    query = np.repeat(np.arange(queries), pooling.sum(axis=1))
+    group = np.repeat(np.arange(queries * tables), pooling.ravel())
+    order = np.lexsort((arrival_ns, query))
+    ready, group, query = arrival_ns[order], group[order], query[order]
+    load = np.zeros(len(order), dtype=bool)
+    load[np.unique(group, return_index=True)[1]] = True
+    done = np.zeros(queries, dtype=np.int64)
+    np.maximum.at(done, query[load], ready[load])
+    add_query = query[~load]
+    adds = np.bincount(add_query, minlength=queries)
+    rank = np.arange(len(add_query)) - np.repeat(np.cumsum(adds) - adds, adds)
+    np.maximum.at(done, add_query, ready[~load] + (adds[add_query] - rank) * t_add)
+    return done
+
+
+def ev_sum_engine(pooling: np.ndarray, arrival_ns: np.ndarray, vectors: np.ndarray,
+                  timing: TimingParams, kc_e: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Aggregate a batch's fetched vectors, given in request order.
+
+    Returns each query's per-table sums, concatenated in table order, and its
+    completion time (`adder_done_ns`). Each sum folds the query's vectors of
+    one table left to right in its index order, as a float32 cumsum.
+    """
+    queries, tables = pooling.shape
+    sizes = pooling.ravel()
+    if (sizes == 0).any():
+        raise ValueError(f"table {np.argmax(sizes == 0) % tables}: no fetched vectors")
+    ev_dim = vectors.shape[1]
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    pos = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    padded = np.zeros((len(sizes), int(sizes.max(initial=0)), ev_dim), dtype=np.float32)
+    padded[group, pos] = vectors
+    sums = padded.cumsum(axis=1, dtype=np.float32)[np.arange(len(sizes)), sizes - 1]
+    return (sums.reshape(queries, tables * ev_dim),
+            adder_done_ns(pooling, arrival_ns, ev_dim, timing, kc_e))
 
 
 @dataclass
 class LookupResult:
-    ev_concat: list[np.ndarray]          # per query, length M * ev_dim
+    ev_concat: np.ndarray                # (queries, M * ev_dim)
     e_ns: list[int]                      # per query EV-sum completion
-    last_arrival_ns: list[int]           # per query last flash arrival
     flash_start_ns: list[int]            # per query first sense start
     t_emb_ns: int                        # completion of the last EV sum
-    schedule: PageSchedule
-    path: PathBuffer
-    requests: list[EvRequest]
+    requests: Requests
+    reads: CoalescedReads
+    schedule: PageSchedule               # the EV reads, then any injected block reads
+    arrival_ns: np.ndarray               # per request: its page's transfer end
     channel_busy_ns: list[int]
 
 
@@ -315,56 +333,40 @@ def simulate_lookup(model: Model, queries: list[Query], geometry: SsdGeometry,
     for q in queries:
         model.validate_query(q)
     ev_dim = model.spec.ev_dim
-    if kc_e is None:
-        kc_e = ev_dim
     requests = translate_batch(emap, ftl, queries)
-    path = dispatch(requests, geometry)
+    reads = dispatch(requests)
 
-    page_reqs = []
-    tasks_in_order = sorted(path.by_page.values(), key=lambda t: t.seq)
-    for task in tasks_in_order:
-        page_reqs.append(PageReadRequest(0, EV_PRIORITY, task.channel, task.die,
-                                         task.seq, tag=("ev", task.page_index)))
-    base = len(page_reqs)
-    for k, (ready, page_index) in enumerate(block_page_reads):
-        ch, die, _ = ftl.page_location(page_index)
-        page_reqs.append(PageReadRequest(ready, BLOCK_PRIORITY, ch, die, base + k,
-                                         tag=("block", page_index)))
-    sched = schedule_page_reads(page_reqs, geometry, timing)
+    block = np.array(block_page_reads, dtype=np.int64).reshape(-1, 2)
+    block_channel, block_die, _ = ftl.page_location(block[:, 1])
+    page_reads = PageReads(
+        channel=np.concatenate([reads.channel, block_channel]),
+        die=np.concatenate([reads.die, block_die]),
+        ready_ns=np.concatenate([np.zeros(len(reads), dtype=np.int64), block[:, 0]]),
+        priority=np.repeat([EV_PRIORITY, BLOCK_PRIORITY], [len(reads), len(block)]))
+    sched = schedule_page_reads(page_reads, geometry, timing)
+    arrival = sched.xfer_end_ns[reads.read]
 
-    arrival_by_page: dict[int, int] = {}
-    sense_by_page: dict[int, int] = {}
-    for rec in sched.records:
-        kind, page_index = rec.request.tag
-        if kind == "ev":
-            arrival_by_page[page_index] = rec.xfer_end_ns
-            sense_by_page[page_index] = rec.sense_start_ns
-
+    if flash is not None:
+        vectors = flash.rows[requests.page, requests.offset // (ev_dim * 4)]
+    else:
+        vectors = np.empty((len(requests), ev_dim), dtype=np.float32)
+        for t, table in enumerate(model.tables):
+            mine = requests.table == t
+            vectors[mine] = table.values[requests.index[mine]]
     # one vector-sum unit per query, so queries do not serialize on one adder
-    by_query: list[list[EvRequest]] = [[] for _ in queries]
-    for r in requests:
-        by_query[r.query_id].append(r)
-    ev_concat, e_ns, last_arr, first_sense = [], [], [], []
-    for qreqs in by_query:
-        per_table: list[list[tuple[int, np.ndarray]]] = [[] for _ in model.spec.tables]
-        for r in qreqs:
-            vec = (flash.read_ev(r.lba, r.page_offset, ev_dim) if flash is not None
-                   else model.tables[r.table_id].values[r.index])
-            per_table[r.table_id].append((arrival_by_page[r.page_index], vec))
-        values, done_ns = ev_sum_engine(per_table, ev_dim, timing, kc_e)
-        ev_concat.append(values)
-        e_ns.append(done_ns)
-        last_arr.append(max(arrival_by_page[r.page_index] for r in qreqs))
-        first_sense.append(min(sense_by_page[r.page_index] for r in qreqs))
+    ev_concat, e_ns = ev_sum_engine(requests.pooling, arrival, vectors, timing, kc_e)
+    query_start = np.cumsum(requests.pooling.sum(axis=1)) - requests.pooling.sum(axis=1)
+    first_sense = np.minimum.reduceat(sched.sense_start_ns[reads.read], query_start) \
+        if len(requests) else np.zeros(0, dtype=np.int64)
 
     return LookupResult(
         ev_concat=ev_concat,
-        e_ns=e_ns,
-        last_arrival_ns=last_arr,
-        flash_start_ns=first_sense,
-        t_emb_ns=max(e_ns) if e_ns else 0,
-        schedule=sched,
-        path=path,
+        e_ns=e_ns.tolist(),
+        flash_start_ns=first_sense.tolist(),
+        t_emb_ns=int(e_ns.max(initial=0)),
         requests=requests,
+        reads=reads,
+        schedule=sched,
+        arrival_ns=arrival,
         channel_busy_ns=sched.channel_busy_ns(geometry.channels),
     )

@@ -229,6 +229,17 @@ def kernel_options(dim: int, cap: int | None = None) -> list[int]:
     return [1 << k for k in range(limit.bit_length()) if (1 << k) <= limit]
 
 
+def emb_budgets(model: Model, queries, geometry: SsdGeometry, timing: TimingParams,
+                emap, ftl) -> dict[int, int]:
+    """The batch's embedding time for each adder width kc_e. The width changes
+    only the adder, so the flash is scheduled once for all of them."""
+    ev_dim = model.spec.ev_dim
+    lookup = ev_engine.simulate_lookup(model, queries, geometry, timing, emap, ftl)
+    return {kc_e: int(ev_engine.adder_done_ns(lookup.requests.pooling, lookup.arrival_ns,
+                                              ev_dim, timing, kc_e).max())
+            for kc_e in kernel_options(ev_dim)}
+
+
 def _stage_candidates(layers, space: SearchSpace, batch: int, timing: TimingParams,
                       budget_ns: int, floors):
     """Yield the stage's kernel lists in ascending (area, kernels) order,
@@ -291,9 +302,7 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
     while True:
         queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
                                     profile.seed, profile.zipf_s)
-        emb_by_kce = {kc_e: ev_engine.simulate_lookup(model, queries, geometry, timing,
-                                                      emap, ftl, kc_e=kc_e).t_emb_ns
-                      for kc_e in kernel_options(spec.ev_dim)}
+        emb_by_kce = emb_budgets(model, queries, geometry, timing, emap, ftl)
         makespans_b, makespans_t = {}, {}
         best = None
         for kc_e, emb_ns in emb_by_kce.items():

@@ -8,12 +8,27 @@ Timing model (all durations are integer nanoseconds):
 * dies on a channel sense concurrently, transfers on a channel serialize;
 * embedding reads outrank queued block I/O at both the die and the bus,
   non-preemptively; ties resolve by arrival then sequence number.
+
+Channels share nothing, so `schedule_page_reads` runs one loop per channel:
+
+* a die takes its next page at max(die free, first pending arrival),
+  choosing the least (priority, ready, seq) among the pages arrived by then;
+* the bus takes, at max(bus free, earliest sense end among the dies'
+  current pages), the least (priority, sense end, seq) among the pages
+  sensed by then; the transfer's end frees both the bus and the die.
+
+The loop is the event-driven rule exactly when a sense and a page transfer
+each last at least 1 ns, so that no phase ends at the instant it starts;
+scenarios with shorter phases are rejected as configuration errors.
 """
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 EV_PRIORITY = 0
 BLOCK_PRIORITY = 1
@@ -114,10 +129,14 @@ class Ftl:
     def total_lbas(self) -> int:
         return self.total_pages * self.geometry.lbas_per_page
 
-    def page_location(self, page_index: int) -> tuple[int, int, int]:
+    def page_location(self, page_index):
+        """(channel, die, page within the die) of a physical page index, or of
+        each element of an integer array of them."""
         g = self.geometry
-        if not 0 <= page_index < self.total_pages:
-            raise ValueError(f"page {page_index} outside provisioned range [0, {self.total_pages})")
+        outside = np.asarray((page_index < 0) | (page_index >= self.total_pages))
+        if outside.any():
+            bad = np.asarray(page_index)[outside].flat[0]
+            raise ValueError(f"page {bad} outside provisioned range [0, {self.total_pages})")
         channel = page_index % g.channels
         die = (page_index // g.channels) % g.dies_per_channel
         die_page = page_index // (g.channels * g.dies_per_channel)
@@ -139,139 +158,109 @@ def page_read_time(geometry: SsdGeometry, timing: TimingParams) -> int:
 
 
 @dataclass(frozen=True)
-class PageReadRequest:
-    ready_ns: int
-    priority: int       # EV_PRIORITY or BLOCK_PRIORITY
-    channel: int
-    die: int
-    seq: int
-    tag: object = None
+class PageReads:
+    """Page reads as columns; a read's position is its sequence number."""
+    channel: np.ndarray
+    die: np.ndarray
+    ready_ns: np.ndarray
+    priority: np.ndarray    # EV_PRIORITY or BLOCK_PRIORITY
+
+    def __len__(self) -> int:
+        return len(self.channel)
 
 
 @dataclass(frozen=True)
-class PageReadRecord:
-    request: PageReadRequest
-    sense_start_ns: int
-    sense_end_ns: int
-    xfer_start_ns: int
-    xfer_end_ns: int
-
-
-@dataclass
 class PageSchedule:
-    records: list[PageReadRecord]
+    """Per-read phase times, in the order of the scheduled `reads`."""
+    reads: PageReads
+    sense_start_ns: np.ndarray
+    sense_end_ns: np.ndarray
+    xfer_start_ns: np.ndarray
+    xfer_end_ns: np.ndarray
     makespan_ns: int
 
-    def per_die_records(self) -> dict[tuple[int, int], list[PageReadRecord]]:
-        out: dict[tuple[int, int], list[PageReadRecord]] = {}
-        for r in self.records:
-            out.setdefault((r.request.channel, r.request.die), []).append(r)
-        for recs in out.values():
-            recs.sort(key=lambda r: r.sense_start_ns)
-        return out
-
     def channel_busy_ns(self, channels: int) -> list[int]:
-        """Union of this channel's die-busy intervals (sense start to transfer end)."""
-        per_ch: dict[int, list[tuple[int, int]]] = {c: [] for c in range(channels)}
-        for r in self.records:
-            per_ch[r.request.channel].append((r.sense_start_ns, r.xfer_end_ns))
-        busy = []
-        for c in range(channels):
-            iv = sorted(per_ch[c])
-            total, cur_s, cur_e = 0, None, None
-            for s, e in iv:
-                if cur_s is None:
-                    cur_s, cur_e = s, e
-                elif s > cur_e:
-                    total += cur_e - cur_s
-                    cur_s, cur_e = s, e
-                else:
-                    cur_e = max(cur_e, e)
-            if cur_s is not None:
-                total += cur_e - cur_s
-            busy.append(total)
-        return busy
+        """Union of each channel's die-busy intervals (sense start to transfer end)."""
+        channel = self.reads.channel
+        if len(channel) == 0:
+            return [0] * channels
+        # shift each channel onto its own stretch of the time line, then take
+        # the part of every interval not covered by the ones starting before it
+        shift = channel.astype(np.int64) * (self.makespan_ns + 1)
+        start = self.sense_start_ns + shift
+        order = np.argsort(start, kind="stable")
+        start, end = start[order], (self.xfer_end_ns + shift)[order]
+        covered = np.maximum.accumulate(np.concatenate(([0], end[:-1])))
+        fresh = np.maximum(end - np.maximum(start, covered), 0)
+        return np.bincount(channel[order], weights=fresh, minlength=channels) \
+            .astype(np.int64).tolist()
 
 
-def schedule_page_reads(requests: list[PageReadRequest], geometry: SsdGeometry,
+def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
                         timing: TimingParams) -> PageSchedule:
-    """Event-driven schedule of page reads over (channel, die) resources.
-
-    Dequeue key is (priority, ready_ns, seq) at the die and
-    (priority, sense_end_ns, seq) at the channel bus; both are work-conserving.
-    """
+    """Schedule page reads with the per-channel loop of the module docstring.
+    Die and bus are both work-conserving."""
     sense = timing.sense_ns
     xfer = timing.xfer_ns(geometry.page_size)
+    n = len(reads)
+    channel = np.asarray(reads.channel, dtype=np.int64)
+    die = np.asarray(reads.die, dtype=np.int64)
+    outside = (channel < 0) | (channel >= geometry.channels) \
+        | (die < 0) | (die >= geometry.dies_per_channel)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"read {k}: ({channel[k]}, {die[k]}) outside geometry")
 
-    die_pending: dict[tuple[int, int], list] = {}
-    die_busy: dict[tuple[int, int], bool] = {}
-    bus_wait: dict[int, list] = {c: [] for c in range(geometry.channels)}
-    bus_busy: dict[int, bool] = {c: False for c in range(geometry.channels)}
+    # per die, its reads' keys (priority, ready, seq) in arrival order
+    die_key = channel * geometry.dies_per_channel + die
+    order = np.lexsort((reads.ready_ns, die_key))
+    bounds = np.searchsorted(die_key[order], np.arange(geometry.total_dies + 1)).tolist()
+    keys = list(zip(np.asarray(reads.priority).tolist(), np.asarray(reads.ready_ns).tolist(),
+                    range(n)))
+    keys = [keys[seq] for seq in order.tolist()]
+    sense_start = [0] * n
+    xfer_start = [0] * n
 
-    started: dict[int, int] = {}    # seq -> sense_start
-    sensed: dict[int, int] = {}     # seq -> sense_end
-    moved: dict[int, tuple[int, int]] = {}  # seq -> (xfer_start, xfer_end)
-    by_seq = {r.seq: r for r in requests}
-    if len(by_seq) != len(requests):
-        raise ValueError("duplicate request sequence numbers")
+    def start(die, free_ns):
+        """Start the die's next page once the die is free. Returns the page's
+        (priority, sense end, seq, die), or None when the die has none left."""
+        arrivals, waiting = die
+        if not waiting:
+            if not arrivals:
+                return None
+            free_ns = max(free_ns, arrivals[-1][1])
+        while arrivals and arrivals[-1][1] <= free_ns:
+            heapq.heappush(waiting, arrivals.pop())
+        prio, _, seq = heapq.heappop(waiting)
+        sense_start[seq] = free_ns
+        return prio, free_ns + sense, seq, die
 
-    heap: list[tuple[int, int, str, object]] = []
-    eseq = 0
+    sense_end_of = operator.itemgetter(1)
+    for ch in range(geometry.channels):
+        heads = []
+        for d in range(ch * geometry.dies_per_channel, (ch + 1) * geometry.dies_per_channel):
+            if bounds[d] < bounds[d + 1]:
+                arrivals = keys[bounds[d]:bounds[d + 1]][::-1]   # next arrival last
+                heads.append(start((arrivals, []), 0))
+        bus_free = 0
+        while heads:
+            now = max(bus_free, min(heads, key=sense_end_of)[1])
+            best = min(heads)
+            if best[1] > now:       # the most urgent page is still sensing
+                best = min(h for h in heads if h[1] <= now)
+            xfer_start[best[2]] = now
+            bus_free = now + xfer
+            nxt = start(best[3], bus_free)
+            if nxt is None:
+                heads.remove(best)
+            else:
+                heads[heads.index(best)] = nxt
 
-    def push(t, kind, payload):
-        nonlocal eseq
-        heapq.heappush(heap, (t, eseq, kind, payload))
-        eseq += 1
-
-    for r in requests:
-        if not (0 <= r.channel < geometry.channels and 0 <= r.die < geometry.dies_per_channel):
-            raise ValueError(f"request {r.seq}: ({r.channel}, {r.die}) outside geometry")
-        push(r.ready_ns, "arrive", r)
-
-    while heap:
-        now, _, kind, payload = heapq.heappop(heap)
-        if kind == "arrive":
-            r = payload
-            key = (r.channel, r.die)
-            heapq.heappush(die_pending.setdefault(key, []), (r.priority, r.ready_ns, r.seq))
-            push(now, "die_check", key)
-        elif kind == "die_check":
-            key = payload
-            pend = die_pending.get(key)
-            if pend and not die_busy.get(key, False):
-                _, _, seq = heapq.heappop(pend)
-                die_busy[key] = True
-                started[seq] = now
-                push(now + sense, "sense_done", seq)
-        elif kind == "sense_done":
-            seq = payload
-            sensed[seq] = now
-            r = by_seq[seq]
-            heapq.heappush(bus_wait[r.channel], (r.priority, now, seq))
-            push(now, "bus_check", r.channel)
-        elif kind == "bus_check":
-            ch = payload
-            if bus_wait[ch] and not bus_busy[ch]:
-                _, _, seq = heapq.heappop(bus_wait[ch])
-                bus_busy[ch] = True
-                moved[seq] = (now, now + xfer)
-                push(now + xfer, "xfer_done", seq)
-        elif kind == "xfer_done":
-            seq = payload
-            r = by_seq[seq]
-            key = (r.channel, r.die)
-            bus_busy[r.channel] = False
-            die_busy[key] = False
-            push(now, "bus_check", r.channel)
-            push(now, "die_check", key)
-
-    records = []
-    makespan = 0
-    for r in requests:
-        xs, xe = moved[r.seq]
-        records.append(PageReadRecord(r, started[r.seq], sensed[r.seq], xs, xe))
-        makespan = max(makespan, xe)
-    return PageSchedule(records, makespan)
+    sense_start = np.array(sense_start, dtype=np.int64)
+    xfer_start = np.array(xfer_start, dtype=np.int64)
+    xfer_end = xfer_start + xfer
+    return PageSchedule(reads, sense_start, sense_start + sense, xfer_start, xfer_end,
+                        int(xfer_end.max()) if n else 0)
 
 
 def pages_of_byte_range(ftl: Ftl, lba: int, nbytes: int) -> list[int]:
@@ -290,9 +279,9 @@ def host_block_read(ftl: Ftl, lba: int, nbytes: int, timing: TimingParams) -> in
     across channels/dies, serialized per die), host-interface transfer of the
     payload, plus the fixed software-stack overhead."""
     geometry = ftl.geometry
-    reqs = []
-    for seq, page in enumerate(pages_of_byte_range(ftl, lba, nbytes)):
-        ch, die, _ = ftl.page_location(page)
-        reqs.append(PageReadRequest(0, BLOCK_PRIORITY, ch, die, seq, tag=page))
-    sched = schedule_page_reads(reqs, geometry, timing)
+    pages = np.array(pages_of_byte_range(ftl, lba, nbytes), dtype=np.int64)
+    channel, die, _ = ftl.page_location(pages)
+    zeros = np.zeros(len(pages), dtype=np.int64)
+    sched = schedule_page_reads(PageReads(channel, die, zeros, zeros + BLOCK_PRIORITY),
+                                geometry, timing)
     return sched.makespan_ns + timing.host_iface_ns(nbytes) + timing.host_overhead_ns

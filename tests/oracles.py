@@ -341,3 +341,14 @@ def nearest_rank(sorted_vals, q):
 
 def round_half_even(x):
     return round(x)
+
+
+def die_timelines(schedule):
+    """{(channel, die): [(sense_start, xfer_end), ...] in sense-start order}
+    of a page schedule."""
+    out = {}
+    reads = schedule.reads
+    for k in range(len(reads)):
+        out.setdefault((int(reads.channel[k]), int(reads.die[k])), []).append(
+            (int(schedule.sense_start_ns[k]), int(schedule.xfer_end_ns[k])))
+    return {key: sorted(v) for key, v in out.items()}

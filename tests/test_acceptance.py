@@ -18,9 +18,9 @@ from recssd.recmodel import (DESK_POOLING, ModelSpec, Query, TableSpec, build_mo
                              desk_model_spec, generate_workload, reference_inference)
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE, Scenario,
                         WorkloadConfig, metrics_json, percentile_nearest_rank, run)
-from recssd.storage import Ftl, SsdGeometry, TimingParams, schedule_page_reads, PageReadRequest
+from recssd.storage import Ftl, PageReads, SsdGeometry, TimingParams, schedule_page_reads
 
-from oracles import two_phase_split
+from oracles import die_timelines, two_phase_split
 from search_oracle import enumerate_search
 
 GEO = SsdGeometry(8, 4, 4096)
@@ -249,20 +249,20 @@ def test_criterion_8_property_suites():
         n = int(rng.integers(1, 24))
         idx = rng.integers(0, 64 * 16, n).tolist()
         reqs = translate_batch(emap, ftl, [Query([idx], np.zeros(2, np.float32))])
-        path = dispatch(reqs, GEO)
         distinct = len({i // 64 for i in idx})
-        assert len(path.by_page) == distinct <= n
+        assert len(dispatch(reqs)) == distinct <= n
 
     # work conservation: a die never idles while a request is pending
     geo_small = SsdGeometry(2, 2, 4096)
     for _ in range(1000):
         nreq = int(rng.integers(1, 10))
-        reqs = [PageReadRequest(0, int(rng.integers(0, 2)), int(rng.integers(0, 2)),
-                                int(rng.integers(0, 2)), s) for s in range(nreq)]
-        sched = schedule_page_reads(reqs, geo_small, TP)
-        for recs in sched.per_die_records().values():
-            for prev, nxt in zip(recs, recs[1:]):
-                assert nxt.sense_start_ns == prev.xfer_end_ns
+        priority, channel, die = np.array([[int(rng.integers(0, 2)) for _ in range(3)]
+                                           for _ in range(nreq)]).T
+        reads = PageReads(channel, die, np.zeros(nreq, np.int64), priority)
+        sched = schedule_page_reads(reads, geo_small, TP)
+        for recs in die_timelines(sched).values():
+            for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
+                assert nxt_start == prev_end
 
     # dispatch balance under uniform indices, >= 32 pages per die (2x2 geometry)
     geo_bal = SsdGeometry(2, 2, 4096)
@@ -271,8 +271,8 @@ def test_criterion_8_property_suites():
     for _ in range(1000):
         idx = rng.integers(0, 64 * 256, 600).tolist()
         reqs = translate_batch(emap_bal, ftl_bal, [Query([idx], np.zeros(2, np.float32))])
-        path = dispatch(reqs, geo_bal)
-        counts = [len(v) for v in path.per_die.values()]
+        reads = dispatch(reqs)
+        counts = np.unique(reads.channel * 2 + reads.die, return_counts=True)[1].tolist()
         assert len(counts) == 4 and min(counts) >= 32
         assert max(counts) / min(counts) <= 1.5
 

@@ -80,7 +80,9 @@ class TestValidate:
         assert main(["validate", path]) == 2
         for text in ("workload: {distribution: zipf, zipf_s: -1}\n",
                      "timing: {page_read_us: .nan}\n",
-                     "scenario: {duration_us: .inf}\n"):
+                     "scenario: {duration_us: .inf}\n",
+                     "timing: {page_read_us: 0.0001}\n",
+                     "timing: {channel_transfer_ns_per_byte: 0.0001}\n"):
             path = write(tmp_path, "bad.yaml", text)
             assert main(["validate", path]) == 2, text
             assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2, text
@@ -138,7 +140,7 @@ model:
   top_mlp_dims: [16, 1]
   ev_dim: 8
   table_rows: [4096]
-timing: {page_read_us: 0.001, channel_transfer_ns_per_byte: 1.0e-9, fc_clock_mhz: 0.0001}
+timing: {page_read_us: 0.001, channel_transfer_ns_per_byte: 2.5e-4, fc_clock_mhz: 0.0001}
 workload: {pooling: 1}
 scenario: {mode: rmssd, query_count: 4, batch: 1}
 search_space: {max_batch: 2}

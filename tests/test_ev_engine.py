@@ -1,15 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from recssd.ev_engine import (FileExtent, build_extent_map, build_flash_image,
                               dispatch, ev_sum_engine, simulate_lookup,
                               translate_batch, translate_index)
+from recssd.storage import Ftl
 from recssd.kernel_search import make_lookup_env
 from recssd.recmodel import (ModelSpec, Query, TableSpec, build_model,
                              ev_lookup_sum, generate_workload)
-from recssd.storage import SsdGeometry, TimingParams, page_read_time
+from recssd.storage import (BLOCK_PRIORITY, EV_PRIORITY, SsdGeometry, TimingParams,
+                            page_read_time)
 
-from oracles import adder_oracle, flash_schedule_oracle
+from oracles import adder_oracle, die_timelines, flash_schedule_oracle, fold_sum_rows
 
 GEO = SsdGeometry(channels=8, dies_per_channel=4, page_size=4096, lba_size=512)
 TP = TimingParams()
@@ -111,9 +115,9 @@ class TestDispatch:
         emap, ftl = make_lookup_env(model, GEO)
         qs = [Query([[3, 7]], np.zeros(2, np.float32))]   # both in page 0
         reqs = translate_batch(emap, ftl, qs)
-        path = dispatch(reqs, GEO)
-        assert len(path.by_page) == 1
-        assert len(next(iter(path.by_page.values())).requests) == 2
+        reads = dispatch(reqs)
+        assert len(reads) == 1
+        assert np.bincount(reads.read).tolist() == [2]
 
     def test_eight_distinct_channels_start_simultaneously(self):
         model = flat_model(rows=64 * 64)   # 64 pages
@@ -121,7 +125,7 @@ class TestDispatch:
         idx = [p * 64 for p in range(8)]   # pages 0..7 -> channels 0..7
         qs = [Query([idx], np.zeros(2, np.float32))]
         res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
-        starts = {r.sense_start_ns for r in res.schedule.records}
+        starts = set(res.schedule.sense_start_ns.tolist())
         assert starts == {0}
 
     def test_page_counts_match_counting_oracle(self):
@@ -131,13 +135,13 @@ class TestDispatch:
         idx = rng.integers(0, 64 * 128, 100).tolist()
         qs = [Query([idx], np.zeros(2, np.float32))]
         reqs = translate_batch(emap, ftl, qs)
-        path = dispatch(reqs, GEO)
+        reads = dispatch(reqs)
         # counting oracle: distinct pages grouped by striping arithmetic
         pages = sorted({i // 64 for i in idx})
         per_die = {}
         for p in pages:
             per_die[(p % 8, (p // 8) % 4)] = per_die.get((p % 8, (p // 8) % 4), 0) + 1
-        got = {k: len(v) for k, v in path.per_die.items()}
+        got = Counter(zip(reads.channel.tolist(), reads.die.tolist()))
         assert got == per_die
 
     def test_makespan_matches_event_list_oracle(self):
@@ -147,11 +151,11 @@ class TestDispatch:
         idx = rng.integers(0, 64 * 128, 100).tolist()
         qs = [Query([idx], np.zeros(2, np.float32))]
         res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
-        pages = [(0, 0, t.channel, t.die, t.seq)
-                 for t in sorted(res.path.by_page.values(), key=lambda t: t.seq)]
+        pages = [(0, 0, int(ch), int(die), seq)
+                 for seq, (ch, die) in enumerate(zip(res.reads.channel, res.reads.die))]
         _, makespan = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
         assert res.schedule.makespan_ns == makespan
-        max_q = max(len(v) for v in res.path.per_die.values())
+        max_q = max(Counter(zip(res.reads.channel.tolist(), res.reads.die.tolist())).values())
         assert makespan >= max_q * TP.sense_ns
         assert makespan <= max_q * page_read_time(GEO, TP) + GEO.dies_per_channel * TP.xfer_ns(4096)
 
@@ -164,37 +168,36 @@ class TestDispatch:
             idx = rng.integers(0, 64 * 16, n).tolist()
             qs = [Query([idx], np.zeros(2, np.float32))]
             reqs = translate_batch(emap, ftl, qs)
-            path = dispatch(reqs, GEO)
-            npages = len(path.by_page)
+            npages = len(dispatch(reqs))
             assert npages <= n
             assert (npages == n) == (len({i // 64 for i in idx}) == n)
 
 
 class TestEvSum:
     def test_concatenation_order(self):
-        arrivals = [[(100, np.array([1, 2], np.float32))],
-                    [(50, np.array([3, 4], np.float32))]]
-        vec, done = ev_sum_engine(arrivals, 2, TP)
-        assert vec.tolist() == [1, 2, 3, 4]
-        assert done == 100
+        vectors = np.array([[1, 2], [3, 4]], np.float32)
+        vec, done = ev_sum_engine(np.array([[1, 1]]), np.array([100, 50]), vectors, TP)
+        assert vec.tolist() == [[1, 2, 3, 4]]
+        assert done.tolist() == [100]
 
     def test_single_ev_passthrough_time_is_arrival(self):
-        arrivals = [[(777, np.array([5.0], np.float32))]]
-        vec, done = ev_sum_engine(arrivals, 1, TP)
-        assert done == 777 and vec.tolist() == [5.0]
+        vec, done = ev_sum_engine(np.array([[1]]), np.array([777]),
+                                  np.array([[5.0]], np.float32), TP)
+        assert done.tolist() == [777] and vec.tolist() == [[5.0]]
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="no fetched"):
-            ev_sum_engine([[]], 2, TP)
+            ev_sum_engine(np.array([[0]]), np.zeros(0, np.int64),
+                          np.zeros((0, 2), np.float32), TP)
 
     def test_adder_slower_than_flash_serializes(self):
         # 16 vectors arrive together; kc_e=1 -> 16 cycles = 80 ns per add
-        arrivals = [[(1000, np.ones(16, np.float32)) for _ in range(16)]]
-        vec, done = ev_sum_engine(arrivals, 16, TP, kc_e=1)
+        vec, done = ev_sum_engine(np.array([[16]]), np.full(16, 1000),
+                                  np.ones((16, 16), np.float32), TP, kc_e=1)
         items = [(1000, i, 0) for i in range(16)]
         want = adder_oracle(items, TP.cycles_to_ns(16))[0]
-        assert done == want == 1000 + 15 * 80
-        assert vec.tolist() == [16.0] * 16
+        assert done.tolist() == [want] == [1000 + 15 * 80]
+        assert vec.tolist() == [[16.0] * 16]
 
 
 class TestSimulateLookup:
@@ -285,6 +288,57 @@ class TestSimulateLookup:
         assert res.e_ns == want_e
         assert res.t_emb_ns == max(want_e)
 
+    def test_fragmented_layout_and_per_table_pooling(self):
+        # three tables whose files are fragmented out of LBA order, with 1, 3
+        # and 8 lookups per query; replayed from the file extents by hand
+        rows, ev_dim, rpp = 1000, 16, 64
+        spec = ModelSpec(tables=(TableSpec(rows, ev_dim),) * 3, bottom_mlp_dims=(2, 2),
+                         top_mlp_dims=(2 + 3 * ev_dim, 1), dense_dim=2)
+        model = build_model(spec, 12)
+        layouts = [[FileExtent(800, 7 * 8), FileExtent(80, 5 * 8), FileExtent(400, 4 * 8)],
+                   [FileExtent(1200, 3 * 8), FileExtent(16, 8 * 8), FileExtent(600, 5 * 8)],
+                   [FileExtent(1000, 16 * 8)]]
+        emap = build_extent_map(spec, layouts, GEO)
+        ftl = Ftl(GEO, emap.max_lba_end() // 8)
+        flash = build_flash_image(model.tables, emap, GEO)
+        rng = np.random.default_rng(47)
+        pooling = (1, 3, 8)
+        qs = [Query([rng.integers(0, rows, p).tolist() for p in pooling],
+                    np.zeros(2, np.float32)) for _ in range(6)]
+        kc_e = 2
+        res = simulate_lookup(model, qs, GEO, TP, emap, ftl, flash=flash, kc_e=kc_e)
+
+        def page_of(t, index):
+            cursor = 0
+            for fe in layouts[t]:
+                count = min(fe.lba_count // 8 * rpp, rows - cursor)
+                if cursor <= index < cursor + count:
+                    return fe.start_lba // 8 + (index - cursor) // rpp
+                cursor += count
+            raise AssertionError
+
+        order, items, seq = [], [], 0
+        for qid, q in enumerate(qs):
+            for t, idx in enumerate(q.indices):
+                for i in idx:
+                    page = page_of(t, i)
+                    if page not in order:
+                        order.append(page)
+                    items.append((qid, t, seq, page))
+                    seq += 1
+        pages = [(0, 0, p % 8, (p // 8) % 4, k) for k, p in enumerate(order)]
+        times, _ = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
+        adder_items = [(times[order.index(p)][3], s, (qid, t)) for qid, t, s, p in items]
+        done = adder_oracle(adder_items, TP.cycles_to_ns(ev_dim // kc_e), group=lambda k: k[0])
+        assert res.e_ns == [max(done[(qid, t)] for t in range(3)) for qid in range(len(qs))]
+        for q, concat in zip(qs, res.ev_concat):
+            want = np.concatenate([fold_sum_rows(model.tables[t].values, q.indices[t])
+                                   for t in range(3)])
+            assert concat.tobytes() == want.tobytes()
+        direct = simulate_lookup(model, qs, GEO, TP, emap, ftl, kc_e=kc_e)
+        assert direct.ev_concat.tobytes() == res.ev_concat.tobytes()
+        assert direct.e_ns == res.e_ns
+
     def test_priority_over_block_io(self):
         model = flat_model(rows=64 * 64, seed=8)
         emap, ftl = make_lookup_env(model, GEO)
@@ -294,25 +348,28 @@ class TestSimulateLookup:
         qs = [Query([idx], np.zeros(2, np.float32))]
         blocks = [(0, p) for p in range(30)]
         res = simulate_lookup(model, qs, GEO, TP, emap, ftl, block_page_reads=blocks)
-        ev_recs = [r for r in res.schedule.records if r.request.tag[0] == "ev"]
-        blk_recs = [r for r in res.schedule.records if r.request.tag[0] == "block"]
-        for b in blk_recs:
-            for e in ev_recs:
-                same_die = (e.request.channel, e.request.die) == (b.request.channel, b.request.die)
-                if same_die and e.request.ready_ns <= b.sense_start_ns:
-                    assert e.sense_start_ns <= b.sense_start_ns
-                if (e.request.channel == b.request.channel
-                        and e.sense_end_ns <= b.xfer_start_ns):
-                    assert e.xfer_start_ns <= b.xfer_start_ns
+        sched, reads = res.schedule, res.schedule.reads
+        # the schedule holds the EV reads first, then the block reads in order
+        n_ev = len(res.reads)
+        assert len(reads) == n_ev + len(blocks)
+        assert reads.priority.tolist() == [EV_PRIORITY] * n_ev + [BLOCK_PRIORITY] * len(blocks)
+        for b in range(n_ev, len(reads)):
+            for e in range(n_ev):
+                same_die = (reads.channel[e], reads.die[e]) == (reads.channel[b], reads.die[b])
+                if same_die and reads.ready_ns[e] <= sched.sense_start_ns[b]:
+                    assert sched.sense_start_ns[e] <= sched.sense_start_ns[b]
+                if (reads.channel[e] == reads.channel[b]
+                        and sched.sense_end_ns[e] <= sched.xfer_start_ns[b]):
+                    assert sched.xfer_start_ns[e] <= sched.xfer_start_ns[b]
 
     def test_work_conservation(self):
         model = flat_model(rows=64 * 64, seed=9)
         emap, ftl = make_lookup_env(model, GEO)
         qs = generate_workload(model.spec, "uniform", 16, 8, 17)
         res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
-        for recs in res.schedule.per_die_records().values():
-            for prev, nxt in zip(recs, recs[1:]):
-                assert nxt.sense_start_ns == prev.xfer_end_ns
+        for recs in die_timelines(res.schedule).values():
+            for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
+                assert nxt_start == prev_end
 
     def test_uniform_dispatch_balance(self):
         # >= 32 pages per die on average
@@ -320,6 +377,6 @@ class TestSimulateLookup:
         emap, ftl = make_lookup_env(model, GEO)
         qs = generate_workload(model.spec, "uniform", 64, 64, 23)
         res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
-        counts = [len(v) for v in res.path.per_die.values()]
+        counts = list(Counter(zip(res.reads.channel.tolist(), res.reads.die.tolist())).values())
         assert len(counts) == 32 and min(counts) * 32 >= 1024 * 0.8
         assert max(counts) / min(counts) <= 1.5

@@ -3,13 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+from recssd.ev_engine import simulate_lookup
 from recssd.kernel_search import (ResourceModel, SearchSpace, WorkloadProfile,
-                                  _stage_candidates, bram_placement, estimate_times,
-                                  kernel_options, layer_weight_bytes, resource_usage, search,
+                                  _stage_candidates, bram_placement, emb_budgets,
+                                  estimate_times, kernel_options, layer_weight_bytes,
+                                  make_lookup_env, resource_usage, search,
                                   spill_floor_cycles, verify_constraints)
 from recssd.mlp_engine import KernelAssignment, fc_cycles, make_layers
-from recssd.recmodel import (ModelSpec, TableSpec, build_model, desk_model_spec,
-                             generate_workload)
+from recssd.recmodel import (DESK_PRESETS, ModelSpec, TableSpec, build_model,
+                             desk_model_spec, generate_workload)
 from recssd.storage import SsdGeometry, TimingParams
 
 from oracles import adder_oracle, flash_schedule_oracle, pipeline_oracle
@@ -128,6 +130,18 @@ class TestResourceUsage:
 
 
 class TestSearch:
+    @pytest.mark.parametrize("preset", DESK_PRESETS)
+    def test_emb_budgets_equal_one_lookup_per_kce(self, preset):
+        # the search schedules the flash once per batch and reruns only the
+        # adder per kc_e; each budget must equal a full lookup at that kc_e
+        m = build_model(desk_model_spec(preset), 3)
+        emap, ftl = make_lookup_env(m, GEO)
+        for dist, batch in (("uniform", 2), ("zipf", 16)):
+            queries = generate_workload(m.spec, dist, 8, batch, 5)
+            want = {k: simulate_lookup(m, queries, GEO, TP, emap, ftl, kc_e=k).t_emb_ns
+                    for k in kernel_options(m.spec.ev_dim)}
+            assert emb_budgets(m, queries, GEO, TP, emap, ftl) == want
+
     def test_slow_flash_gives_minimal_kernels(self):
         m = tiny_model(bot=(8, 8), top_hidden=(8,))
         slow = TimingParams(page_read_us=100000.0)   # constraints never bind

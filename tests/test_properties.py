@@ -33,10 +33,9 @@ def test_ftl_translate_is_page_bijection(channels, dies, total_pages):
 def test_coalescing_never_increases_page_reads(indices):
     model, emap, ftl = tiny_lookup_env(64 * 16)
     reqs = translate_batch(emap, ftl, [Query([indices], np.zeros(2, np.float32))])
-    path = dispatch(reqs, GEO)
-    assert len(path.by_page) <= len(indices)
-    assert (len(path.by_page) == len(indices)) == \
-        (len({i // 64 for i in indices}) == len(indices))
+    reads = len(dispatch(reqs))
+    assert reads <= len(indices)
+    assert (reads == len(indices)) == (len({i // 64 for i in indices}) == len(indices))
 
 
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=12),

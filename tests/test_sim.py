@@ -209,7 +209,8 @@ class TestRmssdMode:
 
     def test_infeasible_search_raises(self):
         m = rmc3()
-        bad = TimingParams(page_read_us=1e-3, channel_transfer_ns_per_byte=1e-9,
+        # 1 ns sense and 1 ns page transfer, the shortest a scenario accepts
+        bad = TimingParams(page_read_us=1e-3, channel_transfer_ns_per_byte=2.5e-4,
                            fc_clock_mhz=1e-4)
         sc = scenario(MODE_RMSSD, m, 4, auto=True, timing=bad,
                       workload=WorkloadConfig(pooling=1))

@@ -1,11 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from recssd.storage import (BLOCK_PRIORITY, EV_PRIORITY, Ftl, PageReadRequest,
-                            SsdGeometry, TimingParams, host_block_read, page_read_time,
+from recssd.storage import (BLOCK_PRIORITY, EV_PRIORITY, Ftl, PageReads, SsdGeometry,
+                            TimingParams, host_block_read, page_read_time,
                             schedule_page_reads)
 
-from oracles import flash_schedule_oracle
+from oracles import die_timelines, flash_schedule_oracle
 
 GEO4 = SsdGeometry(channels=4, dies_per_channel=2, page_size=4096, lba_size=512)
 
@@ -140,50 +142,74 @@ class TestHostBlockRead:
             assert host_block_read(ftl, 0, 3 * 4096, tp) >= base
 
 
+def page_reads(rows):
+    """PageReads from (ready, priority, channel, die) rows; seq is the row."""
+    ready, priority, channel, die = (np.array(col, dtype=np.int64).reshape(-1)
+                                     for col in zip(*rows))
+    return PageReads(channel, die, ready, priority)
+
+
 class TestSchedulePageReads:
     tp = TimingParams()
 
-    def run_both(self, reqs, geo):
-        sched = schedule_page_reads(reqs, geo, self.tp)
+    def run_both(self, reads, geo):
+        sched = schedule_page_reads(reads, geo, self.tp)
         oracle, makespan = flash_schedule_oracle(
-            [(r.ready_ns, r.priority, r.channel, r.die, r.seq) for r in reqs],
+            [(int(reads.ready_ns[k]), int(reads.priority[k]), int(reads.channel[k]),
+              int(reads.die[k]), k) for k in range(len(reads))],
             self.tp.sense_ns, self.tp.xfer_ns(geo.page_size))
         return sched, oracle, makespan
 
     def test_matches_oracle_on_random_traffic(self):
         rng = np.random.default_rng(33)
+        sense, xfer = self.tp.sense_ns, self.tp.xfer_ns(4096)
+        cases = []
         for _ in range(30):
             geo = SsdGeometry(int(rng.integers(1, 5)), int(rng.integers(1, 4)), 4096)
             n = int(rng.integers(1, 25))
-            reqs = [PageReadRequest(int(rng.integers(0, 200_000)),
-                                    int(rng.integers(0, 2)),
-                                    int(rng.integers(0, geo.channels)),
-                                    int(rng.integers(0, geo.dies_per_channel)), seq)
-                    for seq in range(n)]
-            sched, oracle, makespan = self.run_both(reqs, geo)
+            cases.append((geo, [(int(rng.integers(0, 200_000)), int(rng.integers(0, 2)),
+                                 int(rng.integers(0, geo.channels)),
+                                 int(rng.integers(0, geo.dies_per_channel)))
+                                for _ in range(n)]))
+        # tie-heavy traffic: ready times where phases end, more than four
+        # pages per die, and both priorities queued on one die
+        for _ in range(30):
+            geo = SsdGeometry(int(rng.integers(1, 3)), int(rng.integers(1, 3)), 4096)
+            n = int(rng.integers(5, 7)) * geo.total_dies
+            cases.append((geo, [(int(rng.choice([0, sense, sense + xfer])),
+                                 int(rng.integers(0, 2)),
+                                 int(rng.integers(0, geo.channels)),
+                                 int(rng.integers(0, geo.dies_per_channel)))
+                                for _ in range(n)]))
+        for geo, rows in cases:
+            sched, oracle, makespan = self.run_both(page_reads(rows), geo)
             assert sched.makespan_ns == makespan
-            for rec in sched.records:
-                ss, se, xs, xe = oracle[rec.request.seq]
-                assert (rec.sense_start_ns, rec.sense_end_ns,
-                        rec.xfer_start_ns, rec.xfer_end_ns) == (ss, se, xs, xe)
+            for seq in range(len(rows)):
+                assert (sched.sense_start_ns[seq], sched.sense_end_ns[seq],
+                        sched.xfer_start_ns[seq], sched.xfer_end_ns[seq]) == oracle[seq]
+        tied = cases[30:]
+        assert all(max(Counter((ch, d) for _, _, ch, d in rows).values()) > 4
+                   for _, rows in tied)
+        assert any(len({p for _, p, ch, d in rows if (ch, d) == (0, 0)}) == 2
+                   for _, rows in tied)
 
     def test_work_conservation(self):
         rng = np.random.default_rng(34)
         geo = SsdGeometry(2, 2, 4096)
-        reqs = [PageReadRequest(0, EV_PRIORITY, int(rng.integers(0, 2)),
-                                int(rng.integers(0, 2)), seq) for seq in range(40)]
-        sched = schedule_page_reads(reqs, geo, self.tp)
-        for recs in sched.per_die_records().values():
-            for prev, nxt in zip(recs, recs[1:]):
-                assert nxt.sense_start_ns == prev.xfer_end_ns
+        reads = page_reads([(0, EV_PRIORITY, int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+                            for _ in range(40)])
+        sched = schedule_page_reads(reads, geo, self.tp)
+        for recs in die_timelines(sched).values():
+            for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
+                assert nxt_start == prev_end
 
     def test_die_never_overlapped(self):
         rng = np.random.default_rng(35)
         geo = SsdGeometry(3, 2, 4096)
-        reqs = [PageReadRequest(int(rng.integers(0, 300_000)), int(rng.integers(0, 2)),
-                                int(rng.integers(0, 3)), int(rng.integers(0, 2)), seq)
-                for seq in range(60)]
-        sched = schedule_page_reads(reqs, geo, self.tp)
-        for recs in sched.per_die_records().values():
-            for prev, nxt in zip(recs, recs[1:]):
-                assert nxt.sense_start_ns >= prev.xfer_end_ns
+        reads = page_reads([(int(rng.integers(0, 300_000)), int(rng.integers(0, 2)),
+                             int(rng.integers(0, 3)), int(rng.integers(0, 2)))
+                            for _ in range(60)])
+        sched = schedule_page_reads(reads, geo, self.tp)
+        for recs in die_timelines(sched).values():
+            for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
+                assert nxt_start >= prev_end
