@@ -5,11 +5,11 @@ from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, StageTime
                             WorkloadProfile, estimate_times, resource_usage, search,
                             verify_constraints)
 from .mlp_engine import (FcLayerSpec, KernelAssignment, PipelineSchedule, fc_cycles,
-                         decompose_first_layer, mlp_forward_blocked, pipeline_schedule)
+                         decompose_first_layer, pipeline_schedule)
 from .recmodel import (EmbeddingTable, Model, ModelSpec, Query, TableSpec, build_model,
                        desk_model_spec, ev_lookup_sum, generate_workload, mlp_forward,
                        reference_inference)
 from .sim import (Metrics, Scenario, WorkloadConfig, compare, metrics_json, run)
-from .storage import Ftl, SsdGeometry, TimingParams, host_block_read, page_read_time
+from .storage import Ftl, SsdGeometry, TimingParams, page_read_time
 
 __version__ = "0.1.0"

@@ -26,24 +26,28 @@ def _parser() -> argparse.ArgumentParser:
                    help="print the default config document and exit")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp):
+    def seed(sp):
         sp.add_argument("--seed", type=int, default=0, help="workload seed")
+
+    def report(sp, formats):
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="text",
+        sp.add_argument("--format", choices=formats, default="text",
                         help="stdout report format")
         sp.add_argument("--quiet", action="store_true", help="suppress stdout report")
 
     sp = sub.add_parser("run", help="run one scenario, write metrics.json + trace.csv")
     sp.add_argument("config")
-    common(sp)
+    seed(sp)
+    report(sp, ("json", "csv", "text"))
 
     sp = sub.add_parser("search", help="run only the kernel search, print its JSON")
     sp.add_argument("config")
-    common(sp)
+    seed(sp)
 
     sp = sub.add_parser("compare", help="run scenarios and report ratios vs the first")
     sp.add_argument("configs", nargs="+")
-    common(sp)
+    seed(sp)
+    report(sp, ("json", "text"))
 
     sp = sub.add_parser("validate", help="schema and invariant checks only")
     sp.add_argument("config")

@@ -28,7 +28,7 @@ model:
   # required when preset is custom:
   # dense_dim: 13
   # bottom_mlp_dims: [13, 64, 16]
-  # top_mlp_dims: [144, 64, 1]   # first entry = bottom output + tables * ev_dim
+  # top_mlp_dims: [48, 64, 1]    # first entry = bottom output + tables * ev_dim
   # ev_dim: 16
   # table_rows: [16384, 16384]
 
@@ -148,7 +148,16 @@ def validate_config(cfg: dict) -> dict:
         for part in ("bottom", "top", "ev"):
             if part not in k:
                 raise ConfigError(f"kernels.{part} missing")
+        if not (isinstance(k["bottom"], list) and isinstance(k["top"], list)
+                and all(map(_is_int_pair, k["bottom"] + k["top"] + [k["ev"]]))):
+            raise ConfigError("kernels.bottom and kernels.top must be lists of [kr, kc] "
+                              "integer pairs, and kernels.ev one [1, kc_e] pair")
     return merged
+
+
+def _is_int_pair(v) -> bool:
+    return (isinstance(v, list) and len(v) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in v))
 
 
 def load_config(path) -> dict:

@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .recmodel import Model, Query
-from .storage import (EV_PRIORITY, BLOCK_PRIORITY, Ftl, PageReads, PageSchedule,
+from .storage import (EV_PRIORITY, Ftl, PageReads, PageSchedule,
                       SsdGeometry, TimingParams, schedule_page_reads)
 
 
@@ -47,9 +47,6 @@ class ExtentMap:
     @property
     def ev_bytes(self) -> int:
         return self.ev_dim * 4
-
-    def pages_per_table(self) -> list[int]:
-        return [-(-r // self.rows_per_page) for r in self.rows]
 
     @cached_property
     def extent_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,12 +146,6 @@ def _locate(emap: ExtentMap, table: np.ndarray, index: np.ndarray):
     rel = row - ext_row[ext]
     lba = ext_lba[ext] + rel // emap.rows_per_page * emap.lbas_per_page
     return lba, rel % emap.rows_per_page * emap.ev_bytes
-
-
-def translate_index(emap: ExtentMap, table_id: int, index: int) -> tuple[int, int]:
-    """Map (table, row index) to (page-start LBA, byte offset within the page)."""
-    lba, offset = _locate(emap, np.array([table_id]), np.array([index]))
-    return int(lba[0]), int(offset[0])
 
 
 @dataclass(frozen=True)
@@ -315,35 +306,25 @@ class LookupResult:
     t_emb_ns: int                        # completion of the last EV sum
     requests: Requests
     reads: CoalescedReads
-    schedule: PageSchedule               # the EV reads, then any injected block reads
+    schedule: PageSchedule               # the coalesced reads, in their order
     arrival_ns: np.ndarray               # per request: its page's transfer end
     channel_busy_ns: list[int]
 
 
 def simulate_lookup(model: Model, queries: list[Query], geometry: SsdGeometry,
                     timing: TimingParams, emap: ExtentMap, ftl: Ftl,
-                    flash: FlashImage | None = None, kc_e: int | None = None,
-                    block_page_reads: list[tuple[int, int]] = ()) -> LookupResult:
-    """Run one batch through translate -> dispatch -> page reads -> vector sum.
-
-    `block_page_reads` optionally injects competing block I/O as
-    (ready_ns, global page index) pairs; embedding reads take non-preemptive
-    priority over them.
-    """
+                    flash: FlashImage | None = None,
+                    kc_e: int | None = None) -> LookupResult:
+    """Run one batch through translate -> dispatch -> page reads -> vector sum."""
     for q in queries:
         model.validate_query(q)
     ev_dim = model.spec.ev_dim
     requests = translate_batch(emap, ftl, queries)
     reads = dispatch(requests)
 
-    block = np.array(block_page_reads, dtype=np.int64).reshape(-1, 2)
-    block_channel, block_die, _ = ftl.page_location(block[:, 1])
-    page_reads = PageReads(
-        channel=np.concatenate([reads.channel, block_channel]),
-        die=np.concatenate([reads.die, block_die]),
-        ready_ns=np.concatenate([np.zeros(len(reads), dtype=np.int64), block[:, 0]]),
-        priority=np.repeat([EV_PRIORITY, BLOCK_PRIORITY], [len(reads), len(block)]))
-    sched = schedule_page_reads(page_reads, geometry, timing)
+    zeros = np.zeros(len(reads), dtype=np.int64)
+    sched = schedule_page_reads(PageReads(reads.channel, reads.die, zeros,
+                                          zeros + EV_PRIORITY), geometry, timing)
     arrival = sched.xfer_end_ns[reads.read]
 
     if flash is not None:

@@ -68,6 +68,8 @@ class SearchSpace:
     def __post_init__(self):
         if self.initial_batch < 1 or self.max_batch < self.initial_batch:
             raise ValueError("need 1 <= initial_batch <= max_batch")
+        if self.max_kernel is not None and self.max_kernel < 1:
+            raise ValueError(f"max_kernel must be >= 1, got {self.max_kernel}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ Hence a (column, row) pair overlaps while consecutive pairs serialize, which
 caps the benefit at 2x for long equal stacks.
 """
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -175,45 +174,6 @@ def eval_decomposed(w_bottom: np.ndarray, w_emb: np.ndarray, bias: np.ndarray,
     return ((p + q) + np.asarray(bias, dtype=np.float32)).astype(np.float32)
 
 
-def _tree_sum(block: np.ndarray) -> np.ndarray:
-    """Pairwise adder-tree reduction along axis 1, FP32 at every node."""
-    while block.shape[1] > 1:
-        half = block.shape[1] // 2
-        paired = (block[:, 0:2 * half:2] + block[:, 1:2 * half:2]).astype(np.float32)
-        if block.shape[1] % 2:
-            paired = np.concatenate([paired, block[:, -1:]], axis=1)
-        block = paired
-    return block[:, 0]
-
-
-def mlp_forward_blocked(layer_dims, weights, biases, kernels, x) -> np.ndarray:
-    """Forward pass in the engine's accumulation order: input blocks of kr in
-    ascending order, adder-tree order inside each block, bias at completion,
-    activation on emission (ReLU on hidden layers, linear output)."""
-    x = np.asarray(x, dtype=np.float32)
-    nlayers = len(layer_dims) - 1
-    if len(kernels) != nlayers:
-        raise ValueError(f"{len(kernels)} kernels for {nlayers} layers")
-    for l in range(nlayers):
-        w = np.asarray(weights[l], dtype=np.float32)
-        r = layer_dims[l]
-        if w.shape != (layer_dims[l + 1], r) or x.shape != (r,):
-            raise ValueError(f"layer {l}: shape mismatch {w.shape} vs input {x.shape}")
-        kr, kc = kernels[l]
-        if not (1 <= kr <= r and 1 <= kc <= layer_dims[l + 1]):
-            raise ValueError(f"layer {l}: kernel ({kr}, {kc}) exceeds dims")
-        prod = w * x
-        acc = None
-        for i in range(0, r, kr):
-            part = _tree_sum(prod[:, i:min(i + kr, r)])
-            acc = part if acc is None else (acc + part).astype(np.float32)
-        y = (acc + np.asarray(biases[l], dtype=np.float32)).astype(np.float32)
-        if l < nlayers - 1:
-            y = np.maximum(y, np.float32(0.0))
-        x = y
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Pipeline scheduling.
 
@@ -320,13 +280,13 @@ def _schedule_tail(layers, kernels, floors, q: int, unit_free: list[int],
 
 
 def pipeline_schedule(layers: list[FcLayerSpec], kernels, clock_period_ns: float,
-                      inputs_at_cycles=None, batch: int | None = None,
-                      floor_cycles=None) -> PipelineSchedule:
+                      inputs_at_cycles=None, floor_cycles=None) -> PipelineSchedule:
     """Schedule a batch through an alternating-scan FC stack.
 
-    `inputs_at_cycles[q]` is when query q's stack inputs are all available.
-    `floor_cycles[l]`, when set, is the weight-fetch floor of a DRAM-spilled
-    layer, paid by the first query of the batch.
+    `inputs_at_cycles[q]` is when query q's stack inputs are all available
+    (default: one query at cycle 0). `floor_cycles[l]`, when set, is the
+    weight-fetch floor of a DRAM-spilled layer, paid by the first query of
+    the batch. The stack is the decomposed one with an empty bottom half.
     """
     n = len(layers)
     if n == 0:
@@ -343,25 +303,9 @@ def pipeline_schedule(layers: list[FcLayerSpec], kernels, clock_period_ns: float
     for l, (layer, (kr, kc)) in enumerate(zip(layers, kernels)):
         if not (1 <= kr <= layer.in_width and 1 <= kc <= layer.out_width):
             raise ValueError(f"layer {l}: kernel ({kr}, {kc}) exceeds dims")
-    if inputs_at_cycles is None:
-        inputs_at_cycles = [0] * (batch or 1)
-    B = len(inputs_at_cycles)
-    floors = list(floor_cycles) if floor_cycles is not None else [0] * n
-
-    kr0, kc0 = kernels[0]
-    chunks0 = -(-layers[0].in_width // kr0)
-    groups0 = -(-layers[0].out_width // kc0)
-    fill0 = fill_cycles(kr0)
-    unit_free = [0] * n
-    entries: list[LayerQuerySchedule] = []
-    completions = []
-    for q in range(B):
-        entry = LayerQuerySchedule(0, q, SCAN_COLUMN, 0, 0)
-        _, unit_free[0] = _column_pass(entry, chunks0, groups0, fill0, inputs_at_cycles[q],
-                                       unit_free[0], floors[0] if q == 0 else 0)
-        entries.append(entry)
-        completions.append(_schedule_tail(layers, kernels, floors, q, unit_free, entries))
-    return PipelineSchedule(entries, max(completions), clock_period_ns, completions)
+    inputs = [0] if inputs_at_cycles is None else inputs_at_cycles
+    return pipeline_schedule_decomposed(layers, kernels, clock_period_ns, 0,
+                                        layers[0].in_width, inputs, inputs, floor_cycles)
 
 
 def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels,
@@ -373,6 +317,7 @@ def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels,
     The first layer's bottom half runs as soon as the bottom-MLP output is
     ready; the embedding half starts when the summed vectors arrive, and only
     then do output groups emit. Remaining layers follow the generic rules.
+    With `bottom_width` 0 the first layer is an ordinary column-scan layer.
     """
     n = len(top_layers)
     L0 = top_layers[0]
@@ -413,20 +358,3 @@ def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels,
         entries.append(entry)
         completions.append(_schedule_tail(top_layers, kernels, floors, q, unit_free, entries))
     return PipelineSchedule(entries, max(completions), clock_period_ns, completions)
-
-
-def schedule_to_csv(sched: PipelineSchedule) -> str:
-    """Gantt-style dump: one row per output group (column layers) or per
-    input chunk (row layers)."""
-    out = io.StringIO()
-    out.write("layer,output_group,start_ns,end_ns\n")
-    for e in sched.entries:
-        if e.scan == SCAN_COLUMN:
-            prev = e.start_cycle
-            for g, t in enumerate(e.emissions, 1):
-                out.write(f"{e.layer},{g},{sched.to_ns(prev)},{sched.to_ns(t)}\n")
-                prev = t
-        else:
-            for j, (s, t) in enumerate(zip(e.chunk_start, e.chunk_end), 1):
-                out.write(f"{e.layer},{j},{sched.to_ns(s)},{sched.to_ns(t)}\n")
-    return out.getvalue()

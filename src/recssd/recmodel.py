@@ -289,84 +289,6 @@ def generate_workload(spec: ModelSpec, distribution: str, pooling: int, count: i
 
 
 # ---------------------------------------------------------------------------
-# Serialization: flat binary per table (row-major FP32 little-endian, no
-# header) and a line-oriented "key = value" model-spec file.
-
-def table_to_bytes(table: EmbeddingTable) -> bytes:
-    return np.ascontiguousarray(table.values, dtype="<f4").tobytes()
-
-
-def save_table(table: EmbeddingTable, path) -> None:
-    with open(path, "wb") as f:
-        f.write(table_to_bytes(table))
-
-
-def load_table(spec: TableSpec, path, table_id: int = 0) -> EmbeddingTable:
-    with open(path, "rb") as f:
-        raw = f.read()
-    want = spec.rows * spec.ev_dim * 4
-    if len(raw) != want:
-        raise ValueError(f"table file is {len(raw)} bytes, expected {want}")
-    vals = np.frombuffer(raw, dtype="<f4").reshape(spec.rows, spec.ev_dim).astype(np.float32)
-    return EmbeddingTable(spec, vals, table_id=table_id)
-
-
-_SPEC_KEYS = ("dense_dim", "bottom_mlp_dims", "top_mlp_dims", "ev_dim", "table_rows", "interaction")
-
-
-def model_spec_to_text(spec: ModelSpec) -> str:
-    lines = [
-        "# recssd model spec v1",
-        f"dense_dim = {spec.dense_dim}",
-        "bottom_mlp_dims = " + ",".join(str(d) for d in spec.bottom_mlp_dims),
-        "top_mlp_dims = " + ",".join(str(d) for d in spec.top_mlp_dims),
-        f"ev_dim = {spec.ev_dim}",
-        "table_rows = " + ",".join(str(t.rows) for t in spec.tables),
-        f"interaction = {spec.interaction}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def model_spec_from_text(text: str) -> ModelSpec:
-    kv = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, val = (p.strip() for p in line.split("=", 1))
-        if key not in _SPEC_KEYS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in kv:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        kv[key] = val
-    missing = [k for k in _SPEC_KEYS if k not in kv and k != "interaction"]
-    if missing:
-        raise ValueError(f"missing keys: {missing}")
-    ints = lambda s: tuple(int(x) for x in s.split(","))
-    ev_dim = int(kv["ev_dim"])
-    tables = tuple(TableSpec(r, ev_dim) for r in ints(kv["table_rows"]))
-    return ModelSpec(
-        tables=tables,
-        bottom_mlp_dims=ints(kv["bottom_mlp_dims"]),
-        top_mlp_dims=ints(kv["top_mlp_dims"]),
-        dense_dim=int(kv["dense_dim"]),
-        interaction=kv.get("interaction", INTERACTION_CONCAT),
-    )
-
-
-def save_model_spec(spec: ModelSpec, path) -> None:
-    with open(path, "w") as f:
-        f.write(model_spec_to_text(spec))
-
-
-def load_model_spec(path) -> ModelSpec:
-    with open(path) as f:
-        return model_spec_from_text(f.read())
-
-
-# ---------------------------------------------------------------------------
 # Desk-scale model presets. These are small stand-ins sized so full runs fit
 # in seconds; they do not claim to reproduce any production model.
 

@@ -42,6 +42,10 @@ from .storage import SsdGeometry, TimingParams, page_read_time
 
 SCHEMA_VERSION = 1
 
+# Longest modelled duration of one operation. A run is a bounded number of
+# operations, so with this cap every time stays far inside int64 nanoseconds.
+MAX_OPERATION_NS = 1_000_000_000
+
 MODE_RMSSD = "rmssd"
 MODE_EMB_VECTORSUM = "emb-vectorsum"
 MODE_SSD_BASELINE = "ssd-baseline"
@@ -93,7 +97,19 @@ class Scenario:
             self.kernels.validate(self.model.spec)
         if self.duration_ns is not None and self.duration_ns < 0:
             raise ValueError("duration_ns must be >= 0")
-        sense, xfer = self.timing.sense_ns, self.timing.xfer_ns(self.geometry.page_size)
+        t, g = self.timing, self.geometry
+        for name, ns in (("a page sense", t.page_read_us * 1000.0),
+                         ("a page transfer", g.page_size * t.channel_transfer_ns_per_byte),
+                         ("the host I/O overhead", t.host_block_io_overhead_us * 1000.0),
+                         ("a DRAM hit", t.dram_hit_ns),
+                         ("a page over the host interface",
+                          g.page_size * t.host_interface_ns_per_byte),
+                         ("a host MAC", t.host_ns_per_mac),
+                         ("an engine clock period", t.clock_period_ns)):
+            if not ns <= MAX_OPERATION_NS:
+                raise ValueError(f"{name} takes {ns:g} ns, over the limit of "
+                                 f"{MAX_OPERATION_NS} ns (1 s)")
+        sense, xfer = t.sense_ns, t.xfer_ns(g.page_size)
         if sense < 1 or xfer < 1:
             raise ValueError(f"a page read needs a sense and a transfer of >= 1 ns, "
                              f"got {sense} ns and {xfer} ns")
@@ -104,6 +120,10 @@ class Scenario:
             raise ValueError(f"pooling must be >= 1, got {wl.pooling}")
         if not wl.zipf_s > 0:
             raise ValueError(f"zipf_s must be > 0, got {wl.zipf_s}")
+        ev_bytes = self.model.spec.ev_dim * 4
+        if ev_bytes > g.page_size:
+            raise ValueError(f"an embedding vector of {ev_bytes} bytes does not fit "
+                             f"in a page of {g.page_size} bytes")
 
 
 @dataclass

@@ -26,7 +26,6 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,13 +105,6 @@ class TimingParams:
         return math.ceil(ns / self.clock_period_ns)
 
 
-class PhysLoc(NamedTuple):
-    channel: int
-    die: int
-    page: int      # page index within the die
-    offset: int    # byte offset within the page
-
-
 @dataclass(frozen=True)
 class Ftl:
     """Static round-robin FTL: physical page p of the provisioned range lands
@@ -124,10 +116,6 @@ class Ftl:
     def __post_init__(self):
         if self.total_pages < 1:
             raise ValueError("total_pages must be >= 1")
-
-    @property
-    def total_lbas(self) -> int:
-        return self.total_pages * self.geometry.lbas_per_page
 
     def page_location(self, page_index):
         """(channel, die, page within the die) of a physical page index, or of
@@ -141,15 +129,6 @@ class Ftl:
         die = (page_index // g.channels) % g.dies_per_channel
         die_page = page_index // (g.channels * g.dies_per_channel)
         return channel, die, die_page
-
-    def translate(self, lba: int) -> PhysLoc:
-        g = self.geometry
-        if not 0 <= lba < self.total_lbas:
-            raise ValueError(f"lba {lba} outside provisioned range [0, {self.total_lbas})")
-        byte = lba * g.lba_size
-        page_index = byte // g.page_size
-        channel, die, die_page = self.page_location(page_index)
-        return PhysLoc(channel, die, die_page, byte % g.page_size)
 
 
 def page_read_time(geometry: SsdGeometry, timing: TimingParams) -> int:
@@ -261,27 +240,3 @@ def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
     xfer_end = xfer_start + xfer
     return PageSchedule(reads, sense_start, sense_start + sense, xfer_start, xfer_end,
                         int(xfer_end.max()) if n else 0)
-
-
-def pages_of_byte_range(ftl: Ftl, lba: int, nbytes: int) -> list[int]:
-    g = ftl.geometry
-    if nbytes < 1:
-        raise ValueError("read length must be >= 1 byte")
-    start = lba * g.lba_size
-    end = start + nbytes
-    if lba < 0 or end > ftl.total_lbas * g.lba_size:
-        raise ValueError(f"byte range [{start}, {end}) outside provisioned capacity")
-    return list(range(start // g.page_size, (end - 1) // g.page_size + 1))
-
-
-def host_block_read(ftl: Ftl, lba: int, nbytes: int, timing: TimingParams) -> int:
-    """Latency of one synchronous host-path read: flash page reads (parallel
-    across channels/dies, serialized per die), host-interface transfer of the
-    payload, plus the fixed software-stack overhead."""
-    geometry = ftl.geometry
-    pages = np.array(pages_of_byte_range(ftl, lba, nbytes), dtype=np.int64)
-    channel, die, _ = ftl.page_location(pages)
-    zeros = np.zeros(len(pages), dtype=np.int64)
-    sched = schedule_page_reads(PageReads(channel, die, zeros, zeros + BLOCK_PRIORITY),
-                                geometry, timing)
-    return sched.makespan_ns + timing.host_iface_ns(nbytes) + timing.host_overhead_ns

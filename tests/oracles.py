@@ -1,13 +1,18 @@
-"""Independent straight-line oracles.
+"""Independent straight-line oracles, and two test helpers.
 
-Everything here reimplements the documented timing and arithmetic rules with
+The oracles reimplement the documented timing and arithmetic rules with
 plain Python loops, staying off the package's compute/scheduling code paths,
-so tests compare two separately written realizations of the same rules.
+so tests compare two separately written realizations of the same rules. The
+helpers in the last section are built on the package's own code: they give
+tests a one-row translation and a host block read, which no scenario needs.
 """
 
 import math
 
 import numpy as np
+
+from recssd.ev_engine import _locate
+from recssd.storage import BLOCK_PRIORITY, PageReads, schedule_page_reads
 
 F32 = np.float32
 
@@ -68,41 +73,6 @@ def two_phase_split(w_bottom, w_emb, bias, b_vec, e_vec) -> np.ndarray:
             q = F32(q + F32(F32(w_emb[c][r]) * F32(e_vec[r])))
         out.append(F32(F32(p + q) + F32(bias[c])))
     return np.array(out, dtype=np.float32)
-
-
-def blocked_scalar_mlp(layer_dims, weights, biases, kernels, x) -> np.ndarray:
-    """Blocked accumulation order: input blocks of kr ascending, pairwise
-    adder-tree inside each block."""
-
-    def tree(vals):
-        vals = list(vals)
-        while len(vals) > 1:
-            nxt = []
-            for i in range(0, len(vals) - 1, 2):
-                nxt.append(F32(vals[i] + vals[i + 1]))
-            if len(vals) % 2:
-                nxt.append(vals[-1])
-            vals = nxt
-        return vals[0]
-
-    cur = [F32(v) for v in x]
-    n = len(layer_dims) - 1
-    for l in range(n):
-        kr, _ = kernels[l]
-        r_width = layer_dims[l]
-        out = []
-        for c in range(layer_dims[l + 1]):
-            prods = [F32(F32(weights[l][c][r]) * cur[r]) for r in range(r_width)]
-            acc = None
-            for i in range(0, r_width, kr):
-                part = tree(prods[i:i + kr])
-                acc = part if acc is None else F32(acc + part)
-            acc = F32(acc + F32(biases[l][c]))
-            if l < n - 1 and acc < F32(0.0):
-                acc = F32(0.0)
-            out.append(acc)
-        cur = out
-    return np.array(cur, dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +309,6 @@ def nearest_rank(sorted_vals, q):
     return sorted_vals[rank - 1]
 
 
-def round_half_even(x):
-    return round(x)
-
-
 def die_timelines(schedule):
     """{(channel, die): [(sense_start, xfer_end), ...] in sense-start order}
     of a page schedule."""
@@ -352,3 +318,32 @@ def die_timelines(schedule):
         out.setdefault((int(reads.channel[k]), int(reads.die[k])), []).append(
             (int(schedule.sense_start_ns[k]), int(schedule.xfer_end_ns[k])))
     return {key: sorted(v) for key, v in out.items()}
+
+
+# ---------------------------------------------------------------------------
+# Helpers over the package's code.
+
+def translate_index(emap, table_id: int, index: int) -> tuple[int, int]:
+    """(page-start LBA, byte offset within the page) of one table row."""
+    lba, offset = _locate(emap, np.array([table_id]), np.array([index]))
+    return int(lba[0]), int(offset[0])
+
+
+def host_block_read(ftl, lba: int, nbytes: int, timing) -> int:
+    """Latency of one synchronous host-path read of `nbytes` from `lba`: its
+    pages, read as block I/O by `schedule_page_reads` (parallel across
+    channels and dies, serialized per die), the host-interface transfer of
+    the payload, and the fixed software-stack overhead."""
+    g = ftl.geometry
+    if nbytes < 1:
+        raise ValueError("read length must be >= 1 byte")
+    start = lba * g.lba_size
+    end = start + nbytes
+    if lba < 0 or end > ftl.total_pages * g.page_size:
+        raise ValueError(f"byte range [{start}, {end}) outside provisioned capacity")
+    pages = np.arange(start // g.page_size, (end - 1) // g.page_size + 1, dtype=np.int64)
+    channel, die, _ = ftl.page_location(pages)
+    zeros = np.zeros(len(pages), dtype=np.int64)
+    sched = schedule_page_reads(PageReads(channel, die, zeros, zeros + BLOCK_PRIORITY),
+                                g, timing)
+    return sched.makespan_ns + timing.host_iface_ns(nbytes) + timing.host_overhead_ns

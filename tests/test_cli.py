@@ -82,7 +82,19 @@ class TestValidate:
                      "timing: {page_read_us: .nan}\n",
                      "scenario: {duration_us: .inf}\n",
                      "timing: {page_read_us: 0.0001}\n",
-                     "timing: {channel_transfer_ns_per_byte: 0.0001}\n"):
+                     "timing: {channel_transfer_ns_per_byte: 0.0001}\n",
+                     "kernels: {bottom: [[8, 64], [16, 16]], top: [[128, 64], [64, 1]],"
+                     " ev: [1]}\n",
+                     "search_space: {max_kernel: 0}\n",
+                     "geometry: {page_size: 32, lba_size: 32}\n",
+                     "model: {preset: custom, dense_dim: 13, bottom_mlp_dims: [13, 16],"
+                     " top_mlp_dims: [2064, 1], ev_dim: 2048, table_rows: [64]}\n",
+                     "timing: {page_read_us: 1.0e+300}\n",
+                     "timing: {channel_transfer_ns_per_byte: 1.0e+300}\n",
+                     "timing: {fc_clock_mhz: 1.0e-300}\n",
+                     "timing: {host_ns_per_mac: 1.0e+306}\nscenario: {mode: emb-vectorsum}\n",
+                     "timing: {host_interface_ns_per_byte: 1.0e+306}\n"
+                     "scenario: {mode: emb-vectorsum}\n"):
             path = write(tmp_path, "bad.yaml", text)
             assert main(["validate", path]) == 2, text
             assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2, text
@@ -188,6 +200,14 @@ class TestSearchCmd:
 
     def test_missing_file_exits_2(self):
         assert main(["search", "/nope.yaml"]) == 2
+
+    def test_unread_report_options_rejected(self, tmp_path):
+        path = write(tmp_path, "c.yaml", FAST_RUN)
+        for argv in (["search", path, "--out", "x"], ["search", path, "--format", "json"],
+                     ["search", path, "--quiet"], ["compare", path, path, "--format", "csv"]):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 2, argv
 
     def test_four_layer_bottom_stack_finishes(self, tmp_path, capsys):
         # 2,941,225 bottom-stage candidates: the walk never builds the product

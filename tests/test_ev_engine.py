@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from recssd.ev_engine import (FileExtent, build_extent_map, build_flash_image,
-                              dispatch, ev_sum_engine, simulate_lookup,
-                              translate_batch, translate_index)
+                              dispatch, ev_sum_engine, simulate_lookup, translate_batch)
 from recssd.storage import Ftl
 from recssd.kernel_search import make_lookup_env
 from recssd.recmodel import (ModelSpec, Query, TableSpec, build_model,
                              ev_lookup_sum, generate_workload)
-from recssd.storage import (BLOCK_PRIORITY, EV_PRIORITY, SsdGeometry, TimingParams,
-                            page_read_time)
+from recssd.storage import SsdGeometry, TimingParams, page_read_time
 
-from oracles import adder_oracle, die_timelines, flash_schedule_oracle, fold_sum_rows
+from oracles import (adder_oracle, die_timelines, flash_schedule_oracle, fold_sum_rows,
+                     translate_index)
 
 GEO = SsdGeometry(channels=8, dies_per_channel=4, page_size=4096, lba_size=512)
 TP = TimingParams()
@@ -218,14 +217,14 @@ class TestSimulateLookup:
         assert np.array_equal(res.ev_concat[0], res.ev_concat[1])
 
     def test_flash_image_holds_padded_table_bytes(self):
-        # flash layout = the serialized table file, page-padded at rows_per_page
-        from recssd.recmodel import table_to_bytes
+        # flash layout = the table's little-endian FP32 rows, page-padded at
+        # rows_per_page
         model = flat_model(num_tables=2, rows=100, seed=4)
         emap, ftl = make_lookup_env(model, GEO)
         flash = build_flash_image(model.tables, emap, GEO)
         for t in range(2):
             ext = emap.table_extents[t][0]
-            raw = table_to_bytes(model.tables[t])
+            raw = model.tables[t].values.astype("<f4").tobytes()
             start = ext.start_lba * 512
             for page in range(2):           # 64 rows per page, table has 100 rows
                 rows = slice(page * 64, min((page + 1) * 64, 100))
@@ -338,29 +337,6 @@ class TestSimulateLookup:
         direct = simulate_lookup(model, qs, GEO, TP, emap, ftl, kc_e=kc_e)
         assert direct.ev_concat.tobytes() == res.ev_concat.tobytes()
         assert direct.e_ns == res.e_ns
-
-    def test_priority_over_block_io(self):
-        model = flat_model(rows=64 * 64, seed=8)
-        emap, ftl = make_lookup_env(model, GEO)
-        # block I/O ready at 0 on the same pages' dies; EVs must not wait behind
-        # queued block reads
-        idx = [0, 64, 128, 8 * 64, 8 * 64 + 64]
-        qs = [Query([idx], np.zeros(2, np.float32))]
-        blocks = [(0, p) for p in range(30)]
-        res = simulate_lookup(model, qs, GEO, TP, emap, ftl, block_page_reads=blocks)
-        sched, reads = res.schedule, res.schedule.reads
-        # the schedule holds the EV reads first, then the block reads in order
-        n_ev = len(res.reads)
-        assert len(reads) == n_ev + len(blocks)
-        assert reads.priority.tolist() == [EV_PRIORITY] * n_ev + [BLOCK_PRIORITY] * len(blocks)
-        for b in range(n_ev, len(reads)):
-            for e in range(n_ev):
-                same_die = (reads.channel[e], reads.die[e]) == (reads.channel[b], reads.die[b])
-                if same_die and reads.ready_ns[e] <= sched.sense_start_ns[b]:
-                    assert sched.sense_start_ns[e] <= sched.sense_start_ns[b]
-                if (reads.channel[e] == reads.channel[b]
-                        and sched.sense_end_ns[e] <= sched.xfer_start_ns[b]):
-                    assert sched.xfer_start_ns[e] <= sched.xfer_start_ns[b]
 
     def test_work_conservation(self):
         model = flat_model(rows=64 * 64, seed=9)

@@ -3,11 +3,10 @@ import pytest
 
 from recssd.mlp_engine import (FcLayerSpec, KernelAssignment, conventional_cycles,
                                decompose_first_layer, eval_decomposed, fc_cycles,
-                               make_layers, mlp_forward_blocked, pipeline_schedule,
-                               pipeline_schedule_decomposed, schedule_to_csv)
+                               make_layers, pipeline_schedule, pipeline_schedule_decomposed)
 from recssd.recmodel import desk_model_spec, mlp_forward
 
-from oracles import blocked_scalar_mlp, decomposed_top_oracle, pipeline_oracle, two_phase_split
+from oracles import decomposed_top_oracle, pipeline_oracle, two_phase_split
 
 
 class TestFcCycles:
@@ -64,50 +63,6 @@ class TestDecompose:
             # vs the unsplit single-sweep order: close, not necessarily equal
             unsplit = mlp_forward([32, 16], [w], [bias], np.concatenate([b, e]))
             assert np.allclose(got, unsplit, rtol=1e-5, atol=1e-7)
-
-
-class TestBlockedForward:
-    def test_degenerate_blocking_equals_dense(self):
-        rng = np.random.default_rng(53)
-        dims = [5, 7, 3]
-        w = [rng.random((7, 5), dtype=np.float32) - 0.5,
-             rng.random((3, 7), dtype=np.float32) - 0.5]
-        b = [rng.random(7, dtype=np.float32) - 0.5, rng.random(3, dtype=np.float32) - 0.5]
-        x = rng.random(5, dtype=np.float32) - 0.5
-        got = mlp_forward_blocked(dims, w, b, [(1, 1), (1, 1)], x)
-        assert np.array_equal(got, mlp_forward(dims, w, b, x))
-
-    def test_identity_passthrough(self):
-        w = [np.eye(4, dtype=np.float32)]
-        b = [np.zeros(4, np.float32)]
-        x = np.array([1, -2, 3, -4], np.float32)
-        got = mlp_forward_blocked([4, 4], w, b, [(2, 2)], x)
-        assert got.tolist() == [1, -2, 3, -4]   # single layer: linear output
-
-    def test_three_layer_matches_blocked_scalar_oracle(self):
-        rng = np.random.default_rng(54)
-        dims = [10, 9, 8, 2]
-        w = [rng.random((dims[i + 1], dims[i]), dtype=np.float32) - 0.5 for i in range(3)]
-        b = [rng.random(dims[i + 1], dtype=np.float32) - 0.5 for i in range(3)]
-        kernels = [(4, 4), (4, 4), (4, 2)]
-        for _ in range(20):
-            x = rng.random(10, dtype=np.float32) - 0.5
-            got = mlp_forward_blocked(dims, w, b, kernels, x)
-            assert np.array_equal(got, blocked_scalar_mlp(dims, w, b, kernels, x))
-
-    def test_close_to_dense_up_to_width_256(self):
-        rng = np.random.default_rng(55)
-        for _ in range(10):
-            r = int(rng.integers(1, 257))
-            c = int(rng.integers(1, 257))
-            dims = [r, c]
-            w = [rng.random((c, r), dtype=np.float32) - 0.5]
-            b = [rng.random(c, dtype=np.float32) - 0.5]
-            kr = 1 << int(rng.integers(0, int(np.log2(r)) + 1 if r > 1 else 1))
-            kc = 1 << int(rng.integers(0, int(np.log2(c)) + 1 if c > 1 else 1))
-            x = rng.random(r, dtype=np.float32) - 0.5
-            got = mlp_forward_blocked(dims, w, b, [(kr, kc)], x)
-            assert np.allclose(got, mlp_forward(dims, w, b, x), rtol=1e-5, atol=1e-6)
 
 
 def equal_stack(n_layers, width, kr, kc):
@@ -207,14 +162,6 @@ class TestPipelineSchedule:
             comps = decomposed_top_oracle([(144, 64), (64, 1)], kernels, 16, 128,
                                           b_ready, e_ready)
             assert sched.completions == comps
-
-    def test_schedule_csv_shape(self):
-        layers, kernels = equal_stack(2, 8, 2, 4)
-        sched = pipeline_schedule(layers, kernels, 5.0)
-        csv = schedule_to_csv(sched)
-        lines = csv.strip().split("\n")
-        assert lines[0] == "layer,output_group,start_ns,end_ns"
-        assert len(lines) == 1 + 2 + 4   # 2 groups (column) + 4 chunks (row)
 
 
 class TestKernelAssignment:

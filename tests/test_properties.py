@@ -1,12 +1,22 @@
-"""Hypothesis property checks for the central structural invariants."""
+"""Hypothesis property checks for the central structural invariants, and a
+fuzz of configuration documents."""
+
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
+from recssd.cli import main
+from recssd.config import default_config_text
 from recssd.ev_engine import dispatch, translate_batch
 from recssd.kernel_search import make_lookup_env
 from recssd.recmodel import ModelSpec, Query, TableSpec, build_model, ev_lookup_sum
-from recssd.storage import Ftl, SsdGeometry, TimingParams, host_block_read
+from recssd.sim import MODES
+from recssd.storage import Ftl, SsdGeometry, TimingParams
+
+from oracles import host_block_read
 
 GEO = SsdGeometry(8, 4, 4096)
 
@@ -66,3 +76,97 @@ def test_host_read_monotone_in_latency_params(read_us, xfer, iface, overhead_us,
                   host_interface_ns_per_byte=iface, host_block_io_overhead_us=overhead_us)
         kw.update(bump)
         assert host_block_read(ftl, 0, pages * 4096, TimingParams(**kw)) >= t0
+
+
+# Fields that size allocations, and the value the fuzz gives them in place of
+# 1e300: table bytes, flash image, batch and query count stay small.
+SIZE_CAPS = {"channels": 8, "dies_per_channel": 4, "page_size": 8192, "table_rows": 256,
+             "ev_dim": 2048, "dense_dim": 64, "bottom_mlp_dims": 64, "top_mlp_dims": 64,
+             "query_count": 8, "pooling": 8, "batch": 8, "max_batch": 16}
+
+
+def extremes(key, default):
+    """A wrong-type value, 0, -1, 1e-300 or 1e300 (the cap, for a size field)."""
+    wrong = 1 if isinstance(default, str) else "x"
+    return [wrong, 0, -1, 1e-300, SIZE_CAPS.get(key, 1e300)]
+
+
+def list_value(key):
+    entry = st.sampled_from(extremes(key, 0) + [1, 2, 16])
+    if key == "kernels":
+        pairs = st.lists(st.lists(entry, min_size=2, max_size=2), max_size=3)
+        return st.fixed_dictionaries({"bottom": pairs, "top": pairs,
+                                      "ev": st.lists(entry, max_size=3)})
+    return st.lists(entry, max_size=3)
+
+
+def document(**sections):
+    """The default document with 8 queries, its optional fields set to null,
+    and the given sections updated (or replaced, for `kernels`)."""
+    doc = yaml.safe_load(default_config_text())
+    doc["scenario"].update(query_count=8, duration_us=None)
+    doc["search_space"]["max_kernel"] = None
+    for section, values in sections.items():
+        if isinstance(doc[section], dict):
+            doc[section].update(values)
+        else:
+            doc[section] = values
+    return doc
+
+
+@st.composite
+def base_document(draw):
+    """The default document in any mode, with a preset or a small consistent
+    custom model. An ev_dim above 1024 gives vectors larger than the default
+    4 KiB page."""
+    doc = document(scenario={"mode": draw(st.sampled_from(MODES))})
+    if draw(st.booleans()):
+        tables = draw(st.integers(1, 3))
+        ev_dim = draw(st.integers(1, 2048))
+        doc["model"].update(preset="custom", dense_dim=13, bottom_mlp_dims=[13, 16],
+                            top_mlp_dims=[16 + tables * ev_dim, 8, 1], ev_dim=ev_dim,
+                            table_rows=[draw(st.integers(1, 256)) for _ in range(tables)])
+    return doc
+
+
+@st.composite
+def fuzzed_document(draw):
+    doc = draw(base_document())
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(sorted(doc)))
+        if isinstance(doc[section], dict):
+            parent, key = doc[section], draw(st.sampled_from(sorted(doc[section])))
+        else:
+            parent, key = doc, section
+        default = parent[key]
+        if key == "kernels" or isinstance(default, list):
+            value = draw(st.one_of(st.just(extremes(key, default)[0]), list_value(key)))
+        else:
+            value = draw(st.sampled_from(extremes(key, default)))
+        parent[key] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fuzzed_document())
+@example(document(kernels={"bottom": [[8, 64], [16, 16]], "top": [[128, 64], [64, 1]],
+                           "ev": [1]}))
+@example(document(search_space={"max_kernel": 0}))
+@example(document(geometry={"page_size": 32, "lba_size": 32}))
+@example(document(timing={"page_read_us": 1e300}))
+def test_config_fuzz_never_exits_internal_error(doc):
+    """`validate` and `run` exit 0, 2 or 3 on documents with 1-3 fields set to
+    a wrong type, 0, -1, 1e-300 or 1e300, and list fields (kernels included)
+    given 0-3 entries. The fields that size allocations are capped
+    (`SIZE_CAPS`), so every example fits in memory and runs in milliseconds:
+    the fuzz targets type, range and shape errors, not resource exhaustion.
+    Timing magnitudes are not capped. The explicit examples are one document
+    of each of four kinds that drawn documents reach only rarely: a kernels
+    block with a short `ev`, `max_kernel: 0`, a vector larger than a page,
+    and a 1e300 us page sense."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.yaml")
+        with open(path, "w") as f:
+            yaml.safe_dump(doc, f)
+        assert main(["validate", path]) in (0, 2, 3)
+        assert main(["run", path, "--out", tmp, "--quiet"]) in (0, 2, 3)

@@ -3,9 +3,8 @@ import pytest
 
 from recssd.recmodel import (EmbeddingTable, Model, ModelSpec, Query, TableSpec,
                              build_model, desk_model_spec, ev_lookup_sum,
-                             generate_workload, load_model_spec, load_table,
-                             mlp_forward, model_spec_from_text, model_spec_to_text,
-                             reference_inference, save_model_spec, save_table, zipf_cdf)
+                             generate_workload, mlp_forward, reference_inference,
+                             zipf_cdf)
 
 from oracles import fold_sum_rows, scalar_mlp, scalar_reference
 
@@ -186,37 +185,6 @@ class TestGenerateWorkload:
         want_top10 = cdf[9]
         got_top10 = (idx < 10).mean()
         assert abs(got_top10 - want_top10) < 0.05
-
-
-class TestSerialization:
-    def test_table_roundtrip(self, tmp_path):
-        t = small_table(rows=10, ev_dim=3, seed=4, table_id=2)
-        path = tmp_path / "t.bin"
-        save_table(t, path)
-        assert path.stat().st_size == 10 * 3 * 4
-        back = load_table(t.spec, path, table_id=2)
-        assert np.array_equal(back.values, t.values)
-
-    def test_table_size_mismatch(self, tmp_path):
-        path = tmp_path / "t.bin"
-        path.write_bytes(b"\x00" * 8)
-        with pytest.raises(ValueError, match="bytes"):
-            load_table(TableSpec(4, 2), path)
-
-    def test_model_spec_text_roundtrip(self, tmp_path):
-        spec = desk_model_spec("rmc3-mini")
-        path = tmp_path / "model.spec"
-        save_model_spec(spec, path)
-        assert load_model_spec(path) == spec
-
-    def test_model_spec_text_errors(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            model_spec_from_text("bogus = 1\n")
-        with pytest.raises(ValueError, match="missing"):
-            model_spec_from_text("dense_dim = 2\n")
-        text = model_spec_to_text(desk_model_spec("wnd-mini"))
-        with pytest.raises(ValueError, match="duplicate"):
-            model_spec_from_text(text + "dense_dim = 13\n")
 
 
 class TestInvariants:

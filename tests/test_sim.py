@@ -10,10 +10,10 @@ from recssd.recmodel import (build_model, desk_model_spec, generate_workload,
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE,
                         InfeasibleSearchError, Scenario, WorkloadConfig, compare,
                         metrics_json, run)
-from recssd.storage import SsdGeometry, TimingParams, page_read_time, host_block_read
+from recssd.storage import SsdGeometry, TimingParams, page_read_time
 
 from oracles import (adder_oracle, decomposed_top_oracle, flash_schedule_oracle,
-                     nearest_rank, pipeline_oracle)
+                     host_block_read, nearest_rank, pipeline_oracle, translate_index)
 
 GEO = SsdGeometry(8, 4, 4096)
 TP = TimingParams()
@@ -51,7 +51,6 @@ class TestBaselineMode:
         # must equal the host_block_read latency for that row
         m = rmc3()
         from recssd.kernel_search import make_lookup_env
-        from recssd.ev_engine import translate_index
         emap, ftl = make_lookup_env(m, GEO)
         lba, off = translate_index(emap, 3, 12345)
         direct = host_block_read(ftl, lba + off // 512, 64, TP)

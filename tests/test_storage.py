@@ -3,11 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from recssd.ev_engine import FileExtent, build_extent_map
+from recssd.recmodel import ModelSpec, TableSpec
 from recssd.storage import (BLOCK_PRIORITY, EV_PRIORITY, Ftl, PageReads, SsdGeometry,
-                            TimingParams, host_block_read, page_read_time,
-                            schedule_page_reads)
+                            TimingParams, page_read_time, schedule_page_reads)
 
-from oracles import die_timelines, flash_schedule_oracle
+from oracles import die_timelines, flash_schedule_oracle, host_block_read, translate_index
 
 GEO4 = SsdGeometry(channels=4, dies_per_channel=2, page_size=4096, lba_size=512)
 
@@ -15,29 +16,36 @@ GEO4 = SsdGeometry(channels=4, dies_per_channel=2, page_size=4096, lba_size=512)
 class TestTranslate:
     def test_lba_zero(self):
         ftl = Ftl(GEO4, total_pages=64)
-        assert ftl.translate(0) == (0, 0, 0, 0)
+        assert ftl.page_location(0) == (0, 0, 0)
 
     def test_second_page_next_channel(self):
         ftl = Ftl(GEO4, total_pages=64)
-        loc = ftl.translate(8)
-        assert (loc.channel, loc.die) == (1, 0)
-        assert loc.offset == 0
+        page = 8 * 512 // 4096      # LBA 8 starts page 1
+        assert page == 1
+        assert ftl.page_location(page) == (1, 0, 0)
 
     def test_page_five_wraps_to_second_die(self):
         ftl = Ftl(GEO4, total_pages=64)
-        loc = ftl.translate(40)   # byte 20480 -> page 5: 5 mod 4 = 1, 5//4 mod 2 = 1
-        assert (loc.channel, loc.die) == (1, 1)
+        page = 40 * 512 // 4096     # byte 20480 -> page 5: 5 mod 4 = 1, 5//4 mod 2 = 1
+        assert page == 5
+        channel, die, _ = ftl.page_location(page)
+        assert (channel, die) == (1, 1)
 
     def test_in_page_offset(self):
-        ftl = Ftl(GEO4, total_pages=64)
-        assert ftl.translate(3).offset == 3 * 512
+        # 512-byte rows, one per LBA: row 3 sits 3 LBAs into page 0
+        spec = ModelSpec(tables=(TableSpec(64, 128),), bottom_mlp_dims=(2, 2),
+                         top_mlp_dims=(130, 1), dense_dim=2)
+        emap = build_extent_map(spec, [[FileExtent(0, 64)]], GEO4)
+        lba, offset = translate_index(emap, 0, 3)
+        assert (lba, offset) == (0, 3 * 512)
+        assert Ftl(GEO4, total_pages=64).page_location(lba // 8) == (0, 0, 0)
 
     def test_out_of_range(self):
         ftl = Ftl(GEO4, total_pages=2)
-        with pytest.raises(ValueError, match="lba"):
-            ftl.translate(16)
-        with pytest.raises(ValueError, match="lba"):
-            ftl.translate(-1)
+        with pytest.raises(ValueError, match="page"):
+            ftl.page_location(2)
+        with pytest.raises(ValueError, match="page"):
+            ftl.page_location(-1)
 
     def test_bijection_over_provisioned_range(self):
         rng = np.random.default_rng(31)
