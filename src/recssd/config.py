@@ -9,7 +9,7 @@ import yaml
 from .kernel_search import ResourceModel, SearchSpace
 from .mlp_engine import KernelAssignment
 from .recmodel import DESK_PRESETS, ModelSpec, TableSpec, build_model, desk_model_spec
-from .sim import MODES, Scenario, WorkloadConfig
+from .sim import Scenario, WorkloadConfig
 from .storage import SsdGeometry, TimingParams
 
 
@@ -155,9 +155,12 @@ def validate_config(cfg: dict) -> dict:
     return merged
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_int_pair(v) -> bool:
-    return (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in v))
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
 
 
 def load_config(path) -> dict:
@@ -183,10 +186,13 @@ def _model_spec_from(cfg_model: dict) -> ModelSpec:
     missing = [k for k in needed if cfg_model.get(k) is None]
     if missing:
         raise ConfigError(f"custom model needs {missing}")
+    for key in ("bottom_mlp_dims", "top_mlp_dims", "table_rows"):
+        if not all(map(_is_int, cfg_model[key])):
+            raise ConfigError(f"model.{key} must be a list of integers, got {cfg_model[key]}")
     try:
         ev_dim = cfg_model["ev_dim"]
         return ModelSpec(
-            tables=tuple(TableSpec(int(r), ev_dim) for r in cfg_model["table_rows"]),
+            tables=tuple(TableSpec(r, ev_dim) for r in cfg_model["table_rows"]),
             bottom_mlp_dims=tuple(cfg_model["bottom_mlp_dims"]),
             top_mlp_dims=tuple(cfg_model["top_mlp_dims"]),
             dense_dim=cfg_model["dense_dim"],
@@ -228,6 +234,9 @@ def build_scenario(cfg: dict) -> Scenario:
                 (int(k["ev"][0]), int(k["ev"][1])),
             )
         duration_us = s.get("duration_us")
+        if duration_us is not None and not duration_us * 1000.0 < 2 ** 63:
+            raise ValueError(f"scenario.duration_us {duration_us:g} is past the int64 "
+                             f"nanosecond range")
         scenario = Scenario(
             mode=s["mode"], model=model, geometry=geometry, timing=timing,
             workload=workload, query_count=s["query_count"], batch=s["batch"],
@@ -240,6 +249,4 @@ def build_scenario(cfg: dict) -> Scenario:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError(str(e))
-    if scenario.mode not in MODES:
-        raise ConfigError(f"unknown mode {scenario.mode!r}")
     return scenario

@@ -24,7 +24,7 @@ caps the benefit at 2x for long equal stacks.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,6 @@ def is_pow2(x: int) -> bool:
 class FcLayerSpec:
     in_width: int
     out_width: int
-    weights: np.ndarray | None = None
-    bias: np.ndarray | None = None
     scan: str = SCAN_COLUMN
 
     def __post_init__(self):
@@ -49,28 +47,14 @@ class FcLayerSpec:
             raise ValueError("layer widths must be >= 1")
         if self.scan not in (SCAN_COLUMN, SCAN_ROW):
             raise ValueError(f"unknown scan {self.scan!r}")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.float32)
-            if self.weights.shape != (self.out_width, self.in_width):
-                raise ValueError(
-                    f"weight shape {self.weights.shape} != ({self.out_width}, {self.in_width})"
-                )
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float32)
-            if self.bias.shape != (self.out_width,):
-                raise ValueError(f"bias shape {self.bias.shape} != ({self.out_width},)")
 
 
-def make_layers(layer_dims, weights=None, biases=None) -> list[FcLayerSpec]:
+def make_layers(layer_dims) -> list[FcLayerSpec]:
     """Build an FC stack with alternating scans, column scan first."""
     layers = []
     for l in range(len(layer_dims) - 1):
-        layers.append(FcLayerSpec(
-            layer_dims[l], layer_dims[l + 1],
-            None if weights is None else weights[l],
-            None if biases is None else biases[l],
-            SCAN_COLUMN if l % 2 == 0 else SCAN_ROW,
-        ))
+        layers.append(FcLayerSpec(layer_dims[l], layer_dims[l + 1],
+                                  SCAN_COLUMN if l % 2 == 0 else SCAN_ROW))
     return layers
 
 
@@ -184,10 +168,12 @@ class LayerQuerySchedule:
     scan: str
     start_cycle: int
     end_cycle: int                      # completion incl. fill
-    emissions: list[int] = field(default_factory=list)   # group g at emissions[g-1]
-    chunk_ready: list[int] = field(default_factory=list)  # row layers: input chunk ready
-    chunk_start: list[int] = field(default_factory=list)
-    chunk_end: list[int] = field(default_factory=list)
+    # int64 cycle arrays, None for the other scan: a column layer emits group g
+    # at emissions[g-1]; a row layer has each input chunk's ready/start/end cycle
+    emissions: np.ndarray | None = None
+    chunk_ready: np.ndarray | None = None
+    chunk_start: np.ndarray | None = None
+    chunk_end: np.ndarray | None = None
 
 
 @dataclass
@@ -208,75 +194,47 @@ class PipelineSchedule:
         return [self.to_ns(c) for c in self.completions]
 
 
-def _stream_floor(done_work: int, total_work: int, floor: int) -> int:
-    # completing a fraction of the work also waits for that fraction of the fetch
+def _stream_floor(done_work: np.ndarray, total_work: int, floor: int) -> np.ndarray | int:
+    # completing a fraction of the work also waits for that fraction of the
+    # fetch: an exact integer ceiling, as floor and work are bounded cycle counts
     if floor <= 0:
         return 0
-    return math.ceil(floor * done_work / total_work)
+    return -(-floor * done_work // total_work)
 
 
-def _column_pass(entry: LayerQuerySchedule, chunks: int, groups: int, fill: int,
-                 ready: int, unit_free: int, floor: int) -> tuple[int, int]:
-    start = max(ready, unit_free)
-    work = chunks * groups
-    for g in range(1, groups + 1):
-        t = start + max(g * chunks, _stream_floor(g * chunks, work, floor))
-        entry.emissions.append(t + fill)
-    issue_end = start + max(work, floor)
-    entry.start_cycle = start
-    entry.end_cycle = issue_end + fill
-    return entry.end_cycle, issue_end
+def _column_pass(split_chunks: int, chunks: int, groups: int, fill: int, ready_b: int,
+                 ready_e: int, unit_free: int, floor: int) -> tuple[int, int, np.ndarray]:
+    """Column pass whose first `split_chunks` input chunks (a split first
+    layer's bottom half) start at `ready_b` and whose other `chunks` wait for
+    `ready_e`; group g emits once its last chunk is issued. Returns (start,
+    issue end, emissions)."""
+    start_b = max(ready_b, unit_free)
+    start_e = max(start_b + split_chunks * groups, ready_e)
+    work = (split_chunks + chunks) * groups
+    issued = np.arange(1, groups + 1, dtype=np.int64) * chunks
+    stream = _stream_floor(split_chunks * groups + issued, work, floor) - (start_e - start_b)
+    emissions = start_e + fill + np.maximum(issued, stream)
+    issue_end = max(start_e + chunks * groups, start_b + max(work, floor))
+    return start_b, issue_end, emissions
 
 
-def _row_pass(entry: LayerQuerySchedule, kr: int, in_width: int, groups: int, fill: int,
-              avail, unit_free: int, floor: int) -> tuple[int, int]:
+def _row_pass(emis_prev: np.ndarray, kc_prev: int, kr: int, in_width: int, groups: int,
+              unit_free: int, floor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row pass over input chunks of `kr`, each ready when the previous
+    layer emits the group holding its last input. Returns per-chunk (ready,
+    start, end)."""
     chunks = -(-in_width // kr)
-    work = chunks * groups
-    busy = unit_free
-    first_start = None
-    for j in range(chunks):
-        last_input = min((j + 1) * kr, in_width) - 1
-        ready_j = avail(last_input)
-        start_j = max(ready_j, busy)
-        if first_start is None:
-            first_start = start_j
-        end_j = start_j + groups
-        end_j = max(end_j, first_start + _stream_floor((j + 1) * groups, work, floor))
-        entry.chunk_ready.append(ready_j)
-        entry.chunk_start.append(start_j)
-        entry.chunk_end.append(end_j)
-        busy = end_j
-    entry.start_cycle = first_start
-    entry.end_cycle = busy + fill
-    return entry.end_cycle, busy
-
-
-def _schedule_tail(layers, kernels, floors, q: int, unit_free: list[int],
-                   entries: list[LayerQuerySchedule]) -> int:
-    """Schedule layers 1..n-1 of query q after its layer-0 entry, the last of
-    `entries`, by the generic rules; return the query's completion cycle."""
-    prev_entry, prev_kc = entries[-1], kernels[0][1]
-    completion = prev_entry.end_cycle
-    for l in range(1, len(layers)):
-        layer = layers[l]
-        kr, kc = kernels[l]
-        groups = -(-layer.out_width // kc)
-        fill = fill_cycles(kr)
-        floor = floors[l] if q == 0 else 0
-        entry = LayerQuerySchedule(l, q, layer.scan, 0, 0)
-        if layer.scan == SCAN_ROW:
-            emis = prev_entry.emissions
-            avail = lambda i, emis=emis, pkc=prev_kc: emis[i // pkc]
-            completion, free = _row_pass(entry, kr, layer.in_width, groups, fill,
-                                         avail, unit_free[l], floor)
-        else:
-            chunks = -(-layer.in_width // kr)
-            completion, free = _column_pass(entry, chunks, groups, fill,
-                                            prev_entry.end_cycle, unit_free[l], floor)
-        unit_free[l] = free
-        entries.append(entry)
-        prev_entry, prev_kc = entry, kc
-    return completion
+    last_input = np.minimum(np.arange(kr - 1, chunks * kr, kr, dtype=np.int64), in_width - 1)
+    ready = emis_prev[last_input // kc_prev]
+    s0 = max(int(ready[0]), unit_free)
+    # chunk j ends at max(c_j, end_{j-1} + g), c_j = max(ready_j + g, s0 + floor_j),
+    # end_{-1} = unit_free; unrolled, end_j = j*g + max(unit_free + g,
+    # max_{k<=j}(c_k - k*g)), one running max with offset_j = j*g
+    offset = np.arange(0, chunks * groups, groups, dtype=np.int64)
+    c = np.maximum(ready + groups, s0 + _stream_floor(offset + groups, chunks * groups, floor))
+    end = offset + np.maximum(unit_free + groups, np.maximum.accumulate(c - offset))
+    start = np.maximum(ready, np.concatenate(([unit_free], end[:-1])))
+    return ready, start, end
 
 
 def pipeline_schedule(layers: list[FcLayerSpec], kernels, clock_period_ns: float,
@@ -330,31 +288,32 @@ def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels,
         raise ValueError("availability lists differ in length")
     floors = list(floor_cycles) if floor_cycles is not None else [0] * n
 
-    kr0, kc0 = kernels[0]
-    wb_chunks = -(-bottom_width // kr0)
-    we_chunks = -(-emb_width // kr0)
-    groups0 = -(-L0.out_width // kc0)
-    fill0 = fill_cycles(kr0)
-
     unit_free = [0] * n
     entries: list[LayerQuerySchedule] = []
     completions = []
     for q in range(B):
-        floor = floors[0] if q == 0 else 0
-        entry = LayerQuerySchedule(0, q, SCAN_COLUMN, 0, 0)
-        start_b = max(bottom_ready_cycles[q], unit_free[0])
-        end_b = start_b + wb_chunks * groups0
-        start_e = max(end_b, emb_ready_cycles[q])
-        work = (wb_chunks + we_chunks) * groups0
-        for g in range(1, groups0 + 1):
-            t = start_e + max(g * we_chunks,
-                              _stream_floor(wb_chunks * groups0 + g * we_chunks, work, floor)
-                              - (start_e - start_b))
-            entry.emissions.append(t + fill0)
-        issue_end = max(start_e + we_chunks * groups0, start_b + max(work, floor))
-        entry.start_cycle = start_b
-        entry.end_cycle = issue_end + fill0
-        unit_free[0] = issue_end
-        entries.append(entry)
-        completions.append(_schedule_tail(top_layers, kernels, floors, q, unit_free, entries))
+        # layer 0's bottom half waits for the bottom MLP and its embedding half
+        # for the summed vectors; a later column layer waits for its input layer
+        split, ready_b, ready_e = bottom_width, bottom_ready_cycles[q], emb_ready_cycles[q]
+        for l, layer in enumerate(top_layers):
+            kr, kc = kernels[l]
+            groups = -(-layer.out_width // kc)
+            fill = fill_cycles(kr)
+            floor = floors[l] if q == 0 else 0
+            if layer.scan == SCAN_ROW:
+                ready, start, end = _row_pass(prev.emissions, kernels[l - 1][1], kr,
+                                              layer.in_width, groups, unit_free[l], floor)
+                issue_end = int(end[-1])
+                entry = LayerQuerySchedule(l, q, SCAN_ROW, int(start[0]), issue_end + fill,
+                                           chunk_ready=ready, chunk_start=start, chunk_end=end)
+            else:
+                start, issue_end, emissions = _column_pass(
+                    -(-split // kr), -(-(layer.in_width - split) // kr), groups, fill,
+                    ready_b, ready_e, unit_free[l], floor)
+                entry = LayerQuerySchedule(l, q, SCAN_COLUMN, start, issue_end + fill,
+                                           emissions=emissions)
+            unit_free[l] = issue_end
+            entries.append(entry)
+            prev, split, ready_b, ready_e = entry, 0, entry.end_cycle, entry.end_cycle
+        completions.append(prev.end_cycle)
     return PipelineSchedule(entries, max(completions), clock_period_ns, completions)

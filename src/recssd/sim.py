@@ -34,7 +34,8 @@ import numpy as np
 from . import ev_engine
 from .ev_engine import translate_batch
 from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, WorkloadProfile,
-                            make_lookup_env, resource_usage, search, spill_floor_cycles)
+                            bram_placement, make_lookup_env, resource_usage, search,
+                            spill_floor_cycles)
 from .mlp_engine import (KernelAssignment, make_layers, pipeline_schedule,
                          pipeline_schedule_decomposed)
 from .recmodel import Model, generate_workload, interact, mlp_forward, reference_inference
@@ -45,6 +46,8 @@ SCHEMA_VERSION = 1
 # Longest modelled duration of one operation. A run is a bounded number of
 # operations, so with this cap every time stays far inside int64 nanoseconds.
 MAX_OPERATION_NS = 1_000_000_000
+# Shortest engine clock period, so that no cycle count exceeds its nanoseconds.
+MIN_CLOCK_PERIOD_NS = 1.0
 
 MODE_RMSSD = "rmssd"
 MODE_EMB_VECTORSUM = "emb-vectorsum"
@@ -97,7 +100,8 @@ class Scenario:
             self.kernels.validate(self.model.spec)
         if self.duration_ns is not None and self.duration_ns < 0:
             raise ValueError("duration_ns must be >= 0")
-        t, g = self.timing, self.geometry
+        t, g, rm = self.timing, self.geometry, self.resource_model
+        _, _, spill = bram_placement(self.model.spec, rm)
         for name, ns in (("a page sense", t.page_read_us * 1000.0),
                          ("a page transfer", g.page_size * t.channel_transfer_ns_per_byte),
                          ("the host I/O overhead", t.host_block_io_overhead_us * 1000.0),
@@ -105,10 +109,16 @@ class Scenario:
                          ("a page over the host interface",
                           g.page_size * t.host_interface_ns_per_byte),
                          ("a host MAC", t.host_ns_per_mac),
-                         ("an engine clock period", t.clock_period_ns)):
+                         ("an engine clock period", t.clock_period_ns),
+                         ("a spilled layer's weight fetch from DRAM",
+                          max(spill["bottom"] + spill["top"]) * 1e9
+                          / rm.dram_bandwidth_bytes_per_s)):
             if not ns <= MAX_OPERATION_NS:
                 raise ValueError(f"{name} takes {ns:g} ns, over the limit of "
                                  f"{MAX_OPERATION_NS} ns (1 s)")
+        if t.clock_period_ns < MIN_CLOCK_PERIOD_NS:
+            raise ValueError(f"the engine clock period is {t.clock_period_ns:g} ns, under "
+                             f"the limit of {MIN_CLOCK_PERIOD_NS:g} ns (fc_clock_mhz <= 1000)")
         sense, xfer = t.sense_ns, t.xfer_ns(g.page_size)
         if sense < 1 or xfer < 1:
             raise ValueError(f"a page read needs a sense and a transfer of >= 1 ns, "

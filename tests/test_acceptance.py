@@ -293,9 +293,9 @@ def test_criterion_8_property_suites():
             assert e.end_cycle >= e.start_cycle
             if e.scan == "row":
                 assert all(s >= r for s, r in zip(e.chunk_start, e.chunk_ready))
-                assert e.chunk_start == sorted(e.chunk_start)
+                assert e.chunk_start.tolist() == sorted(e.chunk_start.tolist())
             else:
-                assert e.emissions == sorted(e.emissions)
+                assert e.emissions.tolist() == sorted(e.emissions.tolist())
                 if prev is not None and prev.scan == "row" and prev.query == e.query:
                     assert e.start_cycle >= prev.end_cycle
             prev = e

@@ -94,7 +94,19 @@ class TestValidate:
                      "timing: {fc_clock_mhz: 1.0e-300}\n",
                      "timing: {host_ns_per_mac: 1.0e+306}\nscenario: {mode: emb-vectorsum}\n",
                      "timing: {host_interface_ns_per_byte: 1.0e+306}\n"
-                     "scenario: {mode: emb-vectorsum}\n"):
+                     "scenario: {mode: emb-vectorsum}\n",
+                     "timing: {fc_clock_mhz: 1.0e+300}\n",
+                     "resource_model: {dram_bandwidth_gbps: 1.0e-300, bram_bytes: 1000}\n",
+                     "resource_model: {dram_bandwidth_gbps: 1.0e-300, bram_bytes: 1000}\n"
+                     "kernels: {bottom: [[8, 64], [16, 16]], top: [[128, 64], [64, 1]],"
+                     " ev: [1, 16]}\n",
+                     "scenario: {duration_us: 1.0e+306}\n",
+                     "model: {preset: custom, dense_dim: 13, bottom_mlp_dims: [13, 16.9],"
+                     " top_mlp_dims: [32, 1], ev_dim: 16, table_rows: [100.9]}\n",
+                     "model: {preset: custom, dense_dim: 13, bottom_mlp_dims: [13, 16],"
+                     " top_mlp_dims: [32, 1], ev_dim: 16, table_rows: [100.9]}\n",
+                     "model: {preset: custom, dense_dim: 13, bottom_mlp_dims: [13, 16],"
+                     " top_mlp_dims: [32, true], ev_dim: 16, table_rows: [100]}\n"):
             path = write(tmp_path, "bad.yaml", text)
             assert main(["validate", path]) == 2, text
             assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2, text

@@ -88,29 +88,39 @@ class TestPipelineSchedule:
 
     def test_causality_and_oracle_on_random_stacks(self):
         rng = np.random.default_rng(56)
-        for _ in range(60):
+        for i in range(100):
+            # the last 40 stacks also draw spill floors (0, small, up to 1e9
+            # cycles) and wide layers with kr = 1, so row passes have hundreds
+            # of chunks
+            extra = i >= 60
             n = int(rng.integers(1, 5))
-            dims = [int(rng.integers(1, 40)) for _ in range(n + 1)]
+            dims = [int(rng.integers(1, 600 if extra else 40)) for _ in range(n + 1)]
             layers = make_layers(dims)
             kernels = []
             for l in range(n):
                 kr = 1 << int(rng.integers(0, max(1, int(np.log2(dims[l])) + 1)))
                 kc = 1 << int(rng.integers(0, max(1, int(np.log2(dims[l + 1])) + 1)))
+                if extra and rng.random() < 0.5:
+                    kr = 1
                 kernels.append((min(kr, dims[l]), min(kc, dims[l + 1])))
             B = int(rng.integers(1, 4))
             inputs = sorted(int(rng.integers(0, 50)) for _ in range(B))
-            sched = pipeline_schedule(layers, kernels, 5.0, inputs_at_cycles=inputs)
+            floors = [int(rng.choice([0, rng.integers(1, 100), rng.integers(1, 10**9)]))
+                      for _ in range(n)] if extra else None
+            sched = pipeline_schedule(layers, kernels, 5.0, inputs_at_cycles=inputs,
+                                      floor_cycles=floors)
             comps, detail = pipeline_oracle([(dims[l], dims[l + 1]) for l in range(n)],
-                                            kernels, inputs)
+                                            kernels, inputs, floors)
             assert sched.completions == comps
             for e in sched.entries:
                 d = detail[(e.layer, e.query)]
                 assert e.start_cycle == d["start"] and e.end_cycle == d["end"]
                 if e.scan == "column":
-                    assert e.emissions == d["emissions"]
+                    assert e.emissions.tolist() == d["emissions"]
                     assert all(b >= a for a, b in zip(e.emissions, e.emissions[1:]))
                 else:
-                    assert [(s, t) for s, t in zip(e.chunk_start, e.chunk_end)] == d["spans"]
+                    assert [(s, t) for s, t in zip(e.chunk_start.tolist(),
+                                                   e.chunk_end.tolist())] == d["spans"]
                     assert all(s >= r for s, r in zip(e.chunk_start, e.chunk_ready))
             sched0 = pipeline_schedule(layers, kernels, 5.0, inputs_at_cycles=[0] * B)
             assert sched0.makespan_cycles <= conventional_cycles(layers, kernels, B)
@@ -147,7 +157,7 @@ class TestPipelineSchedule:
         rng = np.random.default_rng(57)
         spec = desk_model_spec("rmc3-mini")
         layers = make_layers(spec.top_mlp_dims)
-        for _ in range(40):
+        for i in range(80):
             kernels = []
             for l in range(len(layers)):
                 r, c = layers[l].in_width, layers[l].out_width
@@ -157,10 +167,13 @@ class TestPipelineSchedule:
             B = int(rng.integers(1, 4))
             b_ready = sorted(int(rng.integers(0, 3000)) for _ in range(B))
             e_ready = sorted(int(rng.integers(0, 30000)) for _ in range(B))
+            # the last 40 draws also spill floors (0, small, up to 1e9 cycles)
+            floors = [int(rng.choice([0, rng.integers(1, 100), rng.integers(1, 10**9)]))
+                      for _ in layers] if i >= 40 else None
             sched = pipeline_schedule_decomposed(layers, kernels, 5.0, 16, 128,
-                                                 b_ready, e_ready)
+                                                 b_ready, e_ready, floor_cycles=floors)
             comps = decomposed_top_oracle([(144, 64), (64, 1)], kernels, 16, 128,
-                                          b_ready, e_ready)
+                                          b_ready, e_ready, floors)
             assert sched.completions == comps
 
 

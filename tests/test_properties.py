@@ -154,6 +154,10 @@ def fuzzed_document(draw):
 @example(document(search_space={"max_kernel": 0}))
 @example(document(geometry={"page_size": 32, "lba_size": 32}))
 @example(document(timing={"page_read_us": 1e300}))
+@example(document(timing={"fc_clock_mhz": 1e300}))
+@example(document(resource_model={"dram_bandwidth_gbps": 1e-300, "bram_bytes": 1000},
+                  kernels={"bottom": [[8, 64], [16, 16]], "top": [[128, 64], [64, 1]],
+                           "ev": [1, 16]}))
 def test_config_fuzz_never_exits_internal_error(doc):
     """`validate` and `run` exit 0, 2 or 3 on documents with 1-3 fields set to
     a wrong type, 0, -1, 1e-300 or 1e300, and list fields (kernels included)
@@ -161,9 +165,10 @@ def test_config_fuzz_never_exits_internal_error(doc):
     (`SIZE_CAPS`), so every example fits in memory and runs in milliseconds:
     the fuzz targets type, range and shape errors, not resource exhaustion.
     Timing magnitudes are not capped. The explicit examples are one document
-    of each of four kinds that drawn documents reach only rarely: a kernels
+    of each of six kinds that drawn documents reach only rarely: a kernels
     block with a short `ev`, `max_kernel: 0`, a vector larger than a page,
-    and a 1e300 us page sense."""
+    a 1e300 us page sense, a 1e300 MHz engine clock, and explicit kernels
+    with a spilled layer fetched at 1e-300 GB/s."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.yaml")
         with open(path, "w") as f:
