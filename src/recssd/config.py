@@ -186,9 +186,6 @@ def _model_spec_from(cfg_model: dict) -> ModelSpec:
     missing = [k for k in needed if cfg_model.get(k) is None]
     if missing:
         raise ConfigError(f"custom model needs {missing}")
-    for key in ("bottom_mlp_dims", "top_mlp_dims", "table_rows"):
-        if not all(map(_is_int, cfg_model[key])):
-            raise ConfigError(f"model.{key} must be a list of integers, got {cfg_model[key]}")
     try:
         ev_dim = cfg_model["ev_dim"]
         return ModelSpec(

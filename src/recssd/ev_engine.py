@@ -276,14 +276,9 @@ def adder_done_ns(pooling: np.ndarray, arrival_ns: np.ndarray, ev_dim: int,
     return done
 
 
-def ev_sum_engine(pooling: np.ndarray, arrival_ns: np.ndarray, vectors: np.ndarray,
-                  timing: TimingParams, kc_e: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate a batch's fetched vectors, given in request order.
-
-    Returns each query's per-table sums, concatenated in table order, and its
-    completion time (`adder_done_ns`). Each sum folds the query's vectors of
-    one table left to right in its index order, as a float32 cumsum.
-    """
+def lookup_sums(pooling: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Each query's per-table sums of its vectors (given in request order) in
+    table order, each folded left to right in index order as a float32 cumsum."""
     queries, tables = pooling.shape
     sizes = pooling.ravel()
     if (sizes == 0).any():
@@ -294,8 +289,15 @@ def ev_sum_engine(pooling: np.ndarray, arrival_ns: np.ndarray, vectors: np.ndarr
     padded = np.zeros((len(sizes), int(sizes.max(initial=0)), ev_dim), dtype=np.float32)
     padded[group, pos] = vectors
     sums = padded.cumsum(axis=1, dtype=np.float32)[np.arange(len(sizes)), sizes - 1]
-    return (sums.reshape(queries, tables * ev_dim),
-            adder_done_ns(pooling, arrival_ns, ev_dim, timing, kc_e))
+    return sums.reshape(queries, tables * ev_dim)
+
+
+def ev_sum_engine(pooling: np.ndarray, arrival_ns: np.ndarray, vectors: np.ndarray,
+                  timing: TimingParams, kc_e: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's fetched vectors, given in request order, aggregated: each
+    query's per-table sums (`lookup_sums`) and completion (`adder_done_ns`)."""
+    return (lookup_sums(pooling, vectors),
+            adder_done_ns(pooling, arrival_ns, vectors.shape[1], timing, kc_e))
 
 
 @dataclass

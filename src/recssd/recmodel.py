@@ -15,6 +15,15 @@ import numpy as np
 
 INTERACTION_CONCAT = "concat"
 
+# Most products (queries x outputs x inputs) mlp_forward folds in one cumsum.
+_CUMSUM_PRODUCTS = 1 << 17
+
+
+def _integral(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class TableSpec:
@@ -22,6 +31,8 @@ class TableSpec:
     ev_dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", _integral("table rows", self.rows))
+        object.__setattr__(self, "ev_dim", _integral("ev_dim", self.ev_dim))
         if self.rows < 1:
             raise ValueError(f"table rows must be >= 1, got {self.rows}")
         if self.ev_dim < 1:
@@ -50,8 +61,10 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "tables", tuple(self.tables))
-        object.__setattr__(self, "bottom_mlp_dims", tuple(int(d) for d in self.bottom_mlp_dims))
-        object.__setattr__(self, "top_mlp_dims", tuple(int(d) for d in self.top_mlp_dims))
+        for name in ("bottom_mlp_dims", "top_mlp_dims"):
+            object.__setattr__(self, name, tuple(_integral(f"an entry of {name}", d)
+                                                 for d in getattr(self, name)))
+        object.__setattr__(self, "dense_dim", _integral("dense_dim", self.dense_dim))
         if self.interaction != INTERACTION_CONCAT:
             raise ValueError(f"unsupported interaction {self.interaction!r}")
         if not self.tables:
@@ -213,29 +226,40 @@ def ev_lookup_sum(table: EmbeddingTable, indices: list[int]) -> np.ndarray:
 
 
 def mlp_forward(layer_dims, weights, biases, x) -> np.ndarray:
-    """Dense forward pass: ReLU on hidden layers, linear output layer.
+    """Dense forward pass of one input vector or of a (queries, inputs)
+    matrix: ReLU on hidden layers, linear output layer.
 
-    Each output accumulates its products over inputs in ascending index
-    order; the bias is added after the accumulation.
+    Each output folds its products over inputs in ascending index order,
+    starting from the first product; the bias is added after the fold. A
+    layer with at most `_CUMSUM_PRODUCTS` products folds them with one float32
+    cumsum; past that, a loop over inputs is faster and holds less: it adds
+    one input's products to every (query, output) pair at a time.
     """
     x = np.asarray(x, dtype=np.float32)
-    if x.shape != (layer_dims[0],):
-        raise ValueError(f"input shape {x.shape} != ({layer_dims[0]},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != layer_dims[0]:
+        raise ValueError(f"input shape {x.shape} != ({layer_dims[0]},) "
+                         f"or (queries, {layer_dims[0]})")
     _check_chain(layer_dims, weights, biases, "forward")
+    y = x.reshape(-1, layer_dims[0])
     nlayers = len(layer_dims) - 1
     for l in range(nlayers):
-        prod = weights[l] * x  # (C, R) row-wise products
-        y = prod.cumsum(axis=1, dtype=np.float32)[:, -1] if prod.shape[1] > 1 else prod[:, 0].copy()
+        w = weights[l]
+        if len(y) * w.size <= _CUMSUM_PRODUCTS:
+            y = (y[:, None, :] * w).cumsum(axis=2, dtype=np.float32)[:, :, -1]
+        else:
+            xt, wt = y.T[:, :, None], np.ascontiguousarray(w.T)
+            y = xt[0] * wt[0]
+            for k in range(1, len(wt)):
+                y += xt[k] * wt[k]
         y = (y + biases[l]).astype(np.float32)
         if l < nlayers - 1:
             y = np.maximum(y, np.float32(0.0))
-        x = y
-    return x
+    return y if x.ndim == 2 else y[0]
 
 
 def interact(bottom_out: np.ndarray, table_sums: list[np.ndarray]) -> np.ndarray:
-    """Concatenate the bottom-MLP output with the per-table summed vectors."""
-    return np.concatenate([bottom_out] + list(table_sums)).astype(np.float32)
+    """Concatenate the bottom-MLP output with the per-table sums, on the last axis."""
+    return np.concatenate([bottom_out] + list(table_sums), axis=-1).astype(np.float32)
 
 
 def reference_inference(model: Model, query: Query) -> float:
@@ -270,19 +294,22 @@ def generate_workload(spec: ModelSpec, distribution: str, pooling: int, count: i
     if distribution not in ("uniform", "zipf"):
         raise ValueError(f"unknown distribution {distribution!r}")
     rng = np.random.default_rng([int(seed), 0x3F7])
-    cdfs = None
-    if distribution == "zipf":
+    tables = len(spec.tables)
+    if distribution == "uniform":
+        # one bounded draw per lookup, table after table: the same stream as
+        # one `integers(0, rows, size=pooling)` call per table
+        highs = np.repeat([t.rows for t in spec.tables], pooling)
+    else:
         cdfs = [zipf_cdf(t.rows, zipf_s) for t in spec.tables]
     queries = []
     for _ in range(count):
-        idx = []
-        for t, ts in enumerate(spec.tables):
-            if distribution == "uniform":
-                draws = rng.integers(0, ts.rows, size=pooling)
-            else:
-                u = rng.random(pooling)
-                draws = np.searchsorted(cdfs[t], u, side="right")
-            idx.append([int(i) for i in draws])
+        if distribution == "uniform":
+            flat = rng.integers(0, highs).tolist()
+            idx = [flat[t * pooling:(t + 1) * pooling] for t in range(tables)]
+        else:
+            u = rng.random(tables * pooling)
+            idx = [np.searchsorted(cdfs[t], u[t * pooling:(t + 1) * pooling],
+                                   side="right").tolist() for t in range(tables)]
         dense = rng.random(spec.dense_dim, dtype=np.float32)
         queries.append(Query(idx, dense))
     return queries

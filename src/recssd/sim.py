@@ -11,22 +11,26 @@ Modes:
   set covering ``dram_fraction`` of the table bytes; misses pay the full
   synchronous block-read path. Queries are processed serially.
 
-Every mode runs on one batch driver, ``_drive``. Starting at time 0, it
-dispatches the next batch whenever the device frees, while queries remain and
-the clock is before ``duration_ns``. A mode only sets itself up and supplies
-a stage function that does one batch's work: it returns each query's
-completion time and score, and the time the device frees. The baseline is the
-driver with batch 1, so a query is admitted when the previous one completes.
+The device modes share one batch driver, ``_drive``, which only places
+device batches: starting at time 0, it dispatches the next batch whenever the
+device frees, while queries remain and the clock is before ``duration_ns``.
+Each batch is looked up on an idle device, and the mode's stage function adds
+the batch's device time and its own per-query columns. What follows the device
+is closed-form over the run's columns: emb-vectorsum's in-order host MLP queue
+is a max-plus scan, and the baseline's serial queries start at the running sum
+of their times, so ``duration_ns`` admits a prefix of them.
 
 Per-query latency is measured from the dispatch of the query's batch (from
-the start of its processing for the baseline). Scores of every mode are
-computed with the reference summation orders; for device modes the embedding
-values are read back from the flash byte image, so layout bugs surface as
-score mismatches.
+the start of its processing for the baseline). A run is scored in one forward
+pass, one bottom-MLP and one top-MLP call over every admitted query, with the
+reference summation orders. The device modes read the embedding values back
+from the flash byte image, so layout bugs surface as score mismatches; the
+baseline sums the host's table rows with the device's index-order vector sum.
 """
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +42,9 @@ from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, WorkloadP
                             spill_floor_cycles)
 from .mlp_engine import (KernelAssignment, make_layers, pipeline_schedule,
                          pipeline_schedule_decomposed)
-from .recmodel import Model, generate_workload, interact, mlp_forward, reference_inference
+from .recmodel import Model, generate_workload, interact, mlp_forward
+# unused here, but the benchmark's tracer (perfbench/tracing.py) wraps it by name
+from .recmodel import reference_inference  # noqa: F401
 from .storage import SsdGeometry, TimingParams, page_read_time
 
 SCHEMA_VERSION = 1
@@ -155,24 +161,10 @@ class Metrics:
     """Completed queries, plus dispatched batches in the device modes."""
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "mode": self.mode,
-            "issued": self.issued,
-            "completed": self.completed,
-            "in_flight": self.in_flight,
-            "horizon_ns": self.horizon_ns,
-            "throughput_qps": self.throughput_qps,
-            "latency_ns": {
-                "p50": self.latency_p50_ns,
-                "p95": self.latency_p95_ns,
-                "p99": self.latency_p99_ns,
-                "max": self.latency_max_ns,
-            },
-            "channel_utilization": self.channel_utilization,
-            "resources": self.resources,
-            "event_count": self.event_count,
-        }
+        out = {k: v for k, v in vars(self).items() if not k.startswith("latency_")}
+        out["latency_ns"] = {k: getattr(self, f"latency_{k}_ns")
+                             for k in ("p50", "p95", "p99", "max")}
+        return out
 
 
 def metrics_json(metrics: Metrics) -> str:
@@ -212,52 +204,79 @@ def _host_mlp_ns(spec, timing: TimingParams) -> int:
     return round(macs * timing.host_ns_per_mac)
 
 
-def _drive(scenario: Scenario, queries, batch: int, stage,
-           dispatch_events: bool = True) -> RunResult:
-    """The batch loop of every mode. `stage(t0, first_qid, batch_queries, spans,
-    busy)` does one batch dispatched at t0: it appends the batch's spans, adds
-    its per-channel busy time to `busy`, and returns each query's
-    (completion_ns, score) and the time the device frees. `dispatch_events`
-    counts each dispatch in `event_count`, besides each completion."""
-    spans: list[tuple[int, str, int, int]] = []
-    busy = [0] * scenario.geometry.channels
-    scores: list[float] = []
-    latencies: list[int] = []
-    horizon = issued = batches = 0
-    t0 = 0
+def _drive(scenario: Scenario, env, queries, batch: int, kc_e: int, stage):
+    """The device modes' batch loop: from time 0, the next batch is looked up
+    on an idle device when the device frees, while queries remain and the
+    clock is before `duration_ns`. `stage(bq, emb)` returns the batch's device
+    time and its per-query columns, relative to the dispatch. Returns the
+    dispatched queries' ns columns (`t0` the dispatch, `emb_start`, `emb_end`,
+    then the stage's; a column no batch made reads as empty), their summed
+    vectors, the channels' busy times and the batch count."""
+    emap, ftl = env
+    model, geometry = scenario.model, scenario.geometry
+    flash = ev_engine.build_flash_image(model.tables, emap, geometry)
+    times, ev = defaultdict(list), []
+    busy = np.zeros(geometry.channels, dtype=np.int64)
+    t0 = batches = 0
     for first in range(0, len(queries), batch):
         if scenario.duration_ns is not None and t0 >= scenario.duration_ns:
             break
         bq = queries[first:first + batch]
-        done, device_free = stage(t0, first, bq, spans, busy)
-        issued += len(bq)
+        emb = ev_engine.simulate_lookup(model, bq, geometry, scenario.timing, emap, ftl,
+                                        flash=flash, kc_e=kc_e)
+        device_ns, cols = stage(bq, emb)
+        for name, col in (("t0", [0] * len(bq)), ("emb_start", emb.flash_start_ns),
+                          ("emb_end", emb.e_ns), *cols.items()):
+            times[name].extend(t0 + t for t in col)
+        ev.extend(emb.ev_concat)
+        busy += emb.channel_busy_ns
+        t0 += device_ns
         batches += 1
-        for end, score in done:
-            scores.append(score)
-            latencies.append(end - t0)
-            horizon = max(horizon, end)
-        t0 = device_free
+    return (defaultdict(lambda: np.zeros(0, dtype=np.int64),
+                        {k: np.array(v, dtype=np.int64) for k, v in times.items()}),
+            ev, busy, batches)
 
-    completed = len(latencies)
+
+def _score(model, queries, ev) -> list[float]:
+    """Every query's score, from one bottom-MLP and one top-MLP pass over
+    (queries, width) matrices; `ev` holds each query's summed vectors."""
+    spec = model.spec
+    dense = np.array([q.dense for q in queries], dtype=np.float32).reshape(-1, spec.dense_dim)
+    ev = np.asarray(ev, dtype=np.float32).reshape(len(queries), spec.emb_out_width)
+    bottom = mlp_forward(spec.bottom_mlp_dims, model.bottom_weights, model.bottom_biases, dense)
+    top = mlp_forward(spec.top_mlp_dims, model.top_weights, model.top_biases,
+                      interact(bottom, [ev]))
+    return top[:, 0].tolist()
+
+
+def _result(scenario: Scenario, queries, ev, start, done, stages, busy,
+            events: int) -> RunResult:
+    """Score the first len(start) queries and summarize their timeline, each
+    running from `start` to `done`, with spans from (stage, start, end) columns."""
+    n = len(start)
+    latencies = (done - start).tolist()
     lat = sorted(latencies)
+    horizon = int(done.max(initial=0))
     metrics = Metrics(
         schema_version=SCHEMA_VERSION,
         mode=scenario.mode,
-        issued=issued,
-        completed=completed,
-        in_flight=issued - completed,
+        issued=n,
+        completed=n,
+        in_flight=0,
         horizon_ns=horizon,
-        throughput_qps=completed * 1e9 / horizon if horizon > 0 else 0.0,
+        throughput_qps=n * 1e9 / horizon if horizon > 0 else 0.0,
         latency_p50_ns=percentile_nearest_rank(lat, 0.50),
         latency_p95_ns=percentile_nearest_rank(lat, 0.95),
         latency_p99_ns=percentile_nearest_rank(lat, 0.99),
         latency_max_ns=lat[-1] if lat else 0,
-        channel_utilization=([b / horizon for b in busy] if horizon > 0
+        channel_utilization=([b / horizon for b in busy.tolist()] if horizon > 0
                              else [0.0] * len(busy)),
         resources=None,
-        event_count=completed + (batches if dispatch_events else 0),
+        event_count=events,
     )
-    return RunResult(metrics, scores, latencies, spans)
+    cols = [(name, s.tolist(), e.tolist()) for name, s, e in stages]
+    spans = [(q, name, s[q], e[q]) for q in range(n) for name, s, e in cols]
+    return RunResult(metrics, _score(scenario.model, queries[:n], ev), latencies, spans)
 
 
 def run(scenario: Scenario, seed: int) -> RunResult:
@@ -275,32 +294,6 @@ def run(scenario: Scenario, seed: int) -> RunResult:
     return runner(scenario, queries, seed, env)
 
 
-def _score_device(model, query, ev_concat) -> float:
-    spec = model.spec
-    bottom = mlp_forward(spec.bottom_mlp_dims, model.bottom_weights, model.bottom_biases,
-                         query.dense)
-    top_in = interact(bottom, [ev_concat[t * spec.ev_dim:(t + 1) * spec.ev_dim]
-                               for t in range(spec.num_tables)])
-    out = mlp_forward(spec.top_mlp_dims, model.top_weights, model.top_biases, top_in)
-    return float(out[0])
-
-
-def _device_lookup(scenario: Scenario, env, kc_e: int):
-    """Build the flash byte image; return the device modes' batch lookup on it,
-    which also adds the batch's channel busy time to `busy`."""
-    emap, ftl = env
-    flash = ev_engine.build_flash_image(scenario.model.tables, emap, scenario.geometry)
-
-    def lookup(bq, busy):
-        result = ev_engine.simulate_lookup(scenario.model, bq, scenario.geometry,
-                                           scenario.timing, emap, ftl, flash=flash, kc_e=kc_e)
-        for c, b in enumerate(result.channel_busy_ns):
-            busy[c] += b
-        return result
-
-    return lookup
-
-
 def _run_rmssd(scenario: Scenario, queries, seed: int, env) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
     timing = scenario.timing
@@ -316,65 +309,52 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, env) -> RunResult:
             raise InfeasibleSearchError(outcome)
         assignment, batch = outcome.assignment, outcome.batch
 
-    lookup = _device_lookup(scenario, env, assignment.ev[1])
     bottom_layers = make_layers(spec.bottom_mlp_dims)
     top_layers = make_layers(spec.top_mlp_dims)
     floors_b, floors_t = spill_floor_cycles(spec, scenario.resource_model, timing)
     period = timing.clock_period_ns
 
-    def stage(t0, first, bq, spans, busy):
-        emb = lookup(bq, busy)
+    def stage(bq, emb):
         bot = pipeline_schedule(bottom_layers, assignment.bottom, period,
                                 inputs_at_cycles=[0] * len(bq), floor_cycles=floors_b)
         e_cycles = [timing.ns_to_cycles(e) for e in emb.e_ns]
         top = pipeline_schedule_decomposed(top_layers, assignment.top, period,
                                            spec.bottom_out_width, spec.emb_out_width,
                                            bot.completions, e_cycles, floor_cycles=floors_t)
-        b_ns = bot.completions_ns()
         s_ns = top.completions_ns()
-        l0_start = {e.query: top.to_ns(e.start_cycle) for e in top.entries if e.layer == 0}
-        done = []
-        for i, q in enumerate(bq):
-            qid = first + i
-            done.append((t0 + s_ns[i], _score_device(model, q, emb.ev_concat[i])))
-            spans.append((qid, "emb", t0 + emb.flash_start_ns[i], t0 + emb.e_ns[i]))
-            spans.append((qid, "bottom_mlp", t0, t0 + b_ns[i]))
-            spans.append((qid, "top_mlp", t0 + l0_start[i], t0 + s_ns[i]))
-        return done, t0 + max(max(s_ns), emb.t_emb_ns)
+        return max(max(s_ns), emb.t_emb_ns), {
+            "bottom_end": bot.completions_ns(),
+            "top_start": [top.to_ns(e.start_cycle) for e in top.entries if e.layer == 0],
+            "done": s_ns}
 
-    result = _drive(scenario, queries, batch, stage)
+    times, ev, busy, batches = _drive(scenario, env, queries, batch, assignment.ev[1], stage)
+    t0, done = times["t0"], times["done"]
+    result = _result(scenario, queries, ev, t0, done,
+                     [("emb", times["emb_start"], times["emb_end"]),
+                      ("bottom_mlp", t0, times["bottom_end"]),
+                      ("top_mlp", times["top_start"], done)], busy, len(t0) + batches)
     result.metrics.resources = resource_usage(spec, assignment, scenario.resource_model).to_dict()
     result.search_outcome = outcome
     return result
 
 
 def _run_emb_vectorsum(scenario: Scenario, queries, seed: int, env) -> RunResult:
-    model, spec = scenario.model, scenario.model.spec
-    timing = scenario.timing
+    spec, timing = scenario.model.spec, scenario.timing
     kc_e = scenario.kernels.ev[1] if scenario.kernels is not None else spec.ev_dim
-    lookup = _device_lookup(scenario, env, kc_e)
     host_mlp = _host_mlp_ns(spec, timing)
     xfer = timing.host_iface_ns(spec.emb_out_width * 4) + timing.host_overhead_ns
-    host_free = 0
-
-    def stage(t0, first, bq, spans, busy):
-        # the host MLP serves queries in order; it may still be busy with this
-        # batch when the device takes the next one
-        nonlocal host_free
-        emb = lookup(bq, busy)
-        done = []
-        for i, q in enumerate(bq):
-            qid = first + i
-            ready = t0 + emb.e_ns[i] + xfer
-            start = max(ready, host_free)
-            host_free = start + host_mlp
-            done.append((host_free, _score_device(model, q, emb.ev_concat[i])))
-            spans.append((qid, "emb", t0 + emb.flash_start_ns[i], t0 + emb.e_ns[i]))
-            spans.append((qid, "host_xfer", t0 + emb.e_ns[i], ready))
-            spans.append((qid, "host_mlp", start, host_free))
-        return done, t0 + emb.t_emb_ns
-
-    return _drive(scenario, queries, scenario.batch, stage)
+    # the device frees when the batch's lookups end
+    times, ev, busy, batches = _drive(scenario, env, queries, scenario.batch, kc_e,
+                                      lambda bq, emb: (emb.t_emb_ns, {}))
+    t0, emb_end = times["t0"], times["emb_end"]
+    ready = emb_end + xfer
+    # the host MLP serves queries in order, so done_i = max(ready_i, done_{i-1})
+    # + host_mlp, a max-plus scan: done_i = (i+1)·h + max_{k<=i}(ready_k - k·h)
+    before = host_mlp * np.arange(len(ready))
+    done = np.maximum.accumulate(ready - before) + before + host_mlp
+    return _result(scenario, queries, ev, t0, done,
+                   [("emb", times["emb_start"], emb_end), ("host_xfer", emb_end, ready),
+                    ("host_mlp", done - host_mlp, done)], busy, len(t0) + batches)
 
 
 def resident_sets(spec, dram_fraction: float, distribution: str, seed: int):
@@ -404,41 +384,31 @@ def _run_baseline(scenario: Scenario, queries, seed: int, env) -> RunResult:
     page_busy = page_read_time(geometry, timing)
     # an embedding row never straddles a page, so every miss is one page read
     miss_ns = page_busy + timing.host_iface_ns(spec.ev_dim * 4) + timing.host_overhead_ns
-    hit_ns = timing.dram_hit_ns_int
-    # every lookup of the run, its residency, and its page's channel; these are
-    # host reads, so the call does not go through the `ev_engine` attribute
-    # that the benchmark's tracer counts as device requests
+    # every lookup of the run and its residency; these are host reads, so the
+    # call does not go through the `ev_engine` attribute that the benchmark's
+    # tracer counts as device requests
     lookups = translate_batch(emap, ftl, queries)
-    hit = np.zeros(len(lookups), dtype=bool)
-    for tbl, mask in enumerate(resident):
-        mine = lookups.table == tbl
-        hit[mine] = mask[lookups.index[mine]]
-    count = len(queries)
-    query_hits = np.bincount(lookups.query[hit], minlength=count).tolist()
-    query_lookups = lookups.pooling.sum(axis=1).tolist()
-    miss_slot = lookups.query[~hit] * geometry.channels + lookups.channel[~hit]
-    query_channel_misses = np.bincount(miss_slot, minlength=count * geometry.channels) \
-        .reshape(count, geometry.channels).tolist()
-    hits = misses = 0
-
-    def stage(t0, qid, bq, spans, busy):
-        nonlocal hits, misses
-        (q,) = bq
-        q_hits = query_hits[qid]
-        q_misses = query_lookups[qid] - q_hits
-        hits += q_hits
-        misses += q_misses
-        for c, n in enumerate(query_channel_misses[qid]):
-            busy[c] += n * page_busy
-        emb_end = t0 + q_hits * hit_ns + q_misses * miss_ns
-        t = emb_end + host_mlp
-        spans.append((qid, "emb", t0, emb_end))
-        spans.append((qid, "host_mlp", emb_end, t))
-        return [(t, reference_inference(model, q))], t
-
-    # queries run serially: one per dispatch, and a dispatch is not an event
-    result = _drive(scenario, queries, 1, stage, dispatch_events=False)
-    result.dram_hits, result.dram_misses = hits, misses
+    hit = np.concatenate(resident)[emap.extent_columns[0][lookups.table] + lookups.index]
+    hits = np.bincount(lookups.query[hit], minlength=len(queries))
+    misses = lookups.pooling.sum(axis=1) - hits
+    # queries run serially, each starting when the previous one completes;
+    # one is admitted while the clock is before duration_ns
+    emb = hits * timing.dram_hit_ns_int + misses * miss_ns
+    done = np.cumsum(emb + host_mlp)
+    start = done - (emb + host_mlp)
+    n = len(queries) if scenario.duration_ns is None else \
+        int(np.searchsorted(start, scenario.duration_ns))
+    start, emb, done = start[:n], emb[:n], done[:n]
+    m = int(lookups.pooling[:n].sum())
+    busy = np.bincount(lookups.channel[:m][~hit[:m]], minlength=geometry.channels) * page_busy
+    # the host sums each table's rows in index order, as the device's vector sum
+    table, index = lookups.table[:m], lookups.index[:m]
+    ev = np.hstack([ev_engine.lookup_sums(lookups.pooling[:n, [t]], tab.values[index[table == t]])
+                    for t, tab in enumerate(model.tables)])
+    # a dispatch is not an event: each query is one completion
+    result = _result(scenario, queries, ev, start, done,
+                     [("emb", start, start + emb), ("host_mlp", start + emb, done)], busy, n)
+    result.dram_hits, result.dram_misses = int(hits[:n].sum()), int(misses[:n].sum())
     return result
 
 

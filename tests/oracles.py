@@ -300,6 +300,30 @@ def decomposed_top_oracle(dims, kernels, rb, re, b_ready, e_ready, floors=None):
 
 
 # ---------------------------------------------------------------------------
+# Workload stream oracle.
+
+def workload_oracle(table_rows, dense_dim, distribution, pooling, count, seed, zipf_s=1.0):
+    """The documented query stream, one RNG call per query and table: per
+    table, `pooling` bounded integers (uniform) or `pooling` uniforms mapped
+    through the table's bounded Zipf CDF (zipf); then the dense features.
+    Returns (indices, dense) per query."""
+    rng = np.random.default_rng([int(seed), 0x3F7])
+    out = []
+    for _ in range(count):
+        indices = []
+        for rows in table_rows:
+            if distribution == "uniform":
+                draws = rng.integers(0, rows, size=pooling)
+            else:
+                w = np.arange(1, rows + 1, dtype=np.float64) ** (-float(zipf_s))
+                cdf = np.cumsum(w) / w.sum()
+                draws = np.searchsorted(cdf, rng.random(pooling), side="right")
+            indices.append([int(i) for i in draws])
+        out.append((indices, rng.random(dense_dim, dtype=np.float32)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Shared small helpers for the sim replay oracle.
 
 def nearest_rank(sorted_vals, q):

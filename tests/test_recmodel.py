@@ -6,7 +6,7 @@ from recssd.recmodel import (EmbeddingTable, Model, ModelSpec, Query, TableSpec,
                              generate_workload, mlp_forward, reference_inference,
                              zipf_cdf)
 
-from oracles import fold_sum_rows, scalar_mlp, scalar_reference
+from oracles import fold_sum_rows, scalar_mlp, scalar_reference, workload_oracle
 
 
 def small_table(rows=4, ev_dim=2, table_id=0, seed=None):
@@ -84,6 +84,20 @@ class TestMlpForward:
         b = [rng.random(3, dtype=np.float32) - 0.5, rng.random(2, dtype=np.float32) - 0.5]
         x = np.random.default_rng(12).random(4, dtype=np.float32) - 0.5
         assert np.array_equal(mlp_forward(dims, w, b, x), scalar_mlp(dims, w, b, x))
+        # (queries, inputs) matrices of random stacks, widths from 1; the last
+        # stack's 64x64 layer over 40 queries is past the one-cumsum size, so
+        # both fold orders of mlp_forward are checked
+        stacks = [([int(d) for d in rng.integers(1, 20, size=rng.integers(2, 5))],
+                   int(rng.integers(1, 9))) for _ in range(12)]
+        for dims, queries in stacks + [([1, 1], 1), ([64, 64, 3], 40)]:
+            w = [rng.random((dims[l + 1], dims[l]), dtype=np.float32) - np.float32(0.5)
+                 for l in range(len(dims) - 1)]
+            b = [rng.random(d, dtype=np.float32) - np.float32(0.5) for d in dims[1:]]
+            x = rng.random((queries, dims[0]), dtype=np.float32) - np.float32(0.5)
+            got = mlp_forward(dims, w, b, x)
+            assert got.shape == (queries, dims[-1])
+            for row, xq in zip(got, x):
+                assert np.array_equal(row, scalar_mlp(dims, w, b, xq)), dims
 
     def test_shape_mismatch_reports_dims(self):
         w = [np.zeros((3, 2), np.float32)]
@@ -92,6 +106,8 @@ class TestMlpForward:
             mlp_forward([4, 3], w, b, np.zeros(4, np.float32))
         with pytest.raises(ValueError, match="input shape"):
             mlp_forward([2, 3], w, b, np.zeros(4, np.float32))
+        with pytest.raises(ValueError, match=r"input shape \(5, 4\)"):
+            mlp_forward([2, 3], w, b, np.zeros((5, 4), np.float32))
 
 
 def identity_passthrough_model():
@@ -176,6 +192,19 @@ class TestGenerateWorkload:
         assert counts.sum() == n
         assert np.abs(counts - n * p).max() <= 5 * sigma
 
+    def test_matches_per_table_oracle_with_mixed_row_counts(self):
+        # zipf builds a CDF over every row, so its tables stay small
+        for distribution, rows in (("uniform", (7, 1, 1000, 2 ** 31 + 5)),
+                                   ("zipf", (7, 1, 1000, 333))):
+            spec = ModelSpec(tables=tuple(TableSpec(r, 2) for r in rows),
+                             bottom_mlp_dims=(3, 2), top_mlp_dims=(10, 1), dense_dim=3)
+            for pooling in (1, 5):
+                got = generate_workload(spec, distribution, pooling, 30, 8, zipf_s=0.9)
+                want = workload_oracle(rows, 3, distribution, pooling, 30, 8, zipf_s=0.9)
+                for q, (indices, dense) in zip(got, want):
+                    assert q.indices == indices
+                    assert np.array_equal(q.dense, dense)
+
     def test_zipf_skews_toward_low_ranks(self):
         spec = ModelSpec(tables=(TableSpec(1000, 4),), bottom_mlp_dims=(2, 2),
                          top_mlp_dims=(6, 1), dense_dim=2)
@@ -198,6 +227,22 @@ class TestInvariants:
         with pytest.raises(ValueError, match="ev_dim"):
             ModelSpec(tables=(TableSpec(4, 2), TableSpec(4, 3)),
                       bottom_mlp_dims=(2, 2), top_mlp_dims=(7, 1), dense_dim=2)
+        # non-integral dims and rows: floats are not truncated, bools are not widths
+        for build in (lambda: ModelSpec(tables=(TableSpec(100.9, 16),),
+                                        bottom_mlp_dims=(13, 16.9), top_mlp_dims=(32, 1),
+                                        dense_dim=13),
+                      lambda: ModelSpec(tables=(TableSpec(100, 16),),
+                                        bottom_mlp_dims=(13, 16.9), top_mlp_dims=(32, 1),
+                                        dense_dim=13),
+                      lambda: ModelSpec(tables=(TableSpec(4, 2),), bottom_mlp_dims=(2, True),
+                                        top_mlp_dims=(3, 1), dense_dim=2),
+                      lambda: TableSpec(True, 2), lambda: TableSpec(4, 2.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                build()
+        spec = ModelSpec(tables=(TableSpec(np.int64(4), np.int32(2)),),
+                         bottom_mlp_dims=(np.int64(2), 2), top_mlp_dims=(4, np.int16(1)),
+                         dense_dim=2)
+        assert spec.tables[0].rows == 4 and spec.bottom_mlp_dims == (2, 2)
 
     def test_table_value_invariants(self):
         with pytest.raises(ValueError, match="shape"):

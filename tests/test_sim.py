@@ -312,8 +312,13 @@ class TestMetricsAndDeterminism:
             r_full = run(scenario(mode, m, 50, **kw), 3)
             cap = r_full.metrics.horizon_ns // 2
             r = run(scenario(mode, m, 50, duration_ns=cap, **kw), 3)
-            assert 0 < r.metrics.issued < 50, mode
-            assert r.metrics.issued == r.metrics.completed
+            n = r.metrics.issued
+            assert 0 < n < 50, mode
+            assert n == r.metrics.completed
+            # the cut run is the uncut run's first n queries
+            assert r.latencies_ns == r_full.latencies_ns[:n], mode
+            assert r.scores == r_full.scores[:n], mode
+            assert r.spans == [s for s in r_full.spans if s[0] < n], mode
 
     def test_zero_duration_admits_nothing_in_every_mode(self):
         m = rmc3()
