@@ -203,7 +203,12 @@ def build_scenario(cfg: dict) -> Scenario:
     cfg = validate_config(cfg)
     try:
         spec = _model_spec_from(cfg["model"])
-        model = build_model(spec, cfg["model"].get("seed", 3))
+        try:
+            model = build_model(spec, cfg["model"].get("seed", 3))
+        except MemoryError:
+            gib = sum(t.rows for t in spec.tables) * spec.ev_dim * 4 / 2 ** 30
+            raise ConfigError(f"the model's tables ({gib:.3g} GiB) are too large to "
+                              f"materialise on this host") from None
         g = cfg["geometry"]
         geometry = SsdGeometry(g["channels"], g["dies_per_channel"], g["page_size"],
                                g["lba_size"], g["pages_per_block"])

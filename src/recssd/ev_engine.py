@@ -150,8 +150,8 @@ def _locate(emap: ExtentMap, table: np.ndarray, index: np.ndarray):
 
 @dataclass(frozen=True)
 class Requests:
-    """A batch's embedding lookups as columns, in query order, then table
-    order, then the order of each query's index list."""
+    """Embedding lookups as columns, in query order, then table order, then
+    the order of each query's index list."""
     pooling: np.ndarray     # (queries, tables): lookups per query and table
     query: np.ndarray
     table: np.ndarray
@@ -185,7 +185,9 @@ def translate_batch(emap: ExtentMap, ftl: Ftl, queries: list[Query]) -> Requests
 
 @dataclass(frozen=True)
 class CoalescedReads:
-    """One read per distinct page, in the order of each page's first request."""
+    """One read per distinct (lane, page), in the order of each one's first
+    request."""
+    lane: np.ndarray
     page: np.ndarray
     channel: np.ndarray
     die: np.ndarray
@@ -195,15 +197,18 @@ class CoalescedReads:
         return len(self.page)
 
 
-def dispatch(requests: Requests) -> CoalescedReads:
-    """Coalesce requests into unique page reads, in first-arrival order."""
-    pages, first, inverse = np.unique(requests.page, return_index=True, return_inverse=True)
+def dispatch(requests: Requests, lane: np.ndarray | None = None) -> CoalescedReads:
+    """Coalesce requests into unique page reads per lane (per request; None
+    puts every request in lane 0), in first-arrival order."""
+    lane = np.zeros(len(requests), dtype=np.int64) if lane is None else lane
+    key = lane * (int(requests.page.max(initial=0)) + 1) + requests.page
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     first = first[order]
-    return CoalescedReads(pages[order], requests.channel[first], requests.die[first],
-                          rank[inverse.ravel()])
+    return CoalescedReads(lane[first], requests.page[first], requests.channel[first],
+                          requests.die[first], rank[inverse.ravel()])
 
 
 class FlashImage:
@@ -288,13 +293,13 @@ def lookup_sums(pooling: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     pos = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     padded = np.zeros((len(sizes), int(sizes.max(initial=0)), ev_dim), dtype=np.float32)
     padded[group, pos] = vectors
-    sums = padded.cumsum(axis=1, dtype=np.float32)[np.arange(len(sizes)), sizes - 1]
+    sums = np.cumsum(padded, axis=1, out=padded)[np.arange(len(sizes)), sizes - 1]
     return sums.reshape(queries, tables * ev_dim)
 
 
 def ev_sum_engine(pooling: np.ndarray, arrival_ns: np.ndarray, vectors: np.ndarray,
                   timing: TimingParams, kc_e: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's fetched vectors, given in request order, aggregated: each
+    """Fetched vectors, given in request order, aggregated: each
     query's per-table sums (`lookup_sums`) and completion (`adder_done_ns`)."""
     return (lookup_sums(pooling, vectors),
             adder_done_ns(pooling, arrival_ns, vectors.shape[1], timing, kc_e))
@@ -303,30 +308,35 @@ def ev_sum_engine(pooling: np.ndarray, arrival_ns: np.ndarray, vectors: np.ndarr
 @dataclass
 class LookupResult:
     ev_concat: np.ndarray                # (queries, M * ev_dim)
-    e_ns: list[int]                      # per query EV-sum completion
-    flash_start_ns: list[int]            # per query first sense start
-    t_emb_ns: int                        # completion of the last EV sum
+    e_ns: np.ndarray                     # per query EV-sum completion
+    flash_start_ns: np.ndarray           # per query first sense start
+    t_emb_ns: np.ndarray                 # per batch completion of its last EV sum
     requests: Requests
     reads: CoalescedReads
     schedule: PageSchedule               # the coalesced reads, in their order
     arrival_ns: np.ndarray               # per request: its page's transfer end
-    channel_busy_ns: list[int]
+    channel_busy_ns: np.ndarray          # (batches, channels)
 
 
 def simulate_lookup(model: Model, queries: list[Query], geometry: SsdGeometry,
                     timing: TimingParams, emap: ExtentMap, ftl: Ftl,
-                    flash: FlashImage | None = None,
-                    kc_e: int | None = None) -> LookupResult:
-    """Run one batch through translate -> dispatch -> page reads -> vector sum."""
-    for q in queries:
-        model.validate_query(q)
+                    flash: FlashImage | None = None, kc_e: int | None = None,
+                    batch: int | None = None) -> LookupResult:
+    """Run batches of `batch` queries (default: one batch of all) through
+    translate -> dispatch -> page reads -> vector sum, each batch on an idle
+    device from time 0; every time is relative to its batch's start."""
+    dense_dim = model.spec.dense_dim
+    shapes = {q.dense.shape for q in queries} - {(dense_dim,)}
+    if shapes:
+        raise ValueError(f"dense vector shape {shapes.pop()} != ({dense_dim},)")
     ev_dim = model.spec.ev_dim
+    batch = batch or max(len(queries), 1)
     requests = translate_batch(emap, ftl, queries)
-    reads = dispatch(requests)
+    reads = dispatch(requests, requests.query // batch)
 
     zeros = np.zeros(len(reads), dtype=np.int64)
     sched = schedule_page_reads(PageReads(reads.channel, reads.die, zeros,
-                                          zeros + EV_PRIORITY), geometry, timing)
+                                          zeros + EV_PRIORITY, reads.lane), geometry, timing)
     arrival = sched.xfer_end_ns[reads.read]
 
     if flash is not None:
@@ -338,18 +348,19 @@ def simulate_lookup(model: Model, queries: list[Query], geometry: SsdGeometry,
             vectors[mine] = table.values[requests.index[mine]]
     # one vector-sum unit per query, so queries do not serialize on one adder
     ev_concat, e_ns = ev_sum_engine(requests.pooling, arrival, vectors, timing, kc_e)
-    query_start = np.cumsum(requests.pooling.sum(axis=1)) - requests.pooling.sum(axis=1)
-    first_sense = np.minimum.reduceat(sched.sense_start_ns[reads.read], query_start) \
+    per_query = requests.pooling.sum(axis=1)
+    first_sense = np.minimum.reduceat(sched.sense_start_ns[reads.read],
+                                      np.cumsum(per_query) - per_query) \
         if len(requests) else np.zeros(0, dtype=np.int64)
-
+    batch_start = np.arange(0, len(queries), batch)
     return LookupResult(
         ev_concat=ev_concat,
-        e_ns=e_ns.tolist(),
-        flash_start_ns=first_sense.tolist(),
-        t_emb_ns=int(e_ns.max(initial=0)),
+        e_ns=e_ns,
+        flash_start_ns=first_sense,
+        t_emb_ns=np.maximum.reduceat(e_ns, batch_start) if len(queries) else e_ns,
         requests=requests,
         reads=reads,
         schedule=sched,
         arrival_ns=arrival,
-        channel_busy_ns=sched.channel_busy_ns(geometry.channels),
+        channel_busy_ns=sched.channel_busy_ns(geometry.channels, len(batch_start)),
     )

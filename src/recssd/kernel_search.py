@@ -223,7 +223,7 @@ def estimate_times(model: Model, assignment: KernelAssignment, batch: int,
                                 timing, floors_b)
     top_ns = _stage_makespan_ns(make_layers(spec.top_mlp_dims), assignment.top, batch,
                                 timing, floors_t)
-    return StageTimes(bottom_ns=bot_ns, top_ns=top_ns, emb_ns=lookup.t_emb_ns)
+    return StageTimes(bottom_ns=bot_ns, top_ns=top_ns, emb_ns=int(lookup.t_emb_ns[0]))
 
 
 def kernel_options(dim: int, cap: int | None = None) -> list[int]:

@@ -11,14 +11,19 @@ Modes:
   set covering ``dram_fraction`` of the table bytes; misses pay the full
   synchronous block-read path. Queries are processed serially.
 
-The device modes share one batch driver, ``_drive``, which only places
-device batches: starting at time 0, it dispatches the next batch whenever the
-device frees, while queries remain and the clock is before ``duration_ns``.
-Each batch is looked up on an idle device, and the mode's stage function adds
-the batch's device time and its own per-query columns. What follows the device
-is closed-form over the run's columns: emb-vectorsum's in-order host MLP queue
-is a max-plus scan, and the baseline's serial queries start at the running sum
-of their times, so ``duration_ns`` admits a prefix of them.
+The device modes share one batch loop, ``_drive``. Each batch starts on an
+idle device, so batches interact only through their dispatch times: from time
+0, each batch's ``t0`` is the sum of the device times before it, and a batch
+is dispatched while queries remain and its ``t0`` is before ``duration_ns``.
+The loop looks up fixed-size chunks of batches in one ``simulate_lookup``
+call each, one batch per lane of the page scheduler's lockstep loop, and the
+mode's stage function gives each batch's device time and its own per-query
+columns. rmssd schedules the bottom MLP once per batch size and the top MLP
+once per batch. What follows the device is closed-form over the run's
+columns: emb-vectorsum's in-order host MLP queue is a max-plus scan, and the
+baseline's serial queries start at the running sum of their times, so
+``duration_ns`` admits a prefix of them. ``compare`` draws the shared
+workload once and runs every scenario on it.
 
 Per-query latency is measured from the dispatch of the query's batch (from
 the start of its processing for the baseline). A run is scored in one forward
@@ -48,6 +53,11 @@ from .recmodel import reference_inference  # noqa: F401
 from .storage import SsdGeometry, TimingParams, page_read_time
 
 SCHEMA_VERSION = 1
+
+# Queries per `simulate_lookup` call of the batch loop, rounded down to
+# whole batches (at least one): it bounds the page scheduler's padded
+# matrices on long runs.
+CHUNK_QUERIES = 512
 
 # Longest modelled duration of one operation. A run is a bounded number of
 # operations, so with this cap every time stays far inside int64 nanoseconds.
@@ -205,36 +215,48 @@ def _host_mlp_ns(spec, timing: TimingParams) -> int:
 
 
 def _drive(scenario: Scenario, env, queries, batch: int, kc_e: int, stage):
-    """The device modes' batch loop: from time 0, the next batch is looked up
-    on an idle device when the device frees, while queries remain and the
-    clock is before `duration_ns`. `stage(bq, emb)` returns the batch's device
-    time and its per-query columns, relative to the dispatch. Returns the
-    dispatched queries' ns columns (`t0` the dispatch, `emb_start`, `emb_end`,
-    then the stage's; a column no batch made reads as empty), their summed
-    vectors, the channels' busy times and the batch count."""
+    """The device modes' batch loop. Batches run back to back from time 0,
+    each on an idle device, so they share only their dispatch times: a
+    batch's `t0` is the sum of the device times before it, and the batch is
+    dispatched while `t0` is before `duration_ns`. One `simulate_lookup` call
+    looks up a chunk of whole batches (`CHUNK_QUERIES`), one batch per lane,
+    and `stage(emb, batch)` returns the chunk's per-batch device times and the
+    mode's per-query columns, relative to each batch's dispatch. Returns the
+    dispatched queries' ns columns (`t0`, `emb_start`, `emb_end`, then the
+    stage's; a column no batch made reads as empty), their summed vectors,
+    the channels' busy times and the batch count."""
     emap, ftl = env
     model, geometry = scenario.model, scenario.geometry
     flash = ev_engine.build_flash_image(model.tables, emap, geometry)
-    times, ev = defaultdict(list), []
+    chunk = max(1, CHUNK_QUERIES // batch) * batch
+    # an empty first entry, so that a run with no batch concatenates
+    times, ev = defaultdict(list), [np.zeros((0, model.spec.emb_out_width), np.float32)]
     busy = np.zeros(geometry.channels, dtype=np.int64)
     t0 = batches = 0
-    for first in range(0, len(queries), batch):
+    for first in range(0, len(queries), chunk):
         if scenario.duration_ns is not None and t0 >= scenario.duration_ns:
             break
-        bq = queries[first:first + batch]
-        emb = ev_engine.simulate_lookup(model, bq, geometry, scenario.timing, emap, ftl,
-                                        flash=flash, kc_e=kc_e)
-        device_ns, cols = stage(bq, emb)
-        for name, col in (("t0", [0] * len(bq)), ("emb_start", emb.flash_start_ns),
-                          ("emb_end", emb.e_ns), *cols.items()):
-            times[name].extend(t0 + t for t in col)
-        ev.extend(emb.ev_concat)
-        busy += emb.channel_busy_ns
-        t0 += device_ns
-        batches += 1
+        emb = ev_engine.simulate_lookup(model, queries[first:first + chunk], geometry,
+                                        scenario.timing, emap, ftl, flash=flash, kc_e=kc_e,
+                                        batch=batch)
+        device_ns, cols = stage(emb, batch)
+        dispatch = t0 + np.cumsum(device_ns) - device_ns
+        admitted = len(dispatch) if scenario.duration_ns is None else \
+            int(np.searchsorted(dispatch, scenario.duration_ns))
+        n = min(admitted * batch, len(emb.e_ns))
+        start = np.repeat(dispatch[:admitted], batch)[:n]
+        for name, col in {"t0": 0 * emb.e_ns, "emb_start": emb.flash_start_ns,
+                          "emb_end": emb.e_ns, **cols}.items():
+            times[name].append(start + col[:n])
+        ev.append(emb.ev_concat[:n])
+        busy += emb.channel_busy_ns[:admitted].sum(axis=0)
+        batches += admitted
+        t0 = int(dispatch[-1] + device_ns[-1])
+        if admitted < len(dispatch):
+            break
     return (defaultdict(lambda: np.zeros(0, dtype=np.int64),
-                        {k: np.array(v, dtype=np.int64) for k, v in times.items()}),
-            ev, busy, batches)
+                        {k: np.concatenate(v) for k, v in times.items()}),
+            np.concatenate(ev), busy, batches)
 
 
 def _score(model, queries, ev) -> list[float]:
@@ -279,16 +301,21 @@ def _result(scenario: Scenario, queries, ev, start, done, stages, busy,
     return RunResult(metrics, _score(scenario.model, queries[:n], ev), latencies, spans)
 
 
-def run(scenario: Scenario, seed: int) -> RunResult:
-    scenario.validate()
-    model = scenario.model
-    spec = model.spec
+def _workload(scenario: Scenario, seed: int) -> list:
     wl = scenario.workload
-    queries = []
-    if scenario.query_count >= 1:
-        queries = generate_workload(spec, wl.distribution, wl.pooling,
-                                    scenario.query_count, seed, wl.zipf_s)
-    env = make_lookup_env(model, scenario.geometry)
+    if scenario.query_count < 1:
+        return []
+    return generate_workload(scenario.model.spec, wl.distribution, wl.pooling,
+                             scenario.query_count, seed, wl.zipf_s)
+
+
+def run(scenario: Scenario, seed: int, queries: list | None = None) -> RunResult:
+    """Simulate the scenario on the workload drawn with `seed`; `queries` is
+    that workload when the caller has drawn it already."""
+    scenario.validate()
+    if queries is None:
+        queries = _workload(scenario, seed)
+    env = make_lookup_env(scenario.model, scenario.geometry)
     runner = {MODE_RMSSD: _run_rmssd, MODE_EMB_VECTORSUM: _run_emb_vectorsum,
               MODE_SSD_BASELINE: _run_baseline}[scenario.mode]
     return runner(scenario, queries, seed, env)
@@ -313,19 +340,32 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, env) -> RunResult:
     top_layers = make_layers(spec.top_mlp_dims)
     floors_b, floors_t = spill_floor_cycles(spec, scenario.resource_model, timing)
     period = timing.clock_period_ns
+    # the bottom MLP's inputs are all at cycle 0, so its schedule depends
+    # only on the batch size
+    bottoms = {}
 
-    def stage(bq, emb):
-        bot = pipeline_schedule(bottom_layers, assignment.bottom, period,
-                                inputs_at_cycles=[0] * len(bq), floor_cycles=floors_b)
-        e_cycles = [timing.ns_to_cycles(e) for e in emb.e_ns]
-        top = pipeline_schedule_decomposed(top_layers, assignment.top, period,
-                                           spec.bottom_out_width, spec.emb_out_width,
-                                           bot.completions, e_cycles, floor_cycles=floors_t)
-        s_ns = top.completions_ns()
-        return max(max(s_ns), emb.t_emb_ns), {
-            "bottom_end": bot.completions_ns(),
-            "top_start": [top.to_ns(e.start_cycle) for e in top.entries if e.layer == 0],
-            "done": s_ns}
+    def stage(emb, batch):
+        device, cols = [], defaultdict(list)
+        for b, first in enumerate(range(0, len(emb.e_ns), batch)):
+            e_ns = emb.e_ns[first:first + batch].tolist()
+            if len(e_ns) not in bottoms:
+                bot = pipeline_schedule(bottom_layers, assignment.bottom, period,
+                                        inputs_at_cycles=[0] * len(e_ns),
+                                        floor_cycles=floors_b)
+                bottoms[len(e_ns)] = bot.completions, bot.completions_ns()
+            bot_cycles, bot_ns = bottoms[len(e_ns)]
+            top = pipeline_schedule_decomposed(top_layers, assignment.top, period,
+                                               spec.bottom_out_width, spec.emb_out_width,
+                                               bot_cycles,
+                                               [timing.ns_to_cycles(e) for e in e_ns],
+                                               floor_cycles=floors_t)
+            s_ns = top.completions_ns()
+            device.append(max(max(s_ns), int(emb.t_emb_ns[b])))
+            cols["bottom_end"] += bot_ns
+            cols["top_start"] += [top.to_ns(e.start_cycle) for e in top.entries if e.layer == 0]
+            cols["done"] += s_ns
+        return np.array(device, dtype=np.int64), {k: np.array(v, dtype=np.int64)
+                                                  for k, v in cols.items()}
 
     times, ev, busy, batches = _drive(scenario, env, queries, batch, assignment.ev[1], stage)
     t0, done = times["t0"], times["done"]
@@ -345,7 +385,7 @@ def _run_emb_vectorsum(scenario: Scenario, queries, seed: int, env) -> RunResult
     xfer = timing.host_iface_ns(spec.emb_out_width * 4) + timing.host_overhead_ns
     # the device frees when the batch's lookups end
     times, ev, busy, batches = _drive(scenario, env, queries, scenario.batch, kc_e,
-                                      lambda bq, emb: (emb.t_emb_ns, {}))
+                                      lambda emb, batch: (emb.t_emb_ns, {}))
     t0, emb_end = times["t0"], times["emb_end"]
     ready = emb_end + xfer
     # the host MLP serves queries in order, so done_i = max(ready_i, done_{i-1})
@@ -442,7 +482,10 @@ def compare(scenarios: list[Scenario], seed: int) -> tuple[ComparisonReport, lis
             raise ValueError("scenarios must share one model")
         if s.workload != ref.workload or s.query_count != ref.query_count:
             raise ValueError("scenarios must share one workload")
-    results = [run(s, seed) for s in scenarios]
+    # the scenarios share one workload, drawn once
+    ref.validate()
+    queries = _workload(ref, seed)
+    results = [run(s, seed, queries) for s in scenarios]
     base = results[0].metrics
     rows = []
     for s, r in zip(scenarios, results):

@@ -9,22 +9,25 @@ Timing model (all durations are integer nanoseconds):
 * embedding reads outrank queued block I/O at both the die and the bus,
   non-preemptively; ties resolve by arrival then sequence number.
 
-Channels share nothing, so `schedule_page_reads` runs one loop per channel:
+A lane is a device of its own, idle at time 0, and its channels share
+nothing. So `schedule_page_reads` runs every active (lane, channel) pair in
+one lockstep loop, one transfer per pair and step, until the busiest pair
+has moved all its reads:
 
-* a die takes its next page at max(die free, first pending arrival),
-  choosing the least (priority, ready, seq) among the pages arrived by then;
-* the bus takes, at max(bus free, earliest sense end among the dies'
-  current pages), the least (priority, sense end, seq) among the pages
-  sensed by then; the transfer's end frees both the bus and the die.
+* the pair's bus takes, at max(bus free, earliest sense end among its dies'
+  current reads), the least (priority, sense end, seq) among the reads
+  sensed by then;
+* the transfer's end frees the bus and the die, which takes its next read at
+  max(die free, earliest pending arrival): the least (priority, ready, seq)
+  among the reads arrived by then, a masked minimum over the die's pending
+  reads in padded key matrices.
 
 The loop is the event-driven rule exactly when a sense and a page transfer
 each last at least 1 ns, so that no phase ends at the instant it starts;
 scenarios with shorter phases are rejected as configuration errors.
 """
 
-import heapq
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,11 +141,14 @@ def page_read_time(geometry: SsdGeometry, timing: TimingParams) -> int:
 
 @dataclass(frozen=True)
 class PageReads:
-    """Page reads as columns; a read's position is its sequence number."""
+    """Page reads as columns; a read's position is its sequence number. Each
+    lane is a device of its own, idle at time 0; ready times are relative to
+    that start."""
     channel: np.ndarray
     die: np.ndarray
     ready_ns: np.ndarray
     priority: np.ndarray    # EV_PRIORITY or BLOCK_PRIORITY
+    lane: np.ndarray | None = None      # lanes numbered from 0; None: one lane
 
     def __len__(self) -> int:
         return len(self.channel)
@@ -150,93 +156,166 @@ class PageReads:
 
 @dataclass(frozen=True)
 class PageSchedule:
-    """Per-read phase times, in the order of the scheduled `reads`."""
+    """Per-read phase times, in the order of the scheduled `reads`, each
+    relative to the start of the read's lane."""
     reads: PageReads
     sense_start_ns: np.ndarray
     sense_end_ns: np.ndarray
     xfer_start_ns: np.ndarray
     xfer_end_ns: np.ndarray
-    makespan_ns: int
+    makespan_ns: int                    # the latest transfer end of any lane
 
-    def channel_busy_ns(self, channels: int) -> list[int]:
-        """Union of each channel's die-busy intervals (sense start to transfer end)."""
-        channel = self.reads.channel
-        if len(channel) == 0:
-            return [0] * channels
-        # shift each channel onto its own stretch of the time line, then take
+    def channel_busy_ns(self, channels: int, lanes: int = 1) -> np.ndarray:
+        """Union of each (lane, channel)'s die-busy intervals (sense start to
+        transfer end), as a (lanes, channels) matrix."""
+        reads = self.reads
+        if len(reads) == 0:
+            return np.zeros((lanes, channels), dtype=np.int64)
+        lane = 0 if reads.lane is None else reads.lane
+        group = np.asarray(lane * channels + reads.channel, dtype=np.int64)
+        # shift each group onto its own stretch of the time line, then take
         # the part of every interval not covered by the ones starting before it
-        shift = channel.astype(np.int64) * (self.makespan_ns + 1)
+        shift = group * (self.makespan_ns + 1)
         start = self.sense_start_ns + shift
         order = np.argsort(start, kind="stable")
         start, end = start[order], (self.xfer_end_ns + shift)[order]
         covered = np.maximum.accumulate(np.concatenate(([0], end[:-1])))
         fresh = np.maximum(end - np.maximum(start, covered), 0)
-        return np.bincount(channel[order], weights=fresh, minlength=channels) \
-            .astype(np.int64).tolist()
+        return np.bincount(group[order], weights=fresh, minlength=lanes * channels) \
+            .astype(np.int64).reshape(lanes, channels)
+
+
+# a time no schedule reaches: the sense end of a die with no reads left
+_NEVER = 1 << 62
+
+
+def _pending_reads(slot: np.ndarray, ready: np.ndarray, rank: np.ndarray, ranks: int,
+                   slots: int, span: int):
+    """Each die slot's reads as one column of padded (width, slots) matrices,
+    rows in (ready, seq) order: their ready times, their (key, late key)
+    pairs and their positions (len(slot) for padding).
+
+    A read's key is rank * width + row, so the least key among the arrived
+    reads is the least (priority, ready, seq). Its late key adds (1 + the row
+    of the die's first read ready as early) * ranks * width, so with nothing
+    arrived the least late key is the least key among the earliest arrivals.
+    Both keys keep the row in their remainder."""
+    n = len(slot)
+    order = np.lexsort((ready, slot))
+    per_slot = np.bincount(slot, minlength=slots)
+    width = int(per_slot.max())
+    if ranks * max(span, (width + 2) * width) >= _NEVER // 2:
+        raise ValueError(f"page reads over {span} ns at {ranks} priority levels exceed "
+                         f"the schedulable range")
+    row = np.arange(n) - np.repeat(np.cumsum(per_slot) - per_slot, per_slot)
+    slot, ready = slot[order], ready[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (slot[1:] != slot[:-1]) | (ready[1:] != ready[:-1])
+    early = row[np.maximum.accumulate(np.where(first, np.arange(n), 0))]
+    key = rank[order] * width + row
+    at = row * slots + slot
+    ready_at = np.full((width, slots), _NEVER, dtype=np.int64)
+    ready_at.flat[at] = ready
+    keys_at = np.full((2, width, slots), _NEVER, dtype=np.int64)
+    keys_at.reshape(2, -1)[0, at] = key
+    keys_at.reshape(2, -1)[1, at] = key + (1 + early) * ranks * width
+    read_at = np.full(width * slots, n, dtype=np.int64)
+    read_at[at] = order
+    return width, ready_at, keys_at, read_at
 
 
 def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
                         timing: TimingParams) -> PageSchedule:
-    """Schedule page reads with the per-channel loop of the module docstring.
+    """Schedule page reads with the lockstep loop of the module docstring.
     Die and bus are both work-conserving."""
     sense = timing.sense_ns
     xfer = timing.xfer_ns(geometry.page_size)
     n = len(reads)
     channel = np.asarray(reads.channel, dtype=np.int64)
     die = np.asarray(reads.die, dtype=np.int64)
+    lane = np.zeros(n, dtype=np.int64) if reads.lane is None \
+        else np.asarray(reads.lane, dtype=np.int64)
+    ready = np.asarray(reads.ready_ns, dtype=np.int64)
     outside = (channel < 0) | (channel >= geometry.channels) \
-        | (die < 0) | (die >= geometry.dies_per_channel)
+        | (die < 0) | (die >= geometry.dies_per_channel) | (lane < 0)
     if outside.any():
         k = int(np.argmax(outside))
-        raise ValueError(f"read {k}: ({channel[k]}, {die[k]}) outside geometry")
+        raise ValueError(f"read {k}: lane {lane[k]}, ({channel[k]}, {die[k]}) "
+                         f"outside geometry")
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return PageSchedule(reads, empty, empty, empty, empty, 0)
 
-    # per die, its reads' keys (priority, ready, seq) in arrival order
-    die_key = channel * geometry.dies_per_channel + die
-    order = np.lexsort((reads.ready_ns, die_key))
-    bounds = np.searchsorted(die_key[order], np.arange(geometry.total_dies + 1)).tolist()
-    keys = list(zip(np.asarray(reads.priority).tolist(), np.asarray(reads.ready_ns).tolist(),
-                    range(n)))
-    keys = [keys[seq] for seq in order.tolist()]
-    sense_start = [0] * n
-    xfer_start = [0] * n
+    # number the active (lane, channel) pairs busiest first, so the pairs
+    # still moving reads at step s, those with more than s, are the first
+    # active[s]
+    dies = geometry.dies_per_channel
+    pair = lane * geometry.channels + channel
+    per_pair = np.bincount(pair)
+    busiest = np.argsort(-per_pair, kind="stable")
+    renumber = np.empty_like(busiest)
+    renumber[busiest] = np.arange(len(busiest))
+    pair = renumber[pair]
+    per_pair = per_pair[busiest]
+    pairs = int(np.count_nonzero(per_pair))
+    active = np.searchsorted(-per_pair, -np.arange(1, int(per_pair[0]) + 1), "right").tolist()
 
-    def start(die, free_ns):
-        """Start the die's next page once the die is free. Returns the page's
-        (priority, sense end, seq, die), or None when the die has none left."""
-        arrivals, waiting = die
-        if not waiting:
-            if not arrivals:
-                return None
-            free_ns = max(free_ns, arrivals[-1][1])
-        while arrivals and arrivals[-1][1] <= free_ns:
-            heapq.heappush(waiting, arrivals.pop())
-        prio, _, seq = heapq.heappop(waiting)
-        sense_start[seq] = free_ns
-        return prio, free_ns + sense, seq, die
+    rank = np.asarray(reads.priority, dtype=np.int64)
+    rank = rank - rank.min()
+    ranks = int(rank.max()) + 1
+    # every sense end lies below `span`, so rank * span + sense end orders the
+    # bus by (priority, sense end)
+    span = max(int(ready.max()), 0) + int(per_pair[0]) * (sense + xfer) + 1
+    slots = pairs * dies
+    width, ready_at, keys_at, read_at = _pending_reads(pair * dies + die, ready, rank, ranks,
+                                                       slots, span)
+    keys_flat = keys_at.reshape(2, -1)
+    # per read, and one more entry for a die with nothing left
+    ready_of = np.append(ready, _NEVER)
+    bus_rank = np.append(rank * span, 0)
+    sense_start = np.zeros(n + 1, dtype=np.int64)
+    xfer_start = np.zeros(n, dtype=np.int64)
 
-    sense_end_of = operator.itemgetter(1)
-    for ch in range(geometry.channels):
-        heads = []
-        for d in range(ch * geometry.dies_per_channel, (ch + 1) * geometry.dies_per_channel):
-            if bounds[d] < bounds[d + 1]:
-                arrivals = keys[bounds[d]:bounds[d + 1]][::-1]   # next arrival last
-                heads.append(start((arrivals, []), 0))
-        bus_free = 0
-        while heads:
-            now = max(bus_free, min(heads, key=sense_end_of)[1])
-            best = min(heads)
-            if best[1] > now:       # the most urgent page is still sensing
-                best = min(h for h in heads if h[1] <= now)
-            xfer_start[best[2]] = now
-            bus_free = now + xfer
-            nxt = start(best[3], bus_free)
-            if nxt is None:
-                heads.remove(best)
-            else:
-                heads[heads.index(best)] = nxt
+    def start(at_slots, free_ns, key, late, ready):
+        """Each die of `at_slots`, whose pending columns are `key`, `late` and
+        `ready`, takes its next read once free: at max(free, earliest pending
+        arrival), the least key arrived by then. Returns the reads (n for a
+        die with none left) and their sense ends."""
+        key = np.where(ready <= free_ns, key, late)
+        taken = key.min(axis=0) % width * slots + at_slots
+        read = read_at[taken]
+        keys_flat[:, taken] = _NEVER
+        read_at[taken] = n
+        t = np.maximum(free_ns, ready_of[read])
+        sense_start[read] = t
+        return read, t + sense
 
-    sense_start = np.array(sense_start, dtype=np.int64)
-    xfer_start = np.array(xfer_start, dtype=np.int64)
+    # each die's current read (head), its sense end and bus key, as
+    # (dies, pairs) matrices
+    head, head_end = (v.reshape(pairs, dies).T.copy()
+                      for v in start(np.arange(slots), 0, *keys_at, ready_at))
+    head_key = bus_rank[head] + head_end
+    flat = head.reshape(-1), head_end.reshape(-1), head_key.reshape(-1)
+    bus_free = np.zeros(pairs, dtype=np.int64)
+    first_die = np.arange(pairs) * dies
+    for k in active:
+        # each pair's bus takes the least (priority, sense end, seq) among its
+        # heads sensed by max(bus free, earliest sense end)
+        ends = head_end[:, :k]
+        now = np.maximum(bus_free[:k], ends.min(axis=0))
+        key = np.where(ends <= now, head_key[:, :k], _NEVER)
+        read = np.where(key == key.min(axis=0), head[:, :k], n).min(axis=0)
+        xfer_start[read] = now
+        bus_free[:k] = now = now + xfer
+        # the transfer's end frees the die, which starts its next read
+        d = die[read]
+        at_slots = first_die[:k] + d
+        nxt, end = start(at_slots, now, *keys_at.take(at_slots, axis=2),
+                         ready_at.take(at_slots, axis=1))
+        at_head = d * pairs + np.arange(k)
+        flat[0][at_head], flat[1][at_head], flat[2][at_head] = nxt, end, bus_rank[nxt] + end
+
+    sense_start = sense_start[:n]
     xfer_end = xfer_start + xfer
     return PageSchedule(reads, sense_start, sense_start + sense, xfer_start, xfer_end,
-                        int(xfer_end.max()) if n else 0)
+                        int(xfer_end.max()))

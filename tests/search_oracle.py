@@ -48,8 +48,8 @@ def enumerate_search(model, resource_model, geometry, timing, profile, space,
                                     profile.seed, profile.zipf_s)
         best = None
         for kc_e in kernel_options(spec.ev_dim):
-            emb_ns = ev_engine.simulate_lookup(model, queries, geometry, timing,
-                                               env[0], env[1], kc_e=kc_e).t_emb_ns
+            emb_ns = int(ev_engine.simulate_lookup(model, queries, geometry, timing,
+                                                   env[0], env[1], kc_e=kc_e).t_emb_ns[0])
             bot_times = {c: _stage_time(bottom, c, batch, timing, floors_b)
                          for c in bot_combos}
             top_times = {c: _stage_time(top, c, batch, timing, floors_t)

@@ -11,8 +11,9 @@ import recssd.config
 import recssd.ev_engine
 import recssd.kernel_search
 import recssd.sim
+from recssd.kernel_search import make_lookup_env
 from recssd.mlp_engine import KernelAssignment
-from recssd.recmodel import build_model, desk_model_spec
+from recssd.recmodel import build_model, desk_model_spec, generate_workload
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE, Scenario,
                         WorkloadConfig)
 from recssd.storage import SsdGeometry, TimingParams
@@ -48,4 +49,12 @@ def test_traced_compare_spans_every_layer():
     for name in ("recmodel.scoring", "mlp_engine.pipeline_schedule",
                  "ev_engine.translate_batch", "storage.schedule_page_reads"):
         assert name in total, name
-    assert counts["requests"] > 0 and counts["page_reads"] > 0
+    # the two device modes look up the run's batches of two; the counters
+    # total what one translate and dispatch call per batch would make
+    queries = generate_workload(spec, "uniform", 8, 6, 5)
+    emap, ftl = make_lookup_env(model, scenarios[0].geometry)
+    requests = [recssd.ev_engine.translate_batch(emap, ftl, queries[i:i + 2])
+                for i in range(0, 6, 2)]
+    assert counts["requests"] == 2 * sum(map(len, requests)) > 0
+    assert counts["page_reads"] == 2 * sum(len(recssd.ev_engine.dispatch(r))
+                                           for r in requests) > 0

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -128,6 +133,23 @@ class TestValidate:
     def test_bad_kernels_block(self, tmp_path):
         path = write(tmp_path, "bad.yaml", "kernels: {bottom: [[1, 1]]}\n")
         assert main(["validate", path]) == 2
+
+    def test_model_too_large_to_materialise(self, tmp_path):
+        # 3e9 rows of 16 floats is 179 GiB: under a 2 GB address-space cap
+        # building the tables fails, which is a config error, not an internal one
+        path = write(tmp_path, "big.yaml",
+                     "model: {preset: custom, dense_dim: 13, bottom_mlp_dims: [13, 16],"
+                     " top_mlp_dims: [32, 1], ev_dim: 16, table_rows: [3000000000]}\n")
+        cap = 2_000_000_000
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        for command in ("validate", "run"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "recssd.cli", command, path],
+                env=env, capture_output=True, text=True, timeout=120,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+            assert proc.returncode == 2, proc.stderr
+            assert "too large to materialise" in proc.stderr
 
 
 class TestRun:

@@ -205,8 +205,18 @@ class TestSimulateLookup:
         emap, ftl = make_lookup_env(model, GEO)
         qs = [Query([[5]], np.zeros(2, np.float32))]
         res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
-        assert res.e_ns == [page_read_time(GEO, TP)]
-        assert res.t_emb_ns == page_read_time(GEO, TP)
+        assert res.e_ns.tolist() == [page_read_time(GEO, TP)]
+        assert res.t_emb_ns.tolist() == [page_read_time(GEO, TP)]
+
+    def test_bad_queries_rejected(self):
+        model = flat_model(num_tables=2, rows=100)
+        emap, ftl = make_lookup_env(model, GEO)
+        good = Query([[1], [2]], np.zeros(2, np.float32))
+        for bad, match in ((Query([[1], [100]], np.zeros(2, np.float32)), "table 1: index 100"),
+                           (Query([[1]], np.zeros(2, np.float32)), "index lists"),
+                           (Query([[1], [2]], np.zeros(3, np.float32)), "dense vector shape")):
+            with pytest.raises(ValueError, match=match):
+                simulate_lookup(model, [good, bad], GEO, TP, emap, ftl)
 
     def test_identical_queries_identical_latency(self):
         model = flat_model(num_tables=2, rows=4096, seed=5)
@@ -253,7 +263,7 @@ class TestSimulateLookup:
         direct = simulate_lookup(model, qs, GEO, TP, emap, ftl)
         for a, b in zip(via_flash.ev_concat, direct.ev_concat):
             assert np.array_equal(a, b)
-        assert via_flash.e_ns == direct.e_ns
+        assert via_flash.e_ns.tolist() == direct.e_ns.tolist()
 
     def test_batch_against_from_scratch_event_oracle(self):
         model = flat_model(num_tables=4, rows=4096, seed=7)
@@ -284,8 +294,8 @@ class TestSimulateLookup:
         adder_items = [(arrivals[g], s, (qid, t)) for qid, t, s, g in items]
         done = adder_oracle(adder_items, TP.cycles_to_ns(16 // kc_e), group=lambda k: k[0])
         want_e = [max(done[(qid, t)] for t in range(4)) for qid in range(64)]
-        assert res.e_ns == want_e
-        assert res.t_emb_ns == max(want_e)
+        assert res.e_ns.tolist() == want_e
+        assert res.t_emb_ns.tolist() == [max(want_e)]
 
     def test_fragmented_layout_and_per_table_pooling(self):
         # three tables whose files are fragmented out of LBA order, with 1, 3
@@ -329,14 +339,52 @@ class TestSimulateLookup:
         times, _ = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
         adder_items = [(times[order.index(p)][3], s, (qid, t)) for qid, t, s, p in items]
         done = adder_oracle(adder_items, TP.cycles_to_ns(ev_dim // kc_e), group=lambda k: k[0])
-        assert res.e_ns == [max(done[(qid, t)] for t in range(3)) for qid in range(len(qs))]
+        assert res.e_ns.tolist() == [max(done[(qid, t)] for t in range(3))
+                                    for qid in range(len(qs))]
         for q, concat in zip(qs, res.ev_concat):
             want = np.concatenate([fold_sum_rows(model.tables[t].values, q.indices[t])
                                    for t in range(3)])
             assert concat.tobytes() == want.tobytes()
         direct = simulate_lookup(model, qs, GEO, TP, emap, ftl, kc_e=kc_e)
         assert direct.ev_concat.tobytes() == res.ev_concat.tobytes()
-        assert direct.e_ns == res.e_ns
+        assert direct.e_ns.tolist() == res.e_ns.tolist()
+
+    def test_whole_run_equals_per_batch_calls(self):
+        # the fragmented, mixed-pooling layout above, 11 queries as batches of
+        # 4: one call with a lane per batch equals one call per batch
+        rows, ev_dim = 1000, 16
+        spec = ModelSpec(tables=(TableSpec(rows, ev_dim),) * 3, bottom_mlp_dims=(2, 2),
+                         top_mlp_dims=(2 + 3 * ev_dim, 1), dense_dim=2)
+        model = build_model(spec, 12)
+        layouts = [[FileExtent(800, 7 * 8), FileExtent(80, 5 * 8), FileExtent(400, 4 * 8)],
+                   [FileExtent(1200, 3 * 8), FileExtent(16, 8 * 8), FileExtent(600, 5 * 8)],
+                   [FileExtent(1000, 16 * 8)]]
+        emap = build_extent_map(spec, layouts, GEO)
+        ftl = Ftl(GEO, emap.max_lba_end() // 8)
+        flash = build_flash_image(model.tables, emap, GEO)
+        rng = np.random.default_rng(48)
+        # few rows per table, so batches share pages and each lane coalesces
+        qs = [Query([rng.integers(0, 200, p).tolist() for p in (1, 3, 8)],
+                    np.zeros(2, np.float32)) for _ in range(11)]
+        batch, kc_e = 4, 2
+        whole = simulate_lookup(model, qs, GEO, TP, emap, ftl, flash=flash, kc_e=kc_e,
+                                batch=batch)
+        parts = [simulate_lookup(model, qs[i:i + batch], GEO, TP, emap, ftl, flash=flash,
+                                 kc_e=kc_e) for i in range(0, len(qs), batch)]
+        assert whole.ev_concat.tobytes() == np.concatenate([p.ev_concat for p in parts]).tobytes()
+        for name in ("e_ns", "flash_start_ns", "t_emb_ns", "arrival_ns"):
+            assert getattr(whole, name).tolist() == \
+                np.concatenate([getattr(p, name) for p in parts]).tolist(), name
+        assert whole.channel_busy_ns.tolist() == \
+            np.concatenate([p.channel_busy_ns for p in parts]).tolist()
+        assert len(whole.requests) == sum(len(p.requests) for p in parts)
+        assert len(whole.reads) == sum(len(p.reads) for p in parts) < len(whole.requests)
+        for lane, p in enumerate(parts):
+            mine = whole.reads.lane == lane
+            assert whole.reads.page[mine].tolist() == p.reads.page.tolist()
+            for name in ("sense_start_ns", "xfer_start_ns", "xfer_end_ns"):
+                assert getattr(whole.schedule, name)[mine].tolist() == \
+                    getattr(p.schedule, name).tolist()
 
     def test_work_conservation(self):
         model = flat_model(rows=64 * 64, seed=9)

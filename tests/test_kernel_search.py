@@ -138,7 +138,7 @@ class TestSearch:
         emap, ftl = make_lookup_env(m, GEO)
         for dist, batch in (("uniform", 2), ("zipf", 16)):
             queries = generate_workload(m.spec, dist, 8, batch, 5)
-            want = {k: simulate_lookup(m, queries, GEO, TP, emap, ftl, kc_e=k).t_emb_ns
+            want = {k: int(simulate_lookup(m, queries, GEO, TP, emap, ftl, kc_e=k).t_emb_ns[0])
                     for k in kernel_options(m.spec.ev_dim)}
             assert emb_budgets(m, queries, GEO, TP, emap, ftl) == want
 

@@ -320,6 +320,35 @@ class TestMetricsAndDeterminism:
             assert r.scores == r_full.scores[:n], mode
             assert r.spans == [s for s in r_full.spans if s[0] < n], mode
 
+    def test_chunks_are_invisible_and_cut_inside_the_second(self, monkeypatch):
+        # batches of 3 over 1121 queries: three chunks at CHUNK_QUERIES = 512,
+        # the last batch partial; a cut inside the second chunk keeps a prefix
+        from recssd import sim
+        m = rmc3()
+        count, batch = 1121, 3
+        chunk = sim.CHUNK_QUERIES // batch * batch
+        assert count % batch and 2 * chunk < count
+        for mode, kw in ((MODE_RMSSD, {"kernels": ALLMAX}), (MODE_EMB_VECTORSUM, {})):
+            r_full = run(scenario(mode, m, count, batch=batch, **kw), 4)
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "CHUNK_QUERIES", 10 * count)
+                r_one = run(scenario(mode, m, count, batch=batch, **kw), 4)
+            assert metrics_json(r_full.metrics) == metrics_json(r_one.metrics), mode
+            assert r_full.spans == r_one.spans and r_full.scores == r_one.scores, mode
+            # dispatch times: the end of each query's last span minus its latency
+            t0 = [s[3] - lat for s, lat in zip(r_full.spans[2::3], r_full.latencies_ns)]
+            # a batch is dispatched while its t0 is before the cut
+            cut = t0[chunk + 40 * batch]
+            r = run(scenario(mode, m, count, batch=batch, duration_ns=cut, **kw), 4)
+            n = r.metrics.issued
+            assert n == chunk + 40 * batch, mode
+            assert r.latencies_ns == r_full.latencies_ns[:n], mode
+            assert r.scores == r_full.scores[:n], mode
+            assert r.spans == [s for s in r_full.spans if s[0] < n], mode
+            # and it is the uncut run of those queries, busy times included
+            r_prefix = run(scenario(mode, m, n, batch=batch, **kw), 4)
+            assert metrics_json(r.metrics) == metrics_json(r_prefix.metrics), mode
+
     def test_zero_duration_admits_nothing_in_every_mode(self):
         m = rmc3()
         for mode, kw in ((MODE_RMSSD, {"kernels": ALLMAX}), (MODE_EMB_VECTORSUM, {}),

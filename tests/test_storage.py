@@ -150,11 +150,11 @@ class TestHostBlockRead:
             assert host_block_read(ftl, 0, 3 * 4096, tp) >= base
 
 
-def page_reads(rows):
+def page_reads(rows, lane=None):
     """PageReads from (ready, priority, channel, die) rows; seq is the row."""
     ready, priority, channel, die = (np.array(col, dtype=np.int64).reshape(-1)
                                      for col in zip(*rows))
-    return PageReads(channel, die, ready, priority)
+    return PageReads(channel, die, ready, priority, lane)
 
 
 class TestSchedulePageReads:
@@ -200,6 +200,39 @@ class TestSchedulePageReads:
                    for _, rows in tied)
         assert any(len({p for _, p, ch, d in rows if (ch, d) == (0, 0)}) == 2
                    for _, rows in tied)
+
+        # the cases of one geometry as the lanes of one call, their reads
+        # interleaved: each lane is scheduled as if alone on an idle device
+        by_geo = {}
+        for geo, rows in cases:
+            by_geo.setdefault(geo, []).append(rows)
+        multi = [lanes for lanes in by_geo.values() if len(lanes) > 1]
+        assert len(multi) >= 5 and max(map(len, multi)) >= 4
+        for geo, lanes in by_geo.items():
+            label = rng.permutation(np.repeat(np.arange(len(lanes)), list(map(len, lanes))))
+            pending = [iter(rows) for rows in lanes]
+            sched = schedule_page_reads(page_reads([next(pending[l]) for l in label], label),
+                                        geo, self.tp)
+            busy = sched.channel_busy_ns(geo.channels, len(lanes))
+            for l, rows in enumerate(lanes):
+                alone, oracle, _ = self.run_both(page_reads(rows), geo)
+                mine = label == l
+                for name in ("sense_start_ns", "sense_end_ns", "xfer_start_ns", "xfer_end_ns"):
+                    assert getattr(sched, name)[mine].tolist() == \
+                        getattr(alone, name).tolist()
+                assert list(zip(sched.sense_start_ns[mine].tolist(),
+                                sched.sense_end_ns[mine].tolist(),
+                                sched.xfer_start_ns[mine].tolist(),
+                                sched.xfer_end_ns[mine].tolist())) == \
+                    [oracle[seq] for seq in range(len(rows))]
+                assert busy[l].tolist() == alone.channel_busy_ns(geo.channels)[0].tolist()
+
+    def test_out_of_range_keys_rejected(self):
+        # the lockstep keys are int64: priorities this far apart cannot be
+        # ranked against sense ends, so the call refuses instead of wrapping
+        reads = page_reads([(0, 0, 0, 0), (0, 1 << 61, 0, 0)])
+        with pytest.raises(ValueError, match="schedulable range"):
+            schedule_page_reads(reads, GEO4, self.tp)
 
     def test_work_conservation(self):
         rng = np.random.default_rng(34)
