@@ -224,29 +224,22 @@ class FlashImage:
 
 
 def build_flash_image(tables, emap: ExtentMap, geometry: SsdGeometry) -> FlashImage:
-    buf = bytearray(emap.max_lba_end() * geometry.lba_size)
+    image = FlashImage(bytearray(emap.max_lba_end() * geometry.lba_size), geometry.page_size,
+                       emap.ev_dim)
     rpp = emap.rows_per_page
+    # each extent's rows go straight into their page slots: the full pages,
+    # then the last page's rows; slots past a table's end and page tails stay
+    # zero. `image.rows` is a view of the buffer, so slicing it writes through.
     for t, extents in enumerate(emap.table_extents):
         values = tables[t].values
-        pages = -(-emap.rows[t] // rpp)
-        padded = np.zeros((pages * rpp, emap.ev_dim), dtype="<f4")
-        padded[: emap.rows[t]] = values
         for e in extents:
-            epages = -(-e.index_count // rpp)
-            first_page = e.index_start // rpp
-            chunk = padded[first_page * rpp: (first_page + epages) * rpp]
-            start = e.start_lba * geometry.lba_size
-            raw = chunk.tobytes()
-            # pad the page tail beyond rows_per_page * ev_bytes, if any
-            page_rows_bytes = rpp * emap.ev_bytes
-            if page_rows_bytes == geometry.page_size:
-                buf[start: start + len(raw)] = raw
-            else:
-                for p in range(epages):
-                    s = p * page_rows_bytes
-                    buf[start + p * geometry.page_size:
-                        start + p * geometry.page_size + page_rows_bytes] = raw[s: s + page_rows_bytes]
-    return FlashImage(buf, geometry.page_size, emap.ev_dim)
+            page = e.start_lba // emap.lbas_per_page
+            full, tail = divmod(e.index_count, rpp)
+            rows = values[e.index_start: e.index_start + e.index_count]
+            image.rows[page: page + full] = rows[:full * rpp].reshape(full, rpp, emap.ev_dim)
+            if tail:
+                image.rows[page + full, :tail] = rows[full * rpp:]
+    return image
 
 
 def adder_done_ns(pooling: np.ndarray, arrival_ns: np.ndarray, ev_dim: int,

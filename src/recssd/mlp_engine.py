@@ -25,6 +25,7 @@ caps the benefit at 2x for long equal stacks.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -163,11 +164,13 @@ def eval_decomposed(w_bottom: np.ndarray, w_emb: np.ndarray, bias: np.ndarray,
 
 @dataclass
 class LayerQuerySchedule:
+    """One query's pass through one layer. A schedule of lanes gives every
+    cycle field a leading lane axis."""
     layer: int
     query: int
     scan: str
-    start_cycle: int
-    end_cycle: int                      # completion incl. fill
+    start_cycle: int | np.ndarray
+    end_cycle: int | np.ndarray         # completion incl. fill
     # int64 cycle arrays, None for the other scan: a column layer emits group g
     # at emissions[g-1]; a row layer has each input chunk's ready/start/end cycle
     emissions: np.ndarray | None = None
@@ -178,63 +181,127 @@ class LayerQuerySchedule:
 
 @dataclass
 class PipelineSchedule:
-    entries: list[LayerQuerySchedule]
-    makespan_cycles: int
+    """One batch's schedule, or one per lane. `passes[i]` is query
+    i // len(scans) through layer i % len(scans): (start, end, emissions)
+    for a column layer and (unit free, end, chunk ready, chunk end) for a row
+    layer, where the start, end and unit-free cycles are (lanes, 1) columns
+    and the arrays (lanes, groups) or (lanes, chunks). The properties read
+    them per lane when `lanes` is set, and as one batch's ints and lists
+    otherwise."""
+    passes: list[tuple]
+    scans: list[str]
     clock_period_ns: float
-    completions: list[int]              # per-query last-layer completion, cycles
+    lanes: bool
 
-    def to_ns(self, cycles: int) -> int:
-        return round(cycles * self.clock_period_ns)
+    @cached_property
+    def completions(self) -> list[int] | np.ndarray:
+        """Each query's last-layer completion in cycles, (lanes, queries)
+        for lanes."""
+        n = len(self.scans)
+        done = np.concatenate([p[1] for p in self.passes[n - 1::n]], axis=1)
+        return done if self.lanes else done[0].tolist()
+
+    @property
+    def makespan_cycles(self) -> int | np.ndarray:
+        return self.completions.max(axis=1) if self.lanes else max(self.completions)
+
+    @cached_property
+    def entries(self) -> list[LayerQuerySchedule]:
+        out = []
+        for i, p in enumerate(self.passes):
+            q, l = divmod(i, len(self.scans))
+            if self.scans[l] == SCAN_ROW:
+                free, end_cycle, ready, end = p
+                # a chunk starts once it is ready and the unit is free
+                start = np.maximum(ready, np.concatenate((free, end[:, :-1]), axis=1))
+                cycles = start[:, :1], end_cycle
+                arrays = {"chunk_ready": ready, "chunk_start": start, "chunk_end": end}
+            else:
+                cycles, arrays = p[:2], {"emissions": p[2]}
+            if self.lanes:
+                cycles = [c[:, 0] for c in cycles]
+            else:
+                cycles = [int(c[0, 0]) for c in cycles]
+                arrays = {k: a[0] for k, a in arrays.items()}
+            out.append(LayerQuerySchedule(l, q, self.scans[l], *cycles, **arrays))
+        return out
 
     @property
     def makespan_ns(self) -> int:
-        return self.to_ns(self.makespan_cycles)
-
-    def completions_ns(self) -> list[int]:
-        return [self.to_ns(c) for c in self.completions]
+        """One batch's makespan in ns."""
+        return round(self.makespan_cycles * self.clock_period_ns)
 
 
-def _stream_floor(done_work: np.ndarray, total_work: int, floor: int) -> np.ndarray | int:
+def _stream_floor(done_work: np.ndarray, total_work: int, floor: int) -> np.ndarray:
     # completing a fraction of the work also waits for that fraction of the
     # fetch: an exact integer ceiling, as floor and work are bounded cycle counts
-    if floor <= 0:
-        return 0
     return -(-floor * done_work // total_work)
 
 
-def _column_pass(split_chunks: int, chunks: int, groups: int, fill: int, ready_b: int,
-                 ready_e: int, unit_free: int, floor: int) -> tuple[int, int, np.ndarray]:
+@lru_cache(maxsize=16)
+def _issued(chunks: int, groups: int) -> np.ndarray:
+    """Input chunks a column pass has issued when each output group emits."""
+    issued = np.arange(1, groups + 1, dtype=np.int64) * chunks
+    issued.setflags(write=False)
+    return issued
+
+
+@lru_cache(maxsize=16)
+def _row_chunks(in_width: int, kr: int, kc_prev: int, groups: int) -> tuple[np.ndarray, ...]:
+    """A row pass's input chunks: the previous layer's output group holding
+    each chunk's last input, and each chunk's offset j*groups."""
+    chunks = -(-in_width // kr)
+    last_input = np.minimum(np.arange(kr - 1, chunks * kr, kr, dtype=np.int64), in_width - 1)
+    out = last_input // kc_prev, np.arange(0, chunks * groups, groups, dtype=np.int64)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _column_pass(split_chunks: int, chunks: int, groups: int, fill: int, ready_b: np.ndarray,
+                 ready_e: np.ndarray, unit_free: np.ndarray,
+                 floor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column pass whose first `split_chunks` input chunks (a split first
     layer's bottom half) start at `ready_b` and whose other `chunks` wait for
-    `ready_e`; group g emits once its last chunk is issued. Returns (start,
-    issue end, emissions)."""
-    start_b = max(ready_b, unit_free)
-    start_e = max(start_b + split_chunks * groups, ready_e)
-    work = (split_chunks + chunks) * groups
-    issued = np.arange(1, groups + 1, dtype=np.int64) * chunks
-    stream = _stream_floor(split_chunks * groups + issued, work, floor) - (start_e - start_b)
-    emissions = start_e + fill + np.maximum(issued, stream)
-    issue_end = max(start_e + chunks * groups, start_b + max(work, floor))
-    return start_b, issue_end, emissions
+    `ready_e`; group g emits once its last chunk is issued. Per-lane cycles
+    are (lanes, 1) columns. Returns (start, issue end, emissions), the last
+    (lanes, groups)."""
+    start_b = np.maximum(ready_b, unit_free)
+    start_e = np.maximum(start_b + split_chunks * groups, ready_e)
+    issued = _issued(chunks, groups)
+    issue_end = start_e + chunks * groups
+    if floor > 0:
+        work = (split_chunks + chunks) * groups
+        issued = np.maximum(issued, _stream_floor(split_chunks * groups + issued, work, floor)
+                            - (start_e - start_b))
+        issue_end = np.maximum(issue_end, start_b + max(work, floor))
+    return start_b, issue_end, start_e + fill + issued
 
 
 def _row_pass(emis_prev: np.ndarray, kc_prev: int, kr: int, in_width: int, groups: int,
-              unit_free: int, floor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              unit_free: np.ndarray, floor: int) -> tuple[np.ndarray, np.ndarray]:
     """Row pass over input chunks of `kr`, each ready when the previous
-    layer emits the group holding its last input. Returns per-chunk (ready,
-    start, end)."""
-    chunks = -(-in_width // kr)
-    last_input = np.minimum(np.arange(kr - 1, chunks * kr, kr, dtype=np.int64), in_width - 1)
-    ready = emis_prev[last_input // kc_prev]
-    s0 = max(int(ready[0]), unit_free)
+    layer emits the group holding its last input; `emis_prev` is (lanes,
+    groups) and `unit_free` a (lanes, 1) column. Returns each lane's
+    per-chunk (ready, end), (lanes, chunks) each."""
+    gather, offset = _row_chunks(in_width, kr, kc_prev, groups)
+    ready = emis_prev[:, gather]
     # chunk j ends at max(c_j, end_{j-1} + g), c_j = max(ready_j + g, s0 + floor_j),
     # end_{-1} = unit_free; unrolled, end_j = j*g + max(unit_free + g,
-    # max_{k<=j}(c_k - k*g)), one running max with offset_j = j*g
-    offset = np.arange(0, chunks * groups, groups, dtype=np.int64)
-    c = np.maximum(ready + groups, s0 + _stream_floor(offset + groups, chunks * groups, floor))
-    end = offset + np.maximum(unit_free + groups, np.maximum.accumulate(c - offset))
-    start = np.maximum(ready, np.concatenate(([unit_free], end[:-1])))
-    return ready, start, end
+    # max_{k<=j}(c_k - k*g)), one running max with offset_j = j*g. Without a
+    # floor, c_j = ready_j + g: s0 = max(ready_0, unit_free) is below both
+    # ready_0 + g and unit_free + g. The steps run in place, as a chunk's
+    # lanes make these matrices large.
+    end = ready + groups
+    if floor > 0:
+        s0 = np.maximum(ready[:, :1], unit_free)
+        np.maximum(end, s0 + _stream_floor(offset + groups, len(offset) * groups, floor),
+                   out=end)
+    end -= offset
+    np.maximum.accumulate(end, axis=1, out=end)
+    np.maximum(end, unit_free + groups, out=end)
+    end += offset
+    return ready, end
 
 
 def pipeline_schedule(layers: list[FcLayerSpec], kernels, clock_period_ns: float,
@@ -276,6 +343,11 @@ def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels,
     ready; the embedding half starts when the summed vectors arrive, and only
     then do output groups emit. Remaining layers follow the generic rules.
     With `bottom_width` 0 the first layer is an ordinary column-scan layer.
+
+    `emb_ready_cycles` is one batch's per-query cycles, or a (lanes,
+    queries) matrix of batches that each start on idle units, pay the floors
+    and share `bottom_ready_cycles`. For a matrix, the entries' cycles and
+    the completions are per lane.
     """
     n = len(top_layers)
     L0 = top_layers[0]
@@ -283,37 +355,43 @@ def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels,
         raise ValueError("decomposed first layer must be column scan")
     if L0.in_width != bottom_width + emb_width:
         raise ValueError("split widths inconsistent with first-layer input width")
-    B = len(bottom_ready_cycles)
-    if len(emb_ready_cycles) != B:
+    emb = np.asarray(emb_ready_cycles, dtype=np.int64)
+    bot = np.asarray(bottom_ready_cycles, dtype=np.int64)[None]
+    if bot.shape[1:] != emb.shape[-1:]:
         raise ValueError("availability lists differ in length")
+    lanes = emb.ndim == 2
+    emb = emb if lanes else emb[None]
     floors = list(floor_cycles) if floor_cycles is not None else [0] * n
 
-    unit_free = [0] * n
-    entries: list[LayerQuerySchedule] = []
-    completions = []
-    for q in range(B):
+    # each layer's pass shape; only layer 0 has a split (bottom) half
+    shapes, fills = [], [fill_cycles(kr) for kr, _ in kernels]
+    for l, layer in enumerate(top_layers):
+        kr, kc = kernels[l]
+        groups = -(-layer.out_width // kc)
+        if layer.scan == SCAN_ROW:
+            shapes.append((kernels[l - 1][1], kr, layer.in_width, groups))
+        else:
+            split = bottom_width if l == 0 else 0
+            shapes.append((-(-split // kr), -(-(layer.in_width - split) // kr), groups,
+                           fills[l]))
+    scans = [layer.scan for layer in top_layers]
+
+    unit_free = [np.zeros((len(emb), 1), dtype=np.int64)] * n
+    passes = []
+    for q in range(emb.shape[1]):
         # layer 0's bottom half waits for the bottom MLP and its embedding half
         # for the summed vectors; a later column layer waits for its input layer
-        split, ready_b, ready_e = bottom_width, bottom_ready_cycles[q], emb_ready_cycles[q]
-        for l, layer in enumerate(top_layers):
-            kr, kc = kernels[l]
-            groups = -(-layer.out_width // kc)
-            fill = fill_cycles(kr)
+        ready_b, ready_e = bot[:, q:q + 1], emb[:, q:q + 1]
+        for l, scan in enumerate(scans):
             floor = floors[l] if q == 0 else 0
-            if layer.scan == SCAN_ROW:
-                ready, start, end = _row_pass(prev.emissions, kernels[l - 1][1], kr,
-                                              layer.in_width, groups, unit_free[l], floor)
-                issue_end = int(end[-1])
-                entry = LayerQuerySchedule(l, q, SCAN_ROW, int(start[0]), issue_end + fill,
-                                           chunk_ready=ready, chunk_start=start, chunk_end=end)
+            if scan == SCAN_ROW:
+                ready, end = _row_pass(emissions, *shapes[l], unit_free[l], floor)
+                issue_end = end[:, -1:]
+                passes.append((unit_free[l], issue_end + fills[l], ready, end))
             else:
-                start, issue_end, emissions = _column_pass(
-                    -(-split // kr), -(-(layer.in_width - split) // kr), groups, fill,
-                    ready_b, ready_e, unit_free[l], floor)
-                entry = LayerQuerySchedule(l, q, SCAN_COLUMN, start, issue_end + fill,
-                                           emissions=emissions)
+                start, issue_end, emissions = _column_pass(*shapes[l], ready_b, ready_e,
+                                                           unit_free[l], floor)
+                passes.append((start, issue_end + fills[l], emissions))
             unit_free[l] = issue_end
-            entries.append(entry)
-            prev, split, ready_b, ready_e = entry, 0, entry.end_cycle, entry.end_cycle
-        completions.append(prev.end_cycle)
-    return PipelineSchedule(entries, max(completions), clock_period_ns, completions)
+            ready_b = ready_e = passes[-1][1]
+    return PipelineSchedule(passes, scans, clock_period_ns, lanes)

@@ -18,12 +18,12 @@ is dispatched while queries remain and its ``t0`` is before ``duration_ns``.
 The loop looks up fixed-size chunks of batches in one ``simulate_lookup``
 call each, one batch per lane of the page scheduler's lockstep loop, and the
 mode's stage function gives each batch's device time and its own per-query
-columns. rmssd schedules the bottom MLP once per batch size and the top MLP
-once per batch. What follows the device is closed-form over the run's
-columns: emb-vectorsum's in-order host MLP queue is a max-plus scan, and the
-baseline's serial queries start at the running sum of their times, so
-``duration_ns`` admits a prefix of them. ``compare`` draws the shared
-workload once and runs every scenario on it.
+columns. rmssd schedules the bottom MLP once per run and the top MLP once per
+chunk, one batch per lane of the pipeline scheduler. What follows the device
+is closed-form over the run's columns: emb-vectorsum's in-order host MLP
+queue is a max-plus scan, and the baseline's serial queries start at the
+running sum of their times, so ``duration_ns`` admits a prefix of them.
+``compare`` draws the shared workload once and runs every scenario on it.
 
 Per-query latency is measured from the dispatch of the query's batch (from
 the start of its processing for the baseline). A run is scored in one forward
@@ -340,32 +340,32 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, env) -> RunResult:
     top_layers = make_layers(spec.top_mlp_dims)
     floors_b, floors_t = spill_floor_cycles(spec, scenario.resource_model, timing)
     period = timing.clock_period_ns
-    # the bottom MLP's inputs are all at cycle 0, so its schedule depends
-    # only on the batch size
-    bottoms = {}
+    # a query's schedule depends only on the queries before it in its batch,
+    # and the bottom MLP's inputs are all at cycle 0: one bottom schedule
+    # serves every batch, a partial one reading its prefix
+    bottom = pipeline_schedule(bottom_layers, assignment.bottom, period,
+                               inputs_at_cycles=[0] * batch, floor_cycles=floors_b).completions
+    bottom_ns = np.rint(np.array(bottom) * period).astype(np.int64)
 
     def stage(emb, batch):
-        device, cols = [], defaultdict(list)
-        for b, first in enumerate(range(0, len(emb.e_ns), batch)):
-            e_ns = emb.e_ns[first:first + batch].tolist()
-            if len(e_ns) not in bottoms:
-                bot = pipeline_schedule(bottom_layers, assignment.bottom, period,
-                                        inputs_at_cycles=[0] * len(e_ns),
-                                        floor_cycles=floors_b)
-                bottoms[len(e_ns)] = bot.completions, bot.completions_ns()
-            bot_cycles, bot_ns = bottoms[len(e_ns)]
-            top = pipeline_schedule_decomposed(top_layers, assignment.top, period,
-                                               spec.bottom_out_width, spec.emb_out_width,
-                                               bot_cycles,
-                                               [timing.ns_to_cycles(e) for e in e_ns],
-                                               floor_cycles=floors_t)
-            s_ns = top.completions_ns()
-            device.append(max(max(s_ns), int(emb.t_emb_ns[b])))
-            cols["bottom_end"] += bot_ns
-            cols["top_start"] += [top.to_ns(e.start_cycle) for e in top.entries if e.layer == 0]
-            cols["done"] += s_ns
-        return np.array(device, dtype=np.int64), {k: np.array(v, dtype=np.int64)
-                                                  for k, v in cols.items()}
+        # one top-MLP lane per batch, the partial last batch padded; np.ceil
+        # and np.rint round float64 as math.ceil and round do (halves to even)
+        n = len(emb.e_ns)
+        lanes = -(-n // batch)
+        emb_cycles = np.zeros(lanes * batch, dtype=np.int64)
+        emb_cycles[:n] = np.ceil(emb.e_ns / period)
+        top = pipeline_schedule_decomposed(top_layers, assignment.top, period,
+                                           spec.bottom_out_width, spec.emb_out_width,
+                                           bottom,
+                                           emb_cycles.reshape(lanes, batch),
+                                           floor_cycles=floors_t)
+        # layer 0's passes, (lanes, 1) start columns, one per query
+        top_start = np.hstack([p[0] for p in top.passes[::len(top_layers)]])
+        done, top_start = (np.rint(c * period).astype(np.int64).ravel()[:n]
+                           for c in (top.completions, top_start))
+        device = np.maximum(np.maximum.reduceat(done, np.arange(0, n, batch)), emb.t_emb_ns)
+        return device, {"bottom_end": np.tile(bottom_ns, lanes)[:n], "top_start": top_start,
+                        "done": done}
 
     times, ev, busy, batches = _drive(scenario, env, queries, batch, assignment.ev[1], stage)
     t0, done = times["t0"], times["done"]

@@ -45,6 +45,10 @@ def test_traced_compare_spans_every_layer():
         tracer.restore()
     assert recssd.sim.run is original_run
     assert all(r.metrics.completed == 6 for r in results)
+    # rmssd schedules its bottom MLP once per run and its top MLP once per
+    # chunk of batches (one chunk here), both through the `sim` bindings
+    # that the tracer wraps
+    assert [s[0] for s in tracer.spans].count("mlp_engine.pipeline_schedule") == 2
     total, _, counts = tracer.take()
     for name in ("recmodel.scoring", "mlp_engine.pipeline_schedule",
                  "ev_engine.translate_batch", "storage.schedule_page_reads"):

@@ -243,6 +243,30 @@ class TestSimulateLookup:
                                       start + page * 4096 + len(want)])
                 assert got == want
 
+    def test_flash_image_bytes_on_fragmented_padded_layout(self):
+        # 48-byte vectors leave a 16-byte tail in every 4096-byte page. Table 0
+        # ends inside an extent's second page, table 1 fills its last extent's
+        # last page exactly, table 2 fits inside one page
+        spec = ModelSpec(tables=(TableSpec(200, 12), TableSpec(340, 12), TableSpec(50, 12)),
+                         bottom_mlp_dims=(2, 2), top_mlp_dims=(2 + 3 * 12, 1), dense_dim=2)
+        model = build_model(spec, 8)
+        layouts = [[FileExtent(800, 8), FileExtent(80, 2 * 8)],
+                   [FileExtent(400, 3 * 8), FileExtent(16, 8)],
+                   [FileExtent(1200, 2 * 8)]]
+        emap = build_extent_map(spec, layouts, GEO)
+        assert emap.rows_per_page == 85
+        buf = np.frombuffer(build_flash_image(model.tables, emap, GEO).buf, dtype=np.uint8)
+        written = np.zeros(len(buf), dtype=bool)
+        for t, table in enumerate(model.tables):
+            for row in range(table.values.shape[0]):
+                lba, offset = translate_index(emap, t, row)
+                at = lba * GEO.lba_size + offset
+                assert buf[at:at + 48].tobytes() == table.values[row].astype("<f4").tobytes()
+                assert not written[at:at + 48].any()
+                written[at:at + 48] = True
+        assert written.sum() == (200 + 340 + 50) * 48
+        assert not buf[~written].any()
+
     def test_functional_transparency_exact(self):
         model = flat_model(num_tables=3, rows=2048, seed=6)
         emap, ftl = make_lookup_env(model, GEO)

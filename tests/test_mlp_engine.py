@@ -177,6 +177,51 @@ class TestPipelineSchedule:
             assert sched.completions == comps
 
 
+    def test_lanes_match_per_batch_calls_and_oracle(self):
+        # one lanes call against each lane's own call and the oracle
+        rng = np.random.default_rng(58)
+        for i in range(80):
+            n = int(rng.integers(2, 5))
+            dims = [int(rng.integers(2, 200))] + [int(rng.integers(1, 120)) for _ in range(n)]
+            split = int(rng.integers(1, dims[0]))
+            layers = make_layers(dims)
+            kernels = [(1 << int(rng.integers(0, int(np.log2(dims[l])) + 1)),
+                        1 << int(rng.integers(0, int(np.log2(dims[l + 1])) + 1)))
+                       for l in range(n)]
+            floors = [int(rng.choice([0, rng.integers(1, 100), rng.integers(1, 10**9)]))
+                      for _ in range(n)] if i % 2 else None
+            lanes, B = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+            b_ready = sorted(int(rng.integers(0, 3000)) for _ in range(B))
+            e_ready = rng.integers(0, 30000, (lanes, B))
+            sched = pipeline_schedule_decomposed(layers, kernels, 5.0, split, dims[0] - split,
+                                                 b_ready, e_ready, floor_cycles=floors)
+            assert sched.completions.shape == (lanes, B)
+            for k in range(lanes):
+                one = pipeline_schedule_decomposed(layers, kernels, 5.0, split,
+                                                   dims[0] - split, b_ready,
+                                                   e_ready[k].tolist(), floor_cycles=floors)
+                assert sched.completions[k].tolist() == one.completions
+                assert sched.makespan_cycles[k] == one.makespan_cycles
+                assert len(sched.entries) == len(one.entries) == n * B
+                for e, f in zip(sched.entries, one.entries):
+                    assert (e.layer, e.query, e.scan) == (f.layer, f.query, f.scan)
+                    assert (e.start_cycle[k], e.end_cycle[k]) == (f.start_cycle, f.end_cycle)
+                    for name in ("emissions", "chunk_ready", "chunk_start", "chunk_end"):
+                        got, want = getattr(e, name), getattr(f, name)
+                        assert (got is None) == (want is None), name
+                        assert got is None or got[k].tolist() == want.tolist(), name
+                comps = decomposed_top_oracle([(dims[l], dims[l + 1]) for l in range(n)],
+                                              kernels, split, dims[0] - split, b_ready,
+                                              e_ready[k].tolist(), floors)
+                assert sched.completions[k].tolist() == comps
+
+    def test_lanes_reject_mismatched_lengths(self):
+        layers, kernels = equal_stack(2, 8, 2, 2)
+        with pytest.raises(ValueError, match="length"):
+            pipeline_schedule_decomposed(layers, kernels, 5.0, 4, 4, [0, 0],
+                                         np.zeros((3, 4), dtype=np.int64))
+
+
 class TestKernelAssignment:
     def test_validation(self):
         spec = desk_model_spec("rmc3-mini")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from recssd.kernel_search import SearchSpace
+from recssd.kernel_search import ResourceModel, SearchSpace
 from recssd.mlp_engine import KernelAssignment
 from recssd.recmodel import (build_model, desk_model_spec, generate_workload,
                              reference_inference, zipf_cdf)
@@ -112,8 +112,9 @@ class TestBaselineMode:
         assert r.metrics.latency_max_ns == s[-1]
 
 
-def replay_rmssd(model, count, batch, assignment, seed, timing=TP):
-    """Independent straight-line replay of the rmssd batch rules."""
+def replay_rmssd(model, count, batch, assignment, seed, timing=TP, floors=(None, None)):
+    """Independent straight-line replay of the rmssd batch rules; `floors`
+    holds the bottom and top stacks' weight-fetch floors in cycles."""
     spec = model.spec
     qs = generate_workload(spec, "uniform", 8, count, seed)
     rpp = GEO.page_size // (spec.ev_dim * 4)
@@ -126,7 +127,7 @@ def replay_rmssd(model, count, batch, assignment, seed, timing=TP):
     top_dims = [(144, 64), (64, 1)]
 
     device_free = 0
-    latencies, completions = [], []
+    latencies, completions, bottom_end = [], [], []
     k = 0
     while k * batch < count:
         bq = qs[k * batch:(k + 1) * batch]
@@ -150,11 +151,13 @@ def replay_rmssd(model, count, batch, assignment, seed, timing=TP):
         e_ns = [max(done[(qid, tbl)] for tbl in range(8)) for qid in range(len(bq))]
         t_emb = max(e_ns)
         # MLP stacks
-        b_cycles, _ = pipeline_oracle(bottom_dims, assignment.bottom, [0] * len(bq))
+        b_cycles, _ = pipeline_oracle(bottom_dims, assignment.bottom, [0] * len(bq),
+                                      floors[0])
         e_cycles = [math.ceil(e / period) for e in e_ns]
         s_cycles = decomposed_top_oracle(top_dims, assignment.top, 16, 128,
-                                         b_cycles, e_cycles)
+                                         b_cycles, e_cycles, floors[1])
         s_ns = [round(c * period) for c in s_cycles]
+        bottom_end += [round(c * period) for c in b_cycles]
         for i in range(len(bq)):
             latencies.append(s_ns[i])
             completions.append(t0 + s_ns[i])
@@ -164,6 +167,7 @@ def replay_rmssd(model, count, batch, assignment, seed, timing=TP):
     lat = sorted(latencies)
     return {
         "latencies": latencies,
+        "bottom_end": bottom_end,
         "horizon": horizon,
         "throughput": count * 1e9 / horizon,
         "p50": nearest_rank(lat, 0.50),
@@ -186,6 +190,30 @@ class TestRmssdMode:
         assert r.metrics.latency_p95_ns == want["p95"]
         assert r.metrics.latency_p99_ns == want["p99"]
         assert r.metrics.latency_max_ns == want["max"]
+
+    def test_replay_oracle_spilled_300mhz_partial_batch(self):
+        # a 5000-byte BRAM holds the bottom stack's first layer (3584 bytes
+        # with biases) and the top stack's last (260): the bottom's second
+        # layer (4160) and the top's first (37120) stream their weights at
+        # 0.1 byte/ns. 101 queries in batches of 4 end in a batch of one.
+        m = rmc3()
+        count, seed, batch = 101, 10, 4
+        timing = TimingParams(fc_clock_mhz=300.0)
+        sc = scenario(MODE_RMSSD, m, count, batch=batch, kernels=ALLMAX, timing=timing)
+        plain = run(sc, seed)
+        sc.resource_model = ResourceModel(bram_bytes=5000, dram_bandwidth_bytes_per_s=1e8)
+        r = run(sc, seed)
+        period = timing.clock_period_ns
+        floors = ([0, math.ceil(41600 / period)], [math.ceil(371200 / period), 0])
+        want = replay_rmssd(m, count, batch, ALLMAX, seed, timing, floors)
+        assert r.latencies_ns == want["latencies"]
+        assert r.metrics.horizon_ns == want["horizon"]
+        assert r.metrics.latency_p99_ns == want["p99"]
+        # bottom-MLP spans run from each batch's dispatch
+        bottom = [(s, e) for _, stage, s, e in r.spans if stage == "bottom_mlp"]
+        assert [e - s for s, e in bottom] == want["bottom_end"]
+        # the floors delay some queries
+        assert r.latencies_ns != plain.latencies_ns
 
     def test_scores_exact_vs_reference(self):
         m = rmc3()
