@@ -2,6 +2,7 @@
 rejected. `default_config_text()` is the authoritative, fully commented list
 of every knob and its default."""
 
+import copy
 import math
 
 import yaml
@@ -98,12 +99,17 @@ _SCHEMA = {
 }
 
 
+# Parsed once: a scenario build copies this instead of re-parsing the YAML.
+_DEFAULTS = yaml.safe_load(DEFAULT_CONFIG)
+
+
 def default_config_text() -> str:
     return DEFAULT_CONFIG
 
 
 def _defaults() -> dict:
-    return yaml.safe_load(DEFAULT_CONFIG)
+    """A private copy of the parsed defaults; callers update its sections in place."""
+    return copy.deepcopy(_DEFAULTS)
 
 
 def _check_section(name: str, value, schema) -> None:
@@ -165,10 +171,12 @@ def _is_int_pair(v) -> bool:
 
 def load_config(path) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = yaml.safe_load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {e}")
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML in {path}: {e}")
     if raw is None:

@@ -188,18 +188,29 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
 
     Generation order is fixed (tables in spec order, then bottom layers, then
     top layers) so a (spec, seed) pair always yields identical parameters.
+    The tables come from one block of all their rows, drawn in spec order,
+    and each table's values are its row slice of that block. It is the same
+    stream as one draw per table: float32 draws take the generator's 32-bit
+    halves in order, whether or not the draw is split.
     """
     rng = np.random.default_rng([int(seed), 0xEC0])
-    tables = []
+
+    def uniform(shape):
+        v = rng.random(shape, dtype=np.float32)
+        v -= np.float32(0.5)
+        return v
+
+    block = uniform((sum(ts.rows for ts in spec.tables), spec.ev_dim))
+    tables, start = [], 0
     for t, ts in enumerate(spec.tables):
-        vals = rng.random((ts.rows, ts.ev_dim), dtype=np.float32) - np.float32(0.5)
-        tables.append(EmbeddingTable(ts, vals, table_id=t))
+        tables.append(EmbeddingTable(ts, block[start:start + ts.rows], table_id=t))
+        start += ts.rows
 
     def layers(dims):
         ws, bs = [], []
         for l in range(len(dims) - 1):
-            ws.append(rng.random((dims[l + 1], dims[l]), dtype=np.float32) - np.float32(0.5))
-            bs.append(rng.random(dims[l + 1], dtype=np.float32) - np.float32(0.5))
+            ws.append(uniform((dims[l + 1], dims[l])))
+            bs.append(uniform(dims[l + 1]))
         return ws, bs
 
     bw, bb = layers(spec.bottom_mlp_dims)

@@ -300,7 +300,24 @@ def decomposed_top_oracle(dims, kernels, rb, re, b_ready, e_ready, floors=None):
 
 
 # ---------------------------------------------------------------------------
-# Workload stream oracle.
+# Model and workload stream oracles.
+
+def model_oracle(spec, seed):
+    """The documented parameter stream, one RNG call per table and then per
+    layer (bottom stack, then top stack), each uniform shifted by -0.5.
+    Returns (tables, bottom_weights, bottom_biases, top_weights, top_biases)."""
+    rng = np.random.default_rng([int(seed), 0xEC0])
+    tables = [rng.random((ts.rows, ts.ev_dim), dtype=np.float32) - F32(0.5)
+              for ts in spec.tables]
+    out = [tables]
+    for dims in (spec.bottom_mlp_dims, spec.top_mlp_dims):
+        ws, bs = [], []
+        for l in range(len(dims) - 1):
+            ws.append(rng.random((dims[l + 1], dims[l]), dtype=np.float32) - F32(0.5))
+            bs.append(rng.random(dims[l + 1], dtype=np.float32) - F32(0.5))
+        out += [ws, bs]
+    return tuple(out)
+
 
 def workload_oracle(table_rows, dense_dim, distribution, pooling, count, seed, zipf_s=1.0):
     """The documented query stream, one RNG call per query and table: per

@@ -119,6 +119,18 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/conf.yaml"]) == 2
 
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        good = write(tmp_path, "ok.yaml", FAST_RUN)
+        not_utf8 = tmp_path / "latin1.yaml"
+        not_utf8.write_bytes(b"# caf\xe9\nscenario: {mode: rmssd}\n")
+        for path in (str(tmp_path), str(not_utf8)):
+            for argv in (["validate", path], ["search", path],
+                         ["run", path, "--out", str(tmp_path / "out"), "--quiet"],
+                         ["compare", path, good, "--out", str(tmp_path / "out"), "--quiet"]):
+                assert main(argv) == 2, argv
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and path in err, argv
+
     def test_bad_yaml(self, tmp_path):
         path = write(tmp_path, "bad.yaml", "scenario: [unclosed\n")
         assert main(["validate", path]) == 2
@@ -293,6 +305,17 @@ class TestConfigModule:
         merged = validate_config(cfg)
         assert merged["geometry"]["channels"] == 8
         assert merged["timing"]["page_read_us"] == 50.0
+
+    def test_defaults_are_not_aliased(self):
+        documented = yaml.safe_load(default_config_text())
+        first = validate_config({})
+        assert first == documented
+        first["geometry"]["channels"] = 1
+        first["timing"]["page_read_us"] = 1.0
+        assert validate_config({}) == documented
+        build_scenario({"geometry": {"channels": 2}})
+        sc = build_scenario({})
+        assert sc.geometry.channels == 8 and sc.timing.page_read_us == 50.0
 
     def test_partial_override_keeps_defaults(self):
         merged = validate_config({"geometry": {"channels": 4}})

@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
-from recssd.recmodel import (EmbeddingTable, Model, ModelSpec, Query, TableSpec,
-                             build_model, desk_model_spec, ev_lookup_sum,
+from recssd.recmodel import (DESK_PRESETS, EmbeddingTable, Model, ModelSpec, Query,
+                             TableSpec, build_model, desk_model_spec, ev_lookup_sum,
                              generate_workload, mlp_forward, reference_inference,
                              zipf_cdf)
 
-from oracles import fold_sum_rows, scalar_mlp, scalar_reference, workload_oracle
+from oracles import (fold_sum_rows, model_oracle, scalar_mlp, scalar_reference,
+                     workload_oracle)
+
+# Odd element counts, so some draws end on half of one 64-bit generator output.
+ODD_SPECS = (
+    ModelSpec(tables=tuple(TableSpec(r, 5) for r in (3, 5, 7)), bottom_mlp_dims=(3, 5),
+              top_mlp_dims=(20, 7, 1), dense_dim=3),
+    ModelSpec(tables=tuple(TableSpec(r, 3) for r in (7, 2, 9, 1)), bottom_mlp_dims=(5, 3),
+              top_mlp_dims=(15, 1), dense_dim=5),
+)
 
 
 def small_table(rows=4, ev_dim=2, table_id=0, seed=None):
@@ -259,3 +268,29 @@ class TestInvariants:
         assert all(np.array_equal(x, y) for x, y in zip(a.top_weights, b.top_weights))
         c = build_model(spec, 43)
         assert not np.array_equal(a.tables[0].values, c.tables[0].values)
+
+    @pytest.mark.parametrize("spec", [desk_model_spec(p) for p in DESK_PRESETS]
+                             + list(ODD_SPECS))
+    def test_build_model_matches_one_draw_per_array_oracle(self, spec):
+        for seed in (3, 7, 1001):
+            model = build_model(spec, seed)
+            got = ([t.values for t in model.tables], model.bottom_weights,
+                   model.bottom_biases, model.top_weights, model.top_biases)
+            for got_arrays, want_arrays in zip(got, model_oracle(spec, seed)):
+                assert len(got_arrays) == len(want_arrays)
+                for g, w in zip(got_arrays, want_arrays):
+                    assert g.dtype == np.float32 and g.shape == w.shape
+                    assert np.array_equal(g.view(np.uint32), w.view(np.uint32))
+
+    def test_table_views_are_disjoint_and_contiguous(self):
+        model = build_model(ODD_SPECS[1], 7)
+        tables = model.tables
+        for i, a in enumerate(tables):
+            assert a.values.flags.c_contiguous
+            for b in tables[i + 1:]:
+                assert not np.shares_memory(a.values, b.values)
+        before = [t.values.copy() for t in tables]
+        tables[1].values[:] = np.float32(9.0)
+        for t, old in zip(tables, before):
+            if t is not tables[1]:
+                assert np.array_equal(t.values, old)
