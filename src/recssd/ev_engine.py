@@ -8,6 +8,12 @@ one page read. File extents must be whole pages for the same reason.
 Timing vs values: fetch and adder timing follow arrival order out of flash;
 the summed values are always accumulated in the query's index order so they
 match the reference path bit-for-bit.
+
+A lookup splits in two. Its read timeline (`read_timeline`: the page reads'
+schedule and the adder's order of their arrivals) reads neither the table
+values nor the adder's width, so modes that look up the same requests on the
+same device can share it. The gather, the sums and the adder's finish at its
+add time are each mode's own.
 """
 
 from dataclasses import dataclass
@@ -242,22 +248,32 @@ def build_flash_image(tables, emap: ExtentMap, geometry: SsdGeometry) -> FlashIm
     return image
 
 
-def adder_done_ns(pooling: np.ndarray, arrival_ns: np.ndarray, ev_dim: int,
-                  timing: TimingParams, kc_e: int | None = None) -> np.ndarray:
-    """Per-query completion of the query's serial adder.
+@dataclass(frozen=True)
+class AdderOrder:
+    """A lookup's fetched vectors in the order each query's serial adder takes
+    them: all of the adder's schedule but its time per add.
 
-    `arrival_ns` holds each fetched vector's arrival, in request order, and
-    `pooling[q, t]` counts query q's vectors of table t. The adder takes a
-    query's vectors in (arrival, request order) order. The first vector of a
-    table is a free load; every later one occupies the adder for
-    ceil(ev_dim / kc_e) clock cycles, starting no earlier than its arrival. So
-    a query with K adds at arrivals r_1 <= ... <= r_K finishes them at
-    max_j r_j + (K - j + 1) * t_add, and completes when that and its last
-    free load are done.
-    """
-    if kc_e is None:
-        kc_e = ev_dim
-    t_add = timing.cycles_to_ns(-(-ev_dim // kc_e))
+    The adder takes a query's vectors in (arrival, request order) order. The
+    first vector of a table is a free load; every later one is an add that
+    occupies the adder for one add time, starting no earlier than its arrival.
+    So a query with K adds at arrivals r_1 <= ... <= r_K finishes them at
+    max_j r_j + (K - j + 1) * t_add, and completes when that and its last free
+    load are done."""
+    load_done_ns: np.ndarray    # per query: the arrival of its last free load
+    add_query: np.ndarray       # per add, in the adder's order: its query
+    add_ready_ns: np.ndarray    # per add: its vector's arrival
+    adds_left: np.ndarray       # per add: K - j + 1, the query's adds from it on
+
+    def done_ns(self, t_add: int) -> np.ndarray:
+        """Per-query completion of the adder at `t_add` ns per add."""
+        done = self.load_done_ns.copy()
+        np.maximum.at(done, self.add_query, self.add_ready_ns + self.adds_left * t_add)
+        return done
+
+
+def adder_order(pooling: np.ndarray, arrival_ns: np.ndarray) -> AdderOrder:
+    """The adder's order of the vectors arriving at `arrival_ns`, given in
+    request order; `pooling[q, t]` counts query q's vectors of table t."""
     queries, tables = pooling.shape
     query = np.repeat(np.arange(queries), pooling.sum(axis=1))
     group = np.repeat(np.arange(queries * tables), pooling.ravel())
@@ -265,22 +281,34 @@ def adder_done_ns(pooling: np.ndarray, arrival_ns: np.ndarray, ev_dim: int,
     ready, group, query = arrival_ns[order], group[order], query[order]
     load = np.zeros(len(order), dtype=bool)
     load[np.unique(group, return_index=True)[1]] = True
-    done = np.zeros(queries, dtype=np.int64)
-    np.maximum.at(done, query[load], ready[load])
+    load_done = np.zeros(queries, dtype=np.int64)
+    np.maximum.at(load_done, query[load], ready[load])
     add_query = query[~load]
     adds = np.bincount(add_query, minlength=queries)
     rank = np.arange(len(add_query)) - np.repeat(np.cumsum(adds) - adds, adds)
-    np.maximum.at(done, add_query, ready[~load] + (adds[add_query] - rank) * t_add)
-    return done
+    return AdderOrder(load_done, add_query, ready[~load], adds[add_query] - rank)
+
+
+def add_ns(ev_dim: int, timing: TimingParams, kc_e: int | None = None) -> int:
+    """One add of an ev_dim-wide vector on a kc_e-wide adder (default: ev_dim
+    wide): ceil(ev_dim / kc_e) clock cycles."""
+    if kc_e is None:
+        kc_e = ev_dim
+    return timing.cycles_to_ns(-(-ev_dim // kc_e))
+
+
+def _require_vectors(pooling: np.ndarray) -> None:
+    sizes = pooling.ravel()
+    if (sizes == 0).any():
+        raise ValueError(f"table {np.argmax(sizes == 0) % pooling.shape[1]}: no fetched vectors")
 
 
 def lookup_sums(pooling: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Each query's per-table sums of its vectors (given in request order) in
     table order, each folded left to right in index order as a float32 cumsum."""
+    _require_vectors(pooling)
     queries, tables = pooling.shape
     sizes = pooling.ravel()
-    if (sizes == 0).any():
-        raise ValueError(f"table {np.argmax(sizes == 0) % tables}: no fetched vectors")
     ev_dim = vectors.shape[1]
     group = np.repeat(np.arange(len(sizes)), sizes)
     pos = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -290,12 +318,45 @@ def lookup_sums(pooling: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return sums.reshape(queries, tables * ev_dim)
 
 
-def ev_sum_engine(pooling: np.ndarray, arrival_ns: np.ndarray, vectors: np.ndarray,
-                  timing: TimingParams, kc_e: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Fetched vectors, given in request order, aggregated: each
-    query's per-table sums (`lookup_sums`) and completion (`adder_done_ns`)."""
-    return (lookup_sums(pooling, vectors),
-            adder_done_ns(pooling, arrival_ns, vectors.shape[1], timing, kc_e))
+@dataclass(frozen=True)
+class ReadTimeline:
+    """What the modes read of a lookup's page reads. It depends on the
+    requests, the batch, the geometry and the timing alone, not on the table
+    values or the adder's width, so modes that look up the same requests on
+    the same device share it."""
+    arrival_ns: np.ndarray               # per request: its page's transfer end
+    first_sense_ns: np.ndarray           # per query: its first sense start
+    channel_busy_ns: np.ndarray          # (batches, channels)
+    adder: AdderOrder
+
+
+def _coalesce(requests: Requests, batch: int) -> CoalescedReads:
+    return dispatch(requests, requests.query // batch)
+
+
+def _schedule(reads: CoalescedReads, geometry: SsdGeometry,
+              timing: TimingParams) -> PageSchedule:
+    zeros = np.zeros(len(reads), dtype=np.int64)
+    return schedule_page_reads(PageReads(reads.channel, reads.die, zeros,
+                                         zeros + EV_PRIORITY, reads.lane), geometry, timing)
+
+
+def read_timeline(requests: Requests, batch: int, geometry: SsdGeometry,
+                  timing: TimingParams) -> ReadTimeline:
+    """Coalesce and schedule the page reads of `requests`, one batch of
+    `batch` queries per lane, and keep only the columns the modes read: each
+    request's arrival, each query's first sense start, the channels' busy
+    times and the adder's order of the arrivals."""
+    _require_vectors(requests.pooling)
+    reads = _coalesce(requests, batch)
+    sched = _schedule(reads, geometry, timing)
+    arrival = sched.xfer_end_ns[reads.read]
+    per_query = requests.pooling.sum(axis=1)
+    first_sense = np.minimum.reduceat(sched.sense_start_ns[reads.read],
+                                      np.cumsum(per_query) - per_query)
+    lanes = -(-len(per_query) // batch)
+    return ReadTimeline(arrival, first_sense, sched.channel_busy_ns(geometry.channels, lanes),
+                        adder_order(requests.pooling, arrival))
 
 
 @dataclass
@@ -305,32 +366,48 @@ class LookupResult:
     flash_start_ns: np.ndarray           # per query first sense start
     t_emb_ns: np.ndarray                 # per batch completion of its last EV sum
     requests: Requests
-    reads: CoalescedReads
-    schedule: PageSchedule               # the coalesced reads, in their order
     arrival_ns: np.ndarray               # per request: its page's transfer end
     channel_busy_ns: np.ndarray          # (batches, channels)
+    batch: int
+    geometry: SsdGeometry
+    timing: TimingParams
+
+    # The read timeline keeps no per-read columns; for inspection, the
+    # coalesced reads and their schedule are derived again on first access.
+    @cached_property
+    def reads(self) -> CoalescedReads:
+        return _coalesce(self.requests, self.batch)
+
+    @cached_property
+    def schedule(self) -> PageSchedule:
+        """The coalesced reads' schedule, in their order."""
+        return _schedule(self.reads, self.geometry, self.timing)
 
 
 def simulate_lookup(model: Model, queries: list[Query], geometry: SsdGeometry,
                     timing: TimingParams, emap: ExtentMap, ftl: Ftl,
                     flash: FlashImage | None = None, kc_e: int | None = None,
-                    batch: int | None = None) -> LookupResult:
+                    batch: int | None = None,
+                    shared: tuple[Requests, ReadTimeline] | None = None) -> LookupResult:
     """Run batches of `batch` queries (default: one batch of all) through
-    translate -> dispatch -> page reads -> vector sum, each batch on an idle
-    device from time 0; every time is relative to its batch's start."""
+    translate -> read timeline -> gather -> vector sum, each batch on an idle
+    device from time 0; every time is relative to its batch's start.
+
+    The translation and the read timeline read neither the tables nor
+    `kc_e`: `shared` holds them (`translate_batch` of these queries and
+    `read_timeline` of that at `batch`) when the caller has them already. The
+    gather reads the flash image (the tables when `flash` is None), and the
+    adder finishes the timeline's order at the add time of `kc_e`."""
     dense_dim = model.spec.dense_dim
     shapes = {q.dense.shape for q in queries} - {(dense_dim,)}
     if shapes:
         raise ValueError(f"dense vector shape {shapes.pop()} != ({dense_dim},)")
     ev_dim = model.spec.ev_dim
     batch = batch or max(len(queries), 1)
-    requests = translate_batch(emap, ftl, queries)
-    reads = dispatch(requests, requests.query // batch)
-
-    zeros = np.zeros(len(reads), dtype=np.int64)
-    sched = schedule_page_reads(PageReads(reads.channel, reads.die, zeros,
-                                          zeros + EV_PRIORITY, reads.lane), geometry, timing)
-    arrival = sched.xfer_end_ns[reads.read]
+    if shared is None:
+        requests = translate_batch(emap, ftl, queries)
+        shared = requests, read_timeline(requests, batch, geometry, timing)
+    requests, timeline = shared
 
     if flash is not None:
         vectors = flash.rows[requests.page, requests.offset // (ev_dim * 4)]
@@ -340,20 +417,18 @@ def simulate_lookup(model: Model, queries: list[Query], geometry: SsdGeometry,
             mine = requests.table == t
             vectors[mine] = table.values[requests.index[mine]]
     # one vector-sum unit per query, so queries do not serialize on one adder
-    ev_concat, e_ns = ev_sum_engine(requests.pooling, arrival, vectors, timing, kc_e)
-    per_query = requests.pooling.sum(axis=1)
-    first_sense = np.minimum.reduceat(sched.sense_start_ns[reads.read],
-                                      np.cumsum(per_query) - per_query) \
-        if len(requests) else np.zeros(0, dtype=np.int64)
-    batch_start = np.arange(0, len(queries), batch)
+    ev_concat = lookup_sums(requests.pooling, vectors)
+    e_ns = timeline.adder.done_ns(add_ns(ev_dim, timing, kc_e))
     return LookupResult(
         ev_concat=ev_concat,
         e_ns=e_ns,
-        flash_start_ns=first_sense,
-        t_emb_ns=np.maximum.reduceat(e_ns, batch_start) if len(queries) else e_ns,
+        flash_start_ns=timeline.first_sense_ns,
+        t_emb_ns=np.maximum.reduceat(e_ns, np.arange(0, len(queries), batch))
+        if len(queries) else e_ns,
         requests=requests,
-        reads=reads,
-        schedule=sched,
-        arrival_ns=arrival,
-        channel_busy_ns=sched.channel_busy_ns(geometry.channels, len(batch_start)),
+        arrival_ns=timeline.arrival_ns,
+        channel_busy_ns=timeline.channel_busy_ns,
+        batch=batch,
+        geometry=geometry,
+        timing=timing,
     )

@@ -234,11 +234,12 @@ def kernel_options(dim: int, cap: int | None = None) -> list[int]:
 def emb_budgets(model: Model, queries, geometry: SsdGeometry, timing: TimingParams,
                 emap, ftl) -> dict[int, int]:
     """The batch's embedding time for each adder width kc_e. The width changes
-    only the adder, so the flash is scheduled once for all of them."""
+    only the adder's add time, so the page reads and the adder's order of
+    their arrivals are computed once for all of them."""
     ev_dim = model.spec.ev_dim
-    lookup = ev_engine.simulate_lookup(model, queries, geometry, timing, emap, ftl)
-    return {kc_e: int(ev_engine.adder_done_ns(lookup.requests.pooling, lookup.arrival_ns,
-                                              ev_dim, timing, kc_e).max())
+    requests = ev_engine.translate_batch(emap, ftl, queries)
+    adder = ev_engine.read_timeline(requests, len(queries), geometry, timing).adder
+    return {kc_e: int(adder.done_ns(ev_engine.add_ns(ev_dim, timing, kc_e)).max())
             for kc_e in kernel_options(ev_dim)}
 
 

@@ -23,7 +23,14 @@ chunk, one batch per lane of the pipeline scheduler. What follows the device
 is closed-form over the run's columns: emb-vectorsum's in-order host MLP
 queue is a max-plus scan, and the baseline's serial queries start at the
 running sum of their times, so ``duration_ns`` admits a prefix of them.
-``compare`` draws the shared workload once and runs every scenario on it.
+``compare`` draws the shared workload once and runs every scenario on it. It
+also shares the device lookups' page reads: a chunk's translation and read
+timeline (``ev_engine.read_timeline``) read neither the tables nor the
+adder's width, so the compare computes them once per key (geometry, timing,
+batch, chunk start) and every device run with that key reuses them, gathering
+from its own flash image and finishing the adder at its own ``kc_e``. The key
+needs no model identity: the scenarios of a compare share one model spec,
+and so one layout. A lone ``run`` starts with an empty set of them.
 
 Per-query latency is measured from the dispatch of the query's batch (from
 the start of its processing for the baseline). A run is scored in one forward
@@ -214,17 +221,19 @@ def _host_mlp_ns(spec, timing: TimingParams) -> int:
     return round(macs * timing.host_ns_per_mac)
 
 
-def _drive(scenario: Scenario, env, queries, batch: int, kc_e: int, stage):
+def _drive(scenario: Scenario, env, queries, batch: int, kc_e: int, stage, shared: dict):
     """The device modes' batch loop. Batches run back to back from time 0,
     each on an idle device, so they share only their dispatch times: a
     batch's `t0` is the sum of the device times before it, and the batch is
     dispatched while `t0` is before `duration_ns`. One `simulate_lookup` call
     looks up a chunk of whole batches (`CHUNK_QUERIES`), one batch per lane,
     and `stage(emb, batch)` returns the chunk's per-batch device times and the
-    mode's per-query columns, relative to each batch's dispatch. Returns the
-    dispatched queries' ns columns (`t0`, `emb_start`, `emb_end`, then the
-    stage's; a column no batch made reads as empty), their summed vectors,
-    the channels' busy times and the batch count."""
+    mode's per-query columns, relative to each batch's dispatch. The chunk's
+    translation and read timeline come from `shared`, under the key
+    (geometry, timing, batch, chunk start), and are computed on a miss.
+    Returns the dispatched queries' ns columns (`t0`, `emb_start`, `emb_end`,
+    then the stage's; a column no batch made reads as empty), their summed
+    vectors, the channels' busy times and the batch count."""
     emap, ftl = env
     model, geometry = scenario.model, scenario.geometry
     flash = ev_engine.build_flash_image(model.tables, emap, geometry)
@@ -236,9 +245,15 @@ def _drive(scenario: Scenario, env, queries, batch: int, kc_e: int, stage):
     for first in range(0, len(queries), chunk):
         if scenario.duration_ns is not None and t0 >= scenario.duration_ns:
             break
-        emb = ev_engine.simulate_lookup(model, queries[first:first + chunk], geometry,
-                                        scenario.timing, emap, ftl, flash=flash, kc_e=kc_e,
-                                        batch=batch)
+        part = queries[first:first + chunk]
+        key = (geometry, scenario.timing, batch, first)
+        if key not in shared:
+            requests = ev_engine.translate_batch(emap, ftl, part)
+            shared[key] = requests, ev_engine.read_timeline(requests, batch, geometry,
+                                                            scenario.timing)
+        emb = ev_engine.simulate_lookup(model, part, geometry, scenario.timing, emap, ftl,
+                                        flash=flash, kc_e=kc_e, batch=batch,
+                                        shared=shared[key])
         device_ns, cols = stage(emb, batch)
         dispatch = t0 + np.cumsum(device_ns) - device_ns
         admitted = len(dispatch) if scenario.duration_ns is None else \
@@ -309,19 +324,24 @@ def _workload(scenario: Scenario, seed: int) -> list:
                              scenario.query_count, seed, wl.zipf_s)
 
 
-def run(scenario: Scenario, seed: int, queries: list | None = None) -> RunResult:
+def run(scenario: Scenario, seed: int, queries: list | None = None,
+        shared: dict | None = None) -> RunResult:
     """Simulate the scenario on the workload drawn with `seed`; `queries` is
-    that workload when the caller has drawn it already."""
+    that workload when the caller has drawn it already. `shared` holds the
+    device lookups' translations and read timelines by (geometry, timing,
+    batch, chunk start); runs may share one only on one workload and one
+    model spec, as `compare`'s do. None starts an empty one."""
     scenario.validate()
     if queries is None:
         queries = _workload(scenario, seed)
     env = make_lookup_env(scenario.model, scenario.geometry)
-    runner = {MODE_RMSSD: _run_rmssd, MODE_EMB_VECTORSUM: _run_emb_vectorsum,
-              MODE_SSD_BASELINE: _run_baseline}[scenario.mode]
-    return runner(scenario, queries, seed, env)
+    if scenario.mode == MODE_SSD_BASELINE:
+        return _run_baseline(scenario, queries, seed, env)
+    runner = _run_rmssd if scenario.mode == MODE_RMSSD else _run_emb_vectorsum
+    return runner(scenario, queries, seed, env, {} if shared is None else shared)
 
 
-def _run_rmssd(scenario: Scenario, queries, seed: int, env) -> RunResult:
+def _run_rmssd(scenario: Scenario, queries, seed: int, env, shared: dict) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
     timing = scenario.timing
     assignment, batch, outcome = scenario.kernels, scenario.batch, None
@@ -367,7 +387,8 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, env) -> RunResult:
         return device, {"bottom_end": np.tile(bottom_ns, lanes)[:n], "top_start": top_start,
                         "done": done}
 
-    times, ev, busy, batches = _drive(scenario, env, queries, batch, assignment.ev[1], stage)
+    times, ev, busy, batches = _drive(scenario, env, queries, batch, assignment.ev[1], stage,
+                                      shared)
     t0, done = times["t0"], times["done"]
     result = _result(scenario, queries, ev, t0, done,
                      [("emb", times["emb_start"], times["emb_end"]),
@@ -378,14 +399,15 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, env) -> RunResult:
     return result
 
 
-def _run_emb_vectorsum(scenario: Scenario, queries, seed: int, env) -> RunResult:
+def _run_emb_vectorsum(scenario: Scenario, queries, seed: int, env,
+                       shared: dict) -> RunResult:
     spec, timing = scenario.model.spec, scenario.timing
     kc_e = scenario.kernels.ev[1] if scenario.kernels is not None else spec.ev_dim
     host_mlp = _host_mlp_ns(spec, timing)
     xfer = timing.host_iface_ns(spec.emb_out_width * 4) + timing.host_overhead_ns
     # the device frees when the batch's lookups end
     times, ev, busy, batches = _drive(scenario, env, queries, scenario.batch, kc_e,
-                                      lambda emb, batch: (emb.t_emb_ns, {}))
+                                      lambda emb, batch: (emb.t_emb_ns, {}), shared)
     t0, emb_end = times["t0"], times["emb_end"]
     ready = emb_end + xfer
     # the host MLP serves queries in order, so done_i = max(ready_i, done_{i-1})
@@ -482,10 +504,12 @@ def compare(scenarios: list[Scenario], seed: int) -> tuple[ComparisonReport, lis
             raise ValueError("scenarios must share one model")
         if s.workload != ref.workload or s.query_count != ref.query_count:
             raise ValueError("scenarios must share one workload")
-    # the scenarios share one workload, drawn once
+    # the scenarios share one workload, drawn once, and the device lookups'
+    # translations and read timelines, each computed once per distinct key
     ref.validate()
     queries = _workload(ref, seed)
-    results = [run(s, seed, queries) for s in scenarios]
+    shared = {}
+    results = [run(s, seed, queries, shared) for s in scenarios]
     base = results[0].metrics
     rows = []
     for s, r in zip(scenarios, results):

@@ -3,8 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from recssd.ev_engine import (FileExtent, build_extent_map, build_flash_image,
-                              dispatch, ev_sum_engine, simulate_lookup, translate_batch)
+from recssd.ev_engine import (FileExtent, add_ns, adder_order, build_extent_map,
+                              build_flash_image, dispatch, lookup_sums, simulate_lookup,
+                              translate_batch)
 from recssd.storage import Ftl
 from recssd.kernel_search import make_lookup_env
 from recssd.recmodel import (ModelSpec, Query, TableSpec, build_model,
@@ -16,6 +17,13 @@ from oracles import (adder_oracle, die_timelines, flash_schedule_oracle, fold_su
 
 GEO = SsdGeometry(channels=8, dies_per_channel=4, page_size=4096, lba_size=512)
 TP = TimingParams()
+
+
+def ev_sum_engine(pooling, arrival_ns, vectors, timing, kc_e=None):
+    """Fetched vectors, given in request order, aggregated as `simulate_lookup`
+    does: each query's per-table sums and its adder's completion."""
+    return (lookup_sums(pooling, vectors),
+            adder_order(pooling, arrival_ns).done_ns(add_ns(vectors.shape[1], timing, kc_e)))
 
 
 def flat_model(num_tables=1, rows=256, ev_dim=16, seed=0):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ TP = TimingParams()
 
 
 def scenario(mode, model, count, batch=2, kernels=None, auto=False, workload=None,
-             dram_fraction=0.25, timing=TP, duration_ns=None):
-    return Scenario(mode=mode, model=model, geometry=GEO, timing=timing,
+             dram_fraction=0.25, timing=TP, duration_ns=None, geometry=GEO):
+    return Scenario(mode=mode, model=model, geometry=geometry, timing=timing,
                     workload=workload or WorkloadConfig(), query_count=count,
                     batch=batch, dram_fraction=dram_fraction, kernels=kernels,
                     auto_search=auto, duration_ns=duration_ns)
@@ -404,7 +405,74 @@ class TestMetricsAndDeterminism:
             assert r.metrics.event_count == 10 + batches, mode
 
 
+SLOW_TP = TimingParams(page_read_us=60.0)
+TWO_DIE_GEO = SsdGeometry(8, 2, 4096)
+
+
+def sharing_scenarios(model, count, cut):
+    """Device scenarios that differ in each part of the key under which a
+    compare shares its lookups, (geometry, timing, batch, chunk start), and
+    one run of batches of 3 cut at `cut` ns."""
+    return [scenario(MODE_RMSSD, model, count, batch=3, kernels=ALLMAX),
+            scenario(MODE_EMB_VECTORSUM, model, count, batch=3),
+            scenario(MODE_EMB_VECTORSUM, model, count, batch=2),
+            scenario(MODE_EMB_VECTORSUM, model, count, batch=3, timing=SLOW_TP),
+            scenario(MODE_EMB_VECTORSUM, model, count, batch=3, geometry=TWO_DIE_GEO),
+            scenario(MODE_EMB_VECTORSUM, model, count, batch=3, duration_ns=cut)]
+
+
+def dispatch_times(result):
+    """Each query's dispatch time: the end of its last span minus its latency."""
+    per_query = len(result.spans) // len(result.latencies_ns)
+    last = result.spans[per_query - 1::per_query]
+    return [s[3] - lat for s, lat in zip(last, result.latencies_ns)]
+
+
 class TestCompare:
+    def test_each_result_equals_its_lone_run(self):
+        # 1121 queries in batches of 3 make three chunks; the cut falls inside
+        # the second
+        from recssd import sim
+        m = rmc3()
+        count, seed = 1121, 4
+        chunk = sim.CHUNK_QUERIES // 3 * 3
+        queries = generate_workload(m.spec, "uniform", 8, count, seed)
+        full = run(scenario(MODE_EMB_VECTORSUM, m, count, batch=3), seed, queries)
+        scenarios = sharing_scenarios(m, count, dispatch_times(full)[chunk + 40 * 3])
+        _, results = compare(scenarios, seed)
+        assert results[-1].metrics.issued == chunk + 40 * 3
+        for s, r in zip(scenarios, results):
+            alone = run(s, seed, queries)
+            assert metrics_json(r.metrics) == metrics_json(alone.metrics), s
+            assert r.scores == alone.scores and r.latencies_ns == alone.latencies_ns, s
+            assert r.spans == alone.spans, s
+
+    def test_compare_schedules_each_lookup_once(self, monkeypatch):
+        # chunks of 12 queries over 40: four chunks for batches of 2 and of 3
+        from recssd import ev_engine, sim
+        monkeypatch.setattr(sim, "CHUNK_QUERIES", 12)
+        m = rmc3()
+        full = run(scenario(MODE_EMB_VECTORSUM, m, 40, batch=3), 4)
+        scenarios = sharing_scenarios(m, 40, dispatch_times(full)[12 + 2 * 3])
+        calls = []
+        schedule = ev_engine.schedule_page_reads
+
+        def counted(reads, geometry, timing):
+            calls.append((geometry, timing))
+            return schedule(reads, geometry, timing)
+
+        monkeypatch.setattr(ev_engine, "schedule_page_reads", counted)
+        _, results = compare(scenarios, 4)
+        assert results[-1].metrics.issued == 12 + 2 * 3
+        # four chunks each for batches of 3 and of 2 on the default device,
+        # with the slow flash and on two dies per channel; the cut run's two
+        # chunks are those of the batch-3 run before it
+        assert Counter(calls) == {(GEO, TP): 8, (GEO, SLOW_TP): 4, (TWO_DIE_GEO, TP): 4}
+        # a lone run schedules each of its chunks once
+        calls.clear()
+        run(scenarios[1], 4)
+        assert calls == [(GEO, TP)] * 4
+
     def test_self_comparison_all_ratios_one(self):
         m = rmc3()
         rep, _ = compare([scenario(MODE_SSD_BASELINE, m, 30),
