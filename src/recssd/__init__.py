@@ -6,9 +6,9 @@ from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, StageTime
                             verify_constraints)
 from .mlp_engine import (FcLayerSpec, KernelAssignment, PipelineSchedule, fc_cycles,
                          decompose_first_layer, pipeline_schedule)
-from .recmodel import (EmbeddingTable, Model, ModelSpec, Query, TableSpec, build_model,
-                       desk_model_spec, ev_lookup_sum, generate_workload, mlp_forward,
-                       reference_inference)
+from .recmodel import (EmbeddingTable, Model, ModelSpec, Query, TableSpec, Workload,
+                       build_model, desk_model_spec, ev_lookup_sum, generate_workload,
+                       mlp_forward, reference_inference)
 from .sim import (Metrics, Scenario, WorkloadConfig, compare, metrics_json, run)
 from .storage import Ftl, SsdGeometry, TimingParams, page_read_time
 

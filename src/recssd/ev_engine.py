@@ -18,11 +18,10 @@ add time are each mode's own.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .recmodel import Model, Query
+from .recmodel import Model, Workload
 from .storage import (EV_PRIORITY, Ftl, PageReads, PageSchedule,
                       SsdGeometry, TimingParams, schedule_page_reads)
 
@@ -172,15 +171,12 @@ class Requests:
         return len(self.index)
 
 
-def translate_batch(emap: ExtentMap, ftl: Ftl, queries: list[Query]) -> Requests:
+def translate_batch(emap: ExtentMap, ftl: Ftl, queries: Workload) -> Requests:
     tables = len(emap.rows)
-    for q in queries:
-        if len(q.indices) != tables:
-            raise ValueError(f"query has {len(q.indices)} index lists, extent map has {tables}")
-    pooling = np.array([[len(idx) for idx in q.indices] for q in queries],
-                       dtype=np.int64).reshape(len(queries), tables)
-    index = np.fromiter(chain.from_iterable(idx for q in queries for idx in q.indices),
-                        dtype=np.int64, count=int(pooling.sum()))
+    if len(queries) and queries.pooling.shape[1] != tables:
+        raise ValueError(f"query has {queries.pooling.shape[1]} index lists, "
+                         f"extent map has {tables}")
+    pooling, index = queries.pooling, queries.index
     table = np.repeat(np.tile(np.arange(tables), len(queries)), pooling.ravel())
     query = np.repeat(np.arange(len(queries)), pooling.sum(axis=1))
     lba, offset = _locate(emap, table, index)
@@ -384,7 +380,16 @@ class LookupResult:
         return _schedule(self.reads, self.geometry, self.timing)
 
 
-def simulate_lookup(model: Model, queries: list[Query], geometry: SsdGeometry,
+def gather_rows(tables, table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row `index[k]` of table `table[k]` for every k, in that order."""
+    vectors = np.empty((len(index), tables[0].values.shape[1]), dtype=np.float32)
+    for t, tab in enumerate(tables):
+        mine = table == t
+        vectors[mine] = tab.values[index[mine]]
+    return vectors
+
+
+def simulate_lookup(model: Model, queries: Workload, geometry: SsdGeometry,
                     timing: TimingParams, emap: ExtentMap, ftl: Ftl,
                     flash: FlashImage | None = None, kc_e: int | None = None,
                     batch: int | None = None,
@@ -399,9 +404,8 @@ def simulate_lookup(model: Model, queries: list[Query], geometry: SsdGeometry,
     gather reads the flash image (the tables when `flash` is None), and the
     adder finishes the timeline's order at the add time of `kc_e`."""
     dense_dim = model.spec.dense_dim
-    shapes = {q.dense.shape for q in queries} - {(dense_dim,)}
-    if shapes:
-        raise ValueError(f"dense vector shape {shapes.pop()} != ({dense_dim},)")
+    if len(queries) and queries.dense.shape[1] != dense_dim:
+        raise ValueError(f"dense vector shape ({queries.dense.shape[1]},) != ({dense_dim},)")
     ev_dim = model.spec.ev_dim
     batch = batch or max(len(queries), 1)
     if shared is None:
@@ -412,10 +416,7 @@ def simulate_lookup(model: Model, queries: list[Query], geometry: SsdGeometry,
     if flash is not None:
         vectors = flash.rows[requests.page, requests.offset // (ev_dim * 4)]
     else:
-        vectors = np.empty((len(requests), ev_dim), dtype=np.float32)
-        for t, table in enumerate(model.tables):
-            mine = requests.table == t
-            vectors[mine] = table.values[requests.index[mine]]
+        vectors = gather_rows(model.tables, requests.table, requests.index)
     # one vector-sum unit per query, so queries do not serialize on one adder
     ev_concat = lookup_sums(requests.pooling, vectors)
     e_ns = timeline.adder.done_ns(add_ns(ev_dim, timing, kc_e))

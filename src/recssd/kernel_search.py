@@ -243,50 +243,63 @@ def emb_budgets(model: Model, queries, geometry: SsdGeometry, timing: TimingPara
             for kc_e in kernel_options(ev_dim)}
 
 
-def _stage_candidates(layers, space: SearchSpace, batch: int, timing: TimingParams,
-                      budget_ns: int, floors):
-    """Yield the stage's kernel lists in ascending (area, kernels) order,
-    skipping every layer option that cannot fit the budget on its own.
+class _Stage:
+    """One MLP stack's candidates at one batch, shared by the batch's
+    embedding budgets: each layer's (kr, kc) options in ascending (area,
+    kernel) order, each with the least time of any stage holding it (its
+    max(fc_cycles(layer, k, B), floor), in ns), and each candidate's makespan
+    once it has been scheduled. A budget only filters the options."""
 
-    Each layer's options are sorted by (area, kernel), and a heap pops index
-    vectors over that lattice. A vector's successors advance one layer at or
-    after the last advanced one, so every vector is pushed once, and each
-    successor's key is strictly greater than its parent's: the pops come out
-    in exact sorted order."""
-    per_layer = []
-    for l, layer in enumerate(layers):
-        floor = floors[l] if floors else 0
-        opts = [(kr, kc)
-                for kr in kernel_options(layer.in_width, space.max_kernel)
-                for kc in kernel_options(layer.out_width, space.max_kernel)
-                if timing.cycles_to_ns(max(fc_cycles(layer, (kr, kc), batch), floor))
-                <= budget_ns]
-        if not opts:
-            return
-        per_layer.append(sorted(opts, key=lambda k: (k[0] * k[1], k)))
+    def __init__(self, layers, space: SearchSpace, batch: int, timing: TimingParams, floors):
+        self.layers, self.batch, self.timing, self.floors = layers, batch, timing, floors
+        self.options = []
+        for l, layer in enumerate(layers):
+            floor = floors[l] if floors else 0
+            kernels = sorted(((kr, kc)
+                              for kr in kernel_options(layer.in_width, space.max_kernel)
+                              for kc in kernel_options(layer.out_width, space.max_kernel)),
+                             key=lambda k: (k[0] * k[1], k))
+            self.options.append([(k, timing.cycles_to_ns(max(fc_cycles(layer, k, batch), floor)))
+                                 for k in kernels])
+        self.makespans = {}
 
-    def entry(index, low):
-        kernels = tuple(options[i] for options, i in zip(per_layer, index))
-        return sum(kr * kc for kr, kc in kernels), kernels, index, low
+    def candidates(self, budget_ns: int):
+        """Yield the stage's kernel lists in ascending (area, kernels) order,
+        skipping every layer option that cannot fit the budget on its own.
 
-    heap = [entry((0,) * len(per_layer), 0)]
-    while heap:
-        _, kernels, index, low = heapq.heappop(heap)
-        yield kernels
-        for j in range(low, len(index)):
-            if index[j] + 1 < len(per_layer[j]):
-                heapq.heappush(heap, entry(index[:j] + (index[j] + 1,) + index[j + 1:], j))
+        A heap pops index vectors over the lattice of the layers' fitting
+        options. A vector's successors advance one layer at or after the last
+        advanced one, so every vector is pushed once, and each successor's key
+        is strictly greater than its parent's: the pops come out in exact
+        sorted order."""
+        per_layer = []
+        for options in self.options:
+            fits = [k for k, ns in options if ns <= budget_ns]
+            if not fits:
+                return
+            per_layer.append(fits)
 
+        def entry(index, low):
+            kernels = tuple(options[i] for options, i in zip(per_layer, index))
+            return sum(kr * kc for kr, kc in kernels), kernels, index, low
 
-def _best_stage(layers, space, batch, timing, budget_ns, floors, makespans):
-    """The first candidate of the walk that fits the budget, or None.
-    `makespans` caches each candidate's time across the budgets of a batch."""
-    for kernels in _stage_candidates(layers, space, batch, timing, budget_ns, floors):
-        if kernels not in makespans:
-            makespans[kernels] = _stage_makespan_ns(layers, kernels, batch, timing, floors)
-        if makespans[kernels] <= budget_ns:
-            return kernels
-    return None
+        heap = [entry((0,) * len(per_layer), 0)]
+        while heap:
+            _, kernels, index, low = heapq.heappop(heap)
+            yield kernels
+            for j in range(low, len(index)):
+                if index[j] + 1 < len(per_layer[j]):
+                    heapq.heappush(heap, entry(index[:j] + (index[j] + 1,) + index[j + 1:], j))
+
+    def best(self, budget_ns: int):
+        """The first candidate of the walk that fits the budget, or None."""
+        for kernels in self.candidates(budget_ns):
+            if kernels not in self.makespans:
+                self.makespans[kernels] = _stage_makespan_ns(self.layers, kernels, self.batch,
+                                                             self.timing, self.floors)
+            if self.makespans[kernels] <= budget_ns:
+                return kernels
+        return None
 
 
 def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
@@ -306,20 +319,22 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
         queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
                                     profile.seed, profile.zipf_s)
         emb_by_kce = emb_budgets(model, queries, geometry, timing, emap, ftl)
-        makespans_b, makespans_t = {}, {}
+        stage_b = _Stage(bottom, space, batch, timing, floors_b)
+        stage_t = _Stage(top, space, batch, timing, floors_t)
         best = None
         for kc_e, emb_ns in emb_by_kce.items():
-            bot = _best_stage(bottom, space, batch, timing, emb_ns, floors_b, makespans_b)
+            bot = stage_b.best(emb_ns)
             if bot is None:
                 continue
-            topk = _best_stage(top, space, batch, timing, emb_ns, floors_t, makespans_t)
+            topk = stage_t.best(emb_ns)
             if topk is None:
                 continue
             cand = KernelAssignment(bot, topk, (1, kc_e))
             key = (cand.objective(), resource_model.dsp_per_mac * cand.objective(),
                    cand.flat())
             if best is None or key < best[0]:
-                best = (key, cand, StageTimes(makespans_b[bot], makespans_t[topk], emb_ns))
+                best = (key, cand, StageTimes(stage_b.makespans[bot], stage_t.makespans[topk],
+                                              emb_ns))
         if best is not None:
             _, assignment, times = best
             return SearchOutcome(

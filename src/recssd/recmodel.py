@@ -7,9 +7,16 @@ configurations can be checked against this module bit-for-bit:
   indices were given;
 * every dense dot product accumulates over inputs in ascending index order,
   bias added after the sum, ReLU on hidden layers, linear output.
+
+A workload is a `Workload` of columns: a (queries, tables) pooling matrix,
+one flat array of every query's indices and a (queries, dense_dim) dense
+matrix. The simulator reads the columns; indexing or iterating a workload
+gives `Query` objects, one query's index lists and dense vector, for the
+reference path and the tests.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,6 +143,83 @@ class Query:
         for t, idx in enumerate(self.indices):
             if len(idx) < 1:
                 raise ValueError(f"table {t}: query needs at least one index")
+
+
+@dataclass(frozen=True, eq=False)
+class Workload:
+    """A query stream as columns. Query q looks up `pooling[q, t]` rows of
+    table t; `index` holds every lookup's row in (query, table, list order)
+    order, and `dense` row q is query q's dense vector.
+
+    `w[a:b]` is the workload of queries a..b-1, viewing the same arrays;
+    `w[q]` and iteration give `Query` objects."""
+    pooling: np.ndarray     # (queries, tables) int64
+    index: np.ndarray       # (lookups,) int64
+    dense: np.ndarray       # (queries, dense_dim) float32
+
+    def __post_init__(self):
+        if self.pooling.ndim != 2 or self.dense.ndim != 2 or \
+                len(self.dense) != len(self.pooling):
+            raise ValueError(f"pooling {self.pooling.shape} and dense {self.dense.shape} "
+                             f"are not (queries, tables) and (queries, dense_dim)")
+        if self.pooling.sum() != len(self.index):
+            raise ValueError(f"pooling counts {self.pooling.sum()} lookups, "
+                             f"index holds {len(self.index)}")
+
+    @classmethod
+    def from_queries(cls, queries) -> "Workload":
+        """The columns of hand-written queries, which must agree on their
+        table count and dense width."""
+        queries = list(queries)
+        tables = len(queries[0].indices) if queries else 0
+        dense_dim = queries[0].dense.size if queries else 0
+        for q in queries:
+            if len(q.indices) != tables:
+                raise ValueError(f"query has {len(q.indices)} index lists, "
+                                 f"the first query has {tables}")
+            if q.dense.shape != (dense_dim,):
+                raise ValueError(f"dense vector shape {q.dense.shape} != ({dense_dim},)")
+        pooling = np.array([[len(idx) for idx in q.indices] for q in queries],
+                           dtype=np.int64).reshape(len(queries), tables)
+        index = np.array([i for q in queries for idx in q.indices for i in idx],
+                         dtype=np.int64)
+        dense = np.array([q.dense for q in queries],
+                         dtype=np.float32).reshape(len(queries), dense_dim)
+        return cls(pooling, index, dense)
+
+    def __len__(self) -> int:
+        return len(self.pooling)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Each query's first lookup in `index`, and the lookup count last."""
+        return np.concatenate([[0], np.cumsum(self.pooling.sum(axis=1))])
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            a, b, step = key.indices(len(self))
+            if step != 1:
+                raise ValueError("a workload slices only by a contiguous query range")
+            b = max(a, b)
+            return Workload(self.pooling[a:b], self.index[self.starts[a]:self.starts[b]],
+                            self.dense[a:b])
+        q = range(len(self))[key]
+        return self[q:q + 1]._queries[0]
+
+    def __iter__(self):
+        return iter(self._queries)
+
+    @cached_property
+    def _queries(self) -> list[Query]:
+        """The queries as objects, built on first use: the run path reads the
+        columns, and the reference path and the checks may iterate often."""
+        flat, tables = self.index.tolist(), self.pooling.shape[1]
+        bounds = [0] + np.cumsum(self.pooling.ravel()).tolist()
+        out = []
+        for q in range(len(self)):
+            b = bounds[q * tables:(q + 1) * tables + 1]
+            out.append(Query([flat[lo:hi] for lo, hi in zip(b, b[1:])], self.dense[q].copy()))
+        return out
 
 
 @dataclass
@@ -295,9 +379,20 @@ def zipf_cdf(rows: int, s: float) -> np.ndarray:
 
 
 def generate_workload(spec: ModelSpec, distribution: str, pooling: int, count: int,
-                      seed: int, zipf_s: float = 1.0) -> list[Query]:
-    """Draw `count` queries: per-table indices from the given distribution,
-    dense features uniform in [0, 1). Deterministic for a fixed seed."""
+                      seed: int, zipf_s: float = 1.0) -> Workload:
+    """Draw `count` queries of `pooling` lookups per table: indices from the
+    given distribution, dense features uniform in [0, 1). Deterministic for a
+    fixed seed.
+
+    The stream is one RNG call for the query's indices and then one for its
+    dense vector, query after query, each written into its row of the
+    workload's columns. The index call is `integers(0, rows)` with one bound
+    per lookup, table after table (the same stream as one call per table);
+    under zipf it is `pooling` uniforms per table instead, mapped through each
+    table's bounded Zipf CDF once all queries are drawn. The calls are not
+    merged across queries: that would reorder the generator's draws, which
+    interleave the two calls and take buffered 32-bit halves, and so change
+    every output."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if pooling < 1:
@@ -306,24 +401,23 @@ def generate_workload(spec: ModelSpec, distribution: str, pooling: int, count: i
         raise ValueError(f"unknown distribution {distribution!r}")
     rng = np.random.default_rng([int(seed), 0x3F7])
     tables = len(spec.tables)
+    index = np.empty((count, tables * pooling), dtype=np.int64)
+    dense = np.empty((count, spec.dense_dim), dtype=np.float32)
     if distribution == "uniform":
-        # one bounded draw per lookup, table after table: the same stream as
-        # one `integers(0, rows, size=pooling)` call per table
         highs = np.repeat([t.rows for t in spec.tables], pooling)
+        for q in range(count):
+            index[q] = rng.integers(0, highs)
+            rng.random(dtype=np.float32, out=dense[q])
     else:
         cdfs = [zipf_cdf(t.rows, zipf_s) for t in spec.tables]
-    queries = []
-    for _ in range(count):
-        if distribution == "uniform":
-            flat = rng.integers(0, highs).tolist()
-            idx = [flat[t * pooling:(t + 1) * pooling] for t in range(tables)]
-        else:
-            u = rng.random(tables * pooling)
-            idx = [np.searchsorted(cdfs[t], u[t * pooling:(t + 1) * pooling],
-                                   side="right").tolist() for t in range(tables)]
-        dense = rng.random(spec.dense_dim, dtype=np.float32)
-        queries.append(Query(idx, dense))
-    return queries
+        u = np.empty((count, tables * pooling))
+        for q in range(count):
+            rng.random(out=u[q])
+            rng.random(dtype=np.float32, out=dense[q])
+        for t, cdf in enumerate(cdfs):
+            cols = slice(t * pooling, (t + 1) * pooling)
+            index[:, cols] = np.searchsorted(cdf, u[:, cols], side="right")
+    return Workload(np.full((count, tables), pooling, dtype=np.int64), index.ravel(), dense)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,14 @@ chunk, one batch per lane of the pipeline scheduler. What follows the device
 is closed-form over the run's columns: emb-vectorsum's in-order host MLP
 queue is a max-plus scan, and the baseline's serial queries start at the
 running sum of their times, so ``duration_ns`` admits a prefix of them.
-``compare`` draws the shared workload once and runs every scenario on it. It
-also shares the device lookups' page reads: a chunk's translation and read
-timeline (``ev_engine.read_timeline``) read neither the tables nor the
-adder's width, so the compare computes them once per key (geometry, timing,
-batch, chunk start) and every device run with that key reuses them, gathering
-from its own flash image and finishing the adder at its own ``kc_e``. The key
+``compare`` draws the shared workload once, as the columns of a
+``recmodel.Workload``, and runs every scenario on it; the batch loop's chunks
+and the scored prefix are views of those columns. It also shares the device
+lookups' page reads: a chunk's translation and read timeline
+(``ev_engine.read_timeline``) read neither the tables nor the adder's width,
+so the compare computes them once per key (geometry, timing, batch, chunk
+start) and every device run with that key reuses them, gathering from its own
+flash image and finishing the adder at its own ``kc_e``. The key
 needs no model identity: the scenarios of a compare share one model spec,
 and so one layout. A lone ``run`` starts with an empty set of them.
 
@@ -37,7 +39,8 @@ the start of its processing for the baseline). A run is scored in one forward
 pass, one bottom-MLP and one top-MLP call over every admitted query, with the
 reference summation orders. The device modes read the embedding values back
 from the flash byte image, so layout bugs surface as score mismatches; the
-baseline sums the host's table rows with the device's index-order vector sum.
+baseline gathers the host's table rows in request order and sums them in one
+call of the device's index-order vector sum.
 """
 
 import json
@@ -54,7 +57,7 @@ from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, WorkloadP
                             spill_floor_cycles)
 from .mlp_engine import (KernelAssignment, make_layers, pipeline_schedule,
                          pipeline_schedule_decomposed)
-from .recmodel import Model, generate_workload, interact, mlp_forward
+from .recmodel import Model, Workload, generate_workload, interact, mlp_forward
 # unused here, but the benchmark's tracer (perfbench/tracing.py) wraps it by name
 from .recmodel import reference_inference  # noqa: F401
 from .storage import SsdGeometry, TimingParams, page_read_time
@@ -274,13 +277,13 @@ def _drive(scenario: Scenario, env, queries, batch: int, kc_e: int, stage, share
             np.concatenate(ev), busy, batches)
 
 
-def _score(model, queries, ev) -> list[float]:
+def _score(model, queries: Workload, ev) -> list[float]:
     """Every query's score, from one bottom-MLP and one top-MLP pass over
     (queries, width) matrices; `ev` holds each query's summed vectors."""
     spec = model.spec
-    dense = np.array([q.dense for q in queries], dtype=np.float32).reshape(-1, spec.dense_dim)
     ev = np.asarray(ev, dtype=np.float32).reshape(len(queries), spec.emb_out_width)
-    bottom = mlp_forward(spec.bottom_mlp_dims, model.bottom_weights, model.bottom_biases, dense)
+    bottom = mlp_forward(spec.bottom_mlp_dims, model.bottom_weights, model.bottom_biases,
+                         queries.dense)
     top = mlp_forward(spec.top_mlp_dims, model.top_weights, model.top_biases,
                       interact(bottom, [ev]))
     return top[:, 0].tolist()
@@ -316,15 +319,17 @@ def _result(scenario: Scenario, queries, ev, start, done, stages, busy,
     return RunResult(metrics, _score(scenario.model, queries[:n], ev), latencies, spans)
 
 
-def _workload(scenario: Scenario, seed: int) -> list:
-    wl = scenario.workload
+def _workload(scenario: Scenario, seed: int) -> Workload:
+    wl, spec = scenario.workload, scenario.model.spec
     if scenario.query_count < 1:
-        return []
-    return generate_workload(scenario.model.spec, wl.distribution, wl.pooling,
-                             scenario.query_count, seed, wl.zipf_s)
+        return Workload(np.zeros((0, spec.num_tables), dtype=np.int64),
+                        np.zeros(0, dtype=np.int64),
+                        np.zeros((0, spec.dense_dim), dtype=np.float32))
+    return generate_workload(spec, wl.distribution, wl.pooling, scenario.query_count, seed,
+                             wl.zipf_s)
 
 
-def run(scenario: Scenario, seed: int, queries: list | None = None,
+def run(scenario: Scenario, seed: int, queries: Workload | None = None,
         shared: dict | None = None) -> RunResult:
     """Simulate the scenario on the workload drawn with `seed`; `queries` is
     that workload when the caller has drawn it already. `shared` holds the
@@ -464,9 +469,8 @@ def _run_baseline(scenario: Scenario, queries, seed: int, env) -> RunResult:
     m = int(lookups.pooling[:n].sum())
     busy = np.bincount(lookups.channel[:m][~hit[:m]], minlength=geometry.channels) * page_busy
     # the host sums each table's rows in index order, as the device's vector sum
-    table, index = lookups.table[:m], lookups.index[:m]
-    ev = np.hstack([ev_engine.lookup_sums(lookups.pooling[:n, [t]], tab.values[index[table == t]])
-                    for t, tab in enumerate(model.tables)])
+    ev = ev_engine.lookup_sums(lookups.pooling[:n], ev_engine.gather_rows(
+        model.tables, lookups.table[:m], lookups.index[:m]))
     # a dispatch is not an event: each query is one completion
     result = _result(scenario, queries, ev, start, done,
                      [("emb", start, start + emb), ("host_mlp", start + emb, done)], busy, n)

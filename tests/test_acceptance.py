@@ -14,8 +14,9 @@ from recssd.kernel_search import (ResourceModel, SearchSpace, WorkloadProfile,
                                   verify_constraints)
 from recssd.mlp_engine import (KernelAssignment, conventional_cycles, eval_decomposed,
                                decompose_first_layer, make_layers, pipeline_schedule)
-from recssd.recmodel import (DESK_POOLING, ModelSpec, Query, TableSpec, build_model,
-                             desk_model_spec, generate_workload, reference_inference)
+from recssd.recmodel import (DESK_POOLING, ModelSpec, Query, TableSpec, Workload,
+                             build_model, desk_model_spec, generate_workload,
+                             reference_inference)
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE, Scenario,
                         WorkloadConfig, metrics_json, percentile_nearest_rank, run)
 from recssd.storage import Ftl, PageReads, SsdGeometry, TimingParams, schedule_page_reads
@@ -248,7 +249,8 @@ def test_criterion_8_property_suites():
     for _ in range(1000):
         n = int(rng.integers(1, 24))
         idx = rng.integers(0, 64 * 16, n).tolist()
-        reqs = translate_batch(emap, ftl, [Query([idx], np.zeros(2, np.float32))])
+        reqs = translate_batch(emap, ftl,
+                               Workload.from_queries([Query([idx], np.zeros(2, np.float32))]))
         distinct = len({i // 64 for i in idx})
         assert len(dispatch(reqs)) == distinct <= n
 
@@ -270,7 +272,8 @@ def test_criterion_8_property_suites():
     emap_bal, ftl_bal = make_lookup_env(model_bal, geo_bal)
     for _ in range(1000):
         idx = rng.integers(0, 64 * 256, 600).tolist()
-        reqs = translate_batch(emap_bal, ftl_bal, [Query([idx], np.zeros(2, np.float32))])
+        reqs = translate_batch(emap_bal, ftl_bal,
+                               Workload.from_queries([Query([idx], np.zeros(2, np.float32))]))
         reads = dispatch(reqs)
         counts = np.unique(reads.channel * 2 + reads.die, return_counts=True)[1].tolist()
         assert len(counts) == 4 and min(counts) >= 32

@@ -8,7 +8,7 @@ from recssd.ev_engine import (FileExtent, add_ns, adder_order, build_extent_map,
                               translate_batch)
 from recssd.storage import Ftl
 from recssd.kernel_search import make_lookup_env
-from recssd.recmodel import (ModelSpec, Query, TableSpec, build_model,
+from recssd.recmodel import (ModelSpec, Query, TableSpec, Workload, build_model,
                              ev_lookup_sum, generate_workload)
 from recssd.storage import SsdGeometry, TimingParams, page_read_time
 
@@ -120,7 +120,7 @@ class TestDispatch:
     def test_same_page_coalesces_to_one_read(self):
         model = flat_model()
         emap, ftl = make_lookup_env(model, GEO)
-        qs = [Query([[3, 7]], np.zeros(2, np.float32))]   # both in page 0
+        qs = Workload.from_queries([Query([[3, 7]], np.zeros(2, np.float32))])   # both in page 0
         reqs = translate_batch(emap, ftl, qs)
         reads = dispatch(reqs)
         assert len(reads) == 1
@@ -130,7 +130,7 @@ class TestDispatch:
         model = flat_model(rows=64 * 64)   # 64 pages
         emap, ftl = make_lookup_env(model, GEO)
         idx = [p * 64 for p in range(8)]   # pages 0..7 -> channels 0..7
-        qs = [Query([idx], np.zeros(2, np.float32))]
+        qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
         res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
         starts = set(res.schedule.sense_start_ns.tolist())
         assert starts == {0}
@@ -140,7 +140,7 @@ class TestDispatch:
         emap, ftl = make_lookup_env(model, GEO)
         rng = np.random.default_rng(42)
         idx = rng.integers(0, 64 * 128, 100).tolist()
-        qs = [Query([idx], np.zeros(2, np.float32))]
+        qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
         reqs = translate_batch(emap, ftl, qs)
         reads = dispatch(reqs)
         # counting oracle: distinct pages grouped by striping arithmetic
@@ -156,7 +156,7 @@ class TestDispatch:
         emap, ftl = make_lookup_env(model, GEO)
         rng = np.random.default_rng(43)
         idx = rng.integers(0, 64 * 128, 100).tolist()
-        qs = [Query([idx], np.zeros(2, np.float32))]
+        qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
         res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
         pages = [(0, 0, int(ch), int(die), seq)
                  for seq, (ch, die) in enumerate(zip(res.reads.channel, res.reads.die))]
@@ -173,7 +173,7 @@ class TestDispatch:
         for _ in range(200):
             n = int(rng.integers(1, 30))
             idx = rng.integers(0, 64 * 16, n).tolist()
-            qs = [Query([idx], np.zeros(2, np.float32))]
+            qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
             reqs = translate_batch(emap, ftl, qs)
             npages = len(dispatch(reqs))
             assert npages <= n
@@ -211,7 +211,7 @@ class TestSimulateLookup:
     def test_single_request_cold_path(self):
         model = flat_model()
         emap, ftl = make_lookup_env(model, GEO)
-        qs = [Query([[5]], np.zeros(2, np.float32))]
+        qs = Workload.from_queries([Query([[5]], np.zeros(2, np.float32))])
         res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
         assert res.e_ns.tolist() == [page_read_time(GEO, TP)]
         assert res.t_emb_ns.tolist() == [page_read_time(GEO, TP)]
@@ -223,14 +223,17 @@ class TestSimulateLookup:
         for bad, match in ((Query([[1], [100]], np.zeros(2, np.float32)), "table 1: index 100"),
                            (Query([[1]], np.zeros(2, np.float32)), "index lists"),
                            (Query([[1], [2]], np.zeros(3, np.float32)), "dense vector shape")):
-            with pytest.raises(ValueError, match=match):
-                simulate_lookup(model, [good, bad], GEO, TP, emap, ftl)
+            # mixed with a good query, and alone, where the lookup's own
+            # checks see it
+            for qs in ([good, bad], [bad]):
+                with pytest.raises(ValueError, match=match):
+                    simulate_lookup(model, Workload.from_queries(qs), GEO, TP, emap, ftl)
 
     def test_identical_queries_identical_latency(self):
         model = flat_model(num_tables=2, rows=4096, seed=5)
         emap, ftl = make_lookup_env(model, GEO)
         q = Query([[1, 2, 3], [9, 9, 700]], np.zeros(2, np.float32))
-        res = simulate_lookup(model, [q, q], GEO, TP, emap, ftl)
+        res = simulate_lookup(model, Workload.from_queries([q, q]), GEO, TP, emap, ftl)
         assert res.e_ns[0] == res.e_ns[1]
         assert np.array_equal(res.ev_concat[0], res.ev_concat[1])
 
@@ -344,8 +347,8 @@ class TestSimulateLookup:
         flash = build_flash_image(model.tables, emap, GEO)
         rng = np.random.default_rng(47)
         pooling = (1, 3, 8)
-        qs = [Query([rng.integers(0, rows, p).tolist() for p in pooling],
-                    np.zeros(2, np.float32)) for _ in range(6)]
+        qs = Workload.from_queries([Query([rng.integers(0, rows, p).tolist() for p in pooling],
+                                          np.zeros(2, np.float32)) for _ in range(6)])
         kc_e = 2
         res = simulate_lookup(model, qs, GEO, TP, emap, ftl, flash=flash, kc_e=kc_e)
 
@@ -396,8 +399,8 @@ class TestSimulateLookup:
         flash = build_flash_image(model.tables, emap, GEO)
         rng = np.random.default_rng(48)
         # few rows per table, so batches share pages and each lane coalesces
-        qs = [Query([rng.integers(0, 200, p).tolist() for p in (1, 3, 8)],
-                    np.zeros(2, np.float32)) for _ in range(11)]
+        qs = Workload.from_queries([Query([rng.integers(0, 200, p).tolist() for p in (1, 3, 8)],
+                                          np.zeros(2, np.float32)) for _ in range(11)])
         batch, kc_e = 4, 2
         whole = simulate_lookup(model, qs, GEO, TP, emap, ftl, flash=flash, kc_e=kc_e,
                                 batch=batch)

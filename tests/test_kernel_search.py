@@ -1,12 +1,13 @@
+import heapq
 import itertools
 
 import numpy as np
 import pytest
 
 from recssd.ev_engine import simulate_lookup
-from recssd.kernel_search import (ResourceModel, SearchSpace, WorkloadProfile,
-                                  _stage_candidates, bram_placement, emb_budgets,
-                                  estimate_times, kernel_options, layer_weight_bytes,
+from recssd.kernel_search import (ResourceModel, SearchSpace, WorkloadProfile, _Stage,
+                                  bram_placement, emb_budgets, estimate_times,
+                                  kernel_options, layer_weight_bytes,
                                   make_lookup_env, resource_usage, search,
                                   spill_floor_cycles, verify_constraints)
 from recssd.mlp_engine import KernelAssignment, fc_cycles, make_layers
@@ -264,8 +265,7 @@ class TestStageWalk:
     def test_walk_order_is_sorted_product(self, dims, max_kernel):
         layers = make_layers(dims)
         want = area_order(itertools.product(*layer_options(layers, max_kernel)))
-        walk = _stage_candidates(layers, SearchSpace(max_kernel=max_kernel), 2, TP, 10 ** 12,
-                                 None)
+        walk = _Stage(layers, SearchSpace(max_kernel=max_kernel), 2, TP, None).candidates(10 ** 12)
         # one more than expected, so a walk that repeats candidates fails fast
         assert list(itertools.islice(walk, len(want) + 1)) == want
 
@@ -282,7 +282,7 @@ class TestStageWalk:
 
         want = area_order(ks for ks in itertools.product(*layer_options(layers))
                           if all(fits(l, k) for l, k in enumerate(ks)))
-        walk = _stage_candidates(layers, SearchSpace(), batch, TP, budget, floors)
+        walk = _Stage(layers, SearchSpace(), batch, TP, floors).candidates(budget)
         assert list(itertools.islice(walk, len(want) + 1)) == want
 
     @pytest.mark.parametrize("dims", STACKS)
@@ -296,6 +296,63 @@ class TestStageWalk:
                                            floors=floors)
                 for l, k in enumerate(ks):
                     assert max(comps) >= max(fc_cycles(layers[l], k, batch), floors[l])
+
+    @pytest.mark.parametrize("preset", DESK_PRESETS + ("search-deep",))
+    def test_one_option_list_per_batch_walks_as_a_rebuild_per_budget(self, preset):
+        # one _Stage serves every kc_e budget of a batch, and an eighth of
+        # each, which drops options; each walk must equal the one from option
+        # lists rebuilt for its budget. The deep stacks' walks are cut short.
+        spec = DEEP_SPEC if preset == "search-deep" else desk_model_spec(preset)
+        m = build_model(spec, 2)
+        emap, ftl = make_lookup_env(m, GEO)
+        floors = spill_floor_cycles(spec, RM, TP)
+        longest = 4000 if preset == "search-deep" else None
+        for batch in (1, 2, 4):
+            queries = generate_workload(spec, "uniform", 8, batch, 9)
+            budgets = list(emb_budgets(m, queries, GEO, TP, emap, ftl).values())
+            budgets += [b // 8 for b in budgets]
+            for dims, floor in zip((spec.bottom_mlp_dims, spec.top_mlp_dims), floors):
+                layers = make_layers(dims)
+                stage = _Stage(layers, SearchSpace(), batch, TP, floor)
+                for budget in budgets:
+                    got = list(itertools.islice(stage.candidates(budget), longest))
+                    want = rebuilt_walk(layers, SearchSpace(), batch, TP, budget, floor)
+                    assert got == list(itertools.islice(want, longest)), (batch, budget)
+
+
+# the search-deep benchmark workload's model
+DEEP_SPEC = ModelSpec(tables=tuple(TableSpec(4096, 16) for _ in range(8)),
+                      bottom_mlp_dims=(64, 512, 256, 64), top_mlp_dims=(192, 512, 256, 1),
+                      dense_dim=64)
+
+
+def rebuilt_walk(layers, space, batch, timing, budget_ns, floors):
+    """The stage walk with every layer's options built for this one budget:
+    the options that fit alone, sorted by (area, kernel), walked by a heap in
+    ascending (area, kernels) order."""
+    per_layer = []
+    for l, layer in enumerate(layers):
+        floor = floors[l] if floors else 0
+        opts = [(kr, kc)
+                for kr in kernel_options(layer.in_width, space.max_kernel)
+                for kc in kernel_options(layer.out_width, space.max_kernel)
+                if timing.cycles_to_ns(max(fc_cycles(layer, (kr, kc), batch), floor))
+                <= budget_ns]
+        if not opts:
+            return
+        per_layer.append(sorted(opts, key=lambda k: (k[0] * k[1], k)))
+
+    def entry(index, low):
+        kernels = tuple(options[i] for options, i in zip(per_layer, index))
+        return sum(kr * kc for kr, kc in kernels), kernels, index, low
+
+    heap = [entry((0,) * len(per_layer), 0)]
+    while heap:
+        _, kernels, index, low = heapq.heappop(heap)
+        yield kernels
+        for j in range(low, len(index)):
+            if index[j] + 1 < len(per_layer[j]):
+                heapq.heappush(heap, entry(index[:j] + (index[j] + 1,) + index[j + 1:], j))
 
 
 class TestVerifyConstraints:

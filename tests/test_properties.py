@@ -12,7 +12,8 @@ from recssd.cli import main
 from recssd.config import default_config_text
 from recssd.ev_engine import dispatch, translate_batch
 from recssd.kernel_search import make_lookup_env
-from recssd.recmodel import ModelSpec, Query, TableSpec, build_model, ev_lookup_sum
+from recssd.recmodel import (ModelSpec, Query, TableSpec, Workload, build_model,
+                             ev_lookup_sum)
 from recssd.sim import MODES
 from recssd.storage import Ftl, SsdGeometry, TimingParams
 
@@ -42,7 +43,8 @@ def test_ftl_translate_is_page_bijection(channels, dies, total_pages):
 @given(st.lists(st.integers(0, 64 * 16 - 1), min_size=1, max_size=40))
 def test_coalescing_never_increases_page_reads(indices):
     model, emap, ftl = tiny_lookup_env(64 * 16)
-    reqs = translate_batch(emap, ftl, [Query([indices], np.zeros(2, np.float32))])
+    reqs = translate_batch(emap, ftl,
+                           Workload.from_queries([Query([indices], np.zeros(2, np.float32))]))
     reads = len(dispatch(reqs))
     assert reads <= len(indices)
     assert (reads == len(indices)) == (len({i // 64 for i in indices}) == len(indices))

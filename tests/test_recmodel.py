@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from recssd.recmodel import (DESK_PRESETS, EmbeddingTable, Model, ModelSpec, Query,
-                             TableSpec, build_model, desk_model_spec, ev_lookup_sum,
-                             generate_workload, mlp_forward, reference_inference,
-                             zipf_cdf)
+                             TableSpec, Workload, build_model, desk_model_spec,
+                             ev_lookup_sum, generate_workload, mlp_forward,
+                             reference_inference, zipf_cdf)
 
 from oracles import (fold_sum_rows, model_oracle, scalar_mlp, scalar_reference,
                      workload_oracle)
@@ -202,17 +204,59 @@ class TestGenerateWorkload:
         assert np.abs(counts - n * p).max() <= 5 * sigma
 
     def test_matches_per_table_oracle_with_mixed_row_counts(self):
-        # zipf builds a CDF over every row, so its tables stay small
+        # zipf builds a CDF over every row, so its tables stay small; both the
+        # columns and the queries they give must be the oracle's stream
         for distribution, rows in (("uniform", (7, 1, 1000, 2 ** 31 + 5)),
                                    ("zipf", (7, 1, 1000, 333))):
             spec = ModelSpec(tables=tuple(TableSpec(r, 2) for r in rows),
                              bottom_mlp_dims=(3, 2), top_mlp_dims=(10, 1), dense_dim=3)
-            for pooling in (1, 5):
-                got = generate_workload(spec, distribution, pooling, 30, 8, zipf_s=0.9)
-                want = workload_oracle(rows, 3, distribution, pooling, 30, 8, zipf_s=0.9)
+            for pooling, zipf_s in itertools.product((1, 3, 5, 8), (0.7, 0.9, 1.2)):
+                got = generate_workload(spec, distribution, pooling, 30, 8, zipf_s=zipf_s)
+                want = workload_oracle(rows, 3, distribution, pooling, 30, 8, zipf_s=zipf_s)
+                assert len(got) == len(want) == 30
                 for q, (indices, dense) in zip(got, want):
                     assert q.indices == indices
                     assert np.array_equal(q.dense, dense)
+                assert got.pooling.dtype == got.index.dtype == np.int64
+                assert got.pooling.tolist() == [[pooling] * len(rows)] * 30
+                assert got.index.tolist() == [i for indices, _ in want
+                                              for idx in indices for i in idx]
+                assert got.dense.dtype == np.float32
+                assert np.array_equal(got.dense, np.array([d for _, d in want]))
+
+    def test_zipf_uniform_on_a_cdf_step_takes_the_next_rank(self, monkeypatch):
+        # ranks 0..k hold cumulative weight cdf[k], so a uniform equal to
+        # cdf[k] is past rank k. A real draw lands on a step almost never, so
+        # a stand-in generator returns the steps themselves.
+        class Steps:
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                n = out.size if out is not None else size
+                draw = np.array(self.values[:n], dtype=dtype)
+                self.values = self.values[n:]
+                if out is None:
+                    return draw
+                out[...] = draw
+                return out
+
+        rows, pooling, count = (5, 9), 3, 4
+        spec = ModelSpec(tables=tuple(TableSpec(r, 2) for r in rows), bottom_mlp_dims=(3, 2),
+                         top_mlp_dims=(6, 1), dense_dim=3)
+        cdfs = [zipf_cdf(r, 1.1) for r in rows]
+        steps = [[(q + j) % (r - 1) for r in rows for j in range(pooling)]
+                 for q in range(count)]
+        values = []
+        for ks in steps:
+            values += [cdfs[j // pooling][k] for j, k in enumerate(ks)] + [0.5] * 3
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Steps(values))
+        got = generate_workload(spec, "zipf", pooling, count, 1, zipf_s=1.1)
+        want = workload_oracle(rows, 3, "zipf", pooling, count, 1, zipf_s=1.1)
+        assert got.index.tolist() == [k + 1 for ks in steps for k in ks]
+        for q, (indices, dense) in zip(got, want):
+            assert q.indices == indices
+            assert np.array_equal(q.dense, dense)
 
     def test_zipf_skews_toward_low_ranks(self):
         spec = ModelSpec(tables=(TableSpec(1000, 4),), bottom_mlp_dims=(2, 2),
@@ -223,6 +267,53 @@ class TestGenerateWorkload:
         want_top10 = cdf[9]
         got_top10 = (idx < 10).mean()
         assert abs(got_top10 - want_top10) < 0.05
+
+
+def columns(w):
+    return w.pooling.tolist(), w.index.tolist(), w.dense.tolist()
+
+
+class TestWorkload:
+    def test_slices_equal_the_columns_of_their_queries(self):
+        spec = ModelSpec(tables=(TableSpec(50, 2), TableSpec(9, 2), TableSpec(700, 2)),
+                         bottom_mlp_dims=(3, 2), top_mlp_dims=(8, 1), dense_dim=3)
+        for distribution in ("uniform", "zipf"):
+            w = generate_workload(spec, distribution, 3, 12, 4)
+            queries = list(w)
+            assert columns(Workload.from_queries(queries)) == columns(w)
+            for a, b in ((0, 12), (0, 1), (3, 7), (11, 12), (5, 5), (12, 12), (7, 2),
+                         (-4, None), (None, -9), (2, 40)):
+                part = w[a:b]
+                assert columns(part) == columns(Workload.from_queries(queries[a:b])), (a, b)
+                assert len(part) == len(queries[a:b])
+                assert part.pooling.shape[1:] == (3,) and part.dense.shape[1:] == (3,)
+                assert np.shares_memory(part.index, w.index) or not len(part)
+                for q, want in zip(part, queries[a:b]):
+                    assert q.indices == want.indices and np.array_equal(q.dense, want.dense)
+            assert w[-1].indices == queries[11].indices
+            with pytest.raises(IndexError):
+                w[12]
+            with pytest.raises(ValueError, match="contiguous"):
+                w[::2]
+
+    def test_hand_written_queries_keep_their_lists(self):
+        qs = [Query([[4], [1, 2, 3]], np.array([0.5, 1.0], np.float32)),
+              Query([[0, 0], [7]], np.array([2.0, -1.0], np.float32))]
+        w = Workload.from_queries(qs)
+        assert w.pooling.tolist() == [[1, 3], [2, 1]]
+        assert w.index.tolist() == [4, 1, 2, 3, 0, 0, 7]
+        assert w.dense.tolist() == [[0.5, 1.0], [2.0, -1.0]]
+        assert [q.indices for q in w[1:]] == [[[0, 0], [7]]]
+        with pytest.raises(ValueError, match="index lists"):
+            Workload.from_queries(qs + [Query([[1]], np.zeros(2, np.float32))])
+        with pytest.raises(ValueError, match=r"dense vector shape \(3,\) != \(2,\)"):
+            Workload.from_queries(qs + [Query([[1], [1]], np.zeros(3, np.float32))])
+        with pytest.raises(ValueError, match="at least one index"):
+            Workload.from_queries([Query([[1], []], np.zeros(2, np.float32))])
+        with pytest.raises(ValueError, match="non-finite"):
+            Workload.from_queries([Query([[1], [1]], np.array([0.0, np.nan], np.float32))])
+        empty = Workload.from_queries([])
+        assert len(empty) == 0 and list(empty) == []
 
 
 class TestInvariants:
