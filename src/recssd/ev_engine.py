@@ -22,8 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .recmodel import Model, Workload
-from .storage import (EV_PRIORITY, Ftl, PageReads, PageSchedule,
-                      SsdGeometry, TimingParams, schedule_page_reads)
+from .storage import Ftl, PageReads, SsdGeometry, TimingParams, schedule_page_reads
 
 
 @dataclass(frozen=True)
@@ -320,38 +319,27 @@ class ReadTimeline:
     requests, the batch, the geometry and the timing alone, not on the table
     values or the adder's width, so modes that look up the same requests on
     the same device share it."""
-    arrival_ns: np.ndarray               # per request: its page's transfer end
     first_sense_ns: np.ndarray           # per query: its first sense start
     channel_busy_ns: np.ndarray          # (batches, channels)
     adder: AdderOrder
-
-
-def _coalesce(requests: Requests, batch: int) -> CoalescedReads:
-    return dispatch(requests, requests.query // batch)
-
-
-def _schedule(reads: CoalescedReads, geometry: SsdGeometry,
-              timing: TimingParams) -> PageSchedule:
-    zeros = np.zeros(len(reads), dtype=np.int64)
-    return schedule_page_reads(PageReads(reads.channel, reads.die, zeros,
-                                         zeros + EV_PRIORITY, reads.lane), geometry, timing)
 
 
 def read_timeline(requests: Requests, batch: int, geometry: SsdGeometry,
                   timing: TimingParams) -> ReadTimeline:
     """Coalesce and schedule the page reads of `requests`, one batch of
     `batch` queries per lane, and keep only the columns the modes read: each
-    request's arrival, each query's first sense start, the channels' busy
-    times and the adder's order of the arrivals."""
+    query's first sense start, the channels' busy times and the adder's order
+    of the requests' arrivals (each its page's transfer end)."""
     _require_vectors(requests.pooling)
-    reads = _coalesce(requests, batch)
-    sched = _schedule(reads, geometry, timing)
+    reads = dispatch(requests, requests.query // batch)
+    sched = schedule_page_reads(PageReads(reads.channel, reads.die, reads.lane),
+                                geometry, timing)
     arrival = sched.xfer_end_ns[reads.read]
     per_query = requests.pooling.sum(axis=1)
     first_sense = np.minimum.reduceat(sched.sense_start_ns[reads.read],
                                       np.cumsum(per_query) - per_query)
     lanes = -(-len(per_query) // batch)
-    return ReadTimeline(arrival, first_sense, sched.channel_busy_ns(geometry.channels, lanes),
+    return ReadTimeline(first_sense, sched.channel_busy_ns(geometry.channels, lanes),
                         adder_order(requests.pooling, arrival))
 
 
@@ -361,23 +349,7 @@ class LookupResult:
     e_ns: np.ndarray                     # per query EV-sum completion
     flash_start_ns: np.ndarray           # per query first sense start
     t_emb_ns: np.ndarray                 # per batch completion of its last EV sum
-    requests: Requests
-    arrival_ns: np.ndarray               # per request: its page's transfer end
     channel_busy_ns: np.ndarray          # (batches, channels)
-    batch: int
-    geometry: SsdGeometry
-    timing: TimingParams
-
-    # The read timeline keeps no per-read columns; for inspection, the
-    # coalesced reads and their schedule are derived again on first access.
-    @cached_property
-    def reads(self) -> CoalescedReads:
-        return _coalesce(self.requests, self.batch)
-
-    @cached_property
-    def schedule(self) -> PageSchedule:
-        """The coalesced reads' schedule, in their order."""
-        return _schedule(self.reads, self.geometry, self.timing)
 
 
 def gather_rows(tables, table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -426,10 +398,5 @@ def simulate_lookup(model: Model, queries: Workload, geometry: SsdGeometry,
         flash_start_ns=timeline.first_sense_ns,
         t_emb_ns=np.maximum.reduceat(e_ns, np.arange(0, len(queries), batch))
         if len(queries) else e_ns,
-        requests=requests,
-        arrival_ns=timeline.arrival_ns,
         channel_busy_ns=timeline.channel_busy_ns,
-        batch=batch,
-        geometry=geometry,
-        timing=timing,
     )

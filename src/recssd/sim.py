@@ -65,8 +65,8 @@ from .storage import SsdGeometry, TimingParams, page_read_time
 SCHEMA_VERSION = 1
 
 # Queries per `simulate_lookup` call of the batch loop, rounded down to
-# whole batches (at least one): it bounds the page scheduler's padded
-# matrices on long runs.
+# whole batches (at least one): it bounds the size of one lookup's arrays on
+# long runs.
 CHUNK_QUERIES = 512
 
 # Longest modelled duration of one operation. A run is a bounded number of

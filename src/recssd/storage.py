@@ -6,8 +6,8 @@ Timing model (all durations are integer nanoseconds):
   phase (occupies the channel bus); the die stays busy until its page has
   been transferred, so there is one outstanding read per die;
 * dies on a channel sense concurrently, transfers on a channel serialize;
-* embedding reads outrank queued block I/O at both the die and the bus,
-  non-preemptively; ties resolve by arrival then sequence number.
+* every read is ready when its lane starts, and a die takes its reads in
+  sequence (request) order.
 
 A lane is a device of its own, idle at time 0, and its channels share
 nothing. So `schedule_page_reads` runs every active (lane, channel) pair in
@@ -15,12 +15,9 @@ one lockstep loop, one transfer per pair and step, until the busiest pair
 has moved all its reads:
 
 * the pair's bus takes, at max(bus free, earliest sense end among its dies'
-  current reads), the least (priority, sense end, seq) among the reads
-  sensed by then;
-* the transfer's end frees the bus and the die, which takes its next read at
-  max(die free, earliest pending arrival): the least (priority, ready, seq)
-  among the reads arrived by then, a masked minimum over the die's pending
-  reads in padded key matrices.
+  current reads), the least (sense end, seq) among those reads;
+* the transfer's end frees the bus and the die, which starts sensing its
+  next read at once.
 
 The loop is the event-driven rule exactly when a sense and a page transfer
 each last at least 1 ns, so that no phase ends at the instant it starts;
@@ -31,9 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-EV_PRIORITY = 0
-BLOCK_PRIORITY = 1
 
 
 @dataclass(frozen=True)
@@ -142,12 +136,10 @@ def page_read_time(geometry: SsdGeometry, timing: TimingParams) -> int:
 @dataclass(frozen=True)
 class PageReads:
     """Page reads as columns; a read's position is its sequence number. Each
-    lane is a device of its own, idle at time 0; ready times are relative to
-    that start."""
+    lane is a device of its own, idle at time 0, and its reads are all ready
+    at that start."""
     channel: np.ndarray
     die: np.ndarray
-    ready_ns: np.ndarray
-    priority: np.ndarray    # EV_PRIORITY or BLOCK_PRIORITY
     lane: np.ndarray | None = None      # lanes numbered from 0; None: one lane
 
     def __len__(self) -> int:
@@ -189,41 +181,6 @@ class PageSchedule:
 _NEVER = 1 << 62
 
 
-def _pending_reads(slot: np.ndarray, ready: np.ndarray, rank: np.ndarray, ranks: int,
-                   slots: int, span: int):
-    """Each die slot's reads as one column of padded (width, slots) matrices,
-    rows in (ready, seq) order: their ready times, their (key, late key)
-    pairs and their positions (len(slot) for padding).
-
-    A read's key is rank * width + row, so the least key among the arrived
-    reads is the least (priority, ready, seq). Its late key adds (1 + the row
-    of the die's first read ready as early) * ranks * width, so with nothing
-    arrived the least late key is the least key among the earliest arrivals.
-    Both keys keep the row in their remainder."""
-    n = len(slot)
-    order = np.lexsort((ready, slot))
-    per_slot = np.bincount(slot, minlength=slots)
-    width = int(per_slot.max())
-    if ranks * max(span, (width + 2) * width) >= _NEVER // 2:
-        raise ValueError(f"page reads over {span} ns at {ranks} priority levels exceed "
-                         f"the schedulable range")
-    row = np.arange(n) - np.repeat(np.cumsum(per_slot) - per_slot, per_slot)
-    slot, ready = slot[order], ready[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (slot[1:] != slot[:-1]) | (ready[1:] != ready[:-1])
-    early = row[np.maximum.accumulate(np.where(first, np.arange(n), 0))]
-    key = rank[order] * width + row
-    at = row * slots + slot
-    ready_at = np.full((width, slots), _NEVER, dtype=np.int64)
-    ready_at.flat[at] = ready
-    keys_at = np.full((2, width, slots), _NEVER, dtype=np.int64)
-    keys_at.reshape(2, -1)[0, at] = key
-    keys_at.reshape(2, -1)[1, at] = key + (1 + early) * ranks * width
-    read_at = np.full(width * slots, n, dtype=np.int64)
-    read_at[at] = order
-    return width, ready_at, keys_at, read_at
-
-
 def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
                         timing: TimingParams) -> PageSchedule:
     """Schedule page reads with the lockstep loop of the module docstring.
@@ -235,7 +192,6 @@ def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
     die = np.asarray(reads.die, dtype=np.int64)
     lane = np.zeros(n, dtype=np.int64) if reads.lane is None \
         else np.asarray(reads.lane, dtype=np.int64)
-    ready = np.asarray(reads.ready_ns, dtype=np.int64)
     outside = (channel < 0) | (channel >= geometry.channels) \
         | (die < 0) | (die >= geometry.dies_per_channel) | (lane < 0)
     if outside.any():
@@ -249,7 +205,6 @@ def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
     # number the active (lane, channel) pairs busiest first, so the pairs
     # still moving reads at step s, those with more than s, are the first
     # active[s]
-    dies = geometry.dies_per_channel
     pair = lane * geometry.channels + channel
     per_pair = np.bincount(pair)
     busiest = np.argsort(-per_pair, kind="stable")
@@ -260,60 +215,36 @@ def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
     pairs = int(np.count_nonzero(per_pair))
     active = np.searchsorted(-per_pair, -np.arange(1, int(per_pair[0]) + 1), "right").tolist()
 
-    rank = np.asarray(reads.priority, dtype=np.int64)
-    rank = rank - rank.min()
-    ranks = int(rank.max()) + 1
-    # every sense end lies below `span`, so rank * span + sense end orders the
-    # bus by (priority, sense end)
-    span = max(int(ready.max()), 0) + int(per_pair[0]) * (sense + xfer) + 1
-    slots = pairs * dies
-    width, ready_at, keys_at, read_at = _pending_reads(pair * dies + die, ready, rank, ranks,
-                                                       slots, span)
-    keys_flat = keys_at.reshape(2, -1)
+    # each die's reads in sequence order: its first read is its head, and
+    # every read's successor (n after its die's last) senses once it is moved
+    at_head = die * pairs + pair
+    order = np.argsort(at_head, kind="stable")
+    same = at_head[order[1:]] == at_head[order[:-1]]
+    successor = np.full(n, n)
+    successor[order[:-1][same]] = order[1:][same]
+    first = order[np.concatenate(([True], ~same))]
+    # each die's head and its sense end, as (dies, pairs) matrices
+    head = np.full((geometry.dies_per_channel, pairs), n)
+    head.flat[at_head[first]] = first
+    head_end = np.where(head < n, sense, _NEVER)
     # per read, and one more entry for a die with nothing left
-    ready_of = np.append(ready, _NEVER)
-    bus_rank = np.append(rank * span, 0)
     sense_start = np.zeros(n + 1, dtype=np.int64)
     xfer_start = np.zeros(n, dtype=np.int64)
-
-    def start(at_slots, free_ns, key, late, ready):
-        """Each die of `at_slots`, whose pending columns are `key`, `late` and
-        `ready`, takes its next read once free: at max(free, earliest pending
-        arrival), the least key arrived by then. Returns the reads (n for a
-        die with none left) and their sense ends."""
-        key = np.where(ready <= free_ns, key, late)
-        taken = key.min(axis=0) % width * slots + at_slots
-        read = read_at[taken]
-        keys_flat[:, taken] = _NEVER
-        read_at[taken] = n
-        t = np.maximum(free_ns, ready_of[read])
-        sense_start[read] = t
-        return read, t + sense
-
-    # each die's current read (head), its sense end and bus key, as
-    # (dies, pairs) matrices
-    head, head_end = (v.reshape(pairs, dies).T.copy()
-                      for v in start(np.arange(slots), 0, *keys_at, ready_at))
-    head_key = bus_rank[head] + head_end
-    flat = head.reshape(-1), head_end.reshape(-1), head_key.reshape(-1)
     bus_free = np.zeros(pairs, dtype=np.int64)
-    first_die = np.arange(pairs) * dies
     for k in active:
-        # each pair's bus takes the least (priority, sense end, seq) among its
-        # heads sensed by max(bus free, earliest sense end)
+        # each pair's bus takes the least (sense end, seq) among its heads, at
+        # max(bus free, that sense end)
         ends = head_end[:, :k]
-        now = np.maximum(bus_free[:k], ends.min(axis=0))
-        key = np.where(ends <= now, head_key[:, :k], _NEVER)
-        read = np.where(key == key.min(axis=0), head[:, :k], n).min(axis=0)
-        xfer_start[read] = now
+        end = ends.min(axis=0)
+        read = np.where(ends == end, head[:, :k], n).min(axis=0)
+        xfer_start[read] = now = np.maximum(bus_free[:k], end)
         bus_free[:k] = now = now + xfer
-        # the transfer's end frees the die, which starts its next read
-        d = die[read]
-        at_slots = first_die[:k] + d
-        nxt, end = start(at_slots, now, *keys_at.take(at_slots, axis=2),
-                         ready_at.take(at_slots, axis=1))
-        at_head = d * pairs + np.arange(k)
-        flat[0][at_head], flat[1][at_head], flat[2][at_head] = nxt, end, bus_rank[nxt] + end
+        # the transfer's end frees the die, which senses its next read
+        nxt = successor[read]
+        sense_start[nxt] = now
+        at = at_head[read]
+        head.flat[at] = nxt
+        head_end.flat[at] = np.where(nxt < n, now + sense, _NEVER)
 
     sense_start = sense_start[:n]
     xfer_end = xfer_start + xfer

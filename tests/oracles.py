@@ -1,18 +1,21 @@
-"""Independent straight-line oracles, and two test helpers.
+"""Independent straight-line oracles, and three test helpers.
 
 The oracles reimplement the documented timing and arithmetic rules with
 plain Python loops, staying off the package's compute/scheduling code paths,
 so tests compare two separately written realizations of the same rules. The
 helpers in the last section are built on the package's own code: they give
-tests a one-row translation and a host block read, which no scenario needs.
+tests a one-row translation, a host block read, which no scenario needs, and
+the per-read columns of a lookup (its requests, coalesced reads, their
+schedule and each request's arrival), which the simulator does not keep.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from recssd.ev_engine import _locate
-from recssd.storage import BLOCK_PRIORITY, PageReads, schedule_page_reads
+from recssd.ev_engine import _locate, dispatch, translate_batch
+from recssd.storage import PageReads, schedule_page_reads
 
 F32 = np.float32
 
@@ -80,7 +83,9 @@ def two_phase_split(w_bottom, w_emb, bias, b_vec, e_vec) -> np.ndarray:
 # instead of an event queue.
 
 def flash_schedule_oracle(pages, sense, xfer):
-    """pages: list of (ready, priority, channel, die, seq). Returns
+    """pages: list of (ready, priority, channel, die, seq), the die taking
+    the least (priority, ready, seq) among its arrived pages and the bus the
+    least (priority, sense end, seq) among its channel's sensed ones. Returns
     {seq: (sense_start, sense_end, xfer_start, xfer_end)} and the makespan."""
     WAIT, SENSING, SENSED, MOVING, DONE = range(5)
     state = {p[4]: WAIT for p in pages}
@@ -372,9 +377,9 @@ def translate_index(emap, table_id: int, index: int) -> tuple[int, int]:
 
 def host_block_read(ftl, lba: int, nbytes: int, timing) -> int:
     """Latency of one synchronous host-path read of `nbytes` from `lba`: its
-    pages, read as block I/O by `schedule_page_reads` (parallel across
-    channels and dies, serialized per die), the host-interface transfer of
-    the payload, and the fixed software-stack overhead."""
+    pages, read by `schedule_page_reads` (parallel across channels and dies,
+    serialized per die), the host-interface transfer of the payload, and the
+    fixed software-stack overhead."""
     g = ftl.geometry
     if nbytes < 1:
         raise ValueError("read length must be >= 1 byte")
@@ -384,7 +389,18 @@ def host_block_read(ftl, lba: int, nbytes: int, timing) -> int:
         raise ValueError(f"byte range [{start}, {end}) outside provisioned capacity")
     pages = np.arange(start // g.page_size, (end - 1) // g.page_size + 1, dtype=np.int64)
     channel, die, _ = ftl.page_location(pages)
-    zeros = np.zeros(len(pages), dtype=np.int64)
-    sched = schedule_page_reads(PageReads(channel, die, zeros, zeros + BLOCK_PRIORITY),
-                                g, timing)
+    sched = schedule_page_reads(PageReads(channel, die), g, timing)
     return sched.makespan_ns + timing.host_iface_ns(nbytes) + timing.host_overhead_ns
+
+
+def lookup_reads(emap, ftl, queries, geometry, timing, batch=None):
+    """The page reads of a lookup of `queries` in batches of `batch` (default:
+    one batch of all), one lane per batch, as `ev_engine.read_timeline`
+    coalesces and schedules them: `requests`, the coalesced `reads`, their
+    `schedule` and each request's `arrival_ns` (its page's transfer end)."""
+    requests = translate_batch(emap, ftl, queries)
+    reads = dispatch(requests, requests.query // (batch or max(len(queries), 1)))
+    schedule = schedule_page_reads(PageReads(reads.channel, reads.die, reads.lane),
+                                   geometry, timing)
+    return SimpleNamespace(requests=requests, reads=reads, schedule=schedule,
+                           arrival_ns=schedule.xfer_end_ns[reads.read])

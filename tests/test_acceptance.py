@@ -258,9 +258,9 @@ def test_criterion_8_property_suites():
     geo_small = SsdGeometry(2, 2, 4096)
     for _ in range(1000):
         nreq = int(rng.integers(1, 10))
-        priority, channel, die = np.array([[int(rng.integers(0, 2)) for _ in range(3)]
-                                           for _ in range(nreq)]).T
-        reads = PageReads(channel, die, np.zeros(nreq, np.int64), priority)
+        channel, die = np.array([[int(rng.integers(0, 2)) for _ in range(2)]
+                                 for _ in range(nreq)]).T
+        reads = PageReads(channel, die)
         sched = schedule_page_reads(reads, geo_small, TP)
         for recs in die_timelines(sched).values():
             for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):

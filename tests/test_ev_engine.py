@@ -13,7 +13,7 @@ from recssd.recmodel import (ModelSpec, Query, TableSpec, Workload, build_model,
 from recssd.storage import SsdGeometry, TimingParams, page_read_time
 
 from oracles import (adder_oracle, die_timelines, flash_schedule_oracle, fold_sum_rows,
-                     translate_index)
+                     lookup_reads, translate_index)
 
 GEO = SsdGeometry(channels=8, dies_per_channel=4, page_size=4096, lba_size=512)
 TP = TimingParams()
@@ -131,9 +131,10 @@ class TestDispatch:
         emap, ftl = make_lookup_env(model, GEO)
         idx = [p * 64 for p in range(8)]   # pages 0..7 -> channels 0..7
         qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
-        res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
+        res = lookup_reads(emap, ftl, qs, GEO, TP)
         starts = set(res.schedule.sense_start_ns.tolist())
         assert starts == {0}
+        assert simulate_lookup(model, qs, GEO, TP, emap, ftl).flash_start_ns.tolist() == [0]
 
     def test_page_counts_match_counting_oracle(self):
         model = flat_model(rows=64 * 128, seed=2)
@@ -157,7 +158,7 @@ class TestDispatch:
         rng = np.random.default_rng(43)
         idx = rng.integers(0, 64 * 128, 100).tolist()
         qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
-        res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
+        res = lookup_reads(emap, ftl, qs, GEO, TP)
         pages = [(0, 0, int(ch), int(die), seq)
                  for seq, (ch, die) in enumerate(zip(res.reads.channel, res.reads.die))]
         _, makespan = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
@@ -407,11 +408,17 @@ class TestSimulateLookup:
         parts = [simulate_lookup(model, qs[i:i + batch], GEO, TP, emap, ftl, flash=flash,
                                  kc_e=kc_e) for i in range(0, len(qs), batch)]
         assert whole.ev_concat.tobytes() == np.concatenate([p.ev_concat for p in parts]).tobytes()
-        for name in ("e_ns", "flash_start_ns", "t_emb_ns", "arrival_ns"):
+        for name in ("e_ns", "flash_start_ns", "t_emb_ns"):
             assert getattr(whole, name).tolist() == \
                 np.concatenate([getattr(p, name) for p in parts]).tolist(), name
         assert whole.channel_busy_ns.tolist() == \
             np.concatenate([p.channel_busy_ns for p in parts]).tolist()
+        # the per-read columns the lookup does not keep, derived the same way
+        whole = lookup_reads(emap, ftl, qs, GEO, TP, batch)
+        parts = [lookup_reads(emap, ftl, qs[i:i + batch], GEO, TP)
+                 for i in range(0, len(qs), batch)]
+        assert whole.arrival_ns.tolist() == \
+            np.concatenate([p.arrival_ns for p in parts]).tolist()
         assert len(whole.requests) == sum(len(p.requests) for p in parts)
         assert len(whole.reads) == sum(len(p.reads) for p in parts) < len(whole.requests)
         for lane, p in enumerate(parts):
@@ -425,7 +432,7 @@ class TestSimulateLookup:
         model = flat_model(rows=64 * 64, seed=9)
         emap, ftl = make_lookup_env(model, GEO)
         qs = generate_workload(model.spec, "uniform", 16, 8, 17)
-        res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
+        res = lookup_reads(emap, ftl, qs, GEO, TP)
         for recs in die_timelines(res.schedule).values():
             for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
                 assert nxt_start == prev_end
@@ -435,7 +442,7 @@ class TestSimulateLookup:
         model = flat_model(rows=131072, seed=10)
         emap, ftl = make_lookup_env(model, GEO)
         qs = generate_workload(model.spec, "uniform", 64, 64, 23)
-        res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
+        res = lookup_reads(emap, ftl, qs, GEO, TP)
         counts = list(Counter(zip(res.reads.channel.tolist(), res.reads.die.tolist())).values())
         assert len(counts) == 32 and min(counts) * 32 >= 1024 * 0.8
         assert max(counts) / min(counts) <= 1.5

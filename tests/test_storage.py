@@ -5,8 +5,8 @@ import pytest
 
 from recssd.ev_engine import FileExtent, build_extent_map
 from recssd.recmodel import ModelSpec, TableSpec
-from recssd.storage import (BLOCK_PRIORITY, EV_PRIORITY, Ftl, PageReads, SsdGeometry,
-                            TimingParams, page_read_time, schedule_page_reads)
+from recssd.storage import (Ftl, PageReads, SsdGeometry, TimingParams, page_read_time,
+                            schedule_page_reads)
 
 from oracles import die_timelines, flash_schedule_oracle, host_block_read, translate_index
 
@@ -130,7 +130,7 @@ class TestHostBlockRead:
     def test_ten_pages_matches_event_list_oracle(self):
         ftl = Ftl(GEO4, total_pages=64)
         got = host_block_read(ftl, 0, 10 * 4096, self.tp)
-        pages = [(0, BLOCK_PRIORITY, p % 4, (p // 4) % 2, p) for p in range(10)]
+        pages = [(0, 0, p % 4, (p // 4) % 2, p) for p in range(10)]
         _, makespan = flash_schedule_oracle(pages, self.tp.sense_ns, self.tp.xfer_ns(4096))
         overhead = round(10 * 4096 * 0.25) + 10_000
         assert got == makespan + overhead
@@ -151,10 +151,9 @@ class TestHostBlockRead:
 
 
 def page_reads(rows, lane=None):
-    """PageReads from (ready, priority, channel, die) rows; seq is the row."""
-    ready, priority, channel, die = (np.array(col, dtype=np.int64).reshape(-1)
-                                     for col in zip(*rows))
-    return PageReads(channel, die, ready, priority, lane)
+    """PageReads from (channel, die) rows; seq is the row."""
+    channel, die = (np.array(col, dtype=np.int64).reshape(-1) for col in zip(*rows))
+    return PageReads(channel, die, lane)
 
 
 class TestSchedulePageReads:
@@ -163,32 +162,27 @@ class TestSchedulePageReads:
     def run_both(self, reads, geo):
         sched = schedule_page_reads(reads, geo, self.tp)
         oracle, makespan = flash_schedule_oracle(
-            [(int(reads.ready_ns[k]), int(reads.priority[k]), int(reads.channel[k]),
-              int(reads.die[k]), k) for k in range(len(reads))],
+            [(0, 0, int(reads.channel[k]), int(reads.die[k]), k) for k in range(len(reads))],
             self.tp.sense_ns, self.tp.xfer_ns(geo.page_size))
         return sched, oracle, makespan
 
     def test_matches_oracle_on_random_traffic(self):
         rng = np.random.default_rng(33)
-        sense, xfer = self.tp.sense_ns, self.tp.xfer_ns(4096)
         cases = []
         for _ in range(30):
             geo = SsdGeometry(int(rng.integers(1, 5)), int(rng.integers(1, 4)), 4096)
             n = int(rng.integers(1, 25))
-            cases.append((geo, [(int(rng.integers(0, 200_000)), int(rng.integers(0, 2)),
-                                 int(rng.integers(0, geo.channels)),
+            cases.append((geo, [(int(rng.integers(0, geo.channels)),
                                  int(rng.integers(0, geo.dies_per_channel)))
                                 for _ in range(n)]))
-        # tie-heavy traffic: ready times where phases end, more than four
-        # pages per die, and both priorities queued on one die
+        # tie-heavy traffic: more than four pages on every die, so every die
+        # senses at 0 and the bus's seq tie-break decides among equal sense ends
         for _ in range(30):
             geo = SsdGeometry(int(rng.integers(1, 3)), int(rng.integers(1, 3)), 4096)
-            n = int(rng.integers(5, 7)) * geo.total_dies
-            cases.append((geo, [(int(rng.choice([0, sense, sense + xfer])),
-                                 int(rng.integers(0, 2)),
-                                 int(rng.integers(0, geo.channels)),
-                                 int(rng.integers(0, geo.dies_per_channel)))
-                                for _ in range(n)]))
+            every = [(ch, d) for ch in range(geo.channels) for d in range(geo.dies_per_channel)]
+            rows = every * 5 + [every[int(i)] for i in
+                                rng.integers(0, len(every), int(rng.integers(0, len(every) + 1)))]
+            cases.append((geo, [rows[int(i)] for i in rng.permutation(len(rows))]))
         for geo, rows in cases:
             sched, oracle, makespan = self.run_both(page_reads(rows), geo)
             assert sched.makespan_ns == makespan
@@ -196,10 +190,10 @@ class TestSchedulePageReads:
                 assert (sched.sense_start_ns[seq], sched.sense_end_ns[seq],
                         sched.xfer_start_ns[seq], sched.xfer_end_ns[seq]) == oracle[seq]
         tied = cases[30:]
-        assert all(max(Counter((ch, d) for _, _, ch, d in rows).values()) > 4
-                   for _, rows in tied)
-        assert any(len({p for _, p, ch, d in rows if (ch, d) == (0, 0)}) == 2
-                   for _, rows in tied)
+        for geo, rows in tied:
+            assert min(Counter(rows).values()) > 4 and len(set(rows)) == geo.total_dies
+            starts = schedule_page_reads(page_reads(rows), geo, self.tp).sense_start_ns
+            assert {rows[k] for k in np.flatnonzero(starts == 0)} == set(rows)
 
         # the cases of one geometry as the lanes of one call, their reads
         # interleaved: each lane is scheduled as if alone on an idle device
@@ -227,17 +221,10 @@ class TestSchedulePageReads:
                     [oracle[seq] for seq in range(len(rows))]
                 assert busy[l].tolist() == alone.channel_busy_ns(geo.channels)[0].tolist()
 
-    def test_out_of_range_keys_rejected(self):
-        # the lockstep keys are int64: priorities this far apart cannot be
-        # ranked against sense ends, so the call refuses instead of wrapping
-        reads = page_reads([(0, 0, 0, 0), (0, 1 << 61, 0, 0)])
-        with pytest.raises(ValueError, match="schedulable range"):
-            schedule_page_reads(reads, GEO4, self.tp)
-
     def test_work_conservation(self):
         rng = np.random.default_rng(34)
         geo = SsdGeometry(2, 2, 4096)
-        reads = page_reads([(0, EV_PRIORITY, int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+        reads = page_reads([(int(rng.integers(0, 2)), int(rng.integers(0, 2)))
                             for _ in range(40)])
         sched = schedule_page_reads(reads, geo, self.tp)
         for recs in die_timelines(sched).values():
@@ -247,8 +234,7 @@ class TestSchedulePageReads:
     def test_die_never_overlapped(self):
         rng = np.random.default_rng(35)
         geo = SsdGeometry(3, 2, 4096)
-        reads = page_reads([(int(rng.integers(0, 300_000)), int(rng.integers(0, 2)),
-                             int(rng.integers(0, 3)), int(rng.integers(0, 2)))
+        reads = page_reads([(int(rng.integers(0, 3)), int(rng.integers(0, 2)))
                             for _ in range(60)])
         sched = schedule_page_reads(reads, geo, self.tp)
         for recs in die_timelines(sched).values():
