@@ -195,9 +195,9 @@ def make_lookup_env(model: Model, geometry: SsdGeometry):
 
 
 def _stage_makespan_ns(layers, kernels, batch, timing: TimingParams, floor_cycles) -> int:
-    sched = pipeline_schedule(layers, kernels, timing.clock_period_ns,
-                              inputs_at_cycles=[0] * batch, floor_cycles=floor_cycles)
-    return sched.makespan_ns
+    sched = pipeline_schedule(layers, kernels, inputs_at_cycles=[0] * batch,
+                              floor_cycles=floor_cycles)
+    return timing.cycles_to_ns(int(sched.completions.max()))
 
 
 def estimate_times(model: Model, assignment: KernelAssignment, batch: int,

@@ -7,7 +7,8 @@ adder-tree fill of ceil(log2(max(kr, 2))) cycles charged once per pass:
 
 Scheduling rules (all in integer cycles):
 
-* layers alternate scan direction, column first;
+* a layer's scan is set by its position: layer l scans by column when l is
+  even and by row when l is odd, so scans alternate, column first;
 * a column-scan layer needs all its inputs, then emits one kc-wide output
   group every ceil(R/kr) cycles (group g completes g*ceil(R/kr) + fill after
   its start);
@@ -20,7 +21,8 @@ Scheduling rules (all in integer cycles):
   fraction f of the weight fetch.
 
 Hence a (column, row) pair overlaps while consecutive pairs serialize, which
-caps the benefit at 2x for long equal stacks.
+caps the benefit at 2x for long equal stacks. The schedulers work in engine
+cycles only; their callers convert to ns.
 """
 
 import math
@@ -28,9 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-
-SCAN_COLUMN = "column"
-SCAN_ROW = "row"
 
 
 def is_pow2(x: int) -> bool:
@@ -41,22 +40,15 @@ def is_pow2(x: int) -> bool:
 class FcLayerSpec:
     in_width: int
     out_width: int
-    scan: str = SCAN_COLUMN
 
     def __post_init__(self):
         if self.in_width < 1 or self.out_width < 1:
             raise ValueError("layer widths must be >= 1")
-        if self.scan not in (SCAN_COLUMN, SCAN_ROW):
-            raise ValueError(f"unknown scan {self.scan!r}")
 
 
 def make_layers(layer_dims) -> list[FcLayerSpec]:
-    """Build an FC stack with alternating scans, column scan first."""
-    layers = []
-    for l in range(len(layer_dims) - 1):
-        layers.append(FcLayerSpec(layer_dims[l], layer_dims[l + 1],
-                                  SCAN_COLUMN if l % 2 == 0 else SCAN_ROW))
-    return layers
+    """Build an FC stack from its widths, input width first."""
+    return [FcLayerSpec(a, b) for a, b in zip(layer_dims, layer_dims[1:])]
 
 
 @dataclass(frozen=True)
@@ -163,73 +155,28 @@ def eval_decomposed(w_bottom: np.ndarray, w_emb: np.ndarray, bias: np.ndarray,
 # Pipeline scheduling.
 
 @dataclass
-class LayerQuerySchedule:
-    """One query's pass through one layer. A schedule of lanes gives every
-    cycle field a leading lane axis."""
-    layer: int
-    query: int
-    scan: str
-    start_cycle: int | np.ndarray
-    end_cycle: int | np.ndarray         # completion incl. fill
-    # int64 cycle arrays, None for the other scan: a column layer emits group g
-    # at emissions[g-1]; a row layer has each input chunk's ready/start/end cycle
-    emissions: np.ndarray | None = None
-    chunk_ready: np.ndarray | None = None
-    chunk_start: np.ndarray | None = None
-    chunk_end: np.ndarray | None = None
-
-
-@dataclass
 class PipelineSchedule:
-    """One batch's schedule, or one per lane. `passes[i]` is query
-    i // len(scans) through layer i % len(scans): (start, end, emissions)
-    for a column layer and (unit free, end, chunk ready, chunk end) for a row
-    layer, where the start, end and unit-free cycles are (lanes, 1) columns
-    and the arrays (lanes, groups) or (lanes, chunks). The properties read
-    them per lane when `lanes` is set, and as one batch's ints and lists
-    otherwise."""
+    """A schedule of one or more batches, one per lane, in cycles.
+    `passes[q * layers + l]` is query q through layer l: (start, end,
+    emissions) for a column layer (l even) and (unit free, end, chunk ready,
+    chunk end) for a row layer (l odd), where the start, end and unit-free
+    cycles are (lanes, 1) columns and the arrays (lanes, groups) or (lanes,
+    chunks)."""
     passes: list[tuple]
-    scans: list[str]
-    clock_period_ns: float
-    lanes: bool
+    layers: int
+
+    def _per_query(self, layer: int, field: int) -> np.ndarray:
+        return np.concatenate([p[field] for p in self.passes[layer::self.layers]], axis=1)
 
     @cached_property
-    def completions(self) -> list[int] | np.ndarray:
-        """Each query's last-layer completion in cycles, (lanes, queries)
-        for lanes."""
-        n = len(self.scans)
-        done = np.concatenate([p[1] for p in self.passes[n - 1::n]], axis=1)
-        return done if self.lanes else done[0].tolist()
-
-    @property
-    def makespan_cycles(self) -> int | np.ndarray:
-        return self.completions.max(axis=1) if self.lanes else max(self.completions)
+    def completions(self) -> np.ndarray:
+        """Each query's last-layer completion, (lanes, queries)."""
+        return self._per_query(self.layers - 1, 1)
 
     @cached_property
-    def entries(self) -> list[LayerQuerySchedule]:
-        out = []
-        for i, p in enumerate(self.passes):
-            q, l = divmod(i, len(self.scans))
-            if self.scans[l] == SCAN_ROW:
-                free, end_cycle, ready, end = p
-                # a chunk starts once it is ready and the unit is free
-                start = np.maximum(ready, np.concatenate((free, end[:, :-1]), axis=1))
-                cycles = start[:, :1], end_cycle
-                arrays = {"chunk_ready": ready, "chunk_start": start, "chunk_end": end}
-            else:
-                cycles, arrays = p[:2], {"emissions": p[2]}
-            if self.lanes:
-                cycles = [c[:, 0] for c in cycles]
-            else:
-                cycles = [int(c[0, 0]) for c in cycles]
-                arrays = {k: a[0] for k, a in arrays.items()}
-            out.append(LayerQuerySchedule(l, q, self.scans[l], *cycles, **arrays))
-        return out
-
-    @property
-    def makespan_ns(self) -> int:
-        """One batch's makespan in ns."""
-        return round(self.makespan_cycles * self.clock_period_ns)
+    def starts(self) -> np.ndarray:
+        """Each query's layer-0 start, (lanes, queries)."""
+        return self._per_query(0, 0)
 
 
 def _stream_floor(done_work: np.ndarray, total_work: int, floor: int) -> np.ndarray:
@@ -304,8 +251,8 @@ def _row_pass(emis_prev: np.ndarray, kc_prev: int, kr: int, in_width: int, group
     return ready, end
 
 
-def pipeline_schedule(layers: list[FcLayerSpec], kernels, clock_period_ns: float,
-                      inputs_at_cycles=None, floor_cycles=None) -> PipelineSchedule:
+def pipeline_schedule(layers: list[FcLayerSpec], kernels, inputs_at_cycles=None,
+                      floor_cycles=None) -> PipelineSchedule:
     """Schedule a batch through an alternating-scan FC stack.
 
     `inputs_at_cycles[q]` is when query q's stack inputs are all available
@@ -316,12 +263,9 @@ def pipeline_schedule(layers: list[FcLayerSpec], kernels, clock_period_ns: float
     n = len(layers)
     if n == 0:
         raise ValueError("empty layer stack")
-    for l, layer in enumerate(layers):
-        want = SCAN_COLUMN if l % 2 == 0 else SCAN_ROW
-        if layer.scan != want:
-            raise ValueError(f"layer {l}: scan {layer.scan!r}, expected {want!r}")
-        if l > 0 and layer.in_width != layers[l - 1].out_width:
-            raise ValueError(f"layer {l}: input width {layer.in_width} != "
+    for l in range(1, n):
+        if layers[l].in_width != layers[l - 1].out_width:
+            raise ValueError(f"layer {l}: input width {layers[l].in_width} != "
                              f"previous output {layers[l - 1].out_width}")
     if len(kernels) != n:
         raise ValueError(f"{len(kernels)} kernels for {n} layers")
@@ -329,38 +273,32 @@ def pipeline_schedule(layers: list[FcLayerSpec], kernels, clock_period_ns: float
         if not (1 <= kr <= layer.in_width and 1 <= kc <= layer.out_width):
             raise ValueError(f"layer {l}: kernel ({kr}, {kc}) exceeds dims")
     inputs = [0] if inputs_at_cycles is None else inputs_at_cycles
-    return pipeline_schedule_decomposed(layers, kernels, clock_period_ns, 0,
-                                        layers[0].in_width, inputs, inputs, floor_cycles)
+    return pipeline_schedule_decomposed(layers, kernels, 0, inputs, inputs, floor_cycles)
 
 
-def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels,
-                                 clock_period_ns: float, bottom_width: int, emb_width: int,
+def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels, bottom_width: int,
                                  bottom_ready_cycles, emb_ready_cycles,
                                  floor_cycles=None) -> PipelineSchedule:
     """Top-stack schedule with the first layer split column-wise.
 
-    The first layer's bottom half runs as soon as the bottom-MLP output is
-    ready; the embedding half starts when the summed vectors arrive, and only
-    then do output groups emit. Remaining layers follow the generic rules.
-    With `bottom_width` 0 the first layer is an ordinary column-scan layer.
+    The first layer's first `bottom_width` inputs (the bottom-MLP output) run
+    as soon as they are ready; the rest (the summed vectors) start when they
+    arrive, and only then do output groups emit. Remaining layers follow the
+    generic rules. With `bottom_width` 0 the first layer is an ordinary
+    column-scan layer.
 
     `emb_ready_cycles` is one batch's per-query cycles, or a (lanes,
     queries) matrix of batches that each start on idle units, pay the floors
-    and share `bottom_ready_cycles`. For a matrix, the entries' cycles and
-    the completions are per lane.
+    and share `bottom_ready_cycles`; one batch is one lane.
     """
     n = len(top_layers)
-    L0 = top_layers[0]
-    if L0.scan != SCAN_COLUMN:
-        raise ValueError("decomposed first layer must be column scan")
-    if L0.in_width != bottom_width + emb_width:
-        raise ValueError("split widths inconsistent with first-layer input width")
-    emb = np.asarray(emb_ready_cycles, dtype=np.int64)
+    if not 0 <= bottom_width < top_layers[0].in_width:
+        raise ValueError(f"split at {bottom_width} outside first-layer input width "
+                         f"{top_layers[0].in_width}")
+    emb = np.atleast_2d(np.asarray(emb_ready_cycles, dtype=np.int64))
     bot = np.asarray(bottom_ready_cycles, dtype=np.int64)[None]
-    if bot.shape[1:] != emb.shape[-1:]:
+    if bot.shape[1:] != emb.shape[1:]:
         raise ValueError("availability lists differ in length")
-    lanes = emb.ndim == 2
-    emb = emb if lanes else emb[None]
     floors = list(floor_cycles) if floor_cycles is not None else [0] * n
 
     # each layer's pass shape; only layer 0 has a split (bottom) half
@@ -368,13 +306,12 @@ def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels,
     for l, layer in enumerate(top_layers):
         kr, kc = kernels[l]
         groups = -(-layer.out_width // kc)
-        if layer.scan == SCAN_ROW:
+        if l % 2:
             shapes.append((kernels[l - 1][1], kr, layer.in_width, groups))
         else:
             split = bottom_width if l == 0 else 0
             shapes.append((-(-split // kr), -(-(layer.in_width - split) // kr), groups,
                            fills[l]))
-    scans = [layer.scan for layer in top_layers]
 
     unit_free = [np.zeros((len(emb), 1), dtype=np.int64)] * n
     passes = []
@@ -382,9 +319,9 @@ def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels,
         # layer 0's bottom half waits for the bottom MLP and its embedding half
         # for the summed vectors; a later column layer waits for its input layer
         ready_b, ready_e = bot[:, q:q + 1], emb[:, q:q + 1]
-        for l, scan in enumerate(scans):
+        for l in range(n):
             floor = floors[l] if q == 0 else 0
-            if scan == SCAN_ROW:
+            if l % 2:
                 ready, end = _row_pass(emissions, *shapes[l], unit_free[l], floor)
                 issue_end = end[:, -1:]
                 passes.append((unit_free[l], issue_end + fills[l], ready, end))
@@ -394,4 +331,4 @@ def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels,
                 passes.append((start, issue_end + fills[l], emissions))
             unit_free[l] = issue_end
             ready_b = ready_e = passes[-1][1]
-    return PipelineSchedule(passes, scans, clock_period_ns, lanes)
+    return PipelineSchedule(passes, n)

@@ -368,9 +368,9 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, env, shared: dict) -> Run
     # a query's schedule depends only on the queries before it in its batch,
     # and the bottom MLP's inputs are all at cycle 0: one bottom schedule
     # serves every batch, a partial one reading its prefix
-    bottom = pipeline_schedule(bottom_layers, assignment.bottom, period,
-                               inputs_at_cycles=[0] * batch, floor_cycles=floors_b).completions
-    bottom_ns = np.rint(np.array(bottom) * period).astype(np.int64)
+    bottom = pipeline_schedule(bottom_layers, assignment.bottom, inputs_at_cycles=[0] * batch,
+                               floor_cycles=floors_b).completions[0]
+    bottom_ns = np.rint(bottom * period).astype(np.int64)
 
     def stage(emb, batch):
         # one top-MLP lane per batch, the partial last batch padded; np.ceil
@@ -379,15 +379,11 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, env, shared: dict) -> Run
         lanes = -(-n // batch)
         emb_cycles = np.zeros(lanes * batch, dtype=np.int64)
         emb_cycles[:n] = np.ceil(emb.e_ns / period)
-        top = pipeline_schedule_decomposed(top_layers, assignment.top, period,
-                                           spec.bottom_out_width, spec.emb_out_width,
-                                           bottom,
-                                           emb_cycles.reshape(lanes, batch),
+        top = pipeline_schedule_decomposed(top_layers, assignment.top, spec.bottom_out_width,
+                                           bottom, emb_cycles.reshape(lanes, batch),
                                            floor_cycles=floors_t)
-        # layer 0's passes, (lanes, 1) start columns, one per query
-        top_start = np.hstack([p[0] for p in top.passes[::len(top_layers)]])
         done, top_start = (np.rint(c * period).astype(np.int64).ravel()[:n]
-                           for c in (top.completions, top_start))
+                           for c in (top.completions, top.starts))
         device = np.maximum(np.maximum.reduceat(done, np.arange(0, n, batch)), emb.t_emb_ns)
         return device, {"bottom_end": np.tile(bottom_ns, lanes)[:n], "top_start": top_start,
                         "done": done}

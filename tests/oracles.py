@@ -1,12 +1,13 @@
-"""Independent straight-line oracles, and three test helpers.
+"""Independent straight-line oracles, and four test helpers.
 
 The oracles reimplement the documented timing and arithmetic rules with
 plain Python loops, staying off the package's compute/scheduling code paths,
 so tests compare two separately written realizations of the same rules. The
 helpers in the last section are built on the package's own code: they give
-tests a one-row translation, a host block read, which no scenario needs, and
-the per-read columns of a lookup (its requests, coalesced reads, their
-schedule and each request's arrival), which the simulator does not keep.
+tests a one-row translation, a host block read, which no scenario needs, the
+per-read columns of a lookup (its requests, coalesced reads, their schedule
+and each request's arrival) and the per-pass records of a pipeline schedule,
+which the simulator does not keep.
 """
 
 import math
@@ -236,12 +237,13 @@ def pipeline_oracle(dims, kernels, inputs_at, floors=None):
 
 def decomposed_top_oracle(dims, kernels, rb, re, b_ready, e_ready, floors=None):
     """Top-stack oracle with the split first layer: bottom half runs at
-    b_ready, embedding half at e_ready, groups emit during the second half."""
+    b_ready, embedding half at e_ready, groups emit during the second half.
+    Returns (per-query completions, per-query first-layer starts)."""
     n = len(dims)
     B = len(b_ready)
     floors = floors or [0] * n
     unit_free = [0] * n
-    completions = []
+    completions, starts = [], []
     for q in range(B):
         (R, C), (kr, kc) = dims[0], kernels[0]
         wb_chunks = -(-rb // kr)
@@ -251,6 +253,7 @@ def decomposed_top_oracle(dims, kernels, rb, re, b_ready, e_ready, floors=None):
         floor = floors[0] if q == 0 else 0
         work = (wb_chunks + we_chunks) * groups
         start_b = max(b_ready[q], unit_free[0])
+        starts.append(start_b)
         end_b = start_b + wb_chunks * groups
         start_e = max(end_b, e_ready[q])
         emis = []
@@ -301,7 +304,7 @@ def decomposed_top_oracle(dims, kernels, rb, re, b_ready, e_ready, floors=None):
                 unit_free[l] = issue_end
                 prev_emis, prev_kc = emis, kc
         completions.append(completion)
-    return completions
+    return completions, starts
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +407,29 @@ def lookup_reads(emap, ftl, queries, geometry, timing, batch=None):
                                    geometry, timing)
     return SimpleNamespace(requests=requests, reads=reads, schedule=schedule,
                            arrival_ns=schedule.xfer_end_ns[reads.read])
+
+
+def pipeline_entries(sched, lane=0):
+    """One lane of a `PipelineSchedule` as per-pass records in pass order
+    (query-major): `layer`, `query`, `scan` ("column" for an even layer,
+    "row" for an odd one), `start_cycle` and `end_cycle`, and a column pass's
+    group `emissions` or a row pass's per-chunk `chunk_ready`, `chunk_start`
+    and `chunk_end` (None for the other scan), as ints and lists."""
+    out = []
+    for i, p in enumerate(sched.passes):
+        q, l = divmod(i, sched.layers)
+        e = SimpleNamespace(layer=l, query=q, scan="row" if l % 2 else "column",
+                            emissions=None, chunk_ready=None, chunk_start=None,
+                            chunk_end=None)
+        if l % 2:
+            free, end, ready, chunk_end = (a[lane] for a in p)
+            # a chunk starts once it is ready and the unit is free
+            start = np.maximum(ready, np.concatenate((free, chunk_end[:-1])))
+            e.chunk_ready, e.chunk_start, e.chunk_end = (ready.tolist(), start.tolist(),
+                                                         chunk_end.tolist())
+        else:
+            start, end, emissions = (a[lane] for a in p)
+            e.emissions = emissions.tolist()
+        e.start_cycle, e.end_cycle = int(start[0]), int(end[0])
+        out.append(e)
+    return out

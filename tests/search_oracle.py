@@ -15,9 +15,9 @@ from recssd.recmodel import generate_workload
 
 def _stage_time(dims, kernels, batch, timing, floors):
     layers = make_layers([dims[0][0]] + [c for _, c in dims])
-    return pipeline_schedule(layers, kernels, timing.clock_period_ns,
-                             inputs_at_cycles=[0] * batch,
-                             floor_cycles=floors).makespan_ns
+    sched = pipeline_schedule(layers, kernels, inputs_at_cycles=[0] * batch,
+                              floor_cycles=floors)
+    return timing.cycles_to_ns(int(sched.completions.max()))
 
 
 def enumerate_search(model, resource_model, geometry, timing, profile, space,

@@ -21,7 +21,7 @@ from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE, Scena
                         WorkloadConfig, metrics_json, percentile_nearest_rank, run)
 from recssd.storage import Ftl, PageReads, SsdGeometry, TimingParams, schedule_page_reads
 
-from oracles import die_timelines, two_phase_split
+from oracles import die_timelines, pipeline_entries, two_phase_split
 from search_oracle import enumerate_search
 
 GEO = SsdGeometry(8, 4, 4096)
@@ -115,10 +115,10 @@ def _criterion3(reports):
     t0 = time.monotonic()
     layers = make_layers([64] * 9)
     kernels = [(1, 1)] * 8
-    sched = pipeline_schedule(layers, kernels, TP.clock_period_ns)
+    makespan = int(pipeline_schedule(layers, kernels).completions.max())
     conv = conventional_cycles(layers, kernels)
-    ratio = sched.makespan_cycles / conv
-    reports["c3/ratio"] = json.dumps({"alternating": sched.makespan_cycles,
+    ratio = makespan / conv
+    reports["c3/ratio"] = json.dumps({"alternating": makespan,
                                       "conventional": conv, "ratio": ratio})
     _ELAPSED[3] = time.monotonic() - t0
     return ratio
@@ -289,16 +289,15 @@ def test_criterion_8_property_suites():
             kr = min(1 << int(rng.integers(0, 5)), KernelAssignment.largest_pow2(dims[l]))
             kc = min(1 << int(rng.integers(0, 5)), KernelAssignment.largest_pow2(dims[l + 1]))
             kernels.append((kr, kc))
-        sched = pipeline_schedule(layers, kernels, 5.0,
-                                  inputs_at_cycles=[int(rng.integers(0, 40))])
+        sched = pipeline_schedule(layers, kernels, inputs_at_cycles=[int(rng.integers(0, 40))])
         prev = None
-        for e in sched.entries:
+        for e in pipeline_entries(sched):
             assert e.end_cycle >= e.start_cycle
             if e.scan == "row":
                 assert all(s >= r for s, r in zip(e.chunk_start, e.chunk_ready))
-                assert e.chunk_start.tolist() == sorted(e.chunk_start.tolist())
+                assert e.chunk_start == sorted(e.chunk_start)
             else:
-                assert e.emissions.tolist() == sorted(e.emissions.tolist())
+                assert e.emissions == sorted(e.emissions)
                 if prev is not None and prev.scan == "row" and prev.query == e.query:
                     assert e.start_cycle >= prev.end_cycle
             prev = e

@@ -6,7 +6,7 @@ from recssd.mlp_engine import (FcLayerSpec, KernelAssignment, conventional_cycle
                                make_layers, pipeline_schedule, pipeline_schedule_decomposed)
 from recssd.recmodel import desk_model_spec, mlp_forward
 
-from oracles import decomposed_top_oracle, pipeline_oracle, two_phase_split
+from oracles import decomposed_top_oracle, pipeline_entries, pipeline_oracle, two_phase_split
 
 
 class TestFcCycles:
@@ -74,17 +74,17 @@ def equal_stack(n_layers, width, kr, kc):
 class TestPipelineSchedule:
     def test_single_layer_makespan_is_fc_cycles(self):
         layers, kernels = equal_stack(1, 32, 4, 8)
-        sched = pipeline_schedule(layers, kernels, 5.0)
-        assert sched.makespan_cycles == fc_cycles(layers[0], (4, 8))
+        sched = pipeline_schedule(layers, kernels)
+        assert sched.completions.max() == fc_cycles(layers[0], (4, 8))
 
     def test_two_layer_overlap_matches_oracle(self):
         layers, kernels = equal_stack(2, 10, 1, 1)
-        sched = pipeline_schedule(layers, kernels, 1000.0)
+        sched = pipeline_schedule(layers, kernels)
         comps, _ = pipeline_oracle([(10, 10), (10, 10)], kernels, [0])
-        assert sched.makespan_cycles == comps[0]
+        assert sched.completions.tolist() == [comps]
         conv = conventional_cycles(layers, kernels)
         # ~1.1x one layer vs 2x: the pair overlaps
-        assert sched.makespan_cycles < 0.6 * conv
+        assert sched.completions.max() < 0.6 * conv
 
     def test_causality_and_oracle_on_random_stacks(self):
         rng = np.random.default_rng(56)
@@ -107,51 +107,48 @@ class TestPipelineSchedule:
             inputs = sorted(int(rng.integers(0, 50)) for _ in range(B))
             floors = [int(rng.choice([0, rng.integers(1, 100), rng.integers(1, 10**9)]))
                       for _ in range(n)] if extra else None
-            sched = pipeline_schedule(layers, kernels, 5.0, inputs_at_cycles=inputs,
+            sched = pipeline_schedule(layers, kernels, inputs_at_cycles=inputs,
                                       floor_cycles=floors)
             comps, detail = pipeline_oracle([(dims[l], dims[l + 1]) for l in range(n)],
                                             kernels, inputs, floors)
-            assert sched.completions == comps
-            for e in sched.entries:
+            assert sched.completions.tolist() == [comps]
+            assert sched.starts.tolist() == [[detail[(0, q)]["start"] for q in range(B)]]
+            for e in pipeline_entries(sched):
                 d = detail[(e.layer, e.query)]
                 assert e.start_cycle == d["start"] and e.end_cycle == d["end"]
                 if e.scan == "column":
-                    assert e.emissions.tolist() == d["emissions"]
+                    assert e.emissions == d["emissions"]
                     assert all(b >= a for a, b in zip(e.emissions, e.emissions[1:]))
                 else:
-                    assert [(s, t) for s, t in zip(e.chunk_start.tolist(),
-                                                   e.chunk_end.tolist())] == d["spans"]
+                    assert list(zip(e.chunk_start, e.chunk_end)) == d["spans"]
                     assert all(s >= r for s, r in zip(e.chunk_start, e.chunk_ready))
-            sched0 = pipeline_schedule(layers, kernels, 5.0, inputs_at_cycles=[0] * B)
-            assert sched0.makespan_cycles <= conventional_cycles(layers, kernels, B)
+            sched0 = pipeline_schedule(layers, kernels, inputs_at_cycles=[0] * B)
+            assert sched0.completions.max() <= conventional_cycles(layers, kernels, B)
 
     def test_halving_limit_eight_layers(self):
         ratios = []
         for groups in (8, 16, 64):
             layers, kernels = equal_stack(8, groups, 1, 1)
-            sched = pipeline_schedule(layers, kernels, 5.0)
+            sched = pipeline_schedule(layers, kernels)
             conv = conventional_cycles(layers, kernels)
-            ratios.append(sched.makespan_cycles / conv)
+            ratios.append(sched.completions.max() / conv)
         assert ratios[2] <= ratios[1] <= ratios[0]
         assert 0.5 <= ratios[2] <= 0.55
 
     def test_direction_and_shape_errors(self):
-        bad = [FcLayerSpec(4, 4, scan="row")]
-        with pytest.raises(ValueError, match="scan"):
-            pipeline_schedule(bad, [(1, 1)], 5.0)
-        layers = [FcLayerSpec(4, 4), FcLayerSpec(5, 4, scan="row")]
+        layers = [FcLayerSpec(4, 4), FcLayerSpec(5, 4)]
         with pytest.raises(ValueError, match="input width"):
-            pipeline_schedule(layers, [(1, 1), (1, 1)], 5.0)
+            pipeline_schedule(layers, [(1, 1), (1, 1)])
 
     def test_weight_fetch_floor_stretches_first_pass(self):
         layers, kernels = equal_stack(1, 16, 4, 4)
-        plain = pipeline_schedule(layers, kernels, 5.0, inputs_at_cycles=[0, 0])
-        floored = pipeline_schedule(layers, kernels, 5.0, inputs_at_cycles=[0, 0],
+        plain = pipeline_schedule(layers, kernels, inputs_at_cycles=[0, 0])
+        floored = pipeline_schedule(layers, kernels, inputs_at_cycles=[0, 0],
                                     floor_cycles=[1000])
         work = 4 * 4
-        assert plain.completions == [work + 2, 2 * work + 2]
+        assert plain.completions.tolist() == [[work + 2, 2 * work + 2]]
         # first query pays the fetch stream, the second reuses resident weights
-        assert floored.completions == [1000 + 2, 1000 + work + 2]
+        assert floored.completions.tolist() == [[1000 + 2, 1000 + work + 2]]
 
     def test_decomposed_matches_oracle(self):
         rng = np.random.default_rng(57)
@@ -170,11 +167,12 @@ class TestPipelineSchedule:
             # the last 40 draws also spill floors (0, small, up to 1e9 cycles)
             floors = [int(rng.choice([0, rng.integers(1, 100), rng.integers(1, 10**9)]))
                       for _ in layers] if i >= 40 else None
-            sched = pipeline_schedule_decomposed(layers, kernels, 5.0, 16, 128,
-                                                 b_ready, e_ready, floor_cycles=floors)
-            comps = decomposed_top_oracle([(144, 64), (64, 1)], kernels, 16, 128,
-                                          b_ready, e_ready, floors)
-            assert sched.completions == comps
+            sched = pipeline_schedule_decomposed(layers, kernels, 16, b_ready, e_ready,
+                                                 floor_cycles=floors)
+            comps, starts = decomposed_top_oracle([(144, 64), (64, 1)], kernels, 16, 128,
+                                                  b_ready, e_ready, floors)
+            assert sched.completions.tolist() == [comps]
+            assert sched.starts.tolist() == [starts]
 
 
     def test_lanes_match_per_batch_calls_and_oracle(self):
@@ -193,33 +191,41 @@ class TestPipelineSchedule:
             lanes, B = int(rng.integers(1, 8)), int(rng.integers(1, 6))
             b_ready = sorted(int(rng.integers(0, 3000)) for _ in range(B))
             e_ready = rng.integers(0, 30000, (lanes, B))
-            sched = pipeline_schedule_decomposed(layers, kernels, 5.0, split, dims[0] - split,
-                                                 b_ready, e_ready, floor_cycles=floors)
-            assert sched.completions.shape == (lanes, B)
+            sched = pipeline_schedule_decomposed(layers, kernels, split, b_ready, e_ready,
+                                                 floor_cycles=floors)
+            assert sched.completions.shape == sched.starts.shape == (lanes, B)
             for k in range(lanes):
-                one = pipeline_schedule_decomposed(layers, kernels, 5.0, split,
-                                                   dims[0] - split, b_ready,
+                one = pipeline_schedule_decomposed(layers, kernels, split, b_ready,
                                                    e_ready[k].tolist(), floor_cycles=floors)
-                assert sched.completions[k].tolist() == one.completions
-                assert sched.makespan_cycles[k] == one.makespan_cycles
-                assert len(sched.entries) == len(one.entries) == n * B
-                for e, f in zip(sched.entries, one.entries):
+                assert one.completions.shape == (1, B)
+                assert sched.completions[k].tolist() == one.completions[0].tolist()
+                assert sched.completions[k].max() == one.completions.max()
+                entries, one_entries = pipeline_entries(sched, k), pipeline_entries(one)
+                assert len(entries) == len(one_entries) == n * B
+                for e, f in zip(entries, one_entries):
                     assert (e.layer, e.query, e.scan) == (f.layer, f.query, f.scan)
-                    assert (e.start_cycle[k], e.end_cycle[k]) == (f.start_cycle, f.end_cycle)
+                    assert (e.start_cycle, e.end_cycle) == (f.start_cycle, f.end_cycle)
                     for name in ("emissions", "chunk_ready", "chunk_start", "chunk_end"):
                         got, want = getattr(e, name), getattr(f, name)
                         assert (got is None) == (want is None), name
-                        assert got is None or got[k].tolist() == want.tolist(), name
-                comps = decomposed_top_oracle([(dims[l], dims[l + 1]) for l in range(n)],
-                                              kernels, split, dims[0] - split, b_ready,
-                                              e_ready[k].tolist(), floors)
+                        assert got == want, name
+                comps, starts = decomposed_top_oracle([(dims[l], dims[l + 1]) for l in range(n)],
+                                                      kernels, split, dims[0] - split, b_ready,
+                                                      e_ready[k].tolist(), floors)
                 assert sched.completions[k].tolist() == comps
+                assert sched.starts[k].tolist() == starts
 
     def test_lanes_reject_mismatched_lengths(self):
         layers, kernels = equal_stack(2, 8, 2, 2)
         with pytest.raises(ValueError, match="length"):
-            pipeline_schedule_decomposed(layers, kernels, 5.0, 4, 4, [0, 0],
+            pipeline_schedule_decomposed(layers, kernels, 4, [0, 0],
                                          np.zeros((3, 4), dtype=np.int64))
+
+    def test_split_outside_first_layer(self):
+        layers, kernels = equal_stack(2, 8, 2, 2)
+        for split in (-1, 8):
+            with pytest.raises(ValueError, match="split"):
+                pipeline_schedule_decomposed(layers, kernels, split, [0], [0])
 
 
 class TestKernelAssignment:

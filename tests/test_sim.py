@@ -6,8 +6,8 @@ import pytest
 
 from recssd.kernel_search import ResourceModel, SearchSpace
 from recssd.mlp_engine import KernelAssignment
-from recssd.recmodel import (build_model, desk_model_spec, generate_workload,
-                             reference_inference, zipf_cdf)
+from recssd.recmodel import (ModelSpec, TableSpec, build_model, desk_model_spec,
+                             generate_workload, reference_inference, zipf_cdf)
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE,
                         InfeasibleSearchError, Scenario, WorkloadConfig, compare,
                         metrics_json, run)
@@ -114,7 +114,8 @@ class TestBaselineMode:
 
 
 def replay_rmssd(model, count, batch, assignment, seed, timing=TP, floors=(None, None)):
-    """Independent straight-line replay of the rmssd batch rules; `floors`
+    """Independent straight-line replay of the rmssd batch rules on the
+    model's own MLP stacks; its tables must share one row count. `floors`
     holds the bottom and top stacks' weight-fetch floors in cycles."""
     spec = model.spec
     qs = generate_workload(spec, "uniform", 8, count, seed)
@@ -124,11 +125,11 @@ def replay_rmssd(model, count, batch, assignment, seed, timing=TP, floors=(None,
     kc_e = assignment.ev[1]
     t_add = round(math.ceil(spec.ev_dim / kc_e) * period)
 
-    bottom_dims = [(13, 64), (64, 16)]
-    top_dims = [(144, 64), (64, 1)]
+    bottom_dims = list(zip(spec.bottom_mlp_dims, spec.bottom_mlp_dims[1:]))
+    top_dims = list(zip(spec.top_mlp_dims, spec.top_mlp_dims[1:]))
 
     device_free = 0
-    latencies, completions, bottom_end = [], [], []
+    latencies, completions, bottom_end, top_start = [], [], [], []
     k = 0
     while k * batch < count:
         bq = qs[k * batch:(k + 1) * batch]
@@ -144,21 +145,25 @@ def replay_rmssd(model, count, batch, assignment, seed, timing=TP, floors=(None,
                         order.append(g)
                     items.append((qid, tbl, seq, g))
                     seq += 1
-        pages = [(0, 0, g % 8, (g // 8) % 4, j) for j, g in enumerate(order)]
+        pages = [(0, 0, g % GEO.channels, (g // GEO.channels) % GEO.dies_per_channel, j)
+                 for j, g in enumerate(order)]
         times, _ = flash_schedule_oracle(pages, timing.sense_ns, timing.xfer_ns(4096))
         arrivals = {g: times[page_of[g]][3] for g in order}
         done = adder_oracle([(arrivals[g], s, (qid, tbl)) for qid, tbl, s, g in items],
                             t_add, group=lambda key: key[0])
-        e_ns = [max(done[(qid, tbl)] for tbl in range(8)) for qid in range(len(bq))]
+        e_ns = [max(done[(qid, tbl)] for tbl in range(spec.num_tables))
+                for qid in range(len(bq))]
         t_emb = max(e_ns)
         # MLP stacks
         b_cycles, _ = pipeline_oracle(bottom_dims, assignment.bottom, [0] * len(bq),
                                       floors[0])
         e_cycles = [math.ceil(e / period) for e in e_ns]
-        s_cycles = decomposed_top_oracle(top_dims, assignment.top, 16, 128,
-                                         b_cycles, e_cycles, floors[1])
+        s_cycles, l0_cycles = decomposed_top_oracle(top_dims, assignment.top,
+                                                    spec.bottom_out_width, spec.emb_out_width,
+                                                    b_cycles, e_cycles, floors[1])
         s_ns = [round(c * period) for c in s_cycles]
         bottom_end += [round(c * period) for c in b_cycles]
+        top_start += [t0 + round(c * period) for c in l0_cycles]
         for i in range(len(bq)):
             latencies.append(s_ns[i])
             completions.append(t0 + s_ns[i])
@@ -169,6 +174,7 @@ def replay_rmssd(model, count, batch, assignment, seed, timing=TP, floors=(None,
     return {
         "latencies": latencies,
         "bottom_end": bottom_end,
+        "top_mlp": list(zip(top_start, completions)),
         "horizon": horizon,
         "throughput": count * 1e9 / horizon,
         "p50": nearest_rank(lat, 0.50),
@@ -191,6 +197,27 @@ class TestRmssdMode:
         assert r.metrics.latency_p95_ns == want["p95"]
         assert r.metrics.latency_p99_ns == want["p99"]
         assert r.metrics.latency_max_ns == want["max"]
+        # top-MLP spans run from the first layer's start to the completion
+        assert [(s, e) for _, stage, s, e in r.spans if stage == "top_mlp"] == want["top_mlp"]
+
+    def test_replay_oracle_three_layer_stacks(self):
+        # 3-layer bottom and top stacks, so the top's last layer is a column
+        # pass after a row pass; batches of 3 end in a batch of one
+        spec = ModelSpec(tables=tuple(TableSpec(4096, 16) for _ in range(8)),
+                         bottom_mlp_dims=(13, 48, 32, 16), top_mlp_dims=(144, 64, 32, 1),
+                         dense_dim=13)
+        m = build_model(spec, 4)
+        kernels = KernelAssignment(((4, 16), (8, 8), (16, 4)), ((32, 16), (8, 8), (4, 1)),
+                                   (1, 16))
+        count, seed, batch = 100, 12, 3
+        r = run(scenario(MODE_RMSSD, m, count, batch=batch, kernels=kernels), seed)
+        want = replay_rmssd(m, count, batch, kernels, seed)
+        assert r.latencies_ns == want["latencies"]
+        assert r.metrics.horizon_ns == want["horizon"]
+        assert r.metrics.latency_p99_ns == want["p99"]
+        bottom = [(s, e) for _, stage, s, e in r.spans if stage == "bottom_mlp"]
+        assert [e - s for s, e in bottom] == want["bottom_end"]
+        assert [(s, e) for _, stage, s, e in r.spans if stage == "top_mlp"] == want["top_mlp"]
 
     def test_replay_oracle_spilled_300mhz_partial_batch(self):
         # a 5000-byte BRAM holds the bottom stack's first layer (3584 bytes
@@ -213,6 +240,7 @@ class TestRmssdMode:
         # bottom-MLP spans run from each batch's dispatch
         bottom = [(s, e) for _, stage, s, e in r.spans if stage == "bottom_mlp"]
         assert [e - s for s, e in bottom] == want["bottom_end"]
+        assert [(s, e) for _, stage, s, e in r.spans if stage == "top_mlp"] == want["top_mlp"]
         # the floors delay some queries
         assert r.latencies_ns != plain.latencies_ns
 
