@@ -38,7 +38,6 @@ geometry:
   dies_per_channel: 4
   page_size: 4096          # bytes
   lba_size: 512            # bytes
-  pages_per_block: 256
 
 timing:
   page_read_us: 50.0                 # flash array sense
@@ -84,7 +83,7 @@ _SCHEMA = {
     "model": {"preset": str, "seed": int, "dense_dim": int, "bottom_mlp_dims": list,
               "top_mlp_dims": list, "ev_dim": int, "table_rows": list},
     "geometry": {"channels": int, "dies_per_channel": int, "page_size": int,
-                 "lba_size": int, "pages_per_block": int},
+                 "lba_size": int},
     "timing": {"page_read_us": float, "channel_transfer_ns_per_byte": float,
                "dram_hit_ns": float, "host_interface_ns_per_byte": float,
                "fc_clock_mhz": float, "host_block_io_overhead_us": float,
@@ -219,7 +218,7 @@ def build_scenario(cfg: dict) -> Scenario:
                               f"materialise on this host") from None
         g = cfg["geometry"]
         geometry = SsdGeometry(g["channels"], g["dies_per_channel"], g["page_size"],
-                               g["lba_size"], g["pages_per_block"])
+                               g["lba_size"])
         t = cfg["timing"]
         timing = TimingParams(**{k: float(v) for k, v in t.items()})
         w = cfg["workload"]

@@ -1,9 +1,10 @@
-"""Embedding lookup engine: index-to-LBA translation, coalescing dispatch
+"""Embedding lookup engine: index-to-page translation, coalescing dispatch
 across flash channels/dies, and the vector-sum unit.
 
-Layout rule: rows are packed floor(page_size / ev_bytes) per page with the
-page tail padded, so no vector straddles a page and one vector costs at most
-one page read. File extents must be whole pages for the same reason.
+Layout rule: the tables lie back to back from page 0. Rows are packed
+floor(page_size / ev_bytes) per page with the page tail padded, and each
+table starts on a page of its own, so no vector straddles a page and one
+vector costs at most one page read.
 
 Timing vs values: fetch and adder timing follow arrival order out of flash;
 the summed values are always accumulated in the query's index order so they
@@ -17,7 +18,6 @@ add time are each mode's own.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,130 +26,41 @@ from .storage import Ftl, PageReads, SsdGeometry, TimingParams, schedule_page_re
 
 
 @dataclass(frozen=True)
-class FileExtent:
-    """A page-aligned run of LBAs backing part of one table's file."""
-    start_lba: int
-    lba_count: int
-
-
-@dataclass(frozen=True)
-class Extent:
-    index_start: int
-    index_count: int
-    start_lba: int
-
-
-@dataclass
-class ExtentMap:
-    table_extents: list[list[Extent]]
-    rows: list[int]
-    ev_dim: int
+class TableLayout:
+    """Where the tables' rows lie in flash: back to back from page 0, each
+    table padded to whole pages, so row r of table t sits in slot
+    r % rows_per_page of page first_page[t] + r // rows_per_page."""
+    rows: np.ndarray            # per table: its row count
+    first_page: np.ndarray      # per table: its first page
     rows_per_page: int
-    page_size: int
-    lbas_per_page: int
+    ev_bytes: int
 
     @property
-    def ev_bytes(self) -> int:
-        return self.ev_dim * 4
-
-    @cached_property
-    def extent_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each table's first row in one numbering of all tables' rows, and
-        each extent's first row in that numbering and its start LBA, in
-        ascending row order."""
-        row_base = np.cumsum([0] + self.rows[:-1]).astype(np.int64)
-        ext_row = [row_base[t] + e.index_start
-                   for t, extents in enumerate(self.table_extents) for e in extents]
-        ext_lba = [e.start_lba for extents in self.table_extents for e in extents]
-        return row_base, np.array(ext_row, dtype=np.int64), np.array(ext_lba, dtype=np.int64)
-
-    def max_lba_end(self) -> int:
-        end = 0
-        for extents in self.table_extents:
-            for e in extents:
-                pages = -(-e.index_count // self.rows_per_page)
-                end = max(end, e.start_lba + pages * self.lbas_per_page)
-        return end
+    def pages(self) -> int:
+        return int(self.first_page[-1] + -(-self.rows[-1] // self.rows_per_page))
 
 
-def _table_extents(rows: int, ev_dim: int, file_extents: list[FileExtent],
-                   geometry: SsdGeometry) -> list[Extent]:
-    ev_bytes = ev_dim * 4
+def table_layout(model_spec, geometry: SsdGeometry) -> TableLayout:
+    ev_bytes = model_spec.ev_dim * 4
     if ev_bytes > geometry.page_size:
         raise ValueError(f"ev_bytes {ev_bytes} exceeds page size {geometry.page_size}")
     rows_per_page = geometry.page_size // ev_bytes
-    needed_pages = -(-rows // rows_per_page)
-    out = []
-    cursor = 0
-    for fe in file_extents:
-        if cursor >= rows:
-            break
-        start_bytes = fe.start_lba * geometry.lba_size
-        len_bytes = fe.lba_count * geometry.lba_size
-        if start_bytes % geometry.page_size or len_bytes % geometry.page_size:
-            raise ValueError(f"file extent {fe} is not page-aligned")
-        extent_pages = len_bytes // geometry.page_size
-        count = min(extent_pages * rows_per_page, rows - cursor)
-        if count > 0:
-            out.append(Extent(cursor, count, fe.start_lba))
-            cursor += count
-    if cursor < rows:
-        have = sum(fe.lba_count * geometry.lba_size // geometry.page_size for fe in file_extents)
-        raise ValueError(
-            f"file extents cover {have} pages, table needs {needed_pages}"
-        )
-    return out
+    rows = np.array([ts.rows for ts in model_spec.tables], dtype=np.int64)
+    pages = -(-rows // rows_per_page)
+    return TableLayout(rows, np.cumsum(pages) - pages, rows_per_page, ev_bytes)
 
 
-def build_extent_map(model_spec, per_table_file_extents: list[list[FileExtent]],
-                     geometry: SsdGeometry) -> ExtentMap:
-    if len(per_table_file_extents) != model_spec.num_tables:
-        raise ValueError("one file-extent list per table required")
-    ev_dim = model_spec.ev_dim
-    table_extents = [
-        _table_extents(ts.rows, ev_dim, fes, geometry)
-        for ts, fes in zip(model_spec.tables, per_table_file_extents)
-    ]
-    return ExtentMap(
-        table_extents=table_extents,
-        rows=[ts.rows for ts in model_spec.tables],
-        ev_dim=ev_dim,
-        rows_per_page=geometry.page_size // (ev_dim * 4),
-        page_size=geometry.page_size,
-        lbas_per_page=geometry.lbas_per_page,
-    )
-
-
-def default_extent_layout(model_spec, geometry: SsdGeometry,
-                          start_page: int = 0) -> list[list[FileExtent]]:
-    """Contiguous page-aligned allocation, tables back to back."""
-    ev_bytes = model_spec.ev_dim * 4
-    rows_per_page = geometry.page_size // ev_bytes
-    layouts = []
-    page = start_page
-    for ts in model_spec.tables:
-        pages = -(-ts.rows // rows_per_page)
-        layouts.append([FileExtent(page * geometry.lbas_per_page, pages * geometry.lbas_per_page)])
-        page += pages
-    return layouts
-
-
-def _locate(emap: ExtentMap, table: np.ndarray, index: np.ndarray):
-    """Page-start LBA and byte offset within the page of each (table, row)."""
-    rows = np.asarray(emap.rows, dtype=np.int64)
+def _locate(layout: TableLayout, table: np.ndarray, index: np.ndarray):
+    """Page and row slot within the page of each (table, row)."""
+    rows = layout.rows
     bad = (table < 0) | (table >= len(rows))
     if bad.any():
-        raise ValueError(f"table {table[np.argmax(bad)]} not in extent map")
+        raise ValueError(f"table {table[np.argmax(bad)]} not in the layout")
     bad = (index < 0) | (index >= rows[table])
     if bad.any():
         k = np.argmax(bad)
         raise ValueError(f"table {table[k]}: index {index[k]} out of range [0, {rows[table[k]]})")
-    row_base, ext_row, ext_lba = emap.extent_columns
-    row = row_base[table] + index
-    ext = np.searchsorted(ext_row, row, side="right") - 1
-    rel = row - ext_row[ext]
-    lba = ext_lba[ext] + rel // emap.rows_per_page * emap.lbas_per_page
-    return lba, rel % emap.rows_per_page * emap.ev_bytes
+    return layout.first_page[table] + index // layout.rows_per_page, index % layout.rows_per_page
 
 
 @dataclass(frozen=True)
@@ -160,9 +71,8 @@ class Requests:
     query: np.ndarray
     table: np.ndarray
     index: np.ndarray
-    lba: np.ndarray
-    offset: np.ndarray      # byte offset within the page
     page: np.ndarray        # global physical page
+    slot: np.ndarray        # row slot within the page
     channel: np.ndarray
     die: np.ndarray
 
@@ -170,18 +80,17 @@ class Requests:
         return len(self.index)
 
 
-def translate_batch(emap: ExtentMap, ftl: Ftl, queries: Workload) -> Requests:
-    tables = len(emap.rows)
+def translate_batch(layout: TableLayout, ftl: Ftl, queries: Workload) -> Requests:
+    tables = len(layout.rows)
     if len(queries) and queries.pooling.shape[1] != tables:
         raise ValueError(f"query has {queries.pooling.shape[1]} index lists, "
-                         f"extent map has {tables}")
+                         f"the layout has {tables} tables")
     pooling, index = queries.pooling, queries.index
     table = np.repeat(np.tile(np.arange(tables), len(queries)), pooling.ravel())
     query = np.repeat(np.arange(len(queries)), pooling.sum(axis=1))
-    lba, offset = _locate(emap, table, index)
-    page = lba // emap.lbas_per_page
+    page, slot = _locate(layout, table, index)
     channel, die, _ = ftl.page_location(page)
-    return Requests(pooling, query, table, index, lba, offset, page, channel, die)
+    return Requests(pooling, query, table, index, page, slot, channel, die)
 
 
 @dataclass(frozen=True)
@@ -213,33 +122,29 @@ def dispatch(requests: Requests, lane: np.ndarray | None = None) -> CoalescedRea
 
 
 class FlashImage:
-    """Byte image of the provisioned LBA space holding the padded table files.
+    """Byte image of the flash pages holding the padded tables.
     `rows[page, slot]` views the vector in row slot `slot` of a global page."""
 
-    def __init__(self, buf: bytearray, page_size: int, ev_dim: int):
+    def __init__(self, buf: bytearray, page_size: int, ev_bytes: int):
         self.buf = buf
-        ev_bytes = ev_dim * 4
         slots = page_size // ev_bytes * ev_bytes
         pages = np.frombuffer(buf, dtype=np.uint8).reshape(-1, page_size)
         self.rows = pages[:, :slots].reshape(len(pages), -1, ev_bytes).view("<f4")
 
 
-def build_flash_image(tables, emap: ExtentMap, geometry: SsdGeometry) -> FlashImage:
-    image = FlashImage(bytearray(emap.max_lba_end() * geometry.lba_size), geometry.page_size,
-                       emap.ev_dim)
-    rpp = emap.rows_per_page
-    # each extent's rows go straight into their page slots: the full pages,
+def build_flash_image(tables, layout: TableLayout, geometry: SsdGeometry) -> FlashImage:
+    image = FlashImage(bytearray(layout.pages * geometry.page_size), geometry.page_size,
+                       layout.ev_bytes)
+    rpp = layout.rows_per_page
+    # each table's rows go straight into their page slots: the full pages,
     # then the last page's rows; slots past a table's end and page tails stay
     # zero. `image.rows` is a view of the buffer, so slicing it writes through.
-    for t, extents in enumerate(emap.table_extents):
-        values = tables[t].values
-        for e in extents:
-            page = e.start_lba // emap.lbas_per_page
-            full, tail = divmod(e.index_count, rpp)
-            rows = values[e.index_start: e.index_start + e.index_count]
-            image.rows[page: page + full] = rows[:full * rpp].reshape(full, rpp, emap.ev_dim)
-            if tail:
-                image.rows[page + full, :tail] = rows[full * rpp:]
+    for table, rows, page in zip(tables, layout.rows.tolist(), layout.first_page.tolist()):
+        values = table.values[:rows]
+        full, tail = divmod(rows, rpp)
+        image.rows[page: page + full] = values[:full * rpp].reshape(full, rpp, values.shape[1])
+        if tail:
+            image.rows[page + full, :tail] = values[full * rpp:]
     return image
 
 
@@ -362,7 +267,7 @@ def gather_rows(tables, table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def simulate_lookup(model: Model, queries: Workload, geometry: SsdGeometry,
-                    timing: TimingParams, emap: ExtentMap, ftl: Ftl,
+                    timing: TimingParams, layout: TableLayout, ftl: Ftl,
                     flash: FlashImage | None = None, kc_e: int | None = None,
                     batch: int | None = None,
                     shared: tuple[Requests, ReadTimeline] | None = None) -> LookupResult:
@@ -381,12 +286,12 @@ def simulate_lookup(model: Model, queries: Workload, geometry: SsdGeometry,
     ev_dim = model.spec.ev_dim
     batch = batch or max(len(queries), 1)
     if shared is None:
-        requests = translate_batch(emap, ftl, queries)
+        requests = translate_batch(layout, ftl, queries)
         shared = requests, read_timeline(requests, batch, geometry, timing)
     requests, timeline = shared
 
     if flash is not None:
-        vectors = flash.rows[requests.page, requests.offset // (ev_dim * 4)]
+        vectors = flash.rows[requests.page, requests.slot]
     else:
         vectors = gather_rows(model.tables, requests.table, requests.index)
     # one vector-sum unit per query, so queries do not serialize on one adder

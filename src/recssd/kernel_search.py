@@ -187,11 +187,9 @@ def spill_floor_cycles(spec, resource_model: ResourceModel,
 
 
 def make_lookup_env(model: Model, geometry: SsdGeometry):
-    """Default contiguous flash layout for the model's tables."""
-    layout = ev_engine.default_extent_layout(model.spec, geometry)
-    emap = ev_engine.build_extent_map(model.spec, layout, geometry)
-    total_pages = max(1, emap.max_lba_end() // geometry.lbas_per_page)
-    return emap, Ftl(geometry, total_pages)
+    """The model's table layout and an FTL over the layout's pages."""
+    layout = ev_engine.table_layout(model.spec, geometry)
+    return layout, Ftl(geometry, layout.pages)
 
 
 def _stage_makespan_ns(layers, kernels, batch, timing: TimingParams, floor_cycles) -> int:
@@ -211,10 +209,10 @@ def estimate_times(model: Model, assignment: KernelAssignment, batch: int,
     assignment.validate(spec)
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    emap, ftl = make_lookup_env(model, geometry)
+    layout, ftl = make_lookup_env(model, geometry)
     queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
                                 profile.seed, profile.zipf_s)
-    lookup = ev_engine.simulate_lookup(model, queries, geometry, timing, emap, ftl,
+    lookup = ev_engine.simulate_lookup(model, queries, geometry, timing, layout, ftl,
                                        kc_e=assignment.ev[1])
     floors_b = floors_t = None
     if resource_model is not None:
@@ -232,12 +230,12 @@ def kernel_options(dim: int, cap: int | None = None) -> list[int]:
 
 
 def emb_budgets(model: Model, queries, geometry: SsdGeometry, timing: TimingParams,
-                emap, ftl) -> dict[int, int]:
+                layout, ftl) -> dict[int, int]:
     """The batch's embedding time for each adder width kc_e. The width changes
     only the adder's add time, so the page reads and the adder's order of
     their arrivals are computed once for all of them."""
     ev_dim = model.spec.ev_dim
-    requests = ev_engine.translate_batch(emap, ftl, queries)
+    requests = ev_engine.translate_batch(layout, ftl, queries)
     adder = ev_engine.read_timeline(requests, len(queries), geometry, timing).adder
     return {kc_e: int(adder.done_ns(ev_engine.add_ns(ev_dim, timing, kc_e)).max())
             for kc_e in kernel_options(ev_dim)}
@@ -310,7 +308,7 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
     when even the largest kernels of the space cannot keep up at the batch
     cap."""
     spec = model.spec
-    emap, ftl = make_lookup_env(model, geometry)
+    layout, ftl = make_lookup_env(model, geometry)
     bottom, top = make_layers(spec.bottom_mlp_dims), make_layers(spec.top_mlp_dims)
     floors_b, floors_t = spill_floor_cycles(spec, resource_model, timing)
 
@@ -318,7 +316,7 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
     while True:
         queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
                                     profile.seed, profile.zipf_s)
-        emb_by_kce = emb_budgets(model, queries, geometry, timing, emap, ftl)
+        emb_by_kce = emb_budgets(model, queries, geometry, timing, layout, ftl)
         stage_b = _Stage(bottom, space, batch, timing, floors_b)
         stage_t = _Stage(top, space, batch, timing, floors_t)
         best = None

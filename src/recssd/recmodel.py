@@ -20,8 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-INTERACTION_CONCAT = "concat"
-
 # Most products (queries x outputs x inputs) mlp_forward folds in one cumsum.
 _CUMSUM_PRODUCTS = 1 << 17
 
@@ -64,7 +62,6 @@ class ModelSpec:
     bottom_mlp_dims: tuple[int, ...]
     top_mlp_dims: tuple[int, ...]
     dense_dim: int
-    interaction: str = INTERACTION_CONCAT
 
     def __post_init__(self):
         object.__setattr__(self, "tables", tuple(self.tables))
@@ -72,8 +69,6 @@ class ModelSpec:
             object.__setattr__(self, name, tuple(_integral(f"an entry of {name}", d)
                                                  for d in getattr(self, name)))
         object.__setattr__(self, "dense_dim", _integral("dense_dim", self.dense_dim))
-        if self.interaction != INTERACTION_CONCAT:
-            raise ValueError(f"unsupported interaction {self.interaction!r}")
         if not self.tables:
             raise ValueError("model needs at least one embedding table")
         dims = set(t.ev_dim for t in self.tables)
@@ -232,7 +227,6 @@ class Model:
     bottom_biases: list[np.ndarray]
     top_weights: list[np.ndarray]
     top_biases: list[np.ndarray]
-    init_seed: int = 0
 
     def __post_init__(self):
         _check_chain(self.spec.bottom_mlp_dims, self.bottom_weights, self.bottom_biases, "bottom")
@@ -299,7 +293,7 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
 
     bw, bb = layers(spec.bottom_mlp_dims)
     tw, tb = layers(spec.top_mlp_dims)
-    return Model(spec, tables, bw, bb, tw, tb, init_seed=int(seed))
+    return Model(spec, tables, bw, bb, tw, tb)
 
 
 def ev_lookup_sum(table: EmbeddingTable, indices: list[int]) -> np.ndarray:

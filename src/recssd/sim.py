@@ -237,9 +237,9 @@ def _drive(scenario: Scenario, env, queries, batch: int, kc_e: int, stage, share
     Returns the dispatched queries' ns columns (`t0`, `emb_start`, `emb_end`,
     then the stage's; a column no batch made reads as empty), their summed
     vectors, the channels' busy times and the batch count."""
-    emap, ftl = env
+    layout, ftl = env
     model, geometry = scenario.model, scenario.geometry
-    flash = ev_engine.build_flash_image(model.tables, emap, geometry)
+    flash = ev_engine.build_flash_image(model.tables, layout, geometry)
     chunk = max(1, CHUNK_QUERIES // batch) * batch
     # an empty first entry, so that a run with no batch concatenates
     times, ev = defaultdict(list), [np.zeros((0, model.spec.emb_out_width), np.float32)]
@@ -251,10 +251,10 @@ def _drive(scenario: Scenario, env, queries, batch: int, kc_e: int, stage, share
         part = queries[first:first + chunk]
         key = (geometry, scenario.timing, batch, first)
         if key not in shared:
-            requests = ev_engine.translate_batch(emap, ftl, part)
+            requests = ev_engine.translate_batch(layout, ftl, part)
             shared[key] = requests, ev_engine.read_timeline(requests, batch, geometry,
                                                             scenario.timing)
-        emb = ev_engine.simulate_lookup(model, part, geometry, scenario.timing, emap, ftl,
+        emb = ev_engine.simulate_lookup(model, part, geometry, scenario.timing, layout, ftl,
                                         flash=flash, kc_e=kc_e, batch=batch,
                                         shared=shared[key])
         device_ns, cols = stage(emb, batch)
@@ -364,25 +364,23 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, env, shared: dict) -> Run
     bottom_layers = make_layers(spec.bottom_mlp_dims)
     top_layers = make_layers(spec.top_mlp_dims)
     floors_b, floors_t = spill_floor_cycles(spec, scenario.resource_model, timing)
-    period = timing.clock_period_ns
     # a query's schedule depends only on the queries before it in its batch,
     # and the bottom MLP's inputs are all at cycle 0: one bottom schedule
     # serves every batch, a partial one reading its prefix
     bottom = pipeline_schedule(bottom_layers, assignment.bottom, inputs_at_cycles=[0] * batch,
                                floor_cycles=floors_b).completions[0]
-    bottom_ns = np.rint(bottom * period).astype(np.int64)
+    bottom_ns = timing.cycles_to_ns(bottom)
 
     def stage(emb, batch):
-        # one top-MLP lane per batch, the partial last batch padded; np.ceil
-        # and np.rint round float64 as math.ceil and round do (halves to even)
+        # one top-MLP lane per batch, the partial last batch padded
         n = len(emb.e_ns)
         lanes = -(-n // batch)
         emb_cycles = np.zeros(lanes * batch, dtype=np.int64)
-        emb_cycles[:n] = np.ceil(emb.e_ns / period)
+        emb_cycles[:n] = timing.ns_to_cycles(emb.e_ns)
         top = pipeline_schedule_decomposed(top_layers, assignment.top, spec.bottom_out_width,
                                            bottom, emb_cycles.reshape(lanes, batch),
                                            floor_cycles=floors_t)
-        done, top_start = (np.rint(c * period).astype(np.int64).ravel()[:n]
+        done, top_start = (timing.cycles_to_ns(c).ravel()[:n]
                            for c in (top.completions, top.starts))
         device = np.maximum(np.maximum.reduceat(done, np.arange(0, n, batch)), emb.t_emb_ns)
         return device, {"bottom_end": np.tile(bottom_ns, lanes)[:n], "top_start": top_start,
@@ -440,7 +438,7 @@ def resident_sets(spec, dram_fraction: float, distribution: str, seed: int):
 def _run_baseline(scenario: Scenario, queries, seed: int, env) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
     geometry, timing = scenario.geometry, scenario.timing
-    emap, ftl = env
+    layout, ftl = env
     resident = resident_sets(spec, scenario.dram_fraction, scenario.workload.distribution,
                              seed)
     host_mlp = _host_mlp_ns(spec, timing)
@@ -450,8 +448,9 @@ def _run_baseline(scenario: Scenario, queries, seed: int, env) -> RunResult:
     # every lookup of the run and its residency; these are host reads, so the
     # call does not go through the `ev_engine` attribute that the benchmark's
     # tracer counts as device requests
-    lookups = translate_batch(emap, ftl, queries)
-    hit = np.concatenate(resident)[emap.extent_columns[0][lookups.table] + lookups.index]
+    lookups = translate_batch(layout, ftl, queries)
+    first_row = np.cumsum(layout.rows) - layout.rows
+    hit = np.concatenate(resident)[first_row[lookups.table] + lookups.index]
     hits = np.bincount(lookups.query[hit], minlength=len(queries))
     misses = lookups.pooling.sum(axis=1) - hits
     # queries run serially, each starting when the previous one completes;

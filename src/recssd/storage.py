@@ -36,10 +36,9 @@ class SsdGeometry:
     dies_per_channel: int
     page_size: int
     lba_size: int = 512
-    pages_per_block: int = 256
 
     def __post_init__(self):
-        for name in ("channels", "dies_per_channel", "page_size", "lba_size", "pages_per_block"):
+        for name in ("channels", "dies_per_channel", "page_size", "lba_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.page_size % self.lba_size != 0:
@@ -95,10 +94,18 @@ class TimingParams:
     def clock_period_ns(self) -> float:
         return 1000.0 / self.fc_clock_mhz
 
-    def cycles_to_ns(self, cycles: int) -> int:
+    def cycles_to_ns(self, cycles):
+        """Engine cycles, an int or an int64 array, to the nearest ns (halves
+        to even)."""
+        if isinstance(cycles, np.ndarray):
+            return np.rint(cycles * self.clock_period_ns).astype(np.int64)
         return round(cycles * self.clock_period_ns)
 
-    def ns_to_cycles(self, ns: int) -> int:
+    def ns_to_cycles(self, ns):
+        """The engine cycles, rounded up, that span `ns`, an int or an int64
+        array."""
+        if isinstance(ns, np.ndarray):
+            return np.ceil(ns / self.clock_period_ns).astype(np.int64)
         return math.ceil(ns / self.clock_period_ns)
 
 

@@ -372,10 +372,10 @@ def die_timelines(schedule):
 # ---------------------------------------------------------------------------
 # Helpers over the package's code.
 
-def translate_index(emap, table_id: int, index: int) -> tuple[int, int]:
-    """(page-start LBA, byte offset within the page) of one table row."""
-    lba, offset = _locate(emap, np.array([table_id]), np.array([index]))
-    return int(lba[0]), int(offset[0])
+def translate_index(layout, table_id: int, index: int) -> tuple[int, int]:
+    """(page, byte offset within the page) of one table row."""
+    page, slot = _locate(layout, np.array([table_id]), np.array([index]))
+    return int(page[0]), int(slot[0]) * layout.ev_bytes
 
 
 def host_block_read(ftl, lba: int, nbytes: int, timing) -> int:
@@ -396,12 +396,12 @@ def host_block_read(ftl, lba: int, nbytes: int, timing) -> int:
     return sched.makespan_ns + timing.host_iface_ns(nbytes) + timing.host_overhead_ns
 
 
-def lookup_reads(emap, ftl, queries, geometry, timing, batch=None):
+def lookup_reads(layout, ftl, queries, geometry, timing, batch=None):
     """The page reads of a lookup of `queries` in batches of `batch` (default:
     one batch of all), one lane per batch, as `ev_engine.read_timeline`
     coalesces and schedules them: `requests`, the coalesced `reads`, their
     `schedule` and each request's `arrival_ns` (its page's transfer end)."""
-    requests = translate_batch(emap, ftl, queries)
+    requests = translate_batch(layout, ftl, queries)
     reads = dispatch(requests, requests.query // (batch or max(len(queries), 1)))
     schedule = schedule_page_reads(PageReads(reads.channel, reads.die, reads.lane),
                                    geometry, timing)

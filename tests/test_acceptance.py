@@ -245,11 +245,11 @@ def test_criterion_8_property_suites():
 
     # coalescing bound: page reads <= requests, equality iff pages distinct
     model = _mini_model(rng, rows=64 * 16)
-    emap, ftl = make_lookup_env(model, GEO)
+    layout, ftl = make_lookup_env(model, GEO)
     for _ in range(1000):
         n = int(rng.integers(1, 24))
         idx = rng.integers(0, 64 * 16, n).tolist()
-        reqs = translate_batch(emap, ftl,
+        reqs = translate_batch(layout, ftl,
                                Workload.from_queries([Query([idx], np.zeros(2, np.float32))]))
         distinct = len({i // 64 for i in idx})
         assert len(dispatch(reqs)) == distinct <= n
@@ -269,10 +269,10 @@ def test_criterion_8_property_suites():
     # dispatch balance under uniform indices, >= 32 pages per die (2x2 geometry)
     geo_bal = SsdGeometry(2, 2, 4096)
     model_bal = _mini_model(rng, rows=64 * 256)
-    emap_bal, ftl_bal = make_lookup_env(model_bal, geo_bal)
+    layout_bal, ftl_bal = make_lookup_env(model_bal, geo_bal)
     for _ in range(1000):
         idx = rng.integers(0, 64 * 256, 600).tolist()
-        reqs = translate_batch(emap_bal, ftl_bal,
+        reqs = translate_batch(layout_bal, ftl_bal,
                                Workload.from_queries([Query([idx], np.zeros(2, np.float32))]))
         reads = dispatch(reqs)
         counts = np.unique(reads.channel * 2 + reads.die, return_counts=True)[1].tolist()

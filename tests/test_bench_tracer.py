@@ -51,14 +51,16 @@ def test_traced_compare_spans_every_layer():
     assert [s[0] for s in tracer.spans].count("mlp_engine.pipeline_schedule") == 2
     total, _, counts = tracer.take()
     for name in ("recmodel.scoring", "mlp_engine.pipeline_schedule",
-                 "ev_engine.translate_batch", "storage.schedule_page_reads"):
+                 "ev_engine.build_flash_image", "ev_engine.simulate_lookup",
+                 "ev_engine.translate_batch", "ev_engine.dispatch",
+                 "storage.schedule_page_reads"):
         assert name in total, name
     # the two device modes look up the run's batches of two on one device and
     # share the translation and read timeline; the counters total what one
     # translate and dispatch call per batch would make
     queries = generate_workload(spec, "uniform", 8, 6, 5)
-    emap, ftl = make_lookup_env(model, scenarios[0].geometry)
-    requests = [recssd.ev_engine.translate_batch(emap, ftl, queries[i:i + 2])
+    layout, ftl = make_lookup_env(model, scenarios[0].geometry)
+    requests = [recssd.ev_engine.translate_batch(layout, ftl, queries[i:i + 2])
                 for i in range(0, 6, 2)]
     assert counts["requests"] == 1 * sum(map(len, requests)) > 0
     assert counts["page_reads"] == 1 * sum(len(recssd.ev_engine.dispatch(r))

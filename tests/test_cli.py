@@ -79,6 +79,11 @@ class TestValidate:
         assert main(["validate", path]) == 2
         assert "warp_factor" in capsys.readouterr().err
 
+    def test_removed_geometry_key(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.yaml", "geometry: {pages_per_block: 256}\n")
+        assert main(["validate", path]) == 2
+        assert "unknown key geometry.pages_per_block" in capsys.readouterr().err
+
     def test_invariant_violation(self, tmp_path, capsys):
         path = write(tmp_path, "bad.yaml",
                      "scenario: {mode: ssd-baseline, dram_fraction: 0.0}\n")

@@ -3,10 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from recssd.ev_engine import (FileExtent, add_ns, adder_order, build_extent_map,
-                              build_flash_image, dispatch, lookup_sums, simulate_lookup,
-                              translate_batch)
-from recssd.storage import Ftl
+from recssd.ev_engine import (add_ns, adder_order, build_flash_image, dispatch, lookup_sums,
+                              simulate_lookup, table_layout, translate_batch)
 from recssd.kernel_search import make_lookup_env
 from recssd.recmodel import (ModelSpec, Query, TableSpec, Workload, build_model,
                              ev_lookup_sum, generate_workload)
@@ -34,115 +32,82 @@ def flat_model(num_tables=1, rows=256, ev_dim=16, seed=0):
 
 
 class TestExtentMap:
+    """The table layout: tables back to back from page 0, each padded to
+    whole pages."""
+
     def test_layout_arithmetic(self):
-        spec = ModelSpec(tables=(TableSpec(1000, 16),), bottom_mlp_dims=(2, 2),
-                         top_mlp_dims=(18, 1), dense_dim=2)
-        emap = build_extent_map(spec, [[FileExtent(1000, 16 * 8)]], GEO)
-        assert emap.rows_per_page == 64
-        lba, off = translate_index(emap, 0, 100)
-        assert (lba, off) == (1000 + 8, 36 * 64)
+        spec = ModelSpec(tables=(TableSpec(1000, 16), TableSpec(100, 16)),
+                         bottom_mlp_dims=(2, 2), top_mlp_dims=(34, 1), dense_dim=2)
+        layout = table_layout(spec, GEO)
+        assert layout.rows_per_page == 64
+        # table 0 takes ceil(1000 / 64) = 16 pages, table 1 the next two
+        assert layout.first_page.tolist() == [0, 16] and layout.pages == 18
+        assert translate_index(layout, 0, 100) == (1, 36 * 64)
+        assert translate_index(layout, 1, 99) == (16 + 1, 35 * 64)
 
     def test_index_zero_at_file_start(self):
-        spec = ModelSpec(tables=(TableSpec(100, 16),), bottom_mlp_dims=(2, 2),
-                         top_mlp_dims=(18, 1), dense_dim=2)
-        emap = build_extent_map(spec, [[FileExtent(4096 // 512 * 7, 16)]], GEO)
-        assert translate_index(emap, 0, 0) == (56, 0)
+        spec = ModelSpec(tables=(TableSpec(7 * 64 - 1, 16), TableSpec(100, 16)),
+                         bottom_mlp_dims=(2, 2), top_mlp_dims=(34, 1), dense_dim=2)
+        layout = table_layout(spec, GEO)
+        # table 0's last page has a free slot; table 1 starts on a page of its own
+        assert translate_index(layout, 0, 7 * 64 - 2) == (6, 62 * 64)
+        assert translate_index(layout, 1, 0) == (7, 0)
 
     def test_last_index_inside_final_extent(self):
         spec = ModelSpec(tables=(TableSpec(130, 16),), bottom_mlp_dims=(2, 2),
                          top_mlp_dims=(18, 1), dense_dim=2)
-        emap = build_extent_map(spec, [[FileExtent(0, 8), FileExtent(64, 16)]], GEO)
-        lba, off = translate_index(emap, 0, 129)
-        # 64 rows in extent 0; row 129 is row 65 of extent 1 -> its second page
-        assert lba == 64 + 8
+        layout = table_layout(spec, GEO)
+        page, off = translate_index(layout, 0, 129)
+        # 64 rows per page; row 129 is the second row of the third page
+        assert page == 2
         assert off == 1 * 64
+        assert layout.pages == 3
 
     def test_out_of_range_index(self):
         spec = ModelSpec(tables=(TableSpec(100, 16),), bottom_mlp_dims=(2, 2),
                          top_mlp_dims=(18, 1), dense_dim=2)
-        emap = build_extent_map(spec, [[FileExtent(0, 16)]], GEO)
+        layout = table_layout(spec, GEO)
         with pytest.raises(ValueError, match="index 100"):
-            translate_index(emap, 0, 100)
-
-    def test_extents_too_small(self):
-        spec = ModelSpec(tables=(TableSpec(1000, 16),), bottom_mlp_dims=(2, 2),
-                         top_mlp_dims=(18, 1), dense_dim=2)
-        with pytest.raises(ValueError, match="extents cover"):
-            build_extent_map(spec, [[FileExtent(0, 8 * 15)]], GEO)
+            translate_index(layout, 0, 100)
+        with pytest.raises(ValueError, match="index -1"):
+            translate_index(layout, 0, -1)
+        with pytest.raises(ValueError, match="table 1 not in the layout"):
+            translate_index(layout, 1, 0)
 
     def test_oversized_vector_rejected(self):
         spec = ModelSpec(tables=(TableSpec(10, 2048),), bottom_mlp_dims=(2, 2),
                          top_mlp_dims=(2 + 2048, 1), dense_dim=2)
         with pytest.raises(ValueError, match="ev_bytes"):
-            build_extent_map(spec, [[FileExtent(0, 1024)]], GEO)
-
-    def test_unaligned_extent_rejected(self):
-        spec = ModelSpec(tables=(TableSpec(100, 16),), bottom_mlp_dims=(2, 2),
-                         top_mlp_dims=(18, 1), dense_dim=2)
-        with pytest.raises(ValueError, match="page-aligned"):
-            build_extent_map(spec, [[FileExtent(3, 16)]], GEO)
-
-    def test_fragmented_file_round_trips_against_linear_scan(self):
-        rows, ev_dim = 1000, 16
-        spec = ModelSpec(tables=(TableSpec(rows, ev_dim),), bottom_mlp_dims=(2, 2),
-                         top_mlp_dims=(18, 1), dense_dim=2)
-        fes = [FileExtent(800, 7 * 8), FileExtent(80, 5 * 8), FileExtent(400, 4 * 8)]
-        emap = build_extent_map(spec, [fes], GEO)
-
-        def linear_scan(index):
-            rpp = 4096 // (ev_dim * 4)
-            cursor = 0
-            for fe in fes:
-                pages = fe.lba_count * 512 // 4096
-                count = min(pages * rpp, rows - cursor)
-                if cursor <= index < cursor + count:
-                    rel = index - cursor
-                    return fe.start_lba + (rel // rpp) * 8, (rel % rpp) * 64
-                cursor += count
-            raise AssertionError
-
-        for index in range(rows):
-            assert translate_index(emap, 0, index) == linear_scan(index)
-
-        def inverse(lba, off):
-            # invert via a scan over every index
-            for i in range(rows):
-                if translate_index(emap, 0, i) == (lba, off):
-                    return i
-            raise AssertionError
-
-        rng = np.random.default_rng(41)
-        for index in rng.integers(0, rows, 25):
-            assert inverse(*translate_index(emap, 0, int(index))) == int(index)
+            table_layout(spec, GEO)
 
 
 class TestDispatch:
     def test_same_page_coalesces_to_one_read(self):
         model = flat_model()
-        emap, ftl = make_lookup_env(model, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
         qs = Workload.from_queries([Query([[3, 7]], np.zeros(2, np.float32))])   # both in page 0
-        reqs = translate_batch(emap, ftl, qs)
+        reqs = translate_batch(layout, ftl, qs)
         reads = dispatch(reqs)
         assert len(reads) == 1
         assert np.bincount(reads.read).tolist() == [2]
 
     def test_eight_distinct_channels_start_simultaneously(self):
         model = flat_model(rows=64 * 64)   # 64 pages
-        emap, ftl = make_lookup_env(model, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
         idx = [p * 64 for p in range(8)]   # pages 0..7 -> channels 0..7
         qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
-        res = lookup_reads(emap, ftl, qs, GEO, TP)
+        res = lookup_reads(layout, ftl, qs, GEO, TP)
         starts = set(res.schedule.sense_start_ns.tolist())
         assert starts == {0}
-        assert simulate_lookup(model, qs, GEO, TP, emap, ftl).flash_start_ns.tolist() == [0]
+        assert simulate_lookup(model, qs, GEO, TP, layout, ftl).flash_start_ns.tolist() == [0]
 
     def test_page_counts_match_counting_oracle(self):
         model = flat_model(rows=64 * 128, seed=2)
-        emap, ftl = make_lookup_env(model, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
         rng = np.random.default_rng(42)
         idx = rng.integers(0, 64 * 128, 100).tolist()
         qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
-        reqs = translate_batch(emap, ftl, qs)
+        reqs = translate_batch(layout, ftl, qs)
         reads = dispatch(reqs)
         # counting oracle: distinct pages grouped by striping arithmetic
         pages = sorted({i // 64 for i in idx})
@@ -154,11 +119,11 @@ class TestDispatch:
 
     def test_makespan_matches_event_list_oracle(self):
         model = flat_model(rows=64 * 128, seed=2)
-        emap, ftl = make_lookup_env(model, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
         rng = np.random.default_rng(43)
         idx = rng.integers(0, 64 * 128, 100).tolist()
         qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
-        res = lookup_reads(emap, ftl, qs, GEO, TP)
+        res = lookup_reads(layout, ftl, qs, GEO, TP)
         pages = [(0, 0, int(ch), int(die), seq)
                  for seq, (ch, die) in enumerate(zip(res.reads.channel, res.reads.die))]
         _, makespan = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
@@ -170,12 +135,12 @@ class TestDispatch:
     def test_coalescing_bound_property(self):
         rng = np.random.default_rng(44)
         model = flat_model(rows=64 * 16, seed=3)
-        emap, ftl = make_lookup_env(model, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
         for _ in range(200):
             n = int(rng.integers(1, 30))
             idx = rng.integers(0, 64 * 16, n).tolist()
             qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
-            reqs = translate_batch(emap, ftl, qs)
+            reqs = translate_batch(layout, ftl, qs)
             npages = len(dispatch(reqs))
             assert npages <= n
             assert (npages == n) == (len({i // 64 for i in idx}) == n)
@@ -211,15 +176,15 @@ class TestEvSum:
 class TestSimulateLookup:
     def test_single_request_cold_path(self):
         model = flat_model()
-        emap, ftl = make_lookup_env(model, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
         qs = Workload.from_queries([Query([[5]], np.zeros(2, np.float32))])
-        res = simulate_lookup(model, qs, GEO, TP, emap, ftl)
+        res = simulate_lookup(model, qs, GEO, TP, layout, ftl)
         assert res.e_ns.tolist() == [page_read_time(GEO, TP)]
         assert res.t_emb_ns.tolist() == [page_read_time(GEO, TP)]
 
     def test_bad_queries_rejected(self):
         model = flat_model(num_tables=2, rows=100)
-        emap, ftl = make_lookup_env(model, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
         good = Query([[1], [2]], np.zeros(2, np.float32))
         for bad, match in ((Query([[1], [100]], np.zeros(2, np.float32)), "table 1: index 100"),
                            (Query([[1]], np.zeros(2, np.float32)), "index lists"),
@@ -228,13 +193,13 @@ class TestSimulateLookup:
             # checks see it
             for qs in ([good, bad], [bad]):
                 with pytest.raises(ValueError, match=match):
-                    simulate_lookup(model, Workload.from_queries(qs), GEO, TP, emap, ftl)
+                    simulate_lookup(model, Workload.from_queries(qs), GEO, TP, layout, ftl)
 
     def test_identical_queries_identical_latency(self):
         model = flat_model(num_tables=2, rows=4096, seed=5)
-        emap, ftl = make_lookup_env(model, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
         q = Query([[1, 2, 3], [9, 9, 700]], np.zeros(2, np.float32))
-        res = simulate_lookup(model, Workload.from_queries([q, q]), GEO, TP, emap, ftl)
+        res = simulate_lookup(model, Workload.from_queries([q, q]), GEO, TP, layout, ftl)
         assert res.e_ns[0] == res.e_ns[1]
         assert np.array_equal(res.ev_concat[0], res.ev_concat[1])
 
@@ -242,12 +207,11 @@ class TestSimulateLookup:
         # flash layout = the table's little-endian FP32 rows, page-padded at
         # rows_per_page
         model = flat_model(num_tables=2, rows=100, seed=4)
-        emap, ftl = make_lookup_env(model, GEO)
-        flash = build_flash_image(model.tables, emap, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
+        flash = build_flash_image(model.tables, layout, GEO)
         for t in range(2):
-            ext = emap.table_extents[t][0]
             raw = model.tables[t].values.astype("<f4").tobytes()
-            start = ext.start_lba * 512
+            start = int(layout.first_page[t]) * 4096
             for page in range(2):           # 64 rows per page, table has 100 rows
                 rows = slice(page * 64, min((page + 1) * 64, 100))
                 want = raw[rows.start * 64: rows.stop * 64]
@@ -256,23 +220,23 @@ class TestSimulateLookup:
                 assert got == want
 
     def test_flash_image_bytes_on_fragmented_padded_layout(self):
-        # 48-byte vectors leave a 16-byte tail in every 4096-byte page. Table 0
-        # ends inside an extent's second page, table 1 fills its last extent's
-        # last page exactly, table 2 fits inside one page
+        # 48-byte vectors leave a 16-byte tail in every 4096-byte page. Tables
+        # lie back to back: table 0 ends inside its third page, table 1 fills
+        # its fourth page exactly, table 2 fits inside one page
         spec = ModelSpec(tables=(TableSpec(200, 12), TableSpec(340, 12), TableSpec(50, 12)),
                          bottom_mlp_dims=(2, 2), top_mlp_dims=(2 + 3 * 12, 1), dense_dim=2)
         model = build_model(spec, 8)
-        layouts = [[FileExtent(800, 8), FileExtent(80, 2 * 8)],
-                   [FileExtent(400, 3 * 8), FileExtent(16, 8)],
-                   [FileExtent(1200, 2 * 8)]]
-        emap = build_extent_map(spec, layouts, GEO)
-        assert emap.rows_per_page == 85
-        buf = np.frombuffer(build_flash_image(model.tables, emap, GEO).buf, dtype=np.uint8)
+        layout = table_layout(spec, GEO)
+        assert layout.rows_per_page == 85
+        first_page = (0, 3, 7)
+        buf = np.frombuffer(build_flash_image(model.tables, layout, GEO).buf, dtype=np.uint8)
+        assert len(buf) == 8 * 4096
         written = np.zeros(len(buf), dtype=bool)
         for t, table in enumerate(model.tables):
             for row in range(table.values.shape[0]):
-                lba, offset = translate_index(emap, t, row)
-                at = lba * GEO.lba_size + offset
+                page, offset = translate_index(layout, t, row)
+                assert (page, offset) == (first_page[t] + row // 85, row % 85 * 48)
+                at = page * GEO.page_size + offset
                 assert buf[at:at + 48].tobytes() == table.values[row].astype("<f4").tobytes()
                 assert not written[at:at + 48].any()
                 written[at:at + 48] = True
@@ -281,10 +245,10 @@ class TestSimulateLookup:
 
     def test_functional_transparency_exact(self):
         model = flat_model(num_tables=3, rows=2048, seed=6)
-        emap, ftl = make_lookup_env(model, GEO)
-        flash = build_flash_image(model.tables, emap, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
+        flash = build_flash_image(model.tables, layout, GEO)
         qs = generate_workload(model.spec, "uniform", 7, 20, 13)
-        res = simulate_lookup(model, qs, GEO, TP, emap, ftl, flash=flash)
+        res = simulate_lookup(model, qs, GEO, TP, layout, ftl, flash=flash)
         for q, concat in zip(qs, res.ev_concat):
             for t in range(3):
                 want = ev_lookup_sum(model.tables[t], q.indices[t])
@@ -292,21 +256,21 @@ class TestSimulateLookup:
 
     def test_flash_decode_matches_direct_table_values(self):
         model = flat_model(num_tables=2, rows=300, seed=11)
-        emap, ftl = make_lookup_env(model, GEO)
-        flash = build_flash_image(model.tables, emap, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
+        flash = build_flash_image(model.tables, layout, GEO)
         qs = generate_workload(model.spec, "uniform", 5, 10, 19)
-        via_flash = simulate_lookup(model, qs, GEO, TP, emap, ftl, flash=flash)
-        direct = simulate_lookup(model, qs, GEO, TP, emap, ftl)
+        via_flash = simulate_lookup(model, qs, GEO, TP, layout, ftl, flash=flash)
+        direct = simulate_lookup(model, qs, GEO, TP, layout, ftl)
         for a, b in zip(via_flash.ev_concat, direct.ev_concat):
             assert np.array_equal(a, b)
         assert via_flash.e_ns.tolist() == direct.e_ns.tolist()
 
     def test_batch_against_from_scratch_event_oracle(self):
         model = flat_model(num_tables=4, rows=4096, seed=7)
-        emap, ftl = make_lookup_env(model, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
         qs = generate_workload(model.spec, "uniform", 4, 64, 15)
         kc_e = 4
-        res = simulate_lookup(model, qs, GEO, TP, emap, ftl, kc_e=kc_e)
+        res = simulate_lookup(model, qs, GEO, TP, layout, ftl, kc_e=kc_e)
 
         # independent replay: layout arithmetic, flash oracle, adder oracle
         rpp = 64
@@ -334,33 +298,28 @@ class TestSimulateLookup:
         assert res.t_emb_ns.tolist() == [max(want_e)]
 
     def test_fragmented_layout_and_per_table_pooling(self):
-        # three tables whose files are fragmented out of LBA order, with 1, 3
-        # and 8 lookups per query; replayed from the file extents by hand
-        rows, ev_dim, rpp = 1000, 16, 64
-        spec = ModelSpec(tables=(TableSpec(rows, ev_dim),) * 3, bottom_mlp_dims=(2, 2),
-                         top_mlp_dims=(2 + 3 * ev_dim, 1), dense_dim=2)
+        # three tables of 48-byte vectors, 85 per page, back to back over 70
+        # pages: the first ends in a partial page, the second fills its last
+        # page, the third ends in a partial page. 1, 3 and 8 lookups per
+        # query; replayed from the row counts by hand
+        rows, ev_dim, rpp = (2000, 3400, 500), 12, 85
+        spec = ModelSpec(tables=tuple(TableSpec(r, ev_dim) for r in rows),
+                         bottom_mlp_dims=(2, 2), top_mlp_dims=(2 + 3 * ev_dim, 1), dense_dim=2)
         model = build_model(spec, 12)
-        layouts = [[FileExtent(800, 7 * 8), FileExtent(80, 5 * 8), FileExtent(400, 4 * 8)],
-                   [FileExtent(1200, 3 * 8), FileExtent(16, 8 * 8), FileExtent(600, 5 * 8)],
-                   [FileExtent(1000, 16 * 8)]]
-        emap = build_extent_map(spec, layouts, GEO)
-        ftl = Ftl(GEO, emap.max_lba_end() // 8)
-        flash = build_flash_image(model.tables, emap, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
+        assert ftl.total_pages == 24 + 40 + 6
+        flash = build_flash_image(model.tables, layout, GEO)
         rng = np.random.default_rng(47)
         pooling = (1, 3, 8)
-        qs = Workload.from_queries([Query([rng.integers(0, rows, p).tolist() for p in pooling],
+        qs = Workload.from_queries([Query([rng.integers(0, r, p).tolist()
+                                           for r, p in zip(rows, pooling)],
                                           np.zeros(2, np.float32)) for _ in range(6)])
         kc_e = 2
-        res = simulate_lookup(model, qs, GEO, TP, emap, ftl, flash=flash, kc_e=kc_e)
+        res = simulate_lookup(model, qs, GEO, TP, layout, ftl, flash=flash, kc_e=kc_e)
 
         def page_of(t, index):
-            cursor = 0
-            for fe in layouts[t]:
-                count = min(fe.lba_count // 8 * rpp, rows - cursor)
-                if cursor <= index < cursor + count:
-                    return fe.start_lba // 8 + (index - cursor) // rpp
-                cursor += count
-            raise AssertionError
+            # the pages of the tables before t, each rounded up, then the row's
+            return sum(-(-r // rpp) for r in rows[:t]) + index // rpp
 
         order, items, seq = [], [], 0
         for qid, q in enumerate(qs):
@@ -381,31 +340,27 @@ class TestSimulateLookup:
             want = np.concatenate([fold_sum_rows(model.tables[t].values, q.indices[t])
                                    for t in range(3)])
             assert concat.tobytes() == want.tobytes()
-        direct = simulate_lookup(model, qs, GEO, TP, emap, ftl, kc_e=kc_e)
+        direct = simulate_lookup(model, qs, GEO, TP, layout, ftl, kc_e=kc_e)
         assert direct.ev_concat.tobytes() == res.ev_concat.tobytes()
         assert direct.e_ns.tolist() == res.e_ns.tolist()
 
     def test_whole_run_equals_per_batch_calls(self):
-        # the fragmented, mixed-pooling layout above, 11 queries as batches of
-        # 4: one call with a lane per batch equals one call per batch
-        rows, ev_dim = 1000, 16
-        spec = ModelSpec(tables=(TableSpec(rows, ev_dim),) * 3, bottom_mlp_dims=(2, 2),
-                         top_mlp_dims=(2 + 3 * ev_dim, 1), dense_dim=2)
+        # the partial-page, mixed-pooling layout above, 11 queries as batches
+        # of 4: one call with a lane per batch equals one call per batch
+        ev_dim = 12
+        spec = ModelSpec(tables=tuple(TableSpec(r, ev_dim) for r in (2000, 3400, 500)),
+                         bottom_mlp_dims=(2, 2), top_mlp_dims=(2 + 3 * ev_dim, 1), dense_dim=2)
         model = build_model(spec, 12)
-        layouts = [[FileExtent(800, 7 * 8), FileExtent(80, 5 * 8), FileExtent(400, 4 * 8)],
-                   [FileExtent(1200, 3 * 8), FileExtent(16, 8 * 8), FileExtent(600, 5 * 8)],
-                   [FileExtent(1000, 16 * 8)]]
-        emap = build_extent_map(spec, layouts, GEO)
-        ftl = Ftl(GEO, emap.max_lba_end() // 8)
-        flash = build_flash_image(model.tables, emap, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
+        flash = build_flash_image(model.tables, layout, GEO)
         rng = np.random.default_rng(48)
         # few rows per table, so batches share pages and each lane coalesces
         qs = Workload.from_queries([Query([rng.integers(0, 200, p).tolist() for p in (1, 3, 8)],
                                           np.zeros(2, np.float32)) for _ in range(11)])
         batch, kc_e = 4, 2
-        whole = simulate_lookup(model, qs, GEO, TP, emap, ftl, flash=flash, kc_e=kc_e,
+        whole = simulate_lookup(model, qs, GEO, TP, layout, ftl, flash=flash, kc_e=kc_e,
                                 batch=batch)
-        parts = [simulate_lookup(model, qs[i:i + batch], GEO, TP, emap, ftl, flash=flash,
+        parts = [simulate_lookup(model, qs[i:i + batch], GEO, TP, layout, ftl, flash=flash,
                                  kc_e=kc_e) for i in range(0, len(qs), batch)]
         assert whole.ev_concat.tobytes() == np.concatenate([p.ev_concat for p in parts]).tobytes()
         for name in ("e_ns", "flash_start_ns", "t_emb_ns"):
@@ -414,8 +369,8 @@ class TestSimulateLookup:
         assert whole.channel_busy_ns.tolist() == \
             np.concatenate([p.channel_busy_ns for p in parts]).tolist()
         # the per-read columns the lookup does not keep, derived the same way
-        whole = lookup_reads(emap, ftl, qs, GEO, TP, batch)
-        parts = [lookup_reads(emap, ftl, qs[i:i + batch], GEO, TP)
+        whole = lookup_reads(layout, ftl, qs, GEO, TP, batch)
+        parts = [lookup_reads(layout, ftl, qs[i:i + batch], GEO, TP)
                  for i in range(0, len(qs), batch)]
         assert whole.arrival_ns.tolist() == \
             np.concatenate([p.arrival_ns for p in parts]).tolist()
@@ -430,9 +385,9 @@ class TestSimulateLookup:
 
     def test_work_conservation(self):
         model = flat_model(rows=64 * 64, seed=9)
-        emap, ftl = make_lookup_env(model, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
         qs = generate_workload(model.spec, "uniform", 16, 8, 17)
-        res = lookup_reads(emap, ftl, qs, GEO, TP)
+        res = lookup_reads(layout, ftl, qs, GEO, TP)
         for recs in die_timelines(res.schedule).values():
             for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
                 assert nxt_start == prev_end
@@ -440,9 +395,9 @@ class TestSimulateLookup:
     def test_uniform_dispatch_balance(self):
         # >= 32 pages per die on average
         model = flat_model(rows=131072, seed=10)
-        emap, ftl = make_lookup_env(model, GEO)
+        layout, ftl = make_lookup_env(model, GEO)
         qs = generate_workload(model.spec, "uniform", 64, 64, 23)
-        res = lookup_reads(emap, ftl, qs, GEO, TP)
+        res = lookup_reads(layout, ftl, qs, GEO, TP)
         counts = list(Counter(zip(res.reads.channel.tolist(), res.reads.die.tolist())).values())
         assert len(counts) == 32 and min(counts) * 32 >= 1024 * 0.8
         assert max(counts) / min(counts) <= 1.5

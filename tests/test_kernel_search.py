@@ -136,12 +136,12 @@ class TestSearch:
         # the search schedules the flash once per batch and reruns only the
         # adder per kc_e; each budget must equal a full lookup at that kc_e
         m = build_model(desk_model_spec(preset), 3)
-        emap, ftl = make_lookup_env(m, GEO)
+        layout, ftl = make_lookup_env(m, GEO)
         for dist, batch in (("uniform", 2), ("zipf", 16)):
             queries = generate_workload(m.spec, dist, 8, batch, 5)
-            want = {k: int(simulate_lookup(m, queries, GEO, TP, emap, ftl, kc_e=k).t_emb_ns[0])
+            want = {k: int(simulate_lookup(m, queries, GEO, TP, layout, ftl, kc_e=k).t_emb_ns[0])
                     for k in kernel_options(m.spec.ev_dim)}
-            assert emb_budgets(m, queries, GEO, TP, emap, ftl) == want
+            assert emb_budgets(m, queries, GEO, TP, layout, ftl) == want
 
     def test_slow_flash_gives_minimal_kernels(self):
         m = tiny_model(bot=(8, 8), top_hidden=(8,))
@@ -304,12 +304,12 @@ class TestStageWalk:
         # lists rebuilt for its budget. The deep stacks' walks are cut short.
         spec = DEEP_SPEC if preset == "search-deep" else desk_model_spec(preset)
         m = build_model(spec, 2)
-        emap, ftl = make_lookup_env(m, GEO)
+        layout, ftl = make_lookup_env(m, GEO)
         floors = spill_floor_cycles(spec, RM, TP)
         longest = 4000 if preset == "search-deep" else None
         for batch in (1, 2, 4):
             queries = generate_workload(spec, "uniform", 8, batch, 9)
-            budgets = list(emb_budgets(m, queries, GEO, TP, emap, ftl).values())
+            budgets = list(emb_budgets(m, queries, GEO, TP, layout, ftl).values())
             budgets += [b // 8 for b in budgets]
             for dims, floor in zip((spec.bottom_mlp_dims, spec.top_mlp_dims), floors):
                 layers = make_layers(dims)

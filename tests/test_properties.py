@@ -42,8 +42,8 @@ def test_ftl_translate_is_page_bijection(channels, dies, total_pages):
 
 @given(st.lists(st.integers(0, 64 * 16 - 1), min_size=1, max_size=40))
 def test_coalescing_never_increases_page_reads(indices):
-    model, emap, ftl = tiny_lookup_env(64 * 16)
-    reqs = translate_batch(emap, ftl,
+    model, layout, ftl = tiny_lookup_env(64 * 16)
+    reqs = translate_batch(layout, ftl,
                            Workload.from_queries([Query([indices], np.zeros(2, np.float32))]))
     reads = len(dispatch(reqs))
     assert reads <= len(indices)

@@ -52,9 +52,9 @@ class TestBaselineMode:
         # must equal the host_block_read latency for that row
         m = rmc3()
         from recssd.kernel_search import make_lookup_env
-        emap, ftl = make_lookup_env(m, GEO)
-        lba, off = translate_index(emap, 3, 12345)
-        direct = host_block_read(ftl, lba + off // 512, 64, TP)
+        layout, ftl = make_lookup_env(m, GEO)
+        page, off = translate_index(layout, 3, 12345)
+        direct = host_block_read(ftl, page * GEO.lbas_per_page + off // 512, 64, TP)
         modeled = page_read_time(GEO, TP) + TP.host_iface_ns(64) + TP.host_overhead_ns
         assert direct == modeled
 

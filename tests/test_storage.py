@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from recssd.ev_engine import FileExtent, build_extent_map
+from recssd.ev_engine import table_layout
 from recssd.recmodel import ModelSpec, TableSpec
 from recssd.storage import (Ftl, PageReads, SsdGeometry, TimingParams, page_read_time,
                             schedule_page_reads)
@@ -32,13 +32,17 @@ class TestTranslate:
         assert (channel, die) == (1, 1)
 
     def test_in_page_offset(self):
-        # 512-byte rows, one per LBA: row 3 sits 3 LBAs into page 0
+        # 512-byte rows, one per LBA: row 3 sits 3 LBAs into page 0, and
+        # row 11 as far into page 1, on the next channel
         spec = ModelSpec(tables=(TableSpec(64, 128),), bottom_mlp_dims=(2, 2),
                          top_mlp_dims=(130, 1), dense_dim=2)
-        emap = build_extent_map(spec, [[FileExtent(0, 64)]], GEO4)
-        lba, offset = translate_index(emap, 0, 3)
-        assert (lba, offset) == (0, 3 * 512)
-        assert Ftl(GEO4, total_pages=64).page_location(lba // 8) == (0, 0, 0)
+        layout = table_layout(spec, GEO4)
+        page, offset = translate_index(layout, 0, 3)
+        assert (page, offset) == (0, 3 * 512)
+        assert Ftl(GEO4, total_pages=64).page_location(page) == (0, 0, 0)
+        page, offset = translate_index(layout, 0, 11)
+        assert (page, offset) == (1, 3 * 512)
+        assert Ftl(GEO4, total_pages=64).page_location(page) == (1, 0, 0)
 
     def test_out_of_range(self):
         ftl = Ftl(GEO4, total_pages=2)
@@ -103,6 +107,19 @@ class TestPageReadTime:
             SsdGeometry(0, 1, 4096)
         with pytest.raises(ValueError, match="multiple"):
             SsdGeometry(1, 1, 1000, lba_size=512)
+
+
+def test_cycle_conversions_take_int64_arrays():
+    # a 3.33 ns cycle at 300 MHz makes both conversions round; at 2 GHz an odd
+    # cycle count is a tie in ns, which goes to even as round() does
+    values = np.array([0, 1, 2, 3, 7, 1000, 123457, 2 ** 40 + 3], dtype=np.int64)
+    for mhz in (200.0, 300.0, 2000.0):
+        tp = TimingParams(fc_clock_mhz=mhz)
+        for convert in (tp.cycles_to_ns, tp.ns_to_cycles):
+            got = convert(values)
+            assert got.dtype == np.int64
+            assert got.tolist() == [convert(int(v)) for v in values]
+    assert TimingParams(fc_clock_mhz=2000.0).cycles_to_ns(np.array([1, 3])).tolist() == [0, 2]
 
 
 class TestHostBlockRead:
