@@ -10,6 +10,6 @@ from .recmodel import (EmbeddingTable, Model, ModelSpec, Query, TableSpec, Workl
                        build_model, desk_model_spec, ev_lookup_sum, generate_workload,
                        mlp_forward, reference_inference)
 from .sim import (Metrics, Scenario, WorkloadConfig, compare, metrics_json, run)
-from .storage import Ftl, SsdGeometry, TimingParams, page_read_time
+from .storage import SsdGeometry, TimingParams, page_location, page_read_time
 
 __version__ = "0.1.0"

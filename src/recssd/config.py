@@ -37,7 +37,6 @@ geometry:
   channels: 8
   dies_per_channel: 4
   page_size: 4096          # bytes
-  lba_size: 512            # bytes
 
 timing:
   page_read_us: 50.0                 # flash array sense
@@ -82,8 +81,7 @@ _SCHEMA = {
     "schema_version": int,
     "model": {"preset": str, "seed": int, "dense_dim": int, "bottom_mlp_dims": list,
               "top_mlp_dims": list, "ev_dim": int, "table_rows": list},
-    "geometry": {"channels": int, "dies_per_channel": int, "page_size": int,
-                 "lba_size": int},
+    "geometry": {"channels": int, "dies_per_channel": int, "page_size": int},
     "timing": {"page_read_us": float, "channel_transfer_ns_per_byte": float,
                "dram_hit_ns": float, "host_interface_ns_per_byte": float,
                "fc_clock_mhz": float, "host_block_io_overhead_us": float,
@@ -217,8 +215,7 @@ def build_scenario(cfg: dict) -> Scenario:
             raise ConfigError(f"the model's tables ({gib:.3g} GiB) are too large to "
                               f"materialise on this host") from None
         g = cfg["geometry"]
-        geometry = SsdGeometry(g["channels"], g["dies_per_channel"], g["page_size"],
-                               g["lba_size"])
+        geometry = SsdGeometry(g["channels"], g["dies_per_channel"], g["page_size"])
         t = cfg["timing"]
         timing = TimingParams(**{k: float(v) for k, v in t.items()})
         w = cfg["workload"]

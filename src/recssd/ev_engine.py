@@ -4,36 +4,42 @@ across flash channels/dies, and the vector-sum unit.
 Layout rule: the tables lie back to back from page 0. Rows are packed
 floor(page_size / ev_bytes) per page with the page tail padded, and each
 table starts on a page of its own, so no vector straddles a page and one
-vector costs at most one page read.
+vector costs at most one page read. Page p lies on channel p mod C, die
+(p div C) mod D (`storage.page_location`).
 
 Timing vs values: fetch and adder timing follow arrival order out of flash;
 the summed values are always accumulated in the query's index order so they
 match the reference path bit-for-bit.
 
-A lookup splits in two. Its read timeline (`read_timeline`: the page reads'
-schedule and the adder's order of their arrivals) reads neither the table
-values nor the adder's width, so modes that look up the same requests on the
-same device can share it. The gather, the sums and the adder's finish at its
-add time are each mode's own.
+A lookup is one call chain: `translate_batch` places each request,
+`read_timeline` coalesces and schedules the page reads and orders their
+arrivals at the adder, and `simulate_lookup` finishes the lookup for one
+mode. The first two read neither the table values nor the adder's width, so
+modes that look up the same requests on the same device can share them. The
+gather from the flash image, the sums and the adder's finish at its add time
+are each mode's own.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .recmodel import Model, Workload
-from .storage import Ftl, PageReads, SsdGeometry, TimingParams, schedule_page_reads
+from .recmodel import Workload
+from .storage import (PageReads, SsdGeometry, TimingParams, page_location,
+                      schedule_page_reads)
 
 
 @dataclass(frozen=True)
 class TableLayout:
     """Where the tables' rows lie in flash: back to back from page 0, each
     table padded to whole pages, so row r of table t sits in slot
-    r % rows_per_page of page first_page[t] + r // rows_per_page."""
+    r % rows_per_page of page first_page[t] + r // rows_per_page, and that
+    page on the geometry's channel and die of `storage.page_location`."""
     rows: np.ndarray            # per table: its row count
     first_page: np.ndarray      # per table: its first page
     rows_per_page: int
     ev_bytes: int
+    geometry: SsdGeometry
 
     @property
     def pages(self) -> int:
@@ -47,7 +53,7 @@ def table_layout(model_spec, geometry: SsdGeometry) -> TableLayout:
     rows_per_page = geometry.page_size // ev_bytes
     rows = np.array([ts.rows for ts in model_spec.tables], dtype=np.int64)
     pages = -(-rows // rows_per_page)
-    return TableLayout(rows, np.cumsum(pages) - pages, rows_per_page, ev_bytes)
+    return TableLayout(rows, np.cumsum(pages) - pages, rows_per_page, ev_bytes, geometry)
 
 
 def _locate(layout: TableLayout, table: np.ndarray, index: np.ndarray):
@@ -80,7 +86,7 @@ class Requests:
         return len(self.index)
 
 
-def translate_batch(layout: TableLayout, ftl: Ftl, queries: Workload) -> Requests:
+def translate_batch(layout: TableLayout, queries: Workload) -> Requests:
     tables = len(layout.rows)
     if len(queries) and queries.pooling.shape[1] != tables:
         raise ValueError(f"query has {queries.pooling.shape[1]} index lists, "
@@ -89,7 +95,7 @@ def translate_batch(layout: TableLayout, ftl: Ftl, queries: Workload) -> Request
     table = np.repeat(np.tile(np.arange(tables), len(queries)), pooling.ravel())
     query = np.repeat(np.arange(len(queries)), pooling.sum(axis=1))
     page, slot = _locate(layout, table, index)
-    channel, die, _ = ftl.page_location(page)
+    channel, die, _ = page_location(layout.geometry, page)
     return Requests(pooling, query, table, index, page, slot, channel, die)
 
 
@@ -132,9 +138,9 @@ class FlashImage:
         self.rows = pages[:, :slots].reshape(len(pages), -1, ev_bytes).view("<f4")
 
 
-def build_flash_image(tables, layout: TableLayout, geometry: SsdGeometry) -> FlashImage:
-    image = FlashImage(bytearray(layout.pages * geometry.page_size), geometry.page_size,
-                       layout.ev_bytes)
+def build_flash_image(tables, layout: TableLayout) -> FlashImage:
+    page_size = layout.geometry.page_size
+    image = FlashImage(bytearray(layout.pages * page_size), page_size, layout.ev_bytes)
     rpp = layout.rows_per_page
     # each table's rows go straight into their page slots: the full pages,
     # then the last page's rows; slots past a table's end and page tails stay
@@ -189,11 +195,9 @@ def adder_order(pooling: np.ndarray, arrival_ns: np.ndarray) -> AdderOrder:
     return AdderOrder(load_done, add_query, ready[~load], adds[add_query] - rank)
 
 
-def add_ns(ev_dim: int, timing: TimingParams, kc_e: int | None = None) -> int:
-    """One add of an ev_dim-wide vector on a kc_e-wide adder (default: ev_dim
-    wide): ceil(ev_dim / kc_e) clock cycles."""
-    if kc_e is None:
-        kc_e = ev_dim
+def add_ns(ev_dim: int, timing: TimingParams, kc_e: int) -> int:
+    """One add of an ev_dim-wide vector on a kc_e-wide adder: ceil(ev_dim /
+    kc_e) clock cycles."""
     return timing.cycles_to_ns(-(-ev_dim // kc_e))
 
 
@@ -252,13 +256,12 @@ def read_timeline(requests: Requests, batch: int, geometry: SsdGeometry,
 class LookupResult:
     ev_concat: np.ndarray                # (queries, M * ev_dim)
     e_ns: np.ndarray                     # per query EV-sum completion
-    flash_start_ns: np.ndarray           # per query first sense start
     t_emb_ns: np.ndarray                 # per batch completion of its last EV sum
-    channel_busy_ns: np.ndarray          # (batches, channels)
 
 
 def gather_rows(tables, table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Row `index[k]` of table `table[k]` for every k, in that order."""
+    """Row `index[k]` of table `table[k]` for every k, in that order: the
+    host's copy of the rows, which the device modes read from flash."""
     vectors = np.empty((len(index), tables[0].values.shape[1]), dtype=np.float32)
     for t, tab in enumerate(tables):
         mine = table == t
@@ -266,42 +269,15 @@ def gather_rows(tables, table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def simulate_lookup(model: Model, queries: Workload, geometry: SsdGeometry,
-                    timing: TimingParams, layout: TableLayout, ftl: Ftl,
-                    flash: FlashImage | None = None, kc_e: int | None = None,
-                    batch: int | None = None,
-                    shared: tuple[Requests, ReadTimeline] | None = None) -> LookupResult:
-    """Run batches of `batch` queries (default: one batch of all) through
-    translate -> read timeline -> gather -> vector sum, each batch on an idle
-    device from time 0; every time is relative to its batch's start.
-
-    The translation and the read timeline read neither the tables nor
-    `kc_e`: `shared` holds them (`translate_batch` of these queries and
-    `read_timeline` of that at `batch`) when the caller has them already. The
-    gather reads the flash image (the tables when `flash` is None), and the
-    adder finishes the timeline's order at the add time of `kc_e`."""
-    dense_dim = model.spec.dense_dim
-    if len(queries) and queries.dense.shape[1] != dense_dim:
-        raise ValueError(f"dense vector shape ({queries.dense.shape[1]},) != ({dense_dim},)")
-    ev_dim = model.spec.ev_dim
-    batch = batch or max(len(queries), 1)
-    if shared is None:
-        requests = translate_batch(layout, ftl, queries)
-        shared = requests, read_timeline(requests, batch, geometry, timing)
-    requests, timeline = shared
-
-    if flash is not None:
-        vectors = flash.rows[requests.page, requests.slot]
-    else:
-        vectors = gather_rows(model.tables, requests.table, requests.index)
+def simulate_lookup(flash: FlashImage, requests: Requests, timeline: ReadTimeline,
+                    t_add: int, batch: int) -> LookupResult:
+    """Finish a lookup of `requests` in batches of `batch` queries, given
+    their `read_timeline` at that batch: gather the vectors from the flash
+    image, sum them, and finish the adder's order at `t_add` ns per add. Each
+    batch runs on an idle device from time 0, and every time is relative to
+    its batch's start."""
     # one vector-sum unit per query, so queries do not serialize on one adder
-    ev_concat = lookup_sums(requests.pooling, vectors)
-    e_ns = timeline.adder.done_ns(add_ns(ev_dim, timing, kc_e))
-    return LookupResult(
-        ev_concat=ev_concat,
-        e_ns=e_ns,
-        flash_start_ns=timeline.first_sense_ns,
-        t_emb_ns=np.maximum.reduceat(e_ns, np.arange(0, len(queries), batch))
-        if len(queries) else e_ns,
-        channel_busy_ns=timeline.channel_busy_ns,
-    )
+    ev_concat = lookup_sums(requests.pooling, flash.rows[requests.page, requests.slot])
+    e_ns = timeline.adder.done_ns(t_add)
+    return LookupResult(ev_concat, e_ns,
+                        np.maximum.reduceat(e_ns, np.arange(0, len(e_ns), batch)))

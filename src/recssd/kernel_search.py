@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from . import ev_engine
 from .mlp_engine import KernelAssignment, fc_cycles, make_layers, pipeline_schedule
 from .recmodel import Model, generate_workload
-from .storage import Ftl, SsdGeometry, TimingParams
+from .storage import SsdGeometry, TimingParams
 
 
 @dataclass(frozen=True)
@@ -186,12 +186,6 @@ def spill_floor_cycles(spec, resource_model: ResourceModel,
     return [cycles(b) for b in spill["bottom"]], [cycles(b) for b in spill["top"]]
 
 
-def make_lookup_env(model: Model, geometry: SsdGeometry):
-    """The model's table layout and an FTL over the layout's pages."""
-    layout = ev_engine.table_layout(model.spec, geometry)
-    return layout, Ftl(geometry, layout.pages)
-
-
 def _stage_makespan_ns(layers, kernels, batch, timing: TimingParams, floor_cycles) -> int:
     sched = pipeline_schedule(layers, kernels, inputs_at_cycles=[0] * batch,
                               floor_cycles=floor_cycles)
@@ -203,17 +197,16 @@ def estimate_times(model: Model, assignment: KernelAssignment, batch: int,
                    profile: WorkloadProfile,
                    resource_model: ResourceModel | None = None) -> StageTimes:
     """Stage times for one profile-representative batch: the embedding time
-    comes from a seeded lookup simulation, the MLP times from the pipeline
-    cycle model (with spill floors when a resource model is given)."""
+    is the seeded batch's `emb_budgets` at the assignment's kc_e, the MLP
+    times come from the pipeline cycle model (with spill floors when a
+    resource model is given)."""
     spec = model.spec
     assignment.validate(spec)
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    layout, ftl = make_lookup_env(model, geometry)
     queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
                                 profile.seed, profile.zipf_s)
-    lookup = ev_engine.simulate_lookup(model, queries, geometry, timing, layout, ftl,
-                                       kc_e=assignment.ev[1])
+    emb_ns = emb_budgets(model, queries, geometry, timing)[assignment.ev[1]]
     floors_b = floors_t = None
     if resource_model is not None:
         floors_b, floors_t = spill_floor_cycles(spec, resource_model, timing)
@@ -221,7 +214,7 @@ def estimate_times(model: Model, assignment: KernelAssignment, batch: int,
                                 timing, floors_b)
     top_ns = _stage_makespan_ns(make_layers(spec.top_mlp_dims), assignment.top, batch,
                                 timing, floors_t)
-    return StageTimes(bottom_ns=bot_ns, top_ns=top_ns, emb_ns=int(lookup.t_emb_ns[0]))
+    return StageTimes(bottom_ns=bot_ns, top_ns=top_ns, emb_ns=emb_ns)
 
 
 def kernel_options(dim: int, cap: int | None = None) -> list[int]:
@@ -229,13 +222,15 @@ def kernel_options(dim: int, cap: int | None = None) -> list[int]:
     return [1 << k for k in range(limit.bit_length()) if (1 << k) <= limit]
 
 
-def emb_budgets(model: Model, queries, geometry: SsdGeometry, timing: TimingParams,
-                layout, ftl) -> dict[int, int]:
-    """The batch's embedding time for each adder width kc_e. The width changes
-    only the adder's add time, so the page reads and the adder's order of
-    their arrivals are computed once for all of them."""
+def emb_budgets(model: Model, queries, geometry: SsdGeometry,
+                timing: TimingParams) -> dict[int, int]:
+    """The embedding time of `queries`, looked up as one batch, for each adder
+    width kc_e. The width changes only the adder's add time, so the page
+    reads and the adder's order of their arrivals are computed once for all
+    of them."""
     ev_dim = model.spec.ev_dim
-    requests = ev_engine.translate_batch(layout, ftl, queries)
+    layout = ev_engine.table_layout(model.spec, geometry)
+    requests = ev_engine.translate_batch(layout, queries)
     adder = ev_engine.read_timeline(requests, len(queries), geometry, timing).adder
     return {kc_e: int(adder.done_ns(ev_engine.add_ns(ev_dim, timing, kc_e)).max())
             for kc_e in kernel_options(ev_dim)}
@@ -308,7 +303,6 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
     when even the largest kernels of the space cannot keep up at the batch
     cap."""
     spec = model.spec
-    layout, ftl = make_lookup_env(model, geometry)
     bottom, top = make_layers(spec.bottom_mlp_dims), make_layers(spec.top_mlp_dims)
     floors_b, floors_t = spill_floor_cycles(spec, resource_model, timing)
 
@@ -316,7 +310,7 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
     while True:
         queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
                                     profile.seed, profile.zipf_s)
-        emb_by_kce = emb_budgets(model, queries, geometry, timing, layout, ftl)
+        emb_by_kce = emb_budgets(model, queries, geometry, timing)
         stage_b = _Stage(bottom, space, batch, timing, floors_b)
         stage_t = _Stage(top, space, batch, timing, floors_t)
         best = None

@@ -15,24 +15,26 @@ The device modes share one batch loop, ``_drive``. Each batch starts on an
 idle device, so batches interact only through their dispatch times: from time
 0, each batch's ``t0`` is the sum of the device times before it, and a batch
 is dispatched while queries remain and its ``t0`` is before ``duration_ns``.
-The loop looks up fixed-size chunks of batches in one ``simulate_lookup``
-call each, one batch per lane of the page scheduler's lockstep loop, and the
-mode's stage function gives each batch's device time and its own per-query
-columns. rmssd schedules the bottom MLP once per run and the top MLP once per
-chunk, one batch per lane of the pipeline scheduler. What follows the device
-is closed-form over the run's columns: emb-vectorsum's in-order host MLP
-queue is a max-plus scan, and the baseline's serial queries start at the
-running sum of their times, so ``duration_ns`` admits a prefix of them.
+The loop looks up fixed-size chunks of batches through one call chain each,
+``translate_batch`` -> ``read_timeline`` -> ``simulate_lookup``, one batch per
+lane of the page scheduler's lockstep loop, and the mode's stage function
+gives each batch's device time and its own per-query columns. rmssd
+schedules the bottom MLP once per run and the top MLP once per chunk, one
+batch per lane of the pipeline scheduler. What follows the device is
+closed-form over the run's columns: emb-vectorsum's in-order host MLP queue
+is a max-plus scan, and the baseline's serial queries start at the running
+sum of their times, so ``duration_ns`` admits a prefix of them.
 ``compare`` draws the shared workload once, as the columns of a
 ``recmodel.Workload``, and runs every scenario on it; the batch loop's chunks
 and the scored prefix are views of those columns. It also shares the device
-lookups' page reads: a chunk's translation and read timeline
-(``ev_engine.read_timeline``) read neither the tables nor the adder's width,
-so the compare computes them once per key (geometry, timing, batch, chunk
-start) and every device run with that key reuses them, gathering from its own
-flash image and finishing the adder at its own ``kc_e``. The key
-needs no model identity: the scenarios of a compare share one model spec,
-and so one layout. A lone ``run`` starts with an empty set of them.
+lookups' page reads: a chunk's translation and read timeline read neither
+the tables nor the adder's width, so the compare computes them once per key
+(geometry, timing, batch, chunk start) and every device run with that key
+reuses them, finishing the lookup (``simulate_lookup``) from its own flash
+image at its own ``kc_e``. The key needs no model identity: the scenarios of
+a compare share one model spec, and so one table layout
+(``ev_engine.table_layout``). A lone ``run`` starts with an empty set of
+them.
 
 Per-query latency is measured from the dispatch of the query's batch (from
 the start of its processing for the baseline). A run is scored in one forward
@@ -53,8 +55,7 @@ import numpy as np
 from . import ev_engine
 from .ev_engine import translate_batch
 from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, WorkloadProfile,
-                            bram_placement, make_lookup_env, resource_usage, search,
-                            spill_floor_cycles)
+                            bram_placement, resource_usage, search, spill_floor_cycles)
 from .mlp_engine import (KernelAssignment, make_layers, pipeline_schedule,
                          pipeline_schedule_decomposed)
 from .recmodel import Model, Workload, generate_workload, interact, mlp_forward
@@ -64,7 +65,7 @@ from .storage import SsdGeometry, TimingParams, page_read_time
 
 SCHEMA_VERSION = 1
 
-# Queries per `simulate_lookup` call of the batch loop, rounded down to
+# Queries per lookup (one call chain) of the batch loop, rounded down to
 # whole batches (at least one): it bounds the size of one lookup's arrays on
 # long runs.
 CHUNK_QUERIES = 512
@@ -224,22 +225,22 @@ def _host_mlp_ns(spec, timing: TimingParams) -> int:
     return round(macs * timing.host_ns_per_mac)
 
 
-def _drive(scenario: Scenario, env, queries, batch: int, kc_e: int, stage, shared: dict):
+def _drive(scenario: Scenario, layout, queries, batch: int, kc_e: int, stage, shared: dict):
     """The device modes' batch loop. Batches run back to back from time 0,
     each on an idle device, so they share only their dispatch times: a
     batch's `t0` is the sum of the device times before it, and the batch is
-    dispatched while `t0` is before `duration_ns`. One `simulate_lookup` call
-    looks up a chunk of whole batches (`CHUNK_QUERIES`), one batch per lane,
-    and `stage(emb, batch)` returns the chunk's per-batch device times and the
+    dispatched while `t0` is before `duration_ns`. One lookup covers a chunk
+    of whole batches (`CHUNK_QUERIES`), one batch per lane, and
+    `stage(emb, batch)` returns the chunk's per-batch device times and the
     mode's per-query columns, relative to each batch's dispatch. The chunk's
     translation and read timeline come from `shared`, under the key
     (geometry, timing, batch, chunk start), and are computed on a miss.
     Returns the dispatched queries' ns columns (`t0`, `emb_start`, `emb_end`,
     then the stage's; a column no batch made reads as empty), their summed
     vectors, the channels' busy times and the batch count."""
-    layout, ftl = env
-    model, geometry = scenario.model, scenario.geometry
-    flash = ev_engine.build_flash_image(model.tables, layout, geometry)
+    model, geometry, timing = scenario.model, scenario.geometry, scenario.timing
+    flash = ev_engine.build_flash_image(model.tables, layout)
+    t_add = ev_engine.add_ns(model.spec.ev_dim, timing, kc_e)
     chunk = max(1, CHUNK_QUERIES // batch) * batch
     # an empty first entry, so that a run with no batch concatenates
     times, ev = defaultdict(list), [np.zeros((0, model.spec.emb_out_width), np.float32)]
@@ -249,25 +250,23 @@ def _drive(scenario: Scenario, env, queries, batch: int, kc_e: int, stage, share
         if scenario.duration_ns is not None and t0 >= scenario.duration_ns:
             break
         part = queries[first:first + chunk]
-        key = (geometry, scenario.timing, batch, first)
+        key = (geometry, timing, batch, first)
         if key not in shared:
-            requests = ev_engine.translate_batch(layout, ftl, part)
-            shared[key] = requests, ev_engine.read_timeline(requests, batch, geometry,
-                                                            scenario.timing)
-        emb = ev_engine.simulate_lookup(model, part, geometry, scenario.timing, layout, ftl,
-                                        flash=flash, kc_e=kc_e, batch=batch,
-                                        shared=shared[key])
+            requests = ev_engine.translate_batch(layout, part)
+            shared[key] = requests, ev_engine.read_timeline(requests, batch, geometry, timing)
+        requests, timeline = shared[key]
+        emb = ev_engine.simulate_lookup(flash, requests, timeline, t_add, batch)
         device_ns, cols = stage(emb, batch)
         dispatch = t0 + np.cumsum(device_ns) - device_ns
         admitted = len(dispatch) if scenario.duration_ns is None else \
             int(np.searchsorted(dispatch, scenario.duration_ns))
         n = min(admitted * batch, len(emb.e_ns))
         start = np.repeat(dispatch[:admitted], batch)[:n]
-        for name, col in {"t0": 0 * emb.e_ns, "emb_start": emb.flash_start_ns,
+        for name, col in {"t0": 0 * emb.e_ns, "emb_start": timeline.first_sense_ns,
                           "emb_end": emb.e_ns, **cols}.items():
             times[name].append(start + col[:n])
         ev.append(emb.ev_concat[:n])
-        busy += emb.channel_busy_ns[:admitted].sum(axis=0)
+        busy += timeline.channel_busy_ns[:admitted].sum(axis=0)
         batches += admitted
         t0 = int(dispatch[-1] + device_ns[-1])
         if admitted < len(dispatch):
@@ -339,14 +338,14 @@ def run(scenario: Scenario, seed: int, queries: Workload | None = None,
     scenario.validate()
     if queries is None:
         queries = _workload(scenario, seed)
-    env = make_lookup_env(scenario.model, scenario.geometry)
+    layout = ev_engine.table_layout(scenario.model.spec, scenario.geometry)
     if scenario.mode == MODE_SSD_BASELINE:
-        return _run_baseline(scenario, queries, seed, env)
+        return _run_baseline(scenario, queries, seed, layout)
     runner = _run_rmssd if scenario.mode == MODE_RMSSD else _run_emb_vectorsum
-    return runner(scenario, queries, seed, env, {} if shared is None else shared)
+    return runner(scenario, queries, seed, layout, {} if shared is None else shared)
 
 
-def _run_rmssd(scenario: Scenario, queries, seed: int, env, shared: dict) -> RunResult:
+def _run_rmssd(scenario: Scenario, queries, seed: int, layout, shared: dict) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
     timing = scenario.timing
     assignment, batch, outcome = scenario.kernels, scenario.batch, None
@@ -386,8 +385,8 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, env, shared: dict) -> Run
         return device, {"bottom_end": np.tile(bottom_ns, lanes)[:n], "top_start": top_start,
                         "done": done}
 
-    times, ev, busy, batches = _drive(scenario, env, queries, batch, assignment.ev[1], stage,
-                                      shared)
+    times, ev, busy, batches = _drive(scenario, layout, queries, batch, assignment.ev[1],
+                                      stage, shared)
     t0, done = times["t0"], times["done"]
     result = _result(scenario, queries, ev, t0, done,
                      [("emb", times["emb_start"], times["emb_end"]),
@@ -398,14 +397,14 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, env, shared: dict) -> Run
     return result
 
 
-def _run_emb_vectorsum(scenario: Scenario, queries, seed: int, env,
+def _run_emb_vectorsum(scenario: Scenario, queries, seed: int, layout,
                        shared: dict) -> RunResult:
     spec, timing = scenario.model.spec, scenario.timing
     kc_e = scenario.kernels.ev[1] if scenario.kernels is not None else spec.ev_dim
     host_mlp = _host_mlp_ns(spec, timing)
     xfer = timing.host_iface_ns(spec.emb_out_width * 4) + timing.host_overhead_ns
     # the device frees when the batch's lookups end
-    times, ev, busy, batches = _drive(scenario, env, queries, scenario.batch, kc_e,
+    times, ev, busy, batches = _drive(scenario, layout, queries, scenario.batch, kc_e,
                                       lambda emb, batch: (emb.t_emb_ns, {}), shared)
     t0, emb_end = times["t0"], times["emb_end"]
     ready = emb_end + xfer
@@ -435,10 +434,9 @@ def resident_sets(spec, dram_fraction: float, distribution: str, seed: int):
     return sets
 
 
-def _run_baseline(scenario: Scenario, queries, seed: int, env) -> RunResult:
+def _run_baseline(scenario: Scenario, queries, seed: int, layout) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
     geometry, timing = scenario.geometry, scenario.timing
-    layout, ftl = env
     resident = resident_sets(spec, scenario.dram_fraction, scenario.workload.distribution,
                              seed)
     host_mlp = _host_mlp_ns(spec, timing)
@@ -448,7 +446,7 @@ def _run_baseline(scenario: Scenario, queries, seed: int, env) -> RunResult:
     # every lookup of the run and its residency; these are host reads, so the
     # call does not go through the `ev_engine` attribute that the benchmark's
     # tracer counts as device requests
-    lookups = translate_batch(layout, ftl, queries)
+    lookups = translate_batch(layout, queries)
     first_row = np.cumsum(layout.rows) - layout.rows
     hit = np.concatenate(resident)[first_row[lookups.table] + lookups.index]
     hits = np.bincount(lookups.query[hit], minlength=len(queries))

@@ -1,4 +1,8 @@
-"""SSD geometry, timing, the flash translation layer, and page-read scheduling.
+"""SSD geometry, timing, page placement, and page-read scheduling.
+
+Placement is static round-robin striping: physical page p lies on channel
+p mod C, die (p div C) mod D, for C channels of D dies. The workload is
+read-only, so nothing moves and there is no garbage collection.
 
 Timing model (all durations are integer nanoseconds):
 
@@ -35,24 +39,11 @@ class SsdGeometry:
     channels: int
     dies_per_channel: int
     page_size: int
-    lba_size: int = 512
 
     def __post_init__(self):
-        for name in ("channels", "dies_per_channel", "page_size", "lba_size"):
+        for name in ("channels", "dies_per_channel", "page_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.page_size % self.lba_size != 0:
-            raise ValueError(
-                f"page_size {self.page_size} not a multiple of lba_size {self.lba_size}"
-            )
-
-    @property
-    def lbas_per_page(self) -> int:
-        return self.page_size // self.lba_size
-
-    @property
-    def total_dies(self) -> int:
-        return self.channels * self.dies_per_channel
 
 
 @dataclass(frozen=True)
@@ -109,30 +100,11 @@ class TimingParams:
         return math.ceil(ns / self.clock_period_ns)
 
 
-@dataclass(frozen=True)
-class Ftl:
-    """Static round-robin FTL: physical page p of the provisioned range lands
-    on channel p mod C, die (p div C) mod D. Read-only workload, no GC."""
-
-    geometry: SsdGeometry
-    total_pages: int
-
-    def __post_init__(self):
-        if self.total_pages < 1:
-            raise ValueError("total_pages must be >= 1")
-
-    def page_location(self, page_index):
-        """(channel, die, page within the die) of a physical page index, or of
-        each element of an integer array of them."""
-        g = self.geometry
-        outside = np.asarray((page_index < 0) | (page_index >= self.total_pages))
-        if outside.any():
-            bad = np.asarray(page_index)[outside].flat[0]
-            raise ValueError(f"page {bad} outside provisioned range [0, {self.total_pages})")
-        channel = page_index % g.channels
-        die = (page_index // g.channels) % g.dies_per_channel
-        die_page = page_index // (g.channels * g.dies_per_channel)
-        return channel, die, die_page
+def page_location(geometry: SsdGeometry, page):
+    """(channel, die, page within the die) of a physical page index, or of
+    each element of an integer array of them."""
+    channels, dies = geometry.channels, geometry.dies_per_channel
+    return page % channels, (page // channels) % dies, page // (channels * dies)
 
 
 def page_read_time(geometry: SsdGeometry, timing: TimingParams) -> int:

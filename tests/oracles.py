@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from recssd.ev_engine import _locate, dispatch, translate_batch
-from recssd.storage import PageReads, schedule_page_reads
+from recssd.storage import PageReads, page_location, schedule_page_reads
 
 F32 = np.float32
 
@@ -378,30 +378,30 @@ def translate_index(layout, table_id: int, index: int) -> tuple[int, int]:
     return int(page[0]), int(slot[0]) * layout.ev_bytes
 
 
-def host_block_read(ftl, lba: int, nbytes: int, timing) -> int:
-    """Latency of one synchronous host-path read of `nbytes` from `lba`: its
-    pages, read by `schedule_page_reads` (parallel across channels and dies,
-    serialized per die), the host-interface transfer of the payload, and the
-    fixed software-stack overhead."""
-    g = ftl.geometry
+def host_block_read(geometry, total_pages: int, offset: int, nbytes: int, timing) -> int:
+    """Latency of one synchronous host-path read of `nbytes` from byte
+    `offset` of `total_pages` provisioned pages: its pages, read by
+    `schedule_page_reads` (parallel across channels and dies, serialized per
+    die), the host-interface transfer of the payload, and the fixed
+    software-stack overhead."""
     if nbytes < 1:
         raise ValueError("read length must be >= 1 byte")
-    start = lba * g.lba_size
-    end = start + nbytes
-    if lba < 0 or end > ftl.total_pages * g.page_size:
-        raise ValueError(f"byte range [{start}, {end}) outside provisioned capacity")
-    pages = np.arange(start // g.page_size, (end - 1) // g.page_size + 1, dtype=np.int64)
-    channel, die, _ = ftl.page_location(pages)
-    sched = schedule_page_reads(PageReads(channel, die), g, timing)
+    end = offset + nbytes
+    if offset < 0 or end > total_pages * geometry.page_size:
+        raise ValueError(f"byte range [{offset}, {end}) outside provisioned capacity")
+    page_size = geometry.page_size
+    pages = np.arange(offset // page_size, (end - 1) // page_size + 1, dtype=np.int64)
+    channel, die, _ = page_location(geometry, pages)
+    sched = schedule_page_reads(PageReads(channel, die), geometry, timing)
     return sched.makespan_ns + timing.host_iface_ns(nbytes) + timing.host_overhead_ns
 
 
-def lookup_reads(layout, ftl, queries, geometry, timing, batch=None):
+def lookup_reads(layout, queries, geometry, timing, batch=None):
     """The page reads of a lookup of `queries` in batches of `batch` (default:
     one batch of all), one lane per batch, as `ev_engine.read_timeline`
     coalesces and schedules them: `requests`, the coalesced `reads`, their
     `schedule` and each request's `arrival_ns` (its page's transfer end)."""
-    requests = translate_batch(layout, ftl, queries)
+    requests = translate_batch(layout, queries)
     reads = dispatch(requests, requests.query // (batch or max(len(queries), 1)))
     schedule = schedule_page_reads(PageReads(reads.channel, reads.die, reads.lane),
                                    geometry, timing)

@@ -3,14 +3,31 @@
 Brute-forces the full cartesian kernel space (bottom x top x vector-sum
 kernel) at each batch size, sharing the package's constraint evaluator but
 none of its search logic: every candidate is checked, the argmin is taken
-under the documented key (objective, dsp, flat kernel list)."""
+under the documented key (objective, dsp, flat kernel list). The embedding
+budgets come from the adder oracle over the lookup's page-read arrivals."""
 
 import itertools
 
-from recssd import ev_engine
-from recssd.kernel_search import kernel_options, make_lookup_env
+from recssd.ev_engine import table_layout
+from recssd.kernel_search import kernel_options
 from recssd.mlp_engine import KernelAssignment, make_layers, pipeline_schedule
 from recssd.recmodel import generate_workload
+
+from oracles import adder_oracle, lookup_reads
+
+
+def emb_ns(model, queries, geometry, timing) -> dict:
+    """The embedding time of `queries`, looked up as one batch, for each adder
+    width kc_e: the serial adder oracle, one adder per query and a free load
+    per (query, table), over the arrivals of the lookup's page reads."""
+    ev_dim = model.spec.ev_dim
+    reads = lookup_reads(table_layout(model.spec, geometry), queries, geometry, timing)
+    keys = zip(reads.requests.query.tolist(), reads.requests.table.tolist())
+    items = [(ready, seq, key) for seq, (ready, key)
+             in enumerate(zip(reads.arrival_ns.tolist(), keys))]
+    return {kc_e: max(adder_oracle(items, timing.cycles_to_ns(-(-ev_dim // kc_e)),
+                                   group=lambda key: key[0]).values())
+            for kc_e in kernel_options(ev_dim)}
 
 
 def _stage_time(dims, kernels, batch, timing, floors):
@@ -25,7 +42,6 @@ def enumerate_search(model, resource_model, geometry, timing, profile, space,
     """Returns (assignment, batch, objective) or None if infeasible at every
     batch up to the cap."""
     spec = model.spec
-    env = make_lookup_env(model, geometry)
     bottom = [(spec.bottom_mlp_dims[l], spec.bottom_mlp_dims[l + 1])
               for l in range(len(spec.bottom_mlp_dims) - 1)]
     top = [(spec.top_mlp_dims[l], spec.top_mlp_dims[l + 1])
@@ -47,18 +63,16 @@ def enumerate_search(model, resource_model, geometry, timing, profile, space,
         queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
                                     profile.seed, profile.zipf_s)
         best = None
-        for kc_e in kernel_options(spec.ev_dim):
-            emb_ns = int(ev_engine.simulate_lookup(model, queries, geometry, timing,
-                                                   env[0], env[1], kc_e=kc_e).t_emb_ns[0])
+        for kc_e, budget in emb_ns(model, queries, geometry, timing).items():
             bot_times = {c: _stage_time(bottom, c, batch, timing, floors_b)
                          for c in bot_combos}
             top_times = {c: _stage_time(top, c, batch, timing, floors_t)
                          for c in top_combos}
             for bc in bot_combos:
-                if bot_times[bc] > emb_ns:
+                if bot_times[bc] > budget:
                     continue
                 for tc in top_combos:
-                    if top_times[tc] > emb_ns:
+                    if top_times[tc] > budget:
                         continue
                     cand = KernelAssignment(bc, tc, (1, kc_e))
                     key = (cand.objective(),

@@ -8,10 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from recssd.ev_engine import dispatch, translate_batch
+from recssd.ev_engine import dispatch, table_layout, translate_batch
 from recssd.kernel_search import (ResourceModel, SearchSpace, WorkloadProfile,
-                                  make_lookup_env, resource_usage, search,
-                                  verify_constraints)
+                                  resource_usage, search, verify_constraints)
 from recssd.mlp_engine import (KernelAssignment, conventional_cycles, eval_decomposed,
                                decompose_first_layer, make_layers, pipeline_schedule)
 from recssd.recmodel import (DESK_POOLING, ModelSpec, Query, TableSpec, Workload,
@@ -19,7 +18,8 @@ from recssd.recmodel import (DESK_POOLING, ModelSpec, Query, TableSpec, Workload
                              reference_inference)
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE, Scenario,
                         WorkloadConfig, metrics_json, percentile_nearest_rank, run)
-from recssd.storage import Ftl, PageReads, SsdGeometry, TimingParams, schedule_page_reads
+from recssd.storage import (PageReads, SsdGeometry, TimingParams, page_location,
+                            schedule_page_reads)
 
 from oracles import die_timelines, pipeline_entries, two_phase_split
 from search_oracle import enumerate_search
@@ -245,11 +245,11 @@ def test_criterion_8_property_suites():
 
     # coalescing bound: page reads <= requests, equality iff pages distinct
     model = _mini_model(rng, rows=64 * 16)
-    layout, ftl = make_lookup_env(model, GEO)
+    layout = table_layout(model.spec, GEO)
     for _ in range(1000):
         n = int(rng.integers(1, 24))
         idx = rng.integers(0, 64 * 16, n).tolist()
-        reqs = translate_batch(layout, ftl,
+        reqs = translate_batch(layout,
                                Workload.from_queries([Query([idx], np.zeros(2, np.float32))]))
         distinct = len({i // 64 for i in idx})
         assert len(dispatch(reqs)) == distinct <= n
@@ -269,10 +269,10 @@ def test_criterion_8_property_suites():
     # dispatch balance under uniform indices, >= 32 pages per die (2x2 geometry)
     geo_bal = SsdGeometry(2, 2, 4096)
     model_bal = _mini_model(rng, rows=64 * 256)
-    layout_bal, ftl_bal = make_lookup_env(model_bal, geo_bal)
+    layout_bal = table_layout(model_bal.spec, geo_bal)
     for _ in range(1000):
         idx = rng.integers(0, 64 * 256, 600).tolist()
-        reqs = translate_batch(layout_bal, ftl_bal,
+        reqs = translate_batch(layout_bal,
                                Workload.from_queries([Query([idx], np.zeros(2, np.float32))]))
         reads = dispatch(reqs)
         counts = np.unique(reads.channel * 2 + reads.die, return_counts=True)[1].tolist()
@@ -316,14 +316,13 @@ def test_criterion_8_property_suites():
         want = two_phase_split(w[:, :rb], w[:, rb:], bias, bv, ev)
         assert np.array_equal(got, want)
 
-    # FTL bijection on random geometries
+    # page placement bijection on random geometries
     for _ in range(1000):
         geo = SsdGeometry(int(rng.integers(1, 9)), int(rng.integers(1, 5)), 4096)
         total = int(rng.integers(1, 130))
-        ftl_r = Ftl(geo, total)
         seen = set()
         for p in range(total):
-            loc = ftl_r.page_location(p)
+            loc = page_location(geo, p)
             assert loc not in seen
             seen.add(loc)
 

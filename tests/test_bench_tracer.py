@@ -11,7 +11,6 @@ import recssd.config
 import recssd.ev_engine
 import recssd.kernel_search
 import recssd.sim
-from recssd.kernel_search import make_lookup_env
 from recssd.mlp_engine import KernelAssignment
 from recssd.recmodel import build_model, desk_model_spec, generate_workload
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE, Scenario,
@@ -49,6 +48,23 @@ def test_traced_compare_spans_every_layer():
     # chunk of batches (one chunk here), both through the `sim` bindings
     # that the tracer wraps
     assert [s[0] for s in tracer.spans].count("mlp_engine.pipeline_schedule") == 2
+    # the lookup is one call chain, translate -> read timeline -> finish, and
+    # `ev_engine.simulate_lookup` is the finish alone: no translation or page
+    # scheduling runs inside it, so `ev_engine.lookup_self_s` times the gather,
+    # the sums and the adder's finish
+    spans = tracer.spans
+
+    def in_lookup(parent):
+        while parent is not None:
+            if spans[parent][0] == "ev_engine.simulate_lookup":
+                return True
+            parent = spans[parent][3]
+        return False
+
+    assert [s[0] for s in spans].count("ev_engine.simulate_lookup") == 2
+    assert not [s[0] for s in spans if s[0] in ("ev_engine.translate_batch",
+                                                 "storage.schedule_page_reads")
+                and in_lookup(s[3])]
     total, _, counts = tracer.take()
     for name in ("recmodel.scoring", "mlp_engine.pipeline_schedule",
                  "ev_engine.build_flash_image", "ev_engine.simulate_lookup",
@@ -59,8 +75,8 @@ def test_traced_compare_spans_every_layer():
     # share the translation and read timeline; the counters total what one
     # translate and dispatch call per batch would make
     queries = generate_workload(spec, "uniform", 8, 6, 5)
-    layout, ftl = make_lookup_env(model, scenarios[0].geometry)
-    requests = [recssd.ev_engine.translate_batch(layout, ftl, queries[i:i + 2])
+    layout = recssd.ev_engine.table_layout(spec, scenarios[0].geometry)
+    requests = [recssd.ev_engine.translate_batch(layout, queries[i:i + 2])
                 for i in range(0, 6, 2)]
     assert counts["requests"] == 1 * sum(map(len, requests)) > 0
     assert counts["page_reads"] == 1 * sum(len(recssd.ev_engine.dispatch(r))

@@ -80,9 +80,10 @@ class TestValidate:
         assert "warp_factor" in capsys.readouterr().err
 
     def test_removed_geometry_key(self, tmp_path, capsys):
-        path = write(tmp_path, "bad.yaml", "geometry: {pages_per_block: 256}\n")
-        assert main(["validate", path]) == 2
-        assert "unknown key geometry.pages_per_block" in capsys.readouterr().err
+        for key, value in (("pages_per_block", 256), ("lba_size", 512)):
+            path = write(tmp_path, "bad.yaml", f"geometry: {{{key}: {value}}}\n")
+            assert main(["validate", path]) == 2
+            assert f"unknown key geometry.{key}" in capsys.readouterr().err
 
     def test_invariant_violation(self, tmp_path, capsys):
         path = write(tmp_path, "bad.yaml",
@@ -96,7 +97,7 @@ class TestValidate:
                      "kernels: {bottom: [[8, 64], [16, 16]], top: [[128, 64], [64, 1]],"
                      " ev: [1]}\n",
                      "search_space: {max_kernel: 0}\n",
-                     "geometry: {page_size: 32, lba_size: 32}\n",
+                     "geometry: {page_size: 32}\n",
                      "model: {preset: custom, dense_dim: 13, bottom_mlp_dims: [13, 16],"
                      " top_mlp_dims: [2064, 1], ev_dim: 2048, table_rows: [64]}\n",
                      "timing: {page_read_us: 1.0e+300}\n",

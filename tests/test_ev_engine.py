@@ -1,27 +1,46 @@
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from recssd.ev_engine import (add_ns, adder_order, build_flash_image, dispatch, lookup_sums,
-                              simulate_lookup, table_layout, translate_batch)
-from recssd.kernel_search import make_lookup_env
+from recssd.ev_engine import (add_ns, adder_order, build_flash_image, dispatch, gather_rows,
+                              lookup_sums, read_timeline, simulate_lookup, table_layout,
+                              translate_batch)
+from recssd.mlp_engine import KernelAssignment
 from recssd.recmodel import (ModelSpec, Query, TableSpec, Workload, build_model,
                              ev_lookup_sum, generate_workload)
+from recssd.sim import MODES, Scenario, WorkloadConfig, run
 from recssd.storage import SsdGeometry, TimingParams, page_read_time
 
 from oracles import (adder_oracle, die_timelines, flash_schedule_oracle, fold_sum_rows,
                      lookup_reads, translate_index)
 
-GEO = SsdGeometry(channels=8, dies_per_channel=4, page_size=4096, lba_size=512)
+GEO = SsdGeometry(channels=8, dies_per_channel=4, page_size=4096)
 TP = TimingParams()
 
 
 def ev_sum_engine(pooling, arrival_ns, vectors, timing, kc_e=None):
     """Fetched vectors, given in request order, aggregated as `simulate_lookup`
-    does: each query's per-table sums and its adder's completion."""
+    does: each query's per-table sums and its adder's completion on a kc_e-wide
+    adder (default: as wide as the vectors)."""
+    ev_dim = vectors.shape[1]
     return (lookup_sums(pooling, vectors),
-            adder_order(pooling, arrival_ns).done_ns(add_ns(vectors.shape[1], timing, kc_e)))
+            adder_order(pooling, arrival_ns).done_ns(add_ns(ev_dim, timing, kc_e or ev_dim)))
+
+
+def lookup(model, queries, kc_e=None, batch=None):
+    """The lookup's call chain as the batch loop runs it, in batches of
+    `batch` queries (default: one batch of all) on a kc_e-wide adder
+    (default: ev_dim wide): the result and its read timeline."""
+    ev_dim = model.spec.ev_dim
+    batch = batch or len(queries)
+    layout = table_layout(model.spec, GEO)
+    requests = translate_batch(layout, queries)
+    timeline = read_timeline(requests, batch, GEO, TP)
+    flash = build_flash_image(model.tables, layout)
+    return (simulate_lookup(flash, requests, timeline, add_ns(ev_dim, TP, kc_e or ev_dim),
+                            batch), timeline)
 
 
 def flat_model(num_tables=1, rows=256, ev_dim=16, seed=0):
@@ -74,6 +93,27 @@ class TestExtentMap:
         with pytest.raises(ValueError, match="table 1 not in the layout"):
             translate_index(layout, 1, 0)
 
+    def test_requests_placed_round_robin(self):
+        # a 3 x 2 device and 48-byte vectors, 85 per page: the tables take
+        # 3 + 2 + 3 = 8 pages, more than the 6 dies, and each ends in a
+        # partial page
+        geo = SsdGeometry(channels=3, dies_per_channel=2, page_size=4096)
+        rows = (200, 100, 171)
+        spec = ModelSpec(tables=tuple(TableSpec(r, 12) for r in rows), bottom_mlp_dims=(2, 2),
+                         top_mlp_dims=(2 + 3 * 12, 1), dense_dim=2)
+        layout = table_layout(spec, geo)
+        assert layout.first_page.tolist() == [0, 3, 5] and layout.pages == 8
+        rng = np.random.default_rng(49)
+        qs = Workload.from_queries([Query([rng.integers(0, r, 6).tolist() for r in rows],
+                                          np.zeros(2, np.float32)) for _ in range(5)])
+        reqs = translate_batch(layout, qs)
+        first_page = (0, 3, 5)
+        pages = [first_page[t] + i // 85 for q in qs for t, idx in enumerate(q.indices)
+                 for i in idx]
+        assert reqs.page.tolist() == pages and set(pages) == set(range(8))
+        assert list(zip(reqs.channel.tolist(), reqs.die.tolist())) == \
+            [(p % 3, (p // 3) % 2) for p in pages]
+
     def test_oversized_vector_rejected(self):
         spec = ModelSpec(tables=(TableSpec(10, 2048),), bottom_mlp_dims=(2, 2),
                          top_mlp_dims=(2 + 2048, 1), dense_dim=2)
@@ -84,30 +124,30 @@ class TestExtentMap:
 class TestDispatch:
     def test_same_page_coalesces_to_one_read(self):
         model = flat_model()
-        layout, ftl = make_lookup_env(model, GEO)
+        layout = table_layout(model.spec, GEO)
         qs = Workload.from_queries([Query([[3, 7]], np.zeros(2, np.float32))])   # both in page 0
-        reqs = translate_batch(layout, ftl, qs)
+        reqs = translate_batch(layout, qs)
         reads = dispatch(reqs)
         assert len(reads) == 1
         assert np.bincount(reads.read).tolist() == [2]
 
     def test_eight_distinct_channels_start_simultaneously(self):
         model = flat_model(rows=64 * 64)   # 64 pages
-        layout, ftl = make_lookup_env(model, GEO)
+        layout = table_layout(model.spec, GEO)
         idx = [p * 64 for p in range(8)]   # pages 0..7 -> channels 0..7
         qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
-        res = lookup_reads(layout, ftl, qs, GEO, TP)
+        res = lookup_reads(layout, qs, GEO, TP)
         starts = set(res.schedule.sense_start_ns.tolist())
         assert starts == {0}
-        assert simulate_lookup(model, qs, GEO, TP, layout, ftl).flash_start_ns.tolist() == [0]
+        assert lookup(model, qs)[1].first_sense_ns.tolist() == [0]
 
     def test_page_counts_match_counting_oracle(self):
         model = flat_model(rows=64 * 128, seed=2)
-        layout, ftl = make_lookup_env(model, GEO)
+        layout = table_layout(model.spec, GEO)
         rng = np.random.default_rng(42)
         idx = rng.integers(0, 64 * 128, 100).tolist()
         qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
-        reqs = translate_batch(layout, ftl, qs)
+        reqs = translate_batch(layout, qs)
         reads = dispatch(reqs)
         # counting oracle: distinct pages grouped by striping arithmetic
         pages = sorted({i // 64 for i in idx})
@@ -119,11 +159,11 @@ class TestDispatch:
 
     def test_makespan_matches_event_list_oracle(self):
         model = flat_model(rows=64 * 128, seed=2)
-        layout, ftl = make_lookup_env(model, GEO)
+        layout = table_layout(model.spec, GEO)
         rng = np.random.default_rng(43)
         idx = rng.integers(0, 64 * 128, 100).tolist()
         qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
-        res = lookup_reads(layout, ftl, qs, GEO, TP)
+        res = lookup_reads(layout, qs, GEO, TP)
         pages = [(0, 0, int(ch), int(die), seq)
                  for seq, (ch, die) in enumerate(zip(res.reads.channel, res.reads.die))]
         _, makespan = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
@@ -135,12 +175,12 @@ class TestDispatch:
     def test_coalescing_bound_property(self):
         rng = np.random.default_rng(44)
         model = flat_model(rows=64 * 16, seed=3)
-        layout, ftl = make_lookup_env(model, GEO)
+        layout = table_layout(model.spec, GEO)
         for _ in range(200):
             n = int(rng.integers(1, 30))
             idx = rng.integers(0, 64 * 16, n).tolist()
             qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
-            reqs = translate_batch(layout, ftl, qs)
+            reqs = translate_batch(layout, qs)
             npages = len(dispatch(reqs))
             assert npages <= n
             assert (npages == n) == (len({i // 64 for i in idx}) == n)
@@ -176,30 +216,39 @@ class TestEvSum:
 class TestSimulateLookup:
     def test_single_request_cold_path(self):
         model = flat_model()
-        layout, ftl = make_lookup_env(model, GEO)
         qs = Workload.from_queries([Query([[5]], np.zeros(2, np.float32))])
-        res = simulate_lookup(model, qs, GEO, TP, layout, ftl)
+        res, _ = lookup(model, qs)
         assert res.e_ns.tolist() == [page_read_time(GEO, TP)]
         assert res.t_emb_ns.tolist() == [page_read_time(GEO, TP)]
 
     def test_bad_queries_rejected(self):
         model = flat_model(num_tables=2, rows=100)
-        layout, ftl = make_lookup_env(model, GEO)
+        layout = table_layout(model.spec, GEO)
         good = Query([[1], [2]], np.zeros(2, np.float32))
         for bad, match in ((Query([[1], [100]], np.zeros(2, np.float32)), "table 1: index 100"),
-                           (Query([[1]], np.zeros(2, np.float32)), "index lists"),
-                           (Query([[1], [2]], np.zeros(3, np.float32)), "dense vector shape")):
-            # mixed with a good query, and alone, where the lookup's own
+                           (Query([[1]], np.zeros(2, np.float32)), "index lists")):
+            # mixed with a good query, and alone, where the translation's own
             # checks see it
             for qs in ([good, bad], [bad]):
                 with pytest.raises(ValueError, match=match):
-                    simulate_lookup(model, Workload.from_queries(qs), GEO, TP, layout, ftl)
+                    translate_batch(layout, Workload.from_queries(qs))
+        # a dense vector of the wrong width: beside a good query the workload
+        # rejects it, and alone every mode rejects it when it scores
+        bad = Query([[1], [2]], np.zeros(3, np.float32))
+        with pytest.raises(ValueError, match="dense vector shape"):
+            Workload.from_queries([good, bad])
+        for mode in MODES:
+            scenario = Scenario(mode=mode, model=model, geometry=GEO, timing=TP,
+                                workload=WorkloadConfig(), query_count=2,
+                                kernels=KernelAssignment.all_max(model.spec))
+            with pytest.raises(ValueError,
+                               match=re.escape("input shape (2, 3) != (2,) or (queries, 2)")):
+                run(scenario, 0, Workload.from_queries([bad, bad]))
 
     def test_identical_queries_identical_latency(self):
         model = flat_model(num_tables=2, rows=4096, seed=5)
-        layout, ftl = make_lookup_env(model, GEO)
         q = Query([[1, 2, 3], [9, 9, 700]], np.zeros(2, np.float32))
-        res = simulate_lookup(model, Workload.from_queries([q, q]), GEO, TP, layout, ftl)
+        res, _ = lookup(model, Workload.from_queries([q, q]))
         assert res.e_ns[0] == res.e_ns[1]
         assert np.array_equal(res.ev_concat[0], res.ev_concat[1])
 
@@ -207,8 +256,8 @@ class TestSimulateLookup:
         # flash layout = the table's little-endian FP32 rows, page-padded at
         # rows_per_page
         model = flat_model(num_tables=2, rows=100, seed=4)
-        layout, ftl = make_lookup_env(model, GEO)
-        flash = build_flash_image(model.tables, layout, GEO)
+        layout = table_layout(model.spec, GEO)
+        flash = build_flash_image(model.tables, layout)
         for t in range(2):
             raw = model.tables[t].values.astype("<f4").tobytes()
             start = int(layout.first_page[t]) * 4096
@@ -229,7 +278,7 @@ class TestSimulateLookup:
         layout = table_layout(spec, GEO)
         assert layout.rows_per_page == 85
         first_page = (0, 3, 7)
-        buf = np.frombuffer(build_flash_image(model.tables, layout, GEO).buf, dtype=np.uint8)
+        buf = np.frombuffer(build_flash_image(model.tables, layout).buf, dtype=np.uint8)
         assert len(buf) == 8 * 4096
         written = np.zeros(len(buf), dtype=bool)
         for t, table in enumerate(model.tables):
@@ -245,32 +294,32 @@ class TestSimulateLookup:
 
     def test_functional_transparency_exact(self):
         model = flat_model(num_tables=3, rows=2048, seed=6)
-        layout, ftl = make_lookup_env(model, GEO)
-        flash = build_flash_image(model.tables, layout, GEO)
         qs = generate_workload(model.spec, "uniform", 7, 20, 13)
-        res = simulate_lookup(model, qs, GEO, TP, layout, ftl, flash=flash)
+        res, _ = lookup(model, qs)
         for q, concat in zip(qs, res.ev_concat):
             for t in range(3):
                 want = ev_lookup_sum(model.tables[t], q.indices[t])
                 assert np.array_equal(concat[t * 16:(t + 1) * 16], want)
 
     def test_flash_decode_matches_direct_table_values(self):
+        # the lookup reads its vectors from the flash image; the host's copy
+        # of the same rows gives the same vectors and sums
         model = flat_model(num_tables=2, rows=300, seed=11)
-        layout, ftl = make_lookup_env(model, GEO)
-        flash = build_flash_image(model.tables, layout, GEO)
+        layout = table_layout(model.spec, GEO)
+        flash = build_flash_image(model.tables, layout)
         qs = generate_workload(model.spec, "uniform", 5, 10, 19)
-        via_flash = simulate_lookup(model, qs, GEO, TP, layout, ftl, flash=flash)
-        direct = simulate_lookup(model, qs, GEO, TP, layout, ftl)
-        for a, b in zip(via_flash.ev_concat, direct.ev_concat):
+        reqs = translate_batch(layout, qs)
+        direct = gather_rows(model.tables, reqs.table, reqs.index)
+        assert flash.rows[reqs.page, reqs.slot].tobytes() == direct.tobytes()
+        via_flash, _ = lookup(model, qs)
+        for a, b in zip(via_flash.ev_concat, lookup_sums(reqs.pooling, direct)):
             assert np.array_equal(a, b)
-        assert via_flash.e_ns.tolist() == direct.e_ns.tolist()
 
     def test_batch_against_from_scratch_event_oracle(self):
         model = flat_model(num_tables=4, rows=4096, seed=7)
-        layout, ftl = make_lookup_env(model, GEO)
         qs = generate_workload(model.spec, "uniform", 4, 64, 15)
         kc_e = 4
-        res = simulate_lookup(model, qs, GEO, TP, layout, ftl, kc_e=kc_e)
+        res, _ = lookup(model, qs, kc_e=kc_e)
 
         # independent replay: layout arithmetic, flash oracle, adder oracle
         rpp = 64
@@ -306,16 +355,15 @@ class TestSimulateLookup:
         spec = ModelSpec(tables=tuple(TableSpec(r, ev_dim) for r in rows),
                          bottom_mlp_dims=(2, 2), top_mlp_dims=(2 + 3 * ev_dim, 1), dense_dim=2)
         model = build_model(spec, 12)
-        layout, ftl = make_lookup_env(model, GEO)
-        assert ftl.total_pages == 24 + 40 + 6
-        flash = build_flash_image(model.tables, layout, GEO)
+        layout = table_layout(model.spec, GEO)
+        assert layout.pages == 24 + 40 + 6
         rng = np.random.default_rng(47)
         pooling = (1, 3, 8)
         qs = Workload.from_queries([Query([rng.integers(0, r, p).tolist()
                                            for r, p in zip(rows, pooling)],
                                           np.zeros(2, np.float32)) for _ in range(6)])
         kc_e = 2
-        res = simulate_lookup(model, qs, GEO, TP, layout, ftl, flash=flash, kc_e=kc_e)
+        res, _ = lookup(model, qs, kc_e=kc_e)
 
         def page_of(t, index):
             # the pages of the tables before t, each rounded up, then the row's
@@ -340,9 +388,9 @@ class TestSimulateLookup:
             want = np.concatenate([fold_sum_rows(model.tables[t].values, q.indices[t])
                                    for t in range(3)])
             assert concat.tobytes() == want.tobytes()
-        direct = simulate_lookup(model, qs, GEO, TP, layout, ftl, kc_e=kc_e)
-        assert direct.ev_concat.tobytes() == res.ev_concat.tobytes()
-        assert direct.e_ns.tolist() == res.e_ns.tolist()
+        reqs = translate_batch(layout, qs)
+        direct = lookup_sums(reqs.pooling, gather_rows(model.tables, reqs.table, reqs.index))
+        assert direct.tobytes() == res.ev_concat.tobytes()
 
     def test_whole_run_equals_per_batch_calls(self):
         # the partial-page, mixed-pooling layout above, 11 queries as batches
@@ -351,26 +399,25 @@ class TestSimulateLookup:
         spec = ModelSpec(tables=tuple(TableSpec(r, ev_dim) for r in (2000, 3400, 500)),
                          bottom_mlp_dims=(2, 2), top_mlp_dims=(2 + 3 * ev_dim, 1), dense_dim=2)
         model = build_model(spec, 12)
-        layout, ftl = make_lookup_env(model, GEO)
-        flash = build_flash_image(model.tables, layout, GEO)
+        layout = table_layout(model.spec, GEO)
         rng = np.random.default_rng(48)
         # few rows per table, so batches share pages and each lane coalesces
         qs = Workload.from_queries([Query([rng.integers(0, 200, p).tolist() for p in (1, 3, 8)],
                                           np.zeros(2, np.float32)) for _ in range(11)])
         batch, kc_e = 4, 2
-        whole = simulate_lookup(model, qs, GEO, TP, layout, ftl, flash=flash, kc_e=kc_e,
-                                batch=batch)
-        parts = [simulate_lookup(model, qs[i:i + batch], GEO, TP, layout, ftl, flash=flash,
-                                 kc_e=kc_e) for i in range(0, len(qs), batch)]
+        whole, whole_tl = lookup(model, qs, kc_e=kc_e, batch=batch)
+        parts, parts_tl = zip(*(lookup(model, qs[i:i + batch], kc_e=kc_e)
+                                for i in range(0, len(qs), batch)))
         assert whole.ev_concat.tobytes() == np.concatenate([p.ev_concat for p in parts]).tobytes()
-        for name in ("e_ns", "flash_start_ns", "t_emb_ns"):
+        for name in ("e_ns", "t_emb_ns"):
             assert getattr(whole, name).tolist() == \
                 np.concatenate([getattr(p, name) for p in parts]).tolist(), name
-        assert whole.channel_busy_ns.tolist() == \
-            np.concatenate([p.channel_busy_ns for p in parts]).tolist()
+        for name in ("first_sense_ns", "channel_busy_ns"):
+            assert getattr(whole_tl, name).tolist() == \
+                np.concatenate([getattr(p, name) for p in parts_tl]).tolist(), name
         # the per-read columns the lookup does not keep, derived the same way
-        whole = lookup_reads(layout, ftl, qs, GEO, TP, batch)
-        parts = [lookup_reads(layout, ftl, qs[i:i + batch], GEO, TP)
+        whole = lookup_reads(layout, qs, GEO, TP, batch)
+        parts = [lookup_reads(layout, qs[i:i + batch], GEO, TP)
                  for i in range(0, len(qs), batch)]
         assert whole.arrival_ns.tolist() == \
             np.concatenate([p.arrival_ns for p in parts]).tolist()
@@ -385,9 +432,9 @@ class TestSimulateLookup:
 
     def test_work_conservation(self):
         model = flat_model(rows=64 * 64, seed=9)
-        layout, ftl = make_lookup_env(model, GEO)
+        layout = table_layout(model.spec, GEO)
         qs = generate_workload(model.spec, "uniform", 16, 8, 17)
-        res = lookup_reads(layout, ftl, qs, GEO, TP)
+        res = lookup_reads(layout, qs, GEO, TP)
         for recs in die_timelines(res.schedule).values():
             for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
                 assert nxt_start == prev_end
@@ -395,9 +442,9 @@ class TestSimulateLookup:
     def test_uniform_dispatch_balance(self):
         # >= 32 pages per die on average
         model = flat_model(rows=131072, seed=10)
-        layout, ftl = make_lookup_env(model, GEO)
+        layout = table_layout(model.spec, GEO)
         qs = generate_workload(model.spec, "uniform", 64, 64, 23)
-        res = lookup_reads(layout, ftl, qs, GEO, TP)
+        res = lookup_reads(layout, qs, GEO, TP)
         counts = list(Counter(zip(res.reads.channel.tolist(), res.reads.die.tolist())).values())
         assert len(counts) == 32 and min(counts) * 32 >= 1024 * 0.8
         assert max(counts) / min(counts) <= 1.5

@@ -4,19 +4,17 @@ import itertools
 import numpy as np
 import pytest
 
-from recssd.ev_engine import simulate_lookup
 from recssd.kernel_search import (ResourceModel, SearchSpace, WorkloadProfile, _Stage,
                                   bram_placement, emb_budgets, estimate_times,
-                                  kernel_options, layer_weight_bytes,
-                                  make_lookup_env, resource_usage, search,
-                                  spill_floor_cycles, verify_constraints)
+                                  kernel_options, layer_weight_bytes, resource_usage,
+                                  search, spill_floor_cycles, verify_constraints)
 from recssd.mlp_engine import KernelAssignment, fc_cycles, make_layers
 from recssd.recmodel import (DESK_PRESETS, ModelSpec, TableSpec, build_model,
                              desk_model_spec, generate_workload)
 from recssd.storage import SsdGeometry, TimingParams
 
 from oracles import adder_oracle, flash_schedule_oracle, pipeline_oracle
-from search_oracle import enumerate_search
+from search_oracle import emb_ns, enumerate_search
 
 GEO = SsdGeometry(8, 4, 4096)
 TP = TimingParams()
@@ -134,14 +132,12 @@ class TestSearch:
     @pytest.mark.parametrize("preset", DESK_PRESETS)
     def test_emb_budgets_equal_one_lookup_per_kce(self, preset):
         # the search schedules the flash once per batch and reruns only the
-        # adder per kc_e; each budget must equal a full lookup at that kc_e
+        # adder per kc_e; each budget must equal the serial adder oracle at
+        # that kc_e over the page reads' arrivals
         m = build_model(desk_model_spec(preset), 3)
-        layout, ftl = make_lookup_env(m, GEO)
         for dist, batch in (("uniform", 2), ("zipf", 16)):
             queries = generate_workload(m.spec, dist, 8, batch, 5)
-            want = {k: int(simulate_lookup(m, queries, GEO, TP, layout, ftl, kc_e=k).t_emb_ns[0])
-                    for k in kernel_options(m.spec.ev_dim)}
-            assert emb_budgets(m, queries, GEO, TP, layout, ftl) == want
+            assert emb_budgets(m, queries, GEO, TP) == emb_ns(m, queries, GEO, TP)
 
     def test_slow_flash_gives_minimal_kernels(self):
         m = tiny_model(bot=(8, 8), top_hidden=(8,))
@@ -304,12 +300,11 @@ class TestStageWalk:
         # lists rebuilt for its budget. The deep stacks' walks are cut short.
         spec = DEEP_SPEC if preset == "search-deep" else desk_model_spec(preset)
         m = build_model(spec, 2)
-        layout, ftl = make_lookup_env(m, GEO)
         floors = spill_floor_cycles(spec, RM, TP)
         longest = 4000 if preset == "search-deep" else None
         for batch in (1, 2, 4):
             queries = generate_workload(spec, "uniform", 8, batch, 9)
-            budgets = list(emb_budgets(m, queries, GEO, TP, layout, ftl).values())
+            budgets = list(emb_budgets(m, queries, GEO, TP).values())
             budgets += [b // 8 for b in budgets]
             for dims, floor in zip((spec.bottom_mlp_dims, spec.top_mlp_dims), floors):
                 layers = make_layers(dims)

@@ -10,12 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from recssd.cli import main
 from recssd.config import default_config_text
-from recssd.ev_engine import dispatch, translate_batch
-from recssd.kernel_search import make_lookup_env
+from recssd.ev_engine import dispatch, table_layout, translate_batch
 from recssd.recmodel import (ModelSpec, Query, TableSpec, Workload, build_model,
                              ev_lookup_sum)
 from recssd.sim import MODES
-from recssd.storage import Ftl, SsdGeometry, TimingParams
+from recssd.storage import SsdGeometry, TimingParams, page_location
 
 from oracles import host_block_read
 
@@ -29,21 +28,21 @@ def tiny_lookup_env(rows):
         spec = ModelSpec(tables=(TableSpec(rows, 16),), bottom_mlp_dims=(2, 2),
                          top_mlp_dims=(18, 1), dense_dim=2)
         model = build_model(spec, 0)
-        _model_cache[rows] = (model, *make_lookup_env(model, GEO))
+        _model_cache[rows] = model, table_layout(spec, GEO)
     return _model_cache[rows]
 
 
 @given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 256))
 def test_ftl_translate_is_page_bijection(channels, dies, total_pages):
-    ftl = Ftl(SsdGeometry(channels, dies, 4096), total_pages)
-    locs = {ftl.page_location(p) for p in range(total_pages)}
+    geo = SsdGeometry(channels, dies, 4096)
+    locs = {page_location(geo, p) for p in range(total_pages)}
     assert len(locs) == total_pages
 
 
 @given(st.lists(st.integers(0, 64 * 16 - 1), min_size=1, max_size=40))
 def test_coalescing_never_increases_page_reads(indices):
-    model, layout, ftl = tiny_lookup_env(64 * 16)
-    reqs = translate_batch(layout, ftl,
+    _, layout = tiny_lookup_env(64 * 16)
+    reqs = translate_batch(layout,
                            Workload.from_queries([Query([indices], np.zeros(2, np.float32))]))
     reads = len(dispatch(reqs))
     assert reads <= len(indices)
@@ -53,7 +52,7 @@ def test_coalescing_never_increases_page_reads(indices):
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=12),
        st.lists(st.integers(0, 31), min_size=1, max_size=12))
 def test_lookup_sum_concatenation_linearity(a, b):
-    model, _, _ = tiny_lookup_env(32)
+    model, _ = tiny_lookup_env(32)
     table = model.tables[0]
     got = ev_lookup_sum(table, a + b)
     assert np.array_equal(got, ev_lookup_sum(table, list(a) + list(b)))
@@ -65,11 +64,10 @@ def test_lookup_sum_concatenation_linearity(a, b):
 @given(st.floats(1.0, 200.0), st.floats(0.01, 2.0), st.floats(0.01, 2.0),
        st.floats(0.1, 50.0), st.integers(1, 6))
 def test_host_read_monotone_in_latency_params(read_us, xfer, iface, overhead_us, pages):
-    ftl = Ftl(GEO, total_pages=64)
     base = TimingParams(page_read_us=read_us, channel_transfer_ns_per_byte=xfer,
                         host_interface_ns_per_byte=iface,
                         host_block_io_overhead_us=overhead_us)
-    t0 = host_block_read(ftl, 0, pages * 4096, base)
+    t0 = host_block_read(GEO, 64, 0, pages * 4096, base)
     for bump in ({"page_read_us": read_us * 1.5},
                  {"channel_transfer_ns_per_byte": xfer * 1.5},
                  {"host_interface_ns_per_byte": iface * 1.5},
@@ -77,7 +75,7 @@ def test_host_read_monotone_in_latency_params(read_us, xfer, iface, overhead_us,
         kw = dict(page_read_us=read_us, channel_transfer_ns_per_byte=xfer,
                   host_interface_ns_per_byte=iface, host_block_io_overhead_us=overhead_us)
         kw.update(bump)
-        assert host_block_read(ftl, 0, pages * 4096, TimingParams(**kw)) >= t0
+        assert host_block_read(GEO, 64, 0, pages * 4096, TimingParams(**kw)) >= t0
 
 
 # Fields that size allocations, and the value the fuzz gives them in place of
@@ -154,7 +152,7 @@ def fuzzed_document(draw):
 @example(document(kernels={"bottom": [[8, 64], [16, 16]], "top": [[128, 64], [64, 1]],
                            "ev": [1]}))
 @example(document(search_space={"max_kernel": 0}))
-@example(document(geometry={"page_size": 32, "lba_size": 32}))
+@example(document(geometry={"page_size": 32}))
 @example(document(timing={"page_read_us": 1e300}))
 @example(document(timing={"fc_clock_mhz": 1e300}))
 @example(document(resource_model={"dram_bandwidth_gbps": 1e-300, "bram_bytes": 1000},

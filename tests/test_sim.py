@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from recssd.ev_engine import table_layout
 from recssd.kernel_search import ResourceModel, SearchSpace
 from recssd.mlp_engine import KernelAssignment
 from recssd.recmodel import (ModelSpec, TableSpec, build_model, desk_model_spec,
@@ -51,10 +52,9 @@ class TestBaselineMode:
         # an embedding row never straddles a page, so the modeled miss cost
         # must equal the host_block_read latency for that row
         m = rmc3()
-        from recssd.kernel_search import make_lookup_env
-        layout, ftl = make_lookup_env(m, GEO)
+        layout = table_layout(m.spec, GEO)
         page, off = translate_index(layout, 3, 12345)
-        direct = host_block_read(ftl, page * GEO.lbas_per_page + off // 512, 64, TP)
+        direct = host_block_read(GEO, layout.pages, page * GEO.page_size + off, 64, TP)
         modeled = page_read_time(GEO, TP) + TP.host_iface_ns(64) + TP.host_overhead_ns
         assert direct == modeled
 

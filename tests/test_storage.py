@@ -5,61 +5,50 @@ import pytest
 
 from recssd.ev_engine import table_layout
 from recssd.recmodel import ModelSpec, TableSpec
-from recssd.storage import (Ftl, PageReads, SsdGeometry, TimingParams, page_read_time,
-                            schedule_page_reads)
+from recssd.storage import (PageReads, SsdGeometry, TimingParams, page_location,
+                            page_read_time, schedule_page_reads)
 
 from oracles import die_timelines, flash_schedule_oracle, host_block_read, translate_index
 
-GEO4 = SsdGeometry(channels=4, dies_per_channel=2, page_size=4096, lba_size=512)
+GEO4 = SsdGeometry(channels=4, dies_per_channel=2, page_size=4096)
 
 
 class TestTranslate:
     def test_lba_zero(self):
-        ftl = Ftl(GEO4, total_pages=64)
-        assert ftl.page_location(0) == (0, 0, 0)
+        assert page_location(GEO4, 0) == (0, 0, 0)
 
     def test_second_page_next_channel(self):
-        ftl = Ftl(GEO4, total_pages=64)
-        page = 8 * 512 // 4096      # LBA 8 starts page 1
+        page = 8 * 512 // 4096      # byte 4096 starts page 1
         assert page == 1
-        assert ftl.page_location(page) == (1, 0, 0)
+        assert page_location(GEO4, page) == (1, 0, 0)
 
     def test_page_five_wraps_to_second_die(self):
-        ftl = Ftl(GEO4, total_pages=64)
         page = 40 * 512 // 4096     # byte 20480 -> page 5: 5 mod 4 = 1, 5//4 mod 2 = 1
         assert page == 5
-        channel, die, _ = ftl.page_location(page)
+        channel, die, _ = page_location(GEO4, page)
         assert (channel, die) == (1, 1)
 
     def test_in_page_offset(self):
-        # 512-byte rows, one per LBA: row 3 sits 3 LBAs into page 0, and
+        # 512-byte rows, eight per page: row 3 sits 3 rows into page 0, and
         # row 11 as far into page 1, on the next channel
         spec = ModelSpec(tables=(TableSpec(64, 128),), bottom_mlp_dims=(2, 2),
                          top_mlp_dims=(130, 1), dense_dim=2)
         layout = table_layout(spec, GEO4)
         page, offset = translate_index(layout, 0, 3)
         assert (page, offset) == (0, 3 * 512)
-        assert Ftl(GEO4, total_pages=64).page_location(page) == (0, 0, 0)
+        assert page_location(GEO4, page) == (0, 0, 0)
         page, offset = translate_index(layout, 0, 11)
         assert (page, offset) == (1, 3 * 512)
-        assert Ftl(GEO4, total_pages=64).page_location(page) == (1, 0, 0)
-
-    def test_out_of_range(self):
-        ftl = Ftl(GEO4, total_pages=2)
-        with pytest.raises(ValueError, match="page"):
-            ftl.page_location(2)
-        with pytest.raises(ValueError, match="page"):
-            ftl.page_location(-1)
+        assert page_location(GEO4, page) == (1, 0, 0)
 
     def test_bijection_over_provisioned_range(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             geo = SsdGeometry(int(rng.integers(1, 9)), int(rng.integers(1, 9)), 4096)
             total = int(rng.integers(1, 200))
-            ftl = Ftl(geo, total)
             seen = set()
             for p in range(total):
-                loc = ftl.page_location(p)
+                loc = page_location(geo, p)
                 assert loc not in seen
                 seen.add(loc)
                 ch, die, dp = loc
@@ -70,15 +59,15 @@ class TestTranslate:
         rng = np.random.default_rng(32)
         for _ in range(50):
             geo = SsdGeometry(int(rng.integers(1, 9)), int(rng.integers(1, 5)), 4096)
-            span = geo.total_dies * int(rng.integers(1, 6)) + int(rng.integers(0, geo.total_dies))
-            ftl = Ftl(geo, span)
+            dies = geo.channels * geo.dies_per_channel
+            span = dies * int(rng.integers(1, 6)) + int(rng.integers(0, dies))
             counts = {}
             for p in range(span):
-                ch, die, _ = ftl.page_location(p)
+                ch, die, _ = page_location(geo, p)
                 counts[(ch, die)] = counts.get((ch, die), 0) + 1
             for c in range(geo.channels):
                 for d in range(geo.dies_per_channel):
-                    assert abs(counts.get((c, d), 0) - span / geo.total_dies) < 1
+                    assert abs(counts.get((c, d), 0) - span / dies) < 1
 
 
 class TestPageReadTime:
@@ -105,8 +94,8 @@ class TestPageReadTime:
             TimingParams(fc_clock_mhz=-1)
         with pytest.raises(ValueError):
             SsdGeometry(0, 1, 4096)
-        with pytest.raises(ValueError, match="multiple"):
-            SsdGeometry(1, 1, 1000, lba_size=512)
+        with pytest.raises(ValueError, match="page_size"):
+            SsdGeometry(1, 1, 0)
 
 
 def test_cycle_conversions_take_int64_arrays():
@@ -126,27 +115,24 @@ class TestHostBlockRead:
     tp = TimingParams()
 
     def test_single_page(self):
-        ftl = Ftl(GEO4, total_pages=64)
         want = page_read_time(GEO4, self.tp) + round(4096 * 0.25) + 10_000
-        assert host_block_read(ftl, 0, 4096, self.tp) == want
+        assert host_block_read(GEO4, 64, 0, 4096, self.tp) == want
 
     def test_two_pages_distinct_channels_max_not_sum(self):
-        ftl = Ftl(GEO4, total_pages=64)
-        got = host_block_read(ftl, 0, 8192, self.tp)
+        got = host_block_read(GEO4, 64, 0, 8192, self.tp)
         # pages 0 and 1 sense in parallel on channels 0 and 1
         want = page_read_time(GEO4, self.tp) + round(8192 * 0.25) + 10_000
         assert got == want
 
     def test_sub_lba_read_rejected(self):
-        ftl = Ftl(GEO4, total_pages=4)
         with pytest.raises(ValueError, match="length"):
-            host_block_read(ftl, 0, 0, self.tp)
+            host_block_read(GEO4, 4, 0, 0, self.tp)
+        # bytes [15360, 19456) run past the four pages' 16384
         with pytest.raises(ValueError, match="range"):
-            host_block_read(ftl, 30, 4096, self.tp)
+            host_block_read(GEO4, 4, 30 * 512, 4096, self.tp)
 
     def test_ten_pages_matches_event_list_oracle(self):
-        ftl = Ftl(GEO4, total_pages=64)
-        got = host_block_read(ftl, 0, 10 * 4096, self.tp)
+        got = host_block_read(GEO4, 64, 0, 10 * 4096, self.tp)
         pages = [(0, 0, p % 4, (p // 4) % 2, p) for p in range(10)]
         _, makespan = flash_schedule_oracle(pages, self.tp.sense_ns, self.tp.xfer_ns(4096))
         overhead = round(10 * 4096 * 0.25) + 10_000
@@ -155,8 +141,7 @@ class TestHostBlockRead:
         assert makespan == 2 * (self.tp.sense_ns + self.tp.xfer_ns(4096))
 
     def test_monotone_in_every_latency_parameter(self):
-        ftl = Ftl(GEO4, total_pages=64)
-        base = host_block_read(ftl, 0, 3 * 4096, self.tp)
+        base = host_block_read(GEO4, 64, 0, 3 * 4096, self.tp)
         bumps = [
             TimingParams(page_read_us=60),
             TimingParams(channel_transfer_ns_per_byte=0.9),
@@ -164,7 +149,7 @@ class TestHostBlockRead:
             TimingParams(host_block_io_overhead_us=15),
         ]
         for tp in bumps:
-            assert host_block_read(ftl, 0, 3 * 4096, tp) >= base
+            assert host_block_read(GEO4, 64, 0, 3 * 4096, tp) >= base
 
 
 def page_reads(rows, lane=None):
@@ -208,7 +193,8 @@ class TestSchedulePageReads:
                         sched.xfer_start_ns[seq], sched.xfer_end_ns[seq]) == oracle[seq]
         tied = cases[30:]
         for geo, rows in tied:
-            assert min(Counter(rows).values()) > 4 and len(set(rows)) == geo.total_dies
+            dies = geo.channels * geo.dies_per_channel
+            assert min(Counter(rows).values()) > 4 and len(set(rows)) == dies
             starts = schedule_page_reads(page_reads(rows), geo, self.tp).sense_start_ns
             assert {rows[k] for k in np.flatnonzero(starts == 0)} == set(rows)
 
