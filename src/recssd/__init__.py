@@ -2,14 +2,13 @@
 recommendation inference."""
 
 from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, StageTimes,
-                            WorkloadProfile, estimate_times, resource_usage, search,
-                            verify_constraints)
-from .mlp_engine import (FcLayerSpec, KernelAssignment, PipelineSchedule, fc_cycles,
-                         decompose_first_layer, pipeline_schedule)
+                            estimate_times, resource_usage, search, verify_constraints)
+from .mlp_engine import (KernelAssignment, PipelineSchedule, fc_cycles, decompose_first_layer,
+                         pipeline_schedule)
 from .recmodel import (EmbeddingTable, Model, ModelSpec, Query, TableSpec, Workload,
-                       build_model, desk_model_spec, ev_lookup_sum, generate_workload,
-                       mlp_forward, reference_inference)
-from .sim import (Metrics, Scenario, WorkloadConfig, compare, metrics_json, run)
+                       WorkloadConfig, build_model, desk_model_spec, ev_lookup_sum,
+                       generate_workload, mlp_forward, reference_inference)
+from .sim import Metrics, Scenario, compare, metrics_json, run
 from .storage import SsdGeometry, TimingParams, page_location, page_read_time
 
 __version__ = "0.1.0"

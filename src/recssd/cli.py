@@ -10,7 +10,7 @@ import os
 import sys
 
 from .config import ConfigError, build_scenario, default_config_text, load_config
-from .kernel_search import WorkloadProfile, search
+from .kernel_search import search
 from .sim import InfeasibleSearchError, compare, metrics_json, run, spans_to_csv
 
 EXIT_OK = 0
@@ -68,13 +68,7 @@ def _metrics_text(m) -> str:
 
 
 def cmd_run(args) -> int:
-    scenario = build_scenario(load_config(args.config))
-    try:
-        result = run(scenario, args.seed)
-    except InfeasibleSearchError as e:
-        print(f"error: infeasible kernel search (binding constraint: "
-              f"{e.outcome.binding_constraint})", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    result = run(build_scenario(load_config(args.config)), args.seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.json"), "w") as f:
         f.write(metrics_json(result.metrics))
@@ -94,12 +88,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = load_config(args.config)
-    scenario = build_scenario(cfg)
-    profile = WorkloadProfile(scenario.workload.distribution, scenario.workload.pooling,
-                              scenario.workload.zipf_s, args.seed)
+    scenario = build_scenario(load_config(args.config))
     outcome = search(scenario.model, scenario.resource_model, scenario.geometry,
-                     scenario.timing, profile, scenario.space)
+                     scenario.timing, scenario.workload, args.seed, scenario.batch,
+                     scenario.space)
     print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
     if not outcome.feasible:
         print(f"error: infeasible at batch cap (binding constraint: "
@@ -109,16 +101,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if len(args.configs) < 2:
-        print("error: compare needs at least two configs", file=sys.stderr)
-        return EXIT_CONFIG
     scenarios = [build_scenario(load_config(c)) for c in args.configs]
     try:
         report, _ = compare(scenarios, args.seed)
-    except InfeasibleSearchError as e:
-        print(f"error: infeasible kernel search (binding constraint: "
-              f"{e.outcome.binding_constraint})", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -159,6 +144,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except InfeasibleSearchError as e:
+        print(f"error: infeasible kernel search (binding constraint: "
+              f"{e.outcome.binding_constraint})", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -9,8 +9,9 @@ import yaml
 
 from .kernel_search import ResourceModel, SearchSpace
 from .mlp_engine import KernelAssignment
-from .recmodel import DESK_PRESETS, ModelSpec, TableSpec, build_model, desk_model_spec
-from .sim import Scenario, WorkloadConfig
+from .recmodel import (DESK_PRESETS, ModelSpec, TableSpec, WorkloadConfig, build_model,
+                       desk_model_spec)
+from .sim import Scenario
 from .storage import SsdGeometry, TimingParams
 
 
@@ -227,12 +228,9 @@ def build_scenario(cfg: dict) -> Scenario:
             dsp_per_mac=float(r["dsp_per_mac"]), bram_bytes=int(r["bram_bytes"]),
             dram_bandwidth_bytes_per_s=float(r["dram_bandwidth_gbps"]) * 1e9)
         sp = cfg["search_space"]
-        space = SearchSpace(initial_batch=s["batch"],
-                            max_batch=max(s["batch"], sp["max_batch"]),
-                            max_kernel=sp.get("max_kernel"))
+        space = SearchSpace(max_batch=sp["max_batch"], max_kernel=sp.get("max_kernel"))
         kernels = None
-        auto = cfg["kernels"] == "auto"
-        if not auto:
+        if cfg["kernels"] != "auto":
             k = cfg["kernels"]
             kernels = KernelAssignment(
                 tuple((int(a), int(b)) for a, b in k["bottom"]),
@@ -246,7 +244,7 @@ def build_scenario(cfg: dict) -> Scenario:
         scenario = Scenario(
             mode=s["mode"], model=model, geometry=geometry, timing=timing,
             workload=workload, query_count=s["query_count"], batch=s["batch"],
-            dram_fraction=float(s["dram_fraction"]), kernels=kernels, auto_search=auto,
+            dram_fraction=float(s["dram_fraction"]), kernels=kernels,
             resource_model=resource_model, space=space,
             duration_ns=None if duration_us is None else round(duration_us * 1000.0),
         )

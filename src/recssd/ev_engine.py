@@ -113,10 +113,9 @@ class CoalescedReads:
         return len(self.page)
 
 
-def dispatch(requests: Requests, lane: np.ndarray | None = None) -> CoalescedReads:
-    """Coalesce requests into unique page reads per lane (per request; None
-    puts every request in lane 0), in first-arrival order."""
-    lane = np.zeros(len(requests), dtype=np.int64) if lane is None else lane
+def dispatch(requests: Requests, lane: np.ndarray) -> CoalescedReads:
+    """Coalesce requests into unique page reads per lane (one per request), in
+    first-arrival order."""
     key = lane * (int(requests.page.max(initial=0)) + 1) + requests.page
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)

@@ -17,9 +17,11 @@ first candidate that fits is the stage's minimum. And the walk only drops
 layer options that cannot fit on their own: a layer unit serves the batch
 back to back and its first pass also waits for the layer's spill floor, so
 every stage holding option k of a layer takes at least
-max(fc_cycles(layer, k, B), floor) cycles. Across vector-sum kernels, ties
+max(fc_cycles(r, c, k, B), floor) cycles. Across vector-sum kernels, ties
 break by smaller DSP count, then the lexicographically smallest flat kernel
-list. If nothing is feasible at B the batch doubles up to a cap.
+list. The search starts at the scenario's batch; if nothing is feasible at
+B the batch doubles while it stays within a cap, so a cap below the starting
+batch tries that batch alone.
 
 Weight placement: layers fill block RAM in model order until capacity, the
 remainder spills to DRAM; a spilled layer pays its weight-fetch time once per
@@ -30,8 +32,8 @@ import heapq
 from dataclasses import dataclass, field
 
 from . import ev_engine
-from .mlp_engine import KernelAssignment, fc_cycles, make_layers, pipeline_schedule
-from .recmodel import Model, generate_workload
+from .mlp_engine import KernelAssignment, fc_cycles, pipeline_schedule
+from .recmodel import Model, WorkloadConfig, generate_workload
 from .storage import SsdGeometry, TimingParams
 
 
@@ -52,22 +54,11 @@ class ResourceModel:
 
 
 @dataclass(frozen=True)
-class WorkloadProfile:
-    distribution: str = "uniform"
-    pooling: int = 8
-    zipf_s: float = 1.0
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class SearchSpace:
-    initial_batch: int = 1
-    max_batch: int = 16
+    max_batch: int = 16             # the batch doubles while it stays within this
     max_kernel: int | None = None   # optional cap on kr and kc
 
     def __post_init__(self):
-        if self.initial_batch < 1 or self.max_batch < self.initial_batch:
-            raise ValueError("need 1 <= initial_batch <= max_batch")
         if self.max_kernel is not None and self.max_kernel < 1:
             raise ValueError(f"max_kernel must be >= 1, got {self.max_kernel}")
 
@@ -186,34 +177,31 @@ def spill_floor_cycles(spec, resource_model: ResourceModel,
     return [cycles(b) for b in spill["bottom"]], [cycles(b) for b in spill["top"]]
 
 
-def _stage_makespan_ns(layers, kernels, batch, timing: TimingParams, floor_cycles) -> int:
-    sched = pipeline_schedule(layers, kernels, inputs_at_cycles=[0] * batch,
+def _stage_makespan_ns(dims, kernels, batch, timing: TimingParams, floor_cycles) -> int:
+    sched = pipeline_schedule(dims, kernels, inputs_at_cycles=[0] * batch,
                               floor_cycles=floor_cycles)
     return timing.cycles_to_ns(int(sched.completions.max()))
 
 
 def estimate_times(model: Model, assignment: KernelAssignment, batch: int,
-                   geometry: SsdGeometry, timing: TimingParams,
-                   profile: WorkloadProfile,
-                   resource_model: ResourceModel | None = None) -> StageTimes:
-    """Stage times for one profile-representative batch: the embedding time
-    is the seeded batch's `emb_budgets` at the assignment's kc_e, the MLP
+                   geometry: SsdGeometry, timing: TimingParams, workload: WorkloadConfig,
+                   seed: int, resource_model: ResourceModel | None = None) -> StageTimes:
+    """Stage times for one batch of the workload drawn with `seed`: the
+    embedding time is that batch's `emb_budgets` at the assignment's kc_e, the MLP
     times come from the pipeline cycle model (with spill floors when a
     resource model is given)."""
     spec = model.spec
     assignment.validate(spec)
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
-                                profile.seed, profile.zipf_s)
+    queries = generate_workload(spec, workload.distribution, workload.pooling, batch, seed,
+                                workload.zipf_s)
     emb_ns = emb_budgets(model, queries, geometry, timing)[assignment.ev[1]]
     floors_b = floors_t = None
     if resource_model is not None:
         floors_b, floors_t = spill_floor_cycles(spec, resource_model, timing)
-    bot_ns = _stage_makespan_ns(make_layers(spec.bottom_mlp_dims), assignment.bottom, batch,
-                                timing, floors_b)
-    top_ns = _stage_makespan_ns(make_layers(spec.top_mlp_dims), assignment.top, batch,
-                                timing, floors_t)
+    bot_ns = _stage_makespan_ns(spec.bottom_mlp_dims, assignment.bottom, batch, timing, floors_b)
+    top_ns = _stage_makespan_ns(spec.top_mlp_dims, assignment.top, batch, timing, floors_t)
     return StageTimes(bottom_ns=bot_ns, top_ns=top_ns, emb_ns=emb_ns)
 
 
@@ -240,19 +228,19 @@ class _Stage:
     """One MLP stack's candidates at one batch, shared by the batch's
     embedding budgets: each layer's (kr, kc) options in ascending (area,
     kernel) order, each with the least time of any stage holding it (its
-    max(fc_cycles(layer, k, B), floor), in ns), and each candidate's makespan
-    once it has been scheduled. A budget only filters the options."""
+    max(fc_cycles(r, c, k, B), floor), in ns), and each candidate's makespan
+    once it has been scheduled. A budget only filters the options. `dims`
+    are the stack's widths, input width first."""
 
-    def __init__(self, layers, space: SearchSpace, batch: int, timing: TimingParams, floors):
-        self.layers, self.batch, self.timing, self.floors = layers, batch, timing, floors
+    def __init__(self, dims, space: SearchSpace, batch: int, timing: TimingParams, floors):
+        self.dims, self.batch, self.timing, self.floors = dims, batch, timing, floors
         self.options = []
-        for l, layer in enumerate(layers):
+        for l, (r, c) in enumerate(zip(dims, dims[1:])):
             floor = floors[l] if floors else 0
-            kernels = sorted(((kr, kc)
-                              for kr in kernel_options(layer.in_width, space.max_kernel)
-                              for kc in kernel_options(layer.out_width, space.max_kernel)),
+            kernels = sorted(((kr, kc) for kr in kernel_options(r, space.max_kernel)
+                              for kc in kernel_options(c, space.max_kernel)),
                              key=lambda k: (k[0] * k[1], k))
-            self.options.append([(k, timing.cycles_to_ns(max(fc_cycles(layer, k, batch), floor)))
+            self.options.append([(k, timing.cycles_to_ns(max(fc_cycles(r, c, k, batch), floor)))
                                  for k in kernels])
         self.makespans = {}
 
@@ -288,7 +276,7 @@ class _Stage:
         """The first candidate of the walk that fits the budget, or None."""
         for kernels in self.candidates(budget_ns):
             if kernels not in self.makespans:
-                self.makespans[kernels] = _stage_makespan_ns(self.layers, kernels, self.batch,
+                self.makespans[kernels] = _stage_makespan_ns(self.dims, kernels, self.batch,
                                                              self.timing, self.floors)
             if self.makespans[kernels] <= budget_ns:
                 return kernels
@@ -296,20 +284,23 @@ class _Stage:
 
 
 def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
-           timing: TimingParams, profile: WorkloadProfile,
+           timing: TimingParams, workload: WorkloadConfig, seed: int, batch: int,
            space: SearchSpace = SearchSpace()) -> SearchOutcome:
-    """Find the cheapest feasible assignment, escalating batch size when
-    nothing fits. Returns an infeasible outcome naming the binding constraint
-    when even the largest kernels of the space cannot keep up at the batch
-    cap."""
+    """Find the cheapest feasible assignment, starting at `batch` and doubling
+    it while nothing fits and the double stays within `space.max_batch`. The
+    embedding budget at a batch is the lookup time of that many queries of
+    the workload drawn with `seed`. Returns an infeasible outcome naming the
+    binding constraint when even the largest kernels of the space cannot keep
+    up at the last batch tried."""
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     spec = model.spec
-    bottom, top = make_layers(spec.bottom_mlp_dims), make_layers(spec.top_mlp_dims)
+    bottom, top = spec.bottom_mlp_dims, spec.top_mlp_dims
     floors_b, floors_t = spill_floor_cycles(spec, resource_model, timing)
 
-    batch = space.initial_batch
     while True:
-        queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
-                                    profile.seed, profile.zipf_s)
+        queries = generate_workload(spec, workload.distribution, workload.pooling, batch, seed,
+                                    workload.zipf_s)
         emb_by_kce = emb_budgets(model, queries, geometry, timing)
         stage_b = _Stage(bottom, space, batch, timing, floors_b)
         stage_t = _Stage(top, space, batch, timing, floors_t)
@@ -341,9 +332,9 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
     # Diagnose with each layer's largest kernel in the space against the
     # budget of the slowest adder (kc_e = 1). No candidate fit that budget, so
     # these kernels miss it in at least one stage; the larger miss binds.
-    def largest(layers):
-        return tuple((kernel_options(l.in_width, space.max_kernel)[-1],
-                      kernel_options(l.out_width, space.max_kernel)[-1]) for l in layers)
+    def largest(dims):
+        return tuple((kernel_options(r, space.max_kernel)[-1],
+                      kernel_options(c, space.max_kernel)[-1]) for r, c in zip(dims, dims[1:]))
 
     budget = emb_by_kce[1]
     bot_ns = _stage_makespan_ns(bottom, largest(bottom), batch, timing, floors_b)
@@ -368,13 +359,13 @@ class ConstraintReport:
 
 
 def verify_constraints(model: Model, outcome: SearchOutcome, geometry: SsdGeometry,
-                       timing: TimingParams, profile: WorkloadProfile,
+                       timing: TimingParams, workload: WorkloadConfig, seed: int,
                        resource_model: ResourceModel | None = None) -> ConstraintReport:
     """Re-derive the stage times for an outcome and report per-constraint slack."""
     if outcome.assignment is None:
         raise ValueError("outcome carries no assignment to verify")
     times = estimate_times(model, outcome.assignment, outcome.batch, geometry, timing,
-                           profile, resource_model)
+                           workload, seed, resource_model)
     slack_b = times.emb_ns - times.bottom_ns
     slack_t = times.emb_ns - times.top_ns
     violations = []

@@ -36,21 +36,6 @@ def is_pow2(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
 
 
-@dataclass
-class FcLayerSpec:
-    in_width: int
-    out_width: int
-
-    def __post_init__(self):
-        if self.in_width < 1 or self.out_width < 1:
-            raise ValueError("layer widths must be >= 1")
-
-
-def make_layers(layer_dims) -> list[FcLayerSpec]:
-    """Build an FC stack from its widths, input width first."""
-    return [FcLayerSpec(a, b) for a, b in zip(layer_dims, layer_dims[1:])]
-
-
 @dataclass(frozen=True)
 class KernelAssignment:
     """Per-layer (kr, kc) block sizes plus the vector-sum kernel (kr_e, kc_e)."""
@@ -105,18 +90,17 @@ def fill_cycles(kr: int) -> int:
     return math.ceil(math.log2(max(kr, 2)))
 
 
-def fc_cycles(layer: FcLayerSpec, kernel: tuple[int, int], batch: int = 1) -> int:
+def fc_cycles(in_width: int, out_width: int, kernel: tuple[int, int], batch: int = 1) -> int:
     kr, kc = kernel
-    if not (1 <= kr <= layer.in_width and 1 <= kc <= layer.out_width):
-        raise ValueError(f"kernel ({kr}, {kc}) exceeds layer ({layer.in_width}, {layer.out_width})")
-    chunks = -(-layer.in_width // kr)
-    groups = -(-layer.out_width // kc)
-    return chunks * groups * batch + fill_cycles(kr)
+    if not (1 <= kr <= in_width and 1 <= kc <= out_width):
+        raise ValueError(f"kernel ({kr}, {kc}) exceeds layer ({in_width}, {out_width})")
+    return -(-in_width // kr) * -(-out_width // kc) * batch + fill_cycles(kr)
 
 
-def conventional_cycles(layers, kernels, batch: int = 1) -> int:
-    """No inter-layer overlap: the sum of the individual layer passes."""
-    return sum(fc_cycles(l, k, batch) for l, k in zip(layers, kernels))
+def conventional_cycles(dims, kernels, batch: int = 1) -> int:
+    """No inter-layer overlap: the sum of the individual layer passes of the
+    stack with widths `dims`, input width first."""
+    return sum(fc_cycles(r, c, k, batch) for r, c, k in zip(dims, dims[1:], kernels))
 
 
 # ---------------------------------------------------------------------------
@@ -251,35 +235,32 @@ def _row_pass(emis_prev: np.ndarray, kc_prev: int, kr: int, in_width: int, group
     return ready, end
 
 
-def pipeline_schedule(layers: list[FcLayerSpec], kernels, inputs_at_cycles=None,
+def pipeline_schedule(dims, kernels, inputs_at_cycles=None,
                       floor_cycles=None) -> PipelineSchedule:
-    """Schedule a batch through an alternating-scan FC stack.
+    """Schedule a batch through an alternating-scan FC stack of widths `dims`,
+    input width first.
 
     `inputs_at_cycles[q]` is when query q's stack inputs are all available
     (default: one query at cycle 0). `floor_cycles[l]`, when set, is the
     weight-fetch floor of a DRAM-spilled layer, paid by the first query of
     the batch. The stack is the decomposed one with an empty bottom half.
     """
-    n = len(layers)
-    if n == 0:
+    n = len(dims) - 1
+    if n < 1:
         raise ValueError("empty layer stack")
-    for l in range(1, n):
-        if layers[l].in_width != layers[l - 1].out_width:
-            raise ValueError(f"layer {l}: input width {layers[l].in_width} != "
-                             f"previous output {layers[l - 1].out_width}")
     if len(kernels) != n:
         raise ValueError(f"{len(kernels)} kernels for {n} layers")
-    for l, (layer, (kr, kc)) in enumerate(zip(layers, kernels)):
-        if not (1 <= kr <= layer.in_width and 1 <= kc <= layer.out_width):
+    for l, (r, c, (kr, kc)) in enumerate(zip(dims, dims[1:], kernels)):
+        if not (1 <= kr <= r and 1 <= kc <= c):
             raise ValueError(f"layer {l}: kernel ({kr}, {kc}) exceeds dims")
     inputs = [0] if inputs_at_cycles is None else inputs_at_cycles
-    return pipeline_schedule_decomposed(layers, kernels, 0, inputs, inputs, floor_cycles)
+    return pipeline_schedule_decomposed(dims, kernels, 0, inputs, inputs, floor_cycles)
 
 
-def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels, bottom_width: int,
-                                 bottom_ready_cycles, emb_ready_cycles,
-                                 floor_cycles=None) -> PipelineSchedule:
-    """Top-stack schedule with the first layer split column-wise.
+def pipeline_schedule_decomposed(dims, kernels, bottom_width: int, bottom_ready_cycles,
+                                 emb_ready_cycles, floor_cycles=None) -> PipelineSchedule:
+    """Top-stack schedule, widths `dims` input width first, with the first
+    layer split column-wise.
 
     The first layer's first `bottom_width` inputs (the bottom-MLP output) run
     as soon as they are ready; the rest (the summed vectors) start when they
@@ -291,10 +272,9 @@ def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels, bottom_
     queries) matrix of batches that each start on idle units, pay the floors
     and share `bottom_ready_cycles`; one batch is one lane.
     """
-    n = len(top_layers)
-    if not 0 <= bottom_width < top_layers[0].in_width:
-        raise ValueError(f"split at {bottom_width} outside first-layer input width "
-                         f"{top_layers[0].in_width}")
+    n = len(dims) - 1
+    if not 0 <= bottom_width < dims[0]:
+        raise ValueError(f"split at {bottom_width} outside first-layer input width {dims[0]}")
     emb = np.atleast_2d(np.asarray(emb_ready_cycles, dtype=np.int64))
     bot = np.asarray(bottom_ready_cycles, dtype=np.int64)[None]
     if bot.shape[1:] != emb.shape[1:]:
@@ -303,15 +283,13 @@ def pipeline_schedule_decomposed(top_layers: list[FcLayerSpec], kernels, bottom_
 
     # each layer's pass shape; only layer 0 has a split (bottom) half
     shapes, fills = [], [fill_cycles(kr) for kr, _ in kernels]
-    for l, layer in enumerate(top_layers):
-        kr, kc = kernels[l]
-        groups = -(-layer.out_width // kc)
+    for l, (r, c, (kr, kc)) in enumerate(zip(dims, dims[1:], kernels)):
+        groups = -(-c // kc)
         if l % 2:
-            shapes.append((kernels[l - 1][1], kr, layer.in_width, groups))
+            shapes.append((kernels[l - 1][1], kr, r, groups))
         else:
             split = bottom_width if l == 0 else 0
-            shapes.append((-(-split // kr), -(-(layer.in_width - split) // kr), groups,
-                           fills[l]))
+            shapes.append((-(-split // kr), -(-(r - split) // kr), groups, fills[l]))
 
     unit_free = [np.zeros((len(emb), 1), dtype=np.int64)] * n
     passes = []

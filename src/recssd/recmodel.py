@@ -372,6 +372,14 @@ def zipf_cdf(rows: int, s: float) -> np.ndarray:
     return np.cumsum(w) / w.sum()
 
 
+@dataclass(frozen=True)
+class WorkloadConfig:
+    """What `generate_workload` draws from, besides the count and the seed."""
+    distribution: str = "uniform"
+    pooling: int = 8
+    zipf_s: float = 1.0
+
+
 def generate_workload(spec: ModelSpec, distribution: str, pooling: int, count: int,
                       seed: int, zipf_s: float = 1.0) -> Workload:
     """Draw `count` queries of `pooling` lookups per table: indices from the

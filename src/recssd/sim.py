@@ -54,11 +54,10 @@ import numpy as np
 
 from . import ev_engine
 from .ev_engine import translate_batch
-from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, WorkloadProfile,
-                            bram_placement, resource_usage, search, spill_floor_cycles)
-from .mlp_engine import (KernelAssignment, make_layers, pipeline_schedule,
-                         pipeline_schedule_decomposed)
-from .recmodel import Model, Workload, generate_workload, interact, mlp_forward
+from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, bram_placement,
+                            resource_usage, search, spill_floor_cycles)
+from .mlp_engine import KernelAssignment, pipeline_schedule, pipeline_schedule_decomposed
+from .recmodel import Model, Workload, WorkloadConfig, generate_workload, interact, mlp_forward
 # unused here, but the benchmark's tracer (perfbench/tracing.py) wraps it by name
 from .recmodel import reference_inference  # noqa: F401
 from .storage import SsdGeometry, TimingParams, page_read_time
@@ -89,13 +88,6 @@ class InfeasibleSearchError(RuntimeError):
         self.outcome = outcome
 
 
-@dataclass(frozen=True)
-class WorkloadConfig:
-    distribution: str = "uniform"
-    pooling: int = 8
-    zipf_s: float = 1.0
-
-
 @dataclass
 class Scenario:
     mode: str
@@ -106,11 +98,15 @@ class Scenario:
     query_count: int
     batch: int = 2
     dram_fraction: float = 0.25
-    kernels: KernelAssignment | None = None
-    auto_search: bool = False
+    kernels: KernelAssignment | None = None     # None: rmssd runs the kernel search
     resource_model: ResourceModel = field(default_factory=ResourceModel)
-    space: SearchSpace | None = None
+    space: SearchSpace = field(default_factory=SearchSpace)
     duration_ns: int | None = None
+
+    @property
+    def auto_search(self) -> bool:
+        """Whether rmssd runs the kernel search: it does when no kernels are given."""
+        return self.kernels is None
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -121,8 +117,6 @@ class Scenario:
             raise ValueError("batch must be >= 1")
         if self.mode == MODE_SSD_BASELINE and not 0 < self.dram_fraction <= 1:
             raise ValueError(f"dram_fraction must be in (0, 1], got {self.dram_fraction}")
-        if self.mode == MODE_RMSSD and self.kernels is None and not self.auto_search:
-            raise ValueError("rmssd mode needs a kernel assignment or auto_search")
         if self.kernels is not None:
             self.kernels.validate(self.model.spec)
         if self.duration_ns is not None and self.duration_ns < 0:
@@ -349,25 +343,19 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, layout, shared: dict) -> 
     model, spec = scenario.model, scenario.model.spec
     timing = scenario.timing
     assignment, batch, outcome = scenario.kernels, scenario.batch, None
-    if scenario.auto_search and scenario.kernels is None:
-        profile = WorkloadProfile(scenario.workload.distribution, scenario.workload.pooling,
-                                  scenario.workload.zipf_s, seed)
-        space = scenario.space or SearchSpace(initial_batch=scenario.batch,
-                                              max_batch=max(scenario.batch, 16))
-        outcome = search(model, scenario.resource_model, scenario.geometry, timing, profile,
-                         space)
+    if assignment is None:
+        outcome = search(model, scenario.resource_model, scenario.geometry, timing,
+                         scenario.workload, seed, batch, scenario.space)
         if not outcome.feasible:
             raise InfeasibleSearchError(outcome)
         assignment, batch = outcome.assignment, outcome.batch
 
-    bottom_layers = make_layers(spec.bottom_mlp_dims)
-    top_layers = make_layers(spec.top_mlp_dims)
     floors_b, floors_t = spill_floor_cycles(spec, scenario.resource_model, timing)
     # a query's schedule depends only on the queries before it in its batch,
     # and the bottom MLP's inputs are all at cycle 0: one bottom schedule
     # serves every batch, a partial one reading its prefix
-    bottom = pipeline_schedule(bottom_layers, assignment.bottom, inputs_at_cycles=[0] * batch,
-                               floor_cycles=floors_b).completions[0]
+    bottom = pipeline_schedule(spec.bottom_mlp_dims, assignment.bottom,
+                               inputs_at_cycles=[0] * batch, floor_cycles=floors_b).completions[0]
     bottom_ns = timing.cycles_to_ns(bottom)
 
     def stage(emb, batch):
@@ -376,8 +364,9 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, layout, shared: dict) -> 
         lanes = -(-n // batch)
         emb_cycles = np.zeros(lanes * batch, dtype=np.int64)
         emb_cycles[:n] = timing.ns_to_cycles(emb.e_ns)
-        top = pipeline_schedule_decomposed(top_layers, assignment.top, spec.bottom_out_width,
-                                           bottom, emb_cycles.reshape(lanes, batch),
+        top = pipeline_schedule_decomposed(spec.top_mlp_dims, assignment.top,
+                                           spec.bottom_out_width, bottom,
+                                           emb_cycles.reshape(lanes, batch),
                                            floor_cycles=floors_t)
         done, top_start = (timing.cycles_to_ns(c).ravel()[:n]
                            for c in (top.completions, top.starts))

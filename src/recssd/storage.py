@@ -119,7 +119,7 @@ class PageReads:
     at that start."""
     channel: np.ndarray
     die: np.ndarray
-    lane: np.ndarray | None = None      # lanes numbered from 0; None: one lane
+    lane: np.ndarray                    # lanes numbered from 0
 
     def __len__(self) -> int:
         return len(self.channel)
@@ -136,14 +136,13 @@ class PageSchedule:
     xfer_end_ns: np.ndarray
     makespan_ns: int                    # the latest transfer end of any lane
 
-    def channel_busy_ns(self, channels: int, lanes: int = 1) -> np.ndarray:
+    def channel_busy_ns(self, channels: int, lanes: int) -> np.ndarray:
         """Union of each (lane, channel)'s die-busy intervals (sense start to
         transfer end), as a (lanes, channels) matrix."""
         reads = self.reads
         if len(reads) == 0:
             return np.zeros((lanes, channels), dtype=np.int64)
-        lane = 0 if reads.lane is None else reads.lane
-        group = np.asarray(lane * channels + reads.channel, dtype=np.int64)
+        group = np.asarray(reads.lane * channels + reads.channel, dtype=np.int64)
         # shift each group onto its own stretch of the time line, then take
         # the part of every interval not covered by the ones starting before it
         shift = group * (self.makespan_ns + 1)
@@ -169,8 +168,7 @@ def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
     n = len(reads)
     channel = np.asarray(reads.channel, dtype=np.int64)
     die = np.asarray(reads.die, dtype=np.int64)
-    lane = np.zeros(n, dtype=np.int64) if reads.lane is None \
-        else np.asarray(reads.lane, dtype=np.int64)
+    lane = np.asarray(reads.lane, dtype=np.int64)
     outside = (channel < 0) | (channel >= geometry.channels) \
         | (die < 0) | (die >= geometry.dies_per_channel) | (lane < 0)
     if outside.any():

@@ -392,7 +392,8 @@ def host_block_read(geometry, total_pages: int, offset: int, nbytes: int, timing
     page_size = geometry.page_size
     pages = np.arange(offset // page_size, (end - 1) // page_size + 1, dtype=np.int64)
     channel, die, _ = page_location(geometry, pages)
-    sched = schedule_page_reads(PageReads(channel, die), geometry, timing)
+    sched = schedule_page_reads(PageReads(channel, die, np.zeros(len(pages), np.int64)),
+                                geometry, timing)
     return sched.makespan_ns + timing.host_iface_ns(nbytes) + timing.host_overhead_ns
 
 

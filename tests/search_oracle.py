@@ -10,7 +10,7 @@ import itertools
 
 from recssd.ev_engine import table_layout
 from recssd.kernel_search import kernel_options
-from recssd.mlp_engine import KernelAssignment, make_layers, pipeline_schedule
+from recssd.mlp_engine import KernelAssignment, pipeline_schedule
 from recssd.recmodel import generate_workload
 
 from oracles import adder_oracle, lookup_reads
@@ -31,25 +31,21 @@ def emb_ns(model, queries, geometry, timing) -> dict:
 
 
 def _stage_time(dims, kernels, batch, timing, floors):
-    layers = make_layers([dims[0][0]] + [c for _, c in dims])
-    sched = pipeline_schedule(layers, kernels, inputs_at_cycles=[0] * batch,
+    sched = pipeline_schedule(dims, kernels, inputs_at_cycles=[0] * batch,
                               floor_cycles=floors)
     return timing.cycles_to_ns(int(sched.completions.max()))
 
 
-def enumerate_search(model, resource_model, geometry, timing, profile, space,
+def enumerate_search(model, resource_model, geometry, timing, workload, seed, batch, space,
                      floors_b=None, floors_t=None):
     """Returns (assignment, batch, objective) or None if infeasible at every
-    batch up to the cap."""
+    batch from `batch` up to the cap."""
     spec = model.spec
-    bottom = [(spec.bottom_mlp_dims[l], spec.bottom_mlp_dims[l + 1])
-              for l in range(len(spec.bottom_mlp_dims) - 1)]
-    top = [(spec.top_mlp_dims[l], spec.top_mlp_dims[l + 1])
-           for l in range(len(spec.top_mlp_dims) - 1)]
+    bottom, top = spec.bottom_mlp_dims, spec.top_mlp_dims
 
     def stage_combos(dims):
         per_layer = []
-        for r, c in dims:
+        for r, c in zip(dims, dims[1:]):
             per_layer.append([(kr, kc)
                               for kr in kernel_options(r, space.max_kernel)
                               for kc in kernel_options(c, space.max_kernel)])
@@ -58,10 +54,9 @@ def enumerate_search(model, resource_model, geometry, timing, profile, space,
     bot_combos = stage_combos(bottom)
     top_combos = stage_combos(top)
 
-    batch = space.initial_batch
     while True:
-        queries = generate_workload(spec, profile.distribution, profile.pooling, batch,
-                                    profile.seed, profile.zipf_s)
+        queries = generate_workload(spec, workload.distribution, workload.pooling, batch, seed,
+                                    workload.zipf_s)
         best = None
         for kc_e, budget in emb_ns(model, queries, geometry, timing).items():
             bot_times = {c: _stage_time(bottom, c, batch, timing, floors_b)

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from recssd.ev_engine import dispatch, table_layout, translate_batch
-from recssd.kernel_search import (ResourceModel, SearchSpace, WorkloadProfile,
-                                  resource_usage, search, verify_constraints)
+from recssd.kernel_search import (ResourceModel, SearchSpace, resource_usage, search,
+                                  verify_constraints)
 from recssd.mlp_engine import (KernelAssignment, conventional_cycles, eval_decomposed,
-                               decompose_first_layer, make_layers, pipeline_schedule)
+                               decompose_first_layer, pipeline_schedule)
 from recssd.recmodel import (DESK_POOLING, ModelSpec, Query, TableSpec, Workload,
                              build_model, desk_model_spec, generate_workload,
                              reference_inference)
@@ -82,10 +82,10 @@ def _random_instance(rng):
     model = build_model(spec, int(rng.integers(0, 100)))
     timing = TimingParams(page_read_us=float(rng.choice([20.0, 50.0])),
                           fc_clock_mhz=float(rng.choice([0.5, 1.0, 2.0, 5.0])))
-    profile = WorkloadProfile(pooling=int(rng.choice([1, 2, 4])),
-                              seed=int(rng.integers(0, 1000)))
-    space = SearchSpace(initial_batch=1, max_batch=4, max_kernel=8)
-    return model, timing, profile, space
+    workload = WorkloadConfig(pooling=int(rng.choice([1, 2, 4])))
+    seed = int(rng.integers(0, 1000))
+    space = SearchSpace(max_batch=4, max_kernel=8)
+    return model, timing, workload, seed, space
 
 
 def _criterion2(reports):
@@ -94,9 +94,9 @@ def _criterion2(reports):
     matched = 0
     feasible_sound = True
     for k in range(20):
-        model, timing, profile, space = _random_instance(rng)
-        got = search(model, RM, GEO, timing, profile, space)
-        want = enumerate_search(model, RM, GEO, timing, profile, space)
+        model, timing, workload, seed, space = _random_instance(rng)
+        got = search(model, RM, GEO, timing, workload, seed, 1, space)
+        want = enumerate_search(model, RM, GEO, timing, workload, seed, 1, space)
         reports[f"c2/instance{k}"] = json.dumps(got.to_dict())
         if want is None:
             matched += (not got.feasible)
@@ -105,7 +105,7 @@ def _criterion2(reports):
               and got.batch == want[1] and got.objective == want[2])
         matched += ok
         if got.feasible:
-            rep = verify_constraints(model, got, GEO, timing, profile, RM)
+            rep = verify_constraints(model, got, GEO, timing, workload, seed, RM)
             feasible_sound &= rep.ok and rep.slack_bottom_ns >= 0 and rep.slack_top_ns >= 0
     _ELAPSED[2] = time.monotonic() - t0
     return matched, feasible_sound
@@ -113,10 +113,10 @@ def _criterion2(reports):
 
 def _criterion3(reports):
     t0 = time.monotonic()
-    layers = make_layers([64] * 9)
+    dims = (64,) * 9
     kernels = [(1, 1)] * 8
-    makespan = int(pipeline_schedule(layers, kernels).completions.max())
-    conv = conventional_cycles(layers, kernels)
+    makespan = int(pipeline_schedule(dims, kernels).completions.max())
+    conv = conventional_cycles(dims, kernels)
     ratio = makespan / conv
     reports["c3/ratio"] = json.dumps({"alternating": makespan,
                                       "conventional": conv, "ratio": ratio})
@@ -129,7 +129,7 @@ def _criterion45(reports):
     model = build_model(desk_model_spec("rmc3-mini"), MODEL_SEED)
     wl = WorkloadConfig()
     common = dict(model=model, geometry=GEO, timing=TP, workload=wl, query_count=10_000)
-    rm = run(Scenario(mode=MODE_RMSSD, batch=2, auto_search=True, **common), C4_SEED)
+    rm = run(Scenario(mode=MODE_RMSSD, batch=2, **common), C4_SEED)
     base = run(Scenario(mode=MODE_SSD_BASELINE, dram_fraction=0.25, **common), C4_SEED)
     t_c4 = time.monotonic() - t0
     emb = run(Scenario(mode=MODE_EMB_VECTORSUM, batch=2, **common), C4_SEED)
@@ -148,17 +148,17 @@ def _criterion6(reports):
     t0 = time.monotonic()
     spec = desk_model_spec("rmc3-mini")
     model = build_model(spec, MODEL_SEED)
-    profile = WorkloadProfile(pooling=8, seed=C4_SEED)
-    out = search(model, RM, GEO, TP, profile, SearchSpace(initial_batch=2, max_batch=16))
+    wl = WorkloadConfig(pooling=8)
+    out = search(model, RM, GEO, TP, wl, C4_SEED, 2, SearchSpace(max_batch=16))
     reports["c6/outcome"] = json.dumps(out.to_dict())
     allmax = KernelAssignment.all_max(spec)
     dsp_opt = resource_usage(spec, out.assignment, RM).dsp
     dsp_max = resource_usage(spec, allmax, RM).dsp
-    rep_opt = verify_constraints(model, out, GEO, TP, profile, RM)
+    rep_opt = verify_constraints(model, out, GEO, TP, wl, C4_SEED, RM)
     from recssd.kernel_search import SearchOutcome
     rep_max = verify_constraints(
         model, SearchOutcome(True, allmax, out.batch, None, None, allmax.objective()),
-        GEO, TP, profile, RM)
+        GEO, TP, wl, C4_SEED, RM)
     _ELAPSED[6] = time.monotonic() - t0
     return dsp_opt, dsp_max, out.feasible and rep_opt.ok, rep_max.ok
 
@@ -252,7 +252,7 @@ def test_criterion_8_property_suites():
         reqs = translate_batch(layout,
                                Workload.from_queries([Query([idx], np.zeros(2, np.float32))]))
         distinct = len({i // 64 for i in idx})
-        assert len(dispatch(reqs)) == distinct <= n
+        assert len(dispatch(reqs, np.zeros(len(reqs), np.int64))) == distinct <= n
 
     # work conservation: a die never idles while a request is pending
     geo_small = SsdGeometry(2, 2, 4096)
@@ -260,7 +260,7 @@ def test_criterion_8_property_suites():
         nreq = int(rng.integers(1, 10))
         channel, die = np.array([[int(rng.integers(0, 2)) for _ in range(2)]
                                  for _ in range(nreq)]).T
-        reads = PageReads(channel, die)
+        reads = PageReads(channel, die, np.zeros(nreq, np.int64))
         sched = schedule_page_reads(reads, geo_small, TP)
         for recs in die_timelines(sched).values():
             for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
@@ -274,7 +274,7 @@ def test_criterion_8_property_suites():
         idx = rng.integers(0, 64 * 256, 600).tolist()
         reqs = translate_batch(layout_bal,
                                Workload.from_queries([Query([idx], np.zeros(2, np.float32))]))
-        reads = dispatch(reqs)
+        reads = dispatch(reqs, np.zeros(len(reqs), np.int64))
         counts = np.unique(reads.channel * 2 + reads.die, return_counts=True)[1].tolist()
         assert len(counts) == 4 and min(counts) >= 32
         assert max(counts) / min(counts) <= 1.5
@@ -283,13 +283,12 @@ def test_criterion_8_property_suites():
     for _ in range(1000):
         n = int(rng.integers(1, 5))
         dims = [int(rng.integers(1, 20)) for _ in range(n + 1)]
-        layers = make_layers(dims)
         kernels = []
         for l in range(n):
             kr = min(1 << int(rng.integers(0, 5)), KernelAssignment.largest_pow2(dims[l]))
             kc = min(1 << int(rng.integers(0, 5)), KernelAssignment.largest_pow2(dims[l + 1]))
             kernels.append((kr, kc))
-        sched = pipeline_schedule(layers, kernels, inputs_at_cycles=[int(rng.integers(0, 40))])
+        sched = pipeline_schedule(dims, kernels, inputs_at_cycles=[int(rng.integers(0, 40))])
         prev = None
         for e in pipeline_entries(sched):
             assert e.end_cycle >= e.start_cycle

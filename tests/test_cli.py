@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import resource
@@ -11,7 +12,10 @@ import yaml
 from recssd.cli import main
 from recssd.config import (ConfigError, build_scenario, default_config_text,
                            load_config, validate_config)
-from recssd.kernel_search import WorkloadProfile
+from recssd.kernel_search import ResourceModel, SearchSpace
+from recssd.recmodel import WorkloadConfig
+from recssd.sim import Scenario
+from recssd.storage import TimingParams
 
 from search_oracle import enumerate_search
 
@@ -211,7 +215,32 @@ search_space: {max_batch: 2}
 """
         path = write(tmp_path, "inf.yaml", cfg)
         assert main(["run", path, "--quiet"]) == 3
-        assert "binding constraint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: infeasible kernel search (binding constraint: top)\n"
+        # compare fails the same way, with the same message
+        base = write(tmp_path, "base.yaml", cfg.replace("mode: rmssd", "mode: ssd-baseline"))
+        assert main(["compare", base, path, "--quiet"]) == 3
+        assert capsys.readouterr().err == err
+
+    def test_start_batch_above_cap_is_tried_alone(self, tmp_path, capsys):
+        # the search starts at scenario.batch and doubles it while the double
+        # is within max_batch, so a cap at or below the batch tries the batch
+        # alone: caps of 0, 2 and 4 give one search and one run
+        searches, runs = [], []
+        for cap in (0, 2, 4):
+            path = write(tmp_path, f"cap{cap}.yaml",
+                         "model: {preset: wnd-mini, seed: 1}\n"
+                         "scenario: {mode: rmssd, query_count: 20, batch: 4}\n"
+                         f"search_space: {{max_batch: {cap}}}\n")
+            assert main(["search", path, "--seed", "3"]) == 0
+            searches.append(json.loads(capsys.readouterr().out))
+            assert main(["run", path, "--seed", "3", "--out", str(tmp_path / f"o{cap}"),
+                         "--format", "json"]) == 0
+            runs.append(json.loads(capsys.readouterr().out))
+        assert searches[0]["feasible"] and searches[0]["batch"] == 4
+        assert searches[0] == searches[1] == searches[2]
+        assert runs[0]["completed"] == 20
+        assert runs[0] == runs[1] == runs[2]
 
     def test_json_format_stdout(self, tmp_path, capsys):
         path = write(tmp_path, "run.yaml", FAST_RUN)
@@ -237,10 +266,9 @@ class TestSearchCmd:
         assert got["feasible"] is True
 
         scenario = build_scenario(load_config(path))
-        profile = WorkloadProfile("uniform", 4, 1.0, 11)
         want = enumerate_search(scenario.model, scenario.resource_model,
-                                scenario.geometry, scenario.timing, profile,
-                                scenario.space)
+                                scenario.geometry, scenario.timing,
+                                WorkloadConfig("uniform", 4, 1.0), 11, 1, scenario.space)
         assert want is not None
         assignment, batch, objective = want
         assert got["objective"] == objective
@@ -288,6 +316,11 @@ class TestCompareCmd:
                   "workload: {pooling: 2}\n")
         assert main(["compare", a, b, "--quiet"]) == 2
 
+    def test_one_config_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "c.yaml", FAST_RUN)
+        assert main(["compare", path, "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: compare needs at least two scenarios\n"
+
     def test_baseline_vs_rmssd_suite(self, tmp_path, capsys):
         base = ("model: {preset: wnd-mini, seed: 1}\n"
                 "scenario: {mode: ssd-baseline, query_count: 60}\n"
@@ -322,6 +355,17 @@ class TestConfigModule:
         build_scenario({"geometry": {"channels": 2}})
         sc = build_scenario({})
         assert sc.geometry.channels == 8 and sc.timing.page_read_us == 50.0
+
+    def test_yaml_defaults_equal_dataclass_defaults(self):
+        # the default document and the dataclasses state every default twice;
+        # an empty document must build what the dataclasses give
+        sc = build_scenario({})
+        assert sc.timing == TimingParams()
+        assert sc.resource_model == ResourceModel()
+        assert sc.workload == WorkloadConfig()
+        assert sc.space == SearchSpace()
+        defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+        assert (sc.batch, sc.dram_fraction) == (defaults["batch"], defaults["dram_fraction"])
 
     def test_partial_override_keeps_defaults(self):
         merged = validate_config({"geometry": {"channels": 4}})

@@ -127,7 +127,7 @@ class TestDispatch:
         layout = table_layout(model.spec, GEO)
         qs = Workload.from_queries([Query([[3, 7]], np.zeros(2, np.float32))])   # both in page 0
         reqs = translate_batch(layout, qs)
-        reads = dispatch(reqs)
+        reads = dispatch(reqs, np.zeros(len(reqs), np.int64))
         assert len(reads) == 1
         assert np.bincount(reads.read).tolist() == [2]
 
@@ -148,7 +148,7 @@ class TestDispatch:
         idx = rng.integers(0, 64 * 128, 100).tolist()
         qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
         reqs = translate_batch(layout, qs)
-        reads = dispatch(reqs)
+        reads = dispatch(reqs, np.zeros(len(reqs), np.int64))
         # counting oracle: distinct pages grouped by striping arithmetic
         pages = sorted({i // 64 for i in idx})
         per_die = {}
@@ -181,7 +181,7 @@ class TestDispatch:
             idx = rng.integers(0, 64 * 16, n).tolist()
             qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
             reqs = translate_batch(layout, qs)
-            npages = len(dispatch(reqs))
+            npages = len(dispatch(reqs, np.zeros(len(reqs), np.int64)))
             assert npages <= n
             assert (npages == n) == (len({i // 64 for i in idx}) == n)
 

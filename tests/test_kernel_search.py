@@ -4,12 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
-from recssd.kernel_search import (ResourceModel, SearchSpace, WorkloadProfile, _Stage,
-                                  bram_placement, emb_budgets, estimate_times,
-                                  kernel_options, layer_weight_bytes, resource_usage,
-                                  search, spill_floor_cycles, verify_constraints)
-from recssd.mlp_engine import KernelAssignment, fc_cycles, make_layers
-from recssd.recmodel import (DESK_PRESETS, ModelSpec, TableSpec, build_model,
+from recssd.kernel_search import (ResourceModel, SearchSpace, _Stage, bram_placement,
+                                  emb_budgets, estimate_times, kernel_options,
+                                  layer_weight_bytes, resource_usage, search,
+                                  spill_floor_cycles, verify_constraints)
+from recssd.mlp_engine import KernelAssignment, fc_cycles
+from recssd.recmodel import (DESK_PRESETS, ModelSpec, TableSpec, WorkloadConfig, build_model,
                              desk_model_spec, generate_workload)
 from recssd.storage import SsdGeometry, TimingParams
 
@@ -33,19 +33,19 @@ class TestEstimateTimes:
     def test_full_kernels_are_fastest(self):
         model = desk_model_spec("rmc3-mini")
         m = build_model(model, 3)
-        profile = WorkloadProfile(seed=3)
-        fast = estimate_times(m, KernelAssignment.all_max(model), 2, GEO, TP, profile)
+        wl = WorkloadConfig()
+        fast = estimate_times(m, KernelAssignment.all_max(model), 2, GEO, TP, wl, 3)
         slow = estimate_times(m, KernelAssignment(((1, 1), (1, 1)), ((1, 1), (1, 1)), (1, 1)),
-                              2, GEO, TP, profile)
+                              2, GEO, TP, wl, 3)
         assert fast.bottom_ns <= slow.bottom_ns
         assert fast.top_ns <= slow.top_ns
 
     def test_batch_doubling_roughly_doubles(self):
         m = tiny_model()
-        profile = WorkloadProfile(pooling=4, seed=5)
+        wl = WorkloadConfig(pooling=4)
         a = KernelAssignment(((2, 2),), ((2, 1),), (1, 2))
-        one = estimate_times(m, a, 1, GEO, TP, profile)
-        two = estimate_times(m, a, 2, GEO, TP, profile)
+        one = estimate_times(m, a, 1, GEO, TP, wl, 5)
+        two = estimate_times(m, a, 2, GEO, TP, wl, 5)
         # MLP cycles are exactly work*B + fill
         assert two.bottom_ns < 2 * one.bottom_ns
         assert two.bottom_ns > 2 * one.bottom_ns - 100
@@ -55,9 +55,8 @@ class TestEstimateTimes:
         spec = desk_model_spec("rmc3-mini")
         m = build_model(spec, 3)
         a = KernelAssignment(((4, 16), (8, 8)), ((16, 16), (8, 1)), (1, 4))
-        profile = WorkloadProfile(pooling=8, seed=3)
         batch = 2
-        got = estimate_times(m, a, batch, GEO, TP, profile)
+        got = estimate_times(m, a, batch, GEO, TP, WorkloadConfig(pooling=8), 3)
 
         # embedding side: layout arithmetic + flash oracle + adder oracle
         qs = generate_workload(spec, "uniform", 8, batch, 3)
@@ -118,9 +117,9 @@ class TestResourceUsage:
         nbytes = layer_weight_bytes(16, 512)
         assert nbytes == 34816
         assert usage.dram_traffic_bytes == nbytes
-        profile = WorkloadProfile(pooling=2, seed=7)
-        with_floor = estimate_times(m, a, 1, GEO, TP, profile, resource_model=rm)
-        without = estimate_times(m, a, 1, GEO, TP, profile)
+        wl = WorkloadConfig(pooling=2)
+        with_floor = estimate_times(m, a, 1, GEO, TP, wl, 7, resource_model=rm)
+        without = estimate_times(m, a, 1, GEO, TP, wl, 7)
         floor_cycles = TP.ns_to_cycles(nbytes)
         assert with_floor.top_ns > without.top_ns
         comps = pipeline_oracle([(16, 512), (512, 1)], a.top, [0],
@@ -142,7 +141,7 @@ class TestSearch:
     def test_slow_flash_gives_minimal_kernels(self):
         m = tiny_model(bot=(8, 8), top_hidden=(8,))
         slow = TimingParams(page_read_us=100000.0)   # constraints never bind
-        out = search(m, RM, GEO, slow, WorkloadProfile(pooling=2, seed=1))
+        out = search(m, RM, GEO, slow, WorkloadConfig(pooling=2), 1, 1)
         assert out.feasible
         assert out.assignment.bottom == ((1, 1),)
         assert out.assignment.top == ((1, 1), (1, 1))
@@ -154,8 +153,8 @@ class TestSearch:
         # flash ~ instant, engine clock absurdly slow -> MLP can never keep up
         fast_flash = TimingParams(page_read_us=1e-3, channel_transfer_ns_per_byte=1e-9,
                                   fc_clock_mhz=1e-3)
-        out = search(m, RM, GEO, fast_flash, WorkloadProfile(pooling=1, seed=1),
-                     SearchSpace(initial_batch=1, max_batch=4))
+        out = search(m, RM, GEO, fast_flash, WorkloadConfig(pooling=1), 1, 1,
+                     SearchSpace(max_batch=4))
         assert not out.feasible
         assert out.binding_constraint in ("bottom", "top")
         assert out.times.emb_ns < out.times.top_ns
@@ -163,10 +162,9 @@ class TestSearch:
     def test_two_layer_model_matches_enumeration_oracle(self):
         m = tiny_model(bot=(8, 8), ev_dim=8, rows=4096)
         tp = TimingParams(fc_clock_mhz=1.0)   # make the constraints bind
-        profile = WorkloadProfile(pooling=4, seed=11)
-        space = SearchSpace(initial_batch=1, max_batch=8)
-        got = search(m, RM, GEO, tp, profile, space)
-        want = enumerate_search(m, RM, GEO, tp, profile, space)
+        wl, space = WorkloadConfig(pooling=4), SearchSpace(max_batch=8)
+        got = search(m, RM, GEO, tp, wl, 11, 1, space)
+        want = enumerate_search(m, RM, GEO, tp, wl, 11, 1, space)
         assert want is not None and got.feasible
         assert got.assignment == want[0]
         assert got.batch == want[1]
@@ -174,9 +172,11 @@ class TestSearch:
 
     def test_batch_rule_soundness(self):
         m = tiny_model(bot=(8, 8))
-        out = search(m, RM, GEO, TP, WorkloadProfile(pooling=2, seed=3),
-                     SearchSpace(initial_batch=2, max_batch=16))
+        out = search(m, RM, GEO, TP, WorkloadConfig(pooling=2), 3, 2, SearchSpace(max_batch=16))
         assert out.feasible and out.batch == 2
+        # doubling never leaves a start batch below 1
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            search(m, RM, GEO, TP, WorkloadConfig(pooling=2), 3, 0, SearchSpace(max_batch=16))
 
     def test_batch_escalation_rescues_fill_dominated_config(self):
         # single die makes the embedding time exactly linear in batch, while
@@ -185,13 +185,12 @@ class TestSearch:
         geo = SsdGeometry(1, 1, 4096)
         m = tiny_model(bot=(8, 8), ev_dim=8, rows=4096)
         tp = TimingParams(fc_clock_mhz=0.05)
-        profile = WorkloadProfile(pooling=1, seed=2)
-        space = SearchSpace(initial_batch=1, max_batch=16)
-        out = search(m, RM, geo, tp, profile, space)
+        wl, space = WorkloadConfig(pooling=1), SearchSpace(max_batch=16)
+        out = search(m, RM, geo, tp, wl, 2, 1, space)
         assert out.feasible and out.batch == 4
-        rep = verify_constraints(m, out, geo, tp, profile, RM)
+        rep = verify_constraints(m, out, geo, tp, wl, 2, RM)
         assert rep.ok
-        want = enumerate_search(m, RM, geo, tp, profile, space)
+        want = enumerate_search(m, RM, geo, tp, wl, 2, 1, space)
         assert (out.assignment, out.batch, out.objective) == want
 
     def test_monotone_in_resource_budget(self):
@@ -199,11 +198,11 @@ class TestSearch:
                          top_mlp_dims=(24, 16, 1), dense_dim=8)
         m = build_model(spec, 4)
         tp = TimingParams(fc_clock_mhz=2.0)
-        profile = WorkloadProfile(pooling=8, seed=6)
+        wl = WorkloadConfig(pooling=8)
         small = ResourceModel(bram_bytes=1500, dram_bandwidth_bytes_per_s=5e8)
         large = ResourceModel(bram_bytes=64 * 1024 * 1024, dram_bandwidth_bytes_per_s=5e8)
-        out_small = search(m, small, GEO, tp, profile, SearchSpace(max_batch=4))
-        out_large = search(m, large, GEO, tp, profile, SearchSpace(max_batch=4))
+        out_small = search(m, small, GEO, tp, wl, 6, 1, SearchSpace(max_batch=4))
+        out_large = search(m, large, GEO, tp, wl, 6, 1, SearchSpace(max_batch=4))
         if out_small.feasible:
             assert out_large.feasible
             assert out_large.objective <= out_small.objective
@@ -214,8 +213,7 @@ class TestSearch:
         # use the largest kernels inside the space
         m = tiny_model(bot=(64, 64), top_hidden=(64,), ev_dim=8)
         out = search(m, RM, GEO, TimingParams(fc_clock_mhz=2.0),
-                     WorkloadProfile(pooling=8, seed=1),
-                     SearchSpace(initial_batch=1, max_batch=2, max_kernel=1))
+                     WorkloadConfig(pooling=8), 1, 1, SearchSpace(max_batch=2, max_kernel=1))
         assert not out.feasible
         assert out.binding_constraint in ("bottom", "top")
         binding_ns = {"bottom": out.times.bottom_ns, "top": out.times.top_ns}
@@ -229,12 +227,11 @@ class TestSearch:
         m = build_model(spec, 4)
         rm = ResourceModel(bram_bytes=100, dram_bandwidth_bytes_per_s=bandwidth)
         tp = TimingParams(fc_clock_mhz=20.0)
-        profile = WorkloadProfile(pooling=2, seed=4)
-        space = SearchSpace(initial_batch=1, max_batch=16)
+        wl, space = WorkloadConfig(pooling=2), SearchSpace(max_batch=16)
         floors_b, floors_t = spill_floor_cycles(spec, rm, tp)
         assert all(floors_b) and floors_t[0] > 0
-        got = search(m, rm, GEO, tp, profile, space)
-        want = enumerate_search(m, rm, GEO, tp, profile, space, floors_b, floors_t)
+        got = search(m, rm, GEO, tp, wl, 4, 1, space)
+        want = enumerate_search(m, rm, GEO, tp, wl, 4, 1, space, floors_b, floors_t)
         assert got.feasible == feasible
         if feasible:
             assert (got.assignment, got.batch, got.objective) == want
@@ -246,9 +243,9 @@ class TestSearch:
 STACKS = [(13, 64, 16), (8, 16, 8), (5, 7, 3, 9), (144, 64, 1)]
 
 
-def layer_options(layers, max_kernel=None):
-    return [[(kr, kc) for kr in kernel_options(l.in_width, max_kernel)
-             for kc in kernel_options(l.out_width, max_kernel)] for l in layers]
+def layer_options(dims, max_kernel=None):
+    return [[(kr, kc) for kr in kernel_options(r, max_kernel)
+             for kc in kernel_options(c, max_kernel)] for r, c in zip(dims, dims[1:])]
 
 
 def area_order(stage_kernels):
@@ -259,9 +256,8 @@ class TestStageWalk:
     @pytest.mark.parametrize("dims", STACKS)
     @pytest.mark.parametrize("max_kernel", [None, 4])
     def test_walk_order_is_sorted_product(self, dims, max_kernel):
-        layers = make_layers(dims)
-        want = area_order(itertools.product(*layer_options(layers, max_kernel)))
-        walk = _Stage(layers, SearchSpace(max_kernel=max_kernel), 2, TP, None).candidates(10 ** 12)
+        want = area_order(itertools.product(*layer_options(dims, max_kernel)))
+        walk = _Stage(dims, SearchSpace(max_kernel=max_kernel), 2, TP, None).candidates(10 ** 12)
         # one more than expected, so a walk that repeats candidates fails fast
         assert list(itertools.islice(walk, len(want) + 1)) == want
 
@@ -269,29 +265,29 @@ class TestStageWalk:
     @pytest.mark.parametrize("floor", [40, 61])
     def test_walk_drops_only_options_that_cannot_fit_alone(self, dims, floor):
         # a floor above the budget leaves its layer, and so the stage, nothing
-        layers = make_layers(dims)
-        floors = [0, floor] + [0] * (len(layers) - 2)
+        floors = [0, floor] + [0] * (len(dims) - 3)
         batch, budget = 3, TP.cycles_to_ns(60)
 
         def fits(l, k):
-            return TP.cycles_to_ns(max(fc_cycles(layers[l], k, batch), floors[l])) <= budget
+            return TP.cycles_to_ns(max(fc_cycles(dims[l], dims[l + 1], k, batch),
+                                       floors[l])) <= budget
 
-        want = area_order(ks for ks in itertools.product(*layer_options(layers))
+        want = area_order(ks for ks in itertools.product(*layer_options(dims))
                           if all(fits(l, k) for l, k in enumerate(ks)))
-        walk = _Stage(layers, SearchSpace(), batch, TP, floors).candidates(budget)
+        walk = _Stage(dims, SearchSpace(), batch, TP, floors).candidates(budget)
         assert list(itertools.islice(walk, len(want) + 1)) == want
 
     @pytest.mark.parametrize("dims", STACKS)
     def test_layer_bound_never_exceeds_stage_time(self, dims):
         # the bound the walk prunes by, checked against the independent oracle
-        layers = make_layers(dims)
-        floors = [7, 0, 90, 0][:len(layers)]
+        floors = [7, 0, 90, 0][:len(dims) - 1]
         for batch in (1, 3):
-            for ks in itertools.product(*layer_options(layers)):
+            for ks in itertools.product(*layer_options(dims)):
                 comps, _ = pipeline_oracle(list(zip(dims, dims[1:])), list(ks), [0] * batch,
                                            floors=floors)
                 for l, k in enumerate(ks):
-                    assert max(comps) >= max(fc_cycles(layers[l], k, batch), floors[l])
+                    assert max(comps) >= max(fc_cycles(dims[l], dims[l + 1], k, batch),
+                                             floors[l])
 
     @pytest.mark.parametrize("preset", DESK_PRESETS + ("search-deep",))
     def test_one_option_list_per_batch_walks_as_a_rebuild_per_budget(self, preset):
@@ -307,11 +303,10 @@ class TestStageWalk:
             budgets = list(emb_budgets(m, queries, GEO, TP).values())
             budgets += [b // 8 for b in budgets]
             for dims, floor in zip((spec.bottom_mlp_dims, spec.top_mlp_dims), floors):
-                layers = make_layers(dims)
-                stage = _Stage(layers, SearchSpace(), batch, TP, floor)
+                stage = _Stage(dims, SearchSpace(), batch, TP, floor)
                 for budget in budgets:
                     got = list(itertools.islice(stage.candidates(budget), longest))
-                    want = rebuilt_walk(layers, SearchSpace(), batch, TP, budget, floor)
+                    want = rebuilt_walk(dims, SearchSpace(), batch, TP, budget, floor)
                     assert got == list(itertools.islice(want, longest)), (batch, budget)
 
 
@@ -321,17 +316,17 @@ DEEP_SPEC = ModelSpec(tables=tuple(TableSpec(4096, 16) for _ in range(8)),
                       dense_dim=64)
 
 
-def rebuilt_walk(layers, space, batch, timing, budget_ns, floors):
+def rebuilt_walk(dims, space, batch, timing, budget_ns, floors):
     """The stage walk with every layer's options built for this one budget:
     the options that fit alone, sorted by (area, kernel), walked by a heap in
     ascending (area, kernels) order."""
     per_layer = []
-    for l, layer in enumerate(layers):
+    for l, (r, c) in enumerate(zip(dims, dims[1:])):
         floor = floors[l] if floors else 0
         opts = [(kr, kc)
-                for kr in kernel_options(layer.in_width, space.max_kernel)
-                for kc in kernel_options(layer.out_width, space.max_kernel)
-                if timing.cycles_to_ns(max(fc_cycles(layer, (kr, kc), batch), floor))
+                for kr in kernel_options(r, space.max_kernel)
+                for kc in kernel_options(c, space.max_kernel)
+                if timing.cycles_to_ns(max(fc_cycles(r, c, (kr, kc), batch), floor))
                 <= budget_ns]
         if not opts:
             return
@@ -353,9 +348,9 @@ def rebuilt_walk(layers, space, batch, timing, budget_ns, floors):
 class TestVerifyConstraints:
     def test_search_outcome_has_no_violations(self):
         m = tiny_model(bot=(8, 8))
-        profile = WorkloadProfile(pooling=2, seed=3)
-        out = search(m, RM, GEO, TP, profile)
-        rep = verify_constraints(m, out, GEO, TP, profile, RM)
+        wl = WorkloadConfig(pooling=2)
+        out = search(m, RM, GEO, TP, wl, 3, 1)
+        rep = verify_constraints(m, out, GEO, TP, wl, 3, RM)
         assert rep.ok and rep.slack_bottom_ns >= 0 and rep.slack_top_ns >= 0
 
     def test_oversized_mlp_outcome_flagged(self):
@@ -365,7 +360,7 @@ class TestVerifyConstraints:
         bad = SearchOutcome(feasible=True,
                             assignment=KernelAssignment(((1, 1),), ((1, 1),), (1, 1)),
                             batch=1, times=None, resources=None, objective=3)
-        rep = verify_constraints(m, bad, GEO, tp, WorkloadProfile(pooling=1, seed=0), RM)
+        rep = verify_constraints(m, bad, GEO, tp, WorkloadConfig(pooling=1), 0, RM)
         assert not rep.ok
         assert rep.slack_top_ns < 0 or rep.slack_bottom_ns < 0
 
@@ -373,7 +368,7 @@ class TestVerifyConstraints:
         from recssd.kernel_search import SearchOutcome
         rng = np.random.default_rng(61)
         m = tiny_model(bot=(8, 8), top_hidden=(8,))
-        profile = WorkloadProfile(pooling=2, seed=9)
+        wl = WorkloadConfig(pooling=2)
         for _ in range(50):
             def pick(r, c):
                 kr = int(rng.choice(kernel_options(r)))
@@ -384,8 +379,8 @@ class TestVerifyConstraints:
             batch = int(rng.integers(1, 4))
             out = SearchOutcome(feasible=True, assignment=a, batch=batch, times=None,
                                 resources=None, objective=a.objective())
-            rep = verify_constraints(m, out, GEO, TP, profile, RM)
-            times = estimate_times(m, a, batch, GEO, TP, profile, RM)
+            rep = verify_constraints(m, out, GEO, TP, wl, 9, RM)
+            times = estimate_times(m, a, batch, GEO, TP, wl, 9, RM)
             assert rep.slack_bottom_ns == times.emb_ns - times.bottom_ns
             assert rep.slack_top_ns == times.emb_ns - times.top_ns
             assert rep.ok == (rep.slack_bottom_ns >= 0 and rep.slack_top_ns >= 0)

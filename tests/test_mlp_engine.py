@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from recssd.mlp_engine import (FcLayerSpec, KernelAssignment, conventional_cycles,
-                               decompose_first_layer, eval_decomposed, fc_cycles,
-                               make_layers, pipeline_schedule, pipeline_schedule_decomposed)
+from recssd.mlp_engine import (KernelAssignment, conventional_cycles, decompose_first_layer,
+                               eval_decomposed, fc_cycles, pipeline_schedule,
+                               pipeline_schedule_decomposed)
 from recssd.recmodel import desk_model_spec, mlp_forward
 
 from oracles import decomposed_top_oracle, pipeline_entries, pipeline_oracle, two_phase_split
@@ -11,18 +11,18 @@ from oracles import decomposed_top_oracle, pipeline_entries, pipeline_oracle, tw
 
 class TestFcCycles:
     def test_eight_by_eight(self):
-        assert fc_cycles(FcLayerSpec(8, 8), (4, 4)) == 6
+        assert fc_cycles(8, 8, (4, 4)) == 6
 
     def test_single_block(self):
-        assert fc_cycles(FcLayerSpec(8, 8), (8, 8)) == 1 + 3
-        assert fc_cycles(FcLayerSpec(1, 1), (1, 1)) == 1 + 1   # fill floor at kr=2
+        assert fc_cycles(8, 8, (8, 8)) == 1 + 3
+        assert fc_cycles(1, 1, (1, 1)) == 1 + 1   # fill floor at kr=2
 
     def test_ragged_with_batch(self):
-        assert fc_cycles(FcLayerSpec(13, 64), (4, 8), batch=7) == 4 * 8 * 7 + 2
+        assert fc_cycles(13, 64, (4, 8), batch=7) == 4 * 8 * 7 + 2
 
     def test_kernel_exceeding_dims(self):
         with pytest.raises(ValueError, match="exceeds"):
-            fc_cycles(FcLayerSpec(8, 8), (16, 4))
+            fc_cycles(8, 8, (16, 4))
 
 
 class TestDecompose:
@@ -66,23 +66,23 @@ class TestDecompose:
 
 
 def equal_stack(n_layers, width, kr, kc):
-    layers = make_layers([width] * (n_layers + 1))
+    dims = (width,) * (n_layers + 1)
     kernels = [(kr, kc)] * n_layers
-    return layers, kernels
+    return dims, kernels
 
 
 class TestPipelineSchedule:
     def test_single_layer_makespan_is_fc_cycles(self):
-        layers, kernels = equal_stack(1, 32, 4, 8)
-        sched = pipeline_schedule(layers, kernels)
-        assert sched.completions.max() == fc_cycles(layers[0], (4, 8))
+        dims, kernels = equal_stack(1, 32, 4, 8)
+        sched = pipeline_schedule(dims, kernels)
+        assert sched.completions.max() == fc_cycles(32, 32, (4, 8))
 
     def test_two_layer_overlap_matches_oracle(self):
-        layers, kernels = equal_stack(2, 10, 1, 1)
-        sched = pipeline_schedule(layers, kernels)
+        dims, kernels = equal_stack(2, 10, 1, 1)
+        sched = pipeline_schedule(dims, kernels)
         comps, _ = pipeline_oracle([(10, 10), (10, 10)], kernels, [0])
         assert sched.completions.tolist() == [comps]
-        conv = conventional_cycles(layers, kernels)
+        conv = conventional_cycles(dims, kernels)
         # ~1.1x one layer vs 2x: the pair overlaps
         assert sched.completions.max() < 0.6 * conv
 
@@ -95,7 +95,6 @@ class TestPipelineSchedule:
             extra = i >= 60
             n = int(rng.integers(1, 5))
             dims = [int(rng.integers(1, 600 if extra else 40)) for _ in range(n + 1)]
-            layers = make_layers(dims)
             kernels = []
             for l in range(n):
                 kr = 1 << int(rng.integers(0, max(1, int(np.log2(dims[l])) + 1)))
@@ -107,7 +106,7 @@ class TestPipelineSchedule:
             inputs = sorted(int(rng.integers(0, 50)) for _ in range(B))
             floors = [int(rng.choice([0, rng.integers(1, 100), rng.integers(1, 10**9)]))
                       for _ in range(n)] if extra else None
-            sched = pipeline_schedule(layers, kernels, inputs_at_cycles=inputs,
+            sched = pipeline_schedule(dims, kernels, inputs_at_cycles=inputs,
                                       floor_cycles=floors)
             comps, detail = pipeline_oracle([(dims[l], dims[l + 1]) for l in range(n)],
                                             kernels, inputs, floors)
@@ -122,28 +121,31 @@ class TestPipelineSchedule:
                 else:
                     assert list(zip(e.chunk_start, e.chunk_end)) == d["spans"]
                     assert all(s >= r for s, r in zip(e.chunk_start, e.chunk_ready))
-            sched0 = pipeline_schedule(layers, kernels, inputs_at_cycles=[0] * B)
-            assert sched0.completions.max() <= conventional_cycles(layers, kernels, B)
+            sched0 = pipeline_schedule(dims, kernels, inputs_at_cycles=[0] * B)
+            assert sched0.completions.max() <= conventional_cycles(dims, kernels, B)
 
     def test_halving_limit_eight_layers(self):
         ratios = []
         for groups in (8, 16, 64):
-            layers, kernels = equal_stack(8, groups, 1, 1)
-            sched = pipeline_schedule(layers, kernels)
-            conv = conventional_cycles(layers, kernels)
+            dims, kernels = equal_stack(8, groups, 1, 1)
+            sched = pipeline_schedule(dims, kernels)
+            conv = conventional_cycles(dims, kernels)
             ratios.append(sched.completions.max() / conv)
         assert ratios[2] <= ratios[1] <= ratios[0]
         assert 0.5 <= ratios[2] <= 0.55
 
     def test_direction_and_shape_errors(self):
-        layers = [FcLayerSpec(4, 4), FcLayerSpec(5, 4)]
-        with pytest.raises(ValueError, match="input width"):
-            pipeline_schedule(layers, [(1, 1), (1, 1)])
+        with pytest.raises(ValueError, match="empty layer stack"):
+            pipeline_schedule((4,), [])
+        with pytest.raises(ValueError, match="1 kernels for 2 layers"):
+            pipeline_schedule((4, 4, 4), [(1, 1)])
+        with pytest.raises(ValueError, match="layer 1: kernel"):
+            pipeline_schedule((4, 4, 2), [(4, 4), (4, 4)])
 
     def test_weight_fetch_floor_stretches_first_pass(self):
-        layers, kernels = equal_stack(1, 16, 4, 4)
-        plain = pipeline_schedule(layers, kernels, inputs_at_cycles=[0, 0])
-        floored = pipeline_schedule(layers, kernels, inputs_at_cycles=[0, 0],
+        dims, kernels = equal_stack(1, 16, 4, 4)
+        plain = pipeline_schedule(dims, kernels, inputs_at_cycles=[0, 0])
+        floored = pipeline_schedule(dims, kernels, inputs_at_cycles=[0, 0],
                                     floor_cycles=[1000])
         work = 4 * 4
         assert plain.completions.tolist() == [[work + 2, 2 * work + 2]]
@@ -153,11 +155,10 @@ class TestPipelineSchedule:
     def test_decomposed_matches_oracle(self):
         rng = np.random.default_rng(57)
         spec = desk_model_spec("rmc3-mini")
-        layers = make_layers(spec.top_mlp_dims)
+        dims = spec.top_mlp_dims
         for i in range(80):
             kernels = []
-            for l in range(len(layers)):
-                r, c = layers[l].in_width, layers[l].out_width
+            for r, c in zip(dims, dims[1:]):
                 kr = min(1 << int(rng.integers(0, 8)), KernelAssignment.largest_pow2(r))
                 kc = min(1 << int(rng.integers(0, 7)), KernelAssignment.largest_pow2(c))
                 kernels.append((kr, kc))
@@ -166,8 +167,8 @@ class TestPipelineSchedule:
             e_ready = sorted(int(rng.integers(0, 30000)) for _ in range(B))
             # the last 40 draws also spill floors (0, small, up to 1e9 cycles)
             floors = [int(rng.choice([0, rng.integers(1, 100), rng.integers(1, 10**9)]))
-                      for _ in layers] if i >= 40 else None
-            sched = pipeline_schedule_decomposed(layers, kernels, 16, b_ready, e_ready,
+                      for _ in kernels] if i >= 40 else None
+            sched = pipeline_schedule_decomposed(dims, kernels, 16, b_ready, e_ready,
                                                  floor_cycles=floors)
             comps, starts = decomposed_top_oracle([(144, 64), (64, 1)], kernels, 16, 128,
                                                   b_ready, e_ready, floors)
@@ -182,7 +183,6 @@ class TestPipelineSchedule:
             n = int(rng.integers(2, 5))
             dims = [int(rng.integers(2, 200))] + [int(rng.integers(1, 120)) for _ in range(n)]
             split = int(rng.integers(1, dims[0]))
-            layers = make_layers(dims)
             kernels = [(1 << int(rng.integers(0, int(np.log2(dims[l])) + 1)),
                         1 << int(rng.integers(0, int(np.log2(dims[l + 1])) + 1)))
                        for l in range(n)]
@@ -191,11 +191,11 @@ class TestPipelineSchedule:
             lanes, B = int(rng.integers(1, 8)), int(rng.integers(1, 6))
             b_ready = sorted(int(rng.integers(0, 3000)) for _ in range(B))
             e_ready = rng.integers(0, 30000, (lanes, B))
-            sched = pipeline_schedule_decomposed(layers, kernels, split, b_ready, e_ready,
+            sched = pipeline_schedule_decomposed(dims, kernels, split, b_ready, e_ready,
                                                  floor_cycles=floors)
             assert sched.completions.shape == sched.starts.shape == (lanes, B)
             for k in range(lanes):
-                one = pipeline_schedule_decomposed(layers, kernels, split, b_ready,
+                one = pipeline_schedule_decomposed(dims, kernels, split, b_ready,
                                                    e_ready[k].tolist(), floor_cycles=floors)
                 assert one.completions.shape == (1, B)
                 assert sched.completions[k].tolist() == one.completions[0].tolist()
@@ -216,16 +216,16 @@ class TestPipelineSchedule:
                 assert sched.starts[k].tolist() == starts
 
     def test_lanes_reject_mismatched_lengths(self):
-        layers, kernels = equal_stack(2, 8, 2, 2)
+        dims, kernels = equal_stack(2, 8, 2, 2)
         with pytest.raises(ValueError, match="length"):
-            pipeline_schedule_decomposed(layers, kernels, 4, [0, 0],
+            pipeline_schedule_decomposed(dims, kernels, 4, [0, 0],
                                          np.zeros((3, 4), dtype=np.int64))
 
     def test_split_outside_first_layer(self):
-        layers, kernels = equal_stack(2, 8, 2, 2)
+        dims, kernels = equal_stack(2, 8, 2, 2)
         for split in (-1, 8):
             with pytest.raises(ValueError, match="split"):
-                pipeline_schedule_decomposed(layers, kernels, split, [0], [0])
+                pipeline_schedule_decomposed(dims, kernels, split, [0], [0])
 
 
 class TestKernelAssignment:

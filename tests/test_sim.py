@@ -21,12 +21,12 @@ GEO = SsdGeometry(8, 4, 4096)
 TP = TimingParams()
 
 
-def scenario(mode, model, count, batch=2, kernels=None, auto=False, workload=None,
+def scenario(mode, model, count, batch=2, kernels=None, workload=None,
              dram_fraction=0.25, timing=TP, duration_ns=None, geometry=GEO):
     return Scenario(mode=mode, model=model, geometry=geometry, timing=timing,
                     workload=workload or WorkloadConfig(), query_count=count,
                     batch=batch, dram_fraction=dram_fraction, kernels=kernels,
-                    auto_search=auto, duration_ns=duration_ns)
+                    duration_ns=duration_ns)
 
 
 def rmc3(seed=3):
@@ -252,14 +252,11 @@ class TestRmssdMode:
         for got, q in zip(r.scores, qs):
             assert got == reference_inference(m, q)
 
-    def test_requires_assignment_or_auto(self):
-        m = rmc3()
-        with pytest.raises(ValueError, match="assignment"):
-            run(scenario(MODE_RMSSD, m, 4), 0)
-
     def test_auto_search_used(self):
         m = rmc3()
-        r = run(scenario(MODE_RMSSD, m, 8, auto=True), 5)
+        sc = scenario(MODE_RMSSD, m, 8)
+        assert sc.auto_search and not scenario(MODE_RMSSD, m, 8, kernels=ALLMAX).auto_search
+        r = run(sc, 5)
         assert r.search_outcome is not None and r.search_outcome.feasible
         assert r.metrics.resources is not None
 
@@ -268,9 +265,8 @@ class TestRmssdMode:
         # 1 ns sense and 1 ns page transfer, the shortest a scenario accepts
         bad = TimingParams(page_read_us=1e-3, channel_transfer_ns_per_byte=2.5e-4,
                            fc_clock_mhz=1e-4)
-        sc = scenario(MODE_RMSSD, m, 4, auto=True, timing=bad,
-                      workload=WorkloadConfig(pooling=1))
-        sc.space = SearchSpace(initial_batch=1, max_batch=2)
+        sc = scenario(MODE_RMSSD, m, 4, batch=1, timing=bad, workload=WorkloadConfig(pooling=1))
+        sc.space = SearchSpace(max_batch=2)
         with pytest.raises(InfeasibleSearchError):
             run(sc, 0)
 
@@ -414,7 +410,7 @@ class TestMetricsAndDeterminism:
             assert r.metrics.issued == 0 and r.metrics.completed == 0
 
     def test_bit_identical_reruns(self):
-        for mode, kw in ((MODE_RMSSD, {"kernels": ALLMAX, "auto": False}),
+        for mode, kw in ((MODE_RMSSD, {"kernels": ALLMAX}),
                          (MODE_EMB_VECTORSUM, {}), (MODE_SSD_BASELINE, {})):
             a = run(scenario(mode, rmc3(), 40, **kw), 23)
             b = run(scenario(mode, rmc3(), 40, **kw), 23)

@@ -153,9 +153,10 @@ class TestHostBlockRead:
 
 
 def page_reads(rows, lane=None):
-    """PageReads from (channel, die) rows; seq is the row."""
+    """PageReads from (channel, die) rows; seq is the row. Every read is in
+    lane 0 unless `lane` labels them."""
     channel, die = (np.array(col, dtype=np.int64).reshape(-1) for col in zip(*rows))
-    return PageReads(channel, die, lane)
+    return PageReads(channel, die, np.zeros(len(channel), np.int64) if lane is None else lane)
 
 
 class TestSchedulePageReads:
@@ -222,7 +223,7 @@ class TestSchedulePageReads:
                                 sched.xfer_start_ns[mine].tolist(),
                                 sched.xfer_end_ns[mine].tolist())) == \
                     [oracle[seq] for seq in range(len(rows))]
-                assert busy[l].tolist() == alone.channel_busy_ns(geo.channels)[0].tolist()
+                assert busy[l].tolist() == alone.channel_busy_ns(geo.channels, 1)[0].tolist()
 
     def test_work_conservation(self):
         rng = np.random.default_rng(34)
