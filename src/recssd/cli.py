@@ -94,9 +94,7 @@ def cmd_search(args) -> int:
                      scenario.space)
     print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
     if not outcome.feasible:
-        print(f"error: infeasible at batch cap (binding constraint: "
-              f"{outcome.binding_constraint})", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise InfeasibleSearchError(outcome)
     return EXIT_OK
 
 

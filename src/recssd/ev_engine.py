@@ -11,6 +11,10 @@ Timing vs values: fetch and adder timing follow arrival order out of flash;
 the summed values are always accumulated in the query's index order so they
 match the reference path bit-for-bit.
 
+A lookup's requests, arrivals and vectors are (queries, tables, pooling)
+arrays, every query looking up the workload's pooling of rows in each
+table, so the sums and the adder's order work along fixed axes of them.
+
 A lookup is one call chain: `translate_batch` places each request,
 `read_timeline` coalesces and schedules the page reads and orders their
 arrivals at the adder, and `simulate_lookup` finishes the lookup for one
@@ -57,25 +61,24 @@ def table_layout(model_spec, geometry: SsdGeometry) -> TableLayout:
 
 
 def _locate(layout: TableLayout, table: np.ndarray, index: np.ndarray):
-    """Page and row slot within the page of each (table, row)."""
+    """Page and row slot within the page of each (table, row), the two arrays
+    broadcast against each other."""
     rows = layout.rows
     bad = (table < 0) | (table >= len(rows))
     if bad.any():
-        raise ValueError(f"table {table[np.argmax(bad)]} not in the layout")
+        raise ValueError(f"table {table.flat[np.argmax(bad)]} not in the layout")
     bad = (index < 0) | (index >= rows[table])
     if bad.any():
-        k = np.argmax(bad)
-        raise ValueError(f"table {table[k]}: index {index[k]} out of range [0, {rows[table[k]]})")
+        t, i = (np.broadcast_to(a, bad.shape).flat[np.argmax(bad)] for a in (table, index))
+        raise ValueError(f"table {t}: index {i} out of range [0, {rows[t]})")
     return layout.first_page[table] + index // layout.rows_per_page, index % layout.rows_per_page
 
 
 @dataclass(frozen=True)
 class Requests:
-    """Embedding lookups as columns, in query order, then table order, then
-    the order of each query's index list."""
-    pooling: np.ndarray     # (queries, tables): lookups per query and table
-    query: np.ndarray
-    table: np.ndarray
+    """Embedding lookups as (queries, tables, pooling) arrays: request [q, t, j]
+    is row `index[q, t, j]` of table t. Request order is the arrays' order:
+    query, then table, then the query's index list."""
     index: np.ndarray
     page: np.ndarray        # global physical page
     slot: np.ndarray        # row slot within the page
@@ -83,20 +86,17 @@ class Requests:
     die: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.index)
+        return self.index.size
 
 
 def translate_batch(layout: TableLayout, queries: Workload) -> Requests:
-    tables = len(layout.rows)
-    if len(queries) and queries.pooling.shape[1] != tables:
-        raise ValueError(f"query has {queries.pooling.shape[1]} index lists, "
-                         f"the layout has {tables} tables")
-    pooling, index = queries.pooling, queries.index
-    table = np.repeat(np.tile(np.arange(tables), len(queries)), pooling.ravel())
-    query = np.repeat(np.arange(len(queries)), pooling.sum(axis=1))
-    page, slot = _locate(layout, table, index)
+    index = queries.index
+    if len(queries) and index.shape[1] != len(layout.rows):
+        raise ValueError(f"query has {index.shape[1]} index lists, "
+                         f"the layout has {len(layout.rows)} tables")
+    page, slot = _locate(layout, np.arange(index.shape[1])[:, None], index)
     channel, die, _ = page_location(layout.geometry, page)
-    return Requests(pooling, query, table, index, page, slot, channel, die)
+    return Requests(index, page, slot, channel, die)
 
 
 @dataclass(frozen=True)
@@ -107,23 +107,25 @@ class CoalescedReads:
     page: np.ndarray
     channel: np.ndarray
     die: np.ndarray
-    read: np.ndarray        # per request: the position of its page's read
+    read: np.ndarray        # per request, in its shape: the position of its page's read
 
     def __len__(self) -> int:
         return len(self.page)
 
 
 def dispatch(requests: Requests, lane: np.ndarray) -> CoalescedReads:
-    """Coalesce requests into unique page reads per lane (one per request), in
-    first-arrival order."""
-    key = lane * (int(requests.page.max(initial=0)) + 1) + requests.page
+    """Coalesce requests into unique page reads per lane, `lane` giving each
+    query's, in first-arrival order."""
+    page = requests.page
+    key = (lane[:, None, None] * (int(page.max(initial=0)) + 1) + page).ravel()
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     first = first[order]
-    return CoalescedReads(lane[first], requests.page[first], requests.channel[first],
-                          requests.die[first], rank[inverse.ravel()])
+    query = np.unravel_index(first, page.shape)[0]
+    return CoalescedReads(lane[query], page.ravel()[first], requests.channel.ravel()[first],
+                          requests.die.ravel()[first], rank[inverse].reshape(page.shape))
 
 
 class FlashImage:
@@ -158,40 +160,29 @@ class AdderOrder:
     """A lookup's fetched vectors in the order each query's serial adder takes
     them: all of the adder's schedule but its time per add.
 
-    The adder takes a query's vectors in (arrival, request order) order. The
-    first vector of a table is a free load; every later one is an add that
-    occupies the adder for one add time, starting no earlier than its arrival.
-    So a query with K adds at arrivals r_1 <= ... <= r_K finishes them at
+    The adder takes a query's vectors in arrival order. The first vector of a
+    table is a free load; every later one is an add that occupies the adder
+    for one add time, starting no earlier than its arrival. So a query with K
+    adds at arrivals r_1 <= ... <= r_K finishes them at
     max_j r_j + (K - j + 1) * t_add, and completes when that and its last free
     load are done."""
     load_done_ns: np.ndarray    # per query: the arrival of its last free load
-    add_query: np.ndarray       # per add, in the adder's order: its query
-    add_ready_ns: np.ndarray    # per add: its vector's arrival
-    adds_left: np.ndarray       # per add: K - j + 1, the query's adds from it on
+    add_ready_ns: np.ndarray    # (queries, K): each query's add arrivals, ascending
 
     def done_ns(self, t_add: int) -> np.ndarray:
         """Per-query completion of the adder at `t_add` ns per add."""
-        done = self.load_done_ns.copy()
-        np.maximum.at(done, self.add_query, self.add_ready_ns + self.adds_left * t_add)
-        return done
+        adds = self.add_ready_ns.shape[1]
+        ends = self.add_ready_ns + np.arange(adds, 0, -1) * t_add
+        return np.column_stack((self.load_done_ns, ends)).max(axis=1)
 
 
-def adder_order(pooling: np.ndarray, arrival_ns: np.ndarray) -> AdderOrder:
-    """The adder's order of the vectors arriving at `arrival_ns`, given in
-    request order; `pooling[q, t]` counts query q's vectors of table t."""
-    queries, tables = pooling.shape
-    query = np.repeat(np.arange(queries), pooling.sum(axis=1))
-    group = np.repeat(np.arange(queries * tables), pooling.ravel())
-    order = np.lexsort((arrival_ns, query))
-    ready, group, query = arrival_ns[order], group[order], query[order]
-    load = np.zeros(len(order), dtype=bool)
-    load[np.unique(group, return_index=True)[1]] = True
-    load_done = np.zeros(queries, dtype=np.int64)
-    np.maximum.at(load_done, query[load], ready[load])
-    add_query = query[~load]
-    adds = np.bincount(add_query, minlength=queries)
-    rank = np.arange(len(add_query)) - np.repeat(np.cumsum(adds) - adds, adds)
-    return AdderOrder(load_done, add_query, ready[~load], adds[add_query] - rank)
+def adder_order(arrival_ns: np.ndarray) -> AdderOrder:
+    """The adder's order of the vectors arriving at `arrival_ns`, a (queries,
+    tables, pooling) array in request order."""
+    queries, tables, pooling = arrival_ns.shape
+    by_table = np.sort(arrival_ns, axis=2)
+    adds = np.sort(by_table[:, :, 1:].reshape(queries, tables * (pooling - 1)), axis=1)
+    return AdderOrder(by_table[:, :, 0].max(axis=1), adds)
 
 
 def add_ns(ev_dim: int, timing: TimingParams, kc_e: int) -> int:
@@ -200,24 +191,12 @@ def add_ns(ev_dim: int, timing: TimingParams, kc_e: int) -> int:
     return timing.cycles_to_ns(-(-ev_dim // kc_e))
 
 
-def _require_vectors(pooling: np.ndarray) -> None:
-    sizes = pooling.ravel()
-    if (sizes == 0).any():
-        raise ValueError(f"table {np.argmax(sizes == 0) % pooling.shape[1]}: no fetched vectors")
-
-
-def lookup_sums(pooling: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Each query's per-table sums of its vectors (given in request order) in
-    table order, each folded left to right in index order as a float32 cumsum."""
-    _require_vectors(pooling)
-    queries, tables = pooling.shape
-    sizes = pooling.ravel()
-    ev_dim = vectors.shape[1]
-    group = np.repeat(np.arange(len(sizes)), sizes)
-    pos = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    padded = np.zeros((len(sizes), int(sizes.max(initial=0)), ev_dim), dtype=np.float32)
-    padded[group, pos] = vectors
-    sums = np.cumsum(padded, axis=1, out=padded)[np.arange(len(sizes)), sizes - 1]
+def lookup_sums(vectors: np.ndarray) -> np.ndarray:
+    """Each query's per-table sums of its (queries, tables, pooling, ev_dim)
+    vectors in table order, each folded left to right in index order as a
+    float32 cumsum."""
+    queries, tables, _, ev_dim = vectors.shape
+    sums = np.cumsum(vectors, axis=2, dtype=np.float32)[:, :, -1]
     return sums.reshape(queries, tables * ev_dim)
 
 
@@ -238,17 +217,14 @@ def read_timeline(requests: Requests, batch: int, geometry: SsdGeometry,
     `batch` queries per lane, and keep only the columns the modes read: each
     query's first sense start, the channels' busy times and the adder's order
     of the requests' arrivals (each its page's transfer end)."""
-    _require_vectors(requests.pooling)
-    reads = dispatch(requests, requests.query // batch)
+    queries = len(requests.index)
+    reads = dispatch(requests, np.arange(queries) // batch)
     sched = schedule_page_reads(PageReads(reads.channel, reads.die, reads.lane),
                                 geometry, timing)
-    arrival = sched.xfer_end_ns[reads.read]
-    per_query = requests.pooling.sum(axis=1)
-    first_sense = np.minimum.reduceat(sched.sense_start_ns[reads.read],
-                                      np.cumsum(per_query) - per_query)
-    lanes = -(-len(per_query) // batch)
-    return ReadTimeline(first_sense, sched.channel_busy_ns(geometry.channels, lanes),
-                        adder_order(requests.pooling, arrival))
+    lanes = -(-queries // batch)
+    return ReadTimeline(sched.sense_start_ns[reads.read].min(axis=(1, 2)),
+                        sched.channel_busy_ns(geometry.channels, lanes),
+                        adder_order(sched.xfer_end_ns[reads.read]))
 
 
 @dataclass
@@ -258,13 +234,14 @@ class LookupResult:
     t_emb_ns: np.ndarray                 # per batch completion of its last EV sum
 
 
-def gather_rows(tables, table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Row `index[k]` of table `table[k]` for every k, in that order: the
-    host's copy of the rows, which the device modes read from flash."""
-    vectors = np.empty((len(index), tables[0].values.shape[1]), dtype=np.float32)
+def gather_rows(tables, index: np.ndarray) -> np.ndarray:
+    """Row `index[q, t, j]` of table t for every request of a (queries,
+    tables, pooling) index array, as a (queries, tables, pooling, ev_dim)
+    array: the host's copy of the rows, which the device modes read from
+    flash."""
+    vectors = np.empty(index.shape + tables[0].values.shape[1:], dtype=np.float32)
     for t, tab in enumerate(tables):
-        mine = table == t
-        vectors[mine] = tab.values[index[mine]]
+        vectors[:, t] = tab.values[index[:, t]]
     return vectors
 
 
@@ -276,7 +253,7 @@ def simulate_lookup(flash: FlashImage, requests: Requests, timeline: ReadTimelin
     batch runs on an idle device from time 0, and every time is relative to
     its batch's start."""
     # one vector-sum unit per query, so queries do not serialize on one adder
-    ev_concat = lookup_sums(requests.pooling, flash.rows[requests.page, requests.slot])
+    ev_concat = lookup_sums(flash.rows[requests.page, requests.slot])
     e_ns = timeline.adder.done_ns(t_add)
     return LookupResult(ev_concat, e_ns,
                         np.maximum.reduceat(e_ns, np.arange(0, len(e_ns), batch)))

@@ -18,10 +18,10 @@ layer options that cannot fit on their own: a layer unit serves the batch
 back to back and its first pass also waits for the layer's spill floor, so
 every stage holding option k of a layer takes at least
 max(fc_cycles(r, c, k, B), floor) cycles. Across vector-sum kernels, ties
-break by smaller DSP count, then the lexicographically smallest flat kernel
-list. The search starts at the scenario's batch; if nothing is feasible at
-B the batch doubles while it stays within a cap, so a cap below the starting
-batch tries that batch alone.
+break by the lexicographically smallest flat kernel list. The search starts
+at the scenario's batch; if nothing is feasible at B the batch doubles while
+it stays within a cap, so a cap below the starting batch tries that batch
+alone.
 
 Weight placement: layers fill block RAM in model order until capacity, the
 remainder spills to DRAM; a spilled layer pays its weight-fetch time once per
@@ -313,8 +313,7 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
             if topk is None:
                 continue
             cand = KernelAssignment(bot, topk, (1, kc_e))
-            key = (cand.objective(), resource_model.dsp_per_mac * cand.objective(),
-                   cand.flat())
+            key = (cand.objective(), cand.flat())
             if best is None or key < best[0]:
                 best = (key, cand, StageTimes(stage_b.makespans[bot], stage_t.makespans[topk],
                                               emb_ns))

@@ -8,11 +8,11 @@ configurations can be checked against this module bit-for-bit:
 * every dense dot product accumulates over inputs in ascending index order,
   bias added after the sum, ReLU on hidden layers, linear output.
 
-A workload is a `Workload` of columns: a (queries, tables) pooling matrix,
-one flat array of every query's indices and a (queries, dense_dim) dense
-matrix. The simulator reads the columns; indexing or iterating a workload
-gives `Query` objects, one query's index lists and dense vector, for the
-reference path and the tests.
+A workload is a `Workload` of two arrays: a (queries, tables, pooling) index
+array, every query looking up the same number of rows of each table, and a
+(queries, dense_dim) dense matrix. The simulator reads the arrays; indexing
+or iterating a workload gives `Query` objects, one query's index lists and
+dense vector, for the reference path and the tests.
 """
 
 from dataclasses import dataclass
@@ -142,64 +142,60 @@ class Query:
 
 @dataclass(frozen=True, eq=False)
 class Workload:
-    """A query stream as columns. Query q looks up `pooling[q, t]` rows of
-    table t; `index` holds every lookup's row in (query, table, list order)
-    order, and `dense` row q is query q's dense vector.
+    """A query stream as arrays: query q looks up rows `index[q, t]` of table
+    t, `pooling` of them per table, and `dense` row q is its dense vector.
 
     `w[a:b]` is the workload of queries a..b-1, viewing the same arrays;
     `w[q]` and iteration give `Query` objects."""
-    pooling: np.ndarray     # (queries, tables) int64
-    index: np.ndarray       # (lookups,) int64
+    index: np.ndarray       # (queries, tables, pooling) int64
     dense: np.ndarray       # (queries, dense_dim) float32
 
     def __post_init__(self):
-        if self.pooling.ndim != 2 or self.dense.ndim != 2 or \
-                len(self.dense) != len(self.pooling):
-            raise ValueError(f"pooling {self.pooling.shape} and dense {self.dense.shape} "
-                             f"are not (queries, tables) and (queries, dense_dim)")
-        if self.pooling.sum() != len(self.index):
-            raise ValueError(f"pooling counts {self.pooling.sum()} lookups, "
-                             f"index holds {len(self.index)}")
+        if self.index.ndim != 3 or self.dense.ndim != 2 or \
+                len(self.dense) != len(self.index):
+            raise ValueError(f"index {self.index.shape} and dense {self.dense.shape} are not "
+                             f"(queries, tables, pooling) and (queries, dense_dim)")
+        if len(self) and self.pooling < 1:
+            raise ValueError(f"pooling must be >= 1, got {self.pooling}")
+
+    @property
+    def pooling(self) -> int:
+        """Rows each query looks up in each table."""
+        return self.index.shape[2]
 
     @classmethod
     def from_queries(cls, queries) -> "Workload":
-        """The columns of hand-written queries, which must agree on their
-        table count and dense width."""
+        """The arrays of hand-written queries, which must agree on their table
+        count, pooling and dense width."""
         queries = list(queries)
         tables = len(queries[0].indices) if queries else 0
+        pooling = len(queries[0].indices[0]) if tables else 1
         dense_dim = queries[0].dense.size if queries else 0
         for q in queries:
             if len(q.indices) != tables:
                 raise ValueError(f"query has {len(q.indices)} index lists, "
                                  f"the first query has {tables}")
+            if any(len(idx) != pooling for idx in q.indices):
+                raise ValueError(f"index lists of {[len(idx) for idx in q.indices]} rows "
+                                 f"in a workload of pooling {pooling}")
             if q.dense.shape != (dense_dim,):
                 raise ValueError(f"dense vector shape {q.dense.shape} != ({dense_dim},)")
-        pooling = np.array([[len(idx) for idx in q.indices] for q in queries],
-                           dtype=np.int64).reshape(len(queries), tables)
-        index = np.array([i for q in queries for idx in q.indices for i in idx],
-                         dtype=np.int64)
+        index = np.array([q.indices for q in queries],
+                         dtype=np.int64).reshape(len(queries), tables, pooling)
         dense = np.array([q.dense for q in queries],
                          dtype=np.float32).reshape(len(queries), dense_dim)
-        return cls(pooling, index, dense)
+        return cls(index, dense)
 
     def __len__(self) -> int:
-        return len(self.pooling)
-
-    @cached_property
-    def starts(self) -> np.ndarray:
-        """Each query's first lookup in `index`, and the lookup count last."""
-        return np.concatenate([[0], np.cumsum(self.pooling.sum(axis=1))])
+        return len(self.index)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            a, b, step = key.indices(len(self))
-            if step != 1:
+            if key.indices(len(self))[2] != 1:
                 raise ValueError("a workload slices only by a contiguous query range")
-            b = max(a, b)
-            return Workload(self.pooling[a:b], self.index[self.starts[a]:self.starts[b]],
-                            self.dense[a:b])
+            return Workload(self.index[key], self.dense[key])
         q = range(len(self))[key]
-        return self[q:q + 1]._queries[0]
+        return Query(self.index[q].tolist(), self.dense[q].copy())
 
     def __iter__(self):
         return iter(self._queries)
@@ -207,14 +203,8 @@ class Workload:
     @cached_property
     def _queries(self) -> list[Query]:
         """The queries as objects, built on first use: the run path reads the
-        columns, and the reference path and the checks may iterate often."""
-        flat, tables = self.index.tolist(), self.pooling.shape[1]
-        bounds = [0] + np.cumsum(self.pooling.ravel()).tolist()
-        out = []
-        for q in range(len(self)):
-            b = bounds[q * tables:(q + 1) * tables + 1]
-            out.append(Query([flat[lo:hi] for lo, hi in zip(b, b[1:])], self.dense[q].copy()))
-        return out
+        arrays, and the reference path and the checks may iterate often."""
+        return [Query(idx, self.dense[q].copy()) for q, idx in enumerate(self.index.tolist())]
 
 
 @dataclass
@@ -388,7 +378,7 @@ def generate_workload(spec: ModelSpec, distribution: str, pooling: int, count: i
 
     The stream is one RNG call for the query's indices and then one for its
     dense vector, query after query, each written into its row of the
-    workload's columns. The index call is `integers(0, rows)` with one bound
+    workload's arrays. The index call is `integers(0, rows)` with one bound
     per lookup, table after table (the same stream as one call per table);
     under zipf it is `pooling` uniforms per table instead, mapped through each
     table's bounded Zipf CDF once all queries are drawn. The calls are not
@@ -419,7 +409,7 @@ def generate_workload(spec: ModelSpec, distribution: str, pooling: int, count: i
         for t, cdf in enumerate(cdfs):
             cols = slice(t * pooling, (t + 1) * pooling)
             index[:, cols] = np.searchsorted(cdf, u[:, cols], side="right")
-    return Workload(np.full((count, tables), pooling, dtype=np.int64), index.ravel(), dense)
+    return Workload(index.reshape(count, tables, pooling), dense)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ batch per lane of the pipeline scheduler. What follows the device is
 closed-form over the run's columns: emb-vectorsum's in-order host MLP queue
 is a max-plus scan, and the baseline's serial queries start at the running
 sum of their times, so ``duration_ns`` admits a prefix of them.
-``compare`` draws the shared workload once, as the columns of a
+``compare`` draws the shared workload once, as the arrays of a
 ``recmodel.Workload``, and runs every scenario on it; the batch loop's chunks
-and the scored prefix are views of those columns. It also shares the device
+and the scored prefix are views of those arrays, sliced on the query axis. It also shares the device
 lookups' page reads: a chunk's translation and read timeline read neither
 the tables nor the adder's width, so the compare computes them once per key
 (geometry, timing, batch, chunk start) and every device run with that key
@@ -41,8 +41,10 @@ the start of its processing for the baseline). A run is scored in one forward
 pass, one bottom-MLP and one top-MLP call over every admitted query, with the
 reference summation orders. The device modes read the embedding values back
 from the flash byte image, so layout bugs surface as score mismatches; the
-baseline gathers the host's table rows in request order and sums them in one
-call of the device's index-order vector sum.
+baseline gathers the host's table rows, one gather per table, and sums them
+in one call of the device's index-order vector sum. Every query looks up the
+same number of rows of each table (the workload's pooling), so a lookup is a
+(queries, tables, pooling) array throughout.
 """
 
 import json
@@ -315,8 +317,7 @@ def _result(scenario: Scenario, queries, ev, start, done, stages, busy,
 def _workload(scenario: Scenario, seed: int) -> Workload:
     wl, spec = scenario.workload, scenario.model.spec
     if scenario.query_count < 1:
-        return Workload(np.zeros((0, spec.num_tables), dtype=np.int64),
-                        np.zeros(0, dtype=np.int64),
+        return Workload(np.zeros((0, spec.num_tables, wl.pooling), dtype=np.int64),
                         np.zeros((0, spec.dense_dim), dtype=np.float32))
     return generate_workload(spec, wl.distribution, wl.pooling, scenario.query_count, seed,
                              wl.zipf_s)
@@ -436,10 +437,11 @@ def _run_baseline(scenario: Scenario, queries, seed: int, layout) -> RunResult:
     # call does not go through the `ev_engine` attribute that the benchmark's
     # tracer counts as device requests
     lookups = translate_batch(layout, queries)
-    first_row = np.cumsum(layout.rows) - layout.rows
-    hit = np.concatenate(resident)[first_row[lookups.table] + lookups.index]
-    hits = np.bincount(lookups.query[hit], minlength=len(queries))
-    misses = lookups.pooling.sum(axis=1) - hits
+    hit = np.empty(lookups.index.shape, dtype=bool)
+    for t, mask in enumerate(resident):
+        hit[:, t] = mask[lookups.index[:, t]]
+    hits = hit.sum(axis=(1, 2))
+    misses = (~hit).sum(axis=(1, 2))
     # queries run serially, each starting when the previous one completes;
     # one is admitted while the clock is before duration_ns
     emb = hits * timing.dram_hit_ns_int + misses * miss_ns
@@ -448,11 +450,9 @@ def _run_baseline(scenario: Scenario, queries, seed: int, layout) -> RunResult:
     n = len(queries) if scenario.duration_ns is None else \
         int(np.searchsorted(start, scenario.duration_ns))
     start, emb, done = start[:n], emb[:n], done[:n]
-    m = int(lookups.pooling[:n].sum())
-    busy = np.bincount(lookups.channel[:m][~hit[:m]], minlength=geometry.channels) * page_busy
+    busy = np.bincount(lookups.channel[:n][~hit[:n]], minlength=geometry.channels) * page_busy
     # the host sums each table's rows in index order, as the device's vector sum
-    ev = ev_engine.lookup_sums(lookups.pooling[:n], ev_engine.gather_rows(
-        model.tables, lookups.table[:m], lookups.index[:m]))
+    ev = ev_engine.lookup_sums(ev_engine.gather_rows(model.tables, lookups.index[:n]))
     # a dispatch is not an event: each query is one completion
     result = _result(scenario, queries, ev, start, done,
                      [("emb", start, start + emb), ("host_mlp", start + emb, done)], busy, n)

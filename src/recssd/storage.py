@@ -138,21 +138,12 @@ class PageSchedule:
 
     def channel_busy_ns(self, channels: int, lanes: int) -> np.ndarray:
         """Union of each (lane, channel)'s die-busy intervals (sense start to
-        transfer end), as a (lanes, channels) matrix."""
-        reads = self.reads
-        if len(reads) == 0:
-            return np.zeros((lanes, channels), dtype=np.int64)
-        group = np.asarray(reads.lane * channels + reads.channel, dtype=np.int64)
-        # shift each group onto its own stretch of the time line, then take
-        # the part of every interval not covered by the ones starting before it
-        shift = group * (self.makespan_ns + 1)
-        start = self.sense_start_ns + shift
-        order = np.argsort(start, kind="stable")
-        start, end = start[order], (self.xfer_end_ns + shift)[order]
-        covered = np.maximum.accumulate(np.concatenate(([0], end[:-1])))
-        fresh = np.maximum(end - np.maximum(start, covered), 0)
-        return np.bincount(group[order], weights=fresh, minlength=lanes * channels) \
-            .astype(np.int64).reshape(lanes, channels)
+        transfer end), as a (lanes, channels) matrix. Every die senses its
+        first read at its lane's start and each next one when the previous
+        transfer ends, so that union is [0, the pair's last transfer end]."""
+        busy = np.zeros(lanes * channels, dtype=np.int64)
+        np.maximum.at(busy, self.reads.lane * channels + self.reads.channel, self.xfer_end_ns)
+        return busy.reshape(lanes, channels)
 
 
 # a time no schedule reaches: the sense end of a die with no reads left

@@ -403,7 +403,7 @@ def lookup_reads(layout, queries, geometry, timing, batch=None):
     coalesces and schedules them: `requests`, the coalesced `reads`, their
     `schedule` and each request's `arrival_ns` (its page's transfer end)."""
     requests = translate_batch(layout, queries)
-    reads = dispatch(requests, requests.query // (batch or max(len(queries), 1)))
+    reads = dispatch(requests, np.arange(len(queries)) // (batch or max(len(queries), 1)))
     schedule = schedule_page_reads(PageReads(reads.channel, reads.die, reads.lane),
                                    geometry, timing)
     return SimpleNamespace(requests=requests, reads=reads, schedule=schedule,

@@ -8,6 +8,8 @@ budgets come from the adder oracle over the lookup's page-read arrivals."""
 
 import itertools
 
+import numpy as np
+
 from recssd.ev_engine import table_layout
 from recssd.kernel_search import kernel_options
 from recssd.mlp_engine import KernelAssignment, pipeline_schedule
@@ -22,9 +24,10 @@ def emb_ns(model, queries, geometry, timing) -> dict:
     per (query, table), over the arrivals of the lookup's page reads."""
     ev_dim = model.spec.ev_dim
     reads = lookup_reads(table_layout(model.spec, geometry), queries, geometry, timing)
-    keys = zip(reads.requests.query.tolist(), reads.requests.table.tolist())
+    query, table, _ = np.indices(reads.requests.index.shape)
+    keys = zip(query.ravel().tolist(), table.ravel().tolist())
     items = [(ready, seq, key) for seq, (ready, key)
-             in enumerate(zip(reads.arrival_ns.tolist(), keys))]
+             in enumerate(zip(reads.arrival_ns.ravel().tolist(), keys))]
     return {kc_e: max(adder_oracle(items, timing.cycles_to_ns(-(-ev_dim // kc_e)),
                                    group=lambda key: key[0]).values())
             for kc_e in kernel_options(ev_dim)}

@@ -252,7 +252,7 @@ def test_criterion_8_property_suites():
         reqs = translate_batch(layout,
                                Workload.from_queries([Query([idx], np.zeros(2, np.float32))]))
         distinct = len({i // 64 for i in idx})
-        assert len(dispatch(reqs, np.zeros(len(reqs), np.int64))) == distinct <= n
+        assert len(dispatch(reqs, np.zeros(1, np.int64))) == distinct <= n
 
     # work conservation: a die never idles while a request is pending
     geo_small = SsdGeometry(2, 2, 4096)
@@ -274,7 +274,7 @@ def test_criterion_8_property_suites():
         idx = rng.integers(0, 64 * 256, 600).tolist()
         reqs = translate_batch(layout_bal,
                                Workload.from_queries([Query([idx], np.zeros(2, np.float32))]))
-        reads = dispatch(reqs, np.zeros(len(reqs), np.int64))
+        reads = dispatch(reqs, np.zeros(1, np.int64))
         counts = np.unique(reads.channel * 2 + reads.die, return_counts=True)[1].tolist()
         assert len(counts) == 4 and min(counts) >= 32
         assert max(counts) / min(counts) <= 1.5

@@ -221,6 +221,11 @@ search_space: {max_batch: 2}
         base = write(tmp_path, "base.yaml", cfg.replace("mode: rmssd", "mode: ssd-baseline"))
         assert main(["compare", base, path, "--quiet"]) == 3
         assert capsys.readouterr().err == err
+        # search alone prints the infeasible outcome, then fails the same way
+        assert main(["search", path]) == 3
+        out = capsys.readouterr()
+        assert out.err == err
+        assert json.loads(out.out)["feasible"] is False
 
     def test_start_batch_above_cap_is_tried_alone(self, tmp_path, capsys):
         # the search starts at scenario.batch and doubles it while the double

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ class TestGenerateWorkload:
 
     def test_matches_per_table_oracle_with_mixed_row_counts(self):
         # zipf builds a CDF over every row, so its tables stay small; both the
-        # columns and the queries they give must be the oracle's stream
+        # arrays and the queries they give must be the oracle's stream
         for distribution, rows in (("uniform", (7, 1, 1000, 2 ** 31 + 5)),
                                    ("zipf", (7, 1, 1000, 333))):
             spec = ModelSpec(tables=tuple(TableSpec(r, 2) for r in rows),
@@ -217,10 +218,8 @@ class TestGenerateWorkload:
                 for q, (indices, dense) in zip(got, want):
                     assert q.indices == indices
                     assert np.array_equal(q.dense, dense)
-                assert got.pooling.dtype == got.index.dtype == np.int64
-                assert got.pooling.tolist() == [[pooling] * len(rows)] * 30
-                assert got.index.tolist() == [i for indices, _ in want
-                                              for idx in indices for i in idx]
+                assert got.index.dtype == np.int64 and got.pooling == pooling
+                assert got.index.tolist() == [indices for indices, _ in want]
                 assert got.dense.dtype == np.float32
                 assert np.array_equal(got.dense, np.array([d for _, d in want]))
 
@@ -253,7 +252,7 @@ class TestGenerateWorkload:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Steps(values))
         got = generate_workload(spec, "zipf", pooling, count, 1, zipf_s=1.1)
         want = workload_oracle(rows, 3, "zipf", pooling, count, 1, zipf_s=1.1)
-        assert got.index.tolist() == [k + 1 for ks in steps for k in ks]
+        assert got.index.ravel().tolist() == [k + 1 for ks in steps for k in ks]
         for q, (indices, dense) in zip(got, want):
             assert q.indices == indices
             assert np.array_equal(q.dense, dense)
@@ -270,7 +269,7 @@ class TestGenerateWorkload:
 
 
 def columns(w):
-    return w.pooling.tolist(), w.index.tolist(), w.dense.tolist()
+    return w.index.tolist(), w.dense.tolist()
 
 
 class TestWorkload:
@@ -286,7 +285,7 @@ class TestWorkload:
                 part = w[a:b]
                 assert columns(part) == columns(Workload.from_queries(queries[a:b])), (a, b)
                 assert len(part) == len(queries[a:b])
-                assert part.pooling.shape[1:] == (3,) and part.dense.shape[1:] == (3,)
+                assert part.index.shape[1:] == (3, 3) and part.dense.shape[1:] == (3,)
                 assert np.shares_memory(part.index, w.index) or not len(part)
                 for q, want in zip(part, queries[a:b]):
                     assert q.indices == want.indices and np.array_equal(q.dense, want.dense)
@@ -297,23 +296,37 @@ class TestWorkload:
                 w[::2]
 
     def test_hand_written_queries_keep_their_lists(self):
-        qs = [Query([[4], [1, 2, 3]], np.array([0.5, 1.0], np.float32)),
-              Query([[0, 0], [7]], np.array([2.0, -1.0], np.float32))]
+        qs = [Query([[4, 5], [1, 2]], np.array([0.5, 1.0], np.float32)),
+              Query([[0, 0], [7, 3]], np.array([2.0, -1.0], np.float32))]
         w = Workload.from_queries(qs)
-        assert w.pooling.tolist() == [[1, 3], [2, 1]]
-        assert w.index.tolist() == [4, 1, 2, 3, 0, 0, 7]
+        assert w.pooling == 2
+        assert w.index.tolist() == [[[4, 5], [1, 2]], [[0, 0], [7, 3]]]
         assert w.dense.tolist() == [[0.5, 1.0], [2.0, -1.0]]
-        assert [q.indices for q in w[1:]] == [[[0, 0], [7]]]
+        assert [q.indices for q in w[1:]] == [[[0, 0], [7, 3]]]
+        assert w[0].indices == [[4, 5], [1, 2]]
+        # lists of different lengths, within a query or across queries
+        with pytest.raises(ValueError, match=re.escape("[1, 3] rows in a workload of pooling 1")):
+            Workload.from_queries([Query([[4], [1, 2, 3]], np.zeros(2, np.float32))])
+        with pytest.raises(ValueError, match=re.escape("[2, 1] rows in a workload of pooling 2")):
+            Workload.from_queries(qs + [Query([[0, 0], [7]], np.zeros(2, np.float32))])
         with pytest.raises(ValueError, match="index lists"):
             Workload.from_queries(qs + [Query([[1]], np.zeros(2, np.float32))])
         with pytest.raises(ValueError, match=r"dense vector shape \(3,\) != \(2,\)"):
-            Workload.from_queries(qs + [Query([[1], [1]], np.zeros(3, np.float32))])
+            Workload.from_queries(qs + [Query([[1, 1], [1, 1]], np.zeros(3, np.float32))])
         with pytest.raises(ValueError, match="at least one index"):
             Workload.from_queries([Query([[1], []], np.zeros(2, np.float32))])
         with pytest.raises(ValueError, match="non-finite"):
             Workload.from_queries([Query([[1], [1]], np.array([0.0, np.nan], np.float32))])
         empty = Workload.from_queries([])
         assert len(empty) == 0 and list(empty) == []
+
+    def test_zero_pooling_rejected(self):
+        with pytest.raises(ValueError, match="pooling must be >= 1, got 0"):
+            Workload(np.zeros((1, 2, 0), np.int64), np.zeros((1, 2), np.float32))
+        with pytest.raises(ValueError, match=re.escape("(queries, tables, pooling)")):
+            Workload(np.zeros((1, 2), np.int64), np.zeros((1, 2), np.float32))
+        # no queries, no lookups to count
+        assert len(Workload(np.zeros((0, 2, 0), np.int64), np.zeros((0, 2), np.float32))) == 0
 
 
 class TestInvariants:

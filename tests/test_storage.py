@@ -159,6 +159,20 @@ def page_reads(rows, lane=None):
     return PageReads(channel, die, np.zeros(len(channel), np.int64) if lane is None else lane)
 
 
+def busy_union(oracle, rows, channels):
+    """Per channel, the length of the union of its reads' die-busy intervals
+    (sense start to transfer end) in the oracle's schedule."""
+    busy = []
+    for ch in range(channels):
+        covered = reach = 0
+        for start, end in sorted((oracle[k][0], oracle[k][3])
+                                 for k, (c, _) in enumerate(rows) if c == ch):
+            covered += max(0, end - max(start, reach))
+            reach = max(reach, end)
+        busy.append(covered)
+    return busy
+
+
 class TestSchedulePageReads:
     tp = TimingParams()
 
@@ -223,7 +237,8 @@ class TestSchedulePageReads:
                                 sched.xfer_start_ns[mine].tolist(),
                                 sched.xfer_end_ns[mine].tolist())) == \
                     [oracle[seq] for seq in range(len(rows))]
-                assert busy[l].tolist() == alone.channel_busy_ns(geo.channels, 1)[0].tolist()
+                assert busy[l].tolist() == alone.channel_busy_ns(geo.channels, 1)[0].tolist() \
+                    == busy_union(oracle, rows, geo.channels)
 
     def test_work_conservation(self):
         rng = np.random.default_rng(34)
