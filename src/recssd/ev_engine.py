@@ -193,10 +193,13 @@ def add_ns(ev_dim: int, timing: TimingParams, kc_e: int) -> int:
 
 def lookup_sums(vectors: np.ndarray) -> np.ndarray:
     """Each query's per-table sums of its (queries, tables, pooling, ev_dim)
-    vectors in table order, each folded left to right in index order as a
-    float32 cumsum."""
-    queries, tables, _, ev_dim = vectors.shape
-    sums = np.cumsum(vectors, axis=2, dtype=np.float32)[:, :, -1]
+    float32 vectors in table order, each folded left to right in index order:
+    a copy of every first vector, then one in-place float32 add per pooling
+    step, never writing `vectors`."""
+    queries, tables, pooling, ev_dim = vectors.shape
+    sums = vectors[:, :, 0].astype(np.float32)
+    for j in range(1, pooling):
+        sums += vectors[:, :, j]
     return sums.reshape(queries, tables * ev_dim)
 
 

@@ -33,12 +33,18 @@ the tables nor the adder's width, so the compare computes them once per key
 reuses them, finishing the lookup (``simulate_lookup``) from its own flash
 image at its own ``kc_e``. The key needs no model identity: the scenarios of
 a compare share one model spec, and so one table layout
-(``ev_engine.table_layout``). A lone ``run`` starts with an empty set of
-them.
+(``ev_engine.table_layout``). The compare shares the scoring's MLP passes
+too, by content: a pass reuses an earlier one's output only when its
+weights, biases and input are byte-equal to that one's. So the bottom MLP
+runs once per compare (once per admitted prefix, when ``duration_ns``
+cuts), and the top MLP once while every mode's summed vectors equal the
+baseline's; a mode whose gather or sum went wrong scores on its own input.
+The models are compared by content, not by object, since each scenario may
+hold its own copy. A lone ``run`` starts with an empty set of all of these.
 
 Per-query latency is measured from the dispatch of the query's batch (from
 the start of its processing for the baseline). A run is scored in one forward
-pass, one bottom-MLP and one top-MLP call over every admitted query, with the
+pass, one bottom-MLP and one top-MLP pass over every admitted query, with the
 reference summation orders. The device modes read the embedding values back
 from the flash byte image, so layout bugs surface as score mismatches; the
 baseline gathers the host's table rows, one gather per table, and sums them
@@ -272,20 +278,44 @@ def _drive(scenario: Scenario, layout, queries, batch: int, kc_e: int, stage, sh
             np.concatenate(ev), busy, batches)
 
 
-def _score(model, queries: Workload, ev) -> list[float]:
+def _same(a, b) -> bool:
+    """Whether two arrays hold the same bytes in the same shape and dtype: -0.0
+    and 0.0 differ, and a NaN equals only its own bit pattern."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _forward(dims, weights, biases, x, shared: dict) -> np.ndarray:
+    """`mlp_forward` of the (queries, inputs) matrix `x`, or the output of an
+    earlier call in `shared` whose weights, biases and input were
+    byte-equal to these."""
+    calls = shared.setdefault("mlp_forward", [])
+    for d, w, b, x0, y0 in calls:
+        if d == dims and _same(x0, x) and all(map(_same, w, weights)) and \
+                all(map(_same, b, biases)):
+            return y0
+    y = mlp_forward(dims, weights, biases, x)
+    calls.append((dims, weights, biases, x, y))
+    return y
+
+
+def _score(model, queries: Workload, ev, shared: dict) -> list[float]:
     """Every query's score, from one bottom-MLP and one top-MLP pass over
-    (queries, width) matrices; `ev` holds each query's summed vectors."""
+    (queries, width) matrices; `ev` holds each query's summed vectors. Each
+    pass reuses an earlier one of `shared` on the same bytes (`_forward`): a
+    compare's modes score the same dense rows, and their summed vectors are
+    equal unless a mode gathered or summed wrongly, which then shows as a
+    score mismatch."""
     spec = model.spec
     ev = np.asarray(ev, dtype=np.float32).reshape(len(queries), spec.emb_out_width)
-    bottom = mlp_forward(spec.bottom_mlp_dims, model.bottom_weights, model.bottom_biases,
-                         queries.dense)
-    top = mlp_forward(spec.top_mlp_dims, model.top_weights, model.top_biases,
-                      interact(bottom, [ev]))
+    bottom = _forward(spec.bottom_mlp_dims, model.bottom_weights, model.bottom_biases,
+                      queries.dense, shared)
+    top = _forward(spec.top_mlp_dims, model.top_weights, model.top_biases,
+                   interact(bottom, [ev]), shared)
     return top[:, 0].tolist()
 
 
-def _result(scenario: Scenario, queries, ev, start, done, stages, busy,
-            events: int) -> RunResult:
+def _result(scenario: Scenario, queries, ev, start, done, stages, busy, events: int,
+            shared: dict) -> RunResult:
     """Score the first len(start) queries and summarize their timeline, each
     running from `start` to `done`, with spans from (stage, start, end) columns."""
     n = len(start)
@@ -311,7 +341,8 @@ def _result(scenario: Scenario, queries, ev, start, done, stages, busy,
     )
     cols = [(name, s.tolist(), e.tolist()) for name, s, e in stages]
     spans = [(q, name, s[q], e[q]) for q in range(n) for name, s, e in cols]
-    return RunResult(metrics, _score(scenario.model, queries[:n], ev), latencies, spans)
+    return RunResult(metrics, _score(scenario.model, queries[:n], ev, shared), latencies,
+                     spans)
 
 
 def _workload(scenario: Scenario, seed: int) -> Workload:
@@ -328,15 +359,16 @@ def run(scenario: Scenario, seed: int, queries: Workload | None = None,
     """Simulate the scenario on the workload drawn with `seed`; `queries` is
     that workload when the caller has drawn it already. `shared` holds the
     device lookups' translations and read timelines by (geometry, timing,
-    batch, chunk start); runs may share one only on one workload and one
-    model spec, as `compare`'s do. None starts an empty one."""
+    batch, chunk start), and every MLP pass of the scoring with its weights,
+    biases and input, which a later pass reuses only on byte-equal ones
+    (`_forward`). Runs may share one only on one workload and one model spec,
+    as `compare`'s do. None starts an empty one."""
     scenario.validate()
     if queries is None:
         queries = _workload(scenario, seed)
     layout = ev_engine.table_layout(scenario.model.spec, scenario.geometry)
-    if scenario.mode == MODE_SSD_BASELINE:
-        return _run_baseline(scenario, queries, seed, layout)
-    runner = _run_rmssd if scenario.mode == MODE_RMSSD else _run_emb_vectorsum
+    runner = {MODE_RMSSD: _run_rmssd, MODE_EMB_VECTORSUM: _run_emb_vectorsum,
+              MODE_SSD_BASELINE: _run_baseline}[scenario.mode]
     return runner(scenario, queries, seed, layout, {} if shared is None else shared)
 
 
@@ -381,7 +413,8 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, layout, shared: dict) -> 
     result = _result(scenario, queries, ev, t0, done,
                      [("emb", times["emb_start"], times["emb_end"]),
                       ("bottom_mlp", t0, times["bottom_end"]),
-                      ("top_mlp", times["top_start"], done)], busy, len(t0) + batches)
+                      ("top_mlp", times["top_start"], done)], busy, len(t0) + batches,
+                     shared)
     result.metrics.resources = resource_usage(spec, assignment, scenario.resource_model).to_dict()
     result.search_outcome = outcome
     return result
@@ -404,7 +437,7 @@ def _run_emb_vectorsum(scenario: Scenario, queries, seed: int, layout,
     done = np.maximum.accumulate(ready - before) + before + host_mlp
     return _result(scenario, queries, ev, t0, done,
                    [("emb", times["emb_start"], emb_end), ("host_xfer", emb_end, ready),
-                    ("host_mlp", done - host_mlp, done)], busy, len(t0) + batches)
+                    ("host_mlp", done - host_mlp, done)], busy, len(t0) + batches, shared)
 
 
 def resident_sets(spec, dram_fraction: float, distribution: str, seed: int):
@@ -424,7 +457,7 @@ def resident_sets(spec, dram_fraction: float, distribution: str, seed: int):
     return sets
 
 
-def _run_baseline(scenario: Scenario, queries, seed: int, layout) -> RunResult:
+def _run_baseline(scenario: Scenario, queries, seed: int, layout, shared: dict) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
     geometry, timing = scenario.geometry, scenario.timing
     resident = resident_sets(spec, scenario.dram_fraction, scenario.workload.distribution,
@@ -455,7 +488,8 @@ def _run_baseline(scenario: Scenario, queries, seed: int, layout) -> RunResult:
     ev = ev_engine.lookup_sums(ev_engine.gather_rows(model.tables, lookups.index[:n]))
     # a dispatch is not an event: each query is one completion
     result = _result(scenario, queries, ev, start, done,
-                     [("emb", start, start + emb), ("host_mlp", start + emb, done)], busy, n)
+                     [("emb", start, start + emb), ("host_mlp", start + emb, done)], busy, n,
+                     shared)
     result.dram_hits, result.dram_misses = int(hits[:n].sum()), int(misses[:n].sum())
     return result
 
@@ -490,8 +524,9 @@ def compare(scenarios: list[Scenario], seed: int) -> tuple[ComparisonReport, lis
             raise ValueError("scenarios must share one model")
         if s.workload != ref.workload or s.query_count != ref.query_count:
             raise ValueError("scenarios must share one workload")
-    # the scenarios share one workload, drawn once, and the device lookups'
-    # translations and read timelines, each computed once per distinct key
+    # the scenarios share one workload, drawn once, the device lookups'
+    # translations and read timelines, each computed once per distinct key,
+    # and the scoring's MLP passes, each computed once per distinct input
     ref.validate()
     queries = _workload(ref, seed)
     shared = {}

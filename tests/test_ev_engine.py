@@ -223,6 +223,24 @@ class TestEvSum:
                     [max(done[(q, t)] for t in range(tables)) for q in range(queries)]
 
 
+class TestLookupSums:
+    def test_bit_equal_to_the_reference_sum_and_input_kept(self):
+        # random tables and index arrays at pooling 1, 2 and 8: each
+        # (query, table) sum is ev_lookup_sum's fold of the same rows
+        rng = np.random.default_rng(51)
+        model = flat_model(num_tables=3, rows=40, ev_dim=5, seed=4)
+        for pooling in (1, 2, 8):
+            index = rng.integers(0, 40, (6, 3, pooling))
+            vectors = gather_rows(model.tables, index)
+            before = vectors.copy()
+            sums = lookup_sums(vectors)
+            assert sums.dtype == np.float32 and sums.shape == (6, 3 * 5)
+            assert vectors.tobytes() == before.tobytes()
+            for q, t in np.ndindex(6, 3):
+                want = ev_lookup_sum(model.tables[t], index[q, t].tolist())
+                assert sums[q, t * 5:(t + 1) * 5].tobytes() == want.tobytes(), (pooling, q, t)
+
+
 class TestSimulateLookup:
     def test_single_request_cold_path(self):
         model = flat_model()

@@ -97,8 +97,9 @@ class TestMlpForward:
         x = np.random.default_rng(12).random(4, dtype=np.float32) - 0.5
         assert np.array_equal(mlp_forward(dims, w, b, x), scalar_mlp(dims, w, b, x))
         # (queries, inputs) matrices of random stacks, widths from 1; the last
-        # stack's 64x64 layer over 40 queries is past the one-cumsum size, so
-        # both fold orders of mlp_forward are checked
+        # stack's 64x64 layer over 40 queries is 2,560 (query, output) pairs,
+        # past the widest cumsum step, so both fold paths of mlp_forward are
+        # checked
         stacks = [([int(d) for d in rng.integers(1, 20, size=rng.integers(2, 5))],
                    int(rng.integers(1, 9))) for _ in range(12)]
         for dims, queries in stacks + [([1, 1], 1), ([64, 64, 3], 40)]:
@@ -110,6 +111,23 @@ class TestMlpForward:
             assert got.shape == (queries, dims[-1])
             for row, xq in zip(got, x):
                 assert np.array_equal(row, scalar_mlp(dims, w, b, xq)), dims
+
+    def test_both_fold_paths_match_the_oracle(self, monkeypatch):
+        # every layer by cumsum, then every layer by the loop over inputs,
+        # and by the default rule: each side of the widest cumsum step
+        from recssd import recmodel
+        rng = np.random.default_rng(13)
+        width = recmodel._CUMSUM_WIDTH
+        for dims, queries in (([13, 64, 16, 1], width // 64), ([13, 64, 16, 1], width // 64 + 1),
+                              ([7, 1], width), ([7, 1], width + 1), ([5, 3, 2], 1)):
+            w = [rng.random((dims[l + 1], dims[l]), dtype=np.float32) - np.float32(0.5)
+                 for l in range(len(dims) - 1)]
+            b = [rng.random(d, dtype=np.float32) - np.float32(0.5) for d in dims[1:]]
+            x = rng.random((queries, dims[0]), dtype=np.float32) - np.float32(0.5)
+            want = np.array([scalar_mlp(dims, w, b, xq) for xq in x])
+            for step in (1 << 40, 0, width):
+                monkeypatch.setattr(recmodel, "_CUMSUM_WIDTH", step)
+                assert mlp_forward(dims, w, b, x).tobytes() == want.tobytes(), (dims, step)
 
     def test_shape_mismatch_reports_dims(self):
         w = [np.zeros((3, 2), np.float32)]

@@ -7,7 +7,7 @@ import pytest
 from recssd.ev_engine import table_layout
 from recssd.kernel_search import ResourceModel, SearchSpace
 from recssd.mlp_engine import KernelAssignment
-from recssd.recmodel import (ModelSpec, TableSpec, build_model, desk_model_spec,
+from recssd.recmodel import (Model, ModelSpec, TableSpec, build_model, desk_model_spec,
                              generate_workload, reference_inference, zipf_cdf)
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE,
                         InfeasibleSearchError, Scenario, WorkloadConfig, compare,
@@ -452,6 +452,24 @@ def dispatch_times(result):
     return [s[3] - lat for s, lat in zip(last, result.latencies_ns)]
 
 
+def scores_bytes(result) -> bytes:
+    """A run's scores as float64 bytes, so that -0.0 and 0.0 differ."""
+    return np.array(result.scores, dtype=np.float64).tobytes()
+
+
+def mlp_calls(monkeypatch) -> list:
+    """The dims of every `mlp_forward` call the scenario runner makes from now on."""
+    from recssd import sim
+    calls, forward = [], sim.mlp_forward
+
+    def counted(dims, *args):
+        calls.append(tuple(dims))
+        return forward(dims, *args)
+
+    monkeypatch.setattr(sim, "mlp_forward", counted)
+    return calls
+
+
 class TestCompare:
     def test_each_result_equals_its_lone_run(self):
         # 1121 queries in batches of 3 make three chunks; the cut falls inside
@@ -496,6 +514,68 @@ class TestCompare:
         calls.clear()
         run(scenarios[1], 4)
         assert calls == [(GEO, TP)] * 4
+
+    def test_compare_scores_each_distinct_mlp_input_once(self, monkeypatch):
+        # the bottom MLP reads the same dense rows in every mode, and the
+        # device modes' flash-read sums equal the baseline's host gather
+        calls = mlp_calls(monkeypatch)
+        m = rmc3()
+        _, results = compare([scenario(MODE_SSD_BASELINE, m, 30),
+                              scenario(MODE_EMB_VECTORSUM, m, 30),
+                              scenario(MODE_RMSSD, m, 30, kernels=ALLMAX)], 6)
+        assert calls == [m.spec.bottom_mlp_dims, m.spec.top_mlp_dims]
+        assert results[0].scores == results[1].scores == results[2].scores
+        assert scores_bytes(results[0]) == scores_bytes(run(scenario(MODE_RMSSD, m, 30,
+                                                                     kernels=ALLMAX), 6))
+
+    def test_models_of_one_spec_share_no_scoring(self):
+        # one spec, two seeds: the weights and tables differ, so neither run
+        # may take the other's MLP outputs; nor may a model that differs from
+        # the first in one row of its bottom output layer's weights alone, or
+        # in its top output bias alone
+        m = rmc3(seed=3)
+        w = [v.copy() for v in m.bottom_weights]
+        w[-1][0] += np.float32(0.5)
+        bias = [v.copy() for v in m.top_biases]
+        bias[-1] += np.float32(0.5)
+        models = [m, rmc3(seed=4),
+                  Model(m.spec, m.tables, w, m.bottom_biases, m.top_weights, m.top_biases),
+                  Model(m.spec, m.tables, m.bottom_weights, m.bottom_biases, m.top_weights,
+                        bias)]
+        scenarios = [scenario(MODE_SSD_BASELINE, models[0], 25),
+                     scenario(MODE_EMB_VECTORSUM, models[1], 25),
+                     scenario(MODE_SSD_BASELINE, models[2], 25),
+                     scenario(MODE_EMB_VECTORSUM, models[3], 25)]
+        _, results = compare(scenarios, 7)
+        for s, r in zip(scenarios, results):
+            assert scores_bytes(r) == scores_bytes(run(s, 7)), s.mode
+        for r in results[1:]:
+            assert r.scores != results[0].scores
+
+    def test_a_wrong_flash_row_is_scored_on_its_own(self, monkeypatch):
+        # one looked-up row of the device's flash image is perturbed: the
+        # device mode's top MLP input differs from the baseline's, so it is
+        # computed again and its first query's score differs
+        from recssd import ev_engine
+        m = rmc3()
+        seed, count = 8, 20
+        row = generate_workload(m.spec, "uniform", 8, count, seed).index[0, 2, 0]
+        build = ev_engine.build_flash_image
+
+        def perturbed(tables, layout):
+            image = build(tables, layout)
+            rpp = layout.rows_per_page
+            image.rows[layout.first_page[2] + row // rpp, row % rpp, 0] += np.float32(0.25)
+            return image
+
+        monkeypatch.setattr(ev_engine, "build_flash_image", perturbed)
+        calls = mlp_calls(monkeypatch)
+        _, (base, dev) = compare([scenario(MODE_SSD_BASELINE, m, count),
+                                  scenario(MODE_EMB_VECTORSUM, m, count)], seed)
+        assert calls == [m.spec.bottom_mlp_dims, m.spec.top_mlp_dims, m.spec.top_mlp_dims]
+        assert dev.scores[0] != base.scores[0]
+        assert base.scores == [reference_inference(m, q)
+                               for q in generate_workload(m.spec, "uniform", 8, count, seed)]
 
     def test_self_comparison_all_ratios_one(self):
         m = rmc3()
