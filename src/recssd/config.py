@@ -229,14 +229,9 @@ def build_scenario(cfg: dict) -> Scenario:
             dram_bandwidth_bytes_per_s=float(r["dram_bandwidth_gbps"]) * 1e9)
         sp = cfg["search_space"]
         space = SearchSpace(max_batch=sp["max_batch"], max_kernel=sp.get("max_kernel"))
-        kernels = None
-        if cfg["kernels"] != "auto":
-            k = cfg["kernels"]
-            kernels = KernelAssignment(
-                tuple((int(a), int(b)) for a, b in k["bottom"]),
-                tuple((int(a), int(b)) for a, b in k["top"]),
-                (int(k["ev"][0]), int(k["ev"][1])),
-            )
+        # validate_config has checked that kernels.bottom, .top and .ev are
+        # integer pairs and that nothing else is there
+        kernels = None if cfg["kernels"] == "auto" else KernelAssignment(**cfg["kernels"])
         duration_us = s.get("duration_us")
         if duration_us is not None and not duration_us * 1000.0 < 2 ** 63:
             raise ValueError(f"scenario.duration_us {duration_us:g} is past the int64 "

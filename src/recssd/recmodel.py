@@ -388,8 +388,8 @@ def generate_workload(spec: ModelSpec, distribution: str, pooling: int, count: i
     merged across queries: that would reorder the generator's draws, which
     interleave the two calls and take buffered 32-bit halves, and so change
     every output."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if pooling < 1:
         raise ValueError(f"pooling must be >= 1, got {pooling}")
     if distribution not in ("uniform", "zipf"):

@@ -17,8 +17,10 @@ idle device, so batches interact only through their dispatch times: from time
 is dispatched while queries remain and its ``t0`` is before ``duration_ns``.
 The loop looks up fixed-size chunks of batches through one call chain each,
 ``translate_batch`` -> ``read_timeline`` -> ``simulate_lookup``, one batch per
-lane of the page scheduler's lockstep loop, and the mode's stage function
-gives each batch's device time and its own per-query columns. rmssd
+lane of the page scheduler (each of the lane's channel buses serves its
+dies in rounds, the k-th read of every die in the order of the dies' first
+reads), and the mode's stage function gives each batch's device time and
+its own per-query columns. rmssd
 schedules the bottom MLP once per run and the top MLP once per chunk, one
 batch per lane of the pipeline scheduler. What follows the device is
 closed-form over the run's columns: emb-vectorsum's in-order host MLP queue
@@ -345,15 +347,6 @@ def _result(scenario: Scenario, queries, ev, start, done, stages, busy, events: 
                      spans)
 
 
-def _workload(scenario: Scenario, seed: int) -> Workload:
-    wl, spec = scenario.workload, scenario.model.spec
-    if scenario.query_count < 1:
-        return Workload(np.zeros((0, spec.num_tables, wl.pooling), dtype=np.int64),
-                        np.zeros((0, spec.dense_dim), dtype=np.float32))
-    return generate_workload(spec, wl.distribution, wl.pooling, scenario.query_count, seed,
-                             wl.zipf_s)
-
-
 def run(scenario: Scenario, seed: int, queries: Workload | None = None,
         shared: dict | None = None) -> RunResult:
     """Simulate the scenario on the workload drawn with `seed`; `queries` is
@@ -365,7 +358,9 @@ def run(scenario: Scenario, seed: int, queries: Workload | None = None,
     as `compare`'s do. None starts an empty one."""
     scenario.validate()
     if queries is None:
-        queries = _workload(scenario, seed)
+        wl = scenario.workload
+        queries = generate_workload(scenario.model.spec, wl.distribution, wl.pooling,
+                                    scenario.query_count, seed, wl.zipf_s)
     layout = ev_engine.table_layout(scenario.model.spec, scenario.geometry)
     runner = {MODE_RMSSD: _run_rmssd, MODE_EMB_VECTORSUM: _run_emb_vectorsum,
               MODE_SSD_BASELINE: _run_baseline}[scenario.mode]
@@ -528,7 +523,9 @@ def compare(scenarios: list[Scenario], seed: int) -> tuple[ComparisonReport, lis
     # translations and read timelines, each computed once per distinct key,
     # and the scoring's MLP passes, each computed once per distinct input
     ref.validate()
-    queries = _workload(ref, seed)
+    wl = ref.workload
+    queries = generate_workload(ref.model.spec, wl.distribution, wl.pooling, ref.query_count,
+                                seed, wl.zipf_s)
     shared = {}
     results = [run(s, seed, queries, shared) for s in scenarios]
     base = results[0].metrics

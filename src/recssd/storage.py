@@ -9,23 +9,24 @@ Timing model (all durations are integer nanoseconds):
 * a page read is a sense phase (occupies its die) followed by a transfer
   phase (occupies the channel bus); the die stays busy until its page has
   been transferred, so there is one outstanding read per die;
-* dies on a channel sense concurrently, transfers on a channel serialize;
+* dies on a channel sense concurrently, transfers on a channel serialize,
+  and a free bus takes the least (sense end, seq) among its sensed reads;
 * every read is ready when its lane starts, and a die takes its reads in
   sequence (request) order.
 
 A lane is a device of its own, idle at time 0, and its channels share
-nothing. So `schedule_page_reads` runs every active (lane, channel) pair in
-one lockstep loop, one transfer per pair and step, until the busiest pair
-has moved all its reads:
-
-* the pair's bus takes, at max(bus free, earliest sense end among its dies'
-  current reads), the least (sense end, seq) among those reads;
-* the transfer's end frees the bus and the die, which starts sensing its
-  next read at once.
-
-The loop is the event-driven rule exactly when a sense and a page transfer
-each last at least 1 ns, so that no phase ends at the instant it starts;
-scenarios with shorter phases are rejected as configuration errors.
+nothing. Each (lane, channel) bus serves its dies in rounds: round k holds
+each die's k-th read, in the order of the dies' first reads, and a die with
+no k-th read drops out. Three facts make it so: all first reads finish
+sensing together, so seq decides round one; a die's next read finishes
+sensing at its last transfer's end plus the sense time; and transfers on one
+bus end at distinct times, as a sense and a page transfer each last at least
+1 ns (scenarios with shorter phases are rejected as configuration errors), so
+no later tie occurs and no round overtakes the one before it. So the round
+order is the event-driven rule's, and the test oracle's order of events.
+`schedule_page_reads` sorts the reads into it and steps all pairs through it
+together, each transfer ending at max(bus free, end of its die's previous
+transfer + sense) + transfer.
 """
 
 import math
@@ -146,14 +147,20 @@ class PageSchedule:
         return busy.reshape(lanes, channels)
 
 
-# a time no schedule reaches: the sense end of a die with no reads left
-_NEVER = 1 << 62
+def _narrow(*keys: np.ndarray) -> np.ndarray:
+    """The keys, non-negative integer arrays, as rows of the narrowest unsigned
+    type that holds them: numpy sorts 8- and 16-bit keys stably by radix."""
+    top = max(int(key.max(initial=0)) for key in keys)
+    return np.array(keys, dtype=np.min_scalar_type(top))
 
 
 def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
                         timing: TimingParams) -> PageSchedule:
-    """Schedule page reads with the lockstep loop of the module docstring.
-    Die and bus are both work-conserving."""
+    """Schedule page reads in the rounds of the module docstring: each (lane,
+    channel) bus serves round k, its dies' k-th reads, in the order of the
+    dies' first reads, as first reads finish sensing together, a die's next
+    read finishes sensing a sense time after its last transfer, and transfer
+    ends on a bus are distinct. Die and bus are both work-conserving."""
     sense = timing.sense_ns
     xfer = timing.xfer_ns(geometry.page_size)
     n = len(reads)
@@ -166,55 +173,43 @@ def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
         k = int(np.argmax(outside))
         raise ValueError(f"read {k}: lane {lane[k]}, ({channel[k]}, {die[k]}) "
                          f"outside geometry")
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return PageSchedule(reads, empty, empty, empty, empty, 0)
 
-    # number the active (lane, channel) pairs busiest first, so the pairs
-    # still moving reads at step s, those with more than s, are the first
-    # active[s]
-    pair = lane * geometry.channels + channel
+    # each die's queue, its reads in seq order (lexsort is stable): a read's
+    # round is its place in the queue; pairs are numbered densely
+    by_die = np.lexsort(_narrow(die, channel, lane))
+    lane, channel, die = lane[by_die], channel[by_die], die[by_die]
+    new_pair = np.ones(n, dtype=bool)
+    new_pair[1:] = (lane[1:] != lane[:-1]) | (channel[1:] != channel[:-1])
+    new_die = new_pair.copy()
+    new_die[1:] |= die[1:] != die[:-1]
+    at = np.arange(n)
+    queue_start = np.maximum.accumulate(np.where(new_die, at, 0))
+    pair = np.cumsum(new_pair) - 1
     per_pair = np.bincount(pair)
-    busiest = np.argsort(-per_pair, kind="stable")
-    renumber = np.empty_like(busiest)
-    renumber[busiest] = np.arange(len(busiest))
-    pair = renumber[pair]
-    per_pair = per_pair[busiest]
-    pairs = int(np.count_nonzero(per_pair))
-    active = np.searchsorted(-per_pair, -np.arange(1, int(per_pair[0]) + 1), "right").tolist()
+    pairs = len(per_pair)
+    # each pair's bus order, by (round, die's first seq), and each read's step,
+    # its place in that order; pair_start + round orders (pair, round), since
+    # a pair has fewer rounds than reads
+    pair_start = (np.cumsum(per_pair) - per_pair)[pair]
+    bus = np.lexsort(_narrow(by_die[queue_start], pair_start + at - queue_start))
+    step = at - pair_start
+    # one slot per read, step by step, each step's pairs busiest first, so
+    # that the pairs moving a read at step s are the first active[s] of step
+    # s - 1's. The first `pairs` slots stay 0: the bus before step 0 and the
+    # transfer before a die's first read.
+    rank = np.argsort(np.argsort(-per_pair, kind="stable"))
+    active = np.bincount(step)
+    first = pairs + np.cumsum(active) - active
+    slot = np.empty(n, dtype=np.int64)
+    slot[bus] = first[step] + rank[pair]
+    die_before = np.zeros(pairs + n, dtype=np.int64)
+    die_before[slot] = np.where(new_die, 0, slot[at - 1])
+    end = np.zeros(pairs + n, dtype=np.int64)
+    for before, a, k in zip([0, *first.tolist()], first.tolist(), active.tolist()):
+        end[a:a + k] = np.maximum(end[before:before + k], end[die_before[a:a + k]] + sense) + xfer
 
-    # each die's reads in sequence order: its first read is its head, and
-    # every read's successor (n after its die's last) senses once it is moved
-    at_head = die * pairs + pair
-    order = np.argsort(at_head, kind="stable")
-    same = at_head[order[1:]] == at_head[order[:-1]]
-    successor = np.full(n, n)
-    successor[order[:-1][same]] = order[1:][same]
-    first = order[np.concatenate(([True], ~same))]
-    # each die's head and its sense end, as (dies, pairs) matrices
-    head = np.full((geometry.dies_per_channel, pairs), n)
-    head.flat[at_head[first]] = first
-    head_end = np.where(head < n, sense, _NEVER)
-    # per read, and one more entry for a die with nothing left
-    sense_start = np.zeros(n + 1, dtype=np.int64)
-    xfer_start = np.zeros(n, dtype=np.int64)
-    bus_free = np.zeros(pairs, dtype=np.int64)
-    for k in active:
-        # each pair's bus takes the least (sense end, seq) among its heads, at
-        # max(bus free, that sense end)
-        ends = head_end[:, :k]
-        end = ends.min(axis=0)
-        read = np.where(ends == end, head[:, :k], n).min(axis=0)
-        xfer_start[read] = now = np.maximum(bus_free[:k], end)
-        bus_free[:k] = now = now + xfer
-        # the transfer's end frees the die, which senses its next read
-        nxt = successor[read]
-        sense_start[nxt] = now
-        at = at_head[read]
-        head.flat[at] = nxt
-        head_end.flat[at] = np.where(nxt < n, now + sense, _NEVER)
-
-    sense_start = sense_start[:n]
-    xfer_end = xfer_start + xfer
-    return PageSchedule(reads, sense_start, sense_start + sense, xfer_start, xfer_end,
-                        int(xfer_end.max()))
+    sense_start, xfer_end = np.empty((2, n), dtype=np.int64)
+    sense_start[by_die] = end[die_before[slot]]
+    xfer_end[by_die] = end[slot]
+    return PageSchedule(reads, sense_start, sense_start + sense, xfer_end - xfer, xfer_end,
+                        int(xfer_end.max(initial=0)))

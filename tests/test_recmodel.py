@@ -190,16 +190,24 @@ class TestReferenceInference:
 
 
 class TestGenerateWorkload:
-    def test_count_zero_forbidden(self):
+    def test_bad_arguments_forbidden(self):
         spec = desk_model_spec("wnd-mini")
         with pytest.raises(ValueError, match="count"):
-            generate_workload(spec, "uniform", 2, 0, 1)
+            generate_workload(spec, "uniform", 2, -1, 1)
         with pytest.raises(ValueError, match="pooling"):
             generate_workload(spec, "uniform", 0, 1, 1)
         with pytest.raises(ValueError, match="zipf"):
             generate_workload(spec, "zipf", 2, 1, 1, zipf_s=0.0)
         with pytest.raises(ValueError, match="distribution"):
             generate_workload(spec, "pareto", 2, 1, 1)
+
+    def test_count_zero_is_the_empty_workload(self):
+        spec = desk_model_spec("rmc3-mini")
+        for distribution in ("uniform", "zipf"):
+            w = generate_workload(spec, distribution, 3, 0, 1)
+            assert w.index.shape == (0, spec.num_tables, 3) and w.index.dtype == np.int64
+            assert w.dense.shape == (0, spec.dense_dim) and w.dense.dtype == np.float32
+            assert len(w) == 0
 
     def test_seed_determinism(self):
         spec = desk_model_spec("ncf-mini")

@@ -173,14 +173,21 @@ def busy_union(oracle, rows, channels):
     return busy
 
 
+def phase_times(sched, reads=slice(None)):
+    """(sense start, sense end, transfer start, transfer end) of each of `reads`."""
+    return list(zip(*(getattr(sched, name)[reads].tolist() for name in
+                      ("sense_start_ns", "sense_end_ns", "xfer_start_ns", "xfer_end_ns"))))
+
+
 class TestSchedulePageReads:
     tp = TimingParams()
 
-    def run_both(self, reads, geo):
-        sched = schedule_page_reads(reads, geo, self.tp)
+    def run_both(self, reads, geo, tp=None):
+        tp = tp or self.tp
+        sched = schedule_page_reads(reads, geo, tp)
         oracle, makespan = flash_schedule_oracle(
             [(0, 0, int(reads.channel[k]), int(reads.die[k]), k) for k in range(len(reads))],
-            self.tp.sense_ns, self.tp.xfer_ns(geo.page_size))
+            tp.sense_ns, tp.xfer_ns(geo.page_size))
         return sched, oracle, makespan
 
     def test_matches_oracle_on_random_traffic(self):
@@ -239,6 +246,35 @@ class TestSchedulePageReads:
                     [oracle[seq] for seq in range(len(rows))]
                 assert busy[l].tolist() == alone.channel_busy_ns(geo.channels, 1)[0].tolist() \
                     == busy_union(oracle, rows, geo.channels)
+
+        # the round structure: a pure FIFO on a 1 x 1 device, and die queues
+        # of 1 to 8 reads, so that dies drop out in the middle of a run, each
+        # with a sense much shorter than a transfer, much longer, and equal to
+        # it, and each as two or three lanes of one call, the lanes contiguous
+        # and interleaved read by read
+        xfer = self.tp.xfer_ns(4096)
+        rounds = [(SsdGeometry(1, 1, 4096), [(0, 0)] * 9)]
+        for _ in range(12):
+            geo = SsdGeometry(int(rng.integers(1, 4)), int(rng.integers(1, 4)), 4096)
+            rows = [(ch, d) for ch in range(geo.channels) for d in range(geo.dies_per_channel)
+                    for _ in range(int(rng.integers(1, 9)))]
+            rounds.append((geo, [rows[int(i)] for i in rng.permutation(len(rows))]))
+        assert {1, 8} <= {q for _, rows in rounds for q in Counter(rows).values()}
+        timings = [TimingParams(page_read_us=us) for us in (0.1, 50.0, xfer / 1000)]
+        assert [tp.sense_ns for tp in timings] == [100, 50000, xfer] and xfer == 1638
+        for tp in timings:
+            for geo, rows in rounds:
+                sched, oracle, makespan = self.run_both(page_reads(rows), geo, tp)
+                assert sched.makespan_ns == makespan
+                assert phase_times(sched) == [oracle[seq] for seq in range(len(rows))]
+                n, lanes = len(rows), 2 + len(rows) % 2
+                for label in (np.arange(n) * lanes // n, np.arange(n) % lanes):
+                    sched = schedule_page_reads(page_reads(rows, label), geo, tp)
+                    for l in range(lanes):
+                        mine = np.flatnonzero(label == l)
+                        _, oracle, _ = self.run_both(page_reads([rows[k] for k in mine]), geo, tp)
+                        assert phase_times(sched, mine) == \
+                            [oracle[seq] for seq in range(len(mine))]
 
     def test_work_conservation(self):
         rng = np.random.default_rng(34)
