@@ -15,13 +15,15 @@ A lookup's requests, arrivals and vectors are (queries, tables, pooling)
 arrays, every query looking up the workload's pooling of rows in each
 table, so the sums and the adder's order work along fixed axes of them.
 
-A lookup is one call chain: `translate_batch` places each request,
-`read_timeline` coalesces and schedules the page reads and orders their
-arrivals at the adder, and `simulate_lookup` finishes the lookup for one
-mode. The first two read neither the table values nor the adder's width, so
-modes that look up the same requests on the same device can share them. The
-gather from the flash image, the sums and the adder's finish at its add time
-are each mode's own.
+A lookup is one call chain: `translate_batch` places each request on its
+page and slot, `read_timeline` coalesces and schedules the page reads and
+orders their arrivals at the adder, and `simulate_lookup` finishes the
+lookup for one mode. A request holds no channel or die: they are a function
+of its page, computed only where they are read (here the coalesced reads,
+in `sim` the baseline's missed pages). The first two read neither the table
+values nor the adder's width, so modes that look up the same requests on
+the same device can share them. The gather from the flash image, the sums
+and the adder's finish at its add time are each mode's own.
 """
 
 from dataclasses import dataclass
@@ -78,12 +80,12 @@ def _locate(layout: TableLayout, table: np.ndarray, index: np.ndarray):
 class Requests:
     """Embedding lookups as (queries, tables, pooling) arrays: request [q, t, j]
     is row `index[q, t, j]` of table t. Request order is the arrays' order:
-    query, then table, then the query's index list."""
+    query, then table, then the query's index list. A request's channel and
+    die are its page's (`storage.page_location`), computed only for the
+    coalesced reads (`read_timeline`) and the baseline's missed pages."""
     index: np.ndarray
     page: np.ndarray        # global physical page
     slot: np.ndarray        # row slot within the page
-    channel: np.ndarray
-    die: np.ndarray
 
     def __len__(self) -> int:
         return self.index.size
@@ -95,8 +97,7 @@ def translate_batch(layout: TableLayout, queries: Workload) -> Requests:
         raise ValueError(f"query has {index.shape[1]} index lists, "
                          f"the layout has {len(layout.rows)} tables")
     page, slot = _locate(layout, np.arange(index.shape[1])[:, None], index)
-    channel, die, _ = page_location(layout.geometry, page)
-    return Requests(index, page, slot, channel, die)
+    return Requests(index, page, slot)
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,6 @@ class CoalescedReads:
     request."""
     lane: np.ndarray
     page: np.ndarray
-    channel: np.ndarray
-    die: np.ndarray
     read: np.ndarray        # per request, in its shape: the position of its page's read
 
     def __len__(self) -> int:
@@ -124,8 +123,7 @@ def dispatch(requests: Requests, lane: np.ndarray) -> CoalescedReads:
     rank[order] = np.arange(len(order))
     first = first[order]
     query = np.unravel_index(first, page.shape)[0]
-    return CoalescedReads(lane[query], page.ravel()[first], requests.channel.ravel()[first],
-                          requests.die.ravel()[first], rank[inverse].reshape(page.shape))
+    return CoalescedReads(lane[query], page.ravel()[first], rank[inverse].reshape(page.shape))
 
 
 class FlashImage:
@@ -222,8 +220,8 @@ def read_timeline(requests: Requests, batch: int, geometry: SsdGeometry,
     of the requests' arrivals (each its page's transfer end)."""
     queries = len(requests.index)
     reads = dispatch(requests, np.arange(queries) // batch)
-    sched = schedule_page_reads(PageReads(reads.channel, reads.die, reads.lane),
-                                geometry, timing)
+    channel, die, _ = page_location(geometry, reads.page)
+    sched = schedule_page_reads(PageReads(channel, die, reads.lane), geometry, timing)
     lanes = -(-queries // batch)
     return ReadTimeline(sched.sense_start_ns[reads.read].min(axis=(1, 2)),
                         sched.channel_busy_ns(geometry.channels, lanes),

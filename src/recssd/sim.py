@@ -26,23 +26,22 @@ batch per lane of the pipeline scheduler. What follows the device is
 closed-form over the run's columns: emb-vectorsum's in-order host MLP queue
 is a max-plus scan, and the baseline's serial queries start at the running
 sum of their times, so ``duration_ns`` admits a prefix of them.
-``compare`` draws the shared workload once, as the arrays of a
-``recmodel.Workload``, and runs every scenario on it; the batch loop's chunks
-and the scored prefix are views of those arrays, sliced on the query axis. It also shares the device
-lookups' page reads: a chunk's translation and read timeline read neither
-the tables nor the adder's width, so the compare computes them once per key
-(geometry, timing, batch, chunk start) and every device run with that key
-reuses them, finishing the lookup (``simulate_lookup``) from its own flash
-image at its own ``kc_e``. The key needs no model identity: the scenarios of
-a compare share one model spec, and so one table layout
-(``ev_engine.table_layout``). The compare shares the scoring's MLP passes
-too, by content: a pass reuses an earlier one's output only when its
-weights, biases and input are byte-equal to that one's. So the bottom MLP
-runs once per compare (once per admitted prefix, when ``duration_ns``
-cuts), and the top MLP once while every mode's summed vectors equal the
-baseline's; a mode whose gather or sum went wrong scores on its own input.
-The models are compared by content, not by object, since each scenario may
-hold its own copy. A lone ``run`` starts with an empty set of all of these.
+A run's workload, and what runs on it share, is one ``Session``: the
+workload's arrays (a ``recmodel.Workload``), of which the batch loop's chunks
+and the scored prefix are views sliced on the query axis; each chunk's
+translation and read timeline, which read neither the tables nor the adder's
+width, under (geometry, timing, batch, chunk start), so every device run with
+that key reuses them and finishes the lookup (``simulate_lookup``) from its
+own flash image at its own ``kc_e``; and the scoring's MLP passes, which a
+later pass reuses only on byte-equal weights, biases and input. Neither key
+names the model, so a session admits scenarios of one model spec (and so one
+``ev_engine.table_layout``) and refuses others before they run. ``compare``
+admits every scenario to one session, then runs each on it: the bottom MLP
+runs once (once per admitted prefix, when ``duration_ns`` cuts), and the top
+MLP once while every mode's summed vectors equal the baseline's; a mode whose
+gather or sum went wrong scores on its own input. Models are compared by
+content, not by object, since each scenario may hold its own copy. A lone
+``run`` draws a session of its own.
 
 Per-query latency is measured from the dispatch of the query's batch (from
 the start of its processing for the baseline). A run is scored in one forward
@@ -70,7 +69,7 @@ from .mlp_engine import KernelAssignment, pipeline_schedule, pipeline_schedule_d
 from .recmodel import Model, Workload, WorkloadConfig, generate_workload, interact, mlp_forward
 # unused here, but the benchmark's tracer (perfbench/tracing.py) wraps it by name
 from .recmodel import reference_inference  # noqa: F401
-from .storage import SsdGeometry, TimingParams, page_read_time
+from .storage import SsdGeometry, TimingParams, page_location, page_read_time
 
 SCHEMA_VERSION = 1
 
@@ -208,17 +207,17 @@ class RunResult:
     metrics: Metrics
     scores: list[float]
     latencies_ns: list[int]
-    spans: list[tuple[int, str, int, int]]     # (query_id, stage, start_ns, end_ns)
+    spans: list[tuple[str, np.ndarray, np.ndarray]]     # (stage, start_ns, end_ns) columns
     search_outcome: SearchOutcome | None = None
     dram_hits: int = 0
     dram_misses: int = 0
 
 
 def spans_to_csv(spans) -> str:
-    lines = ["query_id,stage,start_ns,end_ns"]
-    for qid, stage, s, e in spans:
-        lines.append(f"{qid},{stage},{s},{e}")
-    return "\n".join(lines) + "\n"
+    """One row per query and stage of a run's spans, query by query."""
+    cols = [(name, s.tolist(), e.tolist()) for name, s, e in spans]
+    rows = (f"{q},{name},{s[q]},{e[q]}" for q in range(len(spans[0][1])) for name, s, e in cols)
+    return "\n".join(["query_id,stage,start_ns,end_ns", *rows]) + "\n"
 
 
 def _host_mlp_ns(spec, timing: TimingParams) -> int:
@@ -229,7 +228,56 @@ def _host_mlp_ns(spec, timing: TimingParams) -> int:
     return round(macs * timing.host_ns_per_mac)
 
 
-def _drive(scenario: Scenario, layout, queries, batch: int, kc_e: int, stage, shared: dict):
+def _same(a, b) -> bool:
+    """Whether two arrays hold the same bytes in the same shape and dtype: -0.0
+    and 0.0 differ, and a NaN equals only its own bit pattern."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class Session:
+    """A workload and what the runs on it share; see the module docstring."""
+
+    def __init__(self, queries: Workload):
+        self.queries = queries
+        self._spec = None
+        self._lookups = {}
+        self._passes = []
+
+    @classmethod
+    def draw(cls, scenario: Scenario, seed: int) -> "Session":
+        """A session on the scenario's workload drawn with `seed`."""
+        wl = scenario.workload
+        return cls(generate_workload(scenario.model.spec, wl.distribution, wl.pooling,
+                                     scenario.query_count, seed, wl.zipf_s))
+
+    def admit(self, scenario: Scenario) -> None:
+        if self._spec not in (None, scenario.model.spec):
+            raise ValueError("scenarios must share one model")
+        self._spec = scenario.model.spec
+
+    def lookup(self, layout, timing: TimingParams, batch: int, first: int, count: int):
+        """The translation and read timeline of queries [first, first + count)."""
+        geometry = layout.geometry
+        key = (geometry, timing, batch, first)
+        if key not in self._lookups:
+            reqs = ev_engine.translate_batch(layout, self.queries[first:first + count])
+            self._lookups[key] = reqs, ev_engine.read_timeline(reqs, batch, geometry, timing)
+        return self._lookups[key]
+
+    def forward(self, dims, weights, biases, x) -> np.ndarray:
+        """`mlp_forward` of the (queries, inputs) matrix `x`, or the output of
+        an earlier pass whose dims, weights, biases and input were byte-equal
+        to these. Dims are compared first, so other stacks copy no bytes."""
+        for d, w, b, x0, y0 in self._passes:
+            if d == dims and _same(x0, x) and all(map(_same, w, weights)) and \
+                    all(map(_same, b, biases)):
+                return y0
+        y = mlp_forward(dims, weights, biases, x)
+        self._passes.append((dims, weights, biases, x, y))
+        return y
+
+
+def _drive(scenario: Scenario, layout, session: Session, batch: int, kc_e: int, stage):
     """The device modes' batch loop. Batches run back to back from time 0,
     each on an idle device, so they share only their dispatch times: a
     batch's `t0` is the sum of the device times before it, and the batch is
@@ -237,8 +285,7 @@ def _drive(scenario: Scenario, layout, queries, batch: int, kc_e: int, stage, sh
     of whole batches (`CHUNK_QUERIES`), one batch per lane, and
     `stage(emb, batch)` returns the chunk's per-batch device times and the
     mode's per-query columns, relative to each batch's dispatch. The chunk's
-    translation and read timeline come from `shared`, under the key
-    (geometry, timing, batch, chunk start), and are computed on a miss.
+    translation and read timeline come from the session (`Session.lookup`).
     Returns the dispatched queries' ns columns (`t0`, `emb_start`, `emb_end`,
     then the stage's; a column no batch made reads as empty), their summed
     vectors, the channels' busy times and the batch count."""
@@ -250,15 +297,10 @@ def _drive(scenario: Scenario, layout, queries, batch: int, kc_e: int, stage, sh
     times, ev = defaultdict(list), [np.zeros((0, model.spec.emb_out_width), np.float32)]
     busy = np.zeros(geometry.channels, dtype=np.int64)
     t0 = batches = 0
-    for first in range(0, len(queries), chunk):
+    for first in range(0, len(session.queries), chunk):
         if scenario.duration_ns is not None and t0 >= scenario.duration_ns:
             break
-        part = queries[first:first + chunk]
-        key = (geometry, timing, batch, first)
-        if key not in shared:
-            requests = ev_engine.translate_batch(layout, part)
-            shared[key] = requests, ev_engine.read_timeline(requests, batch, geometry, timing)
-        requests, timeline = shared[key]
+        requests, timeline = session.lookup(layout, timing, batch, first, chunk)
         emb = ev_engine.simulate_lookup(flash, requests, timeline, t_add, batch)
         device_ns, cols = stage(emb, batch)
         dispatch = t0 + np.cumsum(device_ns) - device_ns
@@ -280,46 +322,16 @@ def _drive(scenario: Scenario, layout, queries, batch: int, kc_e: int, stage, sh
             np.concatenate(ev), busy, batches)
 
 
-def _same(a, b) -> bool:
-    """Whether two arrays hold the same bytes in the same shape and dtype: -0.0
-    and 0.0 differ, and a NaN equals only its own bit pattern."""
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def _forward(dims, weights, biases, x, shared: dict) -> np.ndarray:
-    """`mlp_forward` of the (queries, inputs) matrix `x`, or the output of an
-    earlier call in `shared` whose weights, biases and input were
-    byte-equal to these."""
-    calls = shared.setdefault("mlp_forward", [])
-    for d, w, b, x0, y0 in calls:
-        if d == dims and _same(x0, x) and all(map(_same, w, weights)) and \
-                all(map(_same, b, biases)):
-            return y0
-    y = mlp_forward(dims, weights, biases, x)
-    calls.append((dims, weights, biases, x, y))
-    return y
-
-
-def _score(model, queries: Workload, ev, shared: dict) -> list[float]:
-    """Every query's score, from one bottom-MLP and one top-MLP pass over
-    (queries, width) matrices; `ev` holds each query's summed vectors. Each
-    pass reuses an earlier one of `shared` on the same bytes (`_forward`): a
-    compare's modes score the same dense rows, and their summed vectors are
-    equal unless a mode gathered or summed wrongly, which then shows as a
-    score mismatch."""
-    spec = model.spec
-    ev = np.asarray(ev, dtype=np.float32).reshape(len(queries), spec.emb_out_width)
-    bottom = _forward(spec.bottom_mlp_dims, model.bottom_weights, model.bottom_biases,
-                      queries.dense, shared)
-    top = _forward(spec.top_mlp_dims, model.top_weights, model.top_biases,
-                   interact(bottom, [ev]), shared)
-    return top[:, 0].tolist()
-
-
-def _result(scenario: Scenario, queries, ev, start, done, stages, busy, events: int,
-            shared: dict) -> RunResult:
-    """Score the first len(start) queries and summarize their timeline, each
-    running from `start` to `done`, with spans from (stage, start, end) columns."""
+def _result(scenario: Scenario, session: Session, ev, start, done, stages, busy,
+            events: int) -> RunResult:
+    """Score the session's first len(start) queries and summarize their
+    timeline, each running from `start` to `done`, with spans the (stage,
+    start, end) columns `stages`. `ev` holds each query's summed vectors.
+    Scoring is one bottom-MLP and one top-MLP pass over (queries, width)
+    matrices, each reusing an earlier one of the session on the same bytes
+    (`Session.forward`): a compare's modes score the same dense rows, and
+    their summed vectors are equal unless a mode gathered or summed wrongly,
+    which then shows as a score mismatch."""
     n = len(start)
     latencies = (done - start).tolist()
     lat = sorted(latencies)
@@ -341,33 +353,32 @@ def _result(scenario: Scenario, queries, ev, start, done, stages, busy, events: 
         resources=None,
         event_count=events,
     )
-    cols = [(name, s.tolist(), e.tolist()) for name, s, e in stages]
-    spans = [(q, name, s[q], e[q]) for q in range(n) for name, s, e in cols]
-    return RunResult(metrics, _score(scenario.model, queries[:n], ev, shared), latencies,
-                     spans)
+    model, spec = scenario.model, scenario.model.spec
+    bottom = session.forward(spec.bottom_mlp_dims, model.bottom_weights, model.bottom_biases,
+                             session.queries[:n].dense)
+    ev = np.asarray(ev, dtype=np.float32).reshape(n, spec.emb_out_width)
+    top = session.forward(spec.top_mlp_dims, model.top_weights, model.top_biases,
+                          interact(bottom, [ev]))
+    return RunResult(metrics, top[:, 0].tolist(), latencies, stages)
 
 
-def run(scenario: Scenario, seed: int, queries: Workload | None = None,
-        shared: dict | None = None) -> RunResult:
-    """Simulate the scenario on the workload drawn with `seed`; `queries` is
-    that workload when the caller has drawn it already. `shared` holds the
-    device lookups' translations and read timelines by (geometry, timing,
-    batch, chunk start), and every MLP pass of the scoring with its weights,
-    biases and input, which a later pass reuses only on byte-equal ones
-    (`_forward`). Runs may share one only on one workload and one model spec,
-    as `compare`'s do. None starts an empty one."""
+def run(scenario: Scenario, seed: int, session: Session | None = None) -> RunResult:
+    """Simulate the scenario with `seed` on the session's workload, sharing
+    the session's lookups and scoring passes with the runs before it on that
+    session (see `Session`). None draws a new session, on the scenario's
+    workload drawn with `seed`. A session refuses a scenario whose model spec
+    differs from the one it has admitted."""
     scenario.validate()
-    if queries is None:
-        wl = scenario.workload
-        queries = generate_workload(scenario.model.spec, wl.distribution, wl.pooling,
-                                    scenario.query_count, seed, wl.zipf_s)
+    if session is None:
+        session = Session.draw(scenario, seed)
+    session.admit(scenario)
     layout = ev_engine.table_layout(scenario.model.spec, scenario.geometry)
     runner = {MODE_RMSSD: _run_rmssd, MODE_EMB_VECTORSUM: _run_emb_vectorsum,
               MODE_SSD_BASELINE: _run_baseline}[scenario.mode]
-    return runner(scenario, queries, seed, layout, {} if shared is None else shared)
+    return runner(scenario, session, seed, layout)
 
 
-def _run_rmssd(scenario: Scenario, queries, seed: int, layout, shared: dict) -> RunResult:
+def _run_rmssd(scenario: Scenario, session: Session, seed: int, layout) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
     timing = scenario.timing
     assignment, batch, outcome = scenario.kernels, scenario.batch, None
@@ -402,37 +413,35 @@ def _run_rmssd(scenario: Scenario, queries, seed: int, layout, shared: dict) -> 
         return device, {"bottom_end": np.tile(bottom_ns, lanes)[:n], "top_start": top_start,
                         "done": done}
 
-    times, ev, busy, batches = _drive(scenario, layout, queries, batch, assignment.ev[1],
-                                      stage, shared)
+    times, ev, busy, batches = _drive(scenario, layout, session, batch, assignment.ev[1],
+                                      stage)
     t0, done = times["t0"], times["done"]
-    result = _result(scenario, queries, ev, t0, done,
+    result = _result(scenario, session, ev, t0, done,
                      [("emb", times["emb_start"], times["emb_end"]),
                       ("bottom_mlp", t0, times["bottom_end"]),
-                      ("top_mlp", times["top_start"], done)], busy, len(t0) + batches,
-                     shared)
+                      ("top_mlp", times["top_start"], done)], busy, len(t0) + batches)
     result.metrics.resources = resource_usage(spec, assignment, scenario.resource_model).to_dict()
     result.search_outcome = outcome
     return result
 
 
-def _run_emb_vectorsum(scenario: Scenario, queries, seed: int, layout,
-                       shared: dict) -> RunResult:
+def _run_emb_vectorsum(scenario: Scenario, session: Session, seed: int, layout) -> RunResult:
     spec, timing = scenario.model.spec, scenario.timing
     kc_e = scenario.kernels.ev[1] if scenario.kernels is not None else spec.ev_dim
     host_mlp = _host_mlp_ns(spec, timing)
     xfer = timing.host_iface_ns(spec.emb_out_width * 4) + timing.host_overhead_ns
     # the device frees when the batch's lookups end
-    times, ev, busy, batches = _drive(scenario, layout, queries, scenario.batch, kc_e,
-                                      lambda emb, batch: (emb.t_emb_ns, {}), shared)
+    times, ev, busy, batches = _drive(scenario, layout, session, scenario.batch, kc_e,
+                                      lambda emb, batch: (emb.t_emb_ns, {}))
     t0, emb_end = times["t0"], times["emb_end"]
     ready = emb_end + xfer
     # the host MLP serves queries in order, so done_i = max(ready_i, done_{i-1})
     # + host_mlp, a max-plus scan: done_i = (i+1)·h + max_{k<=i}(ready_k - k·h)
     before = host_mlp * np.arange(len(ready))
     done = np.maximum.accumulate(ready - before) + before + host_mlp
-    return _result(scenario, queries, ev, t0, done,
+    return _result(scenario, session, ev, t0, done,
                    [("emb", times["emb_start"], emb_end), ("host_xfer", emb_end, ready),
-                    ("host_mlp", done - host_mlp, done)], busy, len(t0) + batches, shared)
+                    ("host_mlp", done - host_mlp, done)], busy, len(t0) + batches)
 
 
 def resident_sets(spec, dram_fraction: float, distribution: str, seed: int):
@@ -452,7 +461,7 @@ def resident_sets(spec, dram_fraction: float, distribution: str, seed: int):
     return sets
 
 
-def _run_baseline(scenario: Scenario, queries, seed: int, layout, shared: dict) -> RunResult:
+def _run_baseline(scenario: Scenario, session: Session, seed: int, layout) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
     geometry, timing = scenario.geometry, scenario.timing
     resident = resident_sets(spec, scenario.dram_fraction, scenario.workload.distribution,
@@ -464,7 +473,7 @@ def _run_baseline(scenario: Scenario, queries, seed: int, layout, shared: dict) 
     # every lookup of the run and its residency; these are host reads, so the
     # call does not go through the `ev_engine` attribute that the benchmark's
     # tracer counts as device requests
-    lookups = translate_batch(layout, queries)
+    lookups = translate_batch(layout, session.queries)
     hit = np.empty(lookups.index.shape, dtype=bool)
     for t, mask in enumerate(resident):
         hit[:, t] = mask[lookups.index[:, t]]
@@ -475,16 +484,16 @@ def _run_baseline(scenario: Scenario, queries, seed: int, layout, shared: dict) 
     emb = hits * timing.dram_hit_ns_int + misses * miss_ns
     done = np.cumsum(emb + host_mlp)
     start = done - (emb + host_mlp)
-    n = len(queries) if scenario.duration_ns is None else \
+    n = len(start) if scenario.duration_ns is None else \
         int(np.searchsorted(start, scenario.duration_ns))
     start, emb, done = start[:n], emb[:n], done[:n]
-    busy = np.bincount(lookups.channel[:n][~hit[:n]], minlength=geometry.channels) * page_busy
+    channel = page_location(geometry, lookups.page[:n][~hit[:n]])[0]
+    busy = np.bincount(channel, minlength=geometry.channels) * page_busy
     # the host sums each table's rows in index order, as the device's vector sum
     ev = ev_engine.lookup_sums(ev_engine.gather_rows(model.tables, lookups.index[:n]))
     # a dispatch is not an event: each query is one completion
-    result = _result(scenario, queries, ev, start, done,
-                     [("emb", start, start + emb), ("host_mlp", start + emb, done)], busy, n,
-                     shared)
+    result = _result(scenario, session, ev, start, done,
+                     [("emb", start, start + emb), ("host_mlp", start + emb, done)], busy, n)
     result.dram_hits, result.dram_misses = int(hits[:n].sum()), int(misses[:n].sum())
     return result
 
@@ -514,20 +523,16 @@ def compare(scenarios: list[Scenario], seed: int) -> tuple[ComparisonReport, lis
     if len(scenarios) < 2:
         raise ValueError("compare needs at least two scenarios")
     ref = scenarios[0]
-    for s in scenarios[1:]:
-        if s.model.spec != ref.model.spec:
-            raise ValueError("scenarios must share one model")
-        if s.workload != ref.workload or s.query_count != ref.query_count:
-            raise ValueError("scenarios must share one workload")
-    # the scenarios share one workload, drawn once, the device lookups'
-    # translations and read timelines, each computed once per distinct key,
-    # and the scoring's MLP passes, each computed once per distinct input
+    if any(s.workload != ref.workload or s.query_count != ref.query_count
+           for s in scenarios[1:]):
+        raise ValueError("scenarios must share one workload")
+    # one session: the workload, drawn once, each chunk's lookup and each
+    # distinct scoring pass; it admits every scenario before any runs
     ref.validate()
-    wl = ref.workload
-    queries = generate_workload(ref.model.spec, wl.distribution, wl.pooling, ref.query_count,
-                                seed, wl.zipf_s)
-    shared = {}
-    results = [run(s, seed, queries, shared) for s in scenarios]
+    session = Session.draw(ref, seed)
+    for s in scenarios:
+        session.admit(s)
+    results = [run(s, seed, session) for s in scenarios]
     base = results[0].metrics
     rows = []
     for s, r in zip(scenarios, results):

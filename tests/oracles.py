@@ -404,8 +404,8 @@ def lookup_reads(layout, queries, geometry, timing, batch=None):
     `schedule` and each request's `arrival_ns` (its page's transfer end)."""
     requests = translate_batch(layout, queries)
     reads = dispatch(requests, np.arange(len(queries)) // (batch or max(len(queries), 1)))
-    schedule = schedule_page_reads(PageReads(reads.channel, reads.die, reads.lane),
-                                   geometry, timing)
+    channel, die, _ = page_location(geometry, reads.page)
+    schedule = schedule_page_reads(PageReads(channel, die, reads.lane), geometry, timing)
     return SimpleNamespace(requests=requests, reads=reads, schedule=schedule,
                            arrival_ns=schedule.xfer_end_ns[reads.read])
 

@@ -275,7 +275,8 @@ def test_criterion_8_property_suites():
         reqs = translate_batch(layout_bal,
                                Workload.from_queries([Query([idx], np.zeros(2, np.float32))]))
         reads = dispatch(reqs, np.zeros(1, np.int64))
-        counts = np.unique(reads.channel * 2 + reads.die, return_counts=True)[1].tolist()
+        channel, die, _ = page_location(geo_bal, reads.page)
+        counts = np.unique(channel * 2 + die, return_counts=True)[1].tolist()
         assert len(counts) == 4 and min(counts) >= 32
         assert max(counts) / min(counts) <= 1.5
 

@@ -185,6 +185,13 @@ class TestRun:
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "query_id,stage,start_ns,end_ns"
         assert len(trace) > 30
+        # one row per query and stage, query by query, each query's stages in
+        # the baseline's pipeline order
+        stages = ["emb", "host_mlp"]
+        rows = [line.split(",") for line in trace[1:]]
+        assert len(trace) == 1 + 30 * len(stages)
+        assert [int(r[0]) for r in rows] == [q for q in range(30) for _ in stages]
+        assert [r[1] for r in rows] == stages * 30
 
     def test_byte_identical_outputs_for_same_seed(self, tmp_path):
         path = write(tmp_path, "run.yaml", FAST_RUN)

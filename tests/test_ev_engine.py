@@ -10,8 +10,8 @@ from recssd.ev_engine import (add_ns, adder_order, build_flash_image, dispatch, 
 from recssd.mlp_engine import KernelAssignment
 from recssd.recmodel import (ModelSpec, Query, TableSpec, Workload, build_model,
                              ev_lookup_sum, generate_workload)
-from recssd.sim import MODES, Scenario, WorkloadConfig, run
-from recssd.storage import SsdGeometry, TimingParams, page_read_time
+from recssd.sim import MODES, Scenario, Session, WorkloadConfig, run
+from recssd.storage import SsdGeometry, TimingParams, page_location, page_read_time
 
 from oracles import (adder_oracle, die_timelines, flash_schedule_oracle, fold_sum_rows,
                      lookup_reads, translate_index)
@@ -112,7 +112,8 @@ class TestExtentMap:
         pages = [first_page[t] + i // 85 for q in qs for t, idx in enumerate(q.indices)
                  for i in idx]
         assert reqs.page.ravel().tolist() == pages and set(pages) == set(range(8))
-        assert list(zip(reqs.channel.ravel().tolist(), reqs.die.ravel().tolist())) == \
+        channel, die, _ = page_location(geo, reqs.page)
+        assert list(zip(channel.ravel().tolist(), die.ravel().tolist())) == \
             [(p % 3, (p // 3) % 2) for p in pages]
 
     def test_oversized_vector_rejected(self):
@@ -155,7 +156,8 @@ class TestDispatch:
         per_die = {}
         for p in pages:
             per_die[(p % 8, (p // 8) % 4)] = per_die.get((p % 8, (p // 8) % 4), 0) + 1
-        got = Counter(zip(reads.channel.tolist(), reads.die.tolist()))
+        channel, die, _ = page_location(GEO, reads.page)
+        got = Counter(zip(channel.tolist(), die.tolist()))
         assert got == per_die
 
     def test_makespan_matches_event_list_oracle(self):
@@ -165,11 +167,12 @@ class TestDispatch:
         idx = rng.integers(0, 64 * 128, 100).tolist()
         qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
         res = lookup_reads(layout, qs, GEO, TP)
+        reads = res.schedule.reads
         pages = [(0, 0, int(ch), int(die), seq)
-                 for seq, (ch, die) in enumerate(zip(res.reads.channel, res.reads.die))]
+                 for seq, (ch, die) in enumerate(zip(reads.channel, reads.die))]
         _, makespan = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
         assert res.schedule.makespan_ns == makespan
-        max_q = max(Counter(zip(res.reads.channel.tolist(), res.reads.die.tolist())).values())
+        max_q = max(Counter(zip(reads.channel.tolist(), reads.die.tolist())).values())
         assert makespan >= max_q * TP.sense_ns
         assert makespan <= max_q * page_read_time(GEO, TP) + GEO.dies_per_channel * TP.xfer_ns(4096)
 
@@ -271,7 +274,7 @@ class TestSimulateLookup:
                                 kernels=KernelAssignment.all_max(model.spec))
             with pytest.raises(ValueError,
                                match=re.escape("input shape (2, 3) != (2,) or (queries, 2)")):
-                run(scenario, 0, Workload.from_queries([bad, bad]))
+                run(scenario, 0, Session(Workload.from_queries([bad, bad])))
 
     def test_identical_queries_identical_latency(self):
         model = flat_model(num_tables=2, rows=4096, seed=5)
@@ -471,6 +474,7 @@ class TestSimulateLookup:
         layout = table_layout(model.spec, GEO)
         qs = generate_workload(model.spec, "uniform", 64, 64, 23)
         res = lookup_reads(layout, qs, GEO, TP)
-        counts = list(Counter(zip(res.reads.channel.tolist(), res.reads.die.tolist())).values())
+        reads = res.schedule.reads
+        counts = list(Counter(zip(reads.channel.tolist(), reads.die.tolist())).values())
         assert len(counts) == 32 and min(counts) * 32 >= 1024 * 0.8
         assert max(counts) / min(counts) <= 1.5

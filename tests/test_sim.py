@@ -10,8 +10,8 @@ from recssd.mlp_engine import KernelAssignment
 from recssd.recmodel import (Model, ModelSpec, TableSpec, build_model, desk_model_spec,
                              generate_workload, reference_inference, zipf_cdf)
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE,
-                        InfeasibleSearchError, Scenario, WorkloadConfig, compare,
-                        metrics_json, run)
+                        InfeasibleSearchError, Scenario, Session, WorkloadConfig, compare,
+                        metrics_json, run, spans_to_csv)
 from recssd.storage import SsdGeometry, TimingParams, page_read_time
 
 from oracles import (adder_oracle, decomposed_top_oracle, flash_schedule_oracle,
@@ -34,6 +34,14 @@ def rmc3(seed=3):
 
 
 ALLMAX = KernelAssignment.all_max(desk_model_spec("rmc3-mini"))
+
+
+def span_rows(result):
+    """A run's spans as (query, stage, start_ns, end_ns) rows, query by query
+    and each query's stages in pipeline order, as trace.csv lists them."""
+    cols = [(name, s.tolist(), e.tolist()) for name, s, e in result.spans]
+    return [(q, name, s[q], e[q]) for q in range(len(result.latencies_ns))
+            for name, s, e in cols]
 
 
 class TestBaselineMode:
@@ -198,7 +206,7 @@ class TestRmssdMode:
         assert r.metrics.latency_p99_ns == want["p99"]
         assert r.metrics.latency_max_ns == want["max"]
         # top-MLP spans run from the first layer's start to the completion
-        assert [(s, e) for _, stage, s, e in r.spans if stage == "top_mlp"] == want["top_mlp"]
+        assert [(s, e) for _, stage, s, e in span_rows(r) if stage == "top_mlp"] == want["top_mlp"]
 
     def test_replay_oracle_three_layer_stacks(self):
         # 3-layer bottom and top stacks, so the top's last layer is a column
@@ -215,9 +223,9 @@ class TestRmssdMode:
         assert r.latencies_ns == want["latencies"]
         assert r.metrics.horizon_ns == want["horizon"]
         assert r.metrics.latency_p99_ns == want["p99"]
-        bottom = [(s, e) for _, stage, s, e in r.spans if stage == "bottom_mlp"]
+        bottom = [(s, e) for _, stage, s, e in span_rows(r) if stage == "bottom_mlp"]
         assert [e - s for s, e in bottom] == want["bottom_end"]
-        assert [(s, e) for _, stage, s, e in r.spans if stage == "top_mlp"] == want["top_mlp"]
+        assert [(s, e) for _, stage, s, e in span_rows(r) if stage == "top_mlp"] == want["top_mlp"]
 
     def test_replay_oracle_spilled_300mhz_partial_batch(self):
         # a 5000-byte BRAM holds the bottom stack's first layer (3584 bytes
@@ -238,9 +246,9 @@ class TestRmssdMode:
         assert r.metrics.horizon_ns == want["horizon"]
         assert r.metrics.latency_p99_ns == want["p99"]
         # bottom-MLP spans run from each batch's dispatch
-        bottom = [(s, e) for _, stage, s, e in r.spans if stage == "bottom_mlp"]
+        bottom = [(s, e) for _, stage, s, e in span_rows(r) if stage == "bottom_mlp"]
         assert [e - s for s, e in bottom] == want["bottom_end"]
-        assert [(s, e) for _, stage, s, e in r.spans if stage == "top_mlp"] == want["top_mlp"]
+        assert [(s, e) for _, stage, s, e in span_rows(r) if stage == "top_mlp"] == want["top_mlp"]
         # the floors delay some queries
         assert r.latencies_ns != plain.latencies_ns
 
@@ -274,7 +282,7 @@ class TestRmssdMode:
         m = rmc3()
         r = run(scenario(MODE_RMSSD, m, 20, kernels=ALLMAX), 3)
         stages = {}
-        for qid, stage, s, e in r.spans:
+        for qid, stage, s, e in span_rows(r):
             assert 0 <= s <= e
             stages.setdefault(qid, set()).add(stage)
         assert set(stages) == set(range(20))
@@ -344,6 +352,7 @@ class TestMetricsAndDeterminism:
         assert r.metrics.completed == 0
         assert r.metrics.throughput_qps == 0.0
         assert r.metrics.horizon_ns == 0
+        assert spans_to_csv(r.spans) == "query_id,stage,start_ns,end_ns\n"
 
     def test_percentile_ordering(self):
         for mode, kw in ((MODE_RMSSD, {"kernels": ALLMAX}), (MODE_EMB_VECTORSUM, {}),
@@ -371,7 +380,7 @@ class TestMetricsAndDeterminism:
             # the cut run is the uncut run's first n queries
             assert r.latencies_ns == r_full.latencies_ns[:n], mode
             assert r.scores == r_full.scores[:n], mode
-            assert r.spans == [s for s in r_full.spans if s[0] < n], mode
+            assert span_rows(r) == [s for s in span_rows(r_full) if s[0] < n], mode
 
     def test_chunks_are_invisible_and_cut_inside_the_second(self, monkeypatch):
         # batches of 3 over 1121 queries: three chunks at CHUNK_QUERIES = 512,
@@ -387,9 +396,9 @@ class TestMetricsAndDeterminism:
                 patch.setattr(sim, "CHUNK_QUERIES", 10 * count)
                 r_one = run(scenario(mode, m, count, batch=batch, **kw), 4)
             assert metrics_json(r_full.metrics) == metrics_json(r_one.metrics), mode
-            assert r_full.spans == r_one.spans and r_full.scores == r_one.scores, mode
+            assert span_rows(r_full) == span_rows(r_one) and r_full.scores == r_one.scores, mode
             # dispatch times: the end of each query's last span minus its latency
-            t0 = [s[3] - lat for s, lat in zip(r_full.spans[2::3], r_full.latencies_ns)]
+            t0 = [s[3] - lat for s, lat in zip(span_rows(r_full)[2::3], r_full.latencies_ns)]
             # a batch is dispatched while its t0 is before the cut
             cut = t0[chunk + 40 * batch]
             r = run(scenario(mode, m, count, batch=batch, duration_ns=cut, **kw), 4)
@@ -397,7 +406,7 @@ class TestMetricsAndDeterminism:
             assert n == chunk + 40 * batch, mode
             assert r.latencies_ns == r_full.latencies_ns[:n], mode
             assert r.scores == r_full.scores[:n], mode
-            assert r.spans == [s for s in r_full.spans if s[0] < n], mode
+            assert span_rows(r) == [s for s in span_rows(r_full) if s[0] < n], mode
             # and it is the uncut run of those queries, busy times included
             r_prefix = run(scenario(mode, m, n, batch=batch, **kw), 4)
             assert metrics_json(r.metrics) == metrics_json(r_prefix.metrics), mode
@@ -415,7 +424,7 @@ class TestMetricsAndDeterminism:
             a = run(scenario(mode, rmc3(), 40, **kw), 23)
             b = run(scenario(mode, rmc3(), 40, **kw), 23)
             assert metrics_json(a.metrics) == metrics_json(b.metrics)
-            assert a.scores == b.scores and a.spans == b.spans
+            assert a.scores == b.scores and span_rows(a) == span_rows(b)
         c = run(scenario(MODE_SSD_BASELINE, rmc3(), 40), 24)
         assert metrics_json(c.metrics) != metrics_json(b.metrics)
 
@@ -447,8 +456,8 @@ def sharing_scenarios(model, count, cut):
 
 def dispatch_times(result):
     """Each query's dispatch time: the end of its last span minus its latency."""
-    per_query = len(result.spans) // len(result.latencies_ns)
-    last = result.spans[per_query - 1::per_query]
+    stages = len(result.spans)
+    last = span_rows(result)[stages - 1::stages]
     return [s[3] - lat for s, lat in zip(last, result.latencies_ns)]
 
 
@@ -479,15 +488,15 @@ class TestCompare:
         count, seed = 1121, 4
         chunk = sim.CHUNK_QUERIES // 3 * 3
         queries = generate_workload(m.spec, "uniform", 8, count, seed)
-        full = run(scenario(MODE_EMB_VECTORSUM, m, count, batch=3), seed, queries)
+        full = run(scenario(MODE_EMB_VECTORSUM, m, count, batch=3), seed, Session(queries))
         scenarios = sharing_scenarios(m, count, dispatch_times(full)[chunk + 40 * 3])
         _, results = compare(scenarios, seed)
         assert results[-1].metrics.issued == chunk + 40 * 3
         for s, r in zip(scenarios, results):
-            alone = run(s, seed, queries)
+            alone = run(s, seed, Session(queries))
             assert metrics_json(r.metrics) == metrics_json(alone.metrics), s
             assert r.scores == alone.scores and r.latencies_ns == alone.latencies_ns, s
-            assert r.spans == alone.spans, s
+            assert span_rows(r) == span_rows(alone), s
 
     def test_compare_schedules_each_lookup_once(self, monkeypatch):
         # chunks of 12 queries over 40: four chunks for batches of 2 and of 3
@@ -577,6 +586,30 @@ class TestCompare:
         assert base.scores == [reference_inference(m, q)
                                for q in generate_workload(m.spec, "uniform", 8, count, seed)]
 
+    def test_session_refuses_another_model_before_translating(self, monkeypatch):
+        # a session keys its lookups and scoring passes without the model, so
+        # one that has run rmc3-mini refuses an ncf-mini scenario in every
+        # mode before it translates a lookup (or runs a kernel search), and
+        # still runs rmc3-mini scenarios after that
+        from recssd import ev_engine, sim
+        m, seed = rmc3(), 3
+        session = Session(generate_workload(m.spec, "uniform", 8, 20, seed))
+        first = run(scenario(MODE_EMB_VECTORSUM, m, 20), seed, session)
+        calls = []
+        for module in (ev_engine, sim):
+            monkeypatch.setattr(module, "translate_batch",
+                                lambda *args, f=module.translate_batch: calls.append(args)
+                                or f(*args))
+        other = build_model(desk_model_spec("ncf-mini"), seed)
+        for mode in (MODE_RMSSD, MODE_EMB_VECTORSUM, MODE_SSD_BASELINE):
+            with pytest.raises(ValueError, match="scenarios must share one model"):
+                run(scenario(mode, other, 20), seed, session)
+        assert calls == []
+        again = run(scenario(MODE_EMB_VECTORSUM, m, 20), seed, session)
+        assert again.scores == first.scores and calls == []    # every chunk was kept
+        run(scenario(MODE_SSD_BASELINE, m, 20), seed, session)
+        assert len(calls) == 1
+
     def test_self_comparison_all_ratios_one(self):
         m = rmc3()
         rep, _ = compare([scenario(MODE_SSD_BASELINE, m, 30),
@@ -597,11 +630,19 @@ class TestCompare:
         assert rep.rows[1].throughput_x >= 10.0
         assert rep.rows[1].p99_reduction_pct >= 80.0
 
-    def test_mismatched_models_rejected(self):
+    def test_mismatched_models_rejected(self, monkeypatch):
+        from recssd import sim
         a = scenario(MODE_SSD_BASELINE, rmc3(), 10)
         b = scenario(MODE_SSD_BASELINE, build_model(desk_model_spec("ncf-mini"), 3), 10)
         with pytest.raises(ValueError, match="share one model"):
             compare([a, b], 1)
+        # every scenario is admitted before any runs: a mismatch third in
+        # the list stops the compare before its first run
+        runs, lone = [], sim.run
+        monkeypatch.setattr(sim, "run", lambda s, *args: runs.append(s) or lone(s, *args))
+        with pytest.raises(ValueError, match="share one model"):
+            compare([a, scenario(MODE_EMB_VECTORSUM, rmc3(), 10), b], 1)
+        assert runs == []
         c = scenario(MODE_SSD_BASELINE, rmc3(), 10,
                      workload=WorkloadConfig(pooling=4))
         with pytest.raises(ValueError, match="workload"):
