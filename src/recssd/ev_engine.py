@@ -16,14 +16,14 @@ arrays, every query looking up the workload's pooling of rows in each
 table, so the sums and the adder's order work along fixed axes of them.
 
 A lookup is one call chain: `translate_batch` places each request on its
-page and slot, `read_timeline` coalesces and schedules the page reads and
-orders their arrivals at the adder, and `simulate_lookup` finishes the
-lookup for one mode. A request holds no channel or die: they are a function
-of its page, computed only where they are read (here the coalesced reads,
-in `sim` the baseline's missed pages). The first two read neither the table
-values nor the adder's width, so modes that look up the same requests on
-the same device can share them. The gather from the flash image, the sums
-and the adder's finish at its add time are each mode's own.
+page and slot, `read_timeline` coalesces the requests into (lane, page)
+reads, has `storage.schedule_page_reads` place and schedule them and orders
+their arrivals at the adder, and `simulate_lookup` finishes the lookup for
+one mode. Nothing here computes a channel or a die: the scheduler places
+each page. The first two read neither the table values nor the adder's
+width, so modes that look up the same requests on the same device can share
+them. The gather from the flash image, the sums and the adder's finish at
+its add time are each mode's own.
 """
 
 from dataclasses import dataclass
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .recmodel import Workload
-from .storage import (PageReads, SsdGeometry, TimingParams, page_location,
-                      schedule_page_reads)
+from .storage import SsdGeometry, TimingParams, schedule_page_reads
 
 
 @dataclass(frozen=True)
@@ -78,17 +77,15 @@ def _locate(layout: TableLayout, table: np.ndarray, index: np.ndarray):
 
 @dataclass(frozen=True)
 class Requests:
-    """Embedding lookups as (queries, tables, pooling) arrays: request [q, t, j]
-    is row `index[q, t, j]` of table t. Request order is the arrays' order:
-    query, then table, then the query's index list. A request's channel and
-    die are its page's (`storage.page_location`), computed only for the
-    coalesced reads (`read_timeline`) and the baseline's missed pages."""
-    index: np.ndarray
+    """Embedding lookups as (queries, tables, pooling) arrays, in the shape of
+    the workload's index: request [q, t, j] is the row `index[q, t, j]` of
+    table t, in slot `slot[q, t, j]` of page `page[q, t, j]`. Request order is
+    the arrays' order: query, then table, then the query's index list."""
     page: np.ndarray        # global physical page
     slot: np.ndarray        # row slot within the page
 
     def __len__(self) -> int:
-        return self.index.size
+        return self.page.size
 
 
 def translate_batch(layout: TableLayout, queries: Workload) -> Requests:
@@ -96,8 +93,7 @@ def translate_batch(layout: TableLayout, queries: Workload) -> Requests:
     if len(queries) and index.shape[1] != len(layout.rows):
         raise ValueError(f"query has {index.shape[1]} index lists, "
                          f"the layout has {len(layout.rows)} tables")
-    page, slot = _locate(layout, np.arange(index.shape[1])[:, None], index)
-    return Requests(index, page, slot)
+    return Requests(*_locate(layout, np.arange(index.shape[1])[:, None], index))
 
 
 @dataclass(frozen=True)
@@ -218,14 +214,11 @@ def read_timeline(requests: Requests, batch: int, geometry: SsdGeometry,
     `batch` queries per lane, and keep only the columns the modes read: each
     query's first sense start, the channels' busy times and the adder's order
     of the requests' arrivals (each its page's transfer end)."""
-    queries = len(requests.index)
-    reads = dispatch(requests, np.arange(queries) // batch)
-    channel, die, _ = page_location(geometry, reads.page)
-    sched = schedule_page_reads(PageReads(channel, die, reads.lane), geometry, timing)
-    lanes = -(-queries // batch)
+    reads = dispatch(requests, np.arange(len(requests.page)) // batch)
+    sched = schedule_page_reads(reads.lane, reads.page, geometry, timing)
+    # every query has a request, so every lane has a read and a row of busy times
     return ReadTimeline(sched.sense_start_ns[reads.read].min(axis=(1, 2)),
-                        sched.channel_busy_ns(geometry.channels, lanes),
-                        adder_order(sched.xfer_end_ns[reads.read]))
+                        sched.channel_busy_ns, adder_order(sched.xfer_end_ns[reads.read]))
 
 
 @dataclass

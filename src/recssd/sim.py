@@ -35,7 +35,8 @@ that key reuses them and finishes the lookup (``simulate_lookup``) from its
 own flash image at its own ``kc_e``; and the scoring's MLP passes, which a
 later pass reuses only on byte-equal weights, biases and input. Neither key
 names the model, so a session admits scenarios of one model spec (and so one
-``ev_engine.table_layout``) and refuses others before they run. ``compare``
+``ev_engine.table_layout``) whose query count and pooling are its
+workload's, and refuses others before they run. ``compare``
 admits every scenario to one session, then runs each on it: the bottom MLP
 runs once (once per admitted prefix, when ``duration_ns`` cuts), and the top
 MLP once while every mode's summed vectors equal the baseline's; a mode whose
@@ -251,6 +252,9 @@ class Session:
                                      scenario.query_count, seed, wl.zipf_s))
 
     def admit(self, scenario: Scenario) -> None:
+        if scenario.query_count != len(self.queries) or \
+                scenario.workload.pooling != self.queries.pooling:
+            raise ValueError("scenarios must share one workload")
         if self._spec not in (None, scenario.model.spec):
             raise ValueError("scenarios must share one model")
         self._spec = scenario.model.spec
@@ -366,8 +370,9 @@ def run(scenario: Scenario, seed: int, session: Session | None = None) -> RunRes
     """Simulate the scenario with `seed` on the session's workload, sharing
     the session's lookups and scoring passes with the runs before it on that
     session (see `Session`). None draws a new session, on the scenario's
-    workload drawn with `seed`. A session refuses a scenario whose model spec
-    differs from the one it has admitted."""
+    workload drawn with `seed`. A session refuses a scenario whose query count
+    or pooling differs from its workload's, or whose model spec differs from
+    the one it has admitted."""
     scenario.validate()
     if session is None:
         session = Session.draw(scenario, seed)
@@ -473,10 +478,11 @@ def _run_baseline(scenario: Scenario, session: Session, seed: int, layout) -> Ru
     # every lookup of the run and its residency; these are host reads, so the
     # call does not go through the `ev_engine` attribute that the benchmark's
     # tracer counts as device requests
+    index = session.queries.index
     lookups = translate_batch(layout, session.queries)
-    hit = np.empty(lookups.index.shape, dtype=bool)
+    hit = np.empty(index.shape, dtype=bool)
     for t, mask in enumerate(resident):
-        hit[:, t] = mask[lookups.index[:, t]]
+        hit[:, t] = mask[index[:, t]]
     hits = hit.sum(axis=(1, 2))
     misses = (~hit).sum(axis=(1, 2))
     # queries run serially, each starting when the previous one completes;
@@ -490,7 +496,7 @@ def _run_baseline(scenario: Scenario, session: Session, seed: int, layout) -> Ru
     channel = page_location(geometry, lookups.page[:n][~hit[:n]])[0]
     busy = np.bincount(channel, minlength=geometry.channels) * page_busy
     # the host sums each table's rows in index order, as the device's vector sum
-    ev = ev_engine.lookup_sums(ev_engine.gather_rows(model.tables, lookups.index[:n]))
+    ev = ev_engine.lookup_sums(ev_engine.gather_rows(model.tables, index[:n]))
     # a dispatch is not an event: each query is one completion
     result = _result(scenario, session, ev, start, done,
                      [("emb", start, start + emb), ("host_mlp", start + emb, done)], busy, n)

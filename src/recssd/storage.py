@@ -1,8 +1,10 @@
 """SSD geometry, timing, page placement, and page-read scheduling.
 
 Placement is static round-robin striping: physical page p lies on channel
-p mod C, die (p div C) mod D, for C channels of D dies. The workload is
-read-only, so nothing moves and there is no garbage collection.
+p mod C, die (p div C) mod D, for C channels of D dies (`page_location`).
+The workload is read-only, so nothing moves and there is no garbage
+collection. A read names its lane and its page, and the scheduler places the
+page itself.
 
 Timing model (all durations are integer nanoseconds):
 
@@ -24,9 +26,9 @@ bus end at distinct times, as a sense and a page transfer each last at least
 1 ns (scenarios with shorter phases are rejected as configuration errors), so
 no later tie occurs and no round overtakes the one before it. So the round
 order is the event-driven rule's, and the test oracle's order of events.
-`schedule_page_reads` sorts the reads into it and steps all pairs through it
-together, each transfer ending at max(bus free, end of its die's previous
-transfer + sense) + transfer.
+`schedule_page_reads` places each read's page, sorts the reads into that
+order and steps all pairs through it together, each transfer ending at
+max(bus free, end of its die's previous transfer + sense) + transfer.
 """
 
 import math
@@ -114,37 +116,16 @@ def page_read_time(geometry: SsdGeometry, timing: TimingParams) -> int:
 
 
 @dataclass(frozen=True)
-class PageReads:
-    """Page reads as columns; a read's position is its sequence number. Each
-    lane is a device of its own, idle at time 0, and its reads are all ready
-    at that start."""
-    channel: np.ndarray
-    die: np.ndarray
-    lane: np.ndarray                    # lanes numbered from 0
-
-    def __len__(self) -> int:
-        return len(self.channel)
-
-
-@dataclass(frozen=True)
 class PageSchedule:
-    """Per-read phase times, in the order of the scheduled `reads`, each
-    relative to the start of the read's lane."""
-    reads: PageReads
+    """Each read's sense start and transfer end, in the order of the scheduled
+    reads and relative to the start of the read's lane, and each (lane,
+    channel)'s busy time. Every die senses its first read at its lane's start
+    and each next one when the previous transfer ends, so the union of a
+    pair's die-busy intervals (sense start to transfer end) is [0, the pair's
+    last transfer end]."""
     sense_start_ns: np.ndarray
-    sense_end_ns: np.ndarray
-    xfer_start_ns: np.ndarray
     xfer_end_ns: np.ndarray
-    makespan_ns: int                    # the latest transfer end of any lane
-
-    def channel_busy_ns(self, channels: int, lanes: int) -> np.ndarray:
-        """Union of each (lane, channel)'s die-busy intervals (sense start to
-        transfer end), as a (lanes, channels) matrix. Every die senses its
-        first read at its lane's start and each next one when the previous
-        transfer ends, so that union is [0, the pair's last transfer end]."""
-        busy = np.zeros(lanes * channels, dtype=np.int64)
-        np.maximum.at(busy, self.reads.lane * channels + self.reads.channel, self.xfer_end_ns)
-        return busy.reshape(lanes, channels)
+    channel_busy_ns: np.ndarray         # (highest lane + 1, channels)
 
 
 def _narrow(*keys: np.ndarray) -> np.ndarray:
@@ -154,25 +135,26 @@ def _narrow(*keys: np.ndarray) -> np.ndarray:
     return np.array(keys, dtype=np.min_scalar_type(top))
 
 
-def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
+def schedule_page_reads(lane, page, geometry: SsdGeometry,
                         timing: TimingParams) -> PageSchedule:
-    """Schedule page reads in the rounds of the module docstring: each (lane,
-    channel) bus serves round k, its dies' k-th reads, in the order of the
-    dies' first reads, as first reads finish sensing together, a die's next
-    read finishes sensing a sense time after its last transfer, and transfer
-    ends on a bus are distinct. Die and bus are both work-conserving."""
+    """Schedule the reads of `page`, read k in lane `lane[k]` (lanes numbered
+    from 0), each on its page's channel and die (`page_location`), in the
+    rounds of the module docstring: each (lane, channel) bus serves round k,
+    its dies' k-th reads, in the order of the dies' first reads, as first
+    reads finish sensing together, a die's next read finishes sensing a sense
+    time after its last transfer, and transfer ends on a bus are distinct. A
+    read's position is its sequence number. Die and bus are both
+    work-conserving."""
     sense = timing.sense_ns
     xfer = timing.xfer_ns(geometry.page_size)
-    n = len(reads)
-    channel = np.asarray(reads.channel, dtype=np.int64)
-    die = np.asarray(reads.die, dtype=np.int64)
-    lane = np.asarray(reads.lane, dtype=np.int64)
-    outside = (channel < 0) | (channel >= geometry.channels) \
-        | (die < 0) | (die >= geometry.dies_per_channel) | (lane < 0)
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise ValueError(f"read {k}: lane {lane[k]}, ({channel[k]}, {die[k]}) "
-                         f"outside geometry")
+    lane = np.asarray(lane, dtype=np.int64)
+    page = np.asarray(page, dtype=np.int64)
+    n = len(page)
+    negative = (lane < 0) | (page < 0)
+    if negative.any():
+        k = int(np.argmax(negative))
+        raise ValueError(f"read {k}: lane {lane[k]}, page {page[k]} is negative")
+    channel, die, _ = page_location(geometry, page)
 
     # each die's queue, its reads in seq order (lexsort is stable): a read's
     # round is its place in the queue; pairs are numbered densely
@@ -210,6 +192,9 @@ def schedule_page_reads(reads: PageReads, geometry: SsdGeometry,
 
     sense_start, xfer_end = np.empty((2, n), dtype=np.int64)
     sense_start[by_die] = end[die_before[slot]]
-    xfer_end[by_die] = end[slot]
-    return PageSchedule(reads, sense_start, sense_start + sense, xfer_end - xfer, xfer_end,
-                        int(xfer_end.max(initial=0)))
+    xfer_end[by_die] = done = end[slot]
+    # a pair's reads are contiguous in queue order
+    busy = np.zeros((int(lane.max(initial=-1)) + 1, geometry.channels), dtype=np.int64)
+    pair_first = np.flatnonzero(new_pair)
+    busy[lane[pair_first], channel[pair_first]] = np.maximum.reduceat(done, pair_first)
+    return PageSchedule(sense_start, xfer_end, busy)

@@ -5,9 +5,9 @@ plain Python loops, staying off the package's compute/scheduling code paths,
 so tests compare two separately written realizations of the same rules. The
 helpers in the last section are built on the package's own code: they give
 tests a one-row translation, a host block read, which no scenario needs, the
-per-read columns of a lookup (its requests, coalesced reads, their schedule
-and each request's arrival) and the per-pass records of a pipeline schedule,
-which the simulator does not keep.
+per-read columns of a lookup (its requests, coalesced reads, their channels,
+dies and schedule, and each request's arrival) and the per-pass records of a
+pipeline schedule, which the simulator does not keep.
 """
 
 import math
@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from recssd.ev_engine import _locate, dispatch, translate_batch
-from recssd.storage import PageReads, page_location, schedule_page_reads
+from recssd.storage import page_location, schedule_page_reads
 
 F32 = np.float32
 
@@ -358,13 +358,13 @@ def nearest_rank(sorted_vals, q):
     return sorted_vals[rank - 1]
 
 
-def die_timelines(schedule):
+def die_timelines(geometry, pages, schedule):
     """{(channel, die): [(sense_start, xfer_end), ...] in sense-start order}
-    of a page schedule."""
+    of the page schedule of reads of `pages` on `geometry`."""
     out = {}
-    reads = schedule.reads
-    for k in range(len(reads)):
-        out.setdefault((int(reads.channel[k]), int(reads.die[k])), []).append(
+    channel, die, _ = page_location(geometry, np.asarray(pages))
+    for k in range(len(channel)):
+        out.setdefault((int(channel[k]), int(die[k])), []).append(
             (int(schedule.sense_start_ns[k]), int(schedule.xfer_end_ns[k])))
     return {key: sorted(v) for key, v in out.items()}
 
@@ -391,23 +391,23 @@ def host_block_read(geometry, total_pages: int, offset: int, nbytes: int, timing
         raise ValueError(f"byte range [{offset}, {end}) outside provisioned capacity")
     page_size = geometry.page_size
     pages = np.arange(offset // page_size, (end - 1) // page_size + 1, dtype=np.int64)
-    channel, die, _ = page_location(geometry, pages)
-    sched = schedule_page_reads(PageReads(channel, die, np.zeros(len(pages), np.int64)),
-                                geometry, timing)
-    return sched.makespan_ns + timing.host_iface_ns(nbytes) + timing.host_overhead_ns
+    sched = schedule_page_reads(np.zeros(len(pages), np.int64), pages, geometry, timing)
+    return int(sched.xfer_end_ns.max()) + timing.host_iface_ns(nbytes) + \
+        timing.host_overhead_ns
 
 
 def lookup_reads(layout, queries, geometry, timing, batch=None):
     """The page reads of a lookup of `queries` in batches of `batch` (default:
     one batch of all), one lane per batch, as `ev_engine.read_timeline`
-    coalesces and schedules them: `requests`, the coalesced `reads`, their
-    `schedule` and each request's `arrival_ns` (its page's transfer end)."""
+    coalesces and schedules them: `requests`, the coalesced `reads`, the
+    `channel` and `die` of each one's page, their `schedule` and each
+    request's `arrival_ns` (its page's transfer end)."""
     requests = translate_batch(layout, queries)
     reads = dispatch(requests, np.arange(len(queries)) // (batch or max(len(queries), 1)))
+    schedule = schedule_page_reads(reads.lane, reads.page, geometry, timing)
     channel, die, _ = page_location(geometry, reads.page)
-    schedule = schedule_page_reads(PageReads(channel, die, reads.lane), geometry, timing)
-    return SimpleNamespace(requests=requests, reads=reads, schedule=schedule,
-                           arrival_ns=schedule.xfer_end_ns[reads.read])
+    return SimpleNamespace(requests=requests, reads=reads, channel=channel, die=die,
+                           schedule=schedule, arrival_ns=schedule.xfer_end_ns[reads.read])
 
 
 def pipeline_entries(sched, lane=0):

@@ -24,7 +24,7 @@ def emb_ns(model, queries, geometry, timing) -> dict:
     per (query, table), over the arrivals of the lookup's page reads."""
     ev_dim = model.spec.ev_dim
     reads = lookup_reads(table_layout(model.spec, geometry), queries, geometry, timing)
-    query, table, _ = np.indices(reads.requests.index.shape)
+    query, table, _ = np.indices(reads.requests.page.shape)
     keys = zip(query.ravel().tolist(), table.ravel().tolist())
     items = [(ready, seq, key) for seq, (ready, key)
              in enumerate(zip(reads.arrival_ns.ravel().tolist(), keys))]

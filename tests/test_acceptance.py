@@ -18,8 +18,7 @@ from recssd.recmodel import (DESK_POOLING, ModelSpec, Query, TableSpec, Workload
                              reference_inference)
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE, Scenario,
                         WorkloadConfig, metrics_json, percentile_nearest_rank, run)
-from recssd.storage import (PageReads, SsdGeometry, TimingParams, page_location,
-                            schedule_page_reads)
+from recssd.storage import SsdGeometry, TimingParams, page_location, schedule_page_reads
 
 from oracles import die_timelines, pipeline_entries, two_phase_split
 from search_oracle import enumerate_search
@@ -260,9 +259,9 @@ def test_criterion_8_property_suites():
         nreq = int(rng.integers(1, 10))
         channel, die = np.array([[int(rng.integers(0, 2)) for _ in range(2)]
                                  for _ in range(nreq)]).T
-        reads = PageReads(channel, die, np.zeros(nreq, np.int64))
-        sched = schedule_page_reads(reads, geo_small, TP)
-        for recs in die_timelines(sched).values():
+        page = channel + geo_small.channels * die
+        sched = schedule_page_reads(np.zeros(nreq, np.int64), page, geo_small, TP)
+        for recs in die_timelines(geo_small, page, sched).values():
             for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
                 assert nxt_start == prev_end
 

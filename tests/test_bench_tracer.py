@@ -81,6 +81,6 @@ def test_traced_compare_spans_every_layer():
     requests = [recssd.ev_engine.translate_batch(layout, queries[i:i + 2])
                 for i in range(0, 6, 2)]
     assert counts["requests"] == 1 * sum(map(len, requests)) > 0
-    one_lane = [np.zeros(len(r.index), np.int64) for r in requests]
+    one_lane = [np.zeros(len(r.page), np.int64) for r in requests]
     assert counts["page_reads"] == 1 * sum(len(recssd.ev_engine.dispatch(r, lane))
                                            for r, lane in zip(requests, one_lane)) > 0

@@ -167,12 +167,11 @@ class TestDispatch:
         idx = rng.integers(0, 64 * 128, 100).tolist()
         qs = Workload.from_queries([Query([idx], np.zeros(2, np.float32))])
         res = lookup_reads(layout, qs, GEO, TP)
-        reads = res.schedule.reads
         pages = [(0, 0, int(ch), int(die), seq)
-                 for seq, (ch, die) in enumerate(zip(reads.channel, reads.die))]
+                 for seq, (ch, die) in enumerate(zip(res.channel, res.die))]
         _, makespan = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
-        assert res.schedule.makespan_ns == makespan
-        max_q = max(Counter(zip(reads.channel.tolist(), reads.die.tolist())).values())
+        assert res.schedule.xfer_end_ns.max() == makespan
+        max_q = max(Counter(zip(res.channel.tolist(), res.die.tolist())).values())
         assert makespan >= max_q * TP.sense_ns
         assert makespan <= max_q * page_read_time(GEO, TP) + GEO.dies_per_channel * TP.xfer_ns(4096)
 
@@ -270,7 +269,7 @@ class TestSimulateLookup:
             Workload.from_queries([good, bad])
         for mode in MODES:
             scenario = Scenario(mode=mode, model=model, geometry=GEO, timing=TP,
-                                workload=WorkloadConfig(), query_count=2,
+                                workload=WorkloadConfig(pooling=1), query_count=2,
                                 kernels=KernelAssignment.all_max(model.spec))
             with pytest.raises(ValueError,
                                match=re.escape("input shape (2, 3) != (2,) or (queries, 2)")):
@@ -340,7 +339,7 @@ class TestSimulateLookup:
         flash = build_flash_image(model.tables, layout)
         qs = generate_workload(model.spec, "uniform", 5, 10, 19)
         reqs = translate_batch(layout, qs)
-        direct = gather_rows(model.tables, reqs.index)
+        direct = gather_rows(model.tables, qs.index)
         assert flash.rows[reqs.page, reqs.slot].tobytes() == direct.tobytes()
         via_flash, _ = lookup(model, qs)
         for a, b in zip(via_flash.ev_concat, lookup_sums(direct)):
@@ -417,8 +416,7 @@ class TestSimulateLookup:
             want = np.concatenate([fold_sum_rows(model.tables[t].values, q.indices[t])
                                    for t in range(3)])
             assert concat.tobytes() == want.tobytes()
-        reqs = translate_batch(layout, qs)
-        direct = lookup_sums(gather_rows(model.tables, reqs.index))
+        direct = lookup_sums(gather_rows(model.tables, qs.index))
         assert direct.tobytes() == res.ev_concat.tobytes()
 
     def test_whole_run_equals_per_batch_calls(self):
@@ -455,7 +453,7 @@ class TestSimulateLookup:
         for lane, p in enumerate(parts):
             mine = whole.reads.lane == lane
             assert whole.reads.page[mine].tolist() == p.reads.page.tolist()
-            for name in ("sense_start_ns", "xfer_start_ns", "xfer_end_ns"):
+            for name in ("sense_start_ns", "xfer_end_ns"):
                 assert getattr(whole.schedule, name)[mine].tolist() == \
                     getattr(p.schedule, name).tolist()
 
@@ -464,7 +462,7 @@ class TestSimulateLookup:
         layout = table_layout(model.spec, GEO)
         qs = generate_workload(model.spec, "uniform", 16, 8, 17)
         res = lookup_reads(layout, qs, GEO, TP)
-        for recs in die_timelines(res.schedule).values():
+        for recs in die_timelines(GEO, res.reads.page, res.schedule).values():
             for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
                 assert nxt_start == prev_end
 
@@ -474,7 +472,6 @@ class TestSimulateLookup:
         layout = table_layout(model.spec, GEO)
         qs = generate_workload(model.spec, "uniform", 64, 64, 23)
         res = lookup_reads(layout, qs, GEO, TP)
-        reads = res.schedule.reads
-        counts = list(Counter(zip(reads.channel.tolist(), reads.die.tolist())).values())
+        counts = list(Counter(zip(res.channel.tolist(), res.die.tolist())).values())
         assert len(counts) == 32 and min(counts) * 32 >= 1024 * 0.8
         assert max(counts) / min(counts) <= 1.5

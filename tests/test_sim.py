@@ -508,9 +508,9 @@ class TestCompare:
         calls = []
         schedule = ev_engine.schedule_page_reads
 
-        def counted(reads, geometry, timing):
+        def counted(lane, page, geometry, timing):
             calls.append((geometry, timing))
-            return schedule(reads, geometry, timing)
+            return schedule(lane, page, geometry, timing)
 
         monkeypatch.setattr(ev_engine, "schedule_page_reads", counted)
         _, results = compare(scenarios, 4)
@@ -608,6 +608,30 @@ class TestCompare:
         again = run(scenario(MODE_EMB_VECTORSUM, m, 20), seed, session)
         assert again.scores == first.scores and calls == []    # every chunk was kept
         run(scenario(MODE_SSD_BASELINE, m, 20), seed, session)
+        assert len(calls) == 1
+
+    def test_session_refuses_another_workload_before_translating(self, monkeypatch):
+        # a session holds its workload: a scenario of 40 uniform queries of
+        # pooling 8 is refused on a session of 20 zipf queries of pooling 4
+        # in every mode before it translates a lookup, as is one that differs
+        # only in its count or only in its pooling; one that matches both runs
+        from recssd import ev_engine, sim
+        m, seed = rmc3(), 1
+        session = Session(generate_workload(m.spec, "zipf", 4, 20, seed))
+        calls = []
+        for module in (ev_engine, sim):
+            monkeypatch.setattr(module, "translate_batch",
+                                lambda *args, f=module.translate_batch: calls.append(args)
+                                or f(*args))
+        for mode in (MODE_RMSSD, MODE_EMB_VECTORSUM, MODE_SSD_BASELINE):
+            for count, pooling in ((40, 8), (40, 4), (20, 8)):
+                with pytest.raises(ValueError, match="scenarios must share one workload"):
+                    run(scenario(mode, m, count, workload=WorkloadConfig(pooling=pooling)),
+                        seed, session)
+        assert calls == []
+        zipf = WorkloadConfig(distribution="zipf", pooling=4)
+        assert run(scenario(MODE_EMB_VECTORSUM, m, 20, workload=zipf), seed,
+                   session).metrics.issued == 20
         assert len(calls) == 1
 
     def test_self_comparison_all_ratios_one(self):

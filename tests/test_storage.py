@@ -5,8 +5,8 @@ import pytest
 
 from recssd.ev_engine import table_layout
 from recssd.recmodel import ModelSpec, TableSpec
-from recssd.storage import (PageReads, SsdGeometry, TimingParams, page_location,
-                            page_read_time, schedule_page_reads)
+from recssd.storage import (SsdGeometry, TimingParams, page_location, page_read_time,
+                            schedule_page_reads)
 
 from oracles import die_timelines, flash_schedule_oracle, host_block_read, translate_index
 
@@ -152,11 +152,14 @@ class TestHostBlockRead:
             assert host_block_read(GEO4, 64, 0, 3 * 4096, tp) >= base
 
 
-def page_reads(rows, lane=None):
-    """PageReads from (channel, die) rows; seq is the row. Every read is in
-    lane 0 unless `lane` labels them."""
+def page_reads(rows, geo, lane=None):
+    """(lane, page) of reads from (channel, die) rows, each read of the page
+    channel + channels * die, which `page_location` places on that channel
+    and die; seq is the row. Every read is in lane 0 unless `lane` labels
+    them."""
     channel, die = (np.array(col, dtype=np.int64).reshape(-1) for col in zip(*rows))
-    return PageReads(channel, die, np.zeros(len(channel), np.int64) if lane is None else lane)
+    page = channel + geo.channels * die
+    return np.zeros(len(page), np.int64) if lane is None else lane, page
 
 
 def busy_union(oracle, rows, channels):
@@ -173,20 +176,23 @@ def busy_union(oracle, rows, channels):
     return busy
 
 
-def phase_times(sched, reads=slice(None)):
-    """(sense start, sense end, transfer start, transfer end) of each of `reads`."""
-    return list(zip(*(getattr(sched, name)[reads].tolist() for name in
-                      ("sense_start_ns", "sense_end_ns", "xfer_start_ns", "xfer_end_ns"))))
+def phase_times(sched, geo, tp, reads=slice(None)):
+    """(sense start, sense end, transfer start, transfer end) of each of
+    `reads`: a sense ends a sense time after it starts, and a transfer starts
+    a transfer time before it ends."""
+    start, end = sched.sense_start_ns[reads].tolist(), sched.xfer_end_ns[reads].tolist()
+    sense, xfer = tp.sense_ns, tp.xfer_ns(geo.page_size)
+    return [(s, s + sense, e - xfer, e) for s, e in zip(start, end)]
 
 
 class TestSchedulePageReads:
     tp = TimingParams()
 
-    def run_both(self, reads, geo, tp=None):
+    def run_both(self, rows, geo, tp=None):
         tp = tp or self.tp
-        sched = schedule_page_reads(reads, geo, tp)
+        sched = schedule_page_reads(*page_reads(rows, geo), geo, tp)
         oracle, makespan = flash_schedule_oracle(
-            [(0, 0, int(reads.channel[k]), int(reads.die[k]), k) for k in range(len(reads))],
+            [(0, 0, ch, die, k) for k, (ch, die) in enumerate(rows)],
             tp.sense_ns, tp.xfer_ns(geo.page_size))
         return sched, oracle, makespan
 
@@ -208,16 +214,14 @@ class TestSchedulePageReads:
                                 rng.integers(0, len(every), int(rng.integers(0, len(every) + 1)))]
             cases.append((geo, [rows[int(i)] for i in rng.permutation(len(rows))]))
         for geo, rows in cases:
-            sched, oracle, makespan = self.run_both(page_reads(rows), geo)
-            assert sched.makespan_ns == makespan
-            for seq in range(len(rows)):
-                assert (sched.sense_start_ns[seq], sched.sense_end_ns[seq],
-                        sched.xfer_start_ns[seq], sched.xfer_end_ns[seq]) == oracle[seq]
+            sched, oracle, makespan = self.run_both(rows, geo)
+            assert sched.xfer_end_ns.max() == makespan
+            assert phase_times(sched, geo, self.tp) == [oracle[seq] for seq in range(len(rows))]
         tied = cases[30:]
         for geo, rows in tied:
             dies = geo.channels * geo.dies_per_channel
             assert min(Counter(rows).values()) > 4 and len(set(rows)) == dies
-            starts = schedule_page_reads(page_reads(rows), geo, self.tp).sense_start_ns
+            starts = schedule_page_reads(*page_reads(rows, geo), geo, self.tp).sense_start_ns
             assert {rows[k] for k in np.flatnonzero(starts == 0)} == set(rows)
 
         # the cases of one geometry as the lanes of one call, their reads
@@ -230,21 +234,17 @@ class TestSchedulePageReads:
         for geo, lanes in by_geo.items():
             label = rng.permutation(np.repeat(np.arange(len(lanes)), list(map(len, lanes))))
             pending = [iter(rows) for rows in lanes]
-            sched = schedule_page_reads(page_reads([next(pending[l]) for l in label], label),
-                                        geo, self.tp)
-            busy = sched.channel_busy_ns(geo.channels, len(lanes))
+            sched = schedule_page_reads(
+                *page_reads([next(pending[l]) for l in label], geo, label), geo, self.tp)
+            busy = sched.channel_busy_ns
             for l, rows in enumerate(lanes):
-                alone, oracle, _ = self.run_both(page_reads(rows), geo)
+                alone, oracle, _ = self.run_both(rows, geo)
                 mine = label == l
-                for name in ("sense_start_ns", "sense_end_ns", "xfer_start_ns", "xfer_end_ns"):
-                    assert getattr(sched, name)[mine].tolist() == \
-                        getattr(alone, name).tolist()
-                assert list(zip(sched.sense_start_ns[mine].tolist(),
-                                sched.sense_end_ns[mine].tolist(),
-                                sched.xfer_start_ns[mine].tolist(),
-                                sched.xfer_end_ns[mine].tolist())) == \
+                assert phase_times(sched, geo, self.tp, mine) == \
+                    phase_times(alone, geo, self.tp)
+                assert phase_times(sched, geo, self.tp, mine) == \
                     [oracle[seq] for seq in range(len(rows))]
-                assert busy[l].tolist() == alone.channel_busy_ns(geo.channels, 1)[0].tolist() \
+                assert busy[l].tolist() == alone.channel_busy_ns[0].tolist() \
                     == busy_union(oracle, rows, geo.channels)
 
         # the round structure: a pure FIFO on a 1 x 1 device, and die queues
@@ -264,34 +264,43 @@ class TestSchedulePageReads:
         assert [tp.sense_ns for tp in timings] == [100, 50000, xfer] and xfer == 1638
         for tp in timings:
             for geo, rows in rounds:
-                sched, oracle, makespan = self.run_both(page_reads(rows), geo, tp)
-                assert sched.makespan_ns == makespan
-                assert phase_times(sched) == [oracle[seq] for seq in range(len(rows))]
+                sched, oracle, makespan = self.run_both(rows, geo, tp)
+                assert sched.xfer_end_ns.max() == makespan
+                assert phase_times(sched, geo, tp) == [oracle[seq] for seq in range(len(rows))]
                 n, lanes = len(rows), 2 + len(rows) % 2
                 for label in (np.arange(n) * lanes // n, np.arange(n) % lanes):
-                    sched = schedule_page_reads(page_reads(rows, label), geo, tp)
+                    sched = schedule_page_reads(*page_reads(rows, geo, label), geo, tp)
                     for l in range(lanes):
                         mine = np.flatnonzero(label == l)
-                        _, oracle, _ = self.run_both(page_reads([rows[k] for k in mine]), geo, tp)
-                        assert phase_times(sched, mine) == \
+                        _, oracle, _ = self.run_both([rows[k] for k in mine], geo, tp)
+                        assert phase_times(sched, geo, tp, mine) == \
                             [oracle[seq] for seq in range(len(mine))]
 
     def test_work_conservation(self):
         rng = np.random.default_rng(34)
         geo = SsdGeometry(2, 2, 4096)
-        reads = page_reads([(int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-                            for _ in range(40)])
-        sched = schedule_page_reads(reads, geo, self.tp)
-        for recs in die_timelines(sched).values():
+        lane, page = page_reads([(int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+                                 for _ in range(40)], geo)
+        sched = schedule_page_reads(lane, page, geo, self.tp)
+        for recs in die_timelines(geo, page, sched).values():
             for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
                 assert nxt_start == prev_end
 
     def test_die_never_overlapped(self):
         rng = np.random.default_rng(35)
         geo = SsdGeometry(3, 2, 4096)
-        reads = page_reads([(int(rng.integers(0, 3)), int(rng.integers(0, 2)))
-                            for _ in range(60)])
-        sched = schedule_page_reads(reads, geo, self.tp)
-        for recs in die_timelines(sched).values():
+        lane, page = page_reads([(int(rng.integers(0, 3)), int(rng.integers(0, 2)))
+                                 for _ in range(60)], geo)
+        sched = schedule_page_reads(lane, page, geo, self.tp)
+        for recs in die_timelines(geo, page, sched).values():
             for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
                 assert nxt_start >= prev_end
+
+    def test_negative_lane_or_page_rejected(self):
+        # any page at or above 0 has a channel and a die; a read with a
+        # negative lane or page has neither, and the error names the read
+        geo = SsdGeometry(2, 2, 4096)
+        for lane, page, match in (([0, 1, -1], [0, 5, 2], "read 2: lane -1, page 2"),
+                                  ([0, 0, 0], [3, -4, 1], "read 1: lane 0, page -4")):
+            with pytest.raises(ValueError, match=match):
+                schedule_page_reads(np.array(lane), np.array(page), geo, self.tp)
