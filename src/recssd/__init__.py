@@ -3,8 +3,7 @@ recommendation inference."""
 
 from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, StageTimes,
                             estimate_times, resource_usage, search, verify_constraints)
-from .mlp_engine import (KernelAssignment, PipelineSchedule, fc_cycles, decompose_first_layer,
-                         pipeline_schedule)
+from .mlp_engine import KernelAssignment, PipelineSchedule, fc_cycles, pipeline_schedule
 from .recmodel import (EmbeddingTable, Model, ModelSpec, Query, TableSpec, Workload,
                        WorkloadConfig, build_model, desk_model_spec, ev_lookup_sum,
                        generate_workload, mlp_forward, reference_inference)

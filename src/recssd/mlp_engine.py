@@ -1,4 +1,10 @@
-"""Kernel-blocked FC timing/functional model and the alternating-scan pipeline.
+"""Kernel-blocked FC timing model and the alternating-scan pipeline.
+
+The engine is modelled for time only: every mode scores with
+`recmodel.mlp_forward`, so no arithmetic lives here. rmssd's split first top
+layer (RM-SSD) is a schedule of that layer's reference fold over the
+concatenated input: the bottom-MLP inputs go first, then the summed vectors
+onto the same accumulators, and the bias last.
 
 Cycle model: an FC unit issues one kr x kc weight block per cycle, plus an
 adder-tree fill of ceil(log2(max(kr, 2))) cycles charged once per pass:
@@ -101,38 +107,6 @@ def conventional_cycles(dims, kernels, batch: int = 1) -> int:
     """No inter-layer overlap: the sum of the individual layer passes of the
     stack with widths `dims`, input width first."""
     return sum(fc_cycles(r, c, k, batch) for r, c, k in zip(dims, dims[1:], kernels))
-
-
-# ---------------------------------------------------------------------------
-# Functional paths.
-
-def decompose_first_layer(weights: np.ndarray, bottom_width: int,
-                          emb_width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column-split the first top-layer weights into the halves consuming the
-    bottom-MLP output and the concatenated embedding sums."""
-    weights = np.asarray(weights, dtype=np.float32)
-    if weights.shape[1] != bottom_width + emb_width:
-        raise ValueError(
-            f"split {bottom_width}+{emb_width} != layer input width {weights.shape[1]}"
-        )
-    return weights[:, :bottom_width].copy(), weights[:, bottom_width:].copy()
-
-
-def _ascending_dot(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    prod = weights * x
-    if prod.shape[1] == 1:
-        return prod[:, 0].copy()
-    return prod.cumsum(axis=1, dtype=np.float32)[:, -1]
-
-
-def eval_decomposed(w_bottom: np.ndarray, w_emb: np.ndarray, bias: np.ndarray,
-                    bottom_in: np.ndarray, emb_in: np.ndarray) -> np.ndarray:
-    """Two-phase split evaluation: both partial dot products accumulate in
-    ascending input order, the embedding partial is added to the bottom
-    partial, bias last."""
-    p = _ascending_dot(w_bottom, np.asarray(bottom_in, dtype=np.float32))
-    q = _ascending_dot(w_emb, np.asarray(emb_in, dtype=np.float32))
-    return ((p + q) + np.asarray(bias, dtype=np.float32)).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +219,6 @@ def pipeline_schedule(dims, kernels, inputs_at_cycles=None,
     weight-fetch floor of a DRAM-spilled layer, paid by the first query of
     the batch. The stack is the decomposed one with an empty bottom half.
     """
-    n = len(dims) - 1
-    if n < 1:
-        raise ValueError("empty layer stack")
-    if len(kernels) != n:
-        raise ValueError(f"{len(kernels)} kernels for {n} layers")
-    for l, (r, c, (kr, kc)) in enumerate(zip(dims, dims[1:], kernels)):
-        if not (1 <= kr <= r and 1 <= kc <= c):
-            raise ValueError(f"layer {l}: kernel ({kr}, {kc}) exceeds dims")
     inputs = [0] if inputs_at_cycles is None else inputs_at_cycles
     return pipeline_schedule_decomposed(dims, kernels, 0, inputs, inputs, floor_cycles)
 
@@ -273,6 +239,13 @@ def pipeline_schedule_decomposed(dims, kernels, bottom_width: int, bottom_ready_
     and share `bottom_ready_cycles`; one batch is one lane.
     """
     n = len(dims) - 1
+    if n < 1:
+        raise ValueError("empty layer stack")
+    if len(kernels) != n:
+        raise ValueError(f"{len(kernels)} kernels for {n} layers")
+    for l, (r, c, (kr, kc)) in enumerate(zip(dims, dims[1:], kernels)):
+        if not (1 <= kr <= r and 1 <= kc <= c):
+            raise ValueError(f"layer {l}: kernel ({kr}, {kc}) exceeds dims")
     if not 0 <= bottom_width < dims[0]:
         raise ValueError(f"split at {bottom_width} outside first-layer input width {dims[0]}")
     emb = np.atleast_2d(np.asarray(emb_ready_cycles, dtype=np.int64))

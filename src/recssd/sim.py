@@ -35,8 +35,8 @@ that key reuses them and finishes the lookup (``simulate_lookup``) from its
 own flash image at its own ``kc_e``; and the scoring's MLP passes, which a
 later pass reuses only on byte-equal weights, biases and input. Neither key
 names the model, so a session admits scenarios of one model spec (and so one
-``ev_engine.table_layout``) whose query count and pooling are its
-workload's, and refuses others before they run. ``compare``
+``ev_engine.table_layout``) and one ``WorkloadConfig`` whose query count and
+pooling are its workload's, and refuses others before they run. ``compare``
 admits every scenario to one session, then runs each on it: the bottom MLP
 runs once (once per admitted prefix, when ``duration_ns`` cuts), and the top
 MLP once while every mode's summed vectors equal the baseline's; a mode whose
@@ -236,11 +236,16 @@ def _same(a, b) -> bool:
 
 
 class Session:
-    """A workload and what the runs on it share; see the module docstring."""
+    """A workload and what the runs on it share; see the module docstring.
+
+    A drawn session knows the `WorkloadConfig` it was drawn from. One built
+    by hand from arrays trusts them: it takes the first admitted scenario's
+    `WorkloadConfig` as its own, and checks only the query count and pooling
+    against the arrays."""
 
     def __init__(self, queries: Workload):
         self.queries = queries
-        self._spec = None
+        self._spec = self._workload = None
         self._lookups = {}
         self._passes = []
 
@@ -248,16 +253,19 @@ class Session:
     def draw(cls, scenario: Scenario, seed: int) -> "Session":
         """A session on the scenario's workload drawn with `seed`."""
         wl = scenario.workload
-        return cls(generate_workload(scenario.model.spec, wl.distribution, wl.pooling,
-                                     scenario.query_count, seed, wl.zipf_s))
+        session = cls(generate_workload(scenario.model.spec, wl.distribution, wl.pooling,
+                                        scenario.query_count, seed, wl.zipf_s))
+        session._workload = wl
+        return session
 
     def admit(self, scenario: Scenario) -> None:
         if scenario.query_count != len(self.queries) or \
-                scenario.workload.pooling != self.queries.pooling:
+                scenario.workload.pooling != self.queries.pooling or \
+                self._workload not in (None, scenario.workload):
             raise ValueError("scenarios must share one workload")
         if self._spec not in (None, scenario.model.spec):
             raise ValueError("scenarios must share one model")
-        self._spec = scenario.model.spec
+        self._spec, self._workload = scenario.model.spec, scenario.workload
 
     def lookup(self, layout, timing: TimingParams, batch: int, first: int, count: int):
         """The translation and read timeline of queries [first, first + count)."""
@@ -371,8 +379,8 @@ def run(scenario: Scenario, seed: int, session: Session | None = None) -> RunRes
     the session's lookups and scoring passes with the runs before it on that
     session (see `Session`). None draws a new session, on the scenario's
     workload drawn with `seed`. A session refuses a scenario whose query count
-    or pooling differs from its workload's, or whose model spec differs from
-    the one it has admitted."""
+    or pooling differs from its workload's, or whose `WorkloadConfig` or model
+    spec differs from the one it has drawn or admitted."""
     scenario.validate()
     if session is None:
         session = Session.draw(scenario, seed)
@@ -529,9 +537,6 @@ def compare(scenarios: list[Scenario], seed: int) -> tuple[ComparisonReport, lis
     if len(scenarios) < 2:
         raise ValueError("compare needs at least two scenarios")
     ref = scenarios[0]
-    if any(s.workload != ref.workload or s.query_count != ref.query_count
-           for s in scenarios[1:]):
-        raise ValueError("scenarios must share one workload")
     # one session: the workload, drawn once, each chunk's lookup and each
     # distinct scoring pass; it admits every scenario before any runs
     ref.validate()

@@ -64,18 +64,17 @@ def scalar_reference(model, query) -> float:
     return float(out[0])
 
 
-def two_phase_split(w_bottom, w_emb, bias, b_vec, e_vec) -> np.ndarray:
-    """Scalar two-phase split evaluation: full bottom partial, full embedding
-    partial, then partial + partial + bias."""
+def carried_split(w_bottom, w_emb, bias, b_vec, e_vec) -> np.ndarray:
+    """Scalar split first layer in the carried order: each output's
+    accumulator folds the bottom half's products, carries on through the
+    embedding half's, then adds the bias."""
     out = []
     for c in range(w_bottom.shape[0]):
-        p = F32(0.0)
-        for r in range(w_bottom.shape[1]):
-            p = F32(p + F32(F32(w_bottom[c][r]) * F32(b_vec[r])))
-        q = F32(0.0)
-        for r in range(w_emb.shape[1]):
-            q = F32(q + F32(F32(w_emb[c][r]) * F32(e_vec[r])))
-        out.append(F32(F32(p + q) + F32(bias[c])))
+        acc = F32(0.0)
+        for w, x in ((w_bottom, b_vec), (w_emb, e_vec)):
+            for r in range(w.shape[1]):
+                acc = F32(acc + F32(F32(w[c][r]) * F32(x[r])))
+        out.append(F32(acc + F32(bias[c])))
     return np.array(out, dtype=np.float32)
 
 

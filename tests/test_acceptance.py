@@ -11,16 +11,15 @@ import pytest
 from recssd.ev_engine import dispatch, table_layout, translate_batch
 from recssd.kernel_search import (ResourceModel, SearchSpace, resource_usage, search,
                                   verify_constraints)
-from recssd.mlp_engine import (KernelAssignment, conventional_cycles, eval_decomposed,
-                               decompose_first_layer, pipeline_schedule)
+from recssd.mlp_engine import KernelAssignment, conventional_cycles, pipeline_schedule
 from recssd.recmodel import (DESK_POOLING, ModelSpec, Query, TableSpec, Workload,
-                             build_model, desk_model_spec, generate_workload,
+                             build_model, desk_model_spec, generate_workload, mlp_forward,
                              reference_inference)
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE, Scenario,
                         WorkloadConfig, metrics_json, percentile_nearest_rank, run)
 from recssd.storage import SsdGeometry, TimingParams, page_location, schedule_page_reads
 
-from oracles import die_timelines, pipeline_entries, two_phase_split
+from oracles import carried_split, die_timelines, pipeline_entries
 from search_oracle import enumerate_search
 
 GEO = SsdGeometry(8, 4, 4096)
@@ -301,7 +300,9 @@ def test_criterion_8_property_suites():
                     assert e.start_cycle >= prev.end_cycle
             prev = e
 
-    # decomposition exactness: split == unsplit under the two-phase order
+    # decomposition exactness: the split first layer's carried order (bottom
+    # half, then embedding half onto the same accumulators, bias last) is the
+    # reference fold of the concatenated input, bit for bit
     for _ in range(1000):
         c = int(rng.integers(1, 7))
         rb = int(rng.integers(1, 7))
@@ -310,10 +311,9 @@ def test_criterion_8_property_suites():
         bias = (rng.random(c, dtype=np.float32) - 0.5)
         bv = (rng.random(rb, dtype=np.float32) - 0.5)
         ev = (rng.random(re, dtype=np.float32) - 0.5)
-        wb, we = decompose_first_layer(w, rb, re)
-        got = eval_decomposed(wb, we, bias, bv, ev)
-        want = two_phase_split(w[:, :rb], w[:, rb:], bias, bv, ev)
-        assert np.array_equal(got, want)
+        got = mlp_forward([rb + re, c], [w], [bias], np.concatenate([bv, ev]))
+        want = carried_split(w[:, :rb], w[:, rb:], bias, bv, ev)
+        assert got.tobytes() == want.tobytes()
 
     # page placement bijection on random geometries
     for _ in range(1000):

@@ -1,9 +1,12 @@
 """The benchmark (perfbench/run.py) imports the program and the test oracles
 from this checkout when it starts, so a stale import in either makes every
-benchmark run exit 2. This loads it by path, as `python3 perfbench/run.py`
-does, and imports the program through it."""
+benchmark run exit 2. The first test loads it by path, as `python3
+perfbench/run.py` does, and imports the program through it; the second runs
+its smoke pass, so that a change that fails one of its checks fails here."""
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +36,16 @@ def test_benchmark_imports_the_program(monkeypatch):
     assert program is recssd
     assert pipeline_oracle is sys.modules["oracles"].pipeline_oracle
     assert Path(sys.modules["oracles"].__file__) == ROOT / "tests" / "oracles.py"
+
+
+def test_benchmark_smoke_pass_checks_every_workload():
+    # --smoke runs every workload on 20 queries, one timed pass each, and
+    # writes no files
+    done = subprocess.run([sys.executable, str(BENCH / "run.py"), "--smoke"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert sorted(line["workload"] for line in lines) == sorted(names)
+    for line in lines:
+        assert line["correct"] is True and line["failed"] == 0, line

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from recssd.mlp_engine import (KernelAssignment, conventional_cycles, decompose_first_layer,
-                               eval_decomposed, fc_cycles, pipeline_schedule,
-                               pipeline_schedule_decomposed)
+from recssd import recmodel
+from recssd.mlp_engine import (KernelAssignment, conventional_cycles, fc_cycles,
+                               pipeline_schedule, pipeline_schedule_decomposed)
 from recssd.recmodel import desk_model_spec, mlp_forward
 
-from oracles import decomposed_top_oracle, pipeline_entries, pipeline_oracle, two_phase_split
+from oracles import carried_split, decomposed_top_oracle, pipeline_entries, pipeline_oracle
 
 
 class TestFcCycles:
@@ -26,43 +26,51 @@ class TestFcCycles:
 
 
 class TestDecompose:
+    """rmssd's split first top layer is a schedule of the reference fold
+    over the concatenated input: the bottom half first, then the embedding
+    half onto the same accumulators, bias last (`oracles.carried_split`)."""
+
     def test_linearity_identity(self):
         w = np.array([[1, 2, 3, 4], [5, 6, 7, 8]], np.float32)
-        wb, we = decompose_first_layer(w, 2, 2)
         b, e = np.array([1, 0], np.float32), np.array([0, 1], np.float32)
-        assert (wb @ b).tolist() == [1, 5]
-        assert (we @ e).tolist() == [4, 8]
-        out = eval_decomposed(wb, we, np.zeros(2, np.float32), b, e)
+        out = carried_split(w[:, :2], w[:, 2:], np.zeros(2, np.float32), b, e)
         assert out.tolist() == [5, 13]
-        assert np.array_equal(out, w @ np.array([1, 0, 0, 1], np.float32))
+        assert np.array_equal(out, mlp_forward([4, 2], [w], [np.zeros(2, np.float32)],
+                                               np.concatenate([b, e])))
 
     def test_zero_emb_input(self):
         rng = np.random.default_rng(51)
         w = rng.random((4, 6), dtype=np.float32) - 0.5
         bias = rng.random(4, dtype=np.float32) - 0.5
-        wb, we = decompose_first_layer(w, 2, 4)
         b = rng.random(2, dtype=np.float32)
-        out = eval_decomposed(wb, we, bias, b, np.zeros(4, np.float32))
-        want = (wb * b).cumsum(axis=1, dtype=np.float32)[:, -1] + bias
-        assert np.array_equal(out, want.astype(np.float32))
+        want = ((w[:, :2] * b).cumsum(axis=1, dtype=np.float32)[:, -1] + bias).astype(np.float32)
+        e = np.zeros(4, np.float32)
+        assert np.array_equal(carried_split(w[:, :2], w[:, 2:], bias, b, e), want)
+        assert np.array_equal(mlp_forward([6, 4], [w], [bias], np.concatenate([b, e])), want)
 
     def test_bad_split(self):
-        with pytest.raises(ValueError, match="split"):
-            decompose_first_layer(np.zeros((2, 5), np.float32), 2, 2)
+        # halves that do not make up the layer's input width are refused
+        w, bias = np.zeros((2, 5), np.float32), np.zeros(2, np.float32)
+        with pytest.raises(ValueError, match="input shape"):
+            mlp_forward([5, 2], [w], [bias], np.zeros(2 + 2, np.float32))
 
-    def test_random_split_exact_vs_two_phase_oracle(self):
+    def test_random_split_exact_vs_carried_oracle(self, monkeypatch):
+        # both of mlp_forward's fold paths (one cumsum, then one input at a
+        # time), for one query and for a (queries, inputs) matrix
         rng = np.random.default_rng(52)
         w = rng.random((16, 32), dtype=np.float32) - 0.5
         bias = rng.random(16, dtype=np.float32) - 0.5
-        wb, we = decompose_first_layer(w, 8, 24)
-        for _ in range(100):
-            b = rng.random(8, dtype=np.float32) - 0.5
-            e = rng.random(24, dtype=np.float32) - 0.5
-            got = eval_decomposed(wb, we, bias, b, e)
-            assert np.array_equal(got, two_phase_split(wb, we, bias, b, e))
-            # vs the unsplit single-sweep order: close, not necessarily equal
-            unsplit = mlp_forward([32, 16], [w], [bias], np.concatenate([b, e]))
-            assert np.allclose(got, unsplit, rtol=1e-5, atol=1e-7)
+        for cumsum_width, split in ((None, 1), (None, 8), (None, 31), (0, 1), (0, 8), (0, 31)):
+            if cumsum_width is not None:
+                monkeypatch.setattr(recmodel, "_CUMSUM_WIDTH", cumsum_width)
+            b = rng.random((20, split), dtype=np.float32) - 0.5
+            e = rng.random((20, 32 - split), dtype=np.float32) - 0.5
+            x = np.concatenate([b, e], axis=1)
+            many = mlp_forward([32, 16], [w], [bias], x)
+            for q in range(len(x)):
+                want = carried_split(w[:, :split], w[:, split:], bias, b[q], e[q])
+                assert mlp_forward([32, 16], [w], [bias], x[q]).tobytes() == want.tobytes()
+                assert many[q].tobytes() == want.tobytes()
 
 
 def equal_stack(n_layers, width, kr, kc):
@@ -220,6 +228,15 @@ class TestPipelineSchedule:
         with pytest.raises(ValueError, match="length"):
             pipeline_schedule_decomposed(dims, kernels, 4, [0, 0],
                                          np.zeros((3, 4), dtype=np.int64))
+
+    def test_decomposed_input_checks(self):
+        for dims, kernels, match in (((4,), [], "empty layer stack"),
+                                     ((8, 8, 1), [(2, 2)], "1 kernels for 2 layers"),
+                                     ((8, 8, 1), [(2, 2)] * 3, "3 kernels for 2 layers"),
+                                     ((8, 8, 1), [(64, 4), (1, 1)], "layer 0: kernel"),
+                                     ((8, 8, 1), [(2, 2), (0, 1)], "layer 1: kernel")):
+            with pytest.raises(ValueError, match=match):
+                pipeline_schedule_decomposed(dims, kernels, 0, [0], [0])
 
     def test_split_outside_first_layer(self):
         dims, kernels = equal_stack(2, 8, 2, 2)

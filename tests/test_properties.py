@@ -1,5 +1,5 @@
-"""Hypothesis property checks for the central structural invariants, and a
-fuzz of configuration documents."""
+"""Hypothesis property checks for the central structural invariants, a fuzz
+of configuration documents, and metamorphic relations of the simulator."""
 
 import os
 import tempfile
@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from recssd.cli import main
 from recssd.config import default_config_text
 from recssd.ev_engine import dispatch, table_layout, translate_batch
-from recssd.recmodel import (ModelSpec, Query, TableSpec, Workload, build_model,
-                             ev_lookup_sum)
+from recssd.mlp_engine import KernelAssignment
+from recssd.recmodel import (ModelSpec, Query, TableSpec, Workload, WorkloadConfig, build_model,
+                             desk_model_spec, ev_lookup_sum)
 from recssd.sim import MODES
 from recssd.storage import SsdGeometry, TimingParams, page_location
 
@@ -175,3 +176,40 @@ def test_config_fuzz_never_exits_internal_error(doc):
             yaml.safe_dump(doc, f)
         assert main(["validate", path]) in (0, 2, 3)
         assert main(["run", path, "--out", tmp, "--quiet"]) in (0, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations of the simulator.
+
+def test_run_of_a_prefix_is_the_prefix_of_a_longer_run(monkeypatch):
+    """A workload of n queries is the first n of a longer draw with the same
+    seed, and a batch depends only on the batches before it, so a run of
+    n*batch queries equals the first n*batch queries of a longer run: scores,
+    latencies and every span column. Chunks of 5 queries (whole batches) make
+    both runs cross several chunk boundaries."""
+    from recssd import sim
+    monkeypatch.setattr(sim, "CHUNK_QUERIES", 5)
+    for name in ("rmc3-mini", "ncf-mini"):
+        model = build_model(desk_model_spec(name), 3)
+        for distribution in ("uniform", "zipf"):
+            for batch in (1, 3):
+                for mode, kernels in ((sim.MODE_SSD_BASELINE, None),
+                                      (sim.MODE_EMB_VECTORSUM, None),
+                                      (sim.MODE_RMSSD, KernelAssignment.all_max(model.spec)),
+                                      (sim.MODE_RMSSD, None)):
+                    runs = [sim.run(sim.Scenario(mode=mode, model=model, geometry=GEO,
+                                                 timing=TimingParams(),
+                                                 workload=WorkloadConfig(distribution, 4),
+                                                 query_count=count, batch=batch,
+                                                 kernels=kernels), 11)
+                            for count in (4 * batch, 7 * batch + 2)]
+                    short, long = runs
+                    case = (name, distribution, batch, mode, kernels)
+                    n = 4 * batch
+                    assert len(short.scores) == n and len(long.scores) > n, case
+                    assert short.scores == long.scores[:n], case
+                    assert short.latencies_ns == long.latencies_ns[:n], case
+                    assert [s for s, _, _ in short.spans] == [s for s, _, _ in long.spans], case
+                    for (stage, s0, e0), (_, s1, e1) in zip(short.spans, long.spans):
+                        assert s0.tolist() == s1[:n].tolist(), (case, stage)
+                        assert e0.tolist() == e1[:n].tolist(), (case, stage)

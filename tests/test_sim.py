@@ -634,6 +634,35 @@ class TestCompare:
                    session).metrics.issued == 20
         assert len(calls) == 1
 
+    def test_session_refuses_another_workload_config(self, monkeypatch):
+        # the baseline's resident set follows the scenario's distribution, so
+        # a uniform scenario of the same count and pooling is refused on a
+        # zipf session before it translates a lookup: a drawn session knows
+        # its config, and a hand-built one takes the first admitted one's
+        from recssd import ev_engine, sim
+        m, seed = rmc3(), 1
+        zipf = WorkloadConfig(distribution="zipf", pooling=4)
+        uniform = WorkloadConfig(pooling=4)
+        drawn = Session.draw(scenario(MODE_SSD_BASELINE, m, 20, workload=zipf), seed)
+        by_hand = Session(drawn.queries)
+        by_hand.admit(scenario(MODE_SSD_BASELINE, m, 20, workload=zipf))
+        calls = []
+        for module in (ev_engine, sim):
+            monkeypatch.setattr(module, "translate_batch",
+                                lambda *args, f=module.translate_batch: calls.append(args)
+                                or f(*args))
+        for session in (drawn, by_hand):
+            for mode in (MODE_RMSSD, MODE_EMB_VECTORSUM, MODE_SSD_BASELINE):
+                for other in (uniform, WorkloadConfig(distribution="zipf", pooling=4,
+                                                      zipf_s=1.5)):
+                    with pytest.raises(ValueError, match="scenarios must share one workload"):
+                        run(scenario(mode, m, 20, workload=other), seed, session)
+        assert calls == []
+        a, b = (scenario(MODE_SSD_BASELINE, m, 20, workload=w) for w in (zipf, uniform))
+        with pytest.raises(ValueError, match="scenarios must share one workload"):
+            compare([a, b], seed)
+        assert calls == []
+
     def test_self_comparison_all_ratios_one(self):
         m = rmc3()
         rep, _ = compare([scenario(MODE_SSD_BASELINE, m, 30),
