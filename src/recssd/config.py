@@ -236,16 +236,14 @@ def build_scenario(cfg: dict) -> Scenario:
         if duration_us is not None and not duration_us * 1000.0 < 2 ** 63:
             raise ValueError(f"scenario.duration_us {duration_us:g} is past the int64 "
                              f"nanosecond range")
-        scenario = Scenario(
+        return Scenario(
             mode=s["mode"], model=model, geometry=geometry, timing=timing,
             workload=workload, query_count=s["query_count"], batch=s["batch"],
             dram_fraction=float(s["dram_fraction"]), kernels=kernels,
             resource_model=resource_model, space=space,
             duration_ns=None if duration_us is None else round(duration_us * 1000.0),
         )
-        scenario.validate()
     except (ValueError, TypeError, KeyError) as e:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError(str(e))
-    return scenario

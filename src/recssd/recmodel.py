@@ -358,9 +358,7 @@ def reference_inference(model: Model, query: Query) -> float:
 
 
 def zipf_cdf(rows: int, s: float) -> np.ndarray:
-    """CDF of a bounded Zipf law over ranks 0..rows-1, weight (k+1)^-s."""
-    if s <= 0:
-        raise ValueError(f"zipf exponent must be > 0, got {s}")
+    """CDF of a bounded Zipf law over ranks 0..rows-1, weight (k+1)^-s, s > 0."""
     w = np.arange(1, rows + 1, dtype=np.float64) ** (-float(s))
     return np.cumsum(w) / w.sum()
 
@@ -371,6 +369,15 @@ class WorkloadConfig:
     distribution: str = "uniform"
     pooling: int = 8
     zipf_s: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "pooling", _integral("pooling", self.pooling))
+        if self.distribution not in ("uniform", "zipf"):
+            raise ValueError(f"unknown distribution {self.distribution!r}")
+        if self.pooling < 1:
+            raise ValueError(f"pooling must be >= 1, got {self.pooling}")
+        if not self.zipf_s > 0:
+            raise ValueError(f"zipf_s must be > 0, got {self.zipf_s}")
 
 
 def generate_workload(spec: ModelSpec, distribution: str, pooling: int, count: int,
@@ -390,10 +397,7 @@ def generate_workload(spec: ModelSpec, distribution: str, pooling: int, count: i
     every output."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if pooling < 1:
-        raise ValueError(f"pooling must be >= 1, got {pooling}")
-    if distribution not in ("uniform", "zipf"):
-        raise ValueError(f"unknown distribution {distribution!r}")
+    WorkloadConfig(distribution, pooling, zipf_s)     # checks all three
     rng = np.random.default_rng([int(seed), 0x3F7])
     tables = len(spec.tables)
     index = np.empty((count, tables * pooling), dtype=np.int64)

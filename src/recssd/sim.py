@@ -11,6 +11,11 @@ Modes:
   set covering ``dram_fraction`` of the table bytes; misses pay the full
   synchronous block-read path. Queries are processed serially.
 
+A ``Scenario`` is frozen and valid once built: it checks the rules that join
+its fields, each record it holds has checked its own, and its table layout
+(``Scenario.layout``, which refuses a vector larger than a page) is computed
+then, once, for every lookup of its runs.
+
 The device modes share one batch loop, ``_drive``. Each batch starts on an
 idle device, so batches interact only through their dispatch times: from time
 0, each batch's ``t0`` is the sum of the device times before it, and a batch
@@ -35,7 +40,7 @@ that key reuses them and finishes the lookup (``simulate_lookup``) from its
 own flash image at its own ``kc_e``; and the scoring's MLP passes, which a
 later pass reuses only on byte-equal weights, biases and input. Neither key
 names the model, so a session admits scenarios of one model spec (and so one
-``ev_engine.table_layout``) and one ``WorkloadConfig`` whose query count and
+table layout) and one ``WorkloadConfig`` whose query count and
 pooling are its workload's, and refuses others before they run. ``compare``
 admits every scenario to one session, then runs each on it: the bottom MLP
 runs once (once per admitted prefix, when ``duration_ns`` cuts), and the top
@@ -59,6 +64,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,8 +104,9 @@ class InfeasibleSearchError(RuntimeError):
         self.outcome = outcome
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """One run's inputs, checked when built (so `dataclasses.replace` checks again)."""
     mode: str
     model: Model
     geometry: SsdGeometry
@@ -118,7 +125,12 @@ class Scenario:
         """Whether rmssd runs the kernel search: it does when no kernels are given."""
         return self.kernels is None
 
-    def validate(self) -> None:
+    @cached_property
+    def layout(self) -> ev_engine.TableLayout:
+        """Where the model's rows lie on the geometry's pages."""
+        return ev_engine.table_layout(self.model.spec, self.geometry)
+
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.query_count < 0:
@@ -139,7 +151,7 @@ class Scenario:
                          ("a DRAM hit", t.dram_hit_ns),
                          ("a page over the host interface",
                           g.page_size * t.host_interface_ns_per_byte),
-                         ("a host MAC", t.host_ns_per_mac),
+                         ("a query's host MLP pass", _host_mlp_ns(self.model.spec, t)),
                          ("an engine clock period", t.clock_period_ns),
                          ("a spilled layer's weight fetch from DRAM",
                           max(spill["bottom"] + spill["top"]) * 1e9
@@ -154,17 +166,7 @@ class Scenario:
         if sense < 1 or xfer < 1:
             raise ValueError(f"a page read needs a sense and a transfer of >= 1 ns, "
                              f"got {sense} ns and {xfer} ns")
-        wl = self.workload
-        if wl.distribution not in ("uniform", "zipf"):
-            raise ValueError(f"unknown distribution {wl.distribution!r}")
-        if wl.pooling < 1:
-            raise ValueError(f"pooling must be >= 1, got {wl.pooling}")
-        if not wl.zipf_s > 0:
-            raise ValueError(f"zipf_s must be > 0, got {wl.zipf_s}")
-        ev_bytes = self.model.spec.ev_dim * 4
-        if ev_bytes > g.page_size:
-            raise ValueError(f"an embedding vector of {ev_bytes} bytes does not fit "
-                             f"in a page of {g.page_size} bytes")
+        self.layout     # refuses an embedding vector larger than a page
 
 
 @dataclass
@@ -221,12 +223,13 @@ def spans_to_csv(spans) -> str:
     return "\n".join(["query_id,stage,start_ns,end_ns", *rows]) + "\n"
 
 
-def _host_mlp_ns(spec, timing: TimingParams) -> int:
+def _host_mlp_ns(spec, timing: TimingParams) -> float:
+    """One query's bottom and top MLP pass on the host, unrounded."""
     macs = 0
     for dims in (spec.bottom_mlp_dims, spec.top_mlp_dims):
         for l in range(len(dims) - 1):
             macs += dims[l] * dims[l + 1]
-    return round(macs * timing.host_ns_per_mac)
+    return macs * timing.host_ns_per_mac
 
 
 def _same(a, b) -> bool:
@@ -289,7 +292,7 @@ class Session:
         return y
 
 
-def _drive(scenario: Scenario, layout, session: Session, batch: int, kc_e: int, stage):
+def _drive(scenario: Scenario, session: Session, batch: int, kc_e: int, stage):
     """The device modes' batch loop. Batches run back to back from time 0,
     each on an idle device, so they share only their dispatch times: a
     batch's `t0` is the sum of the device times before it, and the batch is
@@ -302,7 +305,7 @@ def _drive(scenario: Scenario, layout, session: Session, batch: int, kc_e: int, 
     then the stage's; a column no batch made reads as empty), their summed
     vectors, the channels' busy times and the batch count."""
     model, geometry, timing = scenario.model, scenario.geometry, scenario.timing
-    flash = ev_engine.build_flash_image(model.tables, layout)
+    flash = ev_engine.build_flash_image(model.tables, scenario.layout)
     t_add = ev_engine.add_ns(model.spec.ev_dim, timing, kc_e)
     chunk = max(1, CHUNK_QUERIES // batch) * batch
     # an empty first entry, so that a run with no batch concatenates
@@ -312,7 +315,7 @@ def _drive(scenario: Scenario, layout, session: Session, batch: int, kc_e: int, 
     for first in range(0, len(session.queries), chunk):
         if scenario.duration_ns is not None and t0 >= scenario.duration_ns:
             break
-        requests, timeline = session.lookup(layout, timing, batch, first, chunk)
+        requests, timeline = session.lookup(scenario.layout, timing, batch, first, chunk)
         emb = ev_engine.simulate_lookup(flash, requests, timeline, t_add, batch)
         device_ns, cols = stage(emb, batch)
         dispatch = t0 + np.cumsum(device_ns) - device_ns
@@ -381,17 +384,15 @@ def run(scenario: Scenario, seed: int, session: Session | None = None) -> RunRes
     workload drawn with `seed`. A session refuses a scenario whose query count
     or pooling differs from its workload's, or whose `WorkloadConfig` or model
     spec differs from the one it has drawn or admitted."""
-    scenario.validate()
     if session is None:
         session = Session.draw(scenario, seed)
     session.admit(scenario)
-    layout = ev_engine.table_layout(scenario.model.spec, scenario.geometry)
     runner = {MODE_RMSSD: _run_rmssd, MODE_EMB_VECTORSUM: _run_emb_vectorsum,
               MODE_SSD_BASELINE: _run_baseline}[scenario.mode]
-    return runner(scenario, session, seed, layout)
+    return runner(scenario, session, seed)
 
 
-def _run_rmssd(scenario: Scenario, session: Session, seed: int, layout) -> RunResult:
+def _run_rmssd(scenario: Scenario, session: Session, seed: int) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
     timing = scenario.timing
     assignment, batch, outcome = scenario.kernels, scenario.batch, None
@@ -426,8 +427,7 @@ def _run_rmssd(scenario: Scenario, session: Session, seed: int, layout) -> RunRe
         return device, {"bottom_end": np.tile(bottom_ns, lanes)[:n], "top_start": top_start,
                         "done": done}
 
-    times, ev, busy, batches = _drive(scenario, layout, session, batch, assignment.ev[1],
-                                      stage)
+    times, ev, busy, batches = _drive(scenario, session, batch, assignment.ev[1], stage)
     t0, done = times["t0"], times["done"]
     result = _result(scenario, session, ev, t0, done,
                      [("emb", times["emb_start"], times["emb_end"]),
@@ -438,13 +438,13 @@ def _run_rmssd(scenario: Scenario, session: Session, seed: int, layout) -> RunRe
     return result
 
 
-def _run_emb_vectorsum(scenario: Scenario, session: Session, seed: int, layout) -> RunResult:
+def _run_emb_vectorsum(scenario: Scenario, session: Session, seed: int) -> RunResult:
     spec, timing = scenario.model.spec, scenario.timing
     kc_e = scenario.kernels.ev[1] if scenario.kernels is not None else spec.ev_dim
-    host_mlp = _host_mlp_ns(spec, timing)
+    host_mlp = round(_host_mlp_ns(spec, timing))
     xfer = timing.host_iface_ns(spec.emb_out_width * 4) + timing.host_overhead_ns
     # the device frees when the batch's lookups end
-    times, ev, busy, batches = _drive(scenario, layout, session, scenario.batch, kc_e,
+    times, ev, busy, batches = _drive(scenario, session, scenario.batch, kc_e,
                                       lambda emb, batch: (emb.t_emb_ns, {}))
     t0, emb_end = times["t0"], times["emb_end"]
     ready = emb_end + xfer
@@ -474,12 +474,12 @@ def resident_sets(spec, dram_fraction: float, distribution: str, seed: int):
     return sets
 
 
-def _run_baseline(scenario: Scenario, session: Session, seed: int, layout) -> RunResult:
+def _run_baseline(scenario: Scenario, session: Session, seed: int) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
     geometry, timing = scenario.geometry, scenario.timing
     resident = resident_sets(spec, scenario.dram_fraction, scenario.workload.distribution,
                              seed)
-    host_mlp = _host_mlp_ns(spec, timing)
+    host_mlp = round(_host_mlp_ns(spec, timing))
     page_busy = page_read_time(geometry, timing)
     # an embedding row never straddles a page, so every miss is one page read
     miss_ns = page_busy + timing.host_iface_ns(spec.ev_dim * 4) + timing.host_overhead_ns
@@ -487,7 +487,7 @@ def _run_baseline(scenario: Scenario, session: Session, seed: int, layout) -> Ru
     # call does not go through the `ev_engine` attribute that the benchmark's
     # tracer counts as device requests
     index = session.queries.index
-    lookups = translate_batch(layout, session.queries)
+    lookups = translate_batch(scenario.layout, session.queries)
     hit = np.empty(index.shape, dtype=bool)
     for t, mask in enumerate(resident):
         hit[:, t] = mask[index[:, t]]
@@ -536,11 +536,9 @@ def compare(scenarios: list[Scenario], seed: int) -> tuple[ComparisonReport, lis
     """Run all scenarios with one seed; ratios are against the first one."""
     if len(scenarios) < 2:
         raise ValueError("compare needs at least two scenarios")
-    ref = scenarios[0]
     # one session: the workload, drawn once, each chunk's lookup and each
     # distinct scoring pass; it admits every scenario before any runs
-    ref.validate()
-    session = Session.draw(ref, seed)
+    session = Session.draw(scenarios[0], seed)
     for s in scenarios:
         session.admit(s)
     results = [run(s, seed, session) for s in scenarios]

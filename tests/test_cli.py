@@ -108,6 +108,7 @@ class TestValidate:
                      "timing: {channel_transfer_ns_per_byte: 1.0e+300}\n",
                      "timing: {fc_clock_mhz: 1.0e-300}\n",
                      "timing: {host_ns_per_mac: 1.0e+306}\nscenario: {mode: emb-vectorsum}\n",
+                     "timing: {host_ns_per_mac: 1.0e+9}\nscenario: {mode: emb-vectorsum}\n",
                      "timing: {host_interface_ns_per_byte: 1.0e+306}\n"
                      "scenario: {mode: emb-vectorsum}\n",
                      "timing: {fc_clock_mhz: 1.0e+300}\n",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -237,8 +238,8 @@ class TestRmssdMode:
         timing = TimingParams(fc_clock_mhz=300.0)
         sc = scenario(MODE_RMSSD, m, count, batch=batch, kernels=ALLMAX, timing=timing)
         plain = run(sc, seed)
-        sc.resource_model = ResourceModel(bram_bytes=5000, dram_bandwidth_bytes_per_s=1e8)
-        r = run(sc, seed)
+        r = run(dataclasses.replace(sc, resource_model=ResourceModel(
+            bram_bytes=5000, dram_bandwidth_bytes_per_s=1e8)), seed)
         period = timing.clock_period_ns
         floors = ([0, math.ceil(41600 / period)], [math.ceil(371200 / period), 0])
         want = replay_rmssd(m, count, batch, ALLMAX, seed, timing, floors)
@@ -273,8 +274,9 @@ class TestRmssdMode:
         # 1 ns sense and 1 ns page transfer, the shortest a scenario accepts
         bad = TimingParams(page_read_us=1e-3, channel_transfer_ns_per_byte=2.5e-4,
                            fc_clock_mhz=1e-4)
-        sc = scenario(MODE_RMSSD, m, 4, batch=1, timing=bad, workload=WorkloadConfig(pooling=1))
-        sc.space = SearchSpace(max_batch=2)
+        sc = dataclasses.replace(scenario(MODE_RMSSD, m, 4, batch=1, timing=bad,
+                                          workload=WorkloadConfig(pooling=1)),
+                                 space=SearchSpace(max_batch=2))
         with pytest.raises(InfeasibleSearchError):
             run(sc, 0)
 
@@ -702,3 +704,38 @@ class TestCompare:
             compare([a, c], 1)
         with pytest.raises(ValueError, match="at least two"):
             compare([a], 1)
+
+
+class TestValidByConstruction:
+    def test_compare_refuses_an_invalid_scenario_before_any_run(self, monkeypatch):
+        # the third scenario is refused when it is built, so the compare
+        # never simulates the first two
+        from recssd import sim
+        m = rmc3()
+        a, b = scenario(MODE_SSD_BASELINE, m, 10), scenario(MODE_EMB_VECTORSUM, m, 10)
+        runs, lone = [], sim.run
+        monkeypatch.setattr(sim, "run", lambda s, *args: runs.append(s) or lone(s, *args))
+        with pytest.raises(ValueError, match="dram_fraction must be in"):
+            compare([a, b, dataclasses.replace(a, dram_fraction=2.0)], 1)
+        assert runs == []
+
+    def test_scenario_is_frozen_and_replace_checks_again(self):
+        sc = scenario(MODE_SSD_BASELINE, rmc3(), 10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.dram_fraction = 2.0
+        for change, match in (({"dram_fraction": 2.0}, "dram_fraction must be in"),
+                              ({"batch": 0}, "batch must be >= 1"),
+                              ({"mode": "gpu"}, "unknown mode"),
+                              ({"geometry": SsdGeometry(8, 4, 32)}, "exceeds page size")):
+            with pytest.raises(ValueError, match=match):
+                dataclasses.replace(sc, **change)
+
+    def test_bad_workload_config_raises_at_construction(self):
+        for fields, match in (({"distribution": "gauss"}, "unknown distribution"),
+                              ({"pooling": 0}, "pooling must be >= 1, got 0"),
+                              ({"pooling": 2.5}, "pooling must be an integer"),
+                              ({"pooling": True}, "pooling must be an integer"),
+                              ({"zipf_s": 0.0}, "zipf_s must be > 0"),
+                              ({"zipf_s": math.nan}, "zipf_s must be > 0")):
+            with pytest.raises(ValueError, match=match):
+                WorkloadConfig(**fields)
