@@ -8,6 +8,6 @@ from .recmodel import (EmbeddingTable, Model, ModelSpec, Query, TableSpec, Workl
                        WorkloadConfig, build_model, desk_model_spec, ev_lookup_sum,
                        generate_workload, mlp_forward, reference_inference)
 from .sim import Metrics, Scenario, compare, metrics_json, run
-from .storage import SsdGeometry, TimingParams, page_location, page_read_time
+from .storage import Durations, SsdGeometry, TimingParams, page_location
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .recmodel import Workload
-from .storage import SsdGeometry, TimingParams, schedule_page_reads
+from .storage import Durations, SsdGeometry, schedule_page_reads
 
 
 @dataclass(frozen=True)
@@ -179,12 +179,6 @@ def adder_order(arrival_ns: np.ndarray) -> AdderOrder:
     return AdderOrder(by_table[:, :, 0].max(axis=1), adds)
 
 
-def add_ns(ev_dim: int, timing: TimingParams, kc_e: int) -> int:
-    """One add of an ev_dim-wide vector on a kc_e-wide adder: ceil(ev_dim /
-    kc_e) clock cycles."""
-    return timing.cycles_to_ns(-(-ev_dim // kc_e))
-
-
 def lookup_sums(vectors: np.ndarray) -> np.ndarray:
     """Each query's per-table sums of its (queries, tables, pooling, ev_dim)
     float32 vectors in table order, each folded left to right in index order:
@@ -200,22 +194,23 @@ def lookup_sums(vectors: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ReadTimeline:
     """What the modes read of a lookup's page reads. It depends on the
-    requests, the batch, the geometry and the timing alone, not on the table
-    values or the adder's width, so modes that look up the same requests on
-    the same device share it."""
+    requests, the batch, the geometry and the sense and page-transfer times
+    alone, not on the table values or the adder's width, so modes that look up
+    the same requests on the same device share it."""
     first_sense_ns: np.ndarray           # per query: its first sense start
     channel_busy_ns: np.ndarray          # (batches, channels)
     adder: AdderOrder
 
 
 def read_timeline(requests: Requests, batch: int, geometry: SsdGeometry,
-                  timing: TimingParams) -> ReadTimeline:
+                  durations: Durations) -> ReadTimeline:
     """Coalesce and schedule the page reads of `requests`, one batch of
     `batch` queries per lane, and keep only the columns the modes read: each
     query's first sense start, the channels' busy times and the adder's order
     of the requests' arrivals (each its page's transfer end)."""
     reads = dispatch(requests, np.arange(len(requests.page)) // batch)
-    sched = schedule_page_reads(reads.lane, reads.page, geometry, timing)
+    sched = schedule_page_reads(reads.lane, reads.page, geometry, durations.sense_ns,
+                                durations.xfer_ns)
     # every query has a request, so every lane has a read and a row of busy times
     return ReadTimeline(sched.sense_start_ns[reads.read].min(axis=(1, 2)),
                         sched.channel_busy_ns, adder_order(sched.xfer_end_ns[reads.read]))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from . import ev_engine
 from .mlp_engine import KernelAssignment, fc_cycles, pipeline_schedule
 from .recmodel import Model, WorkloadConfig, generate_workload
-from .storage import SsdGeometry, TimingParams
+from .storage import Durations, SsdGeometry, TimingParams
 
 
 @dataclass(frozen=True)
@@ -162,25 +162,20 @@ def resource_usage(spec, assignment: KernelAssignment,
 
 
 def spill_floor_cycles(spec, resource_model: ResourceModel,
-                       timing: TimingParams) -> tuple[list[int], list[int]]:
+                       durations: Durations) -> tuple[list[int], list[int]]:
     """Per-layer weight-fetch floors, in engine cycles, of the bottom and the
     top stack: the DRAM fetch time of each layer that `bram_placement`
     spills, 0 for resident layers."""
     _, _, spill = bram_placement(spec, resource_model)
-
-    def cycles(nbytes: int) -> int:
-        if nbytes == 0:
-            return 0
-        fetch_ns = round(nbytes * 1e9 / resource_model.dram_bandwidth_bytes_per_s)
-        return timing.ns_to_cycles(fetch_ns)
-
-    return [cycles(b) for b in spill["bottom"]], [cycles(b) for b in spill["top"]]
+    bandwidth = resource_model.dram_bandwidth_bytes_per_s
+    return tuple([durations.ns_to_cycles(nbytes * 1e9 / bandwidth) for nbytes in spill[stack]]
+                 for stack in ("bottom", "top"))
 
 
-def _stage_makespan_ns(dims, kernels, batch, timing: TimingParams, floor_cycles) -> int:
+def _stage_makespan_ns(dims, kernels, batch, durations: Durations, floor_cycles) -> int:
     sched = pipeline_schedule(dims, kernels, inputs_at_cycles=[0] * batch,
                               floor_cycles=floor_cycles)
-    return timing.cycles_to_ns(int(sched.completions.max()))
+    return durations.cycles_to_ns(int(sched.completions.max()))
 
 
 def estimate_times(model: Model, assignment: KernelAssignment, batch: int,
@@ -194,14 +189,16 @@ def estimate_times(model: Model, assignment: KernelAssignment, batch: int,
     assignment.validate(spec)
     if batch < 1:
         raise ValueError("batch must be >= 1")
+    durations = Durations.of(timing, geometry, spec)
     queries = generate_workload(spec, workload.distribution, workload.pooling, batch, seed,
                                 workload.zipf_s)
-    emb_ns = emb_budgets(model, queries, geometry, timing)[assignment.ev[1]]
+    emb_ns = emb_budgets(model, queries, geometry, durations)[assignment.ev[1]]
     floors_b = floors_t = None
     if resource_model is not None:
-        floors_b, floors_t = spill_floor_cycles(spec, resource_model, timing)
-    bot_ns = _stage_makespan_ns(spec.bottom_mlp_dims, assignment.bottom, batch, timing, floors_b)
-    top_ns = _stage_makespan_ns(spec.top_mlp_dims, assignment.top, batch, timing, floors_t)
+        floors_b, floors_t = spill_floor_cycles(spec, resource_model, durations)
+    bot_ns = _stage_makespan_ns(spec.bottom_mlp_dims, assignment.bottom, batch, durations,
+                                floors_b)
+    top_ns = _stage_makespan_ns(spec.top_mlp_dims, assignment.top, batch, durations, floors_t)
     return StageTimes(bottom_ns=bot_ns, top_ns=top_ns, emb_ns=emb_ns)
 
 
@@ -211,17 +208,16 @@ def kernel_options(dim: int, cap: int | None = None) -> list[int]:
 
 
 def emb_budgets(model: Model, queries, geometry: SsdGeometry,
-                timing: TimingParams) -> dict[int, int]:
+                durations: Durations) -> dict[int, int]:
     """The embedding time of `queries`, looked up as one batch, for each adder
     width kc_e. The width changes only the adder's add time, so the page
     reads and the adder's order of their arrivals are computed once for all
     of them."""
-    ev_dim = model.spec.ev_dim
     layout = ev_engine.table_layout(model.spec, geometry)
     requests = ev_engine.translate_batch(layout, queries)
-    adder = ev_engine.read_timeline(requests, len(queries), geometry, timing).adder
-    return {kc_e: int(adder.done_ns(ev_engine.add_ns(ev_dim, timing, kc_e)).max())
-            for kc_e in kernel_options(ev_dim)}
+    adder = ev_engine.read_timeline(requests, len(queries), geometry, durations).adder
+    return {kc_e: int(adder.done_ns(durations.add_ns(kc_e)).max())
+            for kc_e in kernel_options(model.spec.ev_dim)}
 
 
 class _Stage:
@@ -232,15 +228,15 @@ class _Stage:
     once it has been scheduled. A budget only filters the options. `dims`
     are the stack's widths, input width first."""
 
-    def __init__(self, dims, space: SearchSpace, batch: int, timing: TimingParams, floors):
-        self.dims, self.batch, self.timing, self.floors = dims, batch, timing, floors
+    def __init__(self, dims, space: SearchSpace, batch: int, durations: Durations, floors):
+        self.dims, self.batch, self.durations, self.floors = dims, batch, durations, floors
         self.options = []
         for l, (r, c) in enumerate(zip(dims, dims[1:])):
             floor = floors[l] if floors else 0
             kernels = sorted(((kr, kc) for kr in kernel_options(r, space.max_kernel)
                               for kc in kernel_options(c, space.max_kernel)),
                              key=lambda k: (k[0] * k[1], k))
-            self.options.append([(k, timing.cycles_to_ns(max(fc_cycles(r, c, k, batch), floor)))
+            self.options.append([(k, durations.cycles_to_ns(max(fc_cycles(r, c, k, batch), floor)))
                                  for k in kernels])
         self.makespans = {}
 
@@ -277,7 +273,7 @@ class _Stage:
         for kernels in self.candidates(budget_ns):
             if kernels not in self.makespans:
                 self.makespans[kernels] = _stage_makespan_ns(self.dims, kernels, self.batch,
-                                                             self.timing, self.floors)
+                                                             self.durations, self.floors)
             if self.makespans[kernels] <= budget_ns:
                 return kernels
         return None
@@ -296,14 +292,15 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
         raise ValueError("batch must be >= 1")
     spec = model.spec
     bottom, top = spec.bottom_mlp_dims, spec.top_mlp_dims
-    floors_b, floors_t = spill_floor_cycles(spec, resource_model, timing)
+    durations = Durations.of(timing, geometry, spec)
+    floors_b, floors_t = spill_floor_cycles(spec, resource_model, durations)
 
     while True:
         queries = generate_workload(spec, workload.distribution, workload.pooling, batch, seed,
                                     workload.zipf_s)
-        emb_by_kce = emb_budgets(model, queries, geometry, timing)
-        stage_b = _Stage(bottom, space, batch, timing, floors_b)
-        stage_t = _Stage(top, space, batch, timing, floors_t)
+        emb_by_kce = emb_budgets(model, queries, geometry, durations)
+        stage_b = _Stage(bottom, space, batch, durations, floors_b)
+        stage_t = _Stage(top, space, batch, durations, floors_t)
         best = None
         for kc_e, emb_ns in emb_by_kce.items():
             bot = stage_b.best(emb_ns)
@@ -336,8 +333,8 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
                       kernel_options(c, space.max_kernel)[-1]) for r, c in zip(dims, dims[1:]))
 
     budget = emb_by_kce[1]
-    bot_ns = _stage_makespan_ns(bottom, largest(bottom), batch, timing, floors_b)
-    top_ns = _stage_makespan_ns(top, largest(top), batch, timing, floors_t)
+    bot_ns = _stage_makespan_ns(bottom, largest(bottom), batch, durations, floors_b)
+    top_ns = _stage_makespan_ns(top, largest(top), batch, durations, floors_t)
     return SearchOutcome(
         feasible=False, assignment=None, batch=batch,
         times=StageTimes(bot_ns, top_ns, budget), resources=None, objective=None,

@@ -13,8 +13,8 @@ Modes:
 
 A ``Scenario`` is frozen and valid once built: it checks the rules that join
 its fields, each record it holds has checked its own, and its table layout
-(``Scenario.layout``, which refuses a vector larger than a page) is computed
-then, once, for every lookup of its runs.
+(``Scenario.layout``, no vector larger than a page) and integer durations
+(``Scenario.durations``, no time over its limits) are computed then, once.
 
 The device modes share one batch loop, ``_drive``. Each batch starts on an
 idle device, so batches interact only through their dispatch times: from time
@@ -35,7 +35,7 @@ A run's workload, and what runs on it share, is one ``Session``: the
 workload's arrays (a ``recmodel.Workload``), of which the batch loop's chunks
 and the scored prefix are views sliced on the query axis; each chunk's
 translation and read timeline, which read neither the tables nor the adder's
-width, under (geometry, timing, batch, chunk start), so every device run with
+width, under (geometry, durations, batch, chunk start), so every device run with
 that key reuses them and finishes the lookup (``simulate_lookup``) from its
 own flash image at its own ``kc_e``; and the scoring's MLP passes, which a
 later pass reuses only on byte-equal weights, biases and input. Neither key
@@ -76,7 +76,7 @@ from .mlp_engine import KernelAssignment, pipeline_schedule, pipeline_schedule_d
 from .recmodel import Model, Workload, WorkloadConfig, generate_workload, interact, mlp_forward
 # unused here, but the benchmark's tracer (perfbench/tracing.py) wraps it by name
 from .recmodel import reference_inference  # noqa: F401
-from .storage import SsdGeometry, TimingParams, page_location, page_read_time
+from .storage import MAX_OPERATION_NS, Durations, SsdGeometry, TimingParams, page_location
 
 SCHEMA_VERSION = 1
 
@@ -84,12 +84,6 @@ SCHEMA_VERSION = 1
 # whole batches (at least one): it bounds the size of one lookup's arrays on
 # long runs.
 CHUNK_QUERIES = 512
-
-# Longest modelled duration of one operation. A run is a bounded number of
-# operations, so with this cap every time stays far inside int64 nanoseconds.
-MAX_OPERATION_NS = 1_000_000_000
-# Shortest engine clock period, so that no cycle count exceeds its nanoseconds.
-MIN_CLOCK_PERIOD_NS = 1.0
 
 MODE_RMSSD = "rmssd"
 MODE_EMB_VECTORSUM = "emb-vectorsum"
@@ -126,6 +120,11 @@ class Scenario:
         return self.kernels is None
 
     @cached_property
+    def durations(self) -> Durations:
+        """The scenario's integer times, each rounded once (`Durations.of`)."""
+        return Durations.of(self.timing, self.geometry, self.model.spec)
+
+    @cached_property
     def layout(self) -> ev_engine.TableLayout:
         """Where the model's rows lie on the geometry's pages."""
         return ev_engine.table_layout(self.model.spec, self.geometry)
@@ -143,29 +142,13 @@ class Scenario:
             self.kernels.validate(self.model.spec)
         if self.duration_ns is not None and self.duration_ns < 0:
             raise ValueError("duration_ns must be >= 0")
-        t, g, rm = self.timing, self.geometry, self.resource_model
+        self.durations  # refuses a time outside the limits of `Durations.of`
+        rm = self.resource_model
         _, _, spill = bram_placement(self.model.spec, rm)
-        for name, ns in (("a page sense", t.page_read_us * 1000.0),
-                         ("a page transfer", g.page_size * t.channel_transfer_ns_per_byte),
-                         ("the host I/O overhead", t.host_block_io_overhead_us * 1000.0),
-                         ("a DRAM hit", t.dram_hit_ns),
-                         ("a page over the host interface",
-                          g.page_size * t.host_interface_ns_per_byte),
-                         ("a query's host MLP pass", _host_mlp_ns(self.model.spec, t)),
-                         ("an engine clock period", t.clock_period_ns),
-                         ("a spilled layer's weight fetch from DRAM",
-                          max(spill["bottom"] + spill["top"]) * 1e9
-                          / rm.dram_bandwidth_bytes_per_s)):
-            if not ns <= MAX_OPERATION_NS:
-                raise ValueError(f"{name} takes {ns:g} ns, over the limit of "
-                                 f"{MAX_OPERATION_NS} ns (1 s)")
-        if t.clock_period_ns < MIN_CLOCK_PERIOD_NS:
-            raise ValueError(f"the engine clock period is {t.clock_period_ns:g} ns, under "
-                             f"the limit of {MIN_CLOCK_PERIOD_NS:g} ns (fc_clock_mhz <= 1000)")
-        sense, xfer = t.sense_ns, t.xfer_ns(g.page_size)
-        if sense < 1 or xfer < 1:
-            raise ValueError(f"a page read needs a sense and a transfer of >= 1 ns, "
-                             f"got {sense} ns and {xfer} ns")
+        fetch = max(spill["bottom"] + spill["top"]) * 1e9 / rm.dram_bandwidth_bytes_per_s
+        if not fetch <= MAX_OPERATION_NS:
+            raise ValueError(f"a spilled layer's weight fetch from DRAM takes {fetch:g} ns, "
+                             f"over the limit of {MAX_OPERATION_NS} ns (1 s)")
         self.layout     # refuses an embedding vector larger than a page
 
 
@@ -223,15 +206,6 @@ def spans_to_csv(spans) -> str:
     return "\n".join(["query_id,stage,start_ns,end_ns", *rows]) + "\n"
 
 
-def _host_mlp_ns(spec, timing: TimingParams) -> float:
-    """One query's bottom and top MLP pass on the host, unrounded."""
-    macs = 0
-    for dims in (spec.bottom_mlp_dims, spec.top_mlp_dims):
-        for l in range(len(dims) - 1):
-            macs += dims[l] * dims[l + 1]
-    return macs * timing.host_ns_per_mac
-
-
 def _same(a, b) -> bool:
     """Whether two arrays hold the same bytes in the same shape and dtype: -0.0
     and 0.0 differ, and a NaN equals only its own bit pattern."""
@@ -270,13 +244,13 @@ class Session:
             raise ValueError("scenarios must share one model")
         self._spec, self._workload = scenario.model.spec, scenario.workload
 
-    def lookup(self, layout, timing: TimingParams, batch: int, first: int, count: int):
+    def lookup(self, layout, durations: Durations, batch: int, first: int, count: int):
         """The translation and read timeline of queries [first, first + count)."""
         geometry = layout.geometry
-        key = (geometry, timing, batch, first)
+        key = (geometry, durations, batch, first)
         if key not in self._lookups:
             reqs = ev_engine.translate_batch(layout, self.queries[first:first + count])
-            self._lookups[key] = reqs, ev_engine.read_timeline(reqs, batch, geometry, timing)
+            self._lookups[key] = reqs, ev_engine.read_timeline(reqs, batch, geometry, durations)
         return self._lookups[key]
 
     def forward(self, dims, weights, biases, x) -> np.ndarray:
@@ -304,9 +278,9 @@ def _drive(scenario: Scenario, session: Session, batch: int, kc_e: int, stage):
     Returns the dispatched queries' ns columns (`t0`, `emb_start`, `emb_end`,
     then the stage's; a column no batch made reads as empty), their summed
     vectors, the channels' busy times and the batch count."""
-    model, geometry, timing = scenario.model, scenario.geometry, scenario.timing
+    model, geometry, durations = scenario.model, scenario.geometry, scenario.durations
     flash = ev_engine.build_flash_image(model.tables, scenario.layout)
-    t_add = ev_engine.add_ns(model.spec.ev_dim, timing, kc_e)
+    t_add = durations.add_ns(kc_e)
     chunk = max(1, CHUNK_QUERIES // batch) * batch
     # an empty first entry, so that a run with no batch concatenates
     times, ev = defaultdict(list), [np.zeros((0, model.spec.emb_out_width), np.float32)]
@@ -315,7 +289,7 @@ def _drive(scenario: Scenario, session: Session, batch: int, kc_e: int, stage):
     for first in range(0, len(session.queries), chunk):
         if scenario.duration_ns is not None and t0 >= scenario.duration_ns:
             break
-        requests, timeline = session.lookup(scenario.layout, timing, batch, first, chunk)
+        requests, timeline = session.lookup(scenario.layout, durations, batch, first, chunk)
         emb = ev_engine.simulate_lookup(flash, requests, timeline, t_add, batch)
         device_ns, cols = stage(emb, batch)
         dispatch = t0 + np.cumsum(device_ns) - device_ns
@@ -393,35 +367,34 @@ def run(scenario: Scenario, seed: int, session: Session | None = None) -> RunRes
 
 
 def _run_rmssd(scenario: Scenario, session: Session, seed: int) -> RunResult:
-    model, spec = scenario.model, scenario.model.spec
-    timing = scenario.timing
+    model, spec, durations = scenario.model, scenario.model.spec, scenario.durations
     assignment, batch, outcome = scenario.kernels, scenario.batch, None
     if assignment is None:
-        outcome = search(model, scenario.resource_model, scenario.geometry, timing,
+        outcome = search(model, scenario.resource_model, scenario.geometry, scenario.timing,
                          scenario.workload, seed, batch, scenario.space)
         if not outcome.feasible:
             raise InfeasibleSearchError(outcome)
         assignment, batch = outcome.assignment, outcome.batch
 
-    floors_b, floors_t = spill_floor_cycles(spec, scenario.resource_model, timing)
+    floors_b, floors_t = spill_floor_cycles(spec, scenario.resource_model, durations)
     # a query's schedule depends only on the queries before it in its batch,
     # and the bottom MLP's inputs are all at cycle 0: one bottom schedule
     # serves every batch, a partial one reading its prefix
     bottom = pipeline_schedule(spec.bottom_mlp_dims, assignment.bottom,
                                inputs_at_cycles=[0] * batch, floor_cycles=floors_b).completions[0]
-    bottom_ns = timing.cycles_to_ns(bottom)
+    bottom_ns = durations.cycles_to_ns(bottom)
 
     def stage(emb, batch):
         # one top-MLP lane per batch, the partial last batch padded
         n = len(emb.e_ns)
         lanes = -(-n // batch)
         emb_cycles = np.zeros(lanes * batch, dtype=np.int64)
-        emb_cycles[:n] = timing.ns_to_cycles(emb.e_ns)
+        emb_cycles[:n] = durations.ns_to_cycles(emb.e_ns)
         top = pipeline_schedule_decomposed(spec.top_mlp_dims, assignment.top,
                                            spec.bottom_out_width, bottom,
                                            emb_cycles.reshape(lanes, batch),
                                            floor_cycles=floors_t)
-        done, top_start = (timing.cycles_to_ns(c).ravel()[:n]
+        done, top_start = (durations.cycles_to_ns(c).ravel()[:n]
                            for c in (top.completions, top.starts))
         device = np.maximum(np.maximum.reduceat(done, np.arange(0, n, batch)), emb.t_emb_ns)
         return device, {"bottom_end": np.tile(bottom_ns, lanes)[:n], "top_start": top_start,
@@ -439,10 +412,9 @@ def _run_rmssd(scenario: Scenario, session: Session, seed: int) -> RunResult:
 
 
 def _run_emb_vectorsum(scenario: Scenario, session: Session, seed: int) -> RunResult:
-    spec, timing = scenario.model.spec, scenario.timing
+    spec, durations = scenario.model.spec, scenario.durations
     kc_e = scenario.kernels.ev[1] if scenario.kernels is not None else spec.ev_dim
-    host_mlp = round(_host_mlp_ns(spec, timing))
-    xfer = timing.host_iface_ns(spec.emb_out_width * 4) + timing.host_overhead_ns
+    host_mlp, xfer = durations.host_mlp_ns, durations.host_xfer_ns
     # the device frees when the batch's lookups end
     times, ev, busy, batches = _drive(scenario, session, scenario.batch, kc_e,
                                       lambda emb, batch: (emb.t_emb_ns, {}))
@@ -476,13 +448,10 @@ def resident_sets(spec, dram_fraction: float, distribution: str, seed: int):
 
 def _run_baseline(scenario: Scenario, session: Session, seed: int) -> RunResult:
     model, spec = scenario.model, scenario.model.spec
-    geometry, timing = scenario.geometry, scenario.timing
+    geometry, durations = scenario.geometry, scenario.durations
     resident = resident_sets(spec, scenario.dram_fraction, scenario.workload.distribution,
                              seed)
-    host_mlp = round(_host_mlp_ns(spec, timing))
-    page_busy = page_read_time(geometry, timing)
-    # an embedding row never straddles a page, so every miss is one page read
-    miss_ns = page_busy + timing.host_iface_ns(spec.ev_dim * 4) + timing.host_overhead_ns
+    host_mlp, page_busy = durations.host_mlp_ns, durations.sense_ns + durations.xfer_ns
     # every lookup of the run and its residency; these are host reads, so the
     # call does not go through the `ev_engine` attribute that the benchmark's
     # tracer counts as device requests
@@ -495,7 +464,7 @@ def _run_baseline(scenario: Scenario, session: Session, seed: int) -> RunResult:
     misses = (~hit).sum(axis=(1, 2))
     # queries run serially, each starting when the previous one completes;
     # one is admitted while the clock is before duration_ns
-    emb = hits * timing.dram_hit_ns_int + misses * miss_ns
+    emb = hits * durations.dram_hit_ns + misses * durations.miss_ns
     done = np.cumsum(emb + host_mlp)
     start = done - (emb + host_mlp)
     n = len(start) if scenario.duration_ns is None else \

@@ -1,12 +1,11 @@
-"""SSD geometry, timing, page placement, and page-read scheduling.
+"""SSD geometry, timing and integer durations, page placement, and page-read scheduling.
 
 Placement is static round-robin striping: physical page p lies on channel
 p mod C, die (p div C) mod D, for C channels of D dies (`page_location`).
 The workload is read-only, so nothing moves and there is no garbage
 collection. A read names its lane and its page, and the scheduler places the
-page itself.
-
-Timing model (all durations are integer nanoseconds):
+page itself. Timing model (each duration is integer ns, rounded once from the
+`TimingParams` into a scenario's `Durations`, which also checks its limits):
 
 * a page read is a sense phase (occupies its die) followed by a transfer
   phase (occupies the channel bus); the die stays busy until its page has
@@ -66,27 +65,60 @@ class TimingParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
-    @property
-    def sense_ns(self) -> int:
-        return round(self.page_read_us * 1000.0)
 
-    def xfer_ns(self, page_size: int) -> int:
-        return round(page_size * self.channel_transfer_ns_per_byte)
+# Longest modelled duration of one operation. A run is a bounded number of
+# operations, so with this cap every time stays far inside int64 nanoseconds.
+MAX_OPERATION_NS = 1_000_000_000
+# Shortest engine clock period, so that no cycle count exceeds its nanoseconds.
+MIN_CLOCK_PERIOD_NS = 1.0
 
-    def host_iface_ns(self, nbytes: int) -> int:
-        return round(nbytes * self.host_interface_ns_per_byte)
 
-    @property
-    def host_overhead_ns(self) -> int:
-        return round(self.host_block_io_overhead_us * 1000.0)
+@dataclass(frozen=True)
+class Durations:
+    """A scenario's times in integer ns, each rounded once from its timing,
+    geometry and model spec (`of`), and the engine clock's ns <-> cycles."""
+    sense_ns: int               # a page sense
+    xfer_ns: int                # a page over the channel bus
+    dram_hit_ns: int            # ssd-baseline: a DRAM-resident lookup
+    # ssd-baseline: one page read (no row straddles a page), a vector to the host, I/O overhead
+    miss_ns: int
+    host_xfer_ns: int           # emb-vectorsum: a query's summed vectors to the host, overhead
+    host_mlp_ns: int            # a query's bottom and top MLP pass on the host
+    clock_period_ns: float      # the FC engine's
+    ev_dim: int                 # the cycles of one add on a one-wide adder
 
-    @property
-    def dram_hit_ns_int(self) -> int:
-        return round(self.dram_hit_ns)
-
-    @property
-    def clock_period_ns(self) -> float:
-        return 1000.0 / self.fc_clock_mhz
+    @classmethod
+    def of(cls, timing: TimingParams, geometry: SsdGeometry, spec) -> "Durations":
+        """Check each time against the limits before rounding it: at most
+        `MAX_OPERATION_NS` each (so an overflow to inf is refused, not
+        rounded), a clock period of at least `MIN_CLOCK_PERIOD_NS`, and a sense
+        and a page transfer of at least 1 ns each, the page scheduler's premise."""
+        t = timing
+        sense, xfer = t.page_read_us * 1000.0, geometry.page_size * t.channel_transfer_ns_per_byte
+        overhead = t.host_block_io_overhead_us * 1000.0
+        vector, summed = (n * 4 * t.host_interface_ns_per_byte
+                          for n in (spec.ev_dim, spec.emb_out_width))
+        macs = sum(dims[l] * dims[l + 1] for dims in (spec.bottom_mlp_dims, spec.top_mlp_dims)
+                   for l in range(len(dims) - 1))
+        host_mlp, period = macs * t.host_ns_per_mac, 1000.0 / t.fc_clock_mhz
+        for name, ns in (("a page sense", sense), ("a page transfer", xfer),
+                         ("a DRAM hit", t.dram_hit_ns), ("the host I/O overhead", overhead),
+                         ("a vector over the host interface", vector),
+                         ("a query's summed vectors over the host interface", summed),
+                         ("a query's host MLP pass", host_mlp), ("an engine clock period", period),
+                         ("an add on a one-wide adder", spec.ev_dim * period)):
+            if not ns <= MAX_OPERATION_NS:
+                raise ValueError(f"{name} takes {ns:g} ns, over the limit of "
+                                 f"{MAX_OPERATION_NS} ns (1 s)")
+        if period < MIN_CLOCK_PERIOD_NS:
+            raise ValueError(f"the engine clock period is {period:g} ns, under "
+                             f"the limit of {MIN_CLOCK_PERIOD_NS:g} ns (fc_clock_mhz <= 1000)")
+        if sense < 1 or xfer < 1:
+            raise ValueError(f"a page read needs a sense and a transfer of >= 1 ns, "
+                             f"got {sense:g} ns and {xfer:g} ns")
+        sense, xfer, overhead = round(sense), round(xfer), round(overhead)
+        return cls(sense, xfer, round(t.dram_hit_ns), sense + xfer + round(vector) + overhead,
+                   round(summed) + overhead, round(host_mlp), period, spec.ev_dim)
 
     def cycles_to_ns(self, cycles):
         """Engine cycles, an int or an int64 array, to the nearest ns (halves
@@ -96,11 +128,15 @@ class TimingParams:
         return round(cycles * self.clock_period_ns)
 
     def ns_to_cycles(self, ns):
-        """The engine cycles, rounded up, that span `ns`, an int or an int64
-        array."""
+        """The engine cycles, rounded up, that span `ns`, an int64 array, or an
+        int or a float, which is first rounded to the nearest ns."""
         if isinstance(ns, np.ndarray):
             return np.ceil(ns / self.clock_period_ns).astype(np.int64)
-        return math.ceil(ns / self.clock_period_ns)
+        return math.ceil(round(ns) / self.clock_period_ns)
+
+    def add_ns(self, kc_e: int) -> int:
+        """One add of a vector on a kc_e-wide adder: ceil(ev_dim / kc_e) cycles."""
+        return self.cycles_to_ns(-(-self.ev_dim // kc_e))
 
 
 def page_location(geometry: SsdGeometry, page):
@@ -108,11 +144,6 @@ def page_location(geometry: SsdGeometry, page):
     each element of an integer array of them."""
     channels, dies = geometry.channels, geometry.dies_per_channel
     return page % channels, (page // channels) % dies, page // (channels * dies)
-
-
-def page_read_time(geometry: SsdGeometry, timing: TimingParams) -> int:
-    """Sense plus channel transfer for one page, in ns."""
-    return timing.sense_ns + timing.xfer_ns(geometry.page_size)
 
 
 @dataclass(frozen=True)
@@ -135,8 +166,8 @@ def _narrow(*keys: np.ndarray) -> np.ndarray:
     return np.array(keys, dtype=np.min_scalar_type(top))
 
 
-def schedule_page_reads(lane, page, geometry: SsdGeometry,
-                        timing: TimingParams) -> PageSchedule:
+def schedule_page_reads(lane, page, geometry: SsdGeometry, sense: int,
+                        xfer: int) -> PageSchedule:
     """Schedule the reads of `page`, read k in lane `lane[k]` (lanes numbered
     from 0), each on its page's channel and die (`page_location`), in the
     rounds of the module docstring: each (lane, channel) bus serves round k,
@@ -144,9 +175,8 @@ def schedule_page_reads(lane, page, geometry: SsdGeometry,
     reads finish sensing together, a die's next read finishes sensing a sense
     time after its last transfer, and transfer ends on a bus are distinct. A
     read's position is its sequence number. Die and bus are both
-    work-conserving."""
-    sense = timing.sense_ns
-    xfer = timing.xfer_ns(geometry.page_size)
+    work-conserving. A sense takes `sense` ns and a page transfer `xfer` ns,
+    each at least 1 ns."""
     lane = np.asarray(lane, dtype=np.int64)
     page = np.asarray(page, dtype=np.int64)
     n = len(page)

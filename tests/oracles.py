@@ -377,6 +377,18 @@ def translate_index(layout, table_id: int, index: int) -> tuple[int, int]:
     return int(page[0]), int(slot[0]) * layout.ev_bytes
 
 
+def page_phases_ns(timing, geometry) -> tuple[int, int]:
+    """A page's sense and channel transfer in ns, each rounded on its own from
+    the raw timing fields."""
+    return (round(timing.page_read_us * 1000.0),
+            round(geometry.page_size * timing.channel_transfer_ns_per_byte))
+
+
+def cycles_ns(timing, cycles) -> int:
+    """Engine cycles at the timing's clock, rounded to the nearest ns."""
+    return round(cycles * (1000.0 / timing.fc_clock_mhz))
+
+
 def host_block_read(geometry, total_pages: int, offset: int, nbytes: int, timing) -> int:
     """Latency of one synchronous host-path read of `nbytes` from byte
     `offset` of `total_pages` provisioned pages: its pages, read by
@@ -390,9 +402,10 @@ def host_block_read(geometry, total_pages: int, offset: int, nbytes: int, timing
         raise ValueError(f"byte range [{offset}, {end}) outside provisioned capacity")
     page_size = geometry.page_size
     pages = np.arange(offset // page_size, (end - 1) // page_size + 1, dtype=np.int64)
-    sched = schedule_page_reads(np.zeros(len(pages), np.int64), pages, geometry, timing)
-    return int(sched.xfer_end_ns.max()) + timing.host_iface_ns(nbytes) + \
-        timing.host_overhead_ns
+    sched = schedule_page_reads(np.zeros(len(pages), np.int64), pages, geometry,
+                                *page_phases_ns(timing, geometry))
+    return int(sched.xfer_end_ns.max()) + round(nbytes * timing.host_interface_ns_per_byte) + \
+        round(timing.host_block_io_overhead_us * 1000.0)
 
 
 def lookup_reads(layout, queries, geometry, timing, batch=None):
@@ -403,7 +416,8 @@ def lookup_reads(layout, queries, geometry, timing, batch=None):
     request's `arrival_ns` (its page's transfer end)."""
     requests = translate_batch(layout, queries)
     reads = dispatch(requests, np.arange(len(queries)) // (batch or max(len(queries), 1)))
-    schedule = schedule_page_reads(reads.lane, reads.page, geometry, timing)
+    schedule = schedule_page_reads(reads.lane, reads.page, geometry,
+                                   *page_phases_ns(timing, geometry))
     channel, die, _ = page_location(geometry, reads.page)
     return SimpleNamespace(requests=requests, reads=reads, channel=channel, die=die,
                            schedule=schedule, arrival_ns=schedule.xfer_end_ns[reads.read])

@@ -15,7 +15,7 @@ from recssd.kernel_search import kernel_options
 from recssd.mlp_engine import KernelAssignment, pipeline_schedule
 from recssd.recmodel import generate_workload
 
-from oracles import adder_oracle, lookup_reads
+from oracles import adder_oracle, cycles_ns, lookup_reads
 
 
 def emb_ns(model, queries, geometry, timing) -> dict:
@@ -28,7 +28,7 @@ def emb_ns(model, queries, geometry, timing) -> dict:
     keys = zip(query.ravel().tolist(), table.ravel().tolist())
     items = [(ready, seq, key) for seq, (ready, key)
              in enumerate(zip(reads.arrival_ns.ravel().tolist(), keys))]
-    return {kc_e: max(adder_oracle(items, timing.cycles_to_ns(-(-ev_dim // kc_e)),
+    return {kc_e: max(adder_oracle(items, cycles_ns(timing, -(-ev_dim // kc_e)),
                                    group=lambda key: key[0]).values())
             for kc_e in kernel_options(ev_dim)}
 
@@ -36,7 +36,7 @@ def emb_ns(model, queries, geometry, timing) -> dict:
 def _stage_time(dims, kernels, batch, timing, floors):
     sched = pipeline_schedule(dims, kernels, inputs_at_cycles=[0] * batch,
                               floor_cycles=floors)
-    return timing.cycles_to_ns(int(sched.completions.max()))
+    return cycles_ns(timing, int(sched.completions.max()))
 
 
 def enumerate_search(model, resource_model, geometry, timing, workload, seed, batch, space,

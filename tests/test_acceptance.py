@@ -19,7 +19,7 @@ from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE, Scena
                         WorkloadConfig, metrics_json, percentile_nearest_rank, run)
 from recssd.storage import SsdGeometry, TimingParams, page_location, schedule_page_reads
 
-from oracles import carried_split, die_timelines, pipeline_entries
+from oracles import carried_split, die_timelines, page_phases_ns, pipeline_entries
 from search_oracle import enumerate_search
 
 GEO = SsdGeometry(8, 4, 4096)
@@ -259,7 +259,8 @@ def test_criterion_8_property_suites():
         channel, die = np.array([[int(rng.integers(0, 2)) for _ in range(2)]
                                  for _ in range(nreq)]).T
         page = channel + geo_small.channels * die
-        sched = schedule_page_reads(np.zeros(nreq, np.int64), page, geo_small, TP)
+        sched = schedule_page_reads(np.zeros(nreq, np.int64), page, geo_small,
+                                    *page_phases_ns(TP, geo_small))
         for recs in die_timelines(geo_small, page, sched).values():
             for (_, prev_end), (nxt_start, _) in zip(recs, recs[1:]):
                 assert nxt_start == prev_end

@@ -122,7 +122,13 @@ class TestValidate:
                      "model: {preset: custom, dense_dim: 13, bottom_mlp_dims: [13, 16],"
                      " top_mlp_dims: [32, 1], ev_dim: 16, table_rows: [100.9]}\n",
                      "model: {preset: custom, dense_dim: 13, bottom_mlp_dims: [13, 16],"
-                     " top_mlp_dims: [32, true], ev_dim: 16, table_rows: [100]}\n"):
+                     " top_mlp_dims: [32, true], ev_dim: 16, table_rows: [100]}\n",
+                     # a page over the host interface takes just under 1 s, but
+                     # one query's 64 summed vectors of 128 bytes take 2.0 s
+                     "model: {preset: custom, dense_dim: 4, bottom_mlp_dims: [4, 4],"
+                     " top_mlp_dims: [2052, 1], ev_dim: 32, table_rows: [" + ", ".join(["4"] * 64)
+                     + "]}\ntiming: {host_interface_ns_per_byte: 244140}\n"
+                     "scenario: {mode: emb-vectorsum}\nworkload: {pooling: 1}\n"):
             path = write(tmp_path, "bad.yaml", text)
             assert main(["validate", path]) == 2, text
             assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2, text

@@ -4,20 +4,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from recssd.ev_engine import (add_ns, adder_order, build_flash_image, dispatch, gather_rows,
+from recssd.ev_engine import (adder_order, build_flash_image, dispatch, gather_rows,
                               lookup_sums, read_timeline, simulate_lookup, table_layout,
                               translate_batch)
 from recssd.mlp_engine import KernelAssignment
 from recssd.recmodel import (ModelSpec, Query, TableSpec, Workload, build_model,
                              ev_lookup_sum, generate_workload)
 from recssd.sim import MODES, Scenario, Session, WorkloadConfig, run
-from recssd.storage import SsdGeometry, TimingParams, page_location, page_read_time
+from recssd.storage import Durations, SsdGeometry, TimingParams, page_location
 
-from oracles import (adder_oracle, die_timelines, flash_schedule_oracle, fold_sum_rows,
-                     lookup_reads, translate_index)
+from oracles import (adder_oracle, cycles_ns, die_timelines, flash_schedule_oracle,
+                     fold_sum_rows, lookup_reads, page_phases_ns, translate_index)
 
 GEO = SsdGeometry(channels=8, dies_per_channel=4, page_size=4096)
 TP = TimingParams()
+SENSE, XFER = page_phases_ns(TP, GEO)
 
 
 def ev_sum_engine(arrival_ns, vectors, timing, kc_e=None):
@@ -27,21 +28,21 @@ def ev_sum_engine(arrival_ns, vectors, timing, kc_e=None):
     adder (default: as wide as the vectors)."""
     ev_dim = vectors.shape[-1]
     return (lookup_sums(vectors),
-            adder_order(arrival_ns).done_ns(add_ns(ev_dim, timing, kc_e or ev_dim)))
+            adder_order(arrival_ns).done_ns(cycles_ns(timing, -(-ev_dim // (kc_e or ev_dim)))))
 
 
 def lookup(model, queries, kc_e=None, batch=None):
     """The lookup's call chain as the batch loop runs it, in batches of
     `batch` queries (default: one batch of all) on a kc_e-wide adder
     (default: ev_dim wide): the result and its read timeline."""
-    ev_dim = model.spec.ev_dim
+    durations = Durations.of(TP, GEO, model.spec)
     batch = batch or len(queries)
     layout = table_layout(model.spec, GEO)
     requests = translate_batch(layout, queries)
-    timeline = read_timeline(requests, batch, GEO, TP)
+    timeline = read_timeline(requests, batch, GEO, durations)
     flash = build_flash_image(model.tables, layout)
-    return (simulate_lookup(flash, requests, timeline, add_ns(ev_dim, TP, kc_e or ev_dim),
-                            batch), timeline)
+    t_add = durations.add_ns(kc_e or model.spec.ev_dim)
+    return simulate_lookup(flash, requests, timeline, t_add, batch), timeline
 
 
 def flat_model(num_tables=1, rows=256, ev_dim=16, seed=0):
@@ -169,11 +170,11 @@ class TestDispatch:
         res = lookup_reads(layout, qs, GEO, TP)
         pages = [(0, 0, int(ch), int(die), seq)
                  for seq, (ch, die) in enumerate(zip(res.channel, res.die))]
-        _, makespan = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
+        _, makespan = flash_schedule_oracle(pages, SENSE, XFER)
         assert res.schedule.xfer_end_ns.max() == makespan
         max_q = max(Counter(zip(res.channel.tolist(), res.die.tolist())).values())
-        assert makespan >= max_q * TP.sense_ns
-        assert makespan <= max_q * page_read_time(GEO, TP) + GEO.dies_per_channel * TP.xfer_ns(4096)
+        assert makespan >= max_q * SENSE
+        assert makespan <= max_q * (SENSE + XFER) + GEO.dies_per_channel * XFER
 
     def test_coalescing_bound_property(self):
         rng = np.random.default_rng(44)
@@ -205,7 +206,7 @@ class TestEvSum:
         vec, done = ev_sum_engine(np.full((1, 1, 16), 1000),
                                   np.ones((1, 1, 16, 16), np.float32), TP, kc_e=1)
         items = [(1000, i, 0) for i in range(16)]
-        want = adder_oracle(items, TP.cycles_to_ns(16))[0]
+        want = adder_oracle(items, cycles_ns(TP, 16))[0]
         assert done.tolist() == [want] == [1000 + 15 * 80]
         assert vec.tolist() == [[16.0] * 16]
 
@@ -248,8 +249,8 @@ class TestSimulateLookup:
         model = flat_model()
         qs = Workload.from_queries([Query([[5]], np.zeros(2, np.float32))])
         res, _ = lookup(model, qs)
-        assert res.e_ns.tolist() == [page_read_time(GEO, TP)]
-        assert res.t_emb_ns.tolist() == [page_read_time(GEO, TP)]
+        assert res.e_ns.tolist() == [SENSE + XFER]
+        assert res.t_emb_ns.tolist() == [SENSE + XFER]
 
     def test_bad_queries_rejected(self):
         model = flat_model(num_tables=2, rows=100)
@@ -368,10 +369,10 @@ class TestSimulateLookup:
                     items.append((qid, t, seq, gpage))
                     seq += 1
         pages = [(0, 0, g % 8, (g // 8) % 4, k) for k, g in enumerate(order)]
-        times, _ = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
+        times, _ = flash_schedule_oracle(pages, SENSE, XFER)
         arrivals = {g: times[page_of[g]][3] for g in order}
         adder_items = [(arrivals[g], s, (qid, t)) for qid, t, s, g in items]
-        done = adder_oracle(adder_items, TP.cycles_to_ns(16 // kc_e), group=lambda k: k[0])
+        done = adder_oracle(adder_items, cycles_ns(TP, 16 // kc_e), group=lambda k: k[0])
         want_e = [max(done[(qid, t)] for t in range(4)) for qid in range(64)]
         assert res.e_ns.tolist() == want_e
         assert res.t_emb_ns.tolist() == [max(want_e)]
@@ -407,9 +408,9 @@ class TestSimulateLookup:
                     items.append((qid, t, seq, page))
                     seq += 1
         pages = [(0, 0, p % 8, (p // 8) % 4, k) for k, p in enumerate(order)]
-        times, _ = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
+        times, _ = flash_schedule_oracle(pages, SENSE, XFER)
         adder_items = [(times[order.index(p)][3], s, (qid, t)) for qid, t, s, p in items]
-        done = adder_oracle(adder_items, TP.cycles_to_ns(ev_dim // kc_e), group=lambda k: k[0])
+        done = adder_oracle(adder_items, cycles_ns(TP, ev_dim // kc_e), group=lambda k: k[0])
         assert res.e_ns.tolist() == [max(done[(qid, t)] for t in range(3))
                                     for qid in range(len(qs))]
         for q, concat in zip(qs, res.ev_concat):

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from recssd.kernel_search import (ResourceModel, SearchSpace, _Stage, bram_place
 from recssd.mlp_engine import KernelAssignment, fc_cycles
 from recssd.recmodel import (DESK_PRESETS, ModelSpec, TableSpec, WorkloadConfig, build_model,
                              desk_model_spec, generate_workload)
-from recssd.storage import SsdGeometry, TimingParams
+from recssd.storage import Durations, SsdGeometry, TimingParams
 
-from oracles import adder_oracle, flash_schedule_oracle, pipeline_oracle
+from oracles import (adder_oracle, cycles_ns, flash_schedule_oracle, page_phases_ns,
+                     pipeline_oracle)
 from search_oracle import emb_ns, enumerate_search
 
 GEO = SsdGeometry(8, 4, 4096)
 TP = TimingParams()
 RM = ResourceModel()
+# the default timing's record; the stage walk reads only its clock
+D = Durations.of(TP, GEO, desk_model_spec("rmc3-mini"))
 
 
 def tiny_model(bot=(8, 8), top_hidden=None, ev_dim=8, tables=1, rows=4096, seed=0):
@@ -73,18 +77,18 @@ class TestEstimateTimes:
                     items.append((qid, t, seq, g))
                     seq += 1
         pages = [(0, 0, g % 8, (g // 8) % 4, k) for k, g in enumerate(order)]
-        times, _ = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
+        times, _ = flash_schedule_oracle(pages, *page_phases_ns(TP, GEO))
         arrivals = {g: times[page_of[g]][3] for g in order}
         done = adder_oracle([(arrivals[g], s, (qid, t)) for qid, t, s, g in items],
-                            TP.cycles_to_ns(4), group=lambda k: k[0])
+                            cycles_ns(TP, 4), group=lambda k: k[0])
         want_emb = max(done.values())
         assert got.emb_ns == want_emb
 
         # MLP side: pipeline oracle in cycles
         comps_b, _ = pipeline_oracle([(13, 64), (64, 16)], a.bottom, [0] * batch)
         comps_t, _ = pipeline_oracle([(144, 64), (64, 1)], a.top, [0] * batch)
-        assert got.bottom_ns == round(max(comps_b) * TP.clock_period_ns)
-        assert got.top_ns == round(max(comps_t) * TP.clock_period_ns)
+        assert got.bottom_ns == cycles_ns(TP, max(comps_b))
+        assert got.top_ns == cycles_ns(TP, max(comps_t))
 
 
 class TestResourceUsage:
@@ -120,11 +124,11 @@ class TestResourceUsage:
         wl = WorkloadConfig(pooling=2)
         with_floor = estimate_times(m, a, 1, GEO, TP, wl, 7, resource_model=rm)
         without = estimate_times(m, a, 1, GEO, TP, wl, 7)
-        floor_cycles = TP.ns_to_cycles(nbytes)
+        floor_cycles = math.ceil(nbytes / 5.0)     # 5 ns cycles at 200 MHz
         assert with_floor.top_ns > without.top_ns
         comps = pipeline_oracle([(16, 512), (512, 1)], a.top, [0],
                                 floors=[floor_cycles, 0])[0]
-        assert with_floor.top_ns == round(max(comps) * TP.clock_period_ns)
+        assert with_floor.top_ns == cycles_ns(TP, max(comps))
 
 
 class TestSearch:
@@ -136,7 +140,8 @@ class TestSearch:
         m = build_model(desk_model_spec(preset), 3)
         for dist, batch in (("uniform", 2), ("zipf", 16)):
             queries = generate_workload(m.spec, dist, 8, batch, 5)
-            assert emb_budgets(m, queries, GEO, TP) == emb_ns(m, queries, GEO, TP)
+            assert emb_budgets(m, queries, GEO, Durations.of(TP, GEO, m.spec)) == \
+                emb_ns(m, queries, GEO, TP)
 
     def test_slow_flash_gives_minimal_kernels(self):
         m = tiny_model(bot=(8, 8), top_hidden=(8,))
@@ -150,14 +155,15 @@ class TestSearch:
 
     def test_vanishing_emb_budget_reports_binding_constraint(self):
         m = tiny_model(bot=(8, 8), top_hidden=(8,))
-        # flash ~ instant, engine clock absurdly slow -> MLP can never keep up
-        fast_flash = TimingParams(page_read_us=1e-3, channel_transfer_ns_per_byte=1e-9,
+        # a 1 ns sense and a 1 ns page transfer, the shortest a page read
+        # takes, and a 1 ms engine clock -> the MLP can never keep up
+        fast_flash = TimingParams(page_read_us=1e-3, channel_transfer_ns_per_byte=2.5e-4,
                                   fc_clock_mhz=1e-3)
         out = search(m, RM, GEO, fast_flash, WorkloadConfig(pooling=1), 1, 1,
                      SearchSpace(max_batch=4))
         assert not out.feasible
-        assert out.binding_constraint in ("bottom", "top")
-        assert out.times.emb_ns < out.times.top_ns
+        assert out.binding_constraint == "top"
+        assert (out.times.emb_ns, out.times.top_ns) == (2, 12_000_000)
 
     def test_two_layer_model_matches_enumeration_oracle(self):
         m = tiny_model(bot=(8, 8), ev_dim=8, rows=4096)
@@ -228,7 +234,7 @@ class TestSearch:
         rm = ResourceModel(bram_bytes=100, dram_bandwidth_bytes_per_s=bandwidth)
         tp = TimingParams(fc_clock_mhz=20.0)
         wl, space = WorkloadConfig(pooling=2), SearchSpace(max_batch=16)
-        floors_b, floors_t = spill_floor_cycles(spec, rm, tp)
+        floors_b, floors_t = spill_floor_cycles(spec, rm, Durations.of(tp, GEO, spec))
         assert all(floors_b) and floors_t[0] > 0
         got = search(m, rm, GEO, tp, wl, 4, 1, space)
         want = enumerate_search(m, rm, GEO, tp, wl, 4, 1, space, floors_b, floors_t)
@@ -257,7 +263,7 @@ class TestStageWalk:
     @pytest.mark.parametrize("max_kernel", [None, 4])
     def test_walk_order_is_sorted_product(self, dims, max_kernel):
         want = area_order(itertools.product(*layer_options(dims, max_kernel)))
-        walk = _Stage(dims, SearchSpace(max_kernel=max_kernel), 2, TP, None).candidates(10 ** 12)
+        walk = _Stage(dims, SearchSpace(max_kernel=max_kernel), 2, D, None).candidates(10 ** 12)
         # one more than expected, so a walk that repeats candidates fails fast
         assert list(itertools.islice(walk, len(want) + 1)) == want
 
@@ -266,15 +272,15 @@ class TestStageWalk:
     def test_walk_drops_only_options_that_cannot_fit_alone(self, dims, floor):
         # a floor above the budget leaves its layer, and so the stage, nothing
         floors = [0, floor] + [0] * (len(dims) - 3)
-        batch, budget = 3, TP.cycles_to_ns(60)
+        batch, budget = 3, cycles_ns(TP, 60)
 
         def fits(l, k):
-            return TP.cycles_to_ns(max(fc_cycles(dims[l], dims[l + 1], k, batch),
-                                       floors[l])) <= budget
+            return cycles_ns(TP, max(fc_cycles(dims[l], dims[l + 1], k, batch),
+                                     floors[l])) <= budget
 
         want = area_order(ks for ks in itertools.product(*layer_options(dims))
                           if all(fits(l, k) for l, k in enumerate(ks)))
-        walk = _Stage(dims, SearchSpace(), batch, TP, floors).candidates(budget)
+        walk = _Stage(dims, SearchSpace(), batch, D, floors).candidates(budget)
         assert list(itertools.islice(walk, len(want) + 1)) == want
 
     @pytest.mark.parametrize("dims", STACKS)
@@ -296,14 +302,15 @@ class TestStageWalk:
         # lists rebuilt for its budget. The deep stacks' walks are cut short.
         spec = DEEP_SPEC if preset == "search-deep" else desk_model_spec(preset)
         m = build_model(spec, 2)
-        floors = spill_floor_cycles(spec, RM, TP)
+        d = Durations.of(TP, GEO, spec)
+        floors = spill_floor_cycles(spec, RM, d)
         longest = 4000 if preset == "search-deep" else None
         for batch in (1, 2, 4):
             queries = generate_workload(spec, "uniform", 8, batch, 9)
-            budgets = list(emb_budgets(m, queries, GEO, TP).values())
+            budgets = list(emb_budgets(m, queries, GEO, d).values())
             budgets += [b // 8 for b in budgets]
             for dims, floor in zip((spec.bottom_mlp_dims, spec.top_mlp_dims), floors):
-                stage = _Stage(dims, SearchSpace(), batch, TP, floor)
+                stage = _Stage(dims, SearchSpace(), batch, d, floor)
                 for budget in budgets:
                     got = list(itertools.islice(stage.candidates(budget), longest))
                     want = rebuilt_walk(dims, SearchSpace(), batch, TP, budget, floor)
@@ -326,7 +333,7 @@ def rebuilt_walk(dims, space, batch, timing, budget_ns, floors):
         opts = [(kr, kc)
                 for kr in kernel_options(r, space.max_kernel)
                 for kc in kernel_options(c, space.max_kernel)
-                if timing.cycles_to_ns(max(fc_cycles(r, c, (kr, kc), batch), floor))
+                if cycles_ns(timing, max(fc_cycles(r, c, (kr, kc), batch), floor))
                 <= budget_ns]
         if not opts:
             return

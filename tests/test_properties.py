@@ -213,3 +213,39 @@ def test_run_of_a_prefix_is_the_prefix_of_a_longer_run(monkeypatch):
                     for (stage, s0, e0), (_, s1, e1) in zip(short.spans, long.spans):
                         assert s0.tolist() == s1[:n].tolist(), (case, stage)
                         assert e0.tolist() == e1[:n].tolist(), (case, stage)
+
+
+def test_slower_flash_never_shortens_a_query():
+    """With fixed kernels, a longer page sense or page transfer never shortens
+    a query's latency or its emb span's end (both from its dispatch), nor the
+    run's horizon, in rmssd and in the baseline: every batch starts on an
+    idle device, and each later time is a max-plus function of the sense and
+    transfer times. Three workload shapes: about one page read per lookup
+    (uniform, batch 2 and 5), and shared pages (zipf, batch 16). Not covered:
+    the kernel search (its budget picks the kernels), the engine clock and
+    emb-vectorsum's end-to-end latency, which are not monotone."""
+    from recssd import sim
+    model = build_model(desk_model_spec("rmc3-mini"), 3)
+    axes = ([{"page_read_us": us} for us in (20.0, 50.0, 80.0)],
+            [{"channel_transfer_ns_per_byte": b} for b in (0.1, 0.4, 1.3)])
+    for distribution, batch in (("uniform", 2), ("zipf", 16), ("uniform", 5)):
+        for mode, kernels in ((sim.MODE_RMSSD, KernelAssignment.all_max(model.spec)),
+                              (sim.MODE_SSD_BASELINE, None)):
+            session = None
+            for axis in axes:
+                before = None
+                for step in axis:
+                    s = sim.Scenario(mode=mode, model=model, geometry=GEO,
+                                     timing=TimingParams(**step),
+                                     workload=WorkloadConfig(distribution, 8), query_count=120,
+                                     batch=batch, kernels=kernels)
+                    session = session or sim.Session.draw(s, 7)
+                    r = sim.run(s, 7, session)
+                    latency = np.array(r.latencies_ns)
+                    dispatch = r.spans[-1][2] - latency     # the last span ends when done
+                    now = (latency, r.spans[0][2] - dispatch, r.metrics.horizon_ns)
+                    assert len(latency) == 120 and r.spans[0][0] == "emb"
+                    if before is not None:
+                        assert all(np.all(a >= b) for a, b in zip(now, before)), \
+                            (distribution, batch, mode, step)
+                    before = now

@@ -13,10 +13,11 @@ from recssd.recmodel import (Model, ModelSpec, TableSpec, build_model, desk_mode
 from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE,
                         InfeasibleSearchError, Scenario, Session, WorkloadConfig, compare,
                         metrics_json, run, spans_to_csv)
-from recssd.storage import SsdGeometry, TimingParams, page_read_time
+from recssd.storage import SsdGeometry, TimingParams
 
 from oracles import (adder_oracle, decomposed_top_oracle, flash_schedule_oracle,
-                     host_block_read, nearest_rank, pipeline_oracle, translate_index)
+                     host_block_read, nearest_rank, page_phases_ns, pipeline_oracle,
+                     translate_index)
 
 GEO = SsdGeometry(8, 4, 4096)
 TP = TimingParams()
@@ -54,7 +55,7 @@ class TestBaselineMode:
         # latency = lookups * dram hit + host MLP, identical for every query
         spec = m.spec
         macs = 13 * 64 + 64 * 16 + 144 * 64 + 64
-        want = 8 * 8 * TP.dram_hit_ns_int + round(macs * TP.host_ns_per_mac)
+        want = 8 * 8 * round(TP.dram_hit_ns) + round(macs * TP.host_ns_per_mac)
         assert set(r.latencies_ns) == {want}
 
     def test_miss_cost_equals_host_block_read(self):
@@ -64,7 +65,7 @@ class TestBaselineMode:
         layout = table_layout(m.spec, GEO)
         page, off = translate_index(layout, 3, 12345)
         direct = host_block_read(GEO, layout.pages, page * GEO.page_size + off, 64, TP)
-        modeled = page_read_time(GEO, TP) + TP.host_iface_ns(64) + TP.host_overhead_ns
+        modeled = sum(page_phases_ns(TP, GEO)) + round(64 * 0.25) + 10_000
         assert direct == modeled
 
     def test_uniform_miss_rate_matches_analytic(self):
@@ -101,7 +102,7 @@ class TestBaselineMode:
             picks = rng.choice(ts.rows, size=mcount, replace=False)
             mask[picks] = True
             masks.append(mask)
-        miss_ns = (TP.sense_ns + TP.xfer_ns(4096) + round(64 * 0.25) + 10_000)
+        miss_ns = sum(page_phases_ns(TP, GEO)) + round(64 * 0.25) + 10_000
         macs = 13 * 64 + 64 * 16 + 144 * 64 + 64
         mlp_ns = round(macs * 0.1)
         t = 0
@@ -130,7 +131,7 @@ def replay_rmssd(model, count, batch, assignment, seed, timing=TP, floors=(None,
     qs = generate_workload(spec, "uniform", 8, count, seed)
     rpp = GEO.page_size // (spec.ev_dim * 4)
     ppt = -(-spec.tables[0].rows // rpp)
-    period = timing.clock_period_ns
+    period = 1000.0 / timing.fc_clock_mhz
     kc_e = assignment.ev[1]
     t_add = round(math.ceil(spec.ev_dim / kc_e) * period)
 
@@ -156,7 +157,7 @@ def replay_rmssd(model, count, batch, assignment, seed, timing=TP, floors=(None,
                     seq += 1
         pages = [(0, 0, g % GEO.channels, (g // GEO.channels) % GEO.dies_per_channel, j)
                  for j, g in enumerate(order)]
-        times, _ = flash_schedule_oracle(pages, timing.sense_ns, timing.xfer_ns(4096))
+        times, _ = flash_schedule_oracle(pages, *page_phases_ns(timing, GEO))
         arrivals = {g: times[page_of[g]][3] for g in order}
         done = adder_oracle([(arrivals[g], s, (qid, tbl)) for qid, tbl, s, g in items],
                             t_add, group=lambda key: key[0])
@@ -240,7 +241,7 @@ class TestRmssdMode:
         plain = run(sc, seed)
         r = run(dataclasses.replace(sc, resource_model=ResourceModel(
             bram_bytes=5000, dram_bandwidth_bytes_per_s=1e8)), seed)
-        period = timing.clock_period_ns
+        period = 1000.0 / timing.fc_clock_mhz
         floors = ([0, math.ceil(41600 / period)], [math.ceil(371200 / period), 0])
         want = replay_rmssd(m, count, batch, ALLMAX, seed, timing, floors)
         assert r.latencies_ns == want["latencies"]
@@ -321,10 +322,10 @@ class TestEmbVectorSumMode:
                         items.append((qid, tbl, seq, g))
                         seq += 1
             pages = [(0, 0, g % 8, (g // 8) % 4, j) for j, g in enumerate(order)]
-            times, _ = flash_schedule_oracle(pages, TP.sense_ns, TP.xfer_ns(4096))
+            times, _ = flash_schedule_oracle(pages, *page_phases_ns(TP, GEO))
             arrivals = {g: times[page_of[g]][3] for g in order}
             done = adder_oracle([(arrivals[g], s, (qid, tbl)) for qid, tbl, s, g in items],
-                                round(1 * TP.clock_period_ns), group=lambda key: key[0])
+                                round(1000.0 / TP.fc_clock_mhz), group=lambda key: key[0])
             e_ns = [max(done[(qid, tbl)] for tbl in range(8)) for qid in range(len(bq))]
             for i in range(len(bq)):
                 ready = t0 + e_ns[i] + xfer
@@ -510,9 +511,9 @@ class TestCompare:
         calls = []
         schedule = ev_engine.schedule_page_reads
 
-        def counted(lane, page, geometry, timing):
-            calls.append((geometry, timing))
-            return schedule(lane, page, geometry, timing)
+        def counted(lane, page, geometry, sense, xfer):
+            calls.append((geometry, sense, xfer))
+            return schedule(lane, page, geometry, sense, xfer)
 
         monkeypatch.setattr(ev_engine, "schedule_page_reads", counted)
         _, results = compare(scenarios, 4)
@@ -520,11 +521,12 @@ class TestCompare:
         # four chunks each for batches of 3 and of 2 on the default device,
         # with the slow flash and on two dies per channel; the cut run's two
         # chunks are those of the batch-3 run before it
-        assert Counter(calls) == {(GEO, TP): 8, (GEO, SLOW_TP): 4, (TWO_DIE_GEO, TP): 4}
+        fast, slow = (page_phases_ns(tp, GEO) for tp in (TP, SLOW_TP))
+        assert Counter(calls) == {(GEO, *fast): 8, (GEO, *slow): 4, (TWO_DIE_GEO, *fast): 4}
         # a lone run schedules each of its chunks once
         calls.clear()
         run(scenarios[1], 4)
-        assert calls == [(GEO, TP)] * 4
+        assert calls == [(GEO, *fast)] * 4
 
     def test_compare_scores_each_distinct_mlp_input_once(self, monkeypatch):
         # the bottom MLP reads the same dense rows in every mode, and the
