@@ -88,10 +88,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_search(args) -> int:
-    scenario = build_scenario(load_config(args.config))
-    outcome = search(scenario.model, scenario.resource_model, scenario.geometry,
-                     scenario.timing, scenario.workload, args.seed, scenario.batch,
-                     scenario.space)
+    outcome = search(build_scenario(load_config(args.config)), args.seed)
     print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
     if not outcome.feasible:
         raise InfeasibleSearchError(outcome)

@@ -21,9 +21,10 @@ reads, has `storage.schedule_page_reads` place and schedule them and orders
 their arrivals at the adder, and `simulate_lookup` finishes the lookup for
 one mode. Nothing here computes a channel or a die: the scheduler places
 each page. The first two read neither the table values nor the adder's
-width, so modes that look up the same requests on the same device can share
-them. The gather from the flash image, the sums and the adder's finish at
-its add time are each mode's own.
+width, and of the device's times only a sense and a page transfer, so modes
+that look up the same requests on the same flash can share them. The gather
+from the flash image, the sums and the adder's finish at its add time are
+each mode's own.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .recmodel import Workload
-from .storage import Durations, SsdGeometry, schedule_page_reads
+from .storage import SsdGeometry, schedule_page_reads
 
 
 @dataclass(frozen=True)
@@ -202,15 +203,15 @@ class ReadTimeline:
     adder: AdderOrder
 
 
-def read_timeline(requests: Requests, batch: int, geometry: SsdGeometry,
-                  durations: Durations) -> ReadTimeline:
+def read_timeline(requests: Requests, batch: int, geometry: SsdGeometry, sense: int,
+                  xfer: int) -> ReadTimeline:
     """Coalesce and schedule the page reads of `requests`, one batch of
-    `batch` queries per lane, and keep only the columns the modes read: each
-    query's first sense start, the channels' busy times and the adder's order
-    of the requests' arrivals (each its page's transfer end)."""
+    `batch` queries per lane, a sense taking `sense` ns and a page transfer
+    `xfer` ns, and keep only the columns the modes read: each query's first
+    sense start, the channels' busy times and the adder's order of the
+    requests' arrivals (each its page's transfer end)."""
     reads = dispatch(requests, np.arange(len(requests.page)) // batch)
-    sched = schedule_page_reads(reads.lane, reads.page, geometry, durations.sense_ns,
-                                durations.xfer_ns)
+    sched = schedule_page_reads(reads.lane, reads.page, geometry, sense, xfer)
     # every query has a request, so every lane has a read and a row of busy times
     return ReadTimeline(sched.sense_start_ns[reads.read].min(axis=(1, 2)),
                         sched.channel_busy_ns, adder_order(sched.xfer_end_ns[reads.read]))

@@ -6,6 +6,9 @@ Constraints for a candidate at batch B:
     bottom-stage time <= embedding-stage time
     top-stage time    <= embedding-stage time
 
+The public entries take a `sim.Scenario` and read the integer durations,
+table layout and spill floors that it builds once.
+
 Objective: sum of kr*kc over every FC kernel plus the vector-sum kernel.
 Stage time is not monotone in kernel size: a larger kr lengthens the
 adder-tree fill and makes a row-scan layer wait for wider input chunks. The
@@ -25,16 +28,20 @@ alone.
 
 Weight placement: layers fill block RAM in model order until capacity, the
 remainder spills to DRAM; a spilled layer pays its weight-fetch time once per
-batch as a streaming floor.
+batch as a streaming floor (`Scenario.spill_floors`).
 """
 
 import heapq
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import ev_engine
 from .mlp_engine import KernelAssignment, fc_cycles, pipeline_schedule
-from .recmodel import Model, WorkloadConfig, generate_workload
-from .storage import Durations, SsdGeometry, TimingParams
+from .recmodel import generate_workload
+from .storage import Durations
+
+if TYPE_CHECKING:   # `sim` imports this module
+    from .sim import Scenario
 
 
 @dataclass(frozen=True)
@@ -161,41 +168,25 @@ def resource_usage(spec, assignment: KernelAssignment,
     )
 
 
-def spill_floor_cycles(spec, resource_model: ResourceModel,
-                       durations: Durations) -> tuple[list[int], list[int]]:
-    """Per-layer weight-fetch floors, in engine cycles, of the bottom and the
-    top stack: the DRAM fetch time of each layer that `bram_placement`
-    spills, 0 for resident layers."""
-    _, _, spill = bram_placement(spec, resource_model)
-    bandwidth = resource_model.dram_bandwidth_bytes_per_s
-    return tuple([durations.ns_to_cycles(nbytes * 1e9 / bandwidth) for nbytes in spill[stack]]
-                 for stack in ("bottom", "top"))
-
-
 def _stage_makespan_ns(dims, kernels, batch, durations: Durations, floor_cycles) -> int:
     sched = pipeline_schedule(dims, kernels, inputs_at_cycles=[0] * batch,
                               floor_cycles=floor_cycles)
     return durations.cycles_to_ns(int(sched.completions.max()))
 
 
-def estimate_times(model: Model, assignment: KernelAssignment, batch: int,
-                   geometry: SsdGeometry, timing: TimingParams, workload: WorkloadConfig,
-                   seed: int, resource_model: ResourceModel | None = None) -> StageTimes:
-    """Stage times for one batch of the workload drawn with `seed`: the
-    embedding time is that batch's `emb_budgets` at the assignment's kc_e, the MLP
-    times come from the pipeline cycle model (with spill floors when a
-    resource model is given)."""
-    spec = model.spec
+def estimate_times(scenario: "Scenario", assignment: KernelAssignment, batch: int,
+                   seed: int) -> StageTimes:
+    """Stage times for one batch of the scenario's workload drawn with `seed`:
+    the embedding time is that batch's `emb_budgets` at the assignment's
+    kc_e, the MLP times come from the pipeline cycle model with the
+    scenario's spill floors."""
+    spec, wl = scenario.model.spec, scenario.workload
     assignment.validate(spec)
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    durations = Durations.of(timing, geometry, spec)
-    queries = generate_workload(spec, workload.distribution, workload.pooling, batch, seed,
-                                workload.zipf_s)
-    emb_ns = emb_budgets(model, queries, geometry, durations)[assignment.ev[1]]
-    floors_b = floors_t = None
-    if resource_model is not None:
-        floors_b, floors_t = spill_floor_cycles(spec, resource_model, durations)
+    durations, (floors_b, floors_t) = scenario.durations, scenario.spill_floors
+    queries = generate_workload(spec, wl.distribution, wl.pooling, batch, seed, wl.zipf_s)
+    emb_ns = emb_budgets(scenario, queries)[assignment.ev[1]]
     bot_ns = _stage_makespan_ns(spec.bottom_mlp_dims, assignment.bottom, batch, durations,
                                 floors_b)
     top_ns = _stage_makespan_ns(spec.top_mlp_dims, assignment.top, batch, durations, floors_t)
@@ -207,17 +198,17 @@ def kernel_options(dim: int, cap: int | None = None) -> list[int]:
     return [1 << k for k in range(limit.bit_length()) if (1 << k) <= limit]
 
 
-def emb_budgets(model: Model, queries, geometry: SsdGeometry,
-                durations: Durations) -> dict[int, int]:
-    """The embedding time of `queries`, looked up as one batch, for each adder
-    width kc_e. The width changes only the adder's add time, so the page
-    reads and the adder's order of their arrivals are computed once for all
-    of them."""
-    layout = ev_engine.table_layout(model.spec, geometry)
-    requests = ev_engine.translate_batch(layout, queries)
-    adder = ev_engine.read_timeline(requests, len(queries), geometry, durations).adder
+def emb_budgets(scenario: "Scenario", queries) -> dict[int, int]:
+    """The embedding time of `queries` on the scenario's device, looked up as
+    one batch, for each adder width kc_e. The width changes only the adder's
+    add time, so the page reads and the adder's order of their arrivals are
+    computed once for all of them."""
+    durations = scenario.durations
+    requests = ev_engine.translate_batch(scenario.layout, queries)
+    adder = ev_engine.read_timeline(requests, len(queries), scenario.geometry,
+                                    durations.sense_ns, durations.xfer_ns).adder
     return {kc_e: int(adder.done_ns(durations.add_ns(kc_e)).max())
-            for kc_e in kernel_options(model.spec.ev_dim)}
+            for kc_e in kernel_options(scenario.model.spec.ev_dim)}
 
 
 class _Stage:
@@ -226,13 +217,13 @@ class _Stage:
     kernel) order, each with the least time of any stage holding it (its
     max(fc_cycles(r, c, k, B), floor), in ns), and each candidate's makespan
     once it has been scheduled. A budget only filters the options. `dims`
-    are the stack's widths, input width first."""
+    are the stack's widths, input width first, and `floors` its layers'
+    spill floors in cycles."""
 
     def __init__(self, dims, space: SearchSpace, batch: int, durations: Durations, floors):
         self.dims, self.batch, self.durations, self.floors = dims, batch, durations, floors
         self.options = []
-        for l, (r, c) in enumerate(zip(dims, dims[1:])):
-            floor = floors[l] if floors else 0
+        for r, c, floor in zip(dims, dims[1:], floors):
             kernels = sorted(((kr, kc) for kr in kernel_options(r, space.max_kernel)
                               for kc in kernel_options(c, space.max_kernel)),
                              key=lambda k: (k[0] * k[1], k))
@@ -279,26 +270,21 @@ class _Stage:
         return None
 
 
-def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
-           timing: TimingParams, workload: WorkloadConfig, seed: int, batch: int,
-           space: SearchSpace = SearchSpace()) -> SearchOutcome:
-    """Find the cheapest feasible assignment, starting at `batch` and doubling
-    it while nothing fits and the double stays within `space.max_batch`. The
-    embedding budget at a batch is the lookup time of that many queries of
-    the workload drawn with `seed`. Returns an infeasible outcome naming the
-    binding constraint when even the largest kernels of the space cannot keep
-    up at the last batch tried."""
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    spec = model.spec
+def search(scenario: "Scenario", seed: int) -> SearchOutcome:
+    """Find the scenario's cheapest feasible assignment, starting at its batch
+    and doubling it while nothing fits and the double stays within its
+    `space.max_batch`. The embedding budget at a batch is the lookup time of
+    that many queries of the scenario's workload drawn with `seed`. Returns
+    an infeasible outcome naming the binding constraint when even the largest
+    kernels of the space cannot keep up at the last batch tried."""
+    spec, wl, space, batch = (scenario.model.spec, scenario.workload, scenario.space,
+                              scenario.batch)
     bottom, top = spec.bottom_mlp_dims, spec.top_mlp_dims
-    durations = Durations.of(timing, geometry, spec)
-    floors_b, floors_t = spill_floor_cycles(spec, resource_model, durations)
+    durations, (floors_b, floors_t) = scenario.durations, scenario.spill_floors
 
     while True:
-        queries = generate_workload(spec, workload.distribution, workload.pooling, batch, seed,
-                                    workload.zipf_s)
-        emb_by_kce = emb_budgets(model, queries, geometry, durations)
+        queries = generate_workload(spec, wl.distribution, wl.pooling, batch, seed, wl.zipf_s)
+        emb_by_kce = emb_budgets(scenario, queries)
         stage_b = _Stage(bottom, space, batch, durations, floors_b)
         stage_t = _Stage(top, space, batch, durations, floors_t)
         best = None
@@ -318,7 +304,7 @@ def search(model: Model, resource_model: ResourceModel, geometry: SsdGeometry,
             _, assignment, times = best
             return SearchOutcome(
                 feasible=True, assignment=assignment, batch=batch, times=times,
-                resources=resource_usage(spec, assignment, resource_model),
+                resources=resource_usage(spec, assignment, scenario.resource_model),
                 objective=assignment.objective(),
             )
         if batch * 2 > space.max_batch:
@@ -354,14 +340,13 @@ class ConstraintReport:
         return not self.violations
 
 
-def verify_constraints(model: Model, outcome: SearchOutcome, geometry: SsdGeometry,
-                       timing: TimingParams, workload: WorkloadConfig, seed: int,
-                       resource_model: ResourceModel | None = None) -> ConstraintReport:
-    """Re-derive the stage times for an outcome and report per-constraint slack."""
+def verify_constraints(scenario: "Scenario", outcome: SearchOutcome,
+                       seed: int) -> ConstraintReport:
+    """Re-derive the stage times for an outcome on the scenario and report
+    per-constraint slack."""
     if outcome.assignment is None:
         raise ValueError("outcome carries no assignment to verify")
-    times = estimate_times(model, outcome.assignment, outcome.batch, geometry, timing,
-                           workload, seed, resource_model)
+    times = estimate_times(scenario, outcome.assignment, outcome.batch, seed)
     slack_b = times.emb_ns - times.bottom_ns
     slack_t = times.emb_ns - times.top_ns
     violations = []

@@ -13,8 +13,11 @@ Modes:
 
 A ``Scenario`` is frozen and valid once built: it checks the rules that join
 its fields, each record it holds has checked its own, and its table layout
-(``Scenario.layout``, no vector larger than a page) and integer durations
-(``Scenario.durations``, no time over its limits) are computed then, once.
+(``Scenario.layout``, no vector larger than a page), integer durations
+(``Scenario.durations``, no time over its limits) and spill floors
+(``Scenario.spill_floors``, no weight fetch over 1 s) are computed then,
+once. The runs and the kernel search (``search(scenario, seed)``) read these
+records and build none of their own.
 
 The device modes share one batch loop, ``_drive``. Each batch starts on an
 idle device, so batches interact only through their dispatch times: from time
@@ -35,9 +38,10 @@ A run's workload, and what runs on it share, is one ``Session``: the
 workload's arrays (a ``recmodel.Workload``), of which the batch loop's chunks
 and the scored prefix are views sliced on the query axis; each chunk's
 translation and read timeline, which read neither the tables nor the adder's
-width, under (geometry, durations, batch, chunk start), so every device run with
-that key reuses them and finishes the lookup (``simulate_lookup``) from its
-own flash image at its own ``kc_e``; and the scoring's MLP passes, which a
+width, under what they do read, (geometry, sense, transfer, batch, chunk
+start), so every device run with that key reuses them and finishes the lookup
+(``simulate_lookup``) from its own flash image at its own ``kc_e``, whatever
+its engine or host times; and the scoring's MLP passes, which a
 later pass reuses only on byte-equal weights, biases and input. Neither key
 names the model, so a session admits scenarios of one model spec (and so one
 table layout) and one ``WorkloadConfig`` whose query count and
@@ -71,7 +75,7 @@ import numpy as np
 from . import ev_engine
 from .ev_engine import translate_batch
 from .kernel_search import (ResourceModel, SearchOutcome, SearchSpace, bram_placement,
-                            resource_usage, search, spill_floor_cycles)
+                            resource_usage, search)
 from .mlp_engine import KernelAssignment, pipeline_schedule, pipeline_schedule_decomposed
 from .recmodel import Model, Workload, WorkloadConfig, generate_workload, interact, mlp_forward
 # unused here, but the benchmark's tracer (perfbench/tracing.py) wraps it by name
@@ -129,6 +133,21 @@ class Scenario:
         """Where the model's rows lie on the geometry's pages."""
         return ev_engine.table_layout(self.model.spec, self.geometry)
 
+    @cached_property
+    def spill_floors(self) -> tuple[list[int], list[int]]:
+        """Per-layer weight-fetch floors, in engine cycles, of the bottom and
+        the top stack: the DRAM fetch time of each layer that `bram_placement`
+        spills (0 if resident), checked against `MAX_OPERATION_NS` unrounded."""
+        rm = self.resource_model
+        _, _, spill = bram_placement(self.model.spec, rm)
+        fetch = [[nbytes * 1e9 / rm.dram_bandwidth_bytes_per_s for nbytes in spill[stack]]
+                 for stack in ("bottom", "top")]
+        worst = max(fetch[0] + fetch[1])
+        if not worst <= MAX_OPERATION_NS:
+            raise ValueError(f"a spilled layer's weight fetch from DRAM takes {worst!r} ns, "
+                             f"over the limit of {MAX_OPERATION_NS} ns (1 s)")
+        return tuple([self.durations.ns_to_cycles(ns) for ns in stack] for stack in fetch)
+
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -142,14 +161,9 @@ class Scenario:
             self.kernels.validate(self.model.spec)
         if self.duration_ns is not None and self.duration_ns < 0:
             raise ValueError("duration_ns must be >= 0")
-        self.durations  # refuses a time outside the limits of `Durations.of`
-        rm = self.resource_model
-        _, _, spill = bram_placement(self.model.spec, rm)
-        fetch = max(spill["bottom"] + spill["top"]) * 1e9 / rm.dram_bandwidth_bytes_per_s
-        if not fetch <= MAX_OPERATION_NS:
-            raise ValueError(f"a spilled layer's weight fetch from DRAM takes {fetch:g} ns, "
-                             f"over the limit of {MAX_OPERATION_NS} ns (1 s)")
-        self.layout     # refuses an embedding vector larger than a page
+        self.durations      # refuses a time outside the limits of `Durations.of`
+        self.spill_floors   # refuses a weight fetch over `MAX_OPERATION_NS`
+        self.layout         # refuses an embedding vector larger than a page
 
 
 @dataclass
@@ -246,11 +260,11 @@ class Session:
 
     def lookup(self, layout, durations: Durations, batch: int, first: int, count: int):
         """The translation and read timeline of queries [first, first + count)."""
-        geometry = layout.geometry
-        key = (geometry, durations, batch, first)
+        geometry, sense, xfer = layout.geometry, durations.sense_ns, durations.xfer_ns
+        key = (geometry, sense, xfer, batch, first)
         if key not in self._lookups:
             reqs = ev_engine.translate_batch(layout, self.queries[first:first + count])
-            self._lookups[key] = reqs, ev_engine.read_timeline(reqs, batch, geometry, durations)
+            self._lookups[key] = reqs, ev_engine.read_timeline(reqs, batch, geometry, sense, xfer)
         return self._lookups[key]
 
     def forward(self, dims, weights, biases, x) -> np.ndarray:
@@ -367,16 +381,15 @@ def run(scenario: Scenario, seed: int, session: Session | None = None) -> RunRes
 
 
 def _run_rmssd(scenario: Scenario, session: Session, seed: int) -> RunResult:
-    model, spec, durations = scenario.model, scenario.model.spec, scenario.durations
+    spec, durations = scenario.model.spec, scenario.durations
     assignment, batch, outcome = scenario.kernels, scenario.batch, None
     if assignment is None:
-        outcome = search(model, scenario.resource_model, scenario.geometry, scenario.timing,
-                         scenario.workload, seed, batch, scenario.space)
+        outcome = search(scenario, seed)
         if not outcome.feasible:
             raise InfeasibleSearchError(outcome)
         assignment, batch = outcome.assignment, outcome.batch
 
-    floors_b, floors_t = spill_floor_cycles(spec, scenario.resource_model, durations)
+    floors_b, floors_t = scenario.spill_floors
     # a query's schedule depends only on the queries before it in its batch,
     # and the bottom MLP's inputs are all at cycle 0: one bottom schedule
     # serves every batch, a partial one reading its prefix
@@ -452,11 +465,7 @@ def _run_baseline(scenario: Scenario, session: Session, seed: int) -> RunResult:
     resident = resident_sets(spec, scenario.dram_fraction, scenario.workload.distribution,
                              seed)
     host_mlp, page_busy = durations.host_mlp_ns, durations.sense_ns + durations.xfer_ns
-    # every lookup of the run and its residency; these are host reads, so the
-    # call does not go through the `ev_engine` attribute that the benchmark's
-    # tracer counts as device requests
     index = session.queries.index
-    lookups = translate_batch(scenario.layout, session.queries)
     hit = np.empty(index.shape, dtype=bool)
     for t, mask in enumerate(resident):
         hit[:, t] = mask[index[:, t]]
@@ -470,7 +479,11 @@ def _run_baseline(scenario: Scenario, session: Session, seed: int) -> RunResult:
     n = len(start) if scenario.duration_ns is None else \
         int(np.searchsorted(start, scenario.duration_ns))
     start, emb, done = start[:n], emb[:n], done[:n]
-    channel = page_location(geometry, lookups.page[:n][~hit[:n]])[0]
+    # the admitted lookups' pages; these are host reads, so the call does not
+    # go through the `ev_engine` attribute that the benchmark's tracer counts
+    # as device requests
+    lookups = translate_batch(scenario.layout, session.queries[:n])
+    channel = page_location(geometry, lookups.page[~hit[:n]])[0]
     busy = np.bincount(channel, minlength=geometry.channels) * page_busy
     # the host sums each table's rows in index order, as the device's vector sum
     ev = ev_engine.lookup_sums(ev_engine.gather_rows(model.tables, index[:n]))

@@ -108,14 +108,14 @@ class Durations:
                          ("a query's host MLP pass", host_mlp), ("an engine clock period", period),
                          ("an add on a one-wide adder", spec.ev_dim * period)):
             if not ns <= MAX_OPERATION_NS:
-                raise ValueError(f"{name} takes {ns:g} ns, over the limit of "
+                raise ValueError(f"{name} takes {ns!r} ns, over the limit of "
                                  f"{MAX_OPERATION_NS} ns (1 s)")
         if period < MIN_CLOCK_PERIOD_NS:
-            raise ValueError(f"the engine clock period is {period:g} ns, under "
+            raise ValueError(f"the engine clock period is {period!r} ns, under "
                              f"the limit of {MIN_CLOCK_PERIOD_NS:g} ns (fc_clock_mhz <= 1000)")
         if sense < 1 or xfer < 1:
             raise ValueError(f"a page read needs a sense and a transfer of >= 1 ns, "
-                             f"got {sense:g} ns and {xfer:g} ns")
+                             f"got {sense!r} ns and {xfer!r} ns")
         sense, xfer, overhead = round(sense), round(xfer), round(overhead)
         return cls(sense, xfer, round(t.dram_hit_ns), sense + xfer + round(vector) + overhead,
                    round(summed) + overhead, round(host_mlp), period, spec.ev_dim)

@@ -11,9 +11,10 @@ import itertools
 import numpy as np
 
 from recssd.ev_engine import table_layout
-from recssd.kernel_search import kernel_options
+from recssd.kernel_search import SearchSpace, kernel_options
 from recssd.mlp_engine import KernelAssignment, pipeline_schedule
 from recssd.recmodel import generate_workload
+from recssd.sim import MODE_RMSSD, Scenario
 
 from oracles import adder_oracle, cycles_ns, lookup_reads
 
@@ -82,3 +83,12 @@ def enumerate_search(model, resource_model, geometry, timing, workload, seed, ba
         if batch * 2 > space.max_batch:
             return None
         batch *= 2
+
+
+def search_scenario(model, resource_model, geometry, timing, workload, batch=1,
+                    space=SearchSpace()):
+    """The rmssd `Scenario` of the kernel search's inputs, the raw fields
+    `enumerate_search` takes, with no queries of its own: the search draws
+    its own."""
+    return Scenario(MODE_RMSSD, model, geometry, timing, workload, query_count=0,
+                    batch=batch, resource_model=resource_model, space=space)

@@ -20,7 +20,7 @@ from recssd.sim import (MODE_EMB_VECTORSUM, MODE_RMSSD, MODE_SSD_BASELINE, Scena
 from recssd.storage import SsdGeometry, TimingParams, page_location, schedule_page_reads
 
 from oracles import carried_split, die_timelines, page_phases_ns, pipeline_entries
-from search_oracle import enumerate_search
+from search_oracle import enumerate_search, search_scenario
 
 GEO = SsdGeometry(8, 4, 4096)
 TP = TimingParams()
@@ -93,7 +93,8 @@ def _criterion2(reports):
     feasible_sound = True
     for k in range(20):
         model, timing, workload, seed, space = _random_instance(rng)
-        got = search(model, RM, GEO, timing, workload, seed, 1, space)
+        scenario = search_scenario(model, RM, GEO, timing, workload, 1, space)
+        got = search(scenario, seed)
         want = enumerate_search(model, RM, GEO, timing, workload, seed, 1, space)
         reports[f"c2/instance{k}"] = json.dumps(got.to_dict())
         if want is None:
@@ -103,7 +104,7 @@ def _criterion2(reports):
               and got.batch == want[1] and got.objective == want[2])
         matched += ok
         if got.feasible:
-            rep = verify_constraints(model, got, GEO, timing, workload, seed, RM)
+            rep = verify_constraints(scenario, got, seed)
             feasible_sound &= rep.ok and rep.slack_bottom_ns >= 0 and rep.slack_top_ns >= 0
     _ELAPSED[2] = time.monotonic() - t0
     return matched, feasible_sound
@@ -146,17 +147,18 @@ def _criterion6(reports):
     t0 = time.monotonic()
     spec = desk_model_spec("rmc3-mini")
     model = build_model(spec, MODEL_SEED)
-    wl = WorkloadConfig(pooling=8)
-    out = search(model, RM, GEO, TP, wl, C4_SEED, 2, SearchSpace(max_batch=16))
+    scenario = search_scenario(model, RM, GEO, TP, WorkloadConfig(pooling=8), 2,
+                               SearchSpace(max_batch=16))
+    out = search(scenario, C4_SEED)
     reports["c6/outcome"] = json.dumps(out.to_dict())
     allmax = KernelAssignment.all_max(spec)
     dsp_opt = resource_usage(spec, out.assignment, RM).dsp
     dsp_max = resource_usage(spec, allmax, RM).dsp
-    rep_opt = verify_constraints(model, out, GEO, TP, wl, C4_SEED, RM)
+    rep_opt = verify_constraints(scenario, out, C4_SEED)
     from recssd.kernel_search import SearchOutcome
     rep_max = verify_constraints(
-        model, SearchOutcome(True, allmax, out.batch, None, None, allmax.objective()),
-        GEO, TP, wl, C4_SEED, RM)
+        scenario, SearchOutcome(True, allmax, out.batch, None, None, allmax.objective()),
+        C4_SEED)
     _ELAPSED[6] = time.monotonic() - t0
     return dsp_opt, dsp_max, out.feasible and rep_opt.ok, rep_max.ok
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from recssd.config import (ConfigError, build_scenario, default_config_text,
                            load_config, validate_config)
 from recssd.kernel_search import ResourceModel, SearchSpace
 from recssd.recmodel import WorkloadConfig
-from recssd.sim import Scenario
+from recssd.sim import Scenario, run
 from recssd.storage import TimingParams
 
 from search_oracle import enumerate_search
@@ -38,6 +39,22 @@ timing: {fc_clock_mhz: 1.0}
 workload: {pooling: 4}
 scenario: {mode: rmssd, query_count: 10, batch: 1}
 search_space: {max_batch: 8}
+"""
+
+# fill-dominated on one die: infeasible at batches 1 and 2, feasible at 4, as
+# in test_batch_escalation_rescues_fill_dominated_config
+ESCALATING = """
+model:
+  preset: custom
+  dense_dim: 8
+  bottom_mlp_dims: [8, 8]
+  top_mlp_dims: [16, 1]
+  ev_dim: 8
+  table_rows: [4096]
+geometry: {channels: 1, dies_per_channel: 1, page_size: 4096}
+timing: {fc_clock_mhz: 0.05}
+workload: {pooling: 1}
+scenario: {mode: rmssd, query_count: 10, batch: 1}
 """
 
 DEEP_BOTTOM = """
@@ -132,6 +149,19 @@ class TestValidate:
             path = write(tmp_path, "bad.yaml", text)
             assert main(["validate", path]) == 2, text
             assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2, text
+        # each refused value prints exactly, so it never reads as inside its limit
+        capsys.readouterr()
+        for text, value, refused in (
+                ("timing: {page_read_us: 0.0009999999}\n", r"got (\S+) ns and",
+                 lambda ns: ns < 1),
+                ("timing: {fc_clock_mhz: 1000.0000001}\n", r"period is (\S+) ns",
+                 lambda ns: ns < 1),
+                ("timing: {host_block_io_overhead_us: 1000000.0000001}\n",
+                 r"overhead takes (\S+) ns", lambda ns: ns > 1_000_000_000)):
+            path = write(tmp_path, "bad.yaml", text)
+            assert main(["validate", path]) == 2, text
+            err = capsys.readouterr().err
+            assert refused(float(re.search(value, err).group(1))), err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/conf.yaml"]) == 2
@@ -296,6 +326,16 @@ class TestSearchCmd:
         assert tuple(tuple(k) for k in got["assignment"]["top"]) == assignment.top
         assert tuple(got["assignment"]["ev"]) == assignment.ev
         assert got["slack_ns"]["bottom"] >= 0 and got["slack_ns"]["top"] >= 0
+
+    @pytest.mark.parametrize("text, seed, batch", [(TINY_CUSTOM, 11, 1), (ESCALATING, 2, 4)])
+    def test_search_json_equals_the_runs_search(self, tmp_path, capsys, text, seed, batch):
+        # one feasible at its start batch, one that doubles it twice
+        path = write(tmp_path, "c.yaml", text)
+        assert main(["search", path, "--seed", str(seed)]) == 0
+        outcome = run(build_scenario(load_config(path)), seed).search_outcome
+        assert outcome.batch == batch
+        assert capsys.readouterr().out == json.dumps(outcome.to_dict(), indent=2,
+                                                     sort_keys=True) + "\n"
 
     def test_missing_file_exits_2(self):
         assert main(["search", "/nope.yaml"]) == 2

@@ -39,7 +39,7 @@ def lookup(model, queries, kc_e=None, batch=None):
     batch = batch or len(queries)
     layout = table_layout(model.spec, GEO)
     requests = translate_batch(layout, queries)
-    timeline = read_timeline(requests, batch, GEO, durations)
+    timeline = read_timeline(requests, batch, GEO, durations.sense_ns, durations.xfer_ns)
     flash = build_flash_image(model.tables, layout)
     t_add = durations.add_ns(kc_e or model.spec.ev_dim)
     return simulate_lookup(flash, requests, timeline, t_add, batch), timeline

@@ -8,7 +8,7 @@ import pytest
 from recssd.kernel_search import (ResourceModel, SearchSpace, _Stage, bram_placement,
                                   emb_budgets, estimate_times, kernel_options,
                                   layer_weight_bytes, resource_usage, search,
-                                  spill_floor_cycles, verify_constraints)
+                                  verify_constraints)
 from recssd.mlp_engine import KernelAssignment, fc_cycles
 from recssd.recmodel import (DESK_PRESETS, ModelSpec, TableSpec, WorkloadConfig, build_model,
                              desk_model_spec, generate_workload)
@@ -16,7 +16,7 @@ from recssd.storage import Durations, SsdGeometry, TimingParams
 
 from oracles import (adder_oracle, cycles_ns, flash_schedule_oracle, page_phases_ns,
                      pipeline_oracle)
-from search_oracle import emb_ns, enumerate_search
+from search_oracle import emb_ns, enumerate_search, search_scenario
 
 GEO = SsdGeometry(8, 4, 4096)
 TP = TimingParams()
@@ -37,19 +37,19 @@ class TestEstimateTimes:
     def test_full_kernels_are_fastest(self):
         model = desk_model_spec("rmc3-mini")
         m = build_model(model, 3)
-        wl = WorkloadConfig()
-        fast = estimate_times(m, KernelAssignment.all_max(model), 2, GEO, TP, wl, 3)
-        slow = estimate_times(m, KernelAssignment(((1, 1), (1, 1)), ((1, 1), (1, 1)), (1, 1)),
-                              2, GEO, TP, wl, 3)
+        s = search_scenario(m, RM, GEO, TP, WorkloadConfig())
+        fast = estimate_times(s, KernelAssignment.all_max(model), 2, 3)
+        slow = estimate_times(s, KernelAssignment(((1, 1), (1, 1)), ((1, 1), (1, 1)), (1, 1)),
+                              2, 3)
         assert fast.bottom_ns <= slow.bottom_ns
         assert fast.top_ns <= slow.top_ns
 
     def test_batch_doubling_roughly_doubles(self):
         m = tiny_model()
-        wl = WorkloadConfig(pooling=4)
+        s = search_scenario(m, RM, GEO, TP, WorkloadConfig(pooling=4))
         a = KernelAssignment(((2, 2),), ((2, 1),), (1, 2))
-        one = estimate_times(m, a, 1, GEO, TP, wl, 5)
-        two = estimate_times(m, a, 2, GEO, TP, wl, 5)
+        one = estimate_times(s, a, 1, 5)
+        two = estimate_times(s, a, 2, 5)
         # MLP cycles are exactly work*B + fill
         assert two.bottom_ns < 2 * one.bottom_ns
         assert two.bottom_ns > 2 * one.bottom_ns - 100
@@ -60,7 +60,8 @@ class TestEstimateTimes:
         m = build_model(spec, 3)
         a = KernelAssignment(((4, 16), (8, 8)), ((16, 16), (8, 1)), (1, 4))
         batch = 2
-        got = estimate_times(m, a, batch, GEO, TP, WorkloadConfig(pooling=8), 3)
+        got = estimate_times(search_scenario(m, RM, GEO, TP, WorkloadConfig(pooling=8)), a,
+                             batch, 3)
 
         # embedding side: layout arithmetic + flash oracle + adder oracle
         qs = generate_workload(spec, "uniform", 8, batch, 3)
@@ -122,8 +123,9 @@ class TestResourceUsage:
         assert nbytes == 34816
         assert usage.dram_traffic_bytes == nbytes
         wl = WorkloadConfig(pooling=2)
-        with_floor = estimate_times(m, a, 1, GEO, TP, wl, 7, resource_model=rm)
-        without = estimate_times(m, a, 1, GEO, TP, wl, 7)
+        with_floor = estimate_times(search_scenario(m, rm, GEO, TP, wl), a, 1, 7)
+        # the default block RAM holds every layer
+        without = estimate_times(search_scenario(m, RM, GEO, TP, wl), a, 1, 7)
         floor_cycles = math.ceil(nbytes / 5.0)     # 5 ns cycles at 200 MHz
         assert with_floor.top_ns > without.top_ns
         comps = pipeline_oracle([(16, 512), (512, 1)], a.top, [0],
@@ -140,13 +142,13 @@ class TestSearch:
         m = build_model(desk_model_spec(preset), 3)
         for dist, batch in (("uniform", 2), ("zipf", 16)):
             queries = generate_workload(m.spec, dist, 8, batch, 5)
-            assert emb_budgets(m, queries, GEO, Durations.of(TP, GEO, m.spec)) == \
+            assert emb_budgets(search_scenario(m, RM, GEO, TP, WorkloadConfig()), queries) == \
                 emb_ns(m, queries, GEO, TP)
 
     def test_slow_flash_gives_minimal_kernels(self):
         m = tiny_model(bot=(8, 8), top_hidden=(8,))
         slow = TimingParams(page_read_us=100000.0)   # constraints never bind
-        out = search(m, RM, GEO, slow, WorkloadConfig(pooling=2), 1, 1)
+        out = search(search_scenario(m, RM, GEO, slow, WorkloadConfig(pooling=2)), 1)
         assert out.feasible
         assert out.assignment.bottom == ((1, 1),)
         assert out.assignment.top == ((1, 1), (1, 1))
@@ -159,8 +161,8 @@ class TestSearch:
         # takes, and a 1 ms engine clock -> the MLP can never keep up
         fast_flash = TimingParams(page_read_us=1e-3, channel_transfer_ns_per_byte=2.5e-4,
                                   fc_clock_mhz=1e-3)
-        out = search(m, RM, GEO, fast_flash, WorkloadConfig(pooling=1), 1, 1,
-                     SearchSpace(max_batch=4))
+        out = search(search_scenario(m, RM, GEO, fast_flash, WorkloadConfig(pooling=1),
+                                     space=SearchSpace(max_batch=4)), 1)
         assert not out.feasible
         assert out.binding_constraint == "top"
         assert (out.times.emb_ns, out.times.top_ns) == (2, 12_000_000)
@@ -169,7 +171,7 @@ class TestSearch:
         m = tiny_model(bot=(8, 8), ev_dim=8, rows=4096)
         tp = TimingParams(fc_clock_mhz=1.0)   # make the constraints bind
         wl, space = WorkloadConfig(pooling=4), SearchSpace(max_batch=8)
-        got = search(m, RM, GEO, tp, wl, 11, 1, space)
+        got = search(search_scenario(m, RM, GEO, tp, wl, 1, space), 11)
         want = enumerate_search(m, RM, GEO, tp, wl, 11, 1, space)
         assert want is not None and got.feasible
         assert got.assignment == want[0]
@@ -178,11 +180,12 @@ class TestSearch:
 
     def test_batch_rule_soundness(self):
         m = tiny_model(bot=(8, 8))
-        out = search(m, RM, GEO, TP, WorkloadConfig(pooling=2), 3, 2, SearchSpace(max_batch=16))
+        wl, space = WorkloadConfig(pooling=2), SearchSpace(max_batch=16)
+        out = search(search_scenario(m, RM, GEO, TP, wl, 2, space), 3)
         assert out.feasible and out.batch == 2
-        # doubling never leaves a start batch below 1
+        # doubling never leaves a start batch below 1: the scenario refuses one
         with pytest.raises(ValueError, match="batch must be >= 1"):
-            search(m, RM, GEO, TP, WorkloadConfig(pooling=2), 3, 0, SearchSpace(max_batch=16))
+            search_scenario(m, RM, GEO, TP, wl, 0, space)
 
     def test_batch_escalation_rescues_fill_dominated_config(self):
         # single die makes the embedding time exactly linear in batch, while
@@ -192,9 +195,10 @@ class TestSearch:
         m = tiny_model(bot=(8, 8), ev_dim=8, rows=4096)
         tp = TimingParams(fc_clock_mhz=0.05)
         wl, space = WorkloadConfig(pooling=1), SearchSpace(max_batch=16)
-        out = search(m, RM, geo, tp, wl, 2, 1, space)
+        s = search_scenario(m, RM, geo, tp, wl, 1, space)
+        out = search(s, 2)
         assert out.feasible and out.batch == 4
-        rep = verify_constraints(m, out, geo, tp, wl, 2, RM)
+        rep = verify_constraints(s, out, 2)
         assert rep.ok
         want = enumerate_search(m, RM, geo, tp, wl, 2, 1, space)
         assert (out.assignment, out.batch, out.objective) == want
@@ -207,8 +211,9 @@ class TestSearch:
         wl = WorkloadConfig(pooling=8)
         small = ResourceModel(bram_bytes=1500, dram_bandwidth_bytes_per_s=5e8)
         large = ResourceModel(bram_bytes=64 * 1024 * 1024, dram_bandwidth_bytes_per_s=5e8)
-        out_small = search(m, small, GEO, tp, wl, 6, 1, SearchSpace(max_batch=4))
-        out_large = search(m, large, GEO, tp, wl, 6, 1, SearchSpace(max_batch=4))
+        space = SearchSpace(max_batch=4)
+        out_small = search(search_scenario(m, small, GEO, tp, wl, 1, space), 6)
+        out_large = search(search_scenario(m, large, GEO, tp, wl, 1, space), 6)
         if out_small.feasible:
             assert out_large.feasible
             assert out_large.objective <= out_small.objective
@@ -218,8 +223,9 @@ class TestSearch:
         # the kernel cap excludes the all-max kernels, so the diagnosis must
         # use the largest kernels inside the space
         m = tiny_model(bot=(64, 64), top_hidden=(64,), ev_dim=8)
-        out = search(m, RM, GEO, TimingParams(fc_clock_mhz=2.0),
-                     WorkloadConfig(pooling=8), 1, 1, SearchSpace(max_batch=2, max_kernel=1))
+        out = search(search_scenario(m, RM, GEO, TimingParams(fc_clock_mhz=2.0),
+                                     WorkloadConfig(pooling=8), 1,
+                                     SearchSpace(max_batch=2, max_kernel=1)), 1)
         assert not out.feasible
         assert out.binding_constraint in ("bottom", "top")
         binding_ns = {"bottom": out.times.bottom_ns, "top": out.times.top_ns}
@@ -234,9 +240,10 @@ class TestSearch:
         rm = ResourceModel(bram_bytes=100, dram_bandwidth_bytes_per_s=bandwidth)
         tp = TimingParams(fc_clock_mhz=20.0)
         wl, space = WorkloadConfig(pooling=2), SearchSpace(max_batch=16)
-        floors_b, floors_t = spill_floor_cycles(spec, rm, Durations.of(tp, GEO, spec))
+        s = search_scenario(m, rm, GEO, tp, wl, 1, space)
+        floors_b, floors_t = s.spill_floors
         assert all(floors_b) and floors_t[0] > 0
-        got = search(m, rm, GEO, tp, wl, 4, 1, space)
+        got = search(s, 4)
         want = enumerate_search(m, rm, GEO, tp, wl, 4, 1, space, floors_b, floors_t)
         assert got.feasible == feasible
         if feasible:
@@ -263,7 +270,8 @@ class TestStageWalk:
     @pytest.mark.parametrize("max_kernel", [None, 4])
     def test_walk_order_is_sorted_product(self, dims, max_kernel):
         want = area_order(itertools.product(*layer_options(dims, max_kernel)))
-        walk = _Stage(dims, SearchSpace(max_kernel=max_kernel), 2, D, None).candidates(10 ** 12)
+        floors = [0] * (len(dims) - 1)
+        walk = _Stage(dims, SearchSpace(max_kernel=max_kernel), 2, D, floors).candidates(10 ** 12)
         # one more than expected, so a walk that repeats candidates fails fast
         assert list(itertools.islice(walk, len(want) + 1)) == want
 
@@ -302,12 +310,12 @@ class TestStageWalk:
         # lists rebuilt for its budget. The deep stacks' walks are cut short.
         spec = DEEP_SPEC if preset == "search-deep" else desk_model_spec(preset)
         m = build_model(spec, 2)
-        d = Durations.of(TP, GEO, spec)
-        floors = spill_floor_cycles(spec, RM, d)
+        s = search_scenario(m, RM, GEO, TP, WorkloadConfig())
+        d, floors = s.durations, s.spill_floors
         longest = 4000 if preset == "search-deep" else None
         for batch in (1, 2, 4):
             queries = generate_workload(spec, "uniform", 8, batch, 9)
-            budgets = list(emb_budgets(m, queries, GEO, d).values())
+            budgets = list(emb_budgets(s, queries).values())
             budgets += [b // 8 for b in budgets]
             for dims, floor in zip((spec.bottom_mlp_dims, spec.top_mlp_dims), floors):
                 stage = _Stage(dims, SearchSpace(), batch, d, floor)
@@ -355,9 +363,9 @@ def rebuilt_walk(dims, space, batch, timing, budget_ns, floors):
 class TestVerifyConstraints:
     def test_search_outcome_has_no_violations(self):
         m = tiny_model(bot=(8, 8))
-        wl = WorkloadConfig(pooling=2)
-        out = search(m, RM, GEO, TP, wl, 3, 1)
-        rep = verify_constraints(m, out, GEO, TP, wl, 3, RM)
+        s = search_scenario(m, RM, GEO, TP, WorkloadConfig(pooling=2))
+        out = search(s, 3)
+        rep = verify_constraints(s, out, 3)
         assert rep.ok and rep.slack_bottom_ns >= 0 and rep.slack_top_ns >= 0
 
     def test_oversized_mlp_outcome_flagged(self):
@@ -367,7 +375,8 @@ class TestVerifyConstraints:
         bad = SearchOutcome(feasible=True,
                             assignment=KernelAssignment(((1, 1),), ((1, 1),), (1, 1)),
                             batch=1, times=None, resources=None, objective=3)
-        rep = verify_constraints(m, bad, GEO, tp, WorkloadConfig(pooling=1), 0, RM)
+        rep = verify_constraints(search_scenario(m, RM, GEO, tp, WorkloadConfig(pooling=1)),
+                                 bad, 0)
         assert not rep.ok
         assert rep.slack_top_ns < 0 or rep.slack_bottom_ns < 0
 
@@ -375,7 +384,7 @@ class TestVerifyConstraints:
         from recssd.kernel_search import SearchOutcome
         rng = np.random.default_rng(61)
         m = tiny_model(bot=(8, 8), top_hidden=(8,))
-        wl = WorkloadConfig(pooling=2)
+        s = search_scenario(m, RM, GEO, TP, WorkloadConfig(pooling=2))
         for _ in range(50):
             def pick(r, c):
                 kr = int(rng.choice(kernel_options(r)))
@@ -386,8 +395,8 @@ class TestVerifyConstraints:
             batch = int(rng.integers(1, 4))
             out = SearchOutcome(feasible=True, assignment=a, batch=batch, times=None,
                                 resources=None, objective=a.objective())
-            rep = verify_constraints(m, out, GEO, TP, wl, 9, RM)
-            times = estimate_times(m, a, batch, GEO, TP, wl, 9, RM)
+            rep = verify_constraints(s, out, 9)
+            times = estimate_times(s, a, batch, 9)
             assert rep.slack_bottom_ns == times.emb_ns - times.bottom_ns
             assert rep.slack_top_ns == times.emb_ns - times.top_ns
             assert rep.ok == (rep.slack_bottom_ns >= 0 and rep.slack_top_ns >= 0)

@@ -1,7 +1,9 @@
 """Pinned digests of modelled outputs: each mode's `metrics.json`, `trace.csv`
-and scores, and rmssd's search JSON under `kernels: auto`, on rmc3-mini at
-60 queries, batch 3 and seed 5, at two engine clocks: 200 MHz, and 300 MHz
-with 20,000 bytes of block RAM, which spills top layer 0 to DRAM.
+and scores, rmssd's search JSON under `kernels: auto`, and the stage times
+and constraint reports (`estimate_times`, `verify_constraints`) of the
+all-max kernels and of the search's chosen kernels, on rmc3-mini at 60
+queries, batch 3 and seed 5, at two engine clocks: 200 MHz, and 300 MHz with
+20,000 bytes of block RAM, which spills top layer 0 to DRAM.
 
 A change meant to keep every output byte-identical must leave these digests
 as they are; a change that moves outputs on purpose updates the digests it
@@ -13,7 +15,8 @@ import json
 import pytest
 
 from recssd.config import build_scenario
-from recssd.kernel_search import search
+from recssd.kernel_search import SearchOutcome, estimate_times, search, verify_constraints
+from recssd.mlp_engine import KernelAssignment
 from recssd.sim import MODES, metrics_json, run, spans_to_csv
 
 CLOCKS = {
@@ -51,6 +54,11 @@ PINNED_SEARCH = {
     "300MHz-spill": "dfbdfe1aab51895ce021514bcfae74eadbbe5f0f3bf63222da93948c8b710458",
 }
 
+PINNED_STAGE_TIMES = {
+    "200MHz": "b0c01202e514dcb6f9d78c3204cc69d74068c1c9a44c0462fe74be0a0b1efac7",
+    "300MHz-spill": "b027b5c31abb13f3735bf20c26d60502b1d0f9914df54f36cd3d261a6ae61879",
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -72,7 +80,19 @@ def test_run_outputs_are_pinned(clock, mode):
 
 @pytest.mark.parametrize("clock", CLOCKS)
 def test_search_json_is_pinned(clock):
-    s = _scenario(clock, "rmssd")
-    outcome = search(s.model, s.resource_model, s.geometry, s.timing, s.workload, 5,
-                     s.batch, s.space)
+    outcome = search(_scenario(clock, "rmssd"), 5)
     assert _sha(json.dumps(outcome.to_dict(), indent=2, sort_keys=True)) == PINNED_SEARCH[clock]
+
+
+@pytest.mark.parametrize("clock", CLOCKS)
+def test_stage_times_are_pinned(clock):
+    s = _scenario(clock, "rmssd")
+    outcome = search(s, 5)
+    rows = []
+    for a in (KernelAssignment.all_max(s.model.spec), outcome.assignment):
+        times = estimate_times(s, a, outcome.batch, 5)
+        rep = verify_constraints(s, SearchOutcome(True, a, outcome.batch, None, None,
+                                                  a.objective()), 5)
+        rows.append([vars(times), vars(rep.times), rep.slack_bottom_ns, rep.slack_top_ns,
+                     rep.violations])
+    assert _sha(json.dumps(rows, sort_keys=True)) == PINNED_STAGE_TIMES[clock]

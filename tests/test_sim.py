@@ -414,6 +414,19 @@ class TestMetricsAndDeterminism:
             r_prefix = run(scenario(mode, m, n, batch=batch, **kw), 4)
             assert metrics_json(r.metrics) == metrics_json(r_prefix.metrics), mode
 
+    def test_baseline_translates_only_its_admitted_queries(self, monkeypatch):
+        from recssd import sim
+        seen, translate = [], sim.translate_batch
+
+        def counted(layout, queries):
+            seen.append(len(queries))
+            return translate(layout, queries)
+
+        monkeypatch.setattr(sim, "translate_batch", counted)
+        r = run(scenario(MODE_SSD_BASELINE, rmc3(), 400, duration_ns=2_000_000), 3)
+        assert 0 < r.metrics.issued < 400
+        assert seen == [r.metrics.issued]
+
     def test_zero_duration_admits_nothing_in_every_mode(self):
         m = rmc3()
         for mode, kw in ((MODE_RMSSD, {"kernels": ALLMAX}), (MODE_EMB_VECTORSUM, {}),
@@ -447,7 +460,8 @@ TWO_DIE_GEO = SsdGeometry(8, 2, 4096)
 
 def sharing_scenarios(model, count, cut):
     """Device scenarios that differ in each part of the key under which a
-    compare shares its lookups, (geometry, timing, batch, chunk start), and
+    compare shares its lookups, (geometry, sense, transfer, batch, chunk
+    start), and
     one run of batches of 3 cut at `cut` ns."""
     return [scenario(MODE_RMSSD, model, count, batch=3, kernels=ALLMAX),
             scenario(MODE_EMB_VECTORSUM, model, count, batch=3),
@@ -527,6 +541,30 @@ class TestCompare:
         calls.clear()
         run(scenarios[1], 4)
         assert calls == [(GEO, *fast)] * 4
+
+    def test_compare_shares_lookups_across_engine_and_host_times(self, monkeypatch):
+        # a lookup reads only the flash's sense and transfer times: scenarios
+        # that differ only in the engine clock or in the host's compute share it
+        from recssd import ev_engine
+        calls, schedule = [], ev_engine.schedule_page_reads
+
+        def counted(*args):
+            calls.append(args[2:])
+            return schedule(*args)
+
+        monkeypatch.setattr(ev_engine, "schedule_page_reads", counted)
+        m = rmc3()
+        for mode, kw, field, values in ((MODE_RMSSD, {"kernels": ALLMAX}, "fc_clock_mhz",
+                                         (200.0, 300.0)),
+                                        (MODE_EMB_VECTORSUM, {}, "host_ns_per_mac", (0.1, 0.2))):
+            scenarios = [scenario(mode, m, 40, timing=TimingParams(**{field: v}), **kw)
+                         for v in values]
+            calls.clear()
+            _, results = compare(scenarios, 4)
+            assert calls == [(GEO, *page_phases_ns(TP, GEO))], mode
+            assert metrics_json(results[0].metrics) != metrics_json(results[1].metrics), mode
+            lone = run(scenarios[1], 4)
+            assert metrics_json(results[1].metrics) == metrics_json(lone.metrics), mode
 
     def test_compare_scores_each_distinct_mlp_input_once(self, monkeypatch):
         # the bottom MLP reads the same dense rows in every mode, and the

@@ -166,7 +166,7 @@ class TestDurations:
             with pytest.raises(ValueError, match=match):
                 Durations.of(TimingParams(fc_clock_mhz=mhz), GEO4, SPEC)
         # a 0.5 s clock period makes a 16-wide vector's one-wide add 8 s
-        with pytest.raises(ValueError, match="an add on a one-wide adder takes 8e"):
+        with pytest.raises(ValueError, match="an add on a one-wide adder takes 8000000000.0 ns"):
             Durations.of(TimingParams(fc_clock_mhz=2e-6), GEO4, SPEC)
 
 
