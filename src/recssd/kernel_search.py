@@ -7,7 +7,8 @@ Constraints for a candidate at batch B:
     top-stage time    <= embedding-stage time
 
 The public entries take a `sim.Scenario` and read the integer durations,
-table layout and spill floors that it builds once.
+table layout, weight placement and spill floors that it builds once. A stage
+is scheduled only by `_Stage.makespan`, once per kernel list.
 
 Objective: sum of kr*kc over every FC kernel plus the vector-sum kernel.
 Stage time is not monotone in kernel size: a larger kr lengthens the
@@ -26,9 +27,9 @@ at the scenario's batch; if nothing is feasible at B the batch doubles while
 it stays within a cap, so a cap below the starting batch tries that batch
 alone.
 
-Weight placement: layers fill block RAM in model order until capacity, the
-remainder spills to DRAM; a spilled layer pays its weight-fetch time once per
-batch as a streaming floor (`Scenario.spill_floors`).
+Weight placement (`Scenario.placement`): layers fill block RAM in model
+order until capacity, the remainder spills to DRAM; a spilled layer pays its
+weight-fetch time once per batch as a streaming floor (`Scenario.spill_floors`).
 """
 
 import heapq
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from . import ev_engine
 from .mlp_engine import KernelAssignment, fc_cycles, pipeline_schedule
-from .recmodel import generate_workload
+from .recmodel import _integral, generate_workload
 from .storage import Durations
 
 if TYPE_CHECKING:   # `sim` imports this module
@@ -66,8 +67,11 @@ class SearchSpace:
     max_kernel: int | None = None   # optional cap on kr and kc
 
     def __post_init__(self):
-        if self.max_kernel is not None and self.max_kernel < 1:
-            raise ValueError(f"max_kernel must be >= 1, got {self.max_kernel}")
+        object.__setattr__(self, "max_batch", _integral("max_batch", self.max_batch))
+        if self.max_kernel is not None:
+            object.__setattr__(self, "max_kernel", _integral("max_kernel", self.max_kernel))
+            if self.max_kernel < 1:
+                raise ValueError(f"max_kernel must be >= 1, got {self.max_kernel}")
 
 
 @dataclass(frozen=True)
@@ -152,26 +156,14 @@ def bram_placement(spec, resource_model: ResourceModel):
     return resident, spilled, floors
 
 
-def resource_usage(spec, assignment: KernelAssignment,
-                   resource_model: ResourceModel) -> ResourceUsage:
-    assignment.validate(spec)
-    area = assignment.objective()
-    resident, spilled, floors = bram_placement(spec, resource_model)
-    traffic = sum(floors["bottom"]) + sum(floors["top"])
-    return ResourceUsage(
-        lut=resource_model.lut_per_mac * area,
-        ff=resource_model.ff_per_mac * area,
-        dsp=resource_model.dsp_per_mac * area,
-        bram_bytes=resident,
-        spilled=spilled,
-        dram_traffic_bytes=traffic,
-    )
-
-
-def _stage_makespan_ns(dims, kernels, batch, durations: Durations, floor_cycles) -> int:
-    sched = pipeline_schedule(dims, kernels, inputs_at_cycles=[0] * batch,
-                              floor_cycles=floor_cycles)
-    return durations.cycles_to_ns(int(sched.completions.max()))
+def resource_usage(scenario: "Scenario", assignment: KernelAssignment) -> ResourceUsage:
+    """The assignment's area costs and the scenario's weight placement."""
+    assignment.validate(scenario.model.spec)
+    area, rm = assignment.objective(), scenario.resource_model
+    resident, spilled, floors = scenario.placement
+    return ResourceUsage(lut=rm.lut_per_mac * area, ff=rm.ff_per_mac * area,
+                         dsp=rm.dsp_per_mac * area, bram_bytes=resident, spilled=list(spilled),
+                         dram_traffic_bytes=sum(floors["bottom"]) + sum(floors["top"]))
 
 
 def estimate_times(scenario: "Scenario", assignment: KernelAssignment, batch: int,
@@ -180,17 +172,12 @@ def estimate_times(scenario: "Scenario", assignment: KernelAssignment, batch: in
     the embedding time is that batch's `emb_budgets` at the assignment's
     kc_e, the MLP times come from the pipeline cycle model with the
     scenario's spill floors."""
-    spec, wl = scenario.model.spec, scenario.workload
-    assignment.validate(spec)
+    assignment.validate(scenario.model.spec)
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    durations, (floors_b, floors_t) = scenario.durations, scenario.spill_floors
-    queries = generate_workload(spec, wl.distribution, wl.pooling, batch, seed, wl.zipf_s)
-    emb_ns = emb_budgets(scenario, queries)[assignment.ev[1]]
-    bot_ns = _stage_makespan_ns(spec.bottom_mlp_dims, assignment.bottom, batch, durations,
-                                floors_b)
-    top_ns = _stage_makespan_ns(spec.top_mlp_dims, assignment.top, batch, durations, floors_t)
-    return StageTimes(bottom_ns=bot_ns, top_ns=top_ns, emb_ns=emb_ns)
+    emb_by_kce, (bottom, top) = _batch(scenario, batch, seed)
+    return StageTimes(bottom_ns=bottom.makespan(assignment.bottom),
+                      top_ns=top.makespan(assignment.top), emb_ns=emb_by_kce[assignment.ev[1]])
 
 
 def kernel_options(dim: int, cap: int | None = None) -> list[int]:
@@ -259,15 +246,29 @@ class _Stage:
                 if index[j] + 1 < len(per_layer[j]):
                     heapq.heappush(heap, entry(index[:j] + (index[j] + 1,) + index[j + 1:], j))
 
+    def makespan(self, kernels) -> int:
+        """The stage's time in ns with `kernels`, scheduled once per kernel list."""
+        if kernels not in self.makespans:
+            sched = pipeline_schedule(self.dims, kernels, inputs_at_cycles=[0] * self.batch,
+                                      floor_cycles=self.floors)
+            self.makespans[kernels] = self.durations.cycles_to_ns(int(sched.completions.max()))
+        return self.makespans[kernels]
+
     def best(self, budget_ns: int):
         """The first candidate of the walk that fits the budget, or None."""
-        for kernels in self.candidates(budget_ns):
-            if kernels not in self.makespans:
-                self.makespans[kernels] = _stage_makespan_ns(self.dims, kernels, self.batch,
-                                                             self.durations, self.floors)
-            if self.makespans[kernels] <= budget_ns:
-                return kernels
-        return None
+        return next((k for k in self.candidates(budget_ns) if self.makespan(k) <= budget_ns),
+                    None)
+
+
+def _batch(scenario: "Scenario", batch: int, seed: int):
+    """The `emb_budgets` and the bottom and top `_Stage` of one batch of the
+    scenario's workload drawn with `seed`."""
+    spec, wl = scenario.model.spec, scenario.workload
+    queries = generate_workload(spec, wl.distribution, wl.pooling, batch, seed, wl.zipf_s)
+    stages = tuple(_Stage(dims, scenario.space, batch, scenario.durations, floors)
+                   for dims, floors in zip((spec.bottom_mlp_dims, spec.top_mlp_dims),
+                                           scenario.spill_floors))
+    return emb_budgets(scenario, queries), stages
 
 
 def search(scenario: "Scenario", seed: int) -> SearchOutcome:
@@ -277,53 +278,39 @@ def search(scenario: "Scenario", seed: int) -> SearchOutcome:
     that many queries of the scenario's workload drawn with `seed`. Returns
     an infeasible outcome naming the binding constraint when even the largest
     kernels of the space cannot keep up at the last batch tried."""
-    spec, wl, space, batch = (scenario.model.spec, scenario.workload, scenario.space,
-                              scenario.batch)
-    bottom, top = spec.bottom_mlp_dims, spec.top_mlp_dims
-    durations, (floors_b, floors_t) = scenario.durations, scenario.spill_floors
-
+    batch = scenario.batch
     while True:
-        queries = generate_workload(spec, wl.distribution, wl.pooling, batch, seed, wl.zipf_s)
-        emb_by_kce = emb_budgets(scenario, queries)
-        stage_b = _Stage(bottom, space, batch, durations, floors_b)
-        stage_t = _Stage(top, space, batch, durations, floors_t)
+        emb_by_kce, (stage_b, stage_t) = _batch(scenario, batch, seed)
         best = None
         for kc_e, emb_ns in emb_by_kce.items():
             bot = stage_b.best(emb_ns)
-            if bot is None:
-                continue
-            topk = stage_t.best(emb_ns)
+            topk = None if bot is None else stage_t.best(emb_ns)
             if topk is None:
                 continue
             cand = KernelAssignment(bot, topk, (1, kc_e))
             key = (cand.objective(), cand.flat())
             if best is None or key < best[0]:
-                best = (key, cand, StageTimes(stage_b.makespans[bot], stage_t.makespans[topk],
+                best = (key, cand, StageTimes(stage_b.makespan(bot), stage_t.makespan(topk),
                                               emb_ns))
         if best is not None:
             _, assignment, times = best
             return SearchOutcome(
                 feasible=True, assignment=assignment, batch=batch, times=times,
-                resources=resource_usage(spec, assignment, scenario.resource_model),
+                resources=resource_usage(scenario, assignment),
                 objective=assignment.objective(),
             )
-        if batch * 2 > space.max_batch:
+        if batch * 2 > scenario.space.max_batch:
             break
         batch *= 2
 
-    # Diagnose with each layer's largest kernel in the space against the
-    # budget of the slowest adder (kc_e = 1). No candidate fit that budget, so
-    # these kernels miss it in at least one stage; the larger miss binds.
-    def largest(dims):
-        return tuple((kernel_options(r, space.max_kernel)[-1],
-                      kernel_options(c, space.max_kernel)[-1]) for r, c in zip(dims, dims[1:]))
-
-    budget = emb_by_kce[1]
-    bot_ns = _stage_makespan_ns(bottom, largest(bottom), batch, durations, floors_b)
-    top_ns = _stage_makespan_ns(top, largest(top), batch, durations, floors_t)
+    # Diagnose with each layer's largest kernel in the space, its last option,
+    # against the budget of the slowest adder (kc_e = 1). No candidate fit it,
+    # so these kernels miss it in at least one stage; the larger miss binds.
+    bot_ns, top_ns = (stage.makespan(tuple(options[-1][0] for options in stage.options))
+                      for stage in (stage_b, stage_t))
     return SearchOutcome(
         feasible=False, assignment=None, batch=batch,
-        times=StageTimes(bot_ns, top_ns, budget), resources=None, objective=None,
+        times=StageTimes(bot_ns, top_ns, emb_by_kce[1]), resources=None, objective=None,
         binding_constraint="bottom" if bot_ns >= top_ns else "top",
     )
 

@@ -37,6 +37,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .recmodel import _integral
+
 
 def is_pow2(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
@@ -51,9 +53,13 @@ class KernelAssignment:
     ev: tuple[int, int] = (1, 1)
 
     def __post_init__(self):
-        object.__setattr__(self, "bottom", tuple((int(a), int(b)) for a, b in self.bottom))
-        object.__setattr__(self, "top", tuple((int(a), int(b)) for a, b in self.top))
-        object.__setattr__(self, "ev", (int(self.ev[0]), int(self.ev[1])))
+        def pair(name, kernel):
+            kr, kc = kernel
+            return _integral(f"{name} kr", kr), _integral(f"{name} kc", kc)
+
+        object.__setattr__(self, "bottom", tuple(pair("bottom", k) for k in self.bottom))
+        object.__setattr__(self, "top", tuple(pair("top", k) for k in self.top))
+        object.__setattr__(self, "ev", pair("ev", self.ev))
 
     def validate(self, model_spec) -> None:
         for name, dims, kernels in (("bottom", model_spec.bottom_mlp_dims, self.bottom),

@@ -14,10 +14,11 @@ Modes:
 A ``Scenario`` is frozen and valid once built: it checks the rules that join
 its fields, each record it holds has checked its own, and its table layout
 (``Scenario.layout``, no vector larger than a page), integer durations
-(``Scenario.durations``, no time over its limits) and spill floors
-(``Scenario.spill_floors``, no weight fetch over 1 s) are computed then,
-once. The runs and the kernel search (``search(scenario, seed)``) read these
-records and build none of their own.
+(``Scenario.durations``, no time over its limits), weight placement
+(``Scenario.placement``) and spill floors (``Scenario.spill_floors``, no
+weight fetch over 1 s) are computed then, once. The runs, the kernel search
+(``search(scenario, seed)``) and ``resource_usage(scenario, assignment)``
+read these records and build none of their own.
 
 The device modes share one batch loop, ``_drive``. Each batch starts on an
 idle device, so batches interact only through their dispatch times: from time
@@ -134,13 +135,18 @@ class Scenario:
         return ev_engine.table_layout(self.model.spec, self.geometry)
 
     @cached_property
+    def placement(self):
+        """`bram_placement` of the model's weights: (resident bytes, spilled
+        layer labels, each stack's per-layer spill bytes)."""
+        return bram_placement(self.model.spec, self.resource_model)
+
+    @cached_property
     def spill_floors(self) -> tuple[list[int], list[int]]:
         """Per-layer weight-fetch floors, in engine cycles, of the bottom and
-        the top stack: the DRAM fetch time of each layer that `bram_placement`
+        the top stack: the DRAM fetch time of each layer that `placement`
         spills (0 if resident), checked against `MAX_OPERATION_NS` unrounded."""
-        rm = self.resource_model
-        _, _, spill = bram_placement(self.model.spec, rm)
-        fetch = [[nbytes * 1e9 / rm.dram_bandwidth_bytes_per_s for nbytes in spill[stack]]
+        spill, bandwidth = self.placement[2], self.resource_model.dram_bandwidth_bytes_per_s
+        fetch = [[nbytes * 1e9 / bandwidth for nbytes in spill[stack]]
                  for stack in ("bottom", "top")]
         worst = max(fetch[0] + fetch[1])
         if not worst <= MAX_OPERATION_NS:
@@ -419,7 +425,7 @@ def _run_rmssd(scenario: Scenario, session: Session, seed: int) -> RunResult:
                      [("emb", times["emb_start"], times["emb_end"]),
                       ("bottom_mlp", t0, times["bottom_end"]),
                       ("top_mlp", times["top_start"], done)], busy, len(t0) + batches)
-    result.metrics.resources = resource_usage(spec, assignment, scenario.resource_model).to_dict()
+    result.metrics.resources = resource_usage(scenario, assignment).to_dict()
     result.search_outcome = outcome
     return result
 

@@ -152,8 +152,8 @@ def _criterion6(reports):
     out = search(scenario, C4_SEED)
     reports["c6/outcome"] = json.dumps(out.to_dict())
     allmax = KernelAssignment.all_max(spec)
-    dsp_opt = resource_usage(spec, out.assignment, RM).dsp
-    dsp_max = resource_usage(spec, allmax, RM).dsp
+    dsp_opt = resource_usage(scenario, out.assignment).dsp
+    dsp_max = resource_usage(scenario, allmax).dsp
     rep_opt = verify_constraints(scenario, out, C4_SEED)
     from recssd.kernel_search import SearchOutcome
     rep_max = verify_constraints(

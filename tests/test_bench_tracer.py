@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracing.py) patches module attributes by
 name, so a rename in the program silently drops spans from `--trace 1`. This
-runs a traced compare of the three modes and checks that every layer the
-per-layer metrics rely on still shows up."""
+runs a traced compare of the three modes and a traced rmssd run with the
+kernel search, and checks that every layer the per-layer metrics rely on
+still shows up."""
 
 import importlib.util
 from pathlib import Path
@@ -84,3 +85,27 @@ def test_traced_compare_spans_every_layer():
     one_lane = [np.zeros(len(r.page), np.int64) for r in requests]
     assert counts["page_reads"] == 1 * sum(len(recssd.ev_engine.dispatch(r, lane))
                                            for r, lane in zip(requests, one_lane)) > 0
+
+
+def test_traced_search_spans_the_search_layers():
+    tracing = load_tracing()
+    scenario = Scenario(mode=MODE_RMSSD, model=build_model(desk_model_spec("rmc3-mini"), 3),
+                        geometry=SsdGeometry(8, 4, 4096), timing=TimingParams(),
+                        workload=WorkloadConfig(), query_count=6)
+    assert scenario.kernels is None
+    tracer = tracing.Tracer()
+    tracing.install(tracer, recssd)
+    try:
+        result = recssd.sim.run(scenario, 5)
+    finally:
+        tracer.restore()
+    assert result.search_outcome.feasible
+    # the search's draws and stage evaluations go through the
+    # `kernel_search` bindings, under the `sim.search` span
+    spans = tracer.spans
+    search = [i for i, s in enumerate(spans) if s[0] == "kernel_search.search"]
+    assert len(search) == 1
+    for name in ("kernel_search.stage_eval", "recmodel.generate_workload"):
+        assert search[0] in [s[3] for s in spans if s[0] == name], name
+    _, _, counts = tracer.take()
+    assert counts["stage_evals"] > 0

@@ -94,10 +94,11 @@ class TestEstimateTimes:
 
 class TestResourceUsage:
     def test_dsp_linear_in_kernel_area(self):
-        spec = desk_model_spec("rmc3-mini")
+        s = search_scenario(build_model(desk_model_spec("rmc3-mini"), 0), RM, GEO, TP,
+                            WorkloadConfig())
         a = KernelAssignment(((2, 4), (4, 4)), ((4, 4), (4, 1)), (1, 2))
         b = KernelAssignment(((4, 4), (4, 8)), ((8, 4), (8, 1)), (1, 4))  # every area x2
-        ra, rb = resource_usage(spec, a, RM), resource_usage(spec, b, RM)
+        ra, rb = resource_usage(s, a), resource_usage(s, b)
         assert rb.dsp == 2 * ra.dsp
         assert rb.lut == 2 * ra.lut and rb.ff == 2 * ra.ff
 
@@ -105,7 +106,8 @@ class TestResourceUsage:
         spec = desk_model_spec("rmc3-mini")
         total = (layer_weight_bytes(13, 64) + layer_weight_bytes(64, 16)
                  + layer_weight_bytes(144, 64) + layer_weight_bytes(64, 1))
-        r = resource_usage(spec, KernelAssignment.all_max(spec), RM)
+        s = search_scenario(build_model(spec, 0), RM, GEO, TP, WorkloadConfig())
+        r = resource_usage(s, KernelAssignment.all_max(spec))
         assert r.bram_bytes == total
         assert r.spilled == [] and r.dram_traffic_bytes == 0
 
@@ -117,13 +119,14 @@ class TestResourceUsage:
         m = build_model(spec, 1)
         rm = ResourceModel(bram_bytes=3000, dram_bandwidth_bytes_per_s=1e9)
         a = KernelAssignment(((8, 8),), ((16, 512), (512, 1)), (1, 8))
-        usage = resource_usage(spec, a, rm)
+        wl = WorkloadConfig(pooling=2)
+        spilled = search_scenario(m, rm, GEO, TP, wl)
+        usage = resource_usage(spilled, a)
         assert usage.spilled == ["top:0"]
         nbytes = layer_weight_bytes(16, 512)
         assert nbytes == 34816
         assert usage.dram_traffic_bytes == nbytes
-        wl = WorkloadConfig(pooling=2)
-        with_floor = estimate_times(search_scenario(m, rm, GEO, TP, wl), a, 1, 7)
+        with_floor = estimate_times(spilled, a, 1, 7)
         # the default block RAM holds every layer
         without = estimate_times(search_scenario(m, RM, GEO, TP, wl), a, 1, 7)
         floor_cycles = math.ceil(nbytes / 5.0)     # 5 ns cycles at 200 MHz
@@ -221,15 +224,38 @@ class TestSearch:
 
     def test_infeasible_under_max_kernel_names_binding_stage(self):
         # the kernel cap excludes the all-max kernels, so the diagnosis must
-        # use the largest kernels inside the space
+        # use the largest kernels inside the space; the second case also
+        # spills the top stack's first layer
         m = tiny_model(bot=(64, 64), top_hidden=(64,), ev_dim=8)
-        out = search(search_scenario(m, RM, GEO, TimingParams(fc_clock_mhz=2.0),
-                                     WorkloadConfig(pooling=8), 1,
-                                     SearchSpace(max_batch=2, max_kernel=1)), 1)
-        assert not out.feasible
-        assert out.binding_constraint in ("bottom", "top")
-        binding_ns = {"bottom": out.times.bottom_ns, "top": out.times.top_ns}
-        assert binding_ns[out.binding_constraint] > out.times.emb_ns
+        tp = TimingParams(fc_clock_mhz=2.0)
+        for max_kernel, bram_bytes in ((1, RM.bram_bytes), (2, 20_000)):
+            s = search_scenario(m, ResourceModel(bram_bytes=bram_bytes), GEO, tp,
+                                WorkloadConfig(pooling=8), 1,
+                                SearchSpace(max_batch=2, max_kernel=max_kernel))
+            out = search(s, 1)
+            assert not out.feasible
+            assert out.binding_constraint in ("bottom", "top")
+            binding_ns = {"bottom": out.times.bottom_ns, "top": out.times.top_ns}
+            assert binding_ns[out.binding_constraint] > out.times.emb_ns
+            # each stage time is the oracle's with each layer's largest kernel
+            # within the cap and the stack's spill floors, at the last batch
+            assert out.batch == 2
+            assert any(s.spill_floors[1]) == (bram_bytes == 20_000)
+            for dims, floors, got in zip((m.spec.bottom_mlp_dims, m.spec.top_mlp_dims),
+                                         s.spill_floors, (out.times.bottom_ns, out.times.top_ns)):
+                largest = [(min(r, max_kernel), min(c, max_kernel))
+                           for r, c in zip(dims, dims[1:])]
+                comps, _ = pipeline_oracle(list(zip(dims, dims[1:])), largest,
+                                           [0] * out.batch, floors=floors)
+                assert got == cycles_ns(tp, max(comps))
+
+    @pytest.mark.parametrize("field, value", [("max_batch", 4.0), ("max_batch", True),
+                                              ("max_kernel", 2.5), ("max_kernel", True)])
+    def test_space_refuses_non_integer_bounds(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchSpace(**{field: value})
+        space = SearchSpace(**{field: np.int64(4)})
+        assert type(getattr(space, field)) is int
 
     @pytest.mark.parametrize("bandwidth, feasible", [(2e7, True), (5e6, False)])
     def test_spilled_layers_match_enumeration_oracle(self, bandwidth, feasible):

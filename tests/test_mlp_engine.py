@@ -261,6 +261,17 @@ class TestKernelAssignment:
         with pytest.raises(ValueError, match="row width"):
             KernelAssignment(good.bottom, good.top, (2, 16)).validate(spec)
 
+    def test_non_integer_entries_refused(self):
+        # each entry must be an integer; int() would truncate 2.9 to 2
+        for bottom, top, ev in [(((2.9, 4),), ((4, 4),), (1, 2)),
+                                (((2, 4),), ((True, 4),), (1, 2)),
+                                (((2, 4),), ((4, 4),), (1, 2.0))]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                KernelAssignment(bottom, top, ev)
+        a = KernelAssignment(((np.int64(2), np.int32(4)),), ((4, 4),), (1, np.uint8(2)))
+        assert a.flat() == ((2, 4), (4, 4), (1, 2))
+        assert all(type(v) is int for k in a.flat() for v in k)
+
     def test_objective(self):
         spec = desk_model_spec("rmc3-mini")
         a = KernelAssignment(((1, 1), (1, 1)), ((1, 1), (1, 1)), (1, 1))

@@ -270,6 +270,22 @@ class TestRmssdMode:
         assert r.search_outcome is not None and r.search_outcome.feasible
         assert r.metrics.resources is not None
 
+    def test_searched_run_places_the_weights_once(self, monkeypatch):
+        # the spill floors, the search's resources and the run's resources
+        # all read the scenario's one placement
+        import recssd.kernel_search
+        import recssd.sim
+        calls = []
+        for module in (recssd.sim, recssd.kernel_search):
+            placed = module.bram_placement
+            monkeypatch.setattr(module, "bram_placement",
+                                lambda *a, placed=placed: calls.append(a) or placed(*a))
+        r = run(Scenario(MODE_RMSSD, rmc3(), GEO, TP, WorkloadConfig(), query_count=8,
+                         resource_model=ResourceModel(bram_bytes=20_000)), 5)
+        assert len(calls) == 1
+        assert r.search_outcome.feasible and r.search_outcome.resources.spilled
+        assert r.metrics.resources == r.search_outcome.resources.to_dict()
+
     def test_infeasible_search_raises(self):
         m = rmc3()
         # 1 ns sense and 1 ns page transfer, the shortest a scenario accepts
