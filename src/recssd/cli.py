@@ -19,6 +19,13 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="recssd",
                                 description="In-storage recommendation inference simulator")
@@ -27,7 +34,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
 
     def seed(sp):
-        sp.add_argument("--seed", type=int, default=0, help="workload seed")
+        sp.add_argument("--seed", type=nonnegative_int, default=0, help="workload seed")
 
     def report(sp, formats):
         sp.add_argument("--out", default=".", help="output directory")
@@ -143,6 +150,10 @@ def main(argv=None) -> int:
         print(f"error: infeasible kernel search (binding constraint: "
               f"{e.outcome.binding_constraint})", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except MemoryError as e:
+        print(f"error: the scenario is too large to materialise on this host "
+              f"({str(e) or 'out of memory'})", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

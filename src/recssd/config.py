@@ -168,6 +168,8 @@ def _is_int_pair(v) -> bool:
 
 
 def load_config(path) -> dict:
+    """The parsed YAML document of a config file, unchecked: `build_scenario`
+    validates it."""
     try:
         with open(path, encoding="utf-8") as f:
             raw = yaml.safe_load(f)
@@ -177,9 +179,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {path} is not UTF-8 text: {e}")
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML in {path}: {e}")
-    if raw is None:
-        raw = {}
-    return validate_config(raw)
+    return {} if raw is None else raw
 
 
 def _model_spec_from(cfg_model: dict) -> ModelSpec:
@@ -205,16 +205,11 @@ def _model_spec_from(cfg_model: dict) -> ModelSpec:
 
 
 def build_scenario(cfg: dict) -> Scenario:
-    """Turn a validated config mapping into a runnable scenario."""
+    """Check a config mapping (`validate_config`) and turn it into a runnable scenario."""
     cfg = validate_config(cfg)
     try:
         spec = _model_spec_from(cfg["model"])
-        try:
-            model = build_model(spec, cfg["model"].get("seed", 3))
-        except MemoryError:
-            gib = sum(t.rows for t in spec.tables) * spec.ev_dim * 4 / 2 ** 30
-            raise ConfigError(f"the model's tables ({gib:.3g} GiB) are too large to "
-                              f"materialise on this host") from None
+        model = build_model(spec, cfg["model"].get("seed", 3))
         g = cfg["geometry"]
         geometry = SsdGeometry(g["channels"], g["dies_per_channel"], g["page_size"])
         t = cfg["timing"]

@@ -221,7 +221,6 @@ def read_timeline(requests: Requests, batch: int, geometry: SsdGeometry, sense: 
 class LookupResult:
     ev_concat: np.ndarray                # (queries, M * ev_dim)
     e_ns: np.ndarray                     # per query EV-sum completion
-    t_emb_ns: np.ndarray                 # per batch completion of its last EV sum
 
 
 def gather_rows(tables, index: np.ndarray) -> np.ndarray:
@@ -236,14 +235,11 @@ def gather_rows(tables, index: np.ndarray) -> np.ndarray:
 
 
 def simulate_lookup(flash: FlashImage, requests: Requests, timeline: ReadTimeline,
-                    t_add: int, batch: int) -> LookupResult:
-    """Finish a lookup of `requests` in batches of `batch` queries, given
-    their `read_timeline` at that batch: gather the vectors from the flash
-    image, sum them, and finish the adder's order at `t_add` ns per add. Each
-    batch runs on an idle device from time 0, and every time is relative to
-    its batch's start."""
+                    t_add: int) -> LookupResult:
+    """Finish a lookup of `requests`, given their `read_timeline`: gather the
+    vectors from the flash image, sum them, and finish the adder's order at
+    `t_add` ns per add. Each query's end is relative to its batch's start,
+    as the timeline's times are."""
     # one vector-sum unit per query, so queries do not serialize on one adder
     ev_concat = lookup_sums(flash.rows[requests.page, requests.slot])
-    e_ns = timeline.adder.done_ns(t_add)
-    return LookupResult(ev_concat, e_ns,
-                        np.maximum.reduceat(e_ns, np.arange(0, len(e_ns), batch)))
+    return LookupResult(ev_concat, timeline.adder.done_ns(t_add))

@@ -34,6 +34,7 @@ weight-fetch time once per batch as a streaming floor (`Scenario.spill_floors`).
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import ev_engine
@@ -208,15 +209,21 @@ class _Stage:
     spill floors in cycles."""
 
     def __init__(self, dims, space: SearchSpace, batch: int, durations: Durations, floors):
-        self.dims, self.batch, self.durations, self.floors = dims, batch, durations, floors
-        self.options = []
-        for r, c, floor in zip(dims, dims[1:], floors):
-            kernels = sorted(((kr, kc) for kr in kernel_options(r, space.max_kernel)
-                              for kc in kernel_options(c, space.max_kernel)),
-                             key=lambda k: (k[0] * k[1], k))
-            self.options.append([(k, durations.cycles_to_ns(max(fc_cycles(r, c, k, batch), floor)))
-                                 for k in kernels])
+        self.dims, self.space, self.batch = dims, space, batch
+        self.durations, self.floors = durations, floors
         self.makespans = {}
+
+    @cached_property
+    def options(self):
+        """Per layer, its (kernel, least time in ns) options, built on first
+        read: `makespan` alone never reads them."""
+        options, cap = [], self.space.max_kernel
+        for r, c, floor in zip(self.dims, self.dims[1:], self.floors):
+            kernels = sorted(((kr, kc) for kr in kernel_options(r, cap)
+                              for kc in kernel_options(c, cap)), key=lambda k: (k[0] * k[1], k))
+            options.append([(k, self.durations.cycles_to_ns(
+                max(fc_cycles(r, c, k, self.batch), floor))) for k in kernels])
+        return options
 
     def candidates(self, budget_ns: int):
         """Yield the stage's kernel lists in ascending (area, kernels) order,

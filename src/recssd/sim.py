@@ -28,10 +28,11 @@ The loop looks up fixed-size chunks of batches through one call chain each,
 ``translate_batch`` -> ``read_timeline`` -> ``simulate_lookup``, one batch per
 lane of the page scheduler (each of the lane's channel buses serves its
 dies in rounds, the k-th read of every die in the order of the dies' first
-reads), and the mode's stage function gives each batch's device time and
-its own per-query columns. rmssd
-schedules the bottom MLP once per run and the top MLP once per chunk, one
-batch per lane of the pipeline scheduler. What follows the device is
+reads), and a batch's device time lasts until the last in-device column of
+its queries ends: a lookup end or a column of the mode's stage function
+(rmssd's MLP columns; emb-vectorsum has none). rmssd schedules the bottom
+MLP once per run and the top MLP once per chunk, one batch per lane of the
+pipeline scheduler. What follows the device is
 closed-form over the run's columns: emb-vectorsum's in-order host MLP queue
 is a max-plus scan, and the baseline's serial queries start at the running
 sum of their times, so ``duration_ns`` admits a prefix of them.
@@ -292,8 +293,9 @@ def _drive(scenario: Scenario, session: Session, batch: int, kc_e: int, stage):
     batch's `t0` is the sum of the device times before it, and the batch is
     dispatched while `t0` is before `duration_ns`. One lookup covers a chunk
     of whole batches (`CHUNK_QUERIES`), one batch per lane, and
-    `stage(emb, batch)` returns the chunk's per-batch device times and the
-    mode's per-query columns, relative to each batch's dispatch. The chunk's
+    `stage(emb, batch)` returns the mode's in-device per-query columns,
+    relative to each batch's dispatch. A batch's device time is the latest
+    end among its queries' lookup ends and those columns. The chunk's
     translation and read timeline come from the session (`Session.lookup`).
     Returns the dispatched queries' ns columns (`t0`, `emb_start`, `emb_end`,
     then the stage's; a column no batch made reads as empty), their summed
@@ -310,8 +312,10 @@ def _drive(scenario: Scenario, session: Session, batch: int, kc_e: int, stage):
         if scenario.duration_ns is not None and t0 >= scenario.duration_ns:
             break
         requests, timeline = session.lookup(scenario.layout, durations, batch, first, chunk)
-        emb = ev_engine.simulate_lookup(flash, requests, timeline, t_add, batch)
-        device_ns, cols = stage(emb, batch)
+        emb = ev_engine.simulate_lookup(flash, requests, timeline, t_add)
+        cols = stage(emb, batch)
+        device_ns = np.maximum.reduceat(np.maximum.reduce([emb.e_ns, *cols.values()]),
+                                        np.arange(0, len(emb.e_ns), batch))
         dispatch = t0 + np.cumsum(device_ns) - device_ns
         admitted = len(dispatch) if scenario.duration_ns is None else \
             int(np.searchsorted(dispatch, scenario.duration_ns))
@@ -415,9 +419,8 @@ def _run_rmssd(scenario: Scenario, session: Session, seed: int) -> RunResult:
                                            floor_cycles=floors_t)
         done, top_start = (durations.cycles_to_ns(c).ravel()[:n]
                            for c in (top.completions, top.starts))
-        device = np.maximum(np.maximum.reduceat(done, np.arange(0, n, batch)), emb.t_emb_ns)
-        return device, {"bottom_end": np.tile(bottom_ns, lanes)[:n], "top_start": top_start,
-                        "done": done}
+        return {"bottom_end": np.tile(bottom_ns, lanes)[:n], "top_start": top_start,
+                "done": done}
 
     times, ev, busy, batches = _drive(scenario, session, batch, assignment.ev[1], stage)
     t0, done = times["t0"], times["done"]
@@ -434,9 +437,8 @@ def _run_emb_vectorsum(scenario: Scenario, session: Session, seed: int) -> RunRe
     spec, durations = scenario.model.spec, scenario.durations
     kc_e = scenario.kernels.ev[1] if scenario.kernels is not None else spec.ev_dim
     host_mlp, xfer = durations.host_mlp_ns, durations.host_xfer_ns
-    # the device frees when the batch's lookups end
     times, ev, busy, batches = _drive(scenario, session, scenario.batch, kc_e,
-                                      lambda emb, batch: (emb.t_emb_ns, {}))
+                                      lambda emb, batch: {})
     t0, emb_end = times["t0"], times["emb_end"]
     ready = emb_end + xfer
     # the host MLP serves queries in order, so done_i = max(ready_i, done_{i-1})

@@ -210,6 +210,33 @@ class TestValidate:
             assert proc.returncode == 2, proc.stderr
             assert "too large to materialise" in proc.stderr
 
+    @pytest.mark.parametrize("text", ["geometry: {channels: 1000000000000}\n",
+                                      "scenario: {query_count: 1000000000000}\n"],
+                             ids=["channels", "query_count"])
+    def test_run_too_large_to_materialise(self, tmp_path, text):
+        # valid configs whose run, not their build, asks for terabytes: under
+        # the same 2 GB address-space cap the allocation fails, a config error
+        path = write(tmp_path, "big.yaml", text)
+        cap = 2_000_000_000
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "recssd.cli", "run", path, "--out", str(tmp_path / "o"),
+             "--quiet"], env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 2, proc.stderr
+        assert "too large to materialise on this host" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "search", "compare"])
+    def test_negative_seed_refused_when_parsed(self, tmp_path, capsys, command):
+        path = write(tmp_path, "c.yaml", FAST_RUN)
+        configs = [path, path] if command == "compare" else [path]
+        with pytest.raises(SystemExit) as e:
+            main([command, *configs, "--seed", "-1"])
+        assert e.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_writes_outputs(self, tmp_path, capsys):

@@ -42,7 +42,7 @@ def lookup(model, queries, kc_e=None, batch=None):
     timeline = read_timeline(requests, batch, GEO, durations.sense_ns, durations.xfer_ns)
     flash = build_flash_image(model.tables, layout)
     t_add = durations.add_ns(kc_e or model.spec.ev_dim)
-    return simulate_lookup(flash, requests, timeline, t_add, batch), timeline
+    return simulate_lookup(flash, requests, timeline, t_add), timeline
 
 
 def flat_model(num_tables=1, rows=256, ev_dim=16, seed=0):
@@ -250,7 +250,6 @@ class TestSimulateLookup:
         qs = Workload.from_queries([Query([[5]], np.zeros(2, np.float32))])
         res, _ = lookup(model, qs)
         assert res.e_ns.tolist() == [SENSE + XFER]
-        assert res.t_emb_ns.tolist() == [SENSE + XFER]
 
     def test_bad_queries_rejected(self):
         model = flat_model(num_tables=2, rows=100)
@@ -375,7 +374,6 @@ class TestSimulateLookup:
         done = adder_oracle(adder_items, cycles_ns(TP, 16 // kc_e), group=lambda k: k[0])
         want_e = [max(done[(qid, t)] for t in range(4)) for qid in range(64)]
         assert res.e_ns.tolist() == want_e
-        assert res.t_emb_ns.tolist() == [max(want_e)]
 
     def test_fragmented_layout_replayed_by_hand(self):
         # three tables of 48-byte vectors, 85 per page, back to back over 70
@@ -437,9 +435,7 @@ class TestSimulateLookup:
         parts, parts_tl = zip(*(lookup(model, qs[i:i + batch], kc_e=kc_e)
                                 for i in range(0, len(qs), batch)))
         assert whole.ev_concat.tobytes() == np.concatenate([p.ev_concat for p in parts]).tobytes()
-        for name in ("e_ns", "t_emb_ns"):
-            assert getattr(whole, name).tolist() == \
-                np.concatenate([getattr(p, name) for p in parts]).tolist(), name
+        assert whole.e_ns.tolist() == np.concatenate([p.e_ns for p in parts]).tolist()
         for name in ("first_sense_ns", "channel_busy_ns"):
             assert getattr(whole_tl, name).tolist() == \
                 np.concatenate([getattr(p, name) for p in parts_tl]).tolist(), name

@@ -91,6 +91,19 @@ class TestEstimateTimes:
         assert got.bottom_ns == cycles_ns(TP, max(comps_b))
         assert got.top_ns == cycles_ns(TP, max(comps_t))
 
+    def test_builds_no_option_list(self, monkeypatch):
+        # only the walk and the infeasible diagnosis read a stage's options,
+        # whose times are the layers' `fc_cycles`
+        m = build_model(desk_model_spec("rmc3-mini"), 3)
+        s = search_scenario(m, RM, GEO, TP, WorkloadConfig())
+        a = KernelAssignment.all_max(m.spec)
+        want = estimate_times(s, a, 2, 3)
+
+        def refuse(*args):
+            raise AssertionError("estimate_times built an option list")
+        monkeypatch.setattr("recssd.kernel_search.fc_cycles", refuse)
+        assert estimate_times(s, a, 2, 3) == want
+
 
 class TestResourceUsage:
     def test_dsp_linear_in_kernel_area(self):
