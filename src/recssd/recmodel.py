@@ -13,8 +13,18 @@ array, every query looking up the same number of rows of each table, and a
 (queries, dense_dim) dense matrix. The simulator reads the arrays; indexing
 or iterating a workload gives `Query` objects, one query's index lists and
 dense vector, for the reference path and the tests.
+
+Models and workloads are drawn from the raw 64-bit words of a seeded PCG64
+bit generator (`bit_generator.random_raw`), converted here in blocks, and not
+from `Generator` methods: NEP 19 keeps the bit generator's raw stream stable
+across NumPy versions, but not the streams of `Generator` methods. The
+conversions reproduce what the methods make of the same words, bit for bit:
+a float32 uniform takes a 32-bit half h, low half of a word first, and is
+(h >> 8) * 2**-24; a float64 uniform takes a whole word w and is
+(w >> 11) * 2**-53; an integer below `rows` is Lemire's (h * rows) >> 32.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +35,10 @@ import numpy as np
 # near 500 pairs: at 100 queries a 13->64 layer takes 277 us by cumsum and
 # 51 us by the loop, and a 64->1 layer 19 us against 63 us.
 _CUMSUM_WIDTH = 512
+
+# Halves `_uniforms` converts per step: 64 K of them, 256 KB in and 256 KB of
+# shifted temporary, stay in a core's L2 cache from the shift to the scaling.
+_UNIFORM_CHUNK = 1 << 16
 
 
 def _integral(name: str, value) -> int:
@@ -254,39 +268,56 @@ def _check_chain(dims, weights, biases, name):
             raise ValueError(f"{name} MLP layer {l}: bias shape {biases[l].shape} != ({dims[l+1]},)")
 
 
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of raw PCG64 words, low half of each word first, in
+    the order the generator's buffered 32-bit draws take them."""
+    return np.asarray(words, dtype="<u8").view("<u4")
+
+
+def _uniforms(halves: np.ndarray) -> np.ndarray:
+    """The float32 uniforms in [0, 1) of 32-bit halves, as
+    `Generator.random(dtype=np.float32)` makes them: (h >> 8) * 2**-24.
+    Converts a C-contiguous array in place, `_UNIFORM_CHUNK` halves at a
+    time, and returns it viewed as float32 in its shape."""
+    flat = halves.reshape(-1)
+    out = flat.view(np.float32)
+    for a in range(0, flat.size, _UNIFORM_CHUNK):
+        part = out[a:a + _UNIFORM_CHUNK]
+        part[...] = flat[a:a + _UNIFORM_CHUNK] >> 8
+        part *= np.float32(2 ** -24)
+    return out.reshape(halves.shape)
+
+
 def build_model(spec: ModelSpec, seed: int) -> Model:
     """Materialize tables and MLP weights from one seeded uniform [-0.5, 0.5) stream.
 
-    Generation order is fixed (tables in spec order, then bottom layers, then
-    top layers) so a (spec, seed) pair always yields identical parameters.
-    The tables come from one block of all their rows, drawn in spec order,
-    and each table's values are its row slice of that block. It is the same
-    stream as one draw per table: float32 draws take the generator's 32-bit
-    halves in order, whether or not the draw is split.
+    Every parameter is one float32 uniform minus 0.5, and the uniforms are
+    consecutive 32-bit halves of the seed's raw PCG64 words, low half first
+    (see the module docstring), in a fixed order: the block of all table
+    rows, tables in spec order, then each bottom layer's weights and bias,
+    then each top layer's. Each array is its slice of that one stream, so a
+    (spec, seed) pair always yields identical parameters, and they are the
+    values of one `Generator.random(dtype=np.float32)` call per table and per
+    layer array in that order.
     """
-    rng = np.random.default_rng([int(seed), 0xEC0])
-
-    def uniform(shape):
-        v = rng.random(shape, dtype=np.float32)
-        v -= np.float32(0.5)
-        return v
-
-    block = uniform((sum(ts.rows for ts in spec.tables), spec.ev_dim))
+    bitgen = np.random.default_rng([int(seed), 0xEC0]).bit_generator
+    shapes = [(sum(ts.rows for ts in spec.tables), spec.ev_dim)]
+    for dims in (spec.bottom_mlp_dims, spec.top_mlp_dims):
+        for l in range(len(dims) - 1):
+            shapes += [(dims[l + 1], dims[l]), (dims[l + 1],)]
+    sizes = [math.prod(shape) for shape in shapes]
+    total = sum(sizes)
+    stream = _uniforms(_halves(bitgen.random_raw((total + 1) // 2))[:total])
+    stream -= np.float32(0.5)
+    block, *params = (part.reshape(shape) for part, shape in
+                      zip(np.split(stream, np.cumsum(sizes)[:-1]), shapes))
     tables, start = [], 0
     for t, ts in enumerate(spec.tables):
         tables.append(EmbeddingTable(ts, block[start:start + ts.rows], table_id=t))
         start += ts.rows
-
-    def layers(dims):
-        ws, bs = [], []
-        for l in range(len(dims) - 1):
-            ws.append(uniform((dims[l + 1], dims[l])))
-            bs.append(uniform(dims[l + 1]))
-        return ws, bs
-
-    bw, bb = layers(spec.bottom_mlp_dims)
-    tw, tb = layers(spec.top_mlp_dims)
-    return Model(spec, tables, bw, bb, tw, tb)
+    nb = len(spec.bottom_mlp_dims) - 1
+    bottom, top = params[:2 * nb], params[2 * nb:]
+    return Model(spec, tables, bottom[0::2], bottom[1::2], top[0::2], top[1::2])
 
 
 def ev_lookup_sum(table: EmbeddingTable, indices: list[int]) -> np.ndarray:
@@ -386,37 +417,60 @@ def generate_workload(spec: ModelSpec, distribution: str, pooling: int, count: i
     given distribution, dense features uniform in [0, 1). Deterministic for a
     fixed seed.
 
-    The stream is one RNG call for the query's indices and then one for its
-    dense vector, query after query, each written into its row of the
-    workload's arrays. The index call is `integers(0, rows)` with one bound
-    per lookup, table after table (the same stream as one call per table);
-    under zipf it is `pooling` uniforms per table instead, mapped through each
-    table's bounded Zipf CDF once all queries are drawn. The calls are not
-    merged across queries: that would reorder the generator's draws, which
-    interleave the two calls and take buffered 32-bit halves, and so change
-    every output."""
+    The whole workload is one block of the seed's raw PCG64 words, read
+    query after query (the conversions are in the module docstring):
+    * uniform: one 32-bit half per lookup, table after table, gives an index
+      below the table's rows by Lemire's rule (a one-row table's index is 0
+      and takes no half); then one half per dense value;
+    * zipf: one whole word per lookup gives a float64 uniform, mapped through
+      the table's bounded Zipf CDF; then one half per dense value, where a
+      query whose dense values end on a low half leaves the high half to the
+      next query's first dense value.
+    These are the values of one `integers(0, rows)` or `random` call for a
+    query's indices and one `random(dtype=np.float32)` call for its dense
+    vector, query after query. Lemire's rule redraws a half whose low product
+    word falls below (2**32 - rows) mod rows, and numpy draws an index of a
+    table over 2**32 rows from whole words; a uniform workload that would do
+    either is drawn by those two calls per query instead."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     WorkloadConfig(distribution, pooling, zipf_s)     # checks all three
     rng = np.random.default_rng([int(seed), 0x3F7])
-    tables = len(spec.tables)
-    index = np.empty((count, tables * pooling), dtype=np.int64)
-    dense = np.empty((count, spec.dense_dim), dtype=np.float32)
-    if distribution == "uniform":
-        highs = np.repeat([t.rows for t in spec.tables], pooling)
-        for q in range(count):
-            index[q] = rng.integers(0, highs)
-            rng.random(dtype=np.float32, out=dense[q])
-    else:
+    tables, dense_dim = len(spec.tables), spec.dense_dim
+    lookups = tables * pooling
+    if distribution == "zipf":
+        # query q's uniform words follow the q*lookups uniform words and the
+        # ceil(q*dense_dim/2) dense words of the queries before it
+        q = np.arange(count)
+        first = q * lookups + (q * dense_dim + 1) // 2
+        is_u = np.zeros(count * lookups + (count * dense_dim + 1) // 2, dtype=bool)
+        is_u[(first[:, None] + np.arange(lookups)).ravel()] = True
+        words = rng.bit_generator.random_raw(is_u.size)
+        u = ((words[is_u] >> 11) * 2.0 ** -53).reshape(count, lookups)
+        dense = _uniforms(_halves(words[~is_u])[:count * dense_dim]).reshape(count, dense_dim)
         # one CDF per distinct row count: preset tables often share theirs
         cdfs = {rows: zipf_cdf(rows, zipf_s) for rows in {t.rows for t in spec.tables}}
-        u = np.empty((count, tables * pooling))
-        for q in range(count):
-            rng.random(out=u[q])
-            rng.random(dtype=np.float32, out=dense[q])
+        index = np.empty((count, lookups), dtype=np.int64)
         for t, ts in enumerate(spec.tables):
             cols = slice(t * pooling, (t + 1) * pooling)
             index[:, cols] = np.searchsorted(cdfs[ts.rows], u[:, cols], side="right")
+    else:
+        rows = np.repeat([t.rows for t in spec.tables], pooling)
+        drawn = rows > 1
+        bound = rows[drawn].astype(np.uint64)
+        per = len(bound) + dense_dim
+        halves = _halves(rng.bit_generator.random_raw((count * per + 1) // 2))
+        halves = halves[:count * per].reshape(count, per)
+        product = halves[:, :len(bound)] * bound
+        index = np.zeros((count, lookups), dtype=np.int64)
+        index[:, drawn] = product >> 32
+        dense = _uniforms(np.ascontiguousarray(halves[:, len(bound):]))
+        if rows.max() > 2 ** 32 or \
+                ((product & 0xFFFFFFFF) < (2 ** 32 - bound) % bound).any():
+            rng = np.random.default_rng([int(seed), 0x3F7])
+            for q in range(count):
+                index[q] = rng.integers(0, rows)
+                rng.random(dtype=np.float32, out=dense[q])
     return Workload(index.reshape(count, tables, pooling), dense)
 
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from recssd import recmodel
 from recssd.recmodel import (DESK_PRESETS, EmbeddingTable, Model, ModelSpec, Query,
                              TableSpec, Workload, build_model, desk_model_spec,
                              ev_lookup_sum, generate_workload, mlp_forward,
@@ -19,6 +20,35 @@ ODD_SPECS = (
     ModelSpec(tables=tuple(TableSpec(r, 3) for r in (7, 2, 9, 1)), bottom_mlp_dims=(5, 3),
               top_mlp_dims=(15, 1), dense_dim=5),
 )
+
+
+def assert_model_is_the_oracles(spec, seed):
+    model = build_model(spec, seed)
+    got = ([t.values for t in model.tables], model.bottom_weights,
+           model.bottom_biases, model.top_weights, model.top_biases)
+    for got_arrays, want_arrays in zip(got, model_oracle(spec, seed)):
+        assert len(got_arrays) == len(want_arrays)
+        for g, w in zip(got_arrays, want_arrays):
+            assert g.dtype == np.float32 and g.shape == w.shape
+            assert np.array_equal(g.view(np.uint32), w.view(np.uint32))
+
+
+def assert_workload_is_the_oracles(rows, dense_dim, distribution, pooling, count, seed,
+                                   zipf_s=1.0):
+    # both the arrays and the queries they give must be the oracle's stream
+    spec = ModelSpec(tables=tuple(TableSpec(r, 2) for r in rows),
+                     bottom_mlp_dims=(dense_dim, 2), top_mlp_dims=(2 + 2 * len(rows), 1),
+                     dense_dim=dense_dim)
+    want = workload_oracle(rows, dense_dim, distribution, pooling, count, seed, zipf_s=zipf_s)
+    got = generate_workload(spec, distribution, pooling, count, seed, zipf_s=zipf_s)
+    assert got.index.dtype == np.int64 and got.index.shape == (count, len(rows), pooling)
+    assert got.dense.dtype == np.float32 and got.dense.shape == (count, dense_dim)
+    assert got.index.tolist() == [indices for indices, _ in want]
+    assert got.dense.tobytes() == b"".join(d.tobytes() for _, d in want)
+    assert len(got) == len(want)
+    for q, (indices, dense) in zip(got, want):
+        assert q.indices == indices
+        assert np.array_equal(q.dense, dense)
 
 
 def small_table(rows=4, ev_dim=2, table_id=0, seed=None):
@@ -231,56 +261,39 @@ class TestGenerateWorkload:
         assert np.abs(counts - n * p).max() <= 5 * sigma
 
     def test_matches_per_table_oracle_with_mixed_row_counts(self):
-        # zipf builds a CDF over every row, so its tables stay small; both the
-        # arrays and the queries they give must be the oracle's stream
+        # zipf builds a CDF over every row, so its tables stay small
         for distribution, rows in (("uniform", (7, 1, 1000, 2 ** 31 + 5)),
                                    ("zipf", (7, 1, 1000, 333))):
-            spec = ModelSpec(tables=tuple(TableSpec(r, 2) for r in rows),
-                             bottom_mlp_dims=(3, 2), top_mlp_dims=(10, 1), dense_dim=3)
             for pooling, zipf_s in itertools.product((1, 3, 5, 8), (0.7, 0.9, 1.2)):
-                got = generate_workload(spec, distribution, pooling, 30, 8, zipf_s=zipf_s)
-                want = workload_oracle(rows, 3, distribution, pooling, 30, 8, zipf_s=zipf_s)
-                assert len(got) == len(want) == 30
-                for q, (indices, dense) in zip(got, want):
-                    assert q.indices == indices
-                    assert np.array_equal(q.dense, dense)
-                assert got.index.dtype == np.int64 and got.pooling == pooling
-                assert got.index.tolist() == [indices for indices, _ in want]
-                assert got.dense.dtype == np.float32
-                assert np.array_equal(got.dense, np.array([d for _, d in want]))
+                assert_workload_is_the_oracles(rows, 3, distribution, pooling, 30, 8,
+                                               zipf_s=zipf_s)
 
     def test_zipf_uniform_on_a_cdf_step_takes_the_next_rank(self, monkeypatch):
         # ranks 0..k hold cumulative weight cdf[k], so a uniform equal to
         # cdf[k] is past rank k. A real draw lands on a step almost never, so
-        # a stand-in generator returns the steps themselves.
-        class Steps:
-            def __init__(self, values):
-                self.values = list(values)
-
-            def random(self, size=None, dtype=np.float64, out=None):
-                n = out.size if out is not None else size
-                draw = np.array(self.values[:n], dtype=dtype)
-                self.values = self.values[n:]
-                if out is None:
-                    return draw
-                out[...] = draw
-                return out
-
-        rows, pooling, count = (5, 9), 3, 4
-        spec = ModelSpec(tables=tuple(TableSpec(r, 2) for r in rows), bottom_mlp_dims=(3, 2),
-                         top_mlp_dims=(6, 1), dense_dim=3)
-        cdfs = [zipf_cdf(r, 1.1) for r in rows]
-        steps = [[(q + j) % (r - 1) for r in rows for j in range(pooling)]
-                 for q in range(count)]
-        values = []
-        for ks in steps:
-            values += [cdfs[j // pooling][k] for j, k in enumerate(ks)] + [0.5] * 3
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: Steps(values))
+        # a stand-in CDF puts its steps on the draw's own uniforms, which the
+        # documented stream gives: per query, `random` of its lookups, then
+        # `random(dtype=float32)` of its dense vector.
+        tables, pooling, count, dense_dim = 2, 3, 4, 3
+        rng = np.random.default_rng([1, 0x3F7])
+        uniforms = []
+        for _ in range(count):
+            uniforms.append(rng.random(tables * pooling))
+            rng.random(dense_dim, dtype=np.float32)
+        steps = np.sort(np.concatenate(uniforms))
+        cdf = np.append(steps, 1.0)
+        rows = len(cdf)
+        monkeypatch.setattr("recssd.recmodel.zipf_cdf",
+                            lambda r, s: cdf if r == rows else zipf_cdf(r, s))
+        spec = ModelSpec(tables=tuple(TableSpec(rows, 2) for _ in range(tables)),
+                         bottom_mlp_dims=(dense_dim, 2), top_mlp_dims=(6, 1),
+                         dense_dim=dense_dim)
         got = generate_workload(spec, "zipf", pooling, count, 1, zipf_s=1.1)
-        want = workload_oracle(rows, 3, "zipf", pooling, count, 1, zipf_s=1.1)
-        assert got.index.ravel().tolist() == [k + 1 for ks in steps for k in ks]
-        for q, (indices, dense) in zip(got, want):
-            assert q.indices == indices
+        # each uniform is the step cdf[k] at its sorted position k
+        want = [(np.searchsorted(steps, u) + 1).tolist() for u in uniforms]
+        assert got.index.reshape(count, -1).tolist() == want
+        for q, (_, dense) in zip(got, workload_oracle([rows] * tables, dense_dim, "zipf",
+                                                      pooling, count, 1, zipf_s=1.1)):
             assert np.array_equal(q.dense, dense)
 
     def test_zipf_skews_toward_low_ranks(self):
@@ -403,14 +416,7 @@ class TestInvariants:
                              + list(ODD_SPECS))
     def test_build_model_matches_one_draw_per_array_oracle(self, spec):
         for seed in (3, 7, 1001):
-            model = build_model(spec, seed)
-            got = ([t.values for t in model.tables], model.bottom_weights,
-                   model.bottom_biases, model.top_weights, model.top_biases)
-            for got_arrays, want_arrays in zip(got, model_oracle(spec, seed)):
-                assert len(got_arrays) == len(want_arrays)
-                for g, w in zip(got_arrays, want_arrays):
-                    assert g.dtype == np.float32 and g.shape == w.shape
-                    assert np.array_equal(g.view(np.uint32), w.view(np.uint32))
+            assert_model_is_the_oracles(spec, seed)
 
     def test_table_views_are_disjoint_and_contiguous(self):
         model = build_model(ODD_SPECS[1], 7)
@@ -424,3 +430,75 @@ class TestInvariants:
         for t, old in zip(tables, before):
             if t is not tables[1]:
                 assert np.array_equal(t.values, old)
+
+
+class TestRawWordStream:
+    """The block draws from raw PCG64 words at their edges, bit for bit
+    against the oracles' one-call-per-array and per-query streams."""
+
+    def test_model_stream_across_conversion_chunks(self, monkeypatch):
+        # an even and an odd value count (a one-wide table of chunk + 1 or
+        # chunk + 2 rows, then 5 weights and biases) across a chunk boundary
+        chunk = recmodel._UNIFORM_CHUNK
+        for rows in (chunk + 1, chunk + 2):
+            spec = ModelSpec(tables=(TableSpec(rows, 1),), bottom_mlp_dims=(1, 1),
+                             top_mlp_dims=(2, 1), dense_dim=1)
+            assert_model_is_the_oracles(spec, 5)
+        # an odd table block (3 values) whose weights start on a high half,
+        # converted in chunks that split it and the weights anywhere
+        odd_block = ModelSpec(tables=(TableSpec(3, 1),), bottom_mlp_dims=(2, 3),
+                              top_mlp_dims=(4, 2, 1), dense_dim=2)
+        for small in (1, 2, 3, 4, 7):
+            monkeypatch.setattr(recmodel, "_UNIFORM_CHUNK", small)
+            for spec in (odd_block,) + ODD_SPECS:
+                assert_model_is_the_oracles(spec, 5)
+
+    @pytest.mark.parametrize("distribution", ["uniform", "zipf"])
+    def test_workload_edges(self, distribution):
+        # odd and even dense widths and lookups per query, one-row tables
+        # (which take no draw under uniform), 0, 1, 2 and 5 queries
+        for rows, dense_dim, pooling, count in itertools.product(
+                ((1,), (7, 1), (5, 9), (3, 1, 4)), (1, 2, 3, 4), (1, 2, 3), (0, 1, 2, 5)):
+            for seed in (1, 2):
+                assert_workload_is_the_oracles(rows, dense_dim, distribution, pooling,
+                                               count, seed)
+
+    @pytest.mark.parametrize("rows", [(2 ** 31 + 1, 5), (9, 2 ** 32 + 1)],
+                             ids=["rejecting", "over-2**32"])
+    def test_uniform_fallback_is_the_per_query_loop(self, monkeypatch, rows):
+        # Lemire redraws about half the halves under a 2**31 + 1 bound, and
+        # numpy draws an index below more than 2**32 rows from a whole word:
+        # both workloads are drawn by one `integers` call per query
+        assert_workload_is_the_oracles(rows, 3, "uniform", 2, 4, 7)
+        calls = []
+        real = np.random.default_rng
+
+        class Counting(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                calls.append(args)
+                return super().integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Counting(real(seed).bit_generator))
+        spec = ModelSpec(tables=tuple(TableSpec(r, 2) for r in rows), bottom_mlp_dims=(3, 2),
+                         top_mlp_dims=(6, 1), dense_dim=3)
+        generate_workload(spec, "uniform", 2, 4, 7)
+        assert len(calls) == 4
+
+    def test_draws_take_only_raw_words(self, monkeypatch):
+        class Refusing(np.random.Generator):
+            def random(self, *args, **kwargs):
+                raise AssertionError("Generator.random called")
+
+            def integers(self, *args, **kwargs):
+                raise AssertionError("Generator.integers called")
+
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Refusing(real(seed).bit_generator))
+        for name in DESK_PRESETS:
+            spec = desk_model_spec(name)
+            assert build_model(spec, 3).spec == spec
+            # the presets' power-of-two row counts never reject a draw
+            for distribution in ("uniform", "zipf"):
+                assert len(generate_workload(spec, distribution, 4, 50, 3)) == 50
