@@ -22,9 +22,16 @@ their arrivals at the adder, and `simulate_lookup` finishes the lookup for
 one mode. Nothing here computes a channel or a die: the scheduler places
 each page. The first two read neither the table values nor the adder's
 width, and of the device's times only a sense and a page transfer, so modes
-that look up the same requests on the same flash can share them. The gather
-from the flash image, the sums and the adder's finish at its add time are
-each mode's own.
+that look up the same requests on the same flash can share them. The read
+of the rows, the sums and the adder's finish at its add time are each
+mode's own.
+
+The device reads its rows from flash pages (`FlashPages`), addressed by
+(page, slot) and mapped back to a table row through the layout's inverse,
+not through the translation that computed the page and slot. So a
+translation bug reads another row, or a slot that holds none and raises,
+and shows as a score mismatch or an error. The pages hold the tables
+themselves: a device run copies no table bytes.
 """
 
 from dataclasses import dataclass
@@ -123,31 +130,39 @@ def dispatch(requests: Requests, lane: np.ndarray) -> CoalescedReads:
     return CoalescedReads(lane[query], page.ravel()[first], rank[inverse].reshape(page.shape))
 
 
-class FlashImage:
-    """Byte image of the flash pages holding the padded tables.
-    `rows[page, slot]` views the vector in row slot `slot` of a global page."""
+@dataclass(frozen=True)
+class FlashPages:
+    """The device's flash pages, read through the layout's inverse: slot s of
+    page p in table t's page range holds row (p - first_page[t]) *
+    rows_per_page + s of table t. It holds the tables themselves and copies
+    none of their values, so a page the layout computes wrongly reads another
+    row, or none."""
+    tables: tuple
+    layout: TableLayout
 
-    def __init__(self, buf: bytearray, page_size: int, ev_bytes: int):
-        self.buf = buf
-        slots = page_size // ev_bytes * ev_bytes
-        pages = np.frombuffer(buf, dtype=np.uint8).reshape(-1, page_size)
-        self.rows = pages[:, :slots].reshape(len(pages), -1, ev_bytes).view("<f4")
+    def read(self, requests: Requests) -> np.ndarray:
+        """The rows that `requests` name by (page, slot), request [q, t, j]
+        reading table t, as a (queries, tables, pooling, ev_dim) array. A slot
+        at or past `rows_per_page`, or a page and slot outside the table's
+        rows, raises `ValueError`."""
+        layout, page, slot = self.layout, requests.page, requests.slot
+        table = np.arange(page.shape[1])[:, None]
+        row = (page - layout.first_page[table]) * layout.rows_per_page + slot
+        # checked before the gather, which would wrap a negative row
+        bad = (slot < 0) | (slot >= layout.rows_per_page) | (row < 0) | \
+            (row >= layout.rows[table])
+        if bad.any():
+            q, t, j = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"table {t}: page {page[q, t, j]} slot {slot[q, t, j]} holds "
+                             f"none of its {layout.rows[t]} rows")
+        return gather_rows(self.tables, row)
 
 
-def build_flash_image(tables, layout: TableLayout) -> FlashImage:
-    page_size = layout.geometry.page_size
-    image = FlashImage(bytearray(layout.pages * page_size), page_size, layout.ev_bytes)
-    rpp = layout.rows_per_page
-    # each table's rows go straight into their page slots: the full pages,
-    # then the last page's rows; slots past a table's end and page tails stay
-    # zero. `image.rows` is a view of the buffer, so slicing it writes through.
-    for table, rows, page in zip(tables, layout.rows.tolist(), layout.first_page.tolist()):
-        values = table.values[:rows]
-        full, tail = divmod(rows, rpp)
-        image.rows[page: page + full] = values[:full * rpp].reshape(full, rpp, values.shape[1])
-        if tail:
-            image.rows[page + full, :tail] = values[full * rpp:]
-    return image
+def build_flash_image(tables, layout: TableLayout) -> FlashPages:
+    """The flash pages holding `tables` as `layout` lays them out."""
+    if [t.values.shape[0] for t in tables] != layout.rows.tolist():
+        raise ValueError("the tables' row counts are not the layout's")
+    return FlashPages(tuple(tables), layout)
 
 
 @dataclass(frozen=True)
@@ -226,20 +241,20 @@ class LookupResult:
 def gather_rows(tables, index: np.ndarray) -> np.ndarray:
     """Row `index[q, t, j]` of table t for every request of a (queries,
     tables, pooling) index array, as a (queries, tables, pooling, ev_dim)
-    array: the host's copy of the rows, which the device modes read from
-    flash."""
+    array: the one gather of the host's reads and the device's, which
+    `FlashPages.read` reaches through the layout's inverse."""
     vectors = np.empty(index.shape + tables[0].values.shape[1:], dtype=np.float32)
     for t, tab in enumerate(tables):
-        vectors[:, t] = tab.values[index[:, t]]
+        vectors[:, t] = np.take(tab.values, index[:, t], axis=0)
     return vectors
 
 
-def simulate_lookup(flash: FlashImage, requests: Requests, timeline: ReadTimeline,
+def simulate_lookup(flash: FlashPages, requests: Requests, timeline: ReadTimeline,
                     t_add: int) -> LookupResult:
-    """Finish a lookup of `requests`, given their `read_timeline`: gather the
-    vectors from the flash image, sum them, and finish the adder's order at
+    """Finish a lookup of `requests`, given their `read_timeline`: read the
+    vectors from the flash pages, sum them, and finish the adder's order at
     `t_add` ns per add. Each query's end is relative to its batch's start,
     as the timeline's times are."""
     # one vector-sum unit per query, so queries do not serialize on one adder
-    ev_concat = lookup_sums(flash.rows[requests.page, requests.slot])
+    ev_concat = lookup_sums(flash.read(requests))
     return LookupResult(ev_concat, timeline.adder.done_ns(t_add))

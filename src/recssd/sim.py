@@ -42,7 +42,7 @@ and the scored prefix are views sliced on the query axis; each chunk's
 translation and read timeline, which read neither the tables nor the adder's
 width, under what they do read, (geometry, sense, transfer, batch, chunk
 start), so every device run with that key reuses them and finishes the lookup
-(``simulate_lookup``) from its own flash image at its own ``kc_e``, whatever
+(``simulate_lookup``) from its own flash pages at its own ``kc_e``, whatever
 its engine or host times; and the scoring's MLP passes, which a
 later pass reuses only on byte-equal weights, biases and input. Neither key
 names the model, so a session admits scenarios of one model spec (and so one
@@ -58,10 +58,13 @@ content, not by object, since each scenario may hold its own copy. A lone
 Per-query latency is measured from the dispatch of the query's batch (from
 the start of its processing for the baseline). A run is scored in one forward
 pass, one bottom-MLP and one top-MLP pass over every admitted query, with the
-reference summation orders. The device modes read the embedding values back
-from the flash byte image, so layout bugs surface as score mismatches; the
-baseline gathers the host's table rows, one gather per table, and sums them
-in one call of the device's index-order vector sum. Every query looks up the
+reference summation orders. The device modes read the embedding values from
+the flash pages (``ev_engine.FlashPages``), which map each request's (page,
+slot) back to a table row through the layout's inverse, so layout bugs
+surface as score mismatches or errors; the pages hold the tables themselves,
+so a device run copies no table bytes. The baseline gathers the host's table
+rows by index, through the same gather (one per table), and sums them in one
+call of the device's index-order vector sum. Every query looks up the
 same number of rows of each table (the workload's pooling), so a lookup is a
 (queries, tables, pooling) array throughout.
 """

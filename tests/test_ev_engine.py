@@ -4,9 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from recssd.ev_engine import (adder_order, build_flash_image, dispatch, gather_rows,
-                              lookup_sums, read_timeline, simulate_lookup, table_layout,
-                              translate_batch)
+from recssd.ev_engine import (Requests, adder_order, build_flash_image, dispatch,
+                              gather_rows, lookup_sums, read_timeline, simulate_lookup,
+                              table_layout, translate_batch)
 from recssd.mlp_engine import KernelAssignment
 from recssd.recmodel import (ModelSpec, Query, TableSpec, Workload, build_model,
                              ev_lookup_sum, generate_workload)
@@ -43,6 +43,15 @@ def lookup(model, queries, kc_e=None, batch=None):
     flash = build_flash_image(model.tables, layout)
     t_add = durations.add_ns(kc_e or model.spec.ev_dim)
     return simulate_lookup(flash, requests, timeline, t_add), timeline
+
+
+def read_one(flash, t, page, slot):
+    """The vector in (page, slot) read as a request of table t, the other
+    tables reading their first row."""
+    pages = flash.layout.first_page[None, :, None].copy()
+    slots = np.zeros_like(pages)
+    pages[0, t, 0], slots[0, t, 0] = page, slot
+    return flash.read(Requests(pages, slots))[0, t, 0]
 
 
 def flat_model(num_tables=1, rows=256, ev_dim=16, seed=0):
@@ -282,23 +291,28 @@ class TestSimulateLookup:
         assert res.e_ns[0] == res.e_ns[1]
         assert np.array_equal(res.ev_concat[0], res.ev_concat[1])
 
-    def test_flash_image_holds_padded_table_bytes(self):
-        # flash layout = the table's little-endian FP32 rows, page-padded at
-        # rows_per_page
+    def test_flash_pages_hold_padded_table_rows(self):
+        # slot s of a table's page p (counted from its first page) holds the
+        # table's little-endian FP32 row p * rows_per_page + s, read from the
+        # tables themselves; the slots past a table's last row hold none
         model = flat_model(num_tables=2, rows=100, seed=4)
         layout = table_layout(model.spec, GEO)
         flash = build_flash_image(model.tables, layout)
+        assert all(a is b for a, b in zip(flash.tables, model.tables))
         for t in range(2):
             raw = model.tables[t].values.astype("<f4").tobytes()
-            start = int(layout.first_page[t]) * 4096
             for page in range(2):           # 64 rows per page, table has 100 rows
-                rows = slice(page * 64, min((page + 1) * 64, 100))
-                want = raw[rows.start * 64: rows.stop * 64]
-                got = bytes(flash.buf[start + page * 4096:
-                                      start + page * 4096 + len(want)])
-                assert got == want
+                for slot in range(64):
+                    row = page * 64 + slot
+                    at = int(layout.first_page[t]) + page
+                    if row < 100:
+                        assert read_one(flash, t, at, slot).tobytes() == \
+                            raw[row * 64:(row + 1) * 64]
+                    else:
+                        with pytest.raises(ValueError, match=f"table {t}: page {at} slot"):
+                            read_one(flash, t, at, slot)
 
-    def test_flash_image_bytes_on_fragmented_padded_layout(self):
+    def test_flash_pages_on_fragmented_padded_layout(self):
         # 48-byte vectors leave a 16-byte tail in every 4096-byte page. Tables
         # lie back to back: table 0 ends inside its third page, table 1 fills
         # its fourth page exactly, table 2 fits inside one page
@@ -307,20 +321,42 @@ class TestSimulateLookup:
         model = build_model(spec, 8)
         layout = table_layout(spec, GEO)
         assert layout.rows_per_page == 85
-        first_page = (0, 3, 7)
-        buf = np.frombuffer(build_flash_image(model.tables, layout).buf, dtype=np.uint8)
-        assert len(buf) == 8 * 4096
-        written = np.zeros(len(buf), dtype=bool)
+        first_page, pages = (0, 3, 7), (3, 4, 1)
+        # the tables' page ranges are disjoint, in table order, and cover the
+        # layout's pages
+        assert layout.first_page.tolist() == list(first_page) and layout.pages == 8
+        assert [f + n for f, n in zip(first_page, pages)] == [*first_page[1:], layout.pages]
+        # every row of every table reads back bit for bit through its
+        # translated (page, slot), and no two rows share one
+        index = np.arange(340)[:, None] % layout.rows[None, :]
+        reqs = translate_batch(layout, Workload(index[:, :, None], np.zeros((340, 2),
+                                                                            np.float32)))
+        flash = build_flash_image(model.tables, layout)
+        vectors = flash.read(reqs)
+        held = set()
         for t, table in enumerate(model.tables):
             for row in range(table.values.shape[0]):
                 page, offset = translate_index(layout, t, row)
                 assert (page, offset) == (first_page[t] + row // 85, row % 85 * 48)
-                at = page * GEO.page_size + offset
-                assert buf[at:at + 48].tobytes() == table.values[row].astype("<f4").tobytes()
-                assert not written[at:at + 48].any()
-                written[at:at + 48] = True
-        assert written.sum() == (200 + 340 + 50) * 48
-        assert not buf[~written].any()
+                assert (reqs.page[row, t, 0], reqs.slot[row, t, 0]) == (page, offset // 48)
+                assert vectors[row, t, 0].astype("<f4").tobytes() == \
+                    table.values[row].astype("<f4").tobytes()
+                held.add((page, offset))
+        assert len(held) == 200 + 340 + 50
+        # a page outside the table's range, a slot past the table's end on
+        # its last page, and a slot at or past rows_per_page hold no row
+        for t, page, slot in ((1, 2, 84), (1, 7, 0), (0, 2, 200 - 2 * 85),
+                              (2, 7, 50), (0, 0, 85), (1, 3, -1)):
+            with pytest.raises(ValueError, match=f"table {t}: page {page} slot {slot} "):
+                read_one(flash, t, page, slot)
+
+    def test_flash_pages_refuse_tables_of_another_layout(self):
+        model = flat_model(num_tables=2, rows=100, seed=4)
+        layout = table_layout(flat_model(num_tables=2, rows=101).spec, GEO)
+        with pytest.raises(ValueError, match="row counts"):
+            build_flash_image(model.tables, layout)
+        with pytest.raises(ValueError, match="row counts"):
+            build_flash_image(model.tables[:1], table_layout(model.spec, GEO))
 
     def test_functional_transparency_exact(self):
         model = flat_model(num_tables=3, rows=2048, seed=6)
@@ -332,15 +368,16 @@ class TestSimulateLookup:
                 assert np.array_equal(concat[t * 16:(t + 1) * 16], want)
 
     def test_flash_decode_matches_direct_table_values(self):
-        # the lookup reads its vectors from the flash image; the host's copy
-        # of the same rows gives the same vectors and sums
+        # the lookup reads its vectors from the flash pages by (page, slot);
+        # the host's gather of the same rows by index gives the same vectors
+        # and sums
         model = flat_model(num_tables=2, rows=300, seed=11)
         layout = table_layout(model.spec, GEO)
         flash = build_flash_image(model.tables, layout)
         qs = generate_workload(model.spec, "uniform", 5, 10, 19)
         reqs = translate_batch(layout, qs)
         direct = gather_rows(model.tables, qs.index)
-        assert flash.rows[reqs.page, reqs.slot].tobytes() == direct.tobytes()
+        assert flash.read(reqs).tobytes() == direct.tobytes()
         via_flash, _ = lookup(model, qs)
         for a, b in zip(via_flash.ev_concat, lookup_sums(direct)):
             assert np.array_equal(a, b)

@@ -80,7 +80,7 @@ def test_host_read_monotone_in_latency_params(read_us, xfer, iface, overhead_us,
 
 
 # Fields that size allocations, and the value the fuzz gives them in place of
-# 1e300: table bytes, flash image, batch and query count stay small.
+# 1e300: table bytes, batch and query count stay small.
 SIZE_CAPS = {"channels": 8, "dies_per_channel": 4, "page_size": 8192, "table_rows": 256,
              "ev_dim": 2048, "dense_dim": 64, "bottom_mlp_dims": 64, "top_mlp_dims": 64,
              "query_count": 8, "pooling": 8, "batch": 8, "max_batch": 16}

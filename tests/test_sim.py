@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -620,9 +621,10 @@ class TestCompare:
             assert r.scores != results[0].scores
 
     def test_a_wrong_flash_row_is_scored_on_its_own(self, monkeypatch):
-        # one looked-up row of the device's flash image is perturbed: the
-        # device mode's top MLP input differs from the baseline's, so it is
-        # computed again and its first query's score differs
+        # the device reads its flash pages over a copy of the tables in which
+        # one looked-up row is perturbed: the device mode's top MLP input
+        # differs from the baseline's, so it is computed again and its first
+        # query's score differs
         from recssd import ev_engine
         m = rmc3()
         seed, count = 8, 20
@@ -630,10 +632,9 @@ class TestCompare:
         build = ev_engine.build_flash_image
 
         def perturbed(tables, layout):
-            image = build(tables, layout)
-            rpp = layout.rows_per_page
-            image.rows[layout.first_page[2] + row // rpp, row % rpp, 0] += np.float32(0.25)
-            return image
+            tables = [dataclasses.replace(t, values=t.values.copy()) for t in tables]
+            tables[2].values[row, 0] += np.float32(0.25)
+            return build(tables, layout)
 
         monkeypatch.setattr(ev_engine, "build_flash_image", perturbed)
         calls = mlp_calls(monkeypatch)
@@ -643,6 +644,45 @@ class TestCompare:
         assert dev.scores[0] != base.scores[0]
         assert base.scores == [reference_inference(m, q)
                                for q in generate_workload(m.spec, "uniform", 8, count, seed)]
+
+    def test_a_layout_bug_surfaces(self, monkeypatch):
+        # the device maps each (page, slot) back to a row through the
+        # layout's inverse, not through the translation: a translation that
+        # puts every row one slot further along its page either reads a slot
+        # that holds no row or scores some query unlike the reference
+        from recssd import ev_engine
+        m, seed, count = rmc3(), 5, 20
+        locate = ev_engine._locate
+
+        def shifted(layout, table, index):
+            page, slot = locate(layout, table, index)
+            return page, (slot + 1) % layout.rows_per_page
+
+        monkeypatch.setattr(ev_engine, "_locate", shifted)
+        try:
+            scores = run(scenario(MODE_EMB_VECTORSUM, m, count), seed).scores
+        except ValueError:
+            return
+        assert scores != [reference_inference(m, q)
+                          for q in generate_workload(m.spec, "uniform", 8, count, seed)]
+
+    def test_a_warm_compare_copies_no_tables(self):
+        # the device modes read the tables in place: a warm three-mode
+        # compare of 200 uniform queries at batch 2 on rmc3-mini (8 tables of
+        # 1 MB) peaks under 5 MB above its start, where a device run that
+        # copied the tables' 8 MB would peak above it
+        m = rmc3()
+        scenarios = [scenario(mode, m, 200) for mode in
+                     (MODE_SSD_BASELINE, MODE_EMB_VECTORSUM, MODE_RMSSD)]
+        compare(scenarios, 1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            compare(scenarios, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 5 * 2 ** 20
 
     def test_session_refuses_another_model_before_translating(self, monkeypatch):
         # a session keys its lookups and scoring passes without the model, so
